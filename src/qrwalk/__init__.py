@@ -22,7 +22,6 @@ from .equivalence import (
     TransitionMatrixSeq,
     build_multiwalker_matrix,
     build_sequence,
-    build_transition_matrix,
     verify_theorem_properties,
 )
 from .errors import (
@@ -45,7 +44,6 @@ from .graphs import (
     graph_from_json,
     graph_hash,
     graph_to_json,
-    product_degree,
     random_regular_graph,
     torus_graph,
 )

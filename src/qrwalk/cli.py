@@ -142,8 +142,7 @@ def cmd_evolve(args, config: dict) -> int:
     return 0
 
 
-def _build_seq(config: dict, args) -> tuple[TransitionMatrixSeq, object, int]:
-    base, space, walkers = graph_and_spaces(config)
+def _build_seq(config: dict, base, space, walkers: int) -> TransitionMatrixSeq:
     coin, shift, interaction = _operators(config, base, space, walkers)
     psi = initial_state_from_json(config.get("initial_state"), space)
     horizon = _horizon(config)
@@ -152,12 +151,12 @@ def _build_seq(config: dict, args) -> tuple[TransitionMatrixSeq, object, int]:
                              interaction=interaction)
     except ValidationError as exc:
         raise _as_runtime(exc) from exc
-    return seq, space, walkers
+    return seq
 
 
 def cmd_equivalence(args, config: dict) -> int:
-    base = graph_and_spaces(config)[0]
-    seq, space, walkers = _build_seq(config, args)
+    base, space, walkers = graph_and_spaces(config)
+    seq = _build_seq(config, base, space, walkers)
     report = verify_theorem_properties(seq)
     manifest = manifest_for(config, "equivalence", base, format=args.format)
     out = _out_dir(args)
@@ -194,8 +193,8 @@ def cmd_sample(args, config: dict) -> int:
             walkers=walkers, seed=config.get("seed"),
         )
     else:
-        base = graph_and_spaces(config)[0]
-        seq, space, walkers = _build_seq(config, args)
+        base, space, walkers = graph_and_spaces(config)
+        seq = _build_seq(config, base, space, walkers)
         base_n = base.num_vertices
         torus_dims = base.torus_dims
         manifest = manifest_for(config, "sample", base, format=args.format)
@@ -228,11 +227,11 @@ def cmd_sample(args, config: dict) -> int:
 
 
 def cmd_tvd(args, config: dict) -> int:
-    base = graph_and_spaces(config)[0]
+    base, space, walkers = graph_and_spaces(config)
     _require(config, "ensemble_sizes", "t_grid")
     sizes = [int(m) for m in config["ensemble_sizes"]]
     t_grid = [int(t) for t in config["t_grid"]]
-    seq, _, _ = _build_seq(config, args)
+    seq = _build_seq(config, base, space, walkers)
     manifest = manifest_for(config, "tvd", base, ensemble_sizes=sizes,
                             t_grid=t_grid, format=args.format)
     report = convergence_report(seq, sizes, t_grid, config.get("seed"),

@@ -13,14 +13,14 @@ distribution (entries bounded by the Cauchy-Schwarz inequality, sums equal
 to the source vertex mass). The same construction runs on the K-walker
 product graph, where states are vertex tuples.
 
-Construction cost is dominated by the wavefunction evolution itself
-(quadratic in the directed edge count per step for general operators);
-emitting one matrix is linear in its nonzeros.
+One walk step (a block-diagonal coin, then a basis permutation) costs
+time linear in the state dimension for bounded degree, and emitting one
+matrix is linear in the number of arcs leaving its materialised columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,38 +43,14 @@ __all__ = [
     "TransitionMatrix",
     "TransitionMatrixSeq",
     "PropertyReport",
-    "build_transition_matrix",
     "build_multiwalker_matrix",
+    "matrix_from_masses",
     "build_sequence",
     "verify_theorem_properties",
-    "state_label",
-    "state_index",
     "ZERO_PROB",
     "COLUMN_SUM_ERROR",
 ]
 
-
-def state_label(index: int, num_walkers: int, num_base: int) -> str:
-    """Serialise a chain state; vertex tuples become ``u1|u2|...``."""
-    if num_walkers == 1:
-        return str(index)
-    parts = []
-    for _ in range(num_walkers):
-        parts.append(index % num_base)
-        index //= num_base
-    return "|".join(str(x) for x in reversed(parts))
-
-
-def state_index(label: str, num_walkers: int, num_base: int) -> int:
-    parts = label.split("|")
-    if len(parts) != num_walkers:
-        raise ValidationError(
-            f"state label {label!r} does not address {num_walkers} walker(s)"
-        )
-    idx = 0
-    for p in parts:
-        idx = idx * num_base + int(p)
-    return idx
 
 #: Vertex probabilities at or below this are treated as exactly zero when
 #: choosing between the ratio and the uniform column convention.
@@ -84,28 +60,61 @@ ZERO_PROB = 1e-14
 COLUMN_SUM_ERROR = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """One column-stochastic transition matrix P(t), stored column-wise.
+    """One column-stochastic transition matrix P(t) in compressed sparse
+    column (CSC) form, over the source columns that were materialised.
 
-    ``columns[u] = (targets, probs)`` holds the nonzero entries of source
-    column ``u`` with ``targets`` sorted ascending. For K-walker chains the
-    state index is the mixed-radix vertex-tuple index and only a subset of
-    columns may be materialised.
+    ``col_ids`` lists the materialised source states in ascending order.
+    Column ``col_ids[j]`` holds the targets
+    ``indices[indptr[j]:indptr[j + 1]]`` (ascending) with probabilities
+    ``data[indptr[j]:indptr[j + 1]]``; entries that are exactly zero are
+    not stored. A source state absent from ``col_ids`` was not built. For
+    K-walker chains states are joint vertex-tuple indices and usually only
+    a subset of the columns is materialised. The arrays are read-only.
     """
 
     time: int
     num_states: int
-    columns: dict[int, tuple[np.ndarray, np.ndarray]]
+    col_ids: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     column_sum_error: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name, dtype in (("col_ids", np.int64), ("indptr", np.int64),
+                            ("indices", np.int64), ("data", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype, ndmin=1)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        ptr, n = self.indptr, self.num_states
+        if not (ptr.shape == (self.col_ids.size + 1,) and ptr[0] == 0
+                and ptr[-1] == self.indices.size == self.data.size
+                and np.all(np.diff(ptr) >= 0)
+                and np.all(np.diff(self.col_ids) > 0)
+                and all(a.size == 0 or (a.min() >= 0 and a.max() < n)
+                        for a in (self.col_ids, self.indices))
+                and np.all(self.data != 0.0)):
+            raise ValidationError(
+                f"P({self.time}) is not a CSC matrix over {n} states with "
+                "ascending column ids and no stored zeros"
+            )
+
+    @property
+    def sources(self) -> np.ndarray:
+        """Source state of every stored entry."""
+        return np.repeat(self.col_ids, np.diff(self.indptr))
+
     def column(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            return self.columns[u]
-        except KeyError:
+        """Read-only (targets, probabilities) views of source column u."""
+        j = int(np.searchsorted(self.col_ids, u))
+        if j == self.col_ids.size or self.col_ids[j] != u:
             raise ConsistencyError(
                 f"column {u} of P({self.time}) was not materialised"
-            ) from None
+            )
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
 
     def entry(self, v: int, u: int) -> float:
         targets, probs = self.column(u)
@@ -115,24 +124,34 @@ class TransitionMatrix:
         return 0.0
 
     def apply(self, rho: np.ndarray, threshold: float = ZERO_PROB) -> np.ndarray:
-        """Propagate a distribution: returns P(t) @ rho."""
+        """Propagate a distribution: returns P(t) @ rho.
+
+        Sources with mass at or below ``threshold`` are skipped; every
+        other source must have a materialised column.
+        """
         rho = np.asarray(rho, dtype=np.float64)
         if rho.shape != (self.num_states,):
             raise ValidationError(
                 f"distribution has shape {rho.shape}, expected "
                 f"({self.num_states},)"
             )
-        out = np.zeros(self.num_states)
-        for u in np.flatnonzero(rho > threshold):
-            targets, probs = self.column(int(u))
-            out[targets] += probs * rho[u]
-        return out
+        live = np.flatnonzero(rho > threshold)
+        built = np.isin(live, self.col_ids, assume_unique=True)
+        if not built.all():
+            self.column(int(live[~built][0]))  # raises ConsistencyError
+        # the entries of the live columns, column by column
+        pos = np.searchsorted(self.col_ids, live)
+        lo, lengths = self.indptr[pos], np.diff(self.indptr)[pos]
+        entries = np.repeat(lo - np.cumsum(lengths) + lengths, lengths) \
+            + np.arange(lengths.sum())
+        weights = np.repeat(rho[live], lengths) * self.data[entries]
+        return np.bincount(self.indices[entries], weights=weights,
+                           minlength=self.num_states)
 
     def toarray(self) -> np.ndarray:
         """Dense (num_states x num_states) array; missing columns are zero."""
         a = np.zeros((self.num_states, self.num_states))
-        for u, (targets, probs) in self.columns.items():
-            a[targets, u] = probs
+        a[self.indices, self.sources] = self.data
         return a
 
 
@@ -162,12 +181,6 @@ class TransitionMatrixSeq:
     @property
     def num_states(self) -> int:
         return int(self.rho.shape[1])
-
-    def state_label(self, index: int) -> str:
-        return state_label(index, self.num_walkers, self.num_base_vertices)
-
-    def state_index(self, label: str) -> int:
-        return state_index(label, self.num_walkers, self.num_base_vertices)
 
 
 @dataclass
@@ -223,124 +236,92 @@ class PropertyReport:
 # construction
 # ---------------------------------------------------------------------------
 
-def _mixed_radix(indices: Sequence[np.ndarray], radix: int) -> np.ndarray:
-    """Combine per-walker index arrays into joint indices on their outer
-    product grid (walker 0 most significant)."""
-    acc = np.zeros((), dtype=np.int64)
-    for ix in indices:
-        acc = acc[..., None] * radix + ix
-    return acc
+def _column_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Sum of every CSC column.
 
-
-def _ratio_column(
-    u_tuple: tuple[int, ...],
-    rho_u: float,
-    p_next_basis: np.ndarray,
-    base: PortGraph,
-    perms: Sequence[np.ndarray],
-    validate: bool,
-    time: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Column of ratios rho(v, c, t+1) / rho(u, t) for one source state.
-
-    Each arc leaving ``u`` is pushed through the per-walker shift
-    permutations; the squared amplitude found at the joint target state is
-    the numerator for the move to that target's vertex tuple.
+    Columns are grouped by length and each group is summed as one
+    (columns x length) block along its rows, which rounds exactly like
+    summing each column on its own.
     """
-    offs = base.port_offsets
-    taus = [perms[i][int(offs[ui]):int(offs[ui]) + base.degree(ui)]
-            for i, ui in enumerate(u_tuple)]
-    joint_targets = _mixed_radix(taus, base.basis_dim).reshape(-1)
-    vertex_arrays = [base.vertex_of_basis[tau] for tau in taus]
-    joint_vertices = _mixed_radix(vertex_arrays, base.num_vertices).reshape(-1)
-
-    probs = p_next_basis[joint_targets] / rho_u
-    # np.unique sorts the targets, so re-bin the probabilities through the
-    # inverse map even when no two arcs share a target vertex.
-    targets, inverse = np.unique(joint_vertices, return_inverse=True)
-    probs = np.bincount(inverse, weights=probs, minlength=targets.size)
-
-    colsum = float(probs.sum())
-    dev = abs(colsum - 1.0)
-    if validate:
-        if dev > COLUMN_SUM_ERROR:
-            raise ConsistencyError(
-                f"column {u_tuple} of P({time}) sums to {colsum!r}; the "
-                "step operator is not unitary"
-            )
-        probs = np.minimum(probs / colsum, 1.0)
-    return targets, probs, dev
+    lengths = np.diff(indptr)
+    sums = np.zeros(lengths.size)
+    for length in np.unique(lengths[lengths > 0]):
+        cols = np.flatnonzero(lengths == length)
+        block = data[indptr[cols, None] + np.arange(length)]
+        sums[cols] = block.sum(axis=1)
+    return sums
 
 
-def _uniform_column(
-    pg: ProductGraph, u_tuple: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    targets = np.fromiter(
-        (pg.tuple_index(w) for w in pg.out_neighbors(u_tuple)),
-        dtype=np.int64,
-    )
-    targets.sort()
-    d = targets.size
-    return targets, np.full(d, 1.0 / d)
-
-
-def build_transition_matrix(
-    psi_t: WaveFunction,
-    psi_next: WaveFunction,
-    graph: PortGraph | None = None,
-    shift: ShiftSpec | None = None,
+def matrix_from_masses(
+    pg: ProductGraph,
+    perms: Sequence[np.ndarray],
+    rho_t: np.ndarray,
+    p_next: np.ndarray,
+    wanted: np.ndarray,
+    time: int = 0,
     zero_threshold: float = ZERO_PROB,
     validate: bool = True,
-    time: int = 0,
 ) -> TransitionMatrix:
-    """Single-walker transition matrix between consecutive states.
+    """Columns ``wanted`` of P(t) from the vertex (tuple) masses ``rho_t``
+    at t and the basis-state masses ``p_next`` at t + 1.
 
-    Parameters
-    ----------
-    psi_t, psi_next:
-        States before and after one step of the same operators.
-    graph:
-        Defaults to the states' graph; passing it double-checks identity.
-    shift:
-        The shift used by the evolution. It determines which port of the
-        target vertex carries the amplitude that moved along each edge;
-        defaults to the flip-flop shift.
-    zero_threshold:
-        Source masses at or below this get the uniform ``1/d(u)`` column.
-    validate:
-        When true, columns are checked (sum within
-        :data:`COLUMN_SUM_ERROR` of 1) and rescaled onto the simplex;
-        disable to inspect defective inputs.
+    Each arc leaving a source with mass above ``zero_threshold`` is pushed
+    through the per-walker shift permutations ``perms``; the mass found
+    there over the source mass is the entry for the arc's target tuple
+    (arcs meeting at one tuple add up). Other sources get ``1/d`` on their
+    product out-neighbours. With ``validate``, ratio columns whose sum is
+    off 1 by more than :data:`COLUMN_SUM_ERROR` raise; the rest are
+    rescaled onto the simplex.
     """
-    if psi_t.num_walkers != 1:
-        raise ValidationError(
-            "use build_multiwalker_matrix for multi-walker states"
-        )
-    base = psi_t.base
-    if graph is not None and graph.out_neighbors != base.out_neighbors:
-        raise ValidationError("graph does not match the states' graph")
-    if psi_next.base.out_neighbors != base.out_neighbors:
-        raise ValidationError("states live on different graphs")
-    if shift is None:
-        shift = ShiftSpec.flip_flop(base)
+    base, k = pg.base, pg.num_walkers
+    wanted = np.asarray(wanted, dtype=np.int64)
+    owner, ports = pg.arcs(wanted)
+    ratio = rho_t[wanted] > zero_threshold
+    on_ratio = ratio[owner]
+    moved = np.stack([perm[p] for perm, p in zip(perms, ports)])
+    heads = np.where(on_ratio, base.vertex_of_basis[moved],
+                     base.neighbor_of_basis[ports])
+    targets = np.ravel_multi_index(tuple(heads), pg.shape)
 
-    rho_t = vertex_distribution(psi_t)
-    p_next = np.abs(psi_next.amplitudes) ** 2
-    pg = ProductGraph(base, 1)
-    columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    worst = 0.0
-    for u in range(base.num_vertices):
-        if rho_t[u] > zero_threshold:
-            targets, probs, dev = _ratio_column(
-                (u,), float(rho_t[u]), p_next, base, [shift.permutation],
-                validate, time,
+    probs = np.empty(owner.size)
+    uniform = np.flatnonzero(~on_ratio)
+    probs[uniform] = 1.0 / np.bincount(owner, minlength=wanted.size)[
+        owner[uniform]]
+    r = np.flatnonzero(on_ratio)
+    joint = np.ravel_multi_index(tuple(moved[:, r]), (base.basis_dim,) * k)
+    probs[r] = p_next[joint] / rho_t[wanted[owner[r]]]
+
+    keys = owner * pg.num_states + targets
+    order = np.argsort(keys)
+    if np.any(np.diff(keys[order]) == 0):
+        # arcs sharing a target (shifts built with enforce_edges=False)
+        keys, inverse = np.unique(keys, return_inverse=True)
+        probs = np.bincount(inverse, weights=probs)
+    else:
+        keys, probs = keys[order], probs[order]
+    owner, targets = np.divmod(keys, pg.num_states)
+    indptr = np.zeros(wanted.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=wanted.size), out=indptr[1:])
+
+    sums = _column_sums(indptr, probs)
+    dev = np.abs(sums[ratio] - 1.0)
+    worst = float(dev.max()) if dev.size else 0.0
+    if validate:
+        bad = np.flatnonzero(ratio & (np.abs(sums - 1.0) > COLUMN_SUM_ERROR))
+        if bad.size:
+            j = bad[0]
+            raise ConsistencyError(
+                f"column {pg.tuple_of(wanted[j])} of P({time}) sums to "
+                f"{float(sums[j])!r}; the step operator is not unitary"
             )
-            worst = max(worst, dev)
-            columns[u] = (targets, probs)
-        else:
-            columns[u] = _uniform_column(pg, (u,))
-    return TransitionMatrix(time, base.num_vertices, columns,
-                            column_sum_error=worst)
+        probs = np.minimum(probs / np.where(ratio, sums, 1.0)[owner], 1.0)
+
+    keep = probs != 0.0
+    if not keep.all():
+        owner, targets, probs = owner[keep], targets[keep], probs[keep]
+        np.cumsum(np.bincount(owner, minlength=wanted.size), out=indptr[1:])
+    return TransitionMatrix(time, pg.num_states, wanted, indptr, targets,
+                            probs, column_sum_error=worst)
 
 
 def build_multiwalker_matrix(
@@ -354,58 +335,46 @@ def build_multiwalker_matrix(
     columns: str = "support",
     extra_columns: Iterable[Sequence[int] | int] = (),
 ) -> TransitionMatrix:
-    """Transition matrix over vertex tuples for K interacting walkers.
+    """Transition matrix over vertex tuples for K >= 1 walkers.
 
-    ``columns`` selects which source columns to materialise: ``"support"``
-    (tuples with mass above ``zero_threshold``, plus any
-    ``extra_columns``) or ``"full"`` (every tuple; exponential in K, for
-    oracle tests on small instances). Zero-mass columns are uniform over
-    the product out-neighbours.
+    ``shifts`` is the shift the evolution used (per walker or shared); it
+    determines which port of a target vertex carries the amplitude that
+    moved along each arc, and defaults to the flip-flop shift.
+    ``columns`` selects which source columns to materialise:
+    ``"support"`` (tuples with mass above ``zero_threshold``, plus any
+    ``extra_columns``) or ``"full"`` (every tuple; exponential in K).
+    Zero-mass columns are uniform over the product out-neighbours.
+    ``validate`` is as for :func:`matrix_from_masses`; disable it to
+    inspect defective inputs.
     """
-    if pg is None:
-        pg = psi_t.graph if isinstance(psi_t.graph, ProductGraph) else None
-    if pg is None:
-        pg = ProductGraph(psi_t.base, psi_t.num_walkers)
+    pg = pg or ProductGraph(psi_t.base, psi_t.num_walkers)
     base = psi_t.base
     k = psi_t.num_walkers
     if pg.num_walkers != k or pg.base.out_neighbors != base.out_neighbors:
         raise ValidationError("product graph does not match the states")
     if psi_next.num_walkers != k:
         raise ValidationError("states have different walker counts")
+    if psi_next.base.out_neighbors != base.out_neighbors:
+        raise ValidationError("states live on different graphs")
     shift_list = _per_walker(
         shifts if shifts is not None else ShiftSpec.flip_flop(base), k
     )
-    perms = [s.permutation for s in shift_list]
 
     rho_t = vertex_distribution(psi_t)
-    p_next = np.abs(psi_next.amplitudes) ** 2
-
     if columns == "full":
-        wanted = range(pg.num_states)
+        wanted = np.arange(pg.num_states)
     elif columns == "support":
-        extras = {
-            pg.tuple_index(e) if not np.isscalar(e) else int(e)
-            for e in extra_columns
-        }
-        wanted = sorted(set(np.flatnonzero(rho_t > zero_threshold).tolist())
-                        | extras)
+        extras = [pg.tuple_index(e) if not np.isscalar(e) else int(e)
+                  for e in extra_columns]
+        wanted = np.union1d(np.flatnonzero(rho_t > zero_threshold),
+                            np.array(extras, dtype=np.int64))
     else:
         raise ValidationError(f"unknown column mode {columns!r}")
-
-    cols: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    worst = 0.0
-    for idx in wanted:
-        u_tuple = pg.tuple_of(int(idx))
-        if rho_t[idx] > zero_threshold:
-            targets, probs, dev = _ratio_column(
-                u_tuple, float(rho_t[idx]), p_next, base, perms,
-                validate, time,
-            )
-            worst = max(worst, dev)
-            cols[int(idx)] = (targets, probs)
-        else:
-            cols[int(idx)] = _uniform_column(pg, u_tuple)
-    return TransitionMatrix(time, pg.num_states, cols, column_sum_error=worst)
+    return matrix_from_masses(
+        pg, [s.permutation for s in shift_list], rho_t,
+        np.abs(psi_next.amplitudes) ** 2, wanted, time=time,
+        zero_threshold=zero_threshold, validate=validate,
+    )
 
 
 def build_sequence(
@@ -421,53 +390,41 @@ def build_sequence(
 ) -> TransitionMatrixSeq:
     """Evolve ``horizon`` steps and emit P(0..T-1) plus rho(0..T).
 
-    For multi-walker states the default ``columns="auto"`` materialises
-    the support of rho(t) plus the one-step halo reachable from the
-    support of rho(t-1); ``"full"`` forces every tuple column (small
-    instances only).
+    A single walker gets every column. For multi-walker states the
+    default ``columns="auto"`` materialises the support of rho(t) plus the
+    one-step halo reachable from the support of rho(t-1); ``"full"``
+    forces every tuple column (small instances only).
     """
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
     k = psi0.num_walkers
     base = psi0.base
-    pg = psi0.graph if isinstance(psi0.graph, ProductGraph) else None
     if isinstance(graph, ProductGraph):
-        if pg is None or graph.num_walkers != k:
+        if not isinstance(psi0.graph, ProductGraph) or graph.num_walkers != k:
             raise ValidationError("graph walker count does not match psi0")
     elif graph.out_neighbors != base.out_neighbors:
         raise ValidationError("graph does not match psi0")
+    pg = ProductGraph(base, k)
 
     psi = psi0
     rhos = [vertex_distribution(psi0)]
     matrices: list[TransitionMatrix] = []
     for t in range(horizon):
         psi_next = step(psi, coin, shift, interaction, t)
-        if k == 1:
-            shift_t = _at(_per_walker(shift, 1)[0], t)
-            matrices.append(build_transition_matrix(
-                psi, psi_next, base, shift_t,
-                zero_threshold=zero_threshold, validate=validate, time=t,
-            ))
+        if k == 1 or columns == "full":
+            wanted = np.arange(pg.num_states)
         else:
-            shifts_t = [_at(s, t) for s in _per_walker(shift, k)]
-            if columns == "full":
-                mode, extras = "full", ()
-            else:
-                mode = "support"
-                prev = np.flatnonzero(rhos[-1] > zero_threshold)
-                halo = set()
-                if t > 0 and len(rhos) >= 2:
-                    src = np.flatnonzero(rhos[-2] > zero_threshold)
-                    for s in src:
-                        u_tuple = pg.tuple_of(int(s))
-                        for w in pg.out_neighbors(u_tuple):
-                            halo.add(pg.tuple_index(w))
-                extras = halo - set(prev.tolist())
-            matrices.append(build_multiwalker_matrix(
-                psi, psi_next, pg, shifts_t,
-                zero_threshold=zero_threshold, validate=validate, time=t,
-                columns=mode, extra_columns=extras,
-            ))
+            wanted = np.flatnonzero(rhos[-1] > zero_threshold)
+            if t > 0:
+                _, ports = pg.arcs(np.flatnonzero(rhos[-2] > zero_threshold))
+                halo = np.ravel_multi_index(
+                    tuple(base.neighbor_of_basis[ports]), pg.shape)
+                wanted = np.union1d(wanted, halo)
+        perms = [_at(s, t).permutation for s in _per_walker(shift, k)]
+        matrices.append(matrix_from_masses(
+            pg, perms, rhos[-1], np.abs(psi_next.amplitudes) ** 2, wanted,
+            time=t, zero_threshold=zero_threshold, validate=validate,
+        ))
         psi = psi_next
         rhos.append(vertex_distribution(psi))
     return TransitionMatrixSeq(
@@ -486,18 +443,16 @@ def verify_theorem_properties(
     """
     report = PropertyReport(num_steps=seq.num_steps, tolerance=tolerance)
     for t, mat in enumerate(seq.matrices):
-        for _, (targets, probs) in sorted(mat.columns.items()):
-            if probs.size:
-                report.max_entry_violation = max(
-                    report.max_entry_violation,
-                    float(max(probs.max() - 1.0, 0.0)),
-                    float(max(-probs.min(), 0.0)),
-                )
-                report.max_column_sum_deviation = max(
-                    report.max_column_sum_deviation,
-                    abs(float(probs.sum()) - 1.0),
-                )
-            report.columns_checked += 1
+        report.max_entry_violation = max(
+            report.max_entry_violation,
+            float(np.max(np.maximum(mat.data - 1.0, -mat.data), initial=0.0)),
+        )
+        report.max_column_sum_deviation = max(
+            report.max_column_sum_deviation,
+            float(np.max(np.abs(_column_sums(mat.indptr, mat.data) - 1.0),
+                         initial=0.0)),
+        )
+        report.columns_checked += int(mat.col_ids.size)
         residual = mat.apply(seq.rho[t]) - seq.rho[t + 1]
         report.max_propagation_residual = max(
             report.max_propagation_residual,

@@ -158,12 +158,25 @@ class PortGraph:
         return v, int(index - self.port_offsets[v])
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (small graphs only)."""
-        a = np.zeros((self.num_vertices, self.num_vertices), dtype=bool)
-        for v, nbrs in enumerate(self.out_neighbors):
-            a[v, list(nbrs)] = True
-        return a
+    def neighbor_of_basis(self) -> np.ndarray:
+        """``eta(v, c)`` for every flattened basis index ``(v, c)``: the
+        head of each arc, in basis order."""
+        return np.fromiter(itertools.chain.from_iterable(self.out_neighbors),
+                           dtype=np.int64, count=self.basis_dim)
+
+    @cached_property
+    def _arc_keys(self) -> np.ndarray:
+        # sorted tail * n + head over all arcs, for searchsorted lookups
+        return np.sort(self.vertex_of_basis * self.num_vertices
+                       + self.neighbor_of_basis)
+
+    def has_edges(self, src, dst) -> np.ndarray:
+        """Elementwise :meth:`has_edge` over broadcast vertex arrays."""
+        keys = (np.asarray(src, dtype=np.int64) * self.num_vertices
+                + np.asarray(dst, dtype=np.int64))
+        table = self._arc_keys
+        pos = np.minimum(np.searchsorted(table, keys), table.size - 1)
+        return table[pos] == keys
 
     def __repr__(self) -> str:
         return (f"PortGraph(|V|={self.num_vertices}, "
@@ -176,7 +189,8 @@ class ProductGraph:
 
     Vertices are K-tuples of base vertices, adjacent exactly when every
     component pair is a base edge; adjacency is computed on demand and the
-    tuple vertex set is never materialised.
+    tuple vertex set is never materialised. Joint indices are mixed-radix
+    (walker 0 most significant); all tuple/index/label conversions live here.
     """
 
     base: PortGraph
@@ -189,6 +203,11 @@ class ProductGraph:
     @property
     def num_states(self) -> int:
         return self.base.num_vertices ** self.num_walkers
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Radices of the joint index, one per walker."""
+        return (self.base.num_vertices,) * self.num_walkers
 
     def _check_tuple(self, u: Sequence[int]) -> None:
         if len(u) != self.num_walkers:
@@ -203,41 +222,82 @@ class ProductGraph:
     def degree(self, u: Sequence[int]) -> int:
         """Product of the component degrees."""
         self._check_tuple(u)
-        d = 1
-        for ui in u:
-            d *= self.base.degree(ui)
-        return d
+        return int(np.prod(self.base.degrees[list(u)]))
 
     def has_edge(self, u: Sequence[int], v: Sequence[int]) -> bool:
         self._check_tuple(u)
         self._check_tuple(v)
         return all(self.base.has_edge(ui, vi) for ui, vi in zip(u, v))
 
+    def has_edges(self, src, dst) -> np.ndarray:
+        """Elementwise :meth:`has_edge` over broadcast joint-index arrays."""
+        return np.logical_and.reduce([
+            self.base.has_edges(s, d) for s, d in zip(
+                np.unravel_index(src, self.shape),
+                np.unravel_index(dst, self.shape))])
+
     def out_neighbors(self, u: Sequence[int]) -> Iterator[tuple[int, ...]]:
         """Lazily enumerate the product out-neighbours of a tuple vertex."""
         self._check_tuple(u)
         return itertools.product(*(self.base.out_neighbors[ui] for ui in u))
 
+    def arcs(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """Arcs (one base arc per walker) leaving each joint state, state by
+        state in the product order of the walkers' ports. Returns ``(owner,
+        ports)``: ``owner[a]`` is the position in ``states`` of arc ``a``'s
+        source and ``ports[i, a]`` walker ``i``'s flattened basis index."""
+        base = self.base
+        digits = np.unravel_index(np.asarray(states, dtype=np.int64),
+                                  self.shape)
+        degs = [base.degrees[d] for d in digits]
+        counts = np.prod(degs, axis=0)
+        owner = np.repeat(np.arange(counts.size), counts)
+        local = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+        ports = np.empty((self.num_walkers, owner.size), dtype=np.int64)
+        for i in range(self.num_walkers - 1, -1, -1):
+            d = degs[i][owner]
+            ports[i] = base.port_offsets[digits[i]][owner] + local % d
+            local //= d
+        return owner, ports
+
     def tuple_index(self, u: Sequence[int]) -> int:
-        """Mixed-radix index of a vertex tuple (walker 0 most significant)."""
+        """Joint index of a vertex tuple."""
         self._check_tuple(u)
-        idx = 0
-        for ui in u:
-            idx = idx * self.base.num_vertices + int(ui)
-        return idx
+        return int(np.ravel_multi_index(tuple(u), self.shape))
 
     def tuple_of(self, index: int) -> tuple[int, ...]:
-        n = self.base.num_vertices
-        out = []
-        for _ in range(self.num_walkers):
-            out.append(index % n)
-            index //= n
-        return tuple(reversed(out))
+        return tuple(int(x) for x in np.unravel_index(index, self.shape))
 
+    @staticmethod
+    def state_labels(indices, num_walkers: int, num_base: int) -> list[str]:
+        """Text labels of joint indices: ``u`` for one walker, ``u1|u2|...``
+        for vertex tuples. Static, so that persisted tables can be read
+        and written without the graph."""
+        digits = np.unravel_index(np.asarray(indices, dtype=np.int64),
+                                  (num_base,) * num_walkers)
+        return list(map("|".join,
+                        zip(*(map(str, d.tolist()) for d in digits))))
 
-def product_degree(pg: ProductGraph, u: Sequence[int]) -> int:
-    """Degree of a tuple vertex in the product graph."""
-    return pg.degree(u)
+    @staticmethod
+    def state_indices(labels, num_walkers: int, num_base: int) -> np.ndarray:
+        """Inverse of :meth:`state_labels`; rejects labels of the wrong
+        arity and vertices out of range."""
+        labels = list(map(str, labels))
+        arity = num_walkers - 1
+        if set(map(str.count, labels, itertools.repeat("|"))) - {arity}:
+            bad = next(x for x in labels if x.count("|") != arity)
+            raise ValidationError(
+                f"state label {bad!r} does not address {num_walkers} "
+                "walker(s)"
+            )
+        parts = "|".join(labels).split("|") if labels else []
+        try:
+            digits = np.array(parts, dtype=np.int64).reshape(-1, num_walkers)
+            return np.ravel_multi_index(tuple(digits.T),
+                                        (num_base,) * num_walkers)
+        except ValueError as exc:
+            raise ValidationError(f"malformed state label: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

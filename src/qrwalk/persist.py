@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -28,8 +29,6 @@ from .equivalence import (
     ZERO_PROB,
     TransitionMatrix,
     TransitionMatrixSeq,
-    state_index,
-    state_label,
 )
 from .errors import ConfigError, ValidationError
 from .graphs import PortGraph, ProductGraph, graph_from_json, graph_hash
@@ -58,12 +57,6 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 TOOL_VERSION = "0.1.0"
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +245,35 @@ def graph_and_spaces(
 # tables
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Table:
-    header: list[str]
-    rows: list[list]
-    meta: dict = field(default_factory=dict)
+    """Header, cells and ``meta`` key/value pairs of one data file.
+
+    Cells are held column by column, as lists or numpy arrays, so that
+    whole columns are formatted and parsed at once; ``rows`` is the row
+    view. Pass either ``rows`` or ``columns``.
+    """
+
+    def __init__(self, header: Sequence[str], rows: Sequence = (),
+                 meta: dict | None = None, columns: list | None = None):
+        self.header = list(header)
+        self.meta = dict(meta) if meta else {}
+        self.columns = (list(columns) if columns is not None
+                        else [list(c) for c in zip(*rows)] if len(rows)
+                        else [[] for _ in self.header])
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                          for c in self.columns)))
 
 
 def write_table(path_base: str | Path, table: Table,
                 fmt: str = "csv") -> Path:
-    """Write a table as ``<base>.csv`` or ``<base>.json``."""
+    """Write a table as ``<base>.csv`` or ``<base>.json``.
+
+    Floats are written in shortest round-trip form, which the csv module
+    uses for them.
+    """
     base = Path(path_base)
     if fmt == "csv":
         path = base.with_suffix(".csv")
@@ -270,8 +282,7 @@ def write_table(path_base: str | Path, table: Table,
                 fh.write(f"# {key}={table.meta[key]}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(table.header)
-            for row in table.rows:
-                writer.writerow([_fmt(x) for x in row])
+            writer.writerows(table.rows)
         return path
     if fmt == "json":
         path = base.with_suffix(".json")
@@ -288,28 +299,24 @@ def read_table(path_base: str | Path) -> Table:
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
     if csv_path.exists():
+        lines = csv_path.read_text().splitlines()
         meta: dict = {}
-        rows: list[list] = []
-        header: list[str] | None = None
-        with csv_path.open() as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for token in line[1:].split():
-                        if "=" in token:
-                            key, val = token.split("=", 1)
-                            meta[key] = val
-                    continue
-                cells = line.split(",")
-                if header is None:
-                    header = cells
-                else:
-                    rows.append(cells)
-        if header is None:
+        for line in [line for line in lines if line.startswith("#")]:
+            for token in line[1:].split():
+                if "=" in token:
+                    key, val = token.split("=", 1)
+                    meta[key] = val
+        body = [line for line in lines if line and line[0] != "#"]
+        if not body:
             raise ValidationError(f"{csv_path} has no header row")
-        return Table(header, rows, meta)
+        header, data = body[0].split(","), body[1:]
+        width = len(header)
+        if set(map(str.count, data, repeat(","))) - {width - 1}:
+            raise ValidationError(
+                f"{csv_path} has rows that are not {width} cells wide")
+        cells = ",".join(data).split(",") if data else []
+        return Table(header, meta=meta,
+                     columns=[cells[j::width] for j in range(width)])
     if json_path.exists():
         payload = json.loads(json_path.read_text())
         return Table(payload["header"], payload["rows"],
@@ -317,44 +324,41 @@ def read_table(path_base: str | Path) -> Table:
     raise ValidationError(f"neither {csv_path} nor {json_path} exists")
 
 
+def _table_meta(states: int, walkers: int, base: int,
+                manifest_sha: str | None) -> dict:
+    meta = {"states": states, "walkers": walkers, "base": base}
+    if manifest_sha:
+        meta["manifest"] = manifest_sha
+    return meta
+
+
 def rho_table(rho: np.ndarray, num_walkers: int, num_base: int,
               manifest_sha: str | None = None) -> Table:
     """Rows ``t,v,rho`` (tuple states serialised as ``u1|u2|...``)."""
-    rho = np.asarray(rho)
-    rows = [[t, state_label(v, num_walkers, num_base), float(rho[t, v])]
-            for t in range(rho.shape[0]) for v in range(rho.shape[1])]
-    meta = {"states": rho.shape[1], "walkers": num_walkers,
-            "base": num_base}
-    if manifest_sha:
-        meta["manifest"] = manifest_sha
-    return Table(["t", "v", "rho"], rows, meta)
+    rho = np.asarray(rho, dtype=np.float64)
+    steps, states = rho.shape
+    labels = ProductGraph.state_labels(np.arange(states), num_walkers,
+                                       num_base)
+    columns = [np.repeat(np.arange(steps), states), labels * steps,
+               rho.reshape(-1)]
+    return Table(["t", "v", "rho"], columns=columns, meta=_table_meta(
+        states, num_walkers, num_base, manifest_sha))
 
 
 def matrix_table(seq: TransitionMatrixSeq,
                  manifest_sha: str | None = None) -> Table:
-    """Rows ``t,u,v,p`` over all materialised nonzero entries."""
-    rows = []
-    for t, mat in enumerate(seq.matrices):
-        for u in sorted(mat.columns):
-            targets, probs = mat.columns[u]
-            for v, p in zip(targets.tolist(), probs.tolist()):
-                if p != 0.0:
-                    rows.append([t, seq.state_label(u), seq.state_label(v),
-                                 float(p)])
-    meta = {"states": seq.num_states, "walkers": seq.num_walkers,
-            "base": seq.num_base_vertices}
-    if manifest_sha:
-        meta["manifest"] = manifest_sha
-    return Table(["t", "u", "v", "p"], rows, meta)
-
-
-def _torus_coords(dims: Sequence[int], vertex: int) -> tuple[int, ...]:
-    # row-major unfolding matching the torus generator's vertex ids
-    out = []
-    for size in reversed(dims):
-        out.append(vertex % size)
-        vertex //= size
-    return tuple(reversed(out))
+    """Rows ``t,u,v,p`` over all stored (nonzero) entries."""
+    mats = seq.matrices
+    empty = [np.empty(0, dtype=np.int64)]
+    t = np.repeat(np.arange(len(mats)), [m.data.size for m in mats])
+    u = np.concatenate([m.sources for m in mats] + empty)
+    v = np.concatenate([m.indices for m in mats] + empty)
+    p = np.concatenate([m.data for m in mats] + [np.empty(0)])
+    k, n = seq.num_walkers, seq.num_base_vertices
+    columns = [t, ProductGraph.state_labels(u, k, n),
+               ProductGraph.state_labels(v, k, n), p]
+    return Table(["t", "u", "v", "p"], columns=columns, meta=_table_meta(
+        seq.num_states, k, n, manifest_sha))
 
 
 def trajectories_table(
@@ -370,21 +374,20 @@ def trajectories_table(
     unfold = (torus_dims is not None and len(torus_dims) == 2
               and num_walkers == 1)
     header = ["traj_id", "t", "vertex"] + (["x", "y"] if unfold else [])
-    rows = []
-    for i in range(ens.size):
-        for t in range(ens.length + 1):
-            state = int(ens.paths[i, t])
-            row = [i, t, state_label(state, num_walkers, num_base)]
-            if unfold:
-                row += list(_torus_coords(torus_dims, state))
-            rows.append(row)
+    size, steps = ens.paths.shape
+    states = ens.paths.reshape(-1)
+    columns = [np.repeat(np.arange(size), steps),
+               np.tile(np.arange(steps), size),
+               ProductGraph.state_labels(states, num_walkers, num_base)]
+    if unfold:
+        columns += np.unravel_index(states, tuple(int(d) for d in torus_dims))
     meta = {"trajectories": ens.size, "length": ens.length,
             "method": ens.method, "rng": RNG_ALGORITHM}
     if ens.master_seed is not None:
         meta["seed"] = ens.master_seed
     if manifest_sha:
         meta["manifest"] = manifest_sha
-    return Table(header, rows, meta)
+    return Table(header, columns=columns, meta=meta)
 
 
 def ensemble_mean_table(
@@ -394,8 +397,8 @@ def ensemble_mean_table(
 ) -> Table:
     """Per-instant empirical mean of the unfolded torus coordinates."""
     dims = tuple(int(d) for d in torus_dims)
-    coords = np.array([_torus_coords(dims, v)
-                       for v in range(int(np.prod(dims)))], dtype=np.float64)
+    coords = np.stack(np.unravel_index(np.arange(int(np.prod(dims))), dims),
+                      axis=1).astype(np.float64)
     header = ["t"] + [f"mean_axis{i}" for i in range(len(dims))]
     rows = []
     for t in range(ens.length + 1):
@@ -442,27 +445,33 @@ def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
     if num_states <= 0:
         raise ValidationError("rho table lacks the states metadata")
 
-    times = sorted({int(r[0]) for r in rho_tab.rows})
-    if times != list(range(len(times))):
-        raise ValidationError("rho table has missing time rows")
-    rho = np.zeros((len(times), num_states))
-    for t, label, val in rho_tab.rows:
-        rho[int(t), state_index(str(label), walkers, base)] = float(val)
+    def floats(column) -> np.ndarray:
+        return np.fromiter(map(float, column), dtype=np.float64,
+                           count=len(column))
 
-    mat_tab = read_table(out / "p_matrix")
-    by_time: dict[int, dict[int, list[tuple[int, float]]]] = {}
-    for t, u_label, v_label, p in mat_tab.rows:
-        col = by_time.setdefault(int(t), {}).setdefault(
-            state_index(str(u_label), walkers, base), [])
-        col.append((state_index(str(v_label), walkers, base), float(p)))
+    def states(column) -> np.ndarray:
+        return ProductGraph.state_indices(column, walkers, base)
+
+    t_col, v_col, rho_col = rho_tab.columns
+    t = np.array(t_col, dtype=np.int64)
+    times = np.unique(t)
+    if not np.array_equal(times, np.arange(times.size)):
+        raise ValidationError("rho table has missing time rows")
+    rho = np.zeros((times.size, num_states))
+    rho[t, states(v_col)] = floats(rho_col)
+
+    t_col, u_col, v_col, p_col = read_table(out / "p_matrix").columns
+    t, u, v = np.array(t_col, dtype=np.int64), states(u_col), states(v_col)
+    p = floats(p_col)
+    order = np.lexsort((v, u, t))
+    t, u, v, p = t[order], u[order], v[order], p[order]
+    bounds = np.searchsorted(t, np.arange(times.size))
     matrices = []
-    for t in range(len(times) - 1):
-        cols = {}
-        for u, entries in by_time.get(t, {}).items():
-            entries.sort()
-            cols[u] = (np.array([v for v, _ in entries], dtype=np.int64),
-                       np.array([p for _, p in entries]))
-        matrices.append(TransitionMatrix(t, num_states, cols))
+    for step, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        col_ids, starts = np.unique(u[lo:hi], return_index=True)
+        matrices.append(TransitionMatrix(
+            step, num_states, col_ids, np.append(starts, hi - lo),
+            v[lo:hi], p[lo:hi]))
     return TransitionMatrixSeq(matrices, rho, num_walkers=walkers,
                                num_base_vertices=base)
 

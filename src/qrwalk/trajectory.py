@@ -321,14 +321,5 @@ def locality_fraction(
     """Fraction of consecutive pairs that are graph (tuple) edges."""
     if ens.length == 0:
         return 1.0
-    if isinstance(graph, ProductGraph):
-        good = 0
-        total = ens.size * ens.length
-        for row in ens.paths:
-            for a, b in zip(row[:-1], row[1:]):
-                good += graph.has_edge(graph.tuple_of(int(a)),
-                                       graph.tuple_of(int(b)))
-        return good / total
-    adj = graph.adjacency
-    pairs = adj[ens.paths[:, :-1], ens.paths[:, 1:]]
-    return float(np.mean(pairs))
+    return float(np.mean(graph.has_edges(ens.paths[:, :-1],
+                                         ens.paths[:, 1:])))

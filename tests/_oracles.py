@@ -108,3 +108,62 @@ def multinomial_tvd(rho: np.ndarray, size: int,
         counts = rng.multinomial(size, rho / rho.sum())
         vals.append(0.5 * np.abs(counts / size - rho).sum())
     return float(np.mean(vals))
+
+
+def _mixed_radix(indices, radix: int) -> np.ndarray:
+    acc = np.zeros((), dtype=np.int64)
+    for ix in indices:
+        acc = acc[..., None] * radix + ix
+    return acc
+
+
+def reference_columns(graph, num_walkers: int, perms, rho_t: np.ndarray,
+                      p_next: np.ndarray, wanted, zero_threshold: float,
+                      validate: bool = True) -> dict:
+    """P(t) built one source column at a time, the way the engine first
+    did it: ``{u: (targets, probs)}`` with exact zeros kept.
+
+    Each arc leaving the source tuple is pushed through the per-walker
+    shift permutations; ``np.unique`` sorts the target vertex tuples and
+    ``np.bincount`` adds up arcs meeting at one tuple. Ratio columns are
+    rescaled by their sum; zero-mass columns are uniform over the product
+    out-neighbours.
+    """
+    offs = _offsets(graph)
+    n = graph.num_vertices
+    dim = int(offs[-1])
+    vertex_of = np.repeat(np.arange(n), np.diff(offs).astype(int))
+    columns = {}
+    for idx in wanted:
+        idx = int(idx)
+        rest, u_tuple = idx, []
+        for _ in range(num_walkers):
+            u_tuple.append(rest % n)
+            rest //= n
+        u_tuple = u_tuple[::-1]
+        if rho_t[idx] > zero_threshold:
+            taus = [perms[i][int(offs[ui]):int(offs[ui + 1])]
+                    for i, ui in enumerate(u_tuple)]
+            joint_targets = _mixed_radix(taus, dim).reshape(-1)
+            joint_vertices = _mixed_radix([vertex_of[tau] for tau in taus],
+                                          n).reshape(-1)
+            probs = p_next[joint_targets] / float(rho_t[idx])
+            targets, inverse = np.unique(joint_vertices, return_inverse=True)
+            probs = np.bincount(inverse, weights=probs, minlength=targets.size)
+            colsum = float(probs.sum())
+            if validate:
+                if abs(colsum - 1.0) > 1e-8:
+                    raise ValueError(f"column {idx} sums to {colsum!r}")
+                probs = np.minimum(probs / colsum, 1.0)
+        else:
+            targets = []
+            for w in itertools.product(
+                    *(graph.out_neighbors[ui] for ui in u_tuple)):
+                joint = 0
+                for wi in w:
+                    joint = joint * n + wi
+                targets.append(joint)
+            targets = np.array(sorted(targets), dtype=np.int64)
+            probs = np.full(targets.size, 1.0 / targets.size)
+        columns[idx] = (targets, probs)
+    return columns

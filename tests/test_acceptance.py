@@ -102,7 +102,8 @@ def test_criterion_1_theorem1_equivalence_randomised():
                              report.max_propagation_residual)
         worst_colsum = max(worst_colsum, report.max_column_sum_deviation)
         for mat in seq.matrices:
-            for _, (_, probs) in mat.columns.items():
+            for u in mat.col_ids.tolist():
+                _, probs = mat.column(u)
                 if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
                     entries_ok = False
 

@@ -189,7 +189,8 @@ class TestGroverTorusMatrix:
         states, _ = dp_and_seq
         for t in range(30):
             mat = grover_torus_matrix(states[t], states[t + 1])
-            for _, (_, probs) in mat.columns.items():
+            for u in mat.col_ids.tolist():
+                _, probs = mat.column(u)
                 assert abs(probs.sum() - 1.0) <= 1e-10
 
     def test_non_consecutive_states_rejected(self, dp_and_seq):

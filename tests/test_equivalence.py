@@ -13,17 +13,27 @@ from qrwalk import (
     WaveFunction,
     build_multiwalker_matrix,
     build_sequence,
-    build_transition_matrix,
     step,
     torus_graph,
     verify_theorem_properties,
     vertex_distribution,
 )
-from qrwalk.equivalence import state_index, state_label
 
 
 def hadamard_walk(graph, t=0):
     return CoinSpec.hadamard(graph), ShiftSpec.moving(graph)
+
+
+def single_walker_matrix(psi_t, psi_next, shift, time=0):
+    """Every column of P(t) for one walker."""
+    return build_multiwalker_matrix(psi_t, psi_next, shifts=shift,
+                                    time=time, columns="full")
+
+
+def stored_columns(mat):
+    """(source, targets, probs) for every materialised column."""
+    for u in mat.col_ids.tolist():
+        yield (u, *mat.column(u))
 
 
 class TestBuildTransitionMatrix:
@@ -31,7 +41,7 @@ class TestBuildTransitionMatrix:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
         psi1 = step(psi0, coin, shift)
-        mat = build_transition_matrix(psi0, psi1, c4, shift)
+        mat = single_walker_matrix(psi0, psi1, shift)
         dense = mat.toarray()
         # supported column 0 carries the walk; the rest are uniform 1/2
         expected = np.array([
@@ -49,7 +59,7 @@ class TestBuildTransitionMatrix:
         amps /= np.linalg.norm(amps)
         psi0 = WaveFunction(c4, amps)
         psi1 = step(psi0, CoinSpec.identity(c4), ident_shift)
-        mat = build_transition_matrix(psi0, psi1, c4, ident_shift)
+        mat = single_walker_matrix(psi0, psi1, ident_shift)
         for u in range(4):
             assert mat.entry(u, u) == pytest.approx(1.0, abs=1e-12)
 
@@ -59,8 +69,8 @@ class TestBuildTransitionMatrix:
         psi = WaveFunction.localized(torus1010, 0, 0)
         for t in range(50):
             nxt = step(psi, coin, shift, t=t)
-            mat = build_transition_matrix(psi, nxt, torus1010, shift, time=t)
-            for u, (targets, probs) in mat.columns.items():
+            mat = single_walker_matrix(psi, nxt, shift, time=t)
+            for u, targets, probs in stored_columns(mat):
                 assert abs(probs.sum() - 1.0) < 1e-10
                 assert probs.min() >= 0.0 and probs.max() <= 1.0
             psi = nxt
@@ -70,8 +80,8 @@ class TestBuildTransitionMatrix:
         shift = ShiftSpec.flip_flop(c4)
         psi0 = WaveFunction(c4, np.full(8, 1 / np.sqrt(8), dtype=complex))
         psi1 = step(psi0, coin, shift)
-        mat = build_transition_matrix(psi0, psi1, c4, shift)
-        for u, (targets, probs) in mat.columns.items():
+        mat = single_walker_matrix(psi0, psi1, shift)
+        for u, targets, probs in stored_columns(mat):
             for v in targets[probs > 0].tolist():
                 assert c4.has_edge(u, v)
 
@@ -79,7 +89,7 @@ class TestBuildTransitionMatrix:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
         psi1 = step(psi0, coin, shift)
-        mat = build_transition_matrix(psi0, psi1, c4, shift)
+        mat = single_walker_matrix(psi0, psi1, shift)
         targets, probs = mat.column(2)  # rho(2, 0) = 0
         assert np.array_equal(probs, [0.5, 0.5])
 
@@ -92,14 +102,14 @@ class TestBuildTransitionMatrix:
         psi0 = WaveFunction(c4, psi0.amplitudes, strict=False)
         psi1 = step(psi0, bad, shift)
         with pytest.raises(ConsistencyError, match="unitary"):
-            build_transition_matrix(psi0, psi1, c4, shift)
+            single_walker_matrix(psi0, psi1, shift)
 
     def test_mismatched_graph_rejected(self, c4, k5):
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
         psi1 = step(psi0, coin, shift)
         with pytest.raises(ValidationError):
-            build_transition_matrix(psi0, psi1, k5, shift)
+            build_multiwalker_matrix(psi0, psi1, ProductGraph(k5, 1), shift)
 
     def test_cauchy_schwarz_bound_on_random_instances(self, rng):
         g = torus_graph((3, 3))
@@ -111,8 +121,8 @@ class TestBuildTransitionMatrix:
             amps /= np.linalg.norm(amps)
             psi0 = WaveFunction(g, amps)
             psi1 = step(psi0, coin, shift)
-            mat = build_transition_matrix(psi0, psi1, g, shift)
-            for _, (_, probs) in mat.columns.items():
+            mat = single_walker_matrix(psi0, psi1, shift)
+            for _, _, probs in stored_columns(mat):
                 assert probs.max() <= 1.0 and probs.min() >= 0.0
 
 
@@ -122,7 +132,7 @@ class TestBuildSequence:
         psi0 = WaveFunction.localized(c4, 0, 0)
         seq = build_sequence(c4, coin, shift, psi0, 1)
         psi1 = step(psi0, coin, shift)
-        direct = build_transition_matrix(psi0, psi1, c4, shift)
+        direct = single_walker_matrix(psi0, psi1, shift)
         assert np.array_equal(seq.matrices[0].toarray(), direct.toarray())
 
     def test_c4_hadamard_propagation(self, c4):
@@ -192,10 +202,15 @@ class TestMultiwalker:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
         psi1 = step(psi0, coin, shift)
-        single = build_transition_matrix(psi0, psi1, c4, shift)
+        single = oracle.reference_columns(
+            c4, 1, [shift.permutation], vertex_distribution(psi0),
+            np.abs(psi1.amplitudes) ** 2, range(4), 1e-14)
+        expected = np.zeros((4, 4))
+        for u, (targets, probs) in single.items():
+            expected[targets, u] = probs
         multi = build_multiwalker_matrix(psi0, psi1, ProductGraph(c4, 1),
                                          shift, columns="full")
-        assert np.array_equal(single.toarray(), multi.toarray())
+        assert np.array_equal(multi.toarray(), expected)
 
     def test_joint_propagation_with_interaction(self, c4):
         pg = ProductGraph(c4, 2)
@@ -249,8 +264,8 @@ class TestMultiwalker:
         joint1 = step(joint0, coin, shift)
         a1, b1 = step(a, coin, shift), step(b, coin, shift)
         multi = build_multiwalker_matrix(joint0, joint1, pg, shift)
-        m_a = build_transition_matrix(a, step(a, coin, shift), c4, shift)
-        m_b = build_transition_matrix(b, step(b, coin, shift), c4, shift)
+        m_a = single_walker_matrix(a, step(a, coin, shift), shift)
+        m_b = single_walker_matrix(b, step(b, coin, shift), shift)
         rho_joint = vertex_distribution(joint0)
         for u in np.flatnonzero(rho_joint > 1e-14):
             u1, u2 = pg.tuple_of(int(u))
@@ -309,15 +324,15 @@ class TestMultiwalker:
 
 class TestStateLabels:
     def test_single_walker_labels(self):
-        assert state_label(7, 1, 10) == "7"
-        assert state_index("7", 1, 10) == 7
+        assert ProductGraph.state_labels([7], 1, 10) == ["7"]
+        assert ProductGraph.state_indices(["7"], 1, 10).tolist() == [7]
 
     def test_tuple_labels_round_trip(self):
         for idx in (0, 5, 15):
-            label = state_label(idx, 2, 4)
+            [label] = ProductGraph.state_labels([idx], 2, 4)
             assert "|" in label
-            assert state_index(label, 2, 4) == idx
+            assert ProductGraph.state_indices([label], 2, 4).tolist() == [idx]
 
     def test_wrong_arity_label_rejected(self):
         with pytest.raises(ValidationError):
-            state_index("1|2", 1, 4)
+            ProductGraph.state_indices(["1|2"], 1, 4)

@@ -12,7 +12,6 @@ from qrwalk import (
     graph_from_json,
     graph_hash,
     graph_to_json,
-    product_degree,
     random_regular_graph,
     torus_graph,
 )
@@ -166,11 +165,11 @@ class TestProductGraph:
     def test_degree_c4_pairs(self, c4):
         pg = ProductGraph(c4, 2)
         for u in [(0, 0), (1, 3), (2, 2)]:
-            assert product_degree(pg, u) == 4
+            assert pg.degree(u) == 4
 
     def test_k1_reduces_to_base(self, c4):
         pg = ProductGraph(c4, 1)
-        assert product_degree(pg, (2,)) == c4.degree(2)
+        assert pg.degree((2,)) == c4.degree(2)
 
     def test_torus_pair_degree_against_brute_force(self, torus1010):
         pg = ProductGraph(torus1010, 2)
@@ -182,7 +181,7 @@ class TestProductGraph:
             if torus1010.has_edge(u[0], w1) and torus1010.has_edge(u[1], w2)
         )
         assert brute == 16
-        assert product_degree(pg, u) == brute
+        assert pg.degree(u) == brute
 
     def test_out_neighbors_lazy_enumeration(self, c4):
         pg = ProductGraph(c4, 2)
@@ -198,7 +197,7 @@ class TestProductGraph:
     def test_wrong_arity_rejected(self, c4):
         pg = ProductGraph(c4, 2)
         with pytest.raises(ValidationError, match="arity"):
-            product_degree(pg, (0, 1, 2))
+            pg.degree((0, 1, 2))
 
 
 class TestJsonInterchange:

@@ -11,6 +11,7 @@ from qrwalk import (
     WaveFunction,
     build_sequence,
     sample_ensemble,
+    torus_graph,
 )
 from qrwalk.persist import (
     RunManifest,
@@ -67,6 +68,21 @@ class TestSequenceRoundTrip:
         assert np.array_equal(loaded.rho, c4_seq.rho)
         for a, b in zip(loaded.matrices, c4_seq.matrices):
             assert np.array_equal(a.toarray(), b.toarray())
+
+    @pytest.mark.parametrize("walkers", [1, 2])
+    def test_reloaded_csc_arrays_equal(self, tmp_path, walkers):
+        # Hadamard columns have exact zeros, which are not stored
+        g = torus_graph((4, 4))
+        space = ProductGraph(g, 2) if walkers == 2 else g
+        start = (0, 5) if walkers == 2 else 0
+        seq = build_sequence(space, CoinSpec.hadamard(g),
+                             ShiftSpec.flip_flop(g),
+                             WaveFunction.localized(space, start, 0), 6)
+        save_sequence(tmp_path, seq)
+        loaded = load_sequence(tmp_path)
+        for a, b in zip(seq.matrices, loaded.matrices):
+            for name in ("col_ids", "indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_sampling_from_loaded_matches_original(self, tmp_path, c4_seq):
         save_sequence(tmp_path, c4_seq)

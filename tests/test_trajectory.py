@@ -13,12 +13,15 @@ from qrwalk import (
     WaveFunction,
     build_sequence,
     convergence_report,
+    cycle_graph,
     empirical_distribution,
     locality_fraction,
     sample_ensemble,
     sample_trajectory,
     total_variation,
+    torus_graph,
 )
+from qrwalk.trajectory import _ColumnSampler
 
 
 @pytest.fixture
@@ -61,9 +64,27 @@ class TestSampleTrajectory:
         with pytest.raises(ValidationError):
             sample_trajectory(c4_seq, seed=0, length=6)
 
+    @pytest.mark.parametrize("graph, shift", [
+        (cycle_graph(64), ShiftSpec.moving),
+        (torus_graph((8, 8)), ShiftSpec.flip_flop),
+    ])
+    def test_top_uniform_never_picks_zero_probability(self, graph, shift):
+        # Hadamard columns contain exact zeros; a draw just below 1 whose
+        # rounded cumulative sum falls short must not land on one of them
+        seq = build_sequence(graph, CoinSpec.hadamard(graph), shift(graph),
+                             WaveFunction.localized(graph, 0, 0), 40)
+        top = np.nextafter(1.0, 0.0)
+        for mat in seq.matrices:
+            sampler = _ColumnSampler("scan")
+            for u in range(graph.num_vertices):
+                v = int(sampler.pick(mat, u, top))
+                assert mat.entry(v, u) > 0.0
+
     def test_unmaterialised_column_raises_sampling_error(self):
         rho = np.array([[1.0, 0.0], [0.0, 1.0]])
-        seq = TransitionMatrixSeq([TransitionMatrix(0, 2, {})], rho)
+        no_columns = TransitionMatrix(0, 2, col_ids=[], indptr=[0],
+                                      indices=[], data=[])
+        seq = TransitionMatrixSeq([no_columns], rho)
         with pytest.raises(SamplingError, match="materialisation"):
             sample_trajectory(seq, seed=0)
 
