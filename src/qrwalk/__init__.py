@@ -1,6 +1,9 @@
 """Coined quantum walks on finite graphs, their exactly equivalent
 non-homogeneous random walks, and trajectory sampling on top of them."""
 
+# The one version literal: pyproject.toml reads it, manifests record it.
+__version__ = "0.1.0"
+
 from .baselines import (
     RejectionReport,
     TorusDPState,
@@ -70,4 +73,3 @@ from .walk import (
     vertex_distribution,
 )
 
-__version__ = "0.1.0"

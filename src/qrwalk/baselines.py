@@ -19,7 +19,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -192,7 +191,7 @@ def exact_rejection_marginals(
             f"(L, {graph.num_vertices})"
         )
     length = rho_seq.shape[0]
-    heads, starts = graph.neighbor_of_basis, graph.port_offsets[:-1]
+    heads, starts = graph.heads, graph.port_offsets[:-1]
 
     def neighbour_sum(x: np.ndarray) -> np.ndarray:
         # (A x)[v] for the adjacency matrix A, as a sum over v's arcs
@@ -247,11 +246,6 @@ class TorusDPState:
         return self.rho.sum(axis=1)
 
 
-@lru_cache(maxsize=None)
-def _torus(dims: tuple[int, ...]) -> PortGraph:
-    return torus_graph(dims)
-
-
 def grover_torus_dp(
     dims: Sequence[int],
     initial: np.ndarray,
@@ -274,12 +268,13 @@ def grover_torus_dp(
     Each step costs one sweep of the (num_vertices x num_ports) table,
     the same order as the generic :func:`~qrwalk.walk.step`. Measured on
     a 120 x 120 torus over 4 steps (the benchmark's ``torus-grover``
-    workload, 2 shared vCPUs), the recursion took 0.12 s against 0.16 s
-    for the generic steps, a ratio of about 0.7. It is kept as an oracle
-    that does not use the engine's operators, not as a faster path.
+    workload; 2 shared vCPUs, one BLAS thread, best of 7), the recursion
+    took 15 ms with its torus build, as long as 4 generic steps with the
+    batched coin. It is kept as an oracle that does not use the engine's
+    operators, not as a faster path.
     """
     dims = tuple(int(d) for d in dims)
-    nbr = _torus(dims).neighbor_of_basis.reshape(-1, 2 * len(dims))
+    nbr = torus_graph(dims).heads.reshape(-1, 2 * len(dims))
     num_vertices, num_ports = nbr.shape
     d_axes = len(dims)
 
@@ -306,10 +301,8 @@ def grover_torus_dp(
     states = [snapshot(0, amp)]
     for t in range(horizon):
         mixed = amp.sum(axis=1, keepdims=True) / d_axes - amp
-        nxt = np.empty_like(amp)
-        for c in range(num_ports):
-            nxt[nbr[:, c], c] = mixed[:, c]
-        amp = nxt
+        amp = np.empty_like(amp)
+        amp[nbr, np.arange(num_ports)] = mixed
         total = float((amp ** 2).sum())
         if abs(total - 1.0) > 1e-10:
             raise ConsistencyError(
@@ -340,7 +333,7 @@ def grover_torus_matrix(
         raise ValidationError(
             f"states are not consecutive: t={dp_t.time} then {dp_next.time}"
         )
-    g = _torus(dp_t.dims)
+    g = torus_graph(dp_t.dims)
     return matrix_from_masses(
         ProductGraph(g, 1), [ShiftSpec.moving(g).permutation],
         dp_t.vertex_distribution(), dp_next.rho.reshape(-1),

@@ -182,11 +182,10 @@ def cmd_sample(args, config: dict) -> int:
         source = RunManifest.load(args.from_dir) \
             if (Path(args.from_dir) / "manifest.json").exists() else None
         graph_doc = source.graph if source else {"loaded": args.from_dir}
-        if source and isinstance(source.graph, dict):
-            if source.graph.get("type") == "torus":
-                torus_dims = source.graph.get("dims")
-            elif source.graph.get("type") == "cycle":
-                torus_dims = [source.graph.get("n")]
+        if source:  # load_sequence checked that it made these tables
+            base, space, _ = graph_and_spaces(
+                {"graph": source.graph, "walkers": source.walkers})
+            torus_dims = base.torus_dims
         manifest = RunManifest(
             command="sample", graph=graph_doc,
             graph_sha256=source.graph_sha256 if source else "unknown",

@@ -9,6 +9,8 @@ conditions and names the one that fails.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import UnitarityError, ValidationError
@@ -69,28 +71,38 @@ def random_unitary_coin(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q.astype(np.complex128, copy=False)
 
 
-def check_coin_unitary(block: np.ndarray, label: str = "",
+def check_coin_unitary(block: np.ndarray, label: str | Sequence[str] = "",
                        atol: float = UNITARY_ATOL) -> None:
     """Raise :class:`UnitarityError` unless the block's columns are
-    orthonormal within ``atol``, naming the violated condition."""
+    orthonormal within ``atol``, naming the violated condition.
+
+    An ``(n, d, d)`` stack of blocks is checked at once; ``label[i]`` then
+    names block ``i``, and the first failing block is reported.
+    """
     block = np.asarray(block)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
+    if block.ndim not in (2, 3) or block.shape[-2] != block.shape[-1]:
         raise ValidationError(f"coin block must be square, got {block.shape}")
-    where = f" at {label}" if label else ""
-    gram = block.conj().T @ block
-    norms = np.real(np.diag(gram))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > atol)
-    if bad.size:
-        k = int(bad[0])
+    stack, labels = ((block, label) if block.ndim == 3
+                     else (block[None], [label]))
+    gram = np.swapaxes(stack.conj(), 1, 2) @ stack
+    norms = np.real(np.diagonal(gram, axis1=1, axis2=2))
+    norm_bad = np.abs(norms - 1.0) > atol
+    off = np.abs(gram * (1.0 - np.eye(gram.shape[-1])))
+    failing = np.flatnonzero(norm_bad.any(axis=1)
+                             | (off.max(axis=(1, 2)) > atol))
+    if not failing.size:
+        return
+    i = failing[0]
+    where = f" at {labels[i]}" if labels[i] else ""
+    if norm_bad[i].any():
+        k = int(np.argmax(norm_bad[i]))
         raise UnitarityError(
             f"column-norm condition violated{where}: column {k} has "
-            f"squared norm {norms[k]:.12g} (expected 1)"
+            f"squared norm {norms[i, k]:.12g} (expected 1)"
         )
-    off = gram - np.diag(np.diag(gram))
-    j, k = np.unravel_index(np.argmax(np.abs(off)), off.shape)
-    if np.abs(off[j, k]) > atol:
-        raise UnitarityError(
-            f"column-orthogonality condition violated{where}: columns "
-            f"{int(j)} and {int(k)} have inner product of magnitude "
-            f"{np.abs(off[j, k]):.3g}"
-        )
+    j, k = np.unravel_index(np.argmax(off[i]), off[i].shape)
+    raise UnitarityError(
+        f"column-orthogonality condition violated{where}: columns "
+        f"{int(j)} and {int(k)} have inner product of magnitude "
+        f"{off[i, j, k]:.3g}"
+    )

@@ -280,7 +280,7 @@ def matrix_from_masses(
     on_ratio = ratio[owner]
     moved = np.stack([perm[p] for perm, p in zip(perms, ports)])
     heads = np.where(on_ratio, base.vertex_of_basis[moved],
-                     base.neighbor_of_basis[ports])
+                     base.heads[ports])
     targets = np.ravel_multi_index(tuple(heads), pg.shape)
 
     probs = np.empty(owner.size)
@@ -350,11 +350,11 @@ def build_multiwalker_matrix(
     pg = pg or ProductGraph(psi_t.base, psi_t.num_walkers)
     base = psi_t.base
     k = psi_t.num_walkers
-    if pg.num_walkers != k or pg.base.out_neighbors != base.out_neighbors:
+    if pg.num_walkers != k or pg.base != base:
         raise ValidationError("product graph does not match the states")
     if psi_next.num_walkers != k:
         raise ValidationError("states have different walker counts")
-    if psi_next.base.out_neighbors != base.out_neighbors:
+    if psi_next.base != base:
         raise ValidationError("states live on different graphs")
     shift_list = _per_walker(
         shifts if shifts is not None else ShiftSpec.flip_flop(base), k
@@ -402,7 +402,7 @@ def build_sequence(
     if isinstance(graph, ProductGraph):
         if not isinstance(psi0.graph, ProductGraph) or graph.num_walkers != k:
             raise ValidationError("graph walker count does not match psi0")
-    elif graph.out_neighbors != base.out_neighbors:
+    elif graph != base:
         raise ValidationError("graph does not match psi0")
     pg = ProductGraph(base, k)
 
@@ -418,7 +418,7 @@ def build_sequence(
             if t > 0:
                 _, ports = pg.arcs(np.flatnonzero(rhos[-2] > zero_threshold))
                 halo = np.ravel_multi_index(
-                    tuple(base.neighbor_of_basis[ports]), pg.shape)
+                    tuple(base.heads[ports]), pg.shape)
                 wanted = np.union1d(wanted, halo)
         perms = [_at(s, t).permutation for s in _per_walker(shift, k)]
         matrices.append(matrix_from_masses(

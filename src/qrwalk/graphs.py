@@ -12,14 +12,25 @@ freedom) used by the coin space. Three maps define shift semantics:
 
 The flattened ``(vertex, port)`` basis enumerates ports of vertex 0, then
 vertex 1, and so on; its dimension equals the directed edge count.
+
+A :class:`PortGraph` stores only this basis in compressed sparse row (CSR)
+form: ``port_offsets[v]:port_offsets[v + 1]`` is the port block of ``v``
+and ``heads[port_offsets[v] + c] = eta(v, c)``, both read-only int64
+arrays. Everything else is derived from them: ``degrees`` and
+``vertex_of_basis`` (the tail of every arc), the arc keys ``tail * n +
+head`` sorted once at construction, through which :meth:`PortGraph.arc_index`
+(hence ``sigma``, ``sigma_inv``, ``has_edge`` and the flip-flop shift)
+finds an arc by binary search, and ``out_neighbors``, a tuple view kept
+for tests and small examples only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -41,111 +52,164 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _reject(checks, *values) -> None:
+    """Raise :class:`GraphError` for the first ``(mask, message)`` check
+    with a failing item, formatting the message with ``values`` there."""
+    for mask, message in checks:
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            raise GraphError(message.format(*(int(x[bad[0]]) for x in values)))
+
+
+def _later_repeats(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sorted distinct ``keys``, the first item of each, and the mask of
+    the items whose key occurs at an earlier item."""
+    distinct, first = np.unique(keys, return_index=True)
+    repeated = np.ones(keys.size, dtype=bool)
+    repeated[first] = False
+    return distinct, first, repeated
+
+
+def _split(flat: Sequence, offsets: np.ndarray) -> list:
+    """``flat`` cut at ``offsets`` into one slice per vertex."""
+    return list(map(flat.__getitem__,
+                    map(slice, offsets[:-1].tolist(), offsets[1:].tolist())))
+
+
+@dataclass(frozen=True, eq=False)
 class PortGraph:
-    """Symmetric directed graph with per-vertex ordered out-neighbours.
+    """Symmetric directed graph with per-vertex ordered out-neighbours,
+    stored as the CSR pair ``port_offsets``/``heads`` (see the module
+    docstring).
 
     Instances are immutable after construction and safe to share across
     concurrent workers. Use :func:`build_graph` or a generator instead of
     calling the constructor directly; the constructor validates structure
-    but does not symmetrise or reorder anything.
+    but does not symmetrise or reorder anything. Two graphs are equal when
+    their arrays are, whatever their ``torus_dims``.
     """
 
-    num_vertices: int
-    out_neighbors: tuple[tuple[int, ...], ...]
-    torus_dims: tuple[int, ...] | None = field(default=None, compare=False)
+    port_offsets: np.ndarray
+    heads: np.ndarray
+    torus_dims: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        n = self.num_vertices
+        for name in ("port_offsets", "heads"):
+            arr = np.array(getattr(self, name), dtype=np.int64, ndmin=1)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        offs, heads = self.port_offsets, self.heads
+        n = offs.size - 1
         if n <= 0:
             raise GraphError("graph needs at least one vertex")
-        if len(self.out_neighbors) != n:
+        if offs[0] != 0 or np.any(np.diff(offs) < 0) \
+                or offs[-1] != heads.size:
             raise GraphError(
-                f"out_neighbors has {len(self.out_neighbors)} entries for "
-                f"{n} vertices"
+                f"port_offsets must rise from 0 to the {heads.size} heads"
             )
-        arcs = set()
-        for v, nbrs in enumerate(self.out_neighbors):
-            if len(nbrs) == 0:
-                raise GraphError(
-                    f"vertex {v} is isolated; its coin space would be empty"
-                )
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise GraphError(f"neighbour {u} of vertex {v} out of range")
-                if u == v:
-                    raise GraphError(f"self-loop at vertex {v} not supported")
-                if (v, u) in arcs:
-                    raise GraphError(f"duplicate edge ({v}, {u})")
-                arcs.add((v, u))
-        for v, u in arcs:
-            if (u, v) not in arcs:
-                raise GraphError(
-                    f"edge ({v}, {u}) present without its reverse; the "
-                    "directed graph must be symmetric"
-                )
+        tails = self.vertex_of_basis
+        _reject([(self.degrees == 0, "vertex {0} is isolated; its coin "
+                                     "space would be empty")], np.arange(n))
+        keys, order, repeated = _later_repeats(tails * n + heads)
+        _reject([((heads < 0) | (heads >= n),
+                  "neighbour {1} of vertex {0} out of range"),
+                 (heads == tails, "self-loop at vertex {0} not supported"),
+                 (repeated, "duplicate edge ({0}, {1})")], tails, heads)
+        # with no repeats, the distinct keys are every arc's key, sorted
+        object.__setattr__(self, "_arc_keys", keys)
+        object.__setattr__(self, "_arc_order", order)
+        _reject([(self.arc_index(heads, tails) < 0,
+                  "edge ({0}, {1}) present without its reverse; the "
+                  "directed graph must be symmetric")], tails, heads)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PortGraph):
+            return NotImplemented
+        return self is other or (
+            np.array_equal(self.port_offsets, other.port_offsets)
+            and np.array_equal(self.heads, other.heads))
+
+    def __hash__(self) -> int:
+        return hash((self.num_vertices, self.basis_dim))
 
     # -- derived structure ------------------------------------------------
 
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        return np.array([len(nbrs) for nbrs in self.out_neighbors], dtype=np.int64)
-
-    @cached_property
-    def port_offsets(self) -> np.ndarray:
-        """Start index of each vertex's port block in the flattened basis
-        (length ``num_vertices + 1``)."""
-        offs = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=offs[1:])
-        return offs
+    @property
+    def num_vertices(self) -> int:
+        return self.port_offsets.size - 1
 
     @property
     def basis_dim(self) -> int:
         """Dimension of the (vertex, port) state space, equal to the
         directed edge count."""
-        return int(self.port_offsets[-1])
+        return self.heads.size
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.port_offsets)
 
     @cached_property
     def vertex_of_basis(self) -> np.ndarray:
-        """Vertex id of every flattened basis index."""
-        return np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
+        """Vertex id of every flattened basis index: the tail of each arc."""
+        return np.repeat(np.arange(self.num_vertices, dtype=np.int64),
+                         self.degrees)
 
     @cached_property
-    def _neighbor_port(self) -> tuple[dict[int, int], ...]:
-        # _neighbor_port[v][u] = position of u in out_neighbors[v]
-        return tuple(
-            {u: c for c, u in enumerate(nbrs)} for nbrs in self.out_neighbors
-        )
+    def degree_classes(self) -> dict[int, np.ndarray]:
+        """``{d: the vertices of degree d}``, both in ascending order."""
+        return {int(d): np.flatnonzero(self.degrees == d)
+                for d in np.unique(self.degrees)}
+
+    @cached_property
+    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex neighbour tuples in port order; a derived view for
+        tests and small examples, built on first use."""
+        return tuple(_split(tuple(self.heads.tolist()), self.port_offsets))
 
     # -- port maps ---------------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return len(self.out_neighbors[v])
+        return int(self.degrees[v])
 
     def eta(self, v: int, c: int) -> int:
         """The ``c``-th out-neighbour of ``v``."""
-        nbrs = self.out_neighbors[v]
-        if not 0 <= c < len(nbrs):
+        if not 0 <= c < self.degree(v):
             raise IndexError(f"port {c} out of range for vertex {v} "
-                             f"(degree {len(nbrs)})")
-        return nbrs[c]
+                             f"(degree {self.degree(v)})")
+        return int(self.heads[self.port_offsets[v] + c])
+
+    def arc_index(self, src, dst) -> np.ndarray:
+        """Basis index of the arc ``src -> dst`` over broadcast vertex
+        arrays; -1 where there is no such arc."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        n = self.num_vertices
+        keys = np.where((src >= 0) & (src < n) & (dst >= 0) & (dst < n),
+                        src * n + dst, -1)
+        table = self._arc_keys
+        pos = np.minimum(np.searchsorted(table, keys), table.size - 1)
+        return np.where(table[pos] == keys, self._arc_order[pos], -1)
+
+    def _port(self, tail: int, head: int) -> int:
+        a = int(self.arc_index(tail, head))
+        if a < 0:
+            raise ValidationError(f"({tail}, {head}) is not an edge")
+        return a - int(self.port_offsets[tail])
 
     def sigma(self, u: int, v: int) -> int:
         """Port of ``v`` associated with inward neighbour ``u``."""
-        try:
-            return self._neighbor_port[v][u]
-        except KeyError:
-            raise ValidationError(f"({u}, {v}) is not an edge") from None
+        return self._port(v, u)
 
     def sigma_inv(self, v: int, u: int) -> int:
         """Port ``c`` of ``u`` such that ``eta(u, c) = v``."""
-        try:
-            return self._neighbor_port[u][v]
-        except KeyError:
-            raise ValidationError(f"({u}, {v}) is not an edge") from None
+        return self._port(u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._neighbor_port[u]
+        return bool(self.has_edges(u, v))
+
+    def has_edges(self, src, dst) -> np.ndarray:
+        """Elementwise :meth:`has_edge` over broadcast vertex arrays."""
+        return self.arc_index(src, dst) >= 0
 
     def basis_index(self, v: int, c: int) -> int:
         if not 0 <= c < self.degree(v):
@@ -156,27 +220,6 @@ class PortGraph:
         """Inverse of :meth:`basis_index`: flattened index to (vertex, port)."""
         v = int(self.vertex_of_basis[index])
         return v, int(index - self.port_offsets[v])
-
-    @cached_property
-    def neighbor_of_basis(self) -> np.ndarray:
-        """``eta(v, c)`` for every flattened basis index ``(v, c)``: the
-        head of each arc, in basis order."""
-        return np.fromiter(itertools.chain.from_iterable(self.out_neighbors),
-                           dtype=np.int64, count=self.basis_dim)
-
-    @cached_property
-    def _arc_keys(self) -> np.ndarray:
-        # sorted tail * n + head over all arcs, for searchsorted lookups
-        return np.sort(self.vertex_of_basis * self.num_vertices
-                       + self.neighbor_of_basis)
-
-    def has_edges(self, src, dst) -> np.ndarray:
-        """Elementwise :meth:`has_edge` over broadcast vertex arrays."""
-        keys = (np.asarray(src, dtype=np.int64) * self.num_vertices
-                + np.asarray(dst, dtype=np.int64))
-        table = self._arc_keys
-        pos = np.minimum(np.searchsorted(table, keys), table.size - 1)
-        return table[pos] == keys
 
     def __repr__(self) -> str:
         return (f"PortGraph(|V|={self.num_vertices}, "
@@ -325,53 +368,51 @@ def build_graph(
         Optional explicit vertex count; defaults to ``max id + 1``. Every
         vertex must be incident to at least one edge.
     """
-    nbr_sets: dict[int, set[int]] = {}
-    seen: set[tuple[int, int]] = set()
-    max_id = -1
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if u < 0 or v < 0:
-            raise GraphError(f"negative vertex id in edge ({u}, {v})")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u} not supported")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphError(f"duplicate undirected edge ({u}, {v})")
-        seen.add(key)
-        nbr_sets.setdefault(u, set()).add(v)
-        nbr_sets.setdefault(v, set()).add(u)
-        max_id = max(max_id, u, v)
-    if max_id < 0:
+    pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                     dtype=np.int64).reshape(-1, 2)
+    u, v = pairs.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    _reject([(lo < 0, "negative vertex id in edge ({0}, {1})"),
+             (u == v, "self-loop at vertex {0} not supported"),
+             (_later_repeats(lo * (int(hi.max(initial=0)) + 1) + hi)[2],
+              "duplicate undirected edge ({0}, {1})")], u, v)
+    if pairs.size == 0:
         raise GraphError("edge list is empty")
+    max_id = int(hi.max())
     n = num_vertices if num_vertices is not None else max_id + 1
     if max_id >= n:
         raise GraphError(f"vertex id {max_id} exceeds num_vertices={n}")
 
+    tails, heads = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((heads, tails))
+    tails, heads = tails[order], heads[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
     if isinstance(ordering, str):
         if ordering != "sorted":
             raise ValidationError(f"unknown ordering {ordering!r}")
-        out = []
-        for v in range(n):
-            if v not in nbr_sets:
-                raise GraphError(
-                    f"vertex {v} is isolated; its coin space would be empty"
-                )
-            out.append(tuple(sorted(nbr_sets[v])))
-    else:
-        if len(ordering) != n:
-            raise ValidationError(
-                f"explicit ordering has {len(ordering)} lists for {n} vertices"
-            )
-        out = []
-        for v in range(n):
-            nbrs = tuple(int(u) for u in ordering[v])
-            if set(nbrs) != nbr_sets.get(v, set()) or len(nbrs) != len(set(nbrs)):
-                raise ValidationError(
-                    f"ordering for vertex {v} is not a permutation of its "
-                    f"neighbour set"
-                )
-            out.append(nbrs)
-    return PortGraph(num_vertices=n, out_neighbors=tuple(out))
+        return PortGraph(offsets, heads)
+
+    if len(ordering) != n:
+        raise ValidationError(
+            f"explicit ordering has {len(ordering)} lists for {n} vertices"
+        )
+    lengths = np.fromiter(map(len, ordering), dtype=np.int64, count=n)
+    given = np.fromiter(itertools.chain.from_iterable(ordering),
+                        dtype=np.int64, count=int(lengths.sum()))
+    given_tails = np.repeat(np.arange(n), lengths)
+    # each vertex's list, sorted, must be its sorted neighbour list; the
+    # blocks line up up to the first vertex whose list has the wrong length
+    wrong_length = np.flatnonzero(lengths != np.diff(offsets))
+    cut = int(offsets[wrong_length[0]]) if wrong_length.size else heads.size
+    mine = given[np.lexsort((given, given_tails))][:cut]
+    wrong = np.concatenate([tails[:cut][mine != heads[:cut]], wrong_length])
+    if wrong.size:
+        raise ValidationError(
+            f"ordering for vertex {wrong.min()} is not a permutation of its "
+            "neighbour set"
+        )
+    return PortGraph(offsets, given)
 
 
 def cycle_graph(n: int) -> PortGraph:
@@ -395,30 +436,24 @@ def torus_graph(dims: Sequence[int]) -> PortGraph:
                 f"torus axis of length {d} would create duplicate edges; "
                 "each axis must be >= 3"
             )
-    n = int(np.prod(dims))
-    strides = np.ones(len(dims), dtype=np.int64)
-    for ax in range(len(dims) - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * dims[ax + 1]
-
-    out = []
-    for v in range(n):
-        coords = [(v // int(strides[ax])) % dims[ax] for ax in range(len(dims))]
-        nbrs = []
-        for ax in range(len(dims)):
-            for step in (1, -1):
-                c = coords.copy()
-                c[ax] = (c[ax] + step) % dims[ax]
-                nbrs.append(int(np.dot(c, strides)))
-        out.append(tuple(nbrs))
-    return PortGraph(num_vertices=n, out_neighbors=tuple(out), torus_dims=dims)
+    n, degree = int(np.prod(dims)), 2 * len(dims)
+    coords = np.unravel_index(np.arange(n), dims)
+    heads = np.empty((n, degree), dtype=np.int64)
+    for ax, size in enumerate(dims):
+        for j, step in enumerate((1, -1)):
+            moved = list(coords)
+            moved[ax] = (coords[ax] + step) % size
+            heads[:, 2 * ax + j] = np.ravel_multi_index(moved, dims)
+    return PortGraph(np.arange(n + 1) * degree, heads.reshape(-1),
+                     torus_dims=dims)
 
 
 def complete_graph(n: int) -> PortGraph:
     """Complete graph on ``n >= 2`` vertices, sorted port order."""
     if n < 2:
         raise GraphError("complete graph needs at least 2 vertices")
-    out = tuple(tuple(u for u in range(n) if u != v) for v in range(n))
-    return PortGraph(num_vertices=n, out_neighbors=out)
+    heads = np.broadcast_to(np.arange(n), (n, n))[~np.eye(n, dtype=bool)]
+    return PortGraph(np.arange(n + 1) * (n - 1), heads)
 
 
 def random_regular_graph(
@@ -434,13 +469,14 @@ def random_regular_graph(
     for _ in range(max_tries):
         stubs = np.repeat(np.arange(n, dtype=np.int64), d)
         rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
+        pairs = np.sort(stubs.reshape(-1, 2), axis=1)
         if np.any(pairs[:, 0] == pairs[:, 1]):
             continue
-        keys = {(min(a, b), max(a, b)) for a, b in pairs.tolist()}
-        if len(keys) != len(pairs):
+        keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        if keys.size != len(pairs):
             continue
-        return build_graph(sorted(keys), ordering="sorted", num_vertices=n)
+        return build_graph(np.stack(np.divmod(keys, n), axis=1),
+                           ordering="sorted", num_vertices=n)
     raise GraphError(
         f"failed to sample a simple {d}-regular graph on {n} vertices "
         f"within {max_tries} tries"
@@ -454,13 +490,11 @@ def random_regular_graph(
 def graph_to_json(g: PortGraph) -> dict:
     """JSON-serialisable description; explicit ordering so the port
     convention round-trips exactly."""
+    tails, heads = np.divmod(g._arc_keys, g.num_vertices)
     doc: dict = {
         "n": g.num_vertices,
-        "edges": sorted(
-            {(min(v, u), max(v, u)) for v, nbrs in enumerate(g.out_neighbors)
-             for u in nbrs}
-        ),
-        "ordering": [list(nbrs) for nbrs in g.out_neighbors],
+        "edges": np.stack([tails, heads], axis=1)[tails < heads].tolist(),
+        "ordering": _split(g.heads.tolist(), g.port_offsets),
     }
     if g.torus_dims is not None:
         doc["torus_dims"] = list(g.torus_dims)
@@ -491,15 +525,13 @@ def graph_from_json(doc: dict) -> PortGraph:
     g = build_graph(doc["edges"], ordering=doc.get("ordering", "sorted"),
                     num_vertices=doc.get("n"))
     if "torus_dims" in doc:
-        g = PortGraph(g.num_vertices, g.out_neighbors,
-                      torus_dims=tuple(doc["torus_dims"]))
+        g = dataclasses.replace(g, torus_dims=tuple(doc["torus_dims"]))
     return g
 
 
 def graph_hash(g: PortGraph) -> str:
     """Stable hex digest of the graph structure including port order."""
-    payload = json.dumps(
-        {"n": g.num_vertices, "out": [list(x) for x in g.out_neighbors]},
-        separators=(",", ":"),
-    )
+    out = _split(g.heads.tolist(), g.port_offsets)
+    payload = json.dumps({"n": g.num_vertices, "out": out},
+                         separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

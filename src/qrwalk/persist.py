@@ -16,13 +16,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .coins import UNITARY_ATOL
 from .equivalence import (
     COLUMN_SUM_ERROR,
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-TOOL_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ class RunManifest:
     horizon: int | None = None
     seed: int | None = None
     rng_algorithm: str = RNG_ALGORITHM
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     thresholds: dict = field(default_factory=lambda: {
         "zero_probability": ZERO_PROB,
         "unitary_atol": UNITARY_ATOL,
@@ -89,13 +89,15 @@ class RunManifest:
 
     @property
     def sha256(self) -> str:
-        compact = json.dumps(asdict(self), sort_keys=True,
+        # vars(self) holds exactly the fields; dataclasses.asdict would
+        # deep-copy the graph document on every call
+        compact = json.dumps(vars(self), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(compact.encode()).hexdigest()
 
     def save(self, out_dir: str | Path) -> Path:
         path = Path(out_dir) / MANIFEST_NAME
-        path.write_text(json.dumps(asdict(self), sort_keys=True, indent=2)
+        path.write_text(json.dumps(vars(self), sort_keys=True, indent=2)
                         + "\n")
         return path
 
@@ -436,9 +438,22 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
 
 def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
     """Rebuild a sequence from persisted tables so sampling can run
-    without re-evolving the walk."""
+    without re-evolving the walk.
+
+    Both tables must carry the same ``manifest`` hash, and when the
+    directory holds a ``manifest.json``, it must be that manifest's hash.
+    """
     out = Path(out_dir)
     rho_tab = read_table(out / "rho")
+    p_tab = read_table(out / "p_matrix")
+    stamps = {rho_tab.meta.get("manifest"), p_tab.meta.get("manifest")}
+    if (out / MANIFEST_NAME).exists():
+        stamps.add(RunManifest.load(out).sha256)
+    if len(stamps) > 1:
+        raise ValidationError(
+            f"the tables in {out} and its {MANIFEST_NAME}, if any, come from "
+            f"different runs: manifest hashes {sorted(map(str, stamps))}"
+        )
     num_states = int(rho_tab.meta.get("states", 0))
     walkers = int(rho_tab.meta.get("walkers", 1))
     base = int(rho_tab.meta.get("base", num_states))
@@ -460,7 +475,7 @@ def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
     rho = np.zeros((times.size, num_states))
     rho[t, states(v_col)] = floats(rho_col)
 
-    t_col, u_col, v_col, p_col = read_table(out / "p_matrix").columns
+    t_col, u_col, v_col, p_col = p_tab.columns
     t, u, v = np.array(t_col, dtype=np.int64), states(u_col), states(v_col)
     p = floats(p_col)
     order = np.lexsort((v, u, t))

@@ -193,72 +193,118 @@ class WaveFunction:
 # operator specifications
 # ---------------------------------------------------------------------------
 
+def _stacked(graph: PortGraph,
+             blocks: Sequence[np.ndarray]) -> dict[int, np.ndarray]:
+    """Per-vertex blocks, in vertex order, as one stack per degree class."""
+    if len(blocks) != graph.num_vertices:
+        raise ValidationError(
+            f"{len(blocks)} coin blocks for {graph.num_vertices} vertices"
+        )
+    stacks = {}
+    for d, verts in graph.degree_classes.items():
+        verts = verts.tolist()
+        try:
+            stack = np.array(list(map(blocks.__getitem__, verts)),
+                             dtype=np.complex128)
+        except ValueError:  # blocks of different shapes
+            stack = None
+        if stack is None or stack.shape != (len(verts), d, d):
+            v = next(v for v in verts if np.shape(blocks[v]) != (d, d))
+            raise ValidationError(
+                f"coin block at vertex {v} has shape {np.shape(blocks[v])}, "
+                f"expected ({d}, {d})"
+            )
+        stacks[d] = stack
+    return stacks
+
+
 @dataclass(frozen=True)
 class CoinSpec:
-    """Per-vertex unitary blocks mixing amplitudes among a vertex's ports."""
+    """Per-vertex unitary blocks mixing amplitudes among a vertex's ports.
+
+    The blocks are stored per degree class of the graph: ``stacks[d]`` is
+    a read-only ``(n_d, d, d)`` array whose ``i``-th block acts on the
+    ports of ``graph.degree_classes[d][i]``, the ``i``-th vertex of degree
+    ``d``. A named coin stores one block per class, repeated by a
+    zero-stride :func:`numpy.broadcast_to` view. The coin is applied with
+    one batched ``matmul`` per class. ``blocks`` is a per-vertex view for
+    tests.
+    """
 
     graph: PortGraph
-    blocks: tuple[np.ndarray, ...]
+    stacks: Mapping[int, np.ndarray]
     name: str = "explicit"
 
     def __post_init__(self) -> None:
-        if len(self.blocks) != self.graph.num_vertices:
+        classes = self.graph.degree_classes
+        if sorted(self.stacks) != list(classes):
             raise ValidationError(
-                f"{len(self.blocks)} coin blocks for "
-                f"{self.graph.num_vertices} vertices"
+                f"coin stacks for degrees {sorted(self.stacks)}, but the "
+                f"graph has degrees {list(classes)}"
             )
-        frozen = []
-        for v, block in enumerate(self.blocks):
-            b = np.asarray(block, dtype=np.complex128)
-            d = self.graph.degree(v)
-            if b.shape != (d, d):
+        frozen = {}
+        for d, verts in classes.items():
+            stack = np.asarray(self.stacks[d], dtype=np.complex128)
+            if stack.shape != (verts.size, d, d):
                 raise ValidationError(
-                    f"coin block at vertex {v} has shape {b.shape}, "
-                    f"expected ({d}, {d})"
+                    f"coin stack for degree {d} has shape {stack.shape}, "
+                    f"expected {(verts.size, d, d)}"
                 )
-            b.flags.writeable = False
-            frozen.append(b)
-        object.__setattr__(self, "blocks", tuple(frozen))
+            stack.flags.writeable = False
+            frozen[d] = stack
+        object.__setattr__(self, "stacks", frozen)
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The block of every vertex, in vertex order (read-only views)."""
+        out: list = [None] * self.graph.num_vertices
+        for d, verts in self.graph.degree_classes.items():
+            for v, block in zip(verts, self.stacks[d]):
+                out[v] = block
+        return tuple(out)
 
     def validate(self, atol: float = coins.UNITARY_ATOL) -> None:
-        """Check every block against the two coin unitarity conditions."""
-        for v, block in enumerate(self.blocks):
-            coins.check_coin_unitary(block, label=f"vertex {v}", atol=atol)
+        """Check every block against the two coin unitarity conditions,
+        one degree class at a time in ascending degree; the error names
+        the first failing vertex of the first failing class."""
+        for d, verts in self.graph.degree_classes.items():
+            coins.check_coin_unitary(
+                self.stacks[d], atol=atol,
+                label=list(map("vertex {}".format, verts.tolist())))
 
     # -- named builders ----------------------------------------------------
 
     @classmethod
+    def _named(cls, graph: PortGraph, make: Callable[[int], np.ndarray],
+               name: str) -> "CoinSpec":
+        return cls(graph, {d: np.broadcast_to(make(d), (verts.size, d, d))
+                           for d, verts in graph.degree_classes.items()},
+                   name=name)
+
+    @classmethod
     def hadamard(cls, graph: PortGraph) -> "CoinSpec":
-        cache = {int(d): coins.hadamard_coin(int(d)) for d in set(graph.degrees)}
-        return cls(graph, tuple(cache[graph.degree(v)]
-                                for v in range(graph.num_vertices)),
-                   name="hadamard")
+        return cls._named(graph, coins.hadamard_coin, "hadamard")
 
     @classmethod
     def grover(cls, graph: PortGraph) -> "CoinSpec":
-        cache = {int(d): coins.grover_coin(int(d)) for d in set(graph.degrees)}
-        return cls(graph, tuple(cache[graph.degree(v)]
-                                for v in range(graph.num_vertices)),
-                   name="grover")
+        return cls._named(graph, coins.grover_coin, "grover")
 
     @classmethod
     def identity(cls, graph: PortGraph) -> "CoinSpec":
-        cache = {int(d): coins.identity_coin(int(d)) for d in set(graph.degrees)}
-        return cls(graph, tuple(cache[graph.degree(v)]
-                                for v in range(graph.num_vertices)),
-                   name="identity")
+        return cls._named(graph, coins.identity_coin, "identity")
 
     @classmethod
     def random_unitary(cls, graph: PortGraph,
                        rng: np.random.Generator) -> "CoinSpec":
-        return cls(graph, tuple(coins.random_unitary_coin(graph.degree(v), rng)
-                                for v in range(graph.num_vertices)),
-                   name="random-unitary")
+        # one draw per vertex, in vertex order, so seeded coins stay fixed
+        draws = [coins.random_unitary_coin(graph.degree(v), rng)
+                 for v in range(graph.num_vertices)]
+        return cls(graph, _stacked(graph, draws), name="random-unitary")
 
     @classmethod
     def from_blocks(cls, graph: PortGraph, blocks: Sequence[np.ndarray],
                     validate: bool = True) -> "CoinSpec":
-        spec = cls(graph, tuple(blocks))
+        spec = cls(graph, _stacked(graph, list(blocks)))
         if validate:
             spec.validate()
         return spec
@@ -302,16 +348,15 @@ class ShiftSpec:
 
     def check_respects_edges(self) -> None:
         g = self.graph
-        for v in range(g.num_vertices):
-            off = int(g.port_offsets[v])
-            for c, u in enumerate(g.out_neighbors[v]):
-                tgt = int(self.permutation[off + c])
-                if int(g.vertex_of_basis[tgt]) != u:
-                    raise ValidationError(
-                        f"shift sends ({v}, {c}) to vertex "
-                        f"{int(g.vertex_of_basis[tgt])}, but eta({v}, {c}) "
-                        f"= {u}"
-                    )
+        landed = g.vertex_of_basis[self.permutation]
+        wrong = np.flatnonzero(landed != g.heads)
+        if wrong.size:
+            a = int(wrong[0])
+            v, c = g.basis_state(a)
+            raise ValidationError(
+                f"shift sends ({v}, {c}) to vertex {int(landed[a])}, but "
+                f"eta({v}, {c}) = {int(g.heads[a])}"
+            )
 
     # -- named builders ----------------------------------------------------
 
@@ -322,12 +367,8 @@ class ShiftSpec:
         Amplitude moving along an arc lands on the reverse arc's port, so
         the map is an involution and always a permutation.
         """
-        perm = np.empty(graph.basis_dim, dtype=np.int64)
-        for v in range(graph.num_vertices):
-            off = int(graph.port_offsets[v])
-            for c, u in enumerate(graph.out_neighbors[v]):
-                perm[off + c] = graph.basis_index(u, graph.sigma(v, u))
-        return cls(graph, perm, name="flip-flop")
+        return cls(graph, graph.arc_index(graph.heads, graph.vertex_of_basis),
+                   name="flip-flop")
 
     @classmethod
     def moving(cls, graph: PortGraph) -> "ShiftSpec":
@@ -338,17 +379,19 @@ class ShiftSpec:
         (true for the cycle and torus generators' axis-aligned port
         orders); otherwise the map is not a permutation and this raises.
         """
-        perm = np.empty(graph.basis_dim, dtype=np.int64)
-        for v in range(graph.num_vertices):
-            off = int(graph.port_offsets[v])
-            for c, u in enumerate(graph.out_neighbors[v]):
-                if c >= graph.degree(u):
-                    raise ValidationError(
-                        f"moving shift undefined: port {c} does not exist "
-                        f"at vertex {u} (degree {graph.degree(u)})"
-                    )
-                perm[off + c] = graph.basis_index(u, c)
-        if np.unique(perm).size != perm.size:
+        heads = graph.heads
+        port = np.arange(graph.basis_dim) \
+            - graph.port_offsets[graph.vertex_of_basis]
+        missing = np.flatnonzero(port >= graph.degrees[heads])
+        if missing.size:
+            a = int(missing[0])
+            u = int(heads[a])
+            raise ValidationError(
+                f"moving shift undefined: port {int(port[a])} does not "
+                f"exist at vertex {u} (degree {graph.degree(u)})"
+            )
+        perm = graph.port_offsets[heads] + port
+        if np.any(np.bincount(perm) > 1):
             raise ValidationError(
                 "moving shift is not a permutation on this graph/port "
                 "order; use the flip-flop shift or a custom port order"
@@ -438,10 +481,7 @@ def _per_walker(spec, k: int) -> list:
 
 
 def _check_same_graph(spec_graph: PortGraph, base: PortGraph, what: str) -> None:
-    if spec_graph is base:
-        return
-    if (spec_graph.num_vertices != base.num_vertices
-            or spec_graph.out_neighbors != base.out_neighbors):
+    if spec_graph != base:
         raise ValidationError(f"{what} was built for a different graph")
 
 
@@ -450,13 +490,19 @@ def _check_same_graph(spec_graph: PortGraph, base: PortGraph, what: str) -> None
 # ---------------------------------------------------------------------------
 
 def _coin_block_multiply(spec: CoinSpec, amps: np.ndarray) -> np.ndarray:
-    """Apply the block-diagonal coin to rows of ``amps`` (dim x m or dim)."""
-    out = np.empty_like(amps)
-    offs = spec.graph.port_offsets
-    for v in range(spec.graph.num_vertices):
-        lo, hi = int(offs[v]), int(offs[v + 1])
-        out[lo:hi] = spec.blocks[v] @ amps[lo:hi]
-    return out
+    """Apply the block-diagonal coin to rows of ``amps`` (dim x m or dim),
+    with one batched ``matmul`` per degree class."""
+    rows = amps.reshape(amps.shape[0], -1)
+    if len(spec.stacks) == 1:
+        # regular graph: the port blocks tile the rows, so a reshaped view
+        # replaces the gather and scatter copies
+        (d, stack), = spec.stacks.items()
+        return (stack @ rows.reshape(-1, d, rows.shape[1])).reshape(amps.shape)
+    out = np.empty_like(rows)
+    for d, verts in spec.graph.degree_classes.items():
+        ports = spec.graph.port_offsets[verts, None] + np.arange(d)
+        out[ports] = spec.stacks[d] @ rows[ports]
+    return out.reshape(amps.shape)
 
 
 def apply_coin(psi: WaveFunction, coin: CoinLike, t: int = 0) -> WaveFunction:

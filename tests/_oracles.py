@@ -7,14 +7,148 @@ calls the engine's operator-application code paths.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
+
+from qrwalk.errors import GraphError, ValidationError
 
 
 def _offsets(graph) -> np.ndarray:
     degs = [len(nbrs) for nbrs in graph.out_neighbors]
     return np.concatenate([[0], np.cumsum(degs)])
+
+
+def reference_port_graph(out_neighbors) -> None:
+    """Validate per-vertex neighbour lists one arc at a time, the way the
+    engine first did it; raises :class:`GraphError` at the first fault.
+
+    Vertices are visited in order and each arc is checked for its range,
+    a self-loop and a repeat; symmetry is checked last, in basis order.
+    """
+    n = len(out_neighbors)
+    if n <= 0:
+        raise GraphError("graph needs at least one vertex")
+    arcs = set()
+    for v, nbrs in enumerate(out_neighbors):
+        if len(nbrs) == 0:
+            raise GraphError(
+                f"vertex {v} is isolated; its coin space would be empty"
+            )
+        for u in nbrs:
+            if not 0 <= u < n:
+                raise GraphError(f"neighbour {u} of vertex {v} out of range")
+            if u == v:
+                raise GraphError(f"self-loop at vertex {v} not supported")
+            if (v, u) in arcs:
+                raise GraphError(f"duplicate edge ({v}, {u})")
+            arcs.add((v, u))
+    for v, nbrs in enumerate(out_neighbors):
+        for u in nbrs:
+            if (u, v) not in arcs:
+                raise GraphError(
+                    f"edge ({v}, {u}) present without its reverse; the "
+                    "directed graph must be symmetric"
+                )
+
+
+def reference_build_graph(edges, ordering="sorted", num_vertices=None):
+    """Per-vertex neighbour tuples from an undirected edge list, built one
+    edge and one vertex at a time; raises like ``build_graph``."""
+    nbr_sets: dict[int, set[int]] = {}
+    seen: set[tuple[int, int]] = set()
+    max_id = -1
+    for e in edges:
+        u, v = int(e[0]), int(e[1])
+        if u < 0 or v < 0:
+            raise GraphError(f"negative vertex id in edge ({u}, {v})")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u} not supported")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphError(f"duplicate undirected edge ({u}, {v})")
+        seen.add(key)
+        nbr_sets.setdefault(u, set()).add(v)
+        nbr_sets.setdefault(v, set()).add(u)
+        max_id = max(max_id, u, v)
+    if max_id < 0:
+        raise GraphError("edge list is empty")
+    n = num_vertices if num_vertices is not None else max_id + 1
+    if max_id >= n:
+        raise GraphError(f"vertex id {max_id} exceeds num_vertices={n}")
+    if isinstance(ordering, str):
+        out = [tuple(sorted(nbr_sets.get(v, ()))) for v in range(n)]
+    else:
+        if len(ordering) != n:
+            raise ValidationError(
+                f"explicit ordering has {len(ordering)} lists for {n} vertices"
+            )
+        out = []
+        for v in range(n):
+            nbrs = tuple(int(u) for u in ordering[v])
+            if set(nbrs) != nbr_sets.get(v, set()) or len(nbrs) != len(set(nbrs)):
+                raise ValidationError(
+                    f"ordering for vertex {v} is not a permutation of its "
+                    f"neighbour set"
+                )
+            out.append(nbrs)
+    reference_port_graph(out)
+    return tuple(out)
+
+
+def reference_torus_neighbors(dims) -> tuple:
+    """Torus neighbour tuples, ports (+x, -x, +y, -y, ...), row-major ids."""
+    n = int(np.prod(dims))
+    strides = [int(np.prod(dims[ax + 1:])) for ax in range(len(dims))]
+    out = []
+    for v in range(n):
+        coords = [(v // strides[ax]) % dims[ax] for ax in range(len(dims))]
+        nbrs = []
+        for ax in range(len(dims)):
+            for step in (1, -1):
+                c = coords.copy()
+                c[ax] = (c[ax] + step) % dims[ax]
+                nbrs.append(int(np.dot(c, strides)))
+        out.append(tuple(nbrs))
+    return tuple(out)
+
+
+def reference_flip_flop(out_neighbors) -> list[int]:
+    """(v, c) -> (eta(v, c), position of v in eta(v, c)'s list)."""
+    offs = np.concatenate([[0], np.cumsum(list(map(len, out_neighbors)))])
+    return [int(offs[u]) + list(out_neighbors[u]).index(v)
+            for v, nbrs in enumerate(out_neighbors) for u in nbrs]
+
+
+def reference_moving(out_neighbors) -> list[int]:
+    """(v, c) -> (eta(v, c), c); raises ``ValidationError`` like
+    ``ShiftSpec.moving`` when that is not a permutation."""
+    offs = np.concatenate([[0], np.cumsum(list(map(len, out_neighbors)))])
+    perm = []
+    for v, nbrs in enumerate(out_neighbors):
+        for c, u in enumerate(nbrs):
+            if c >= len(out_neighbors[u]):
+                raise ValidationError(
+                    f"moving shift undefined: port {c} does not exist "
+                    f"at vertex {u} (degree {len(out_neighbors[u])})"
+                )
+            perm.append(int(offs[u]) + c)
+    if len(set(perm)) != len(perm):
+        raise ValidationError(
+            "moving shift is not a permutation on this graph/port "
+            "order; use the flip-flop shift or a custom port order"
+        )
+    return perm
+
+
+def reference_graph_hash(out_neighbors) -> str:
+    payload = json.dumps(
+        {"n": len(out_neighbors), "out": [list(x) for x in out_neighbors]},
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def dense_coin(graph, blocks) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qrwalk.cli import main
+from qrwalk import ValidationError
 from qrwalk.persist import RunManifest, load_sequence, read_table
 
 
@@ -144,6 +145,23 @@ class TestSample:
         assert read_table(direct / "trajectories").rows \
             == read_table(loaded / "trajectories").rows
 
+    def test_sample_from_checks_locality_against_the_manifest_graph(
+            self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", horizon=2)
+        eq_dir = tmp_path / "eq"
+        assert main(["equivalence", "--config", str(cfg),
+                     "--out-dir", str(eq_dir)]) == 0
+        # every move out of vertex 0 at t=0 now lands off the torus edges
+        path = eq_dir / "p_matrix.csv"
+        lines = path.read_text().splitlines()
+        far = iter(range(55, 60))
+        lines = [f"0,0,{next(far)},{line.split(',')[3]}"
+                 if line.startswith("0,0,") else line for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["sample", "--from", str(eq_dir), "--seed", "3",
+                     "--out-dir", str(tmp_path / "s")]) == 1
+        assert "non-edge" in capsys.readouterr().err
+
     def test_sample_needs_config_or_source(self, tmp_path, capsys):
         assert main(["sample", "--out-dir", str(tmp_path)]) == 2
 
@@ -249,3 +267,41 @@ class TestManifestReferences:
         monkeypatch.setenv("QRWALK_OUT_DIR", str(tmp_path / "envout"))
         assert main(["evolve", "--config", str(cfg)]) == 0
         assert (tmp_path / "envout" / "rho.csv").exists()
+
+
+class TestProvenance:
+    def runs(self, tmp_path):
+        dirs = []
+        for vertex in (0, 33):
+            cfg = write_config(
+                tmp_path / f"cfg{vertex}.json", horizon=3,
+                initial_state=[{"vertex": vertex, "port": 0, "re": 1.0}])
+            dirs.append(tmp_path / f"run{vertex}")
+            assert main(["equivalence", "--config", str(cfg),
+                         "--out-dir", str(dirs[-1])]) == 0
+        return dirs
+
+    def mix(self, tmp_path, **sources):
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        for name, src in sources.items():
+            (mixed / name).write_bytes((src / name).read_bytes())
+        return mixed
+
+    def test_tables_of_two_runs_are_rejected(self, tmp_path, capsys):
+        a, b = self.runs(tmp_path)
+        mixed = self.mix(tmp_path, **{"manifest.json": a, "rho.csv": a,
+                                      "p_matrix.csv": b})
+        with pytest.raises(ValidationError, match="different runs"):
+            load_sequence(mixed)
+        assert main(["verify", "--in-dir", str(mixed)]) == 2
+        assert "different runs" in capsys.readouterr().err
+
+    def test_tables_must_match_the_manifest(self, tmp_path):
+        a, b = self.runs(tmp_path)
+        mixed = self.mix(tmp_path, **{"manifest.json": a, "rho.csv": b,
+                                      "p_matrix.csv": b})
+        with pytest.raises(ValidationError, match="different runs"):
+            load_sequence(mixed)
+        assert main(["sample", "--from", str(mixed),
+                     "--out-dir", str(tmp_path / "s")]) == 2

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from qrwalk import (
+    CoinSpec,
     UnitarityError,
     ValidationError,
     check_coin_unitary,
+    cycle_graph,
     grover_coin,
     hadamard_coin,
     identity_coin,
@@ -69,6 +71,21 @@ class TestUnitarityCheck:
         bad = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(UnitarityError, match="column-orthogonality"):
             check_coin_unitary(bad)
+
+    def test_stack_names_the_first_failing_block(self):
+        stack = np.stack([identity_coin(2), hadamard_coin(2),
+                          np.array([[1.0, 1.0], [0.0, 0.0]]),
+                          1.1 * hadamard_coin(2)])
+        with pytest.raises(UnitarityError,
+                           match="orthogonality condition violated at b2"):
+            check_coin_unitary(stack, label=["b0", "b1", "b2", "b3"])
+
+    def test_coin_spec_names_the_first_failing_vertex(self):
+        blocks = [hadamard_coin(2)] * 4
+        blocks[3] = 2.0 * blocks[3]
+        blocks[1] = 1.1 * blocks[1]
+        with pytest.raises(UnitarityError, match="norm .* at vertex 1:"):
+            CoinSpec.from_blocks(cycle_graph(4), blocks)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):

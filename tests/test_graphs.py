@@ -59,9 +59,10 @@ class TestBuildGraph:
             build_graph([])
 
     def test_asymmetric_constructor_rejected(self):
-        # vertex 2 lists 0 but 0 does not list 2
+        # vertex 2 lists 0 but 0 does not list 2 (CSR form of the
+        # neighbour lists ((1,), (0,), (0,)))
         with pytest.raises(GraphError, match="symmetric"):
-            PortGraph(3, ((1,), (0,), (0,)))
+            PortGraph(port_offsets=[0, 1, 2, 3], heads=[1, 0, 0])
 
 
 class TestPortMaps:

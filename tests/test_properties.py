@@ -1,17 +1,22 @@
-"""Property tests: the array builder of P(t) against the per-column
-reference construction in ``_oracles``, on random graphs, coins, shifts
-and states for one and two walkers."""
+"""Property tests against the per-vertex and per-column references in
+``_oracles``: the array-built graph core (validation, neighbour lists,
+port maps, shifts, JSON and hash) on random edge lists and port orders,
+and the array builder of P(t) and the sampler on random graphs, coins,
+shifts and states for one and two walkers."""
 
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
 from qrwalk import (
     CoinSpec,
+    GraphError,
     InteractionSpec,
+    PortGraph,
     ProductGraph,
     ShiftSpec,
     TransitionMatrixSeq,
@@ -19,7 +24,14 @@ from qrwalk import (
     WaveFunction,
     build_graph,
     build_multiwalker_matrix,
+    build_sequence,
+    complete_graph,
     cycle_graph,
+    graph_from_json,
+    graph_hash,
+    graph_to_json,
+    random_regular_graph,
+    sample_ensemble,
     step,
     torus_graph,
     verify_theorem_properties,
@@ -34,6 +46,8 @@ MERGE_RTOL = 4 * np.finfo(np.float64).eps
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+#: The graph-core examples take about a millisecond each.
+GRAPH_SETTINGS = settings(SETTINGS, max_examples=300)
 
 
 def random_graph(rng: np.random.Generator):
@@ -65,7 +79,7 @@ def random_coin(g, rng, kind: int):
 def edge_respecting_shift(g, rng) -> ShiftSpec:
     """Arcs into each vertex land on its ports in a random order."""
     perm = np.empty(g.basis_dim, dtype=np.int64)
-    heads = g.neighbor_of_basis
+    heads = g.heads
     for w in range(g.num_vertices):
         incoming = np.flatnonzero(heads == w)
         perm[incoming] = g.port_offsets[w] + rng.permutation(incoming.size)
@@ -185,3 +199,202 @@ def test_arcs_meeting_at_one_vertex_are_merged(seed, walkers):
         assert np.array_equal(got_targets, targets[nonzero])
         np.testing.assert_allclose(got_probs, probs[nonzero],
                                    rtol=MERGE_RTOL, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# graph core
+# ---------------------------------------------------------------------------
+
+def random_edges(rng: np.random.Generator):
+    """Edges of a random simple graph on 2..8 vertices without isolated
+    vertices, in random order and orientation, with random explicit port
+    orders (or ``"sorted"``)."""
+    n = int(rng.integers(2, 9))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < 0.4}
+    edges |= {(v, v + 1) for v in range(n - 1)}
+    edges = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in rng.permutation(sorted(edges)).tolist()]
+    if rng.random() < 0.3:
+        return edges, "sorted"
+    nbrs = oracle.reference_build_graph(edges)
+    return edges, [rng.permutation(x).tolist() for x in nbrs]
+
+
+@GRAPH_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_graph_core_matches_per_vertex_reference(seed):
+    rng = np.random.default_rng(seed)
+    edges, ordering = random_edges(rng)
+    g = build_graph(edges, ordering=ordering)
+    expected = oracle.reference_build_graph(edges, ordering)
+    assert g.out_neighbors == expected
+    assert g.heads.tolist() == [u for nbrs in expected for u in nbrs]
+    # for the arc (v, c) -> u: sigma(v, u) is v's place in u's list
+    assert all(g.sigma(v, u) == expected[u].index(v)
+               and g.sigma_inv(u, v) == c
+               for v, nbrs in enumerate(expected)
+               for c, u in enumerate(nbrs))
+    assert ShiftSpec.flip_flop(g).permutation.tolist() \
+        == oracle.reference_flip_flop(expected)
+    try:
+        moving = oracle.reference_moving(expected)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            ShiftSpec.moving(g)
+        assert str(got.value) == str(exc)
+    else:
+        assert ShiftSpec.moving(g).permutation.tolist() == moving
+    assert graph_hash(g) == oracle.reference_graph_hash(expected)
+    doc = graph_to_json(g)
+    assert doc["edges"] == sorted(map(sorted, edges))
+    assert doc["ordering"] == list(map(list, expected))
+    assert graph_from_json(doc) == g
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_torus_matches_per_vertex_reference(seed):
+    rng = np.random.default_rng(seed)
+    dims = tuple(rng.integers(3, 6, size=int(rng.integers(1, 4))).tolist())
+    g = torus_graph(dims)
+    assert g.out_neighbors == oracle.reference_torus_neighbors(dims)
+    assert ShiftSpec.moving(g).permutation.tolist() \
+        == oracle.reference_moving(g.out_neighbors)
+
+
+def raised(call) -> Exception:
+    with pytest.raises((GraphError, ValidationError)) as info:
+        call()
+    return info.value
+
+
+def inject_port_graph_fault(lists: list, rng, fault: str) -> None:
+    n = len(lists)
+    v = int(rng.integers(n))
+    c = int(rng.integers(len(lists[v]))) if lists[v] else 0
+    if fault == "duplicate" and lists[v]:
+        lists[v].insert(c, lists[v][int(rng.integers(len(lists[v])))])
+    elif fault == "self-loop" and lists[v]:
+        lists[v][c] = v
+    elif fault == "asymmetric":
+        strangers = sorted(set(range(n)) - set(lists[v]) - {v})
+        if strangers:
+            lists[v].insert(c, int(rng.choice(strangers)))
+        elif len(lists[v]) > 1:
+            lists[v].pop(c)
+    elif fault == "out-of-range" and lists[v]:
+        lists[v][c] = int(rng.choice([-1, n, n + 3]))
+    elif fault == "isolated":
+        lists[v] = []
+
+
+#: Each input carries one kind of fault, one to three times. The engine
+#: checks kind by kind and the reference arc by arc, so both name the
+#: first faulty vertex; symmetry, which the other faults also break, comes
+#: last in both.
+FAULTS = ["duplicate", "self-loop", "asymmetric", "out-of-range",
+          "isolated"]
+
+
+@GRAPH_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(FAULTS),
+       times=st.integers(1, 3))
+def test_port_graph_faults_name_the_reference_vertex(seed, fault, times):
+    rng = np.random.default_rng(seed)
+    edges, ordering = random_edges(rng)
+    lists = [list(x) for x in oracle.reference_build_graph(edges, ordering)]
+    for _ in range(times):
+        inject_port_graph_fault(lists, rng, fault)
+    offsets = np.concatenate([[0], np.cumsum(list(map(len, lists)))])
+    heads = [u for nbrs in lists for u in nbrs]
+    try:
+        oracle.reference_port_graph(lists)
+    except GraphError as exc:
+        got = raised(lambda: PortGraph(offsets, heads))
+        assert (type(got), str(got)) == (GraphError, str(exc))
+    else:  # the faults cancelled out (say, an arc to an existing neighbour)
+        assert PortGraph(offsets, heads).out_neighbors == tuple(
+            map(tuple, lists))
+
+
+@GRAPH_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1),
+       fault=st.sampled_from(["negative", "self-loop", "duplicate",
+                              "isolated", "ordering"]),
+       times=st.integers(1, 3))
+def test_build_graph_faults_match_the_reference(seed, fault, times):
+    rng = np.random.default_rng(seed)
+    edges, ordering = random_edges(rng)
+    n = None
+    for _ in range(times):
+        at = int(rng.integers(len(edges) + 1))
+        u = int(rng.integers(max(map(max, edges)) + 1))
+        if fault == "negative":
+            edges.insert(at, (u, -1 - int(rng.integers(2))))
+        elif fault == "self-loop":
+            edges.insert(at, (u, u))
+        elif fault == "duplicate":
+            a, b = edges[int(rng.integers(len(edges)))]
+            edges.insert(at, (b, a) if rng.random() < 0.5 else (a, b))
+        elif fault == "isolated":
+            n = max(map(max, edges)) + 1 + int(rng.integers(1, 3))
+        elif not isinstance(ordering, str):
+            w = int(rng.integers(len(ordering)))
+            x = ordering[w]
+            ordering[w] = [x[1:], x + x[:1], [u] + x[1:]][rng.integers(3)]
+    try:
+        expected = oracle.reference_build_graph(edges, ordering, n)
+    except (GraphError, ValidationError) as exc:
+        got = raised(lambda: build_graph(edges, ordering, n))
+        assert (type(got), str(got)) == (type(exc), str(exc))
+    else:
+        assert build_graph(edges, ordering, n).out_neighbors == expected
+
+
+#: Hashes of each generator's graph at the commit before the graph core
+#: was stored as arrays; persisted manifests record them.
+PINNED_HASHES = {
+    "cycle": (lambda: cycle_graph(5),
+              "4933ecc78b341e1c102631e36403af9d8a8232d32a1b57ccb101f2bf3d1aa70c"),
+    "torus": (lambda: torus_graph((3, 3, 4)),
+              "76a2ed9371aa13d924afe225ffb3d68585daa0def68e35a3f93a41e4fdffda72"),
+    "complete": (lambda: complete_graph(5),
+                 "3e8b3a6a9c3428db4f0eaafa8716df9a6fe62204b74149da0abcf5ab183d9849"),
+    "random-regular": (
+        lambda: random_regular_graph(10, 3, seed=1),
+        "97920daf85a11c88cb2bfa3135afe27c2e3b46449a6ca932ac2f591555682e7f"),
+    "explicit-order": (
+        lambda: build_graph([(0, 1), (1, 2), (2, 0), (2, 3)],
+                            ordering=[[2, 1], [2, 0], [3, 1, 0], [2]]),
+        "6987af32f870a4cb09a022f91fd8fc58724b180673e3a65be70a97b9173a6286"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_graph_hash_is_pinned(name):
+    make, digest = PINNED_HASHES[name]
+    assert graph_hash(make()) == digest
+
+
+# ---------------------------------------------------------------------------
+# sampling
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]),
+       method=st.sampled_from(["scan", "alias"]))
+def test_sampled_moves_have_positive_probability(seed, walkers, method):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng)
+    coin = random_coin(g, rng, int(rng.integers(0, 3)))
+    shift = random_shift(g, rng, int(rng.integers(0, 3)))
+    space = ProductGraph(g, walkers) if walkers > 1 else g
+    # every column is built, so that this checks the draws and not which
+    # K-walker columns the default set materialises
+    seq = build_sequence(space, coin, shift, random_state(space, rng), 3,
+                         columns="full")
+    ens = sample_ensemble(seq, 100, int(rng.integers(2**31)), method=method)
+    for t, mat in enumerate(seq.matrices):
+        moves = np.unique(ens.paths[:, t:t + 2], axis=0)
+        assert all(mat.entry(v, u) > 0 for u, v in moves.tolist())
