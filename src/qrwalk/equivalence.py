@@ -69,7 +69,7 @@ class TransitionMatrix:
     Column ``col_ids[j]`` holds the targets
     ``indices[indptr[j]:indptr[j + 1]]`` (ascending) with probabilities
     ``data[indptr[j]:indptr[j + 1]]``; entries that are exactly zero are
-    not stored. A source state absent from ``col_ids`` was not built. For
+    not stored, and no materialised column is empty. A source state absent from ``col_ids`` was not built. For
     K-walker chains states are joint vertex-tuple indices and usually only
     a subset of the columns is materialised. The arrays are read-only.
     """
@@ -91,14 +91,14 @@ class TransitionMatrix:
         ptr, n = self.indptr, self.num_states
         if not (ptr.shape == (self.col_ids.size + 1,) and ptr[0] == 0
                 and ptr[-1] == self.indices.size == self.data.size
-                and np.all(np.diff(ptr) >= 0)
+                and np.all(np.diff(ptr) > 0)
                 and np.all(np.diff(self.col_ids) > 0)
                 and all(a.size == 0 or (a.min() >= 0 and a.max() < n)
                         for a in (self.col_ids, self.indices))
                 and np.all(self.data != 0.0)):
             raise ValidationError(
                 f"P({self.time}) is not a CSC matrix over {n} states with "
-                "ascending column ids and no stored zeros"
+                "ascending column ids, no empty columns and no stored zeros"
             )
 
     @property

@@ -70,6 +70,11 @@ def _later_repeats(keys: np.ndarray) -> tuple[np.ndarray, ...]:
     return distinct, first, repeated
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _split(flat: Sequence, offsets: np.ndarray) -> list:
     """``flat`` cut at ``offsets`` into one slice per vertex."""
     return list(map(flat.__getitem__,
@@ -95,9 +100,8 @@ class PortGraph:
 
     def __post_init__(self) -> None:
         for name in ("port_offsets", "heads"):
-            arr = np.array(getattr(self, name), dtype=np.int64, ndmin=1)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(np.array(
+                getattr(self, name), dtype=np.int64, ndmin=1)))
         offs, heads = self.port_offsets, self.heads
         n = offs.size - 1
         if n <= 0:
@@ -144,20 +148,22 @@ class PortGraph:
         directed edge count."""
         return self.heads.size
 
+    # the cached arrays are read-only, like the graph they describe
+
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.port_offsets)
+        return _readonly(np.diff(self.port_offsets))
 
     @cached_property
     def vertex_of_basis(self) -> np.ndarray:
         """Vertex id of every flattened basis index: the tail of each arc."""
-        return np.repeat(np.arange(self.num_vertices, dtype=np.int64),
-                         self.degrees)
+        return _readonly(np.repeat(
+            np.arange(self.num_vertices, dtype=np.int64), self.degrees))
 
     @cached_property
     def degree_classes(self) -> dict[int, np.ndarray]:
         """``{d: the vertices of degree d}``, both in ascending order."""
-        return {int(d): np.flatnonzero(self.degrees == d)
+        return {int(d): _readonly(np.flatnonzero(self.degrees == d))
                 for d in np.unique(self.degrees)}
 
     @cached_property
@@ -317,8 +323,10 @@ class ProductGraph:
         """Text labels of joint indices: ``u`` for one walker, ``u1|u2|...``
         for vertex tuples. Static, so that persisted tables can be read
         and written without the graph."""
-        digits = np.unravel_index(np.asarray(indices, dtype=np.int64),
-                                  (num_base,) * num_walkers)
+        indices = np.asarray(indices, dtype=np.int64)
+        if num_walkers == 1:
+            return list(map(str, indices.tolist()))
+        digits = np.unravel_index(indices, (num_base,) * num_walkers)
         return list(map("|".join,
                         zip(*(map(str, d.tolist()) for d in digits))))
 
@@ -327,6 +335,14 @@ class ProductGraph:
         """Inverse of :meth:`state_labels`; rejects labels of the wrong
         arity and vertices out of range."""
         labels = list(map(str, labels))
+        if num_walkers == 1:
+            # a label with "|" or out of range fails here and is named by
+            # the checks below
+            try:
+                return np.ravel_multi_index(
+                    (np.array(labels, dtype=np.int64),), (num_base,))
+            except ValueError:
+                pass
         arity = num_walkers - 1
         if set(map(str.count, labels, itertools.repeat("|"))) - {arity}:
             bad = next(x for x in labels if x.count("|") != arity)

@@ -302,13 +302,16 @@ def read_table(path_base: str | Path) -> Table:
     json_path = base.with_suffix(".json")
     if csv_path.exists():
         lines = csv_path.read_text().splitlines()
+        # write_table puts its comment lines first; every later line is data
+        head = next((i for i, line in enumerate(lines)
+                     if not line.startswith("#")), len(lines))
         meta: dict = {}
-        for line in [line for line in lines if line.startswith("#")]:
+        for line in lines[:head]:
             for token in line[1:].split():
                 if "=" in token:
                     key, val = token.split("=", 1)
                     meta[key] = val
-        body = [line for line in lines if line and line[0] != "#"]
+        body = list(filter(None, lines[head:]))
         if not body:
             raise ValidationError(f"{csv_path} has no header row")
         header, data = body[0].split(","), body[1:]

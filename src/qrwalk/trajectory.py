@@ -9,7 +9,10 @@ Randomness is fully determined by a master seed: ensembles split it into
 per-trajectory streams (numpy ``SeedSequence.spawn``, PCG64 generators),
 so parallel and serial sampling, or re-runs with the same seed, produce
 identical ensembles. Each trajectory consumes exactly ``L + 1`` uniform
-draws: one for the start vertex and one per step.
+draws: one for the start vertex and one per step. The streams of an
+ensemble are computed in batch with array arithmetic, equal bit for bit
+to ``spawn`` plus ``default_rng``, and each step is drawn for the whole
+ensemble at once.
 """
 
 from __future__ import annotations
@@ -20,8 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .equivalence import TransitionMatrix, TransitionMatrixSeq
-from .errors import ConsistencyError, SamplingError, ValidationError
+from .errors import (
+    ConsistencyError, ResourceLimitError, SamplingError, ValidationError,
+)
 from .graphs import PortGraph, ProductGraph
+from .walk import DEFAULT_MEMORY_BUDGET
 
 __all__ = [
     "Trajectory",
@@ -82,12 +88,151 @@ class TrajectoryEnsemble:
 
 
 # ---------------------------------------------------------------------------
+# per-trajectory streams
+# ---------------------------------------------------------------------------
+
+_M32 = 0xFFFF_FFFF
+#: numpy ``SeedSequence`` hash constants (NEP 19): pool mixing, state output
+#: and the pool-word mix.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+#: The PCG64 LCG multiplier (O'Neill 2014), high and low 64-bit words.
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _uint32_words(x) -> list[int]:
+    """``SeedSequence``'s coercion of entropy to 32-bit words: an integer
+    least significant word first, a sequence element by element."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & _M32]
+        while x := x >> 32:
+            words.append(x & _M32)
+        return words
+    return [w for v in x for w in _uint32_words(v)]
+
+
+class _HashMix:
+    """``SeedSequence``'s multiply-xorshift hash of uint32 arrays; its
+    multiplier advances with every call, whatever the value."""
+
+    def __init__(self, init: int, mult: int) -> None:
+        self.const, self.mult = init, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _M32
+        value = value * np.uint32(self.const)
+        return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ r >> np.uint32(16)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``state * MULT + inc`` modulo 2**128 on (high, low) uint64 words."""
+    # lo * MULT_LO in full from 32-bit halves; the cross terms only wrap
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    prod_hi = (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+               + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI)
+    return _add128(prod_hi, mid << 32 | p00 & _M32, inc_hi, inc_lo)
+
+
+def _spawned_uniforms(ss: np.random.SeedSequence, size: int,
+                      n: int) -> np.ndarray:
+    """``(size, n)`` uniforms whose row k is ``default_rng(child).random(n)``
+    for the k-th child ``ss.spawn(size)`` would return.
+
+    The children, their PCG64 generators and the draws are computed for
+    all rows at once with uint32/uint64 array arithmetic, step for step as
+    numpy does it: the child's entropy pool (the parent's entropy padded
+    to the pool size, its spawn key and the child number, mixed), its
+    ``generate_state(4, uint64)``, PCG64 seeding (``pcg_setseq_128``
+    srandom) and the XSL-RR output as ``(x >> 11) * 2**-53``. ``ss``
+    itself is left as it is.
+    """
+    first = ss.n_children_spawned
+    if first + size > 1 << 32:
+        raise ValidationError(
+            "child numbers of a seed sequence must stay below 2**32")
+    run = _uint32_words(ss.entropy)
+    run += [0] * (ss.pool_size - len(run))
+    words = [np.array([w], dtype=np.uint32)
+             for w in run + _uint32_words(ss.spawn_key)]
+    words.append(np.arange(first, first + size).astype(np.uint32))
+    # SeedSequence.mix_entropy; the padded entropy fills the pool
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:ss.pool_size]]
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[len(pool):]:
+        for dst in range(len(pool)):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    # generate_state(4, uint64): little-endian pairs of 8 uint32 words
+    hashmix = _HashMix(_INIT_B, _MULT_B)
+    half = [hashmix(pool[i % len(pool)]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (half[i] | half[i + 1] << 32
+                                        for i in range(0, 8, 2))
+    # srandom: inc = 2 * stream + 1, state = step(inc + seed)
+    inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
+    hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo),
+                       inc_hi, inc_lo)
+    out = np.empty((n, size))
+    for row in out:
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: the xor of the halves rotated right by the top six bits
+        x, rot = hi ^ lo, hi >> 58
+        row[:] = (x >> rot | x << (-rot & 63)) >> 11
+    out *= 2.0 ** -53
+    return out.T
+
+
+# ---------------------------------------------------------------------------
 # categorical draws
 # ---------------------------------------------------------------------------
+
+#: Largest (trajectories x max degree) block a scan draw gathers at once.
+_BLOCK_ENTRIES = 1 << 20
+
 
 def _scan_pick(cum: np.ndarray, u) -> np.ndarray:
     idx = np.searchsorted(cum, u, side="right")
     return np.minimum(idx, cum.size - 1)
+
+
+def _scan_picks(data: np.ndarray, start: np.ndarray, deg: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Port of each trajectory's column: ``_scan_pick`` on the column's
+    ``np.cumsum``, over blocks of trajectories padded with zeros to the
+    largest degree.
+
+    ``np.cumsum(axis=1)`` adds each row in order, so every row is
+    bit-identical to the cumulative sum of its column alone; the padding
+    repeats the column's total, which leaves the clamped count unchanged.
+    """
+    width = int(deg.max())
+    ports = np.arange(width)
+    rows = max(1, _BLOCK_ENTRIES // width)
+    pick = np.empty_like(start)
+    for lo in range(0, start.size, rows):
+        s, d = start[lo:lo + rows, None], deg[lo:lo + rows, None]
+        probs = np.where(ports < d, data.take(s + ports, mode="clip"), 0.0)
+        below = (np.cumsum(probs, axis=1) <= u[lo:lo + rows, None]).sum(1)
+        pick[lo:lo + rows] = np.minimum(below, d[:, 0] - 1)
+    return pick
 
 
 def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,47 +254,21 @@ def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
-def _alias_pick(accept: np.ndarray, alias: np.ndarray, u) -> np.ndarray:
-    x = np.asarray(u) * accept.size
-    i = np.minimum(x.astype(np.int64), accept.size - 1)
-    frac = x - i
-    return np.where(frac < accept[i], i, alias[i])
-
-
-class _ColumnSampler:
-    """Per-matrix cache of cumulative sums or alias tables."""
-
-    def __init__(self, method: str) -> None:
-        if method not in ("scan", "alias"):
-            raise ValidationError(f"unknown sampling method {method!r}")
-        self.method = method
-        self._cache: dict[tuple[int, int], tuple] = {}
-
-    def _column(self, mat: TransitionMatrix, u: int):
-        key = (mat.time, u)
-        hit = self._cache.get(key)
-        if hit is None:
-            try:
-                targets, probs = mat.column(u)
-            except ConsistencyError as exc:
-                raise SamplingError(
-                    f"{exc}; rebuild the sequence with full column "
-                    "materialisation or a wider halo"
-                ) from None
-            if self.method == "scan":
-                hit = (targets, np.cumsum(probs))
-            else:
-                hit = (targets, *_alias_table(probs))
-            self._cache[key] = hit
-        return hit
-
-    def pick(self, mat: TransitionMatrix, u: int, uniforms) -> np.ndarray:
-        col = self._column(mat, u)
-        if self.method == "scan":
-            targets, cum = col
-            return targets[_scan_pick(cum, uniforms)]
-        targets, accept, alias = col
-        return targets[_alias_pick(accept, alias, uniforms)]
+def _alias_picks(data: np.ndarray, start: np.ndarray, deg: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Port of each trajectory's column by an alias draw, with one table
+    per visited column."""
+    cols, first, inv = np.unique(start, return_index=True,
+                                 return_inverse=True)
+    sizes = deg[first]
+    tables = [_alias_table(data[s:s + d])
+              for s, d in zip(cols.tolist(), sizes.tolist())]
+    accept = np.concatenate([a for a, _ in tables])
+    alias = np.concatenate([b for _, b in tables])
+    x = u * deg
+    i = np.minimum(x.astype(np.int64), deg - 1)
+    at = (np.cumsum(sizes) - sizes)[inv] + i
+    return np.where(x - i < accept[at], i, alias[at])
 
 
 def _initial_pick(rho0: np.ndarray, uniforms) -> np.ndarray:
@@ -158,6 +277,42 @@ def _initial_pick(rho0: np.ndarray, uniforms) -> np.ndarray:
         raise ValidationError("initial distribution has no support")
     cum = np.cumsum(rho0[support])
     return support[_scan_pick(cum, uniforms)]
+
+
+def _columns(mat: TransitionMatrix,
+             states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length in ``mat.data`` of each state's column."""
+    pos = np.searchsorted(mat.col_ids, states)
+    found = pos < mat.col_ids.size
+    found[found] = mat.col_ids[pos[found]] == states[found]
+    if not found.all():
+        try:
+            mat.column(int(states[~found].min()))
+        except ConsistencyError as exc:
+            raise SamplingError(
+                f"{exc}; rebuild the sequence with full column "
+                "materialisation or a wider halo"
+            ) from None
+    start = mat.indptr[pos]
+    return start, mat.indptr[pos + 1] - start
+
+
+def _draw(seq: TransitionMatrixSeq, uniforms: np.ndarray,
+          method: str) -> np.ndarray:
+    """Paths of the trajectories whose uniforms are the rows of
+    ``uniforms``: column 0 draws tau(0) from rho(0), column t + 1 the move
+    out of tau(t) through P(t), for all trajectories at once."""
+    if method not in ("scan", "alias"):
+        raise ValidationError(f"unknown sampling method {method!r}")
+    pick = _scan_picks if method == "scan" else _alias_picks
+    paths = np.empty(uniforms.shape, dtype=np.int64)
+    paths[:, 0] = _initial_pick(seq.rho[0], uniforms[:, 0])
+    for t in range(uniforms.shape[1] - 1):
+        mat = seq.matrices[t]
+        start, deg = _columns(mat, paths[:, t])
+        paths[:, t + 1] = mat.indices[
+            start + pick(mat.data, start, deg, uniforms[:, t + 1])]
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +338,14 @@ def sample_trajectory(
 ) -> Trajectory:
     """Sample one path: tau(0) ~ rho(0), tau(t+1) ~ column tau(t) of P(t).
 
-    A linear scan over the sparse column costs O(d(tau(t))) per step;
-    ``method="alias"`` swaps it for constant-time alias draws, worthwhile
-    when many samples share large-degree columns.
+    The path uses the generator's next ``L + 1`` uniforms. A scan draw
+    costs O(d(tau(t))) per step; ``method="alias"`` draws from a Walker
+    alias table of the column instead.
     """
     length = _resolve_length(seq, length)
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
-    sampler = _ColumnSampler(method)
-    path = np.empty(length + 1, dtype=np.int64)
-    path[0] = _initial_pick(seq.rho[0], rng.random())
-    for t in range(length):
-        path[t + 1] = sampler.pick(seq.matrices[t], int(path[t]), rng.random())
-    return Trajectory(path)
+    return Trajectory(_draw(seq, rng.random((1, length + 1)), method)[0])
 
 
 def sample_ensemble(
@@ -207,35 +357,37 @@ def sample_ensemble(
 ) -> TrajectoryEnsemble:
     """Sample ``size`` independent trajectories with split seeds.
 
-    Trajectory ``i`` is a pure function of the i-th spawned seed, so the
-    ensemble content does not depend on evaluation order. The sampling is
-    vectorised across trajectories per time step but consumes per-stream
-    uniforms exactly like :func:`sample_trajectory`.
+    Trajectory ``i`` is the path :func:`sample_trajectory` draws from the
+    i-th child ``SeedSequence.spawn`` would return, so it does not depend
+    on the ensemble size or evaluation order. The children's streams are
+    computed in batch, equal to ``spawn`` plus ``default_rng`` draw for
+    draw, and each step is drawn for all trajectories at once. A passed
+    ``SeedSequence`` is not advanced (numpy keeps its child counter
+    read-only): sampling twice from one sequence gives the same ensemble,
+    so pass distinct children for independent ensembles.
+
+    The ``(size, L + 1)`` uniform and path buffers are checked against
+    :data:`~qrwalk.walk.DEFAULT_MEMORY_BUDGET` before anything is
+    allocated, which raises :class:`ResourceLimitError` if they exceed it.
     """
     if size < 1:
         raise ValidationError("ensemble size must be >= 1")
     length = _resolve_length(seq, length)
+    need = 16 * size * (length + 1)
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{size} trajectories of length {length} need {need} bytes of "
+            "uniforms and paths, over the memory budget of "
+            f"{DEFAULT_MEMORY_BUDGET}; sample smaller ensembles"
+        )
     ss = master_seed if isinstance(master_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(master_seed)
-    children = ss.spawn(size)
-    uniforms = np.empty((size, length + 1))
-    for i, child in enumerate(children):
-        uniforms[i] = np.random.default_rng(child).random(length + 1)
-
-    sampler = _ColumnSampler(method)
-    paths = np.empty((size, length + 1), dtype=np.int64)
-    paths[:, 0] = _initial_pick(seq.rho[0], uniforms[:, 0])
-    for t in range(length):
-        cur = paths[:, t]
-        for u in np.unique(cur):
-            rows = np.flatnonzero(cur == u)
-            paths[rows, t + 1] = sampler.pick(
-                seq.matrices[t], int(u), uniforms[rows, t + 1]
-            )
+    paths = _draw(seq, _spawned_uniforms(ss, size, length + 1), method)
+    first = ss.n_children_spawned
     seed_value = ss.entropy if isinstance(ss.entropy, int) else None
     return TrajectoryEnsemble(
         paths, num_states=seq.num_states, master_seed=seed_value,
-        sub_seeds=tuple(c.spawn_key[-1] for c in children), method=method,
+        sub_seeds=tuple(range(first, first + size)), method=method,
     )
 
 

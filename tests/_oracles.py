@@ -301,3 +301,63 @@ def reference_columns(graph, num_walkers: int, perms, rho_t: np.ndarray,
             probs = np.full(targets.size, 1.0 / targets.size)
         columns[idx] = (targets, probs)
     return columns
+
+
+def reference_uniforms(ss: np.random.SeedSequence, size: int,
+                       n: int) -> np.ndarray:
+    """``(size, n)`` uniforms from one generator per spawned child, the
+    way the sampler first seeded its trajectories (advances ``ss``)."""
+    out = np.empty((size, n))
+    for i, child in enumerate(ss.spawn(size)):
+        out[i] = np.random.default_rng(child).random(n)
+    return out
+
+
+def _reference_alias_table(probs: np.ndarray):
+    """Walker alias table (accept thresholds, alias indices)."""
+    n = probs.size
+    scaled = probs * n
+    accept = np.ones(n)
+    alias = np.arange(n)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    scaled = scaled.copy()
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = scaled[g] - (1.0 - scaled[s])
+        (small if scaled[g] < 1.0 else large).append(g)
+    return accept, alias
+
+
+def reference_paths(seq, uniforms: np.ndarray,
+                    method: str = "scan") -> np.ndarray:
+    """Paths drawn from the rows of ``uniforms`` one visited column at a
+    time, the way the sampler first did it: per step, the trajectories in
+    each column share one ``np.cumsum`` and ``searchsorted`` (or one alias
+    table)."""
+    size, n = uniforms.shape
+    paths = np.empty((size, n), dtype=np.int64)
+    support = np.flatnonzero(seq.rho[0] > 0.0)
+    cum = np.cumsum(seq.rho[0][support])
+    paths[:, 0] = support[np.minimum(
+        np.searchsorted(cum, uniforms[:, 0], side="right"), cum.size - 1)]
+    for t in range(n - 1):
+        cur = paths[:, t]
+        for u in np.unique(cur):
+            rows = np.flatnonzero(cur == u)
+            targets, probs = seq.matrices[t].column(int(u))
+            x = uniforms[rows, t + 1]
+            if method == "scan":
+                cum = np.cumsum(probs)
+                k = np.minimum(np.searchsorted(cum, x, side="right"),
+                               cum.size - 1)
+            else:
+                accept, alias = _reference_alias_table(probs)
+                y = x * accept.size
+                i = np.minimum(y.astype(np.int64), accept.size - 1)
+                k = np.where(y - i < accept[i], i, alias[i])
+            paths[rows, t + 1] = targets[k]
+    return paths

@@ -1,11 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from qrwalk import ValidationError, trajectory
 from qrwalk.cli import main
-from qrwalk import ValidationError
 from qrwalk.persist import RunManifest, load_sequence, read_table
+from qrwalk.walk import DEFAULT_MEMORY_BUDGET
 
 
 def write_config(path, **overrides):
@@ -164,6 +166,68 @@ class TestSample:
 
     def test_sample_needs_config_or_source(self, tmp_path, capsys):
         assert main(["sample", "--out-dir", str(tmp_path)]) == 2
+
+    def test_ensemble_over_the_memory_budget_exits_1(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def allocate(*args):
+            raise AssertionError("buffers allocated before the budget check")
+        monkeypatch.setattr(trajectory, "_spawned_uniforms", allocate)
+        size = DEFAULT_MEMORY_BUDGET // (16 * 7) + 1
+        cfg = write_config(tmp_path / "cfg.json", horizon=6,
+                           ensemble_size=size)
+        assert main(["sample", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "s")]) == 1
+        assert "memory budget" in capsys.readouterr().err
+
+
+#: ``qrwalk sample`` configs and the sha256 of their output tables, as
+#: written by the sampler that drew each trajectory from its own spawned
+#: generator, one visited column at a time. Each table's ``# manifest=``
+#: line hashes the manifest, tool version included.
+GOLDEN_SAMPLES = {
+    "c16-hadamard": (
+        {"graph": {"type": "cycle", "n": 16}, "coin": {"type": "hadamard"},
+         "shift": {"type": "moving"},
+         "initial_state": [{"vertex": 0, "port": 0, "re": 0.6},
+                           {"vertex": 0, "port": 1, "im": 0.8}],
+         "horizon": 12, "seed": 7, "ensemble_size": 300},
+        {"trajectories.csv": "cedb88eed791b16eaee1bdd81bdb89e8"
+                             "d6118ee0a93b8d10626508eb549f25e7",
+         "ensemble_mean.csv": "14d9dc012dd96a1eb1d01fdce0c377d0"
+                              "d3f5ceda6ad5acee7c81271bc9e24ec2"}),
+    "torus6-grover": (
+        {"graph": {"type": "torus", "dims": [6, 6]},
+         "coin": {"type": "grover"}, "shift": {"type": "moving"},
+         "initial_state": [{"vertex": 0, "port": p, "re": 0.5}
+                           for p in range(4)],
+         "horizon": 8, "seed": 11, "ensemble_size": 300},
+        {"trajectories.csv": "25cd243e9cf3623ffa95da5baae307c6"
+                             "04f382593a6eb80237c605002f672052",
+         "ensemble_mean.csv": "9a340d89c30f42f1d793384cde225d7a"
+                              "a8f766bb5f940fcac26b9d2048dcaf0e"}),
+    "torus4-two-walker": (
+        {"graph": {"type": "torus", "dims": [4, 4]},
+         "coin": {"type": "hadamard"}, "shift": {"type": "flip-flop"},
+         "walkers": 2,
+         "interaction": {"type": "coincidence-phase",
+                         "phi": 1.5707963267948966},
+         "initial_state": [{"vertex": [0, 5], "port": [0, 1], "re": 1.0}],
+         "horizon": 5, "seed": 13, "ensemble_size": 200},
+        {"trajectories.csv": "2efa566220047573921ab57f08a197c6"
+                             "836a5291315c3a42572f36cb7b3e97c5"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLES))
+def test_sample_outputs_are_pinned(tmp_path, name):
+    config, digests = GOLDEN_SAMPLES[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in digests}
+    assert got == digests
 
 
 class TestTvd:

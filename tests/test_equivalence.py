@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,13 @@ class TestStateLabels:
     def test_wrong_arity_label_rejected(self):
         with pytest.raises(ValidationError):
             ProductGraph.state_indices(["1|2"], 1, 4)
+
+    @pytest.mark.parametrize("labels, message", [
+        (["1", "2|3", "x"], "state label '2|3' does not address 1 walker"),
+        (["1", "x"], "malformed state label: invalid literal for int()"),
+        (["1", "4"], "malformed state label: invalid entry in coordinates"),
+        (["-1"], "malformed state label: invalid entry in coordinates"),
+    ])
+    def test_single_walker_label_faults_are_named(self, labels, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ProductGraph.state_indices(labels, 1, 4)

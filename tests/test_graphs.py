@@ -137,6 +137,14 @@ class TestInvariants:
             v, c = torus44.basis_state(i)
             assert torus44.basis_index(v, c) == i
 
+    def test_cached_arrays_are_read_only(self):
+        g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3)])
+        for arr in (g.degrees, g.vertex_of_basis, *g.degree_classes.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 9
+        assert g.degree(0) == 2 and g.vertex_of_basis[0] == 0
+        assert g.degree_classes[2].tolist() == [0, 1]
+
 
 class TestGenerators:
     def test_cycle_canonical_port_order(self, c4):

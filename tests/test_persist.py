@@ -55,6 +55,15 @@ class TestTables:
         back = read_table(tmp_path / "t")
         assert float(back.rows[0][0]) == value
 
+    def test_metadata_comes_only_from_the_leading_comments(self, tmp_path):
+        # a data cell may start with "#"; only the lines before the
+        # header are metadata
+        table = Table(["label"], [["#x=1"], ["b"]], {"states": 2})
+        write_table(tmp_path / "t", table, "csv")
+        back = read_table(tmp_path / "t")
+        assert back.meta == {"states": "2"}
+        assert back.rows == [("#x=1",), ("b",)]
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             write_table(tmp_path / "t", Table(["x"], []), "xml")

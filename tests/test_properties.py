@@ -32,6 +32,7 @@ from qrwalk import (
     graph_to_json,
     random_regular_graph,
     sample_ensemble,
+    sample_trajectory,
     step,
     torus_graph,
     verify_theorem_properties,
@@ -39,6 +40,7 @@ from qrwalk import (
 )
 from qrwalk.equivalence import ZERO_PROB
 from qrwalk.persist import load_sequence, save_sequence
+from qrwalk.trajectory import _spawned_uniforms
 
 #: Merging arcs that meet at one vertex may add them in another order than
 #: the reference does; allow this many units of double rounding.
@@ -381,20 +383,61 @@ def test_graph_hash_is_pinned(name):
 # sampling
 # ---------------------------------------------------------------------------
 
+def random_sequence(rng, walkers: int) -> TransitionMatrixSeq:
+    """Three steps of a random walk with every column built, so that the
+    sampling tests check the draws and not which K-walker columns the
+    default set materialises."""
+    g = random_graph(rng)
+    coin = random_coin(g, rng, int(rng.integers(0, 3)))
+    shift = random_shift(g, rng, int(rng.integers(0, 3)))
+    space = ProductGraph(g, walkers) if walkers > 1 else g
+    return build_sequence(space, coin, shift, random_state(space, rng), 3,
+                          columns="full")
+
+
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]),
        method=st.sampled_from(["scan", "alias"]))
 def test_sampled_moves_have_positive_probability(seed, walkers, method):
     rng = np.random.default_rng(seed)
-    g = random_graph(rng)
-    coin = random_coin(g, rng, int(rng.integers(0, 3)))
-    shift = random_shift(g, rng, int(rng.integers(0, 3)))
-    space = ProductGraph(g, walkers) if walkers > 1 else g
-    # every column is built, so that this checks the draws and not which
-    # K-walker columns the default set materialises
-    seq = build_sequence(space, coin, shift, random_state(space, rng), 3,
-                         columns="full")
+    seq = random_sequence(rng, walkers)
     ens = sample_ensemble(seq, 100, int(rng.integers(2**31)), method=method)
     for t, mat in enumerate(seq.matrices):
         moves = np.unique(ens.paths[:, t:t + 2], axis=0)
         assert all(mat.entry(v, u) > 0 for u, v in moves.tolist())
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]),
+       method=st.sampled_from(["scan", "alias"]))
+def test_sampler_matches_per_column_reference(seed, walkers, method):
+    rng = np.random.default_rng(seed)
+    seq = random_sequence(rng, walkers)
+    size, master = int(rng.integers(1, 300)), int(rng.integers(2**31))
+    length = int(rng.integers(0, seq.num_steps + 1))
+    ens = sample_ensemble(seq, size, master, length=length, method=method)
+    uniforms = oracle.reference_uniforms(np.random.SeedSequence(master),
+                                         size, length + 1)
+    assert np.array_equal(ens.paths,
+                          oracle.reference_paths(seq, uniforms, method))
+    assert ens.sub_seeds == tuple(range(size))
+    tau = sample_trajectory(seq, master, length=length, method=method)
+    uniforms = np.random.default_rng(master).random((1, length + 1))
+    assert np.array_equal(tau.vertices,
+                          oracle.reference_paths(seq, uniforms, method)[0])
+
+
+@SETTINGS
+@given(entropy=st.one_of(st.none(), st.integers(0, 2**128),
+                         st.lists(st.integers(0, 2**64), max_size=6)),
+       spawn_key=st.lists(st.integers(0, 2**40), max_size=3),
+       spawned=st.integers(0, 1000), pool_size=st.sampled_from([4, 8]),
+       size=st.integers(1, 50), n=st.integers(1, 9))
+def test_spawned_uniforms_match_the_spawn_loop(entropy, spawn_key, spawned,
+                                               pool_size, size, n):
+    ss = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key),
+                                n_children_spawned=spawned,
+                                pool_size=pool_size)
+    got = _spawned_uniforms(ss, size, n)
+    assert ss.n_children_spawned == spawned
+    assert np.array_equal(got, oracle.reference_uniforms(ss, size, n))

@@ -5,6 +5,7 @@ import scipy.stats
 import _oracles as oracle
 from qrwalk import (
     CoinSpec,
+    ResourceLimitError,
     SamplingError,
     ShiftSpec,
     TransitionMatrix,
@@ -21,7 +22,9 @@ from qrwalk import (
     total_variation,
     torus_graph,
 )
-from qrwalk.trajectory import _ColumnSampler
+from qrwalk import trajectory
+from qrwalk.trajectory import _draw
+from qrwalk.walk import DEFAULT_MEMORY_BUDGET
 
 
 @pytest.fixture
@@ -74,10 +77,16 @@ class TestSampleTrajectory:
         seq = build_sequence(graph, CoinSpec.hadamard(graph), shift(graph),
                              WaveFunction.localized(graph, 0, 0), 40)
         top = np.nextafter(1.0, 0.0)
+        n = graph.num_vertices
+        # one trajectory starts in the middle of each vertex's share of a
+        # uniform rho(0) and moves with the top uniform
+        uniforms = np.column_stack([(np.arange(n) + 0.5) / n,
+                                    np.full(n, top)])
         for mat in seq.matrices:
-            sampler = _ColumnSampler("scan")
-            for u in range(graph.num_vertices):
-                v = int(sampler.pick(mat, u, top))
+            one_step = TransitionMatrixSeq([mat], np.full((2, n), 1.0 / n))
+            paths = _draw(one_step, uniforms, "scan")
+            assert np.array_equal(paths[:, 0], np.arange(n))
+            for u, v in paths.tolist():
                 assert mat.entry(v, u) > 0.0
 
     def test_unmaterialised_column_raises_sampling_error(self):
@@ -87,6 +96,13 @@ class TestSampleTrajectory:
         seq = TransitionMatrixSeq([no_columns], rho)
         with pytest.raises(SamplingError, match="materialisation"):
             sample_trajectory(seq, seed=0)
+
+
+    def test_empty_column_rejected(self):
+        # a column with no entries would give the draw no port to land on
+        with pytest.raises(ValidationError, match="no empty columns"):
+            TransitionMatrix(0, 2, col_ids=[0, 1], indptr=[0, 0, 1],
+                             indices=[0], data=[1.0])
 
 
 class TestSampleEnsemble:
@@ -114,6 +130,36 @@ class TestSampleEnsemble:
     def test_invalid_size(self, c4_seq):
         with pytest.raises(ValidationError):
             sample_ensemble(c4_seq, 0, master_seed=1)
+
+    def test_buffers_over_the_memory_budget_rejected_before_allocation(
+            self, c4_seq, monkeypatch):
+        def allocate(*args):
+            raise AssertionError("buffers allocated before the budget check")
+        monkeypatch.setattr(trajectory, "_spawned_uniforms", allocate)
+        # uniforms and paths take 16 bytes per trajectory and instant
+        size = DEFAULT_MEMORY_BUDGET // (16 * (c4_seq.num_steps + 1)) + 1
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            sample_ensemble(c4_seq, size, master_seed=1)
+
+    def test_child_numbers_beyond_32_bits_rejected(self, c4_seq):
+        ss = np.random.SeedSequence(8, n_children_spawned=2**32 - 1)
+        with pytest.raises(ValidationError, match="2\\*\\*32"):
+            sample_ensemble(c4_seq, 2, master_seed=ss)
+
+    def test_blocks_of_trajectories_draw_the_same_paths(self, torus_seq,
+                                                        monkeypatch):
+        whole = sample_ensemble(torus_seq, 200, master_seed=17)
+        monkeypatch.setattr(trajectory, "_BLOCK_ENTRIES", 9)
+        blocks = sample_ensemble(torus_seq, 200, master_seed=17)
+        assert np.array_equal(blocks.paths, whole.paths)
+
+    def test_passed_seed_sequence_is_not_advanced(self, c4_seq):
+        ss = np.random.SeedSequence(8, n_children_spawned=3)
+        a = sample_ensemble(c4_seq, 20, master_seed=ss)
+        assert ss.n_children_spawned == 3
+        assert a.sub_seeds == tuple(range(3, 23))
+        b = sample_ensemble(c4_seq, 20, master_seed=ss)
+        assert np.array_equal(a.paths, b.paths)
 
     def test_alias_method_deterministic_and_local(self, torus_seq,
                                                   torus1010):
