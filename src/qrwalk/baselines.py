@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .equivalence import ZERO_PROB, TransitionMatrix, matrix_from_masses
+from .equivalence import TransitionMatrix, matrix_from_masses
 from .errors import ApplicabilityError, ConsistencyError, ValidationError
 from .graphs import PortGraph, ProductGraph, torus_graph
 from .walk import ShiftSpec
@@ -316,7 +316,6 @@ def grover_torus_dp(
 def grover_torus_matrix(
     dp_t: TorusDPState,
     dp_next: TorusDPState,
-    zero_threshold: float = ZERO_PROB,
     validate: bool = True,
 ) -> TransitionMatrix:
     """Transition matrix between consecutive recursion states.
@@ -337,6 +336,5 @@ def grover_torus_matrix(
     return matrix_from_masses(
         ProductGraph(g, 1), [ShiftSpec.moving(g).permutation],
         dp_t.vertex_distribution(), dp_next.rho.reshape(-1),
-        np.arange(g.num_vertices), time=dp_t.time,
-        zero_threshold=zero_threshold, validate=validate,
+        np.arange(g.num_vertices), time=dp_t.time, validate=validate,
     )

@@ -130,11 +130,10 @@ def cmd_evolve(args, config: dict) -> int:
         raise _as_runtime(exc) from exc
 
     out = _out_dir(args)
-    manifest.save(out)
+    digest = manifest.save(out)
     path = write_table(
         out / "rho",
-        rho_table(np.stack(rhos), walkers, base.num_vertices,
-                  manifest.sha256),
+        rho_table(np.stack(rhos), walkers, base.num_vertices, digest),
         args.format,
     )
     print(f"wrote {len(rhos)} distributions over "
@@ -160,8 +159,8 @@ def cmd_equivalence(args, config: dict) -> int:
     report = verify_theorem_properties(seq)
     manifest = manifest_for(config, "equivalence", base, format=args.format)
     out = _out_dir(args)
-    manifest.save(out)
-    save_sequence(out, seq, manifest.sha256, args.format)
+    digest = manifest.save(out)
+    save_sequence(out, seq, digest, args.format)
     write_json(out / "report.json", report.as_dict())
     print(report)
     if not report.passed:
@@ -210,16 +209,15 @@ def cmd_sample(args, config: dict) -> int:
         )
 
     out = _out_dir(args)
-    manifest.save(out)
+    digest = manifest.save(out)
     path = write_table(
         out / "trajectories",
-        trajectories_table(ens, walkers, base_n, torus_dims,
-                           manifest.sha256),
+        trajectories_table(ens, walkers, base_n, torus_dims, digest),
         args.format,
     )
     if torus_dims is not None and walkers == 1:
         write_table(out / "ensemble_mean",
-                    ensemble_mean_table(ens, torus_dims, manifest.sha256),
+                    ensemble_mean_table(ens, torus_dims, digest),
                     args.format)
     print(f"wrote {size} trajectories of length {ens.length} to {path}")
     return 0
@@ -236,8 +234,8 @@ def cmd_tvd(args, config: dict) -> int:
     report = convergence_report(seq, sizes, t_grid, config.get("seed"),
                                 method=config.get("method", "scan"))
     out = _out_dir(args)
-    manifest.save(out)
-    path = write_table(out / "tvd", tvd_table(report.rows, manifest.sha256),
+    digest = manifest.save(out)
+    path = write_table(out / "tvd", tvd_table(report.rows, digest),
                        args.format)
     for m in sizes:
         print(f"M={m}: median TVD over grid = {report.median_tvd(m):.6f}")
@@ -270,8 +268,10 @@ def cmd_rejection(args, config: dict) -> int:
     except ValidationError as exc:
         raise _as_runtime(exc) from exc
 
+    out = _out_dir(args)
+    digest = manifest.save(out)
     payload = {
-        "manifest": manifest.sha256,
+        "manifest": digest,
         "report": report.as_dict(),
         "exact_marginals": None if exact is None
         else [list(row) for row in exact],
@@ -281,8 +281,6 @@ def cmd_rejection(args, config: dict) -> int:
             for t in range(length)
         ],
     }
-    out = _out_dir(args)
-    manifest.save(out)
     path = write_json(out / "rejection.json", payload)
     print(f"acceptance rate {report.acceptance_rate:.6g} "
           f"({report.accepted}/{report.attempts}); wrote {path}")
@@ -311,16 +309,16 @@ def cmd_torus_dp(args, config: dict) -> int:
     rho = np.stack([s.vertex_distribution() for s in states])
 
     out = _out_dir(args)
-    manifest.save(out)
+    digest = manifest.save(out)
     path = write_table(out / "rho",
-                       rho_table(rho, 1, base.num_vertices, manifest.sha256),
+                       rho_table(rho, 1, base.num_vertices, digest),
                        args.format)
     if config.get("emit_matrices"):
         matrices = [grover_torus_matrix(states[t], states[t + 1])
                     for t in range(horizon)]
         seq = TransitionMatrixSeq(matrices, rho, num_walkers=1,
                                   num_base_vertices=base.num_vertices)
-        write_table(out / "p_matrix", matrix_table(seq, manifest.sha256),
+        write_table(out / "p_matrix", matrix_table(seq, digest),
                     args.format)
     print(f"wrote {rho.shape[0]} distributions to {path}")
     return 0

@@ -13,6 +13,12 @@ distribution (entries bounded by the Cauchy-Schwarz inequality, sums equal
 to the source vertex mass). The same construction runs on the K-walker
 product graph, where states are vertex tuples.
 
+P(t) holds the columns of one rule. One walker gets every vertex: the
+paper's full matrix, at a cost linear in the arcs. K > 1 walkers have
+|V|^K tuples, so P(t) holds only R(t): R(0) = {rho(0) > 0} and R(t+1) =
+{rho(t+1) > 0} with the targets of P(t). Every state a trajectory from
+rho(0) can stand on, and every source ``P(t) rho(t)`` reads, is in R(t).
+
 One walk step (a block-diagonal coin, then a basis permutation) costs
 time linear in the state dimension for bounded degree, and emitting one
 matrix is linear in the number of arcs leaving its materialised columns.
@@ -21,7 +27,7 @@ matrix is linear in the number of arcs leaving its materialised columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,9 +75,10 @@ class TransitionMatrix:
     Column ``col_ids[j]`` holds the targets
     ``indices[indptr[j]:indptr[j + 1]]`` (ascending) with probabilities
     ``data[indptr[j]:indptr[j + 1]]``; entries that are exactly zero are
-    not stored, and no materialised column is empty. A source state absent from ``col_ids`` was not built. For
-    K-walker chains states are joint vertex-tuple indices and usually only
-    a subset of the columns is materialised. The arrays are read-only.
+    not stored, and no materialised column is empty. A source state absent
+    from ``col_ids`` was not built. For K-walker chains states are joint
+    vertex-tuple indices, and only the columns the module's rule names are
+    materialised. The arrays are read-only.
     """
 
     time: int
@@ -123,10 +130,10 @@ class TransitionMatrix:
             return float(probs[pos])
         return 0.0
 
-    def apply(self, rho: np.ndarray, threshold: float = ZERO_PROB) -> np.ndarray:
+    def apply(self, rho: np.ndarray) -> np.ndarray:
         """Propagate a distribution: returns P(t) @ rho.
 
-        Sources with mass at or below ``threshold`` are skipped; every
+        Sources with mass at or below :data:`ZERO_PROB` are skipped; every
         other source must have a materialised column.
         """
         rho = np.asarray(rho, dtype=np.float64)
@@ -135,7 +142,7 @@ class TransitionMatrix:
                 f"distribution has shape {rho.shape}, expected "
                 f"({self.num_states},)"
             )
-        live = np.flatnonzero(rho > threshold)
+        live = np.flatnonzero(rho > ZERO_PROB)
         built = np.isin(live, self.col_ids, assume_unique=True)
         if not built.all():
             self.column(int(live[~built][0]))  # raises ConsistencyError
@@ -259,13 +266,12 @@ def matrix_from_masses(
     p_next: np.ndarray,
     wanted: np.ndarray,
     time: int = 0,
-    zero_threshold: float = ZERO_PROB,
     validate: bool = True,
 ) -> TransitionMatrix:
     """Columns ``wanted`` of P(t) from the vertex (tuple) masses ``rho_t``
     at t and the basis-state masses ``p_next`` at t + 1.
 
-    Each arc leaving a source with mass above ``zero_threshold`` is pushed
+    Each arc leaving a source with mass above :data:`ZERO_PROB` is pushed
     through the per-walker shift permutations ``perms``; the mass found
     there over the source mass is the entry for the arc's target tuple
     (arcs meeting at one tuple add up). Other sources get ``1/d`` on their
@@ -276,7 +282,7 @@ def matrix_from_masses(
     base, k = pg.base, pg.num_walkers
     wanted = np.asarray(wanted, dtype=np.int64)
     owner, ports = pg.arcs(wanted)
-    ratio = rho_t[wanted] > zero_threshold
+    ratio = rho_t[wanted] > ZERO_PROB
     on_ratio = ratio[owner]
     moved = np.stack([perm[p] for perm, p in zip(perms, ports)])
     heads = np.where(on_ratio, base.vertex_of_basis[moved],
@@ -324,27 +330,32 @@ def matrix_from_masses(
                             probs, column_sum_error=worst)
 
 
+def _rule_columns(rho: np.ndarray, k: int,
+                  targets: np.ndarray | None = None) -> np.ndarray:
+    """The module's column rule for P(t), given the targets of P(t-1)."""
+    if k == 1:
+        return np.arange(rho.size)
+    live = np.flatnonzero(rho > 0.0)
+    return live if targets is None else np.union1d(live, targets)
+
+
 def build_multiwalker_matrix(
     psi_t: WaveFunction,
     psi_next: WaveFunction,
     pg: ProductGraph | None = None,
     shifts: ShiftSpec | Sequence[ShiftSpec] | None = None,
-    zero_threshold: float = ZERO_PROB,
     validate: bool = True,
     time: int = 0,
-    columns: str = "support",
-    extra_columns: Iterable[Sequence[int] | int] = (),
 ) -> TransitionMatrix:
     """Transition matrix over vertex tuples for K >= 1 walkers.
 
     ``shifts`` is the shift the evolution used (per walker or shared); it
     determines which port of a target vertex carries the amplitude that
     moved along each arc, and defaults to the flip-flop shift.
-    ``columns`` selects which source columns to materialise:
-    ``"support"`` (tuples with mass above ``zero_threshold``, plus any
-    ``extra_columns``) or ``"full"`` (every tuple; exponential in K).
-    Zero-mass columns are uniform over the product out-neighbours.
-    ``validate`` is as for :func:`matrix_from_masses`; disable it to
+    The columns follow the module's rule for a first step: every vertex
+    for one walker (the paper's full matrix, linear in the arcs), the
+    tuples with ``rho_t > 0`` for K > 1 (all |V|^K would be exponential in
+    K). ``validate`` is as for :func:`matrix_from_masses`; disable it to
     inspect defective inputs.
     """
     pg = pg or ProductGraph(psi_t.base, psi_t.num_walkers)
@@ -361,19 +372,10 @@ def build_multiwalker_matrix(
     )
 
     rho_t = vertex_distribution(psi_t)
-    if columns == "full":
-        wanted = np.arange(pg.num_states)
-    elif columns == "support":
-        extras = [pg.tuple_index(e) if not np.isscalar(e) else int(e)
-                  for e in extra_columns]
-        wanted = np.union1d(np.flatnonzero(rho_t > zero_threshold),
-                            np.array(extras, dtype=np.int64))
-    else:
-        raise ValidationError(f"unknown column mode {columns!r}")
     return matrix_from_masses(
         pg, [s.permutation for s in shift_list], rho_t,
-        np.abs(psi_next.amplitudes) ** 2, wanted, time=time,
-        zero_threshold=zero_threshold, validate=validate,
+        np.abs(psi_next.amplitudes) ** 2, _rule_columns(rho_t, k),
+        time=time, validate=validate,
     )
 
 
@@ -384,16 +386,14 @@ def build_sequence(
     psi0: WaveFunction,
     horizon: int,
     interaction: InteractionLike | None = None,
-    zero_threshold: float = ZERO_PROB,
     validate: bool = True,
-    columns: str = "auto",
 ) -> TransitionMatrixSeq:
     """Evolve ``horizon`` steps and emit P(0..T-1) plus rho(0..T).
 
-    A single walker gets every column. For multi-walker states the
-    default ``columns="auto"`` materialises the support of rho(t) plus the
-    one-step halo reachable from the support of rho(t-1); ``"full"``
-    forces every tuple column (small instances only).
+    P(t) follows the module's column rule: every vertex for one walker
+    (the paper's full matrix, linear in the arcs), and for K > 1 walkers
+    the states with ``rho(t) > 0`` and the targets of P(t-1), so that the
+    sampler and the verifier find every column they need.
     """
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
@@ -408,25 +408,18 @@ def build_sequence(
 
     psi = psi0
     rhos = [vertex_distribution(psi0)]
+    wanted = _rule_columns(rhos[0], k)
     matrices: list[TransitionMatrix] = []
     for t in range(horizon):
         psi_next = step(psi, coin, shift, interaction, t)
-        if k == 1 or columns == "full":
-            wanted = np.arange(pg.num_states)
-        else:
-            wanted = np.flatnonzero(rhos[-1] > zero_threshold)
-            if t > 0:
-                _, ports = pg.arcs(np.flatnonzero(rhos[-2] > zero_threshold))
-                halo = np.ravel_multi_index(
-                    tuple(base.heads[ports]), pg.shape)
-                wanted = np.union1d(wanted, halo)
         perms = [_at(s, t).permutation for s in _per_walker(shift, k)]
         matrices.append(matrix_from_masses(
             pg, perms, rhos[-1], np.abs(psi_next.amplitudes) ** 2, wanted,
-            time=t, zero_threshold=zero_threshold, validate=validate,
+            time=t, validate=validate,
         ))
         psi = psi_next
         rhos.append(vertex_distribution(psi))
+        wanted = _rule_columns(rhos[-1], k, matrices[-1].indices)
     return TransitionMatrixSeq(
         matrices, np.stack(rhos), num_walkers=k,
         num_base_vertices=base.num_vertices,

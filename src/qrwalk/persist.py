@@ -87,19 +87,21 @@ class RunManifest:
     })
     params: dict = field(default_factory=dict)
 
-    @property
-    def sha256(self) -> str:
+    def _compact(self) -> str:
         # vars(self) holds exactly the fields; dataclasses.asdict would
         # deep-copy the graph document on every call
-        compact = json.dumps(vars(self), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(compact.encode()).hexdigest()
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
-    def save(self, out_dir: str | Path) -> Path:
-        path = Path(out_dir) / MANIFEST_NAME
-        path.write_text(json.dumps(vars(self), sort_keys=True, indent=2)
-                        + "\n")
-        return path
+    @property
+    def sha256(self) -> str:
+        return hashlib.sha256(self._compact().encode()).hexdigest()
+
+    def save(self, out_dir: str | Path) -> str:
+        """Write the compact form that :attr:`sha256` hashes, plus a
+        newline, and return its :attr:`sha256`."""
+        compact = self._compact()
+        (Path(out_dir) / MANIFEST_NAME).write_text(compact + "\n")
+        return hashlib.sha256(compact.encode()).hexdigest()
 
     @classmethod
     def load(cls, out_dir: str | Path) -> "RunManifest":
@@ -265,8 +267,11 @@ class Table:
 
     @property
     def rows(self) -> list[tuple]:
-        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                          for c in self.columns)))
+        return list(self._row_iter())
+
+    def _row_iter(self):
+        return zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                     for c in self.columns))
 
 
 def write_table(path_base: str | Path, table: Table,
@@ -284,7 +289,7 @@ def write_table(path_base: str | Path, table: Table,
                 fh.write(f"# {key}={table.meta[key]}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(table.header)
-            writer.writerows(table.rows)
+            writer.writerows(table._row_iter())
         return path
     if fmt == "json":
         path = base.with_suffix(".json")

@@ -22,10 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .equivalence import TransitionMatrix, TransitionMatrixSeq
-from .errors import (
-    ConsistencyError, ResourceLimitError, SamplingError, ValidationError,
-)
+from .equivalence import TransitionMatrixSeq
+from .errors import ResourceLimitError, SamplingError, ValidationError
 from .graphs import PortGraph, ProductGraph
 from .walk import DEFAULT_MEMORY_BUDGET
 
@@ -279,20 +277,21 @@ def _initial_pick(rho0: np.ndarray, uniforms) -> np.ndarray:
     return support[_scan_pick(cum, uniforms)]
 
 
-def _columns(mat: TransitionMatrix,
+def _columns(seq: TransitionMatrixSeq, t: int,
              states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length in ``mat.data`` of each state's column."""
+    """Start and length in ``P(t).data`` of each state's column; a loaded
+    or hand-built sequence may lack one."""
+    mat = seq.matrices[t]
     pos = np.searchsorted(mat.col_ids, states)
     found = pos < mat.col_ids.size
     found[found] = mat.col_ids[pos[found]] == states[found]
     if not found.all():
-        try:
-            mat.column(int(states[~found].min()))
-        except ConsistencyError as exc:
-            raise SamplingError(
-                f"{exc}; rebuild the sequence with full column "
-                "materialisation or a wider halo"
-            ) from None
+        [label] = ProductGraph.state_labels(
+            [states[~found].min()], seq.num_walkers, seq.num_base_vertices)
+        raise SamplingError(
+            f"a trajectory reached state {label} at t={t}, but the "
+            f"sequence does not hold its column of P({t})"
+        )
     start = mat.indptr[pos]
     return start, mat.indptr[pos + 1] - start
 
@@ -309,7 +308,7 @@ def _draw(seq: TransitionMatrixSeq, uniforms: np.ndarray,
     paths[:, 0] = _initial_pick(seq.rho[0], uniforms[:, 0])
     for t in range(uniforms.shape[1] - 1):
         mat = seq.matrices[t]
-        start, deg = _columns(mat, paths[:, t])
+        start, deg = _columns(seq, t, paths[:, t])
         paths[:, t + 1] = mat.indices[
             start + pick(mat.data, start, deg, uniforms[:, t + 1])]
     return paths

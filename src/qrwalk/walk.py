@@ -47,6 +47,15 @@ def _as_base(graph: PortGraph | ProductGraph) -> tuple[PortGraph, int]:
     return graph, 1
 
 
+def _joint_basis_index(base: PortGraph, vertices: Sequence[int],
+                       ports: Sequence[int]) -> int:
+    """Joint basis index of one (vertex, port) pair per walker, walker 0
+    most significant."""
+    return int(np.ravel_multi_index(
+        [base.basis_index(int(v), int(c)) for v, c in zip(vertices, ports)],
+        (base.basis_dim,) * len(vertices)))
+
+
 def _check_budget(dim: int, budget: int) -> None:
     need = 16 * dim
     if need > budget:
@@ -127,11 +136,8 @@ class WaveFunction:
             )
         dim = base.basis_dim ** k
         _check_budget(dim, memory_budget)
-        idx = 0
-        for v, c in zip(vs, ps):
-            idx = idx * base.basis_dim + base.basis_index(int(v), int(c))
         amps = np.zeros(dim, dtype=np.complex128)
-        amps[idx] = 1.0
+        amps[_joint_basis_index(base, vs, ps)] = 1.0
         return cls(graph, amps)
 
     @classmethod
@@ -172,10 +178,7 @@ class WaveFunction:
                     f"component ({vertex}, {port}) does not address "
                     f"{k} walker(s)"
                 )
-            idx = 0
-            for v, c in zip(vs, ps):
-                idx = idx * base.basis_dim + base.basis_index(int(v), int(c))
-            amps[idx] += complex(amp)
+            amps[_joint_basis_index(base, vs, ps)] += complex(amp)
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
             raise ValidationError("initial state has zero norm")

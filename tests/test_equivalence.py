@@ -20,6 +20,7 @@ from qrwalk import (
     verify_theorem_properties,
     vertex_distribution,
 )
+from qrwalk.equivalence import matrix_from_masses
 
 
 def hadamard_walk(graph, t=0):
@@ -29,7 +30,7 @@ def hadamard_walk(graph, t=0):
 def single_walker_matrix(psi_t, psi_next, shift, time=0):
     """Every column of P(t) for one walker."""
     return build_multiwalker_matrix(psi_t, psi_next, shifts=shift,
-                                    time=time, columns="full")
+                                    time=time)
 
 
 def stored_columns(mat):
@@ -211,7 +212,7 @@ class TestMultiwalker:
         for u, (targets, probs) in single.items():
             expected[targets, u] = probs
         multi = build_multiwalker_matrix(psi0, psi1, ProductGraph(c4, 1),
-                                         shift, columns="full")
+                                         shift)
         assert np.array_equal(multi.toarray(), expected)
 
     def test_joint_propagation_with_interaction(self, c4):
@@ -306,8 +307,7 @@ class TestMultiwalker:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
         psi1 = step(psi0, coin, shift)
-        mat = build_multiwalker_matrix(psi0, psi1, pg, shift,
-                                       columns="support")
+        mat = build_multiwalker_matrix(psi0, psi1, pg, shift)
         with pytest.raises(ConsistencyError, match="not materialised"):
             mat.column(pg.tuple_index((1, 2)))
 
@@ -316,9 +316,9 @@ class TestMultiwalker:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
         psi1 = step(psi0, coin, shift)
-        mat = build_multiwalker_matrix(psi0, psi1, pg, shift,
-                                       columns="support",
-                                       extra_columns=[(1, 2)])
+        mat = matrix_from_masses(
+            pg, [shift.permutation] * 2, vertex_distribution(psi0),
+            np.abs(psi1.amplitudes) ** 2, np.arange(pg.num_states))
         targets, probs = mat.column(pg.tuple_index((1, 2)))
         assert np.allclose(probs, 0.25, atol=0)
         assert targets.size == 4

@@ -38,7 +38,7 @@ from qrwalk import (
     verify_theorem_properties,
     vertex_distribution,
 )
-from qrwalk.equivalence import ZERO_PROB
+from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
 from qrwalk.persist import load_sequence, save_sequence
 from qrwalk.trajectory import _spawned_uniforms
 
@@ -134,12 +134,19 @@ def reference(g, walkers, shift, psi, psi_next, wanted):
         np.abs(psi_next.amplitudes) ** 2, wanted, ZERO_PROB)
 
 
+def every_column(g, walkers, shift, psi, psi_next):
+    """The step's P(t) with all ``num_vertices ** walkers`` columns."""
+    pg = ProductGraph(g, walkers)
+    return matrix_from_masses(
+        pg, [shift.permutation] * walkers, vertex_distribution(psi),
+        np.abs(psi_next.amplitudes) ** 2, np.arange(pg.num_states))
+
+
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
 def test_builder_matches_per_column_reference(seed, walkers):
     g, shift, psi, psi_next = one_step(seed, walkers)
-    mat = build_multiwalker_matrix(psi, psi_next, shifts=shift,
-                                   columns="full")
+    mat = every_column(g, walkers, shift, psi, psi_next)
     expected = reference(g, walkers, shift, psi, psi_next,
                          range(g.num_vertices ** walkers))
     assert mat.col_ids.tolist() == sorted(expected)
@@ -191,8 +198,7 @@ def test_arcs_meeting_at_one_vertex_are_merged(seed, walkers):
     g, _, psi, _ = one_step(seed, walkers)
     shift = merging_shift(g, rng)
     psi_next = step(psi, CoinSpec.random_unitary(g, rng), shift)
-    mat = build_multiwalker_matrix(psi, psi_next, shifts=shift,
-                                   columns="full")
+    mat = every_column(g, walkers, shift, psi, psi_next)
     expected = reference(g, walkers, shift, psi, psi_next,
                          range(g.num_vertices ** walkers))
     for u, (targets, probs) in expected.items():
@@ -383,16 +389,36 @@ def test_graph_hash_is_pinned(name):
 # sampling
 # ---------------------------------------------------------------------------
 
-def random_sequence(rng, walkers: int) -> TransitionMatrixSeq:
-    """Three steps of a random walk with every column built, so that the
-    sampling tests check the draws and not which K-walker columns the
-    default set materialises."""
+def random_sequence(rng, walkers: int,
+                    tiny: bool = False) -> TransitionMatrixSeq:
+    """Three steps of a random walk. With ``tiny``, a few basis states of
+    emptied vertices get masses that add up to at most ``ZERO_PROB``, so
+    that some states start with mass in (0, ZERO_PROB]."""
     g = random_graph(rng)
     coin = random_coin(g, rng, int(rng.integers(0, 3)))
     shift = random_shift(g, rng, int(rng.integers(0, 3)))
     space = ProductGraph(g, walkers) if walkers > 1 else g
-    return build_sequence(space, coin, shift, random_state(space, rng), 3,
-                          columns="full")
+    psi = random_state(space, rng)
+    if tiny:
+        amps = psi.amplitudes.copy()
+        empty = np.flatnonzero(amps == 0.0)
+        picked = rng.choice(empty, size=min(3, empty.size), replace=False)
+        amps[picked] = np.sqrt(ZERO_PROB * rng.uniform(0.01, 1.0)
+                               / max(picked.size, 1))
+        psi = WaveFunction(space, amps)
+    return build_sequence(space, coin, shift, psi, 3)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
+def test_columns_are_closed_under_the_chain(seed, walkers):
+    """Every state with rho(t) > 0 has a column in P(t), and every target
+    of P(t) has one in P(t + 1)."""
+    seq = random_sequence(np.random.default_rng(seed), walkers, tiny=True)
+    for t, mat in enumerate(seq.matrices):
+        assert np.isin(np.flatnonzero(seq.rho[t] > 0.0), mat.col_ids).all()
+        if t + 1 < seq.num_steps:
+            assert np.isin(mat.indices, seq.matrices[t + 1].col_ids).all()
 
 
 @SETTINGS

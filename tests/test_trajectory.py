@@ -5,6 +5,7 @@ import scipy.stats
 import _oracles as oracle
 from qrwalk import (
     CoinSpec,
+    ProductGraph,
     ResourceLimitError,
     SamplingError,
     ShiftSpec,
@@ -94,8 +95,22 @@ class TestSampleTrajectory:
         no_columns = TransitionMatrix(0, 2, col_ids=[], indptr=[0],
                                       indices=[], data=[])
         seq = TransitionMatrixSeq([no_columns], rho)
-        with pytest.raises(SamplingError, match="materialisation"):
+        with pytest.raises(SamplingError, match="state 0 at t=0, but the "
+                           "sequence does not hold its column of P\\(0\\)"):
             sample_trajectory(seq, seed=0)
+
+    def test_top_uniform_reaches_a_state_below_zero_prob(self):
+        # a tuple with mass 2.5e-15 <= ZERO_PROB is still in the support of
+        # rho(0); the top uniform starts there and needs its (uniform) column
+        pg = ProductGraph(cycle_graph(4), 2)
+        psi0 = WaveFunction.from_components(
+            pg, [((0, 0), (0, 0), 1.0), ((1, 2), (0, 0), 5e-8)])
+        seq = build_sequence(pg, CoinSpec.hadamard(pg.base),
+                             ShiftSpec.moving(pg.base), psi0, 3)
+        paths = _draw(seq, np.full((1, 4), np.nextafter(1.0, 0.0)), "scan")
+        assert paths[0, 0] == pg.tuple_index((1, 2))
+        for t, mat in enumerate(seq.matrices):
+            assert mat.entry(paths[0, t + 1], paths[0, t]) > 0.0
 
 
     def test_empty_column_rejected(self):
