@@ -30,7 +30,6 @@ from .persist import (
     interaction_from_json,
     load_sequence,
     manifest_for,
-    matrix_table,
     coin_from_json,
     rho_table,
     save_sequence,
@@ -181,7 +180,7 @@ def cmd_sample(args, config: dict) -> int:
         source = RunManifest.load(args.from_dir) \
             if (Path(args.from_dir) / "manifest.json").exists() else None
         graph_doc = source.graph if source else {"loaded": args.from_dir}
-        if source:  # load_sequence checked that it made these tables
+        if source:  # load_sequence checked that it made this store
             base, space, _ = graph_and_spaces(
                 {"graph": source.graph, "walkers": source.walkers})
             torus_dims = base.torus_dims
@@ -310,16 +309,15 @@ def cmd_torus_dp(args, config: dict) -> int:
 
     out = _out_dir(args)
     digest = manifest.save(out)
-    path = write_table(out / "rho",
-                       rho_table(rho, 1, base.num_vertices, digest),
-                       args.format)
     if config.get("emit_matrices"):
         matrices = [grover_torus_matrix(states[t], states[t + 1])
                     for t in range(horizon)]
-        seq = TransitionMatrixSeq(matrices, rho, num_walkers=1,
-                                  num_base_vertices=base.num_vertices)
-        write_table(out / "p_matrix", matrix_table(seq, digest),
-                    args.format)
+        _, path = save_sequence(out, TransitionMatrixSeq(matrices, rho),
+                                digest, args.format)
+    else:
+        path = write_table(out / "rho",
+                           rho_table(rho, 1, base.num_vertices, digest),
+                           args.format)
     print(f"wrote {rho.shape[0]} distributions to {path}")
     return 0
 
@@ -371,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="sample a trajectory ensemble")
     common(sp, config_required=False)
     sp.add_argument("--from", dest="from_dir",
-                    help="directory with persisted p_matrix/rho tables")
+                    help="directory with the sequence.npz store that "
+                         "equivalence writes")
     sp.add_argument("--ensemble-size", type=int)
     sp.set_defaults(func=cmd_sample,
                     overrides={"seed": "seed",

@@ -164,7 +164,11 @@ class TransitionMatrix:
 
 @dataclass
 class TransitionMatrixSeq:
-    """Matrices P(0..T-1) with the distribution sequence rho(0..T)."""
+    """Matrices P(0..T-1) with the distribution sequence rho(0..T).
+
+    The states are the ``num_walkers``-tuples of ``num_base_vertices``
+    vertices, which defaults to the K-th root of the state count.
+    """
 
     matrices: list[TransitionMatrix]
     rho: np.ndarray  # (T+1, num_states)
@@ -178,8 +182,16 @@ class TransitionMatrixSeq:
                 f"rho has shape {self.rho.shape}, expected "
                 f"({len(self.matrices) + 1}, num_states)"
             )
+        k, states = self.num_walkers, self.rho.shape[1]
+        if k < 1:
+            raise ValidationError("num_walkers must be >= 1")
         if self.num_base_vertices is None:
-            self.num_base_vertices = self.rho.shape[1]
+            self.num_base_vertices = round(states ** (1.0 / k))
+        n = self.num_base_vertices
+        if n < 1 or n ** k != states:
+            raise ValidationError(
+                f"{states} states are not the {k}-tuples of {n} base vertices"
+            )
 
     @property
     def num_steps(self) -> int:

@@ -321,42 +321,14 @@ class ProductGraph:
     @staticmethod
     def state_labels(indices, num_walkers: int, num_base: int) -> list[str]:
         """Text labels of joint indices: ``u`` for one walker, ``u1|u2|...``
-        for vertex tuples. Static, so that persisted tables can be read
-        and written without the graph."""
+        for vertex tuples. Static, so that tables can be written without
+        the graph."""
         indices = np.asarray(indices, dtype=np.int64)
         if num_walkers == 1:
             return list(map(str, indices.tolist()))
         digits = np.unravel_index(indices, (num_base,) * num_walkers)
         return list(map("|".join,
                         zip(*(map(str, d.tolist()) for d in digits))))
-
-    @staticmethod
-    def state_indices(labels, num_walkers: int, num_base: int) -> np.ndarray:
-        """Inverse of :meth:`state_labels`; rejects labels of the wrong
-        arity and vertices out of range."""
-        labels = list(map(str, labels))
-        if num_walkers == 1:
-            # a label with "|" or out of range fails here and is named by
-            # the checks below
-            try:
-                return np.ravel_multi_index(
-                    (np.array(labels, dtype=np.int64),), (num_base,))
-            except ValueError:
-                pass
-        arity = num_walkers - 1
-        if set(map(str.count, labels, itertools.repeat("|"))) - {arity}:
-            bad = next(x for x in labels if x.count("|") != arity)
-            raise ValidationError(
-                f"state label {bad!r} does not address {num_walkers} "
-                "walker(s)"
-            )
-        parts = "|".join(labels).split("|") if labels else []
-        try:
-            digits = np.array(parts, dtype=np.int64).reshape(-1, num_walkers)
-            return np.ravel_multi_index(tuple(digits.T),
-                                        (num_base,) * num_walkers)
-        except ValueError as exc:
-            raise ValidationError(f"malformed state label: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Reproducible on-disk artifacts: tables, JSON reports, manifests.
+"""Reproducible on-disk artifacts: the P(t) store, tables, JSON reports,
+manifests.
 
 Every output directory carries one ``manifest.json`` describing the run
 (graph, operator specs, initial state, horizon, thresholds, RNG algorithm
@@ -6,9 +7,9 @@ and master seed, tool version); data files reference the manifest by its
 hash. Floats use shortest round-trip formatting and all row orders are
 canonical, so re-running a manifest reproduces files byte for byte.
 
-Tables are written as CSV (default, with ``# key=value`` comment lines
-for metadata) or as an equivalent JSON document, and read back either
-way.
+A sequence is read back only from its array store ``sequence.npz``. The
+tables are the human-readable export: CSV (default, with ``# key=value``
+comment lines for metadata) or an equivalent JSON document.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -50,13 +51,13 @@ __all__ = [
     "ensemble_mean_table",
     "tvd_table",
     "write_table",
-    "read_table",
     "save_sequence",
     "load_sequence",
     "write_json",
 ]
 
 MANIFEST_NAME = "manifest.json"
+STORE_NAME = "sequence.npz"
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +254,8 @@ class Table:
     """Header, cells and ``meta`` key/value pairs of one data file.
 
     Cells are held column by column, as lists or numpy arrays, so that
-    whole columns are formatted and parsed at once; ``rows`` is the row
-    view. Pass either ``rows`` or ``columns``.
+    whole columns are formatted at once; ``rows`` is the row view. Pass
+    either ``rows`` or ``columns``.
     """
 
     def __init__(self, header: Sequence[str], rows: Sequence = (),
@@ -300,46 +301,28 @@ def write_table(path_base: str | Path, table: Table,
     raise ConfigError(f"unknown output format {fmt!r}")
 
 
-def read_table(path_base: str | Path) -> Table:
-    """Read ``<base>.csv`` or ``<base>.json``, whichever exists."""
-    base = Path(path_base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    if csv_path.exists():
-        lines = csv_path.read_text().splitlines()
-        # write_table puts its comment lines first; every later line is data
-        head = next((i for i, line in enumerate(lines)
-                     if not line.startswith("#")), len(lines))
-        meta: dict = {}
-        for line in lines[:head]:
-            for token in line[1:].split():
-                if "=" in token:
-                    key, val = token.split("=", 1)
-                    meta[key] = val
-        body = list(filter(None, lines[head:]))
-        if not body:
-            raise ValidationError(f"{csv_path} has no header row")
-        header, data = body[0].split(","), body[1:]
-        width = len(header)
-        if set(map(str.count, data, repeat(","))) - {width - 1}:
-            raise ValidationError(
-                f"{csv_path} has rows that are not {width} cells wide")
-        cells = ",".join(data).split(",") if data else []
-        return Table(header, meta=meta,
-                     columns=[cells[j::width] for j in range(width)])
-    if json_path.exists():
-        payload = json.loads(json_path.read_text())
-        return Table(payload["header"], payload["rows"],
-                     payload.get("meta", {}))
-    raise ValidationError(f"neither {csv_path} nor {json_path} exists")
-
-
 def _table_meta(states: int, walkers: int, base: int,
                 manifest_sha: str | None) -> dict:
     meta = {"states": states, "walkers": walkers, "base": base}
     if manifest_sha:
         meta["manifest"] = manifest_sha
     return meta
+
+
+def _joined(mats: Sequence[TransitionMatrix], name: str,
+            dtype=np.int64) -> np.ndarray:
+    """The ``name`` arrays of all matrices, end to end."""
+    return np.concatenate([np.empty(0, dtype)]
+                          + [getattr(m, name) for m in mats])
+
+
+def _state_labels(states: np.ndarray, num_walkers: int,
+                  num_base: int) -> np.ndarray:
+    """Label of every state in ``states``; each distinct state is
+    formatted once."""
+    distinct, inverse = np.unique(states, return_inverse=True)
+    labels = ProductGraph.state_labels(distinct, num_walkers, num_base)
+    return np.array(labels, dtype=object)[inverse]
 
 
 def rho_table(rho: np.ndarray, num_walkers: int, num_base: int,
@@ -359,14 +342,11 @@ def matrix_table(seq: TransitionMatrixSeq,
                  manifest_sha: str | None = None) -> Table:
     """Rows ``t,u,v,p`` over all stored (nonzero) entries."""
     mats = seq.matrices
-    empty = [np.empty(0, dtype=np.int64)]
     t = np.repeat(np.arange(len(mats)), [m.data.size for m in mats])
-    u = np.concatenate([m.sources for m in mats] + empty)
-    v = np.concatenate([m.indices for m in mats] + empty)
-    p = np.concatenate([m.data for m in mats] + [np.empty(0)])
+    u, v = _joined(mats, "sources"), _joined(mats, "indices")
+    p = _joined(mats, "data", np.float64)
     k, n = seq.num_walkers, seq.num_base_vertices
-    columns = [t, ProductGraph.state_labels(u, k, n),
-               ProductGraph.state_labels(v, k, n), p]
+    columns = [t, _state_labels(u, k, n), _state_labels(v, k, n), p]
     return Table(["t", "u", "v", "p"], columns=columns, meta=_table_meta(
         seq.num_states, k, n, manifest_sha))
 
@@ -388,7 +368,7 @@ def trajectories_table(
     states = ens.paths.reshape(-1)
     columns = [np.repeat(np.arange(size), steps),
                np.tile(np.arange(steps), size),
-               ProductGraph.state_labels(states, num_walkers, num_base)]
+               _state_labels(states, num_walkers, num_base)]
     if unfold:
         columns += np.unravel_index(states, tuple(int(d) for d in torus_dims))
     meta = {"trajectories": ens.size, "length": ens.length,
@@ -429,11 +409,41 @@ def tvd_table(rows: Sequence[tuple[int, int, float]],
 # sequence round trip
 # ---------------------------------------------------------------------------
 
+#: Members of the store: their dtype kind and number of dimensions.
+_STORE_MEMBERS = {
+    "rho": ("f", 2), "step_ptr": ("i", 1), "col_ids": ("i", 1),
+    "indptr": ("i", 1), "indices": ("i", 1), "data": ("f", 1),
+    "num_walkers": ("i", 0), "num_base_vertices": ("i", 0),
+    "manifest": ("U", 0),
+}
+
+
 def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
                   manifest_sha: str | None = None,
                   fmt: str = "csv") -> tuple[Path, Path]:
+    """Write the store ``sequence.npz`` that :func:`load_sequence` reads,
+    then export the ``p_matrix`` and ``rho`` tables and return their paths.
+
+    The store holds ``rho``, the CSC arrays of all steps end to end (P(t)
+    owns ``col_ids[step_ptr[t]:step_ptr[t + 1]]``; ``indptr`` spans all
+    steps), the walker and base-vertex counts and ``manifest_sha`` (an
+    empty string without one).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    mats = seq.matrices
+    step_ptr = np.cumsum([0] + [m.col_ids.size for m in mats])
+    offsets = np.cumsum([0] + [m.data.size for m in mats])
+    indptr = np.concatenate([m.indptr[:-1] + off
+                             for m, off in zip(mats, offsets)]
+                            + [offsets[-1:]])
+    np.savez(out / STORE_NAME, allow_pickle=False, rho=seq.rho,
+             step_ptr=step_ptr, col_ids=_joined(mats, "col_ids"),
+             indptr=indptr, indices=_joined(mats, "indices"),
+             data=_joined(mats, "data", np.float64),
+             num_walkers=np.int64(seq.num_walkers),
+             num_base_vertices=np.int64(seq.num_base_vertices),
+             manifest=np.str_(manifest_sha or ""))
     p1 = write_table(out / "p_matrix", matrix_table(seq, manifest_sha), fmt)
     p2 = write_table(
         out / "rho",
@@ -444,59 +454,60 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
     return p1, p2
 
 
-def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
-    """Rebuild a sequence from persisted tables so sampling can run
-    without re-evolving the walk.
+def _read_store(path: Path) -> dict[str, np.ndarray]:
+    """Every member of the store, checked for its dtype kind and shape."""
+    if not zipfile.is_zipfile(path):  # also when it is missing
+        raise ValidationError(f"{path} is missing or not an .npz archive; "
+                              "`qrwalk equivalence` writes it")
+    try:
+        with np.load(path, allow_pickle=False) as store:
+            members = {name: store[name] for name in _STORE_MEMBERS
+                       if name in store.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    for name, (kind, ndim) in _STORE_MEMBERS.items():
+        arr = members.get(name)
+        if arr is None or arr.dtype.kind != kind or arr.ndim != ndim:
+            raise ValidationError(f"{path} lacks a {ndim}-d member {name!r} "
+                                  f"of dtype kind {kind!r}")
+    return members
 
-    Both tables must carry the same ``manifest`` hash, and when the
-    directory holds a ``manifest.json``, it must be that manifest's hash.
+
+def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
+    """Rebuild the sequence saved in ``out_dir/sequence.npz`` so that
+    sampling and verification run without re-evolving the walk.
+
+    When the directory holds a ``manifest.json``, the store must record
+    that manifest's hash. Every P(t) is validated as it is rebuilt.
     """
     out = Path(out_dir)
-    rho_tab = read_table(out / "rho")
-    p_tab = read_table(out / "p_matrix")
-    stamps = {rho_tab.meta.get("manifest"), p_tab.meta.get("manifest")}
+    path = out / STORE_NAME
+    m = _read_store(path)
+    digest = str(m["manifest"])
     if (out / MANIFEST_NAME).exists():
-        stamps.add(RunManifest.load(out).sha256)
-    if len(stamps) > 1:
-        raise ValidationError(
-            f"the tables in {out} and its {MANIFEST_NAME}, if any, come from "
-            f"different runs: manifest hashes {sorted(map(str, stamps))}"
-        )
-    num_states = int(rho_tab.meta.get("states", 0))
-    walkers = int(rho_tab.meta.get("walkers", 1))
-    base = int(rho_tab.meta.get("base", num_states))
-    if num_states <= 0:
-        raise ValidationError("rho table lacks the states metadata")
-
-    def floats(column) -> np.ndarray:
-        return np.fromiter(map(float, column), dtype=np.float64,
-                           count=len(column))
-
-    def states(column) -> np.ndarray:
-        return ProductGraph.state_indices(column, walkers, base)
-
-    t_col, v_col, rho_col = rho_tab.columns
-    t = np.array(t_col, dtype=np.int64)
-    times = np.unique(t)
-    if not np.array_equal(times, np.arange(times.size)):
-        raise ValidationError("rho table has missing time rows")
-    rho = np.zeros((times.size, num_states))
-    rho[t, states(v_col)] = floats(rho_col)
-
-    t_col, u_col, v_col, p_col = p_tab.columns
-    t, u, v = np.array(t_col, dtype=np.int64), states(u_col), states(v_col)
-    p = floats(p_col)
-    order = np.lexsort((v, u, t))
-    t, u, v, p = t[order], u[order], v[order], p[order]
-    bounds = np.searchsorted(t, np.arange(times.size))
+        expected = RunManifest.load(out).sha256
+        if digest != expected:
+            raise ValidationError(
+                f"{path} and {out / MANIFEST_NAME} come from different "
+                f"runs: manifest hashes {digest or None!r} and {expected!r}"
+            )
+    step_ptr, col_ids, indptr = m["step_ptr"], m["col_ids"], m["indptr"]
+    if not (step_ptr.size and step_ptr[0] == 0
+            and np.all(np.diff(step_ptr) >= 0)
+            and step_ptr[-1] == col_ids.size
+            and indptr.size == col_ids.size + 1 and indptr[0] == 0
+            and indptr[-1] == m["indices"].size == m["data"].size):
+        raise ValidationError(f"{path} holds inconsistent step offsets")
+    rho = m["rho"]
     matrices = []
-    for step, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        col_ids, starts = np.unique(u[lo:hi], return_index=True)
+    for t, (lo, hi) in enumerate(zip(step_ptr[:-1], step_ptr[1:])):
+        ptr = indptr[lo:hi + 1]
         matrices.append(TransitionMatrix(
-            step, num_states, col_ids, np.append(starts, hi - lo),
-            v[lo:hi], p[lo:hi]))
-    return TransitionMatrixSeq(matrices, rho, num_walkers=walkers,
-                               num_base_vertices=base)
+            t, rho.shape[1], col_ids[lo:hi], ptr - ptr[0],
+            m["indices"][ptr[0]:ptr[-1]], m["data"][ptr[0]:ptr[-1]]))
+    return TransitionMatrixSeq(
+        matrices, rho, num_walkers=int(m["num_walkers"]),
+        num_base_vertices=int(m["num_base_vertices"]))
 
 
 def write_json(path: str | Path, payload: dict) -> Path:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 
 from qrwalk.errors import GraphError, ValidationError
+from qrwalk.persist import Table
 
 
 def _offsets(graph) -> np.ndarray:
@@ -361,3 +363,74 @@ def reference_paths(seq, uniforms: np.ndarray,
                 k = np.where(y - i < accept[i], i, alias[i])
             paths[rows, t + 1] = targets[k]
     return paths
+
+
+# ---------------------------------------------------------------------------
+# the saved sequence: the text export parsed, the store rewritten
+# ---------------------------------------------------------------------------
+
+def read_table(path_base: str | Path) -> Table:
+    """Read ``<base>.csv`` or ``<base>.json``, whichever exists: the
+    parser of the text export, which the program itself never reads."""
+    base = Path(path_base)
+    csv_path = base.with_suffix(".csv")
+    json_path = base.with_suffix(".json")
+    if csv_path.exists():
+        lines = csv_path.read_text().splitlines()
+        # write_table puts its comment lines first; every later line is data
+        head = next((i for i, line in enumerate(lines)
+                     if not line.startswith("#")), len(lines))
+        meta: dict = {}
+        for line in lines[:head]:
+            for token in line[1:].split():
+                if "=" in token:
+                    key, val = token.split("=", 1)
+                    meta[key] = val
+        body = list(filter(None, lines[head:]))
+        if not body:
+            raise ValidationError(f"{csv_path} has no header row")
+        header, data = body[0].split(","), body[1:]
+        width = len(header)
+        if set(map(str.count, data, itertools.repeat(","))) - {width - 1}:
+            raise ValidationError(
+                f"{csv_path} has rows that are not {width} cells wide")
+        cells = ",".join(data).split(",") if data else []
+        return Table(header, meta=meta,
+                     columns=[cells[j::width] for j in range(width)])
+    if json_path.exists():
+        payload = json.loads(json_path.read_text())
+        return Table(payload["header"], payload["rows"],
+                     payload.get("meta", {}))
+    raise ValidationError(f"neither {csv_path} nor {json_path} exists")
+
+
+def rewrite_store(path, **members) -> None:
+    """Replace members of the ``.npz`` store at ``path``; ``None`` drops
+    one."""
+    with np.load(path) as store:
+        arrays = dict(store)
+    arrays.update(members)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+
+
+def table_sequence(out_dir) -> tuple[np.ndarray, dict]:
+    """rho and the stored entries ``{(t, u, v): p}`` of the exported
+    ``rho`` and ``p_matrix`` tables, parsed one row and one label at a
+    time."""
+    out = Path(out_dir)
+    rho_tab, p_tab = read_table(out / "rho"), read_table(out / "p_matrix")
+    k, n = int(rho_tab.meta["walkers"]), int(rho_tab.meta["base"])
+
+    def state(label) -> int:
+        digits = [int(x) for x in str(label).split("|")]
+        assert len(digits) == k
+        return int(np.ravel_multi_index(digits, (n,) * k))
+
+    rows = rho_tab.rows
+    rho = np.zeros((max(int(r[0]) for r in rows) + 1,
+                    int(rho_tab.meta["states"])))
+    for t, v, mass in rows:
+        rho[int(t), state(v)] = float(mass)
+    entries = {(int(t), state(u), state(v)): float(p)
+               for t, u, v, p in p_tab.rows}
+    return rho, entries

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
+from _oracles import read_table, rewrite_store
 from qrwalk import ValidationError, trajectory
 from qrwalk.cli import main
-from qrwalk.persist import RunManifest, load_sequence, read_table
+from qrwalk.persist import RunManifest, load_sequence, save_sequence
 from qrwalk.walk import DEFAULT_MEMORY_BUDGET
 
 
@@ -92,6 +94,19 @@ class TestEquivalence:
                      "--out-dir", str(out)]) == 0
         assert any("|" in row[1] for row in read_table(out / "p_matrix").rows)
 
+    def test_same_seed_reruns_write_the_same_store(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", horizon=4)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert main(["equivalence", "--config", str(cfg),
+                         "--out-dir", str(out)]) == 0
+        assert (out1 / "sequence.npz").read_bytes() \
+            == (out2 / "sequence.npz").read_bytes()
+        # np.savez stamps every member with the zip format's 1980 epoch
+        with zipfile.ZipFile(out1 / "sequence.npz") as archive:
+            assert {info.date_time for info in archive.infolist()} \
+                == {(1980, 1, 1, 0, 0, 0)}
+
     def test_non_unitary_coin_rejected_naming_condition(self, tmp_path,
                                                         capsys):
         blocks = [[[1.1, 0], [0, 0]], [[0, 0], [1.1, 0]]]
@@ -154,12 +169,11 @@ class TestSample:
         assert main(["equivalence", "--config", str(cfg),
                      "--out-dir", str(eq_dir)]) == 0
         # every move out of vertex 0 at t=0 now lands off the torus edges
-        path = eq_dir / "p_matrix.csv"
-        lines = path.read_text().splitlines()
-        far = iter(range(55, 60))
-        lines = [f"0,0,{next(far)},{line.split(',')[3]}"
-                 if line.startswith("0,0,") else line for line in lines]
-        path.write_text("\n".join(lines) + "\n")
+        with np.load(eq_dir / "sequence.npz") as store:
+            assert store["col_ids"][0] == 0
+            indices, end = store["indices"], store["indptr"][1]
+        indices[:end] = 55 + np.arange(end)
+        rewrite_store(eq_dir / "sequence.npz", indices=indices)
         assert main(["sample", "--from", str(eq_dir), "--seed", "3",
                      "--out-dir", str(tmp_path / "s")]) == 1
         assert "non-edge" in capsys.readouterr().err
@@ -291,6 +305,7 @@ class TestTorusDp:
         assert main(["torus-dp", "--config", str(cfg),
                      "--out-dir", str(out)]) == 0
         assert (out / "p_matrix.csv").exists()
+        assert main(["verify", "--in-dir", str(out)]) == 0
 
 
 class TestVerify:
@@ -310,9 +325,10 @@ class TestVerify:
         out = tmp_path / "eq"
         assert main(["equivalence", "--config", str(cfg),
                      "--out-dir", str(out)]) == 0
-        path = out / "p_matrix.csv"
-        text = path.read_text().replace("0.5", "0.4", 1)
-        path.write_text(text)
+        with np.load(out / "sequence.npz") as store:
+            data = store["data"]
+        data[np.flatnonzero(data == 0.5)[0]] = 0.4
+        rewrite_store(out / "sequence.npz", data=data)
         assert main(["verify", "--in-dir", str(out)]) == 1
 
 
@@ -354,17 +370,18 @@ class TestProvenance:
 
     def test_tables_of_two_runs_are_rejected(self, tmp_path, capsys):
         a, b = self.runs(tmp_path)
-        mixed = self.mix(tmp_path, **{"manifest.json": a, "rho.csv": a,
-                                      "p_matrix.csv": b})
+        mixed = self.mix(tmp_path, **{"manifest.json": a,
+                                      "sequence.npz": b})
         with pytest.raises(ValidationError, match="different runs"):
             load_sequence(mixed)
         assert main(["verify", "--in-dir", str(mixed)]) == 2
         assert "different runs" in capsys.readouterr().err
 
     def test_tables_must_match_the_manifest(self, tmp_path):
+        # a store saved without a manifest hash, next to a manifest
         a, b = self.runs(tmp_path)
-        mixed = self.mix(tmp_path, **{"manifest.json": a, "rho.csv": b,
-                                      "p_matrix.csv": b})
+        mixed = self.mix(tmp_path, **{"manifest.json": a})
+        save_sequence(mixed, load_sequence(b))
         with pytest.raises(ValidationError, match="different runs"):
             load_sequence(mixed)
         assert main(["sample", "--from", str(mixed),

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -327,24 +325,23 @@ class TestMultiwalker:
 class TestStateLabels:
     def test_single_walker_labels(self):
         assert ProductGraph.state_labels([7], 1, 10) == ["7"]
-        assert ProductGraph.state_indices(["7"], 1, 10).tolist() == [7]
 
     def test_tuple_labels_round_trip(self):
         for idx in (0, 5, 15):
             [label] = ProductGraph.state_labels([idx], 2, 4)
-            assert "|" in label
-            assert ProductGraph.state_indices([label], 2, 4).tolist() == [idx]
+            digits = [int(x) for x in label.split("|")]
+            assert np.ravel_multi_index(digits, (4, 4)) == idx
 
-    def test_wrong_arity_label_rejected(self):
-        with pytest.raises(ValidationError):
-            ProductGraph.state_indices(["1|2"], 1, 4)
 
-    @pytest.mark.parametrize("labels, message", [
-        (["1", "2|3", "x"], "state label '2|3' does not address 1 walker"),
-        (["1", "x"], "malformed state label: invalid literal for int()"),
-        (["1", "4"], "malformed state label: invalid entry in coordinates"),
-        (["-1"], "malformed state label: invalid entry in coordinates"),
-    ])
-    def test_single_walker_label_faults_are_named(self, labels, message):
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            ProductGraph.state_indices(labels, 1, 4)
+class TestSequenceShape:
+    def test_state_count_must_be_a_power_of_the_walker_count(self):
+        rho = np.full((1, 8), 1.0 / 8)
+        assert TransitionMatrixSeq([], rho, num_walkers=3) \
+            .num_base_vertices == 2
+        with pytest.raises(ValidationError, match="8 states"):
+            TransitionMatrixSeq([], rho, num_walkers=2)
+        with pytest.raises(ValidationError, match="8 states"):
+            TransitionMatrixSeq([], rho, num_walkers=1, num_base_vertices=4)
+        with pytest.raises(ValidationError, match="4 states"):
+            TransitionMatrixSeq([], rho[:, :4], num_walkers=2,
+                                num_base_vertices=-2)

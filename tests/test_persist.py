@@ -3,16 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import read_table, rewrite_store
 from qrwalk import (
     CoinSpec,
     ConfigError,
     ProductGraph,
     ShiftSpec,
+    TransitionMatrixSeq,
+    ValidationError,
     WaveFunction,
     build_sequence,
     sample_ensemble,
     torus_graph,
 )
+from qrwalk.cli import main
 from qrwalk.persist import (
     RunManifest,
     Table,
@@ -23,7 +27,6 @@ from qrwalk.persist import (
     load_sequence,
     manifest_for,
     matrix_table,
-    read_table,
     rho_table,
     save_sequence,
     shift_from_json,
@@ -112,6 +115,43 @@ class TestSequenceRoundTrip:
         loaded = load_sequence(tmp_path)
         assert loaded.num_walkers == 2
         assert np.array_equal(loaded.rho, seq.rho)
+
+
+class TestStore:
+    def test_default_base_is_recorded_and_labels_tuples(self, tmp_path, c4):
+        pg = ProductGraph(c4, 2)
+        built = build_sequence(pg, CoinSpec.hadamard(c4),
+                               ShiftSpec.moving(c4),
+                               WaveFunction.localized(pg, (0, 0), (0, 0)), 2)
+        seq = TransitionMatrixSeq(built.matrices, built.rho, num_walkers=2)
+        assert seq.num_base_vertices == 4
+        save_sequence(tmp_path, seq)
+        with np.load(tmp_path / "sequence.npz") as store:
+            assert int(store["num_base_vertices"]) == 4
+        rows = read_table(tmp_path / "rho").rows
+        assert rows[6][1] == "1|2"
+        assert load_sequence(tmp_path).num_base_vertices == 4
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: p.unlink(), "sequence.npz is missing"),
+        (lambda p: p.write_bytes(p.read_bytes()[:200]), "not an .npz"),
+        (lambda p: p.write_text("t,u,v,p\n0,0,1,0.5\n"), "not an .npz"),
+        (lambda p: rewrite_store(p, indptr=None),
+         "lacks a 1-d member 'indptr'"),
+        (lambda p: rewrite_store(p, data=np.array([0.5, None], dtype=object)),
+         "cannot read .*allow_pickle"),
+        (lambda p: rewrite_store(p, indices=np.arange(3.0)),
+         "lacks a 1-d member 'indices' of dtype kind 'i'"),
+    ], ids=["missing", "truncated", "not-a-zip", "missing-member",
+            "object-member", "float-indices"])
+    def test_malformed_store_is_a_validation_error(self, tmp_path, c4_seq,
+                                                   damage, message, capsys):
+        save_sequence(tmp_path, c4_seq)
+        damage(tmp_path / "sequence.npz")
+        with pytest.raises(ValidationError, match=message):
+            load_sequence(tmp_path)
+        assert main(["verify", "--in-dir", str(tmp_path)]) == 2
+        assert "sequence.npz" in capsys.readouterr().err
 
 
 class TestManifest:

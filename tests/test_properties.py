@@ -170,13 +170,35 @@ def test_residuals_and_round_trip(seed, walkers):
     assert report.max_entry_violation <= 1e-10
     assert report.max_column_sum_deviation <= 1e-10
     assert report.max_propagation_residual <= 1e-10
+    assert_round_trip(seq, "csv")
+
+
+def assert_round_trip(seq: TransitionMatrixSeq, fmt: str) -> None:
+    """The store gives back the arrays of ``seq`` bit for bit, and the
+    text export, parsed by the oracle, holds the same numbers."""
     with tempfile.TemporaryDirectory() as out:
-        save_sequence(out, seq)
+        save_sequence(out, seq, fmt=fmt)
         loaded = load_sequence(out)
-    assert np.array_equal(loaded.rho, seq.rho)
-    for name in ("col_ids", "indptr", "indices", "data"):
-        assert np.array_equal(getattr(loaded.matrices[0], name),
-                              getattr(mat, name))
+        rho, entries = oracle.table_sequence(out)
+    assert (loaded.num_walkers, loaded.num_base_vertices) \
+        == (seq.num_walkers, seq.num_base_vertices)
+    assert loaded.rho.tobytes() == seq.rho.tobytes() == rho.tobytes()
+    assert len(loaded.matrices) == len(seq.matrices)
+    for a, b in zip(loaded.matrices, seq.matrices):
+        for name in ("col_ids", "indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert entries == {
+        (t, int(u), int(v)): float(p) for t, m in enumerate(seq.matrices)
+        for u, v, p in zip(m.sources, m.indices, m.data)}
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_sequence_store_and_export_round_trip(seed, walkers, fmt):
+    assert_round_trip(random_sequence(np.random.default_rng(seed), walkers),
+                      fmt)
 
 
 def merging_shift(g, rng) -> ShiftSpec:
