@@ -290,6 +290,12 @@ class ProductGraph:
         self._check_tuple(u)
         return itertools.product(*(self.base.out_neighbors[ui] for ui in u))
 
+    def out_degrees(self, states) -> np.ndarray:
+        """Number of arcs leaving each joint state in ``states``."""
+        digits = np.unravel_index(np.asarray(states, dtype=np.int64),
+                                  self.shape)
+        return np.prod([self.base.degrees[d] for d in digits], axis=0)
+
     def arcs(self, states) -> tuple[np.ndarray, np.ndarray]:
         """Arcs (one base arc per walker) leaving each joint state, state by
         state in the product order of the walkers' ports. Returns ``(owner,
@@ -317,6 +323,23 @@ class ProductGraph:
 
     def tuple_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(x) for x in np.unravel_index(index, self.shape))
+
+    @staticmethod
+    def base_size(num_states: int, num_walkers: int,
+                  num_base: int | None = None) -> int:
+        """``num_base``, by default the integer ``num_walkers``-th root of
+        ``num_states``, checked: the states must be the ``num_walkers``-
+        tuples of that many base vertices."""
+        k = num_walkers
+        if k < 1:
+            raise ValidationError("num_walkers must be >= 1")
+        n = round(num_states ** (1.0 / k)) if num_base is None else num_base
+        if n < 1 or n ** k != num_states:
+            raise ValidationError(
+                f"{num_states} states are not the {k}-tuples of {n} base "
+                "vertices"
+            )
+        return n
 
     @staticmethod
     def state_labels(indices, num_walkers: int, num_base: int) -> list[str]:

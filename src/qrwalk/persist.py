@@ -9,14 +9,19 @@ canonical, so re-running a manifest reproduces files byte for byte.
 
 A sequence is read back only from its array store ``sequence.npz``. The
 tables are the human-readable export: CSV (default, with ``# key=value``
-comment lines for metadata) or an equivalent JSON document.
+comment lines for metadata) or an equivalent JSON document. The CSV
+bytes are those of ``csv.writer``, floats in ``repr`` form, but a table
+is written in chunks of :data:`CHUNK_ROWS` rows, column by column: each
+distinct value of a numeric column (by bit pattern) is formatted once
+per chunk and gathered back, so the write's memory stays that of one
+chunk.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import re
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -268,29 +273,84 @@ class Table:
 
     @property
     def rows(self) -> list[tuple]:
-        return list(self._row_iter())
+        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                          for c in self.columns)))
 
-    def _row_iter(self):
-        return zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                     for c in self.columns))
+
+#: Rows formatted and written at a time by :func:`write_table`.
+CHUNK_ROWS = 1 << 14
+#: Characters that make a CSV cell quoted: the delimiter, the quote
+#: character and the line terminator.
+_NEEDS_QUOTES = re.compile(r'[,"\n]')
+
+
+def _cell(value) -> str:
+    """The CSV text of one value: ``float.__repr__`` of a float (numpy
+    float scalars included), ``str`` of any other value, nothing for
+    ``None``; quoted when it holds a delimiter, a quote or a line break,
+    with its quotes doubled."""
+    text = ("" if value is None else value if isinstance(value, str)
+            else float.__repr__(value) if isinstance(value, float)
+            else str(value))
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(part) -> list[str]:
+    """The CSV text of every value in a slice of a column.
+
+    A numeric array formats each distinct bit pattern once (so ``-0.0``
+    and ``0.0`` stay apart) and gathers the texts back; strings without a
+    special character are their own text; other values are formatted
+    one by one.
+    """
+    if (isinstance(part, np.ndarray) and part.ndim == 1
+            and part.dtype.kind in "biuf"
+            and part.dtype.itemsize in (1, 2, 4, 8)):
+        bits = part.view(f"u{part.dtype.itemsize}")
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = np.array([_cell(x) for x in
+                          distinct.view(part.dtype).tolist()], dtype=object)
+        return texts[inverse].tolist()
+    values = part.tolist() if isinstance(part, np.ndarray) else part
+    if (set(map(type, values)) <= {str}
+            and not _NEEDS_QUOTES.search("".join(values))):
+        return values
+    return [_cell(x) for x in values]
+
+
+def _csv_lines(cells: list[list[str]]) -> str:
+    """Rows of cell texts as CSV lines, each ended by a newline. A row of
+    one empty cell is written ``""``, so that it is not a blank line."""
+    if len(cells) == 1:
+        cells = [[text or '""' for text in cells[0]]]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_table(path_base: str | Path, table: Table,
                 fmt: str = "csv") -> Path:
     """Write a table as ``<base>.csv`` or ``<base>.json``.
 
-    Floats are written in shortest round-trip form, which the csv module
-    uses for them.
+    The CSV form is what ``csv.writer`` writes (excel dialect, newline
+    line ends): floats in shortest round-trip form (``repr``), other
+    values by ``str``, ``None`` as an empty cell, and cells holding a
+    comma, a quote or a newline quoted. It is written in chunks of
+    :data:`CHUNK_ROWS` rows, each column formatted per chunk, so the
+    write's memory stays bounded whatever the table's length.
     """
     base = Path(path_base)
     if fmt == "csv":
         path = base.with_suffix(".csv")
+        columns = table.columns
+        size = min(map(len, columns), default=0)
         with path.open("w", newline="") as fh:
             for key in sorted(table.meta):
                 fh.write(f"# {key}={table.meta[key]}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(table.header)
-            writer.writerows(table._row_iter())
+            fh.write(_csv_lines([[text] for text in _cells(table.header)]))
+            for lo in range(0, size, CHUNK_ROWS):
+                fh.write(_csv_lines([_cells(c[lo:lo + CHUNK_ROWS])
+                                     for c in columns]))
         return path
     if fmt == "json":
         path = base.with_suffix(".json")
@@ -359,8 +419,9 @@ def trajectories_table(
     manifest_sha: str | None = None,
 ) -> Table:
     """Rows ``traj_id,t,vertex`` plus unfolded ``x,y`` columns on a
-    generated 2-D torus (plot-ready long format)."""
-    num_base = num_base if num_base is not None else ens.num_states
+    generated 2-D torus (plot-ready long format). ``num_base`` defaults to
+    the ``num_walkers``-th root of the state count."""
+    num_base = ProductGraph.base_size(ens.num_states, num_walkers, num_base)
     unfold = (torus_dims is not None and len(torus_dims) == 2
               and num_walkers == 1)
     header = ["traj_id", "t", "vertex"] + (["x", "y"] if unfold else [])

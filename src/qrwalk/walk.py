@@ -564,10 +564,13 @@ def apply_interaction(psi: WaveFunction, interaction: InteractionLike,
     arr = psi.amplitudes.reshape((dim,) * k).copy()
     offs = base.port_offsets
     if spec.kind == "coincidence-phase":
-        factor = np.exp(1j * spec.phase)
-        for v in range(base.num_vertices):
-            sl = slice(int(offs[v]), int(offs[v + 1]))
-            arr[(sl,) * k] *= factor
+        # the basis states whose walkers all stand on one vertex
+        owners = [base.vertex_of_basis.reshape((dim,) + (1,) * (k - 1 - i))
+                  for i in range(k)]
+        shared = np.ones(arr.shape, dtype=bool)
+        for owner in owners[1:]:
+            shared &= owners[0] == owner
+        np.multiply(arr, np.exp(1j * spec.phase), out=arr, where=shared)
     else:
         for u, block in spec.blocks.items():
             slices = tuple(slice(int(offs[ui]), int(offs[ui + 1])) for ui in u)

@@ -7,6 +7,7 @@ calls the engine's operator-application code paths.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 import json
@@ -206,6 +207,19 @@ def dense_coincidence_phase(graph, num_walkers: int, phi: float) -> np.ndarray:
     return np.diag(diag)
 
 
+def reference_interaction(psi, spec) -> np.ndarray:
+    """Amplitudes after the coincidence phase ``spec``, applied to one
+    vertex's block of ports per walker at a time, vertex by vertex."""
+    k, dim = psi.num_walkers, psi.single_dim
+    arr = psi.amplitudes.reshape((dim,) * k).copy()
+    offs = psi.base.port_offsets
+    factor = np.exp(1j * spec.phase)
+    for v in range(psi.base.num_vertices):
+        sl = slice(int(offs[v]), int(offs[v + 1]))
+        arr[(sl,) * k] *= factor
+    return arr.reshape(-1)
+
+
 def kron_power(mat: np.ndarray, k: int) -> np.ndarray:
     out = mat
     for _ in range(k - 1):
@@ -366,8 +380,23 @@ def reference_paths(seq, uniforms: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the saved sequence: the text export parsed, the store rewritten
+# the saved sequence: the text export written and parsed, the store
+# rewritten
 # ---------------------------------------------------------------------------
+
+def reference_write_table(path_base: str | Path, table: Table) -> Path:
+    """Write ``<base>.csv`` with ``csv.writer``, one row at a time: the
+    CSV branch of ``write_table`` before it formatted by column."""
+    path = Path(path_base).with_suffix(".csv")
+    with path.open("w", newline="") as fh:
+        for key in sorted(table.meta):
+            fh.write(f"# {key}={table.meta[key]}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.header)
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in table.columns)))
+    return path
+
 
 def read_table(path_base: str | Path) -> Table:
     """Read ``<base>.csv`` or ``<base>.json``, whichever exists: the

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import read_table, rewrite_store
-from qrwalk import ValidationError, trajectory
+from qrwalk import ValidationError, equivalence, trajectory
 from qrwalk.cli import main
 from qrwalk.persist import RunManifest, load_sequence, save_sequence
 from qrwalk.walk import DEFAULT_MEMORY_BUDGET
@@ -118,6 +118,15 @@ class TestEquivalence:
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert "column-norm" in capsys.readouterr().err
 
+
+    def test_arcs_over_the_memory_budget_exit_1(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(equivalence, "DEFAULT_MEMORY_BUDGET", 100)
+        cfg = write_config(tmp_path / "cfg.json",
+                           graph={"type": "cycle", "n": 4}, horizon=2)
+        assert main(["equivalence", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "eq")]) == 1
+        assert "memory budget" in capsys.readouterr().err
 
 class TestSample:
     def test_fig1_style_ensemble(self, tmp_path):
@@ -242,6 +251,83 @@ def test_sample_outputs_are_pinned(tmp_path, name):
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in digests}
     assert got == digests
+
+
+#: ``qrwalk equivalence`` configs: the sample configs above, and a torus
+#: whose ``p_matrix`` table (20356 rows) spans two write chunks.
+EQUIVALENCE_CONFIGS = {
+    **{name: config for name, (config, _) in GOLDEN_SAMPLES.items()},
+    "torus16-grover": {
+        "graph": {"type": "torus", "dims": [16, 16]},
+        "coin": {"type": "grover"}, "shift": {"type": "moving"},
+        "initial_state": [{"vertex": 0, "port": p, "re": 0.5}
+                          for p in range(4)],
+        "horizon": 20, "seed": 5},
+}
+#: The sha256 of each config's store and of its tables in either format,
+#: as written when ``csv.writer`` wrote the CSV tables one row at a time.
+PINNED_FILES = {"csv": ("p_matrix.csv", "rho.csv", "sequence.npz"),
+                "json": ("p_matrix.json", "rho.json")}
+GOLDEN_EQUIVALENCE = {
+    "c16-hadamard": {
+        "p_matrix.csv": "f2621f79a4c4ceffa8e7d45f5759baa9"
+                        "4bf0e3c087172553e4b6898e35c042ab",
+        "rho.csv": "a0f19fc7cf7e178731660c41d4f23f7b"
+                   "11760a2d86ae678a0ba76756c723f00d",
+        "sequence.npz": "9dc557a3271c914b6821ae4141d827f5"
+                        "fd5b5ef8febde2607e89b0c9e9f473a1",
+        "p_matrix.json": "feb587e6320c7ea109c3fb2352af7a5f"
+                         "a3f8674be629aefa29c12c135a44fc1e",
+        "rho.json": "e8e5642a4b277e2319d721d4f0c505d2"
+                    "80c859d3abdef04915c36b89d7704b40"},
+    "torus16-grover": {
+        "p_matrix.csv": "07e09d772eba67687f88691d9fd59a8d"
+                        "1c948235d2bbb05dc9479ae022344664",
+        "rho.csv": "cf3334a63d072c94c651d8b76773e821"
+                   "7a38e6e816ba19edee9753d5603e7dba",
+        "sequence.npz": "0ad7cf3dd45156384158cbe13fd5c367"
+                        "cc33b2001f4f5f637cb6052a1af3adb2",
+        "p_matrix.json": "550f5960a938fa4f1aa7bb9012b25a66"
+                         "f46e997a52d41dcce76527453b790ef0",
+        "rho.json": "6e9ad4d815b2fbcb60245244065895ab"
+                    "65d2b9d4552565de26bb7196be68b137"},
+    "torus4-two-walker": {
+        "p_matrix.csv": "0dfb5bd4bf3ba8e615b6648a21004e52"
+                        "529469881b068d862c68bd12c14eb2d3",
+        "rho.csv": "3e88338155c6a56468d0988b62cf691c"
+                   "144c4527f27d6c33acd537adcb23d642",
+        "sequence.npz": "4508fdd4d6fe73744b4822c4eaa4e284"
+                        "4f8f011089ea5f50d1762dcb96c28e13",
+        "p_matrix.json": "97f07023c00979c657fa321e6d91cb00"
+                         "d8a6994979b7abe57b731f82848e12b9",
+        "rho.json": "f8948e97278ca4602d5d800d68acfe3e"
+                    "fcd54af92d8edf5a70defbbbf641a870"},
+    "torus6-grover": {
+        "p_matrix.csv": "d73a977a846ce551cff1d5b56d435a03"
+                        "9cf7458b29c174df53c7cbf7b93fad19",
+        "rho.csv": "fa88af356ce84297db3943ea0d50566f"
+                   "12bae0dce8c95820a823e19c3a3f9baa",
+        "sequence.npz": "c7078531f5f2ac48d8bf51900d9f01cf"
+                        "f758abaf6de804f5af33d5314d43e836",
+        "p_matrix.json": "d527237abc32a1ac3946bdb78215bee8"
+                         "3fe1c13f6465ff0413dca86c92170b56",
+        "rho.json": "cc55cdb0285e343e7084292f5e7a0bc6"
+                    "e7f011f17d88cab7dfbd7c8994aebc9f"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EQUIVALENCE))
+def test_equivalence_outputs_are_pinned(tmp_path, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(EQUIVALENCE_CONFIGS[name]))
+    got = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main(["equivalence", "--config", str(cfg), "--out-dir",
+                     str(out), "--format", fmt]) == 0
+        got.update({f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in PINNED_FILES[fmt]})
+    assert got == GOLDEN_EQUIVALENCE[name]
 
 
 class TestTvd:

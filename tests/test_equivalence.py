@@ -7,6 +7,7 @@ from qrwalk import (
     ConsistencyError,
     InteractionSpec,
     ProductGraph,
+    ResourceLimitError,
     ShiftSpec,
     TransitionMatrixSeq,
     ValidationError,
@@ -18,6 +19,7 @@ from qrwalk import (
     verify_theorem_properties,
     vertex_distribution,
 )
+from qrwalk import equivalence
 from qrwalk.equivalence import matrix_from_masses
 
 
@@ -321,6 +323,25 @@ class TestMultiwalker:
         assert np.allclose(probs, 0.25, atol=0)
         assert targets.size == 4
 
+
+    def test_arcs_over_the_memory_budget_are_never_allocated(self, c4,
+                                                             monkeypatch):
+        pg = ProductGraph(c4, 2)
+        coin, shift = hadamard_walk(c4)
+        psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
+        args = (pg, [shift.permutation] * 2, vertex_distribution(psi0),
+                np.abs(step(psi0, coin, shift).amplitudes) ** 2,
+                np.arange(pg.num_states))
+        need = equivalence._arc_bytes(2) * 16 * 4  # 16 pairs, 4 arcs each
+        monkeypatch.setattr(equivalence, "DEFAULT_MEMORY_BUDGET", need)
+        assert matrix_from_masses(*args).data.size == 64
+
+        def allocate(*args):
+            raise AssertionError("arcs allocated before the budget check")
+        monkeypatch.setattr(ProductGraph, "arcs", allocate)
+        monkeypatch.setattr(equivalence, "DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ResourceLimitError, match="64 arcs .* P\\(0\\)"):
+            matrix_from_masses(*args)
 
 class TestStateLabels:
     def test_single_walker_labels(self):

@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _oracles import read_table, rewrite_store
+from _oracles import read_table, reference_write_table, rewrite_store
 from qrwalk import (
     CoinSpec,
     ConfigError,
     ProductGraph,
     ShiftSpec,
+    TrajectoryEnsemble,
     TransitionMatrixSeq,
     ValidationError,
     WaveFunction,
@@ -18,6 +20,7 @@ from qrwalk import (
 )
 from qrwalk.cli import main
 from qrwalk.persist import (
+    CHUNK_ROWS,
     RunManifest,
     Table,
     coin_from_json,
@@ -70,6 +73,50 @@ class TestTables:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             write_table(tmp_path / "t", Table(["x"], []), "xml")
+
+    def test_trajectory_labels_default_to_the_walker_root(self):
+        table = trajectories_table(TrajectoryEnsemble([[6, 6]], 16), 2)
+        assert list(table.columns[2]) == ["1|2", "1|2"]
+        with pytest.raises(ValidationError, match="8 states"):
+            trajectories_table(TrajectoryEnsemble([[6]], 8), 2)
+
+
+def _special_column(size: int) -> np.ndarray:
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, -2.0**63]
+    return np.resize(np.array(values), size)
+
+
+class TestCsvChunks:
+    @pytest.mark.parametrize("size", [CHUNK_ROWS - 1, CHUNK_ROWS,
+                                      CHUNK_ROWS + 1])
+    def test_chunk_boundary_matches_the_csv_module(self, tmp_path, size):
+        labels = np.array(["a", "b,c", 'd"e', ""], dtype=object)
+        table = Table(["t", "u", "p", "note"], meta={"states": 4}, columns=[
+            np.arange(size), np.resize(labels, size), _special_column(size),
+            [None, 1, 2.5, "x\ny"] * (size // 4) + [None] * (size % 4)])
+        got = write_table(tmp_path / "got", table).read_bytes()
+        assert got == reference_write_table(tmp_path / "want",
+                                            table).read_bytes()
+
+    def test_one_empty_cell_per_row_is_quoted(self, tmp_path):
+        table = Table([""], columns=[[None, "", "a"] * CHUNK_ROWS])
+        got = write_table(tmp_path / "t", table).read_text()
+        assert got.splitlines()[:4] == ['""', '""', '""', "a"]
+
+    @staticmethod
+    def _write_peak(path, size: int) -> int:
+        rng = np.random.default_rng(7)
+        table = Table(["i", "x"], columns=[np.arange(size), rng.random(size)])
+        tracemalloc.start()
+        try:
+            write_table(path, table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_memory_does_not_grow_with_the_table(self, tmp_path):
+        small = self._write_peak(tmp_path / "small", 1 << 16)
+        assert self._write_peak(tmp_path / "large", 4 << 16) < 1.5 * small
 
 
 class TestSequenceRoundTrip:

@@ -1,15 +1,19 @@
 """Property tests against the per-vertex and per-column references in
 ``_oracles``: the array-built graph core (validation, neighbour lists,
 port maps, shifts, JSON and hash) on random edge lists and port orders,
-and the array builder of P(t) and the sampler on random graphs, coins,
-shifts and states for one and two walkers."""
+the array builder of P(t) and the sampler on random graphs, coins,
+shifts and states for one and two walkers, and the column-wise CSV
+writer against ``csv.writer`` on random tables."""
 
 import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import _oracles as oracle
 from qrwalk import (
@@ -39,7 +43,8 @@ from qrwalk import (
     vertex_distribution,
 )
 from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
-from qrwalk.persist import load_sequence, save_sequence
+from qrwalk import persist
+from qrwalk.persist import Table, load_sequence, save_sequence, write_table
 from qrwalk.trajectory import _spawned_uniforms
 
 #: Merging arcs that meet at one vertex may add them in another order than
@@ -489,3 +494,52 @@ def test_spawned_uniforms_match_the_spawn_loop(entropy, spawn_key, spawned,
     got = _spawned_uniforms(ss, size, n)
     assert ss.n_children_spawned == spawned
     assert np.array_equal(got, oracle.reference_uniforms(ss, size, n))
+
+
+#: Floats whose text must stay apart or be spelled exactly: signed zeros
+#: and NaNs, infinities, subnormals and the int64 extremes.
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                  -2.5e-310, float(2**63), -float(2**63), 0.1, 1e16]
+INT64 = np.iinfo(np.int64)
+#: Short strings, empty ones and ones that must be quoted.
+CELL_TEXT = st.text(alphabet=',"\n\r |a0#', max_size=4)
+
+
+def csv_column(size: int):
+    """One column of ``size`` cells in any of the forms a table holds."""
+    def array(dtype, elements=None):
+        return hnp.arrays(dtype, size, elements=elements)
+    return st.one_of(
+        array(st.sampled_from([np.int8, np.int32, np.uint8, np.uint64])),
+        array(np.int64, st.integers(INT64.min, INT64.max)
+              | st.sampled_from([INT64.min, INT64.max])),
+        array(np.float64, st.floats() | st.sampled_from(SPECIAL_FLOATS)),
+        array(np.float32, st.floats(width=32)),
+        array(np.bool_),
+        st.lists(CELL_TEXT, min_size=size, max_size=size)
+        .map(lambda cells: np.array(cells, dtype=object)),
+        st.lists(st.none() | st.integers() | st.floats() | st.booleans()
+                 | CELL_TEXT | st.floats().map(np.float64),
+                 min_size=size, max_size=size),
+    )
+
+
+@st.composite
+def csv_tables(draw) -> Table:
+    width, size = draw(st.integers(0, 4)), draw(st.integers(0, 12))
+    return Table(
+        draw(st.lists(CELL_TEXT, min_size=width, max_size=width)),
+        columns=[draw(csv_column(size)) for _ in range(width)],
+        meta=draw(st.dictionaries(st.sampled_from(["seed", "states"]),
+                                  st.integers(0, 99))))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(table=csv_tables(),
+       chunk=st.sampled_from([1, 2, 3, 5, persist.CHUNK_ROWS]))
+def test_csv_export_equals_the_csv_module(table, chunk):
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(persist, "CHUNK_ROWS", chunk):
+        got = write_table(Path(out) / "got", table).read_bytes()
+        want = oracle.reference_write_table(Path(out) / "want", table)
+        assert got == want.read_bytes()

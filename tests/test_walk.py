@@ -274,6 +274,33 @@ class TestInteractionLocality:
                        c4.vertex_of_basis[j % dim])
                 assert tgt == src
 
+    @pytest.mark.parametrize("walkers", [2, 3])
+    @pytest.mark.parametrize("regular", [True, False])
+    def test_coincidence_phase_equals_the_vertex_loop(self, walkers, regular,
+                                                      rng):
+        for _ in range(3):
+            g = (cycle_graph(int(rng.integers(3, 7))) if regular else
+                 build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]))
+            inter = InteractionSpec.coincidence_phase(
+                ProductGraph(g, walkers), rng.uniform(-np.pi, np.pi))
+            psi = random_state(g, rng, walkers=walkers)
+            got = apply_interaction(psi, inter).amplitudes
+            assert np.array_equal(got, oracle.reference_interaction(psi, inter))
+
+    @pytest.mark.parametrize("walkers", [2, 3])
+    def test_coincidence_phase_on_a_leaf_is_within_rounding(self, walkers,
+                                                            rng):
+        # a degree-1 vertex makes a one-element block, which numpy
+        # multiplies on a path that can round the last bit differently
+        g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
+        for _ in range(3):
+            inter = InteractionSpec.coincidence_phase(
+                ProductGraph(g, walkers), rng.uniform(-np.pi, np.pi))
+            psi = random_state(g, rng, walkers=walkers)
+            got = apply_interaction(psi, inter).amplitudes
+            assert np.allclose(got, oracle.reference_interaction(psi, inter),
+                               rtol=1e-15, atol=0.0)
+
     def test_non_unitary_block_rejected(self, c4):
         pg = ProductGraph(c4, 2)
         with pytest.raises(ValidationError):
