@@ -280,7 +280,8 @@ class Table:
 #: Rows formatted and written at a time by :func:`write_table`.
 CHUNK_ROWS = 1 << 14
 #: Characters that make a CSV cell quoted: the delimiter, the quote
-#: character and the line terminator.
+#: character and the line terminator. Like ``csv.writer`` with ``"\n"``
+#: line ends on Python 3.11, a bare ``"\r"`` is left unquoted.
 _NEEDS_QUOTES = re.compile(r'[,"\n]')
 
 
@@ -301,17 +302,18 @@ def _cells(part) -> list[str]:
     """The CSV text of every value in a slice of a column.
 
     A numeric array formats each distinct bit pattern once (so ``-0.0``
-    and ``0.0`` stay apart) and gathers the texts back; strings without a
-    special character are their own text; other values are formatted
-    one by one.
+    and ``0.0`` stay apart; no number needs quotes) and gathers the texts
+    back; strings without a special character are their own text; other
+    values are formatted one by one.
     """
     if (isinstance(part, np.ndarray) and part.ndim == 1
             and part.dtype.kind in "biuf"
             and part.dtype.itemsize in (1, 2, 4, 8)):
         bits = part.view(f"u{part.dtype.itemsize}")
         distinct, inverse = np.unique(bits, return_inverse=True)
-        texts = np.array([_cell(x) for x in
-                          distinct.view(part.dtype).tolist()], dtype=object)
+        text = float.__repr__ if part.dtype.kind == "f" else str
+        texts = np.array(list(map(text, distinct.view(part.dtype).tolist())),
+                         dtype=object)
         return texts[inverse].tolist()
     values = part.tolist() if isinstance(part, np.ndarray) else part
     if (set(map(type, values)) <= {str}
