@@ -323,7 +323,6 @@ class TestMultiwalker:
         assert np.allclose(probs, 0.25, atol=0)
         assert targets.size == 4
 
-
     def test_arcs_over_the_memory_budget_are_never_allocated(self, c4,
                                                              monkeypatch):
         pg = ProductGraph(c4, 2)
@@ -342,6 +341,7 @@ class TestMultiwalker:
         monkeypatch.setattr(equivalence, "DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError, match="64 arcs .* P\\(0\\)"):
             matrix_from_masses(*args)
+
 
 class TestStateLabels:
     def test_single_walker_labels(self):

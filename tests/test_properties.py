@@ -42,8 +42,8 @@ from qrwalk import (
     verify_theorem_properties,
     vertex_distribution,
 )
-from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
 from qrwalk import persist
+from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
 from qrwalk.persist import Table, load_sequence, save_sequence, write_table
 from qrwalk.trajectory import _spawned_uniforms
 
