@@ -26,7 +26,7 @@ import numpy as np
 from .equivalence import TransitionMatrix, matrix_from_masses
 from .errors import ApplicabilityError, ConsistencyError, ValidationError
 from .graphs import PortGraph, ProductGraph, torus_graph
-from .walk import ShiftSpec
+from .walk import ShiftSpec, check_budget
 
 __all__ = [
     "RejectionReport",
@@ -41,6 +41,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # rejection baseline
 # ---------------------------------------------------------------------------
+
+#: Sequences :func:`rejection_sample` draws and checks at a time.
+REJECTION_BATCH = 100_000
+
 
 @dataclass
 class RejectionReport:
@@ -81,7 +85,6 @@ def rejection_sample(
     graph: PortGraph,
     attempts: int,
     seed: int | np.random.Generator | None = None,
-    batch_size: int = 100_000,
 ) -> RejectionReport:
     """Draw vertex sequences independently per instant and keep paths.
 
@@ -93,8 +96,10 @@ def rejection_sample(
         vertex per row and is accepted when all consecutive pairs are
         edges.
     attempts:
-        Total number of sequences to draw, processed in batches so large
-        runs stream instead of materialising everything.
+        Total number of sequences to draw, processed in batches of
+        :data:`REJECTION_BATCH` so large runs stream instead of
+        materialising everything. A batch's buffers (16 bytes per sequence
+        and instant) are checked against the memory budget first.
 
     Returns a report with the acceptance rate, the per-instant marginal
     frequencies inside the accepted set, and their total variation
@@ -116,6 +121,9 @@ def rejection_sample(
         raise ValidationError("attempts must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
+    batch = min(REJECTION_BATCH, attempts)
+    check_budget(16 * batch * length,
+                 f"a batch of {batch} sequences of length {length}")
 
     supports = []
     cums = []
@@ -130,7 +138,7 @@ def rejection_sample(
     accepted = 0
     done = 0
     while done < attempts:
-        batch = min(batch_size, attempts - done)
+        batch = min(REJECTION_BATCH, attempts - done)
         u = rng.random((batch, length))
         seqs = np.empty((batch, length), dtype=np.int64)
         for t in range(length):

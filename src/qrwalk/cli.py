@@ -102,6 +102,13 @@ def _as_runtime(exc: ValidationError) -> ConsistencyError:
     return ConsistencyError(str(exc))
 
 
+def _scan_only(config: dict) -> None:
+    # a config may still name the draw, but the CLI samples by scan only
+    if config.get("method", "scan") != "scan":
+        raise ConfigError(f"unknown sampling method {config['method']!r}; "
+                          "only 'scan' is supported")
+
+
 def _horizon(config: dict) -> int:
     horizon = int(config.get("horizon", 0))
     if horizon < 0:
@@ -171,6 +178,7 @@ def cmd_equivalence(args, config: dict) -> int:
 
 
 def cmd_sample(args, config: dict) -> int:
+    _scan_only(config)
     torus_dims = None
     space = None
     if args.from_dir:
@@ -197,11 +205,9 @@ def cmd_sample(args, config: dict) -> int:
         manifest = manifest_for(config, "sample", base, format=args.format)
 
     size = int(config.get("ensemble_size", 20))
-    method = config.get("method", "scan")
-    length = config.get("length")
-    manifest.params.update({"ensemble_size": size, "method": method})
+    manifest.params.update({"ensemble_size": size, "method": "scan"})
     ens = sample_ensemble(seq, size, config.get("seed"),
-                          length=length, method=method)
+                          length=config.get("length"))
     if space is not None and locality_fraction(ens, space) < 1.0:
         raise ConsistencyError(
             "sampled ensemble contains a non-edge transition"
@@ -223,6 +229,7 @@ def cmd_sample(args, config: dict) -> int:
 
 
 def cmd_tvd(args, config: dict) -> int:
+    _scan_only(config)
     base, space, walkers = graph_and_spaces(config)
     _require(config, "ensemble_sizes", "t_grid")
     sizes = [int(m) for m in config["ensemble_sizes"]]
@@ -230,8 +237,7 @@ def cmd_tvd(args, config: dict) -> int:
     seq = _build_seq(config, base, space, walkers)
     manifest = manifest_for(config, "tvd", base, ensemble_sizes=sizes,
                             t_grid=t_grid, format=args.format)
-    report = convergence_report(seq, sizes, t_grid, config.get("seed"),
-                                method=config.get("method", "scan"))
+    report = convergence_report(seq, sizes, t_grid, config.get("seed"))
     out = _out_dir(args)
     digest = manifest.save(out)
     path = write_table(out / "tvd", tvd_table(report.rows, digest),

@@ -31,10 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, ResourceLimitError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .graphs import PortGraph, ProductGraph
 from .walk import (
-    DEFAULT_MEMORY_BUDGET,
     CoinLike,
     InteractionLike,
     ShiftLike,
@@ -42,6 +41,7 @@ from .walk import (
     WaveFunction,
     _at,
     _per_walker,
+    check_budget,
     step,
     vertex_distribution,
 )
@@ -134,8 +134,9 @@ class TransitionMatrix:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Propagate a distribution: returns P(t) @ rho.
 
-        Sources with mass at or below :data:`ZERO_PROB` are skipped; every
-        other source must have a materialised column.
+        Sources with mass at or below :data:`ZERO_PROB` are skipped (their
+        entries get weight zero, which adds nothing); every other source
+        must have a materialised column.
         """
         rho = np.asarray(rho, dtype=np.float64)
         if rho.shape != (self.num_states,):
@@ -147,18 +148,19 @@ class TransitionMatrix:
         built = np.isin(live, self.col_ids, assume_unique=True)
         if not built.all():
             self.column(int(live[~built][0]))  # raises ConsistencyError
-        # the entries of the live columns, column by column
-        pos = np.searchsorted(self.col_ids, live)
-        lo, lengths = self.indptr[pos], np.diff(self.indptr)[pos]
-        entries = np.repeat(lo - np.cumsum(lengths) + lengths, lengths) \
-            + np.arange(lengths.sum())
-        weights = np.repeat(rho[live], lengths) * self.data[entries]
-        return np.bincount(self.indices[entries], weights=weights,
+        mass = rho[self.col_ids]
+        weights = np.repeat(np.where(mass > ZERO_PROB, mass, 0.0),
+                            np.diff(self.indptr)) * self.data
+        return np.bincount(self.indices, weights=weights,
                            minlength=self.num_states)
 
     def toarray(self) -> np.ndarray:
-        """Dense (num_states x num_states) array; missing columns are zero."""
-        a = np.zeros((self.num_states, self.num_states))
+        """Dense (num_states x num_states) array; missing columns are zero.
+        Its ``8 * num_states**2`` bytes are checked against the memory
+        budget first."""
+        n = self.num_states
+        check_budget(8 * n * n, f"a dense P({self.time}) over {n} states")
+        a = np.zeros((n, n))
         a[self.indices, self.sources] = self.data
         return a
 
@@ -291,20 +293,15 @@ def matrix_from_masses(
     off 1 by more than :data:`COLUMN_SUM_ERROR` raise; the rest are
     rescaled onto the simplex.
 
-    The arc-wise arrays are checked against
-    :data:`~qrwalk.walk.DEFAULT_MEMORY_BUDGET` before they are allocated,
-    which raises :class:`ResourceLimitError` if they exceed it.
+    The arc-wise arrays are checked against the memory budget
+    (:func:`~qrwalk.walk.check_budget`) before they are allocated.
     """
     base, k = pg.base, pg.num_walkers
     wanted = np.asarray(wanted, dtype=np.int64)
     num_arcs = int(pg.out_degrees(wanted).sum())
-    need = _arc_bytes(k) * num_arcs
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"the {num_arcs} arcs leaving {wanted.size} columns of "
-            f"P({time}) need about {need} bytes, over the memory budget of "
-            f"{DEFAULT_MEMORY_BUDGET}"
-        )
+    check_budget(_arc_bytes(k) * num_arcs,
+                 f"the {num_arcs} arcs leaving {wanted.size} columns of "
+                 f"P({time})")
     owner, ports = pg.arcs(wanted)
     ratio = rho_t[wanted] > ZERO_PROB
     on_ratio = ratio[owner]

@@ -467,17 +467,21 @@ def complete_graph(n: int) -> PortGraph:
     return PortGraph(np.arange(n + 1) * (n - 1), heads)
 
 
+#: Stub pairings :func:`random_regular_graph` draws before it gives up.
+REGULAR_TRIES = 5000
+
+
 def random_regular_graph(
     n: int, d: int, seed: int | np.random.Generator | None = None,
-    max_tries: int = 5000,
 ) -> PortGraph:
-    """Simple d-regular graph sampled by a configuration-model retry scheme."""
+    """Simple d-regular graph sampled by a configuration-model retry
+    scheme of at most :data:`REGULAR_TRIES` stub pairings."""
     if d < 1 or d >= n:
         raise GraphError(f"need 1 <= d < n (got d={d}, n={n})")
     if (n * d) % 2 != 0:
         raise GraphError("n*d must be even for a d-regular simple graph")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(REGULAR_TRIES):
         stubs = np.repeat(np.arange(n, dtype=np.int64), d)
         rng.shuffle(stubs)
         pairs = np.sort(stubs.reshape(-1, 2), axis=1)
@@ -490,7 +494,7 @@ def random_regular_graph(
                            ordering="sorted", num_vertices=n)
     raise GraphError(
         f"failed to sample a simple {d}-regular graph on {n} vertices "
-        f"within {max_tries} tries"
+        f"within {REGULAR_TRIES} tries"
     )
 
 

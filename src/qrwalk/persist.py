@@ -224,8 +224,7 @@ def initial_state_from_json(
     """
     if doc is None:
         k = graph.num_walkers if isinstance(graph, ProductGraph) else 1
-        zeros = (0,) * k if k > 1 else 0
-        return WaveFunction.localized(graph, zeros, zeros)
+        return WaveFunction.localized(graph, (0,) * k, (0,) * k)
     comps = []
     for item in doc:
         vertex = item["vertex"]
@@ -280,9 +279,10 @@ class Table:
 #: Rows formatted and written at a time by :func:`write_table`.
 CHUNK_ROWS = 1 << 14
 #: Characters that make a CSV cell quoted: the delimiter, the quote
-#: character and the line terminator. Like ``csv.writer`` with ``"\n"``
-#: line ends on Python 3.11, a bare ``"\r"`` is left unquoted.
-_NEEDS_QUOTES = re.compile(r'[,"\n]')
+#: character and both line-break characters, so that a bare ``"\r"`` does
+#: not split a row for a reader (``csv.writer`` with ``"\n"`` line ends
+#: quotes it on Python 3.13, not on 3.11).
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _cell(value) -> str:
@@ -337,9 +337,10 @@ def write_table(path_base: str | Path, table: Table,
     The CSV form is what ``csv.writer`` writes (excel dialect, newline
     line ends): floats in shortest round-trip form (``repr``), other
     values by ``str``, ``None`` as an empty cell, and cells holding a
-    comma, a quote or a newline quoted. It is written in chunks of
-    :data:`CHUNK_ROWS` rows, each column formatted per chunk, so the
-    write's memory stays bounded whatever the table's length.
+    comma, a quote, a carriage return or a newline quoted. It is written
+    in chunks of :data:`CHUNK_ROWS` rows, each column formatted per
+    chunk, so the write's memory stays bounded whatever the table's
+    length.
     """
     base = Path(path_base)
     if fmt == "csv":

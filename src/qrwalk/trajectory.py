@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .equivalence import TransitionMatrixSeq
-from .errors import ResourceLimitError, SamplingError, ValidationError
+from .errors import SamplingError, ValidationError
 from .graphs import PortGraph, ProductGraph
-from .walk import DEFAULT_MEMORY_BUDGET
+from .walk import check_budget
 
 __all__ = [
     "Trajectory",
@@ -206,16 +206,12 @@ def _spawned_uniforms(ss: np.random.SeedSequence, size: int,
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _scan_pick(cum: np.ndarray, u) -> np.ndarray:
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, cum.size - 1)
-
-
 def _scan_picks(data: np.ndarray, start: np.ndarray, deg: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
-    """Port of each trajectory's column: ``_scan_pick`` on the column's
-    ``np.cumsum``, over blocks of trajectories padded with zeros to the
-    largest degree.
+    """Port of each trajectory's column: how many of the column's
+    ``np.cumsum`` entries are at or below its uniform, clamped to the last
+    port; blocks of trajectories are padded with zeros to the largest
+    degree.
 
     ``np.cumsum(axis=1)`` adds each row in order, so every row is
     bit-identical to the cumulative sum of its column alone; the padding
@@ -273,8 +269,8 @@ def _initial_pick(rho0: np.ndarray, uniforms) -> np.ndarray:
     support = np.flatnonzero(rho0 > 0.0)
     if support.size == 0:
         raise ValidationError("initial distribution has no support")
-    cum = np.cumsum(rho0[support])
-    return support[_scan_pick(cum, uniforms)]
+    idx = np.searchsorted(np.cumsum(rho0[support]), uniforms, side="right")
+    return support[np.minimum(idx, support.size - 1)]
 
 
 def _columns(seq: TransitionMatrixSeq, t: int,
@@ -366,19 +362,17 @@ def sample_ensemble(
     so pass distinct children for independent ensembles.
 
     The ``(size, L + 1)`` uniform and path buffers are checked against
-    :data:`~qrwalk.walk.DEFAULT_MEMORY_BUDGET` before anything is
-    allocated, which raises :class:`ResourceLimitError` if they exceed it.
+    the memory budget (:func:`~qrwalk.walk.check_budget`) before anything
+    is allocated. ``method`` is ``"scan"``, the draw the CLI uses, or
+    ``"alias"``, which draws from a Walker alias table of each visited
+    column.
     """
     if size < 1:
         raise ValidationError("ensemble size must be >= 1")
     length = _resolve_length(seq, length)
-    need = 16 * size * (length + 1)
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"{size} trajectories of length {length} need {need} bytes of "
-            "uniforms and paths, over the memory budget of "
-            f"{DEFAULT_MEMORY_BUDGET}; sample smaller ensembles"
-        )
+    check_budget(16 * size * (length + 1),
+                 f"the uniforms and paths of {size} trajectories of length "
+                 f"{length}")
     ss = master_seed if isinstance(master_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(master_seed)
     paths = _draw(seq, _spawned_uniforms(ss, size, length + 1), method)

@@ -32,13 +32,27 @@ __all__ = [
     "apply_interaction",
     "step",
     "vertex_distribution",
+    "check_budget",
     "NORM_ATOL",
     "DEFAULT_MEMORY_BUDGET",
 ]
 
 NORM_ATOL = 1e-10
-#: Cap on the amplitude-vector footprint for K-walker tensor states (bytes).
+#: Cap, in bytes, on every large allocation the package checks first: state
+#: vectors, the arc-wise arrays of P(t), dense P(t), the sampling buffers
+#: and the rejection baseline's batches. Only :func:`check_budget` reads
+#: it, at each call, so one assignment changes it everywhere.
 DEFAULT_MEMORY_BUDGET = 2 << 30
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise :class:`ResourceLimitError` if ``what`` needs more than
+    :data:`DEFAULT_MEMORY_BUDGET` bytes; call it before allocating."""
+    if nbytes > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{what} needs {nbytes} bytes, over the memory budget of "
+            f"{DEFAULT_MEMORY_BUDGET}"
+        )
 
 
 def _as_base(graph: PortGraph | ProductGraph) -> tuple[PortGraph, int]:
@@ -54,16 +68,6 @@ def _joint_basis_index(base: PortGraph, vertices: Sequence[int],
     return int(np.ravel_multi_index(
         [base.basis_index(int(v), int(c)) for v, c in zip(vertices, ports)],
         (base.basis_dim,) * len(vertices)))
-
-
-def _check_budget(dim: int, budget: int) -> None:
-    need = 16 * dim
-    if need > budget:
-        raise ResourceLimitError(
-            f"state vector of dimension {dim} needs {need} bytes, over the "
-            f"memory budget of {budget}; raise memory_budget explicitly "
-            "to proceed"
-        )
 
 
 @dataclass(frozen=True)
@@ -123,9 +127,9 @@ class WaveFunction:
         graph: PortGraph | ProductGraph,
         vertex: int | Sequence[int],
         port: int | Sequence[int] = 0,
-        memory_budget: int = DEFAULT_MEMORY_BUDGET,
     ) -> "WaveFunction":
-        """Point mass on one basis state; tuples address K walkers."""
+        """Point mass on one basis state; tuples address K walkers. The
+        vector is checked against the memory budget first."""
         base, k = _as_base(graph)
         vs = [vertex] * 1 if np.isscalar(vertex) else list(vertex)
         ps = [port] * len(vs) if np.isscalar(port) else list(port)
@@ -135,21 +139,18 @@ class WaveFunction:
                 f"{len(vs)} vertices and {len(ps)} ports"
             )
         dim = base.basis_dim ** k
-        _check_budget(dim, memory_budget)
+        check_budget(16 * dim, f"a state vector of dimension {dim}")
         amps = np.zeros(dim, dtype=np.complex128)
         amps[_joint_basis_index(base, vs, ps)] = 1.0
         return cls(graph, amps)
 
     @classmethod
-    def uniform(
-        cls,
-        graph: PortGraph | ProductGraph,
-        memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    ) -> "WaveFunction":
-        """Equal real amplitude on every basis state."""
+    def uniform(cls, graph: PortGraph | ProductGraph) -> "WaveFunction":
+        """Equal real amplitude on every basis state. The vector is checked
+        against the memory budget first."""
         base, k = _as_base(graph)
         dim = base.basis_dim ** k
-        _check_budget(dim, memory_budget)
+        check_budget(16 * dim, f"a state vector of dimension {dim}")
         return cls(graph, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
 
     @classmethod
@@ -157,18 +158,17 @@ class WaveFunction:
         cls,
         graph: PortGraph | ProductGraph,
         components: Sequence[tuple],
-        renormalize: bool = True,
-        memory_budget: int = DEFAULT_MEMORY_BUDGET,
     ) -> "WaveFunction":
         """Build from sparse ``(vertex, port, amplitude)`` entries.
 
         Tuples of vertices/ports address K-walker states. The vector is
-        renormalised on load; a drift beyond 1e-8 triggers a warning since
-        it usually means the input was not meant to be a state.
+        checked against the memory budget first, and always renormalised;
+        a drift beyond 1e-8 triggers a warning since it usually means the
+        input was not meant to be a state.
         """
         base, k = _as_base(graph)
         dim = base.basis_dim ** k
-        _check_budget(dim, memory_budget)
+        check_budget(16 * dim, f"a state vector of dimension {dim}")
         amps = np.zeros(dim, dtype=np.complex128)
         for vertex, port, amp in components:
             vs = [vertex] if np.isscalar(vertex) else list(vertex)
@@ -182,13 +182,12 @@ class WaveFunction:
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
             raise ValidationError("initial state has zero norm")
-        if renormalize:
-            if abs(norm - 1.0) > 1e-8:
-                warnings.warn(
-                    f"initial state renormalised: norm was {norm!r}",
-                    stacklevel=2,
-                )
-            amps /= norm
+        if abs(norm - 1.0) > 1e-8:
+            warnings.warn(
+                f"initial state renormalised: norm was {norm!r}",
+                stacklevel=2,
+            )
+        amps /= norm
         return cls(graph, amps)
 
 
@@ -514,18 +513,12 @@ def apply_coin(psi: WaveFunction, coin: CoinLike, t: int = 0) -> WaveFunction:
     specs = [_at(s, t) for s in _per_walker(coin, k)]
     for s in specs:
         _check_same_graph(s.graph, psi.base, "coin")
-    if k == 1:
-        return WaveFunction(psi.graph,
-                            _coin_block_multiply(specs[0], psi.amplitudes),
-                            strict=psi.strict)
     dim = psi.single_dim
     arr = psi.amplitudes.reshape((dim,) * k)
     for axis, s in enumerate(specs):
         moved = np.moveaxis(arr, axis, 0).reshape(dim, -1)
         arr = np.moveaxis(
-            _coin_block_multiply(s, moved).reshape((dim,) + (dim,) * (k - 1)),
-            0, axis,
-        )
+            _coin_block_multiply(s, moved).reshape((dim,) * k), 0, axis)
     return WaveFunction(psi.graph, np.ascontiguousarray(arr).reshape(-1),
                         strict=psi.strict)
 
@@ -536,9 +529,6 @@ def apply_shift(psi: WaveFunction, shift: ShiftLike, t: int = 0) -> WaveFunction
     specs = [_at(s, t) for s in _per_walker(shift, k)]
     for s in specs:
         _check_same_graph(s.graph, psi.base, "shift")
-    if k == 1:
-        return WaveFunction(psi.graph, psi.amplitudes[specs[0].inverse],
-                            strict=psi.strict)
     dim = psi.single_dim
     arr = psi.amplitudes.reshape((dim,) * k)
     arr = arr[np.ix_(*(s.inverse for s in specs))]
@@ -546,20 +536,24 @@ def apply_shift(psi: WaveFunction, shift: ShiftLike, t: int = 0) -> WaveFunction
                         strict=psi.strict)
 
 
-def apply_interaction(psi: WaveFunction, interaction: InteractionLike,
+def apply_interaction(psi: WaveFunction, interaction: InteractionLike | None,
                       t: int = 0) -> WaveFunction:
-    """Apply the per-tuple interaction blocks (walkers do not move)."""
+    """Apply the per-tuple interaction blocks (walkers do not move).
+
+    ``None`` and the identity leave ``psi`` as it is; any other
+    interaction needs a state of at least two walkers."""
     spec = _at(interaction, t)
     if spec is None or spec.kind == "identity":
         return psi
     k = psi.num_walkers
-    base = psi.base
-    _check_same_graph(spec.graph.base, base, "interaction")
-    if spec.graph.num_walkers != k:
+    if k < 2 or spec.graph.num_walkers != k:
         raise ValidationError(
+            "interactions require at least two walkers" if k < 2 else
             f"interaction is for {spec.graph.num_walkers} walkers, state "
             f"has {k}"
         )
+    base = psi.base
+    _check_same_graph(spec.graph.base, base, "interaction")
     dim = psi.single_dim
     arr = psi.amplitudes.reshape((dim,) * k).copy()
     offs = base.port_offsets
@@ -587,15 +581,7 @@ def step(
     t: int = 0,
 ) -> WaveFunction:
     """One evolution step: shift(coin(interaction(psi)))."""
-    if interaction is not None:
-        if psi.num_walkers == 1:
-            spec = _at(interaction, t)
-            if spec is not None and spec.kind != "identity":
-                raise ValidationError(
-                    "interactions require at least two walkers"
-                )
-        else:
-            psi = apply_interaction(psi, interaction, t)
+    psi = apply_interaction(psi, interaction, t)
     psi = apply_coin(psi, coin, t)
     return apply_shift(psi, shift, t)
 
@@ -609,8 +595,6 @@ def vertex_distribution(psi: WaveFunction) -> np.ndarray:
     p = np.abs(psi.amplitudes) ** 2
     starts = psi.base.port_offsets[:-1]
     k = psi.num_walkers
-    if k == 1:
-        return np.add.reduceat(p, starts)
     arr = p.reshape((psi.single_dim,) * k)
     for axis in range(k):
         arr = np.add.reduceat(arr, starts, axis=axis)

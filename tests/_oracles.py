@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 from pathlib import Path
@@ -319,6 +320,22 @@ def reference_columns(graph, num_walkers: int, perms, rho_t: np.ndarray,
     return columns
 
 
+def reference_apply(mat, rho: np.ndarray, zero_threshold: float
+                    ) -> np.ndarray:
+    """``P(t) @ rho`` from the entries of the sources above
+    ``zero_threshold`` only, gathered column by column: the way
+    ``TransitionMatrix.apply`` first did it. Every such source must have a
+    column in ``mat``."""
+    live = np.flatnonzero(rho > zero_threshold)
+    pos = np.searchsorted(mat.col_ids, live)
+    lo, lengths = mat.indptr[pos], np.diff(mat.indptr)[pos]
+    entries = np.repeat(lo - np.cumsum(lengths) + lengths, lengths) \
+        + np.arange(lengths.sum())
+    weights = np.repeat(rho[live], lengths) * mat.data[entries]
+    return np.bincount(mat.indices[entries], weights=weights,
+                       minlength=mat.num_states)
+
+
 def reference_uniforms(ss: np.random.SeedSequence, size: int,
                        n: int) -> np.ndarray:
     """``(size, n)`` uniforms from one generator per spawned child, the
@@ -386,15 +403,24 @@ def reference_paths(seq, uniforms: np.ndarray,
 
 def reference_write_table(path_base: str | Path, table: Table) -> Path:
     """Write ``<base>.csv`` with ``csv.writer``, one row at a time: the
-    CSV branch of ``write_table`` before it formatted by column."""
+    CSV branch of ``write_table`` before it formatted by column.
+
+    Each row is written with ``"\\r\\n"`` line ends, so that ``csv.writer``
+    quotes a cell holding a bare ``"\\r"`` on every Python version, and the
+    row's final ``"\\r\\n"`` then becomes ``"\\n"``."""
     path = Path(path_base).with_suffix(".csv")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
     with path.open("w", newline="") as fh:
         for key in sorted(table.meta):
             fh.write(f"# {key}={table.meta[key]}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.header)
-        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                               for c in table.columns)))
+        for row in itertools.chain([table.header], zip(*(
+                c.tolist() if isinstance(c, np.ndarray) else c
+                for c in table.columns))):
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(row)
+            fh.write(buf.getvalue()[:-2] + "\n")
     return path
 
 

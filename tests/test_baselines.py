@@ -19,6 +19,7 @@ from qrwalk import (
     torus_graph,
     vertex_distribution,
 )
+from qrwalk import ResourceLimitError, walk
 
 
 def walk_rho(graph, coin, shift, length, start=(0, 0)):
@@ -37,6 +38,20 @@ class TestRejection:
         report = rejection_sample(rho, k5, 50000, seed=1)
         assert report.acceptance_rate == 1.0
         assert report.accepted == report.attempts
+
+    def test_batches_over_the_memory_budget_are_never_drawn(self, c4,
+                                                            monkeypatch):
+        class Tripwire(np.random.Generator):
+            def random(self, *args, **kwargs):
+                raise AssertionError("batch drawn before the budget check")
+
+        rho = np.full((3, 4), 0.25)
+        need = 16 * 10 * 3  # uniforms and sequences of one batch
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
+        assert rejection_sample(rho, c4, 10, seed=1).attempts == 10
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            rejection_sample(rho, c4, 10, seed=Tripwire(np.random.PCG64(1)))
 
     def test_no_paths_yields_flag_not_exception(self, single_edge):
         # both rows concentrated on vertex 0, but (0, 0) is not an edge

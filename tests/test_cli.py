@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import read_table, rewrite_store
-from qrwalk import ValidationError, equivalence, trajectory
+from qrwalk import ValidationError, trajectory, walk
 from qrwalk.cli import main
 from qrwalk.persist import RunManifest, load_sequence, save_sequence
 from qrwalk.walk import DEFAULT_MEMORY_BUDGET
@@ -121,7 +121,7 @@ class TestEquivalence:
 
     def test_arcs_over_the_memory_budget_exit_1(self, tmp_path, capsys,
                                                 monkeypatch):
-        monkeypatch.setattr(equivalence, "DEFAULT_MEMORY_BUDGET", 100)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 100)
         cfg = write_config(tmp_path / "cfg.json",
                            graph={"type": "cycle", "n": 4}, horizon=2)
         assert main(["equivalence", "--config", str(cfg),
@@ -139,6 +139,19 @@ class TestSample:
         assert table.header == ["traj_id", "t", "vertex", "x", "y"]
         assert len(table.rows) == 20 * 13
         assert (out / "ensemble_mean.csv").exists()
+
+    @pytest.mark.parametrize("method, code", [("scan", 0), ("alias", 2)])
+    def test_only_the_scan_method_runs(self, tmp_path, capsys, method,
+                                       code):
+        cfg = write_config(tmp_path / "cfg.json", horizon=4,
+                           ensemble_size=5, method=method)
+        assert main(["sample", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "s")]) == code
+        if code:
+            assert "'alias'" in capsys.readouterr().err
+        else:
+            table = read_table(tmp_path / "s" / "trajectories")
+            assert table.meta["method"] == "scan"
 
     def test_same_seed_reruns_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", horizon=6,
@@ -342,6 +355,18 @@ class TestTvd:
         assert len(rows) == 4
         sizes = {int(r[0]) for r in rows}
         assert sizes == {50, 500}
+
+    @pytest.mark.parametrize("method, code", [("scan", 0), ("alias", 2)])
+    def test_only_the_scan_method_runs(self, tmp_path, capsys, method,
+                                       code):
+        cfg = write_config(tmp_path / "cfg.json", horizon=4, method=method,
+                           ensemble_sizes=[20], t_grid=[2, 4])
+        assert main(["tvd", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "tvd")]) == code
+        if code:
+            assert "'alias'" in capsys.readouterr().err
+        else:
+            assert len(read_table(tmp_path / "tvd" / "tvd").rows) == 2
 
 
 class TestRejection:

@@ -19,7 +19,7 @@ from qrwalk import (
     verify_theorem_properties,
     vertex_distribution,
 )
-from qrwalk import equivalence
+from qrwalk import equivalence, walk
 from qrwalk.equivalence import matrix_from_masses
 
 
@@ -332,15 +332,32 @@ class TestMultiwalker:
                 np.abs(step(psi0, coin, shift).amplitudes) ** 2,
                 np.arange(pg.num_states))
         need = equivalence._arc_bytes(2) * 16 * 4  # 16 pairs, 4 arcs each
-        monkeypatch.setattr(equivalence, "DEFAULT_MEMORY_BUDGET", need)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
         assert matrix_from_masses(*args).data.size == 64
 
         def allocate(*args):
             raise AssertionError("arcs allocated before the budget check")
         monkeypatch.setattr(ProductGraph, "arcs", allocate)
-        monkeypatch.setattr(equivalence, "DEFAULT_MEMORY_BUDGET", need - 1)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError, match="64 arcs .* P\\(0\\)"):
             matrix_from_masses(*args)
+
+    def test_dense_matrix_over_the_memory_budget_is_never_allocated(
+            self, c4, monkeypatch):
+        coin, shift = hadamard_walk(c4)
+        psi0 = WaveFunction.localized(c4, 0, 0)
+        mat = single_walker_matrix(psi0, step(psi0, coin, shift), shift)
+        need = 8 * 4 * 4
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
+        assert mat.toarray().shape == (4, 4)
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("dense array allocated before the budget "
+                                 "check")
+        monkeypatch.setattr(np, "zeros", allocate)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ResourceLimitError, match="dense P\\(0\\)"):
+            mat.toarray()
 
 
 class TestStateLabels:

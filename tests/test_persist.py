@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 
@@ -69,6 +70,11 @@ class TestTables:
         back = read_table(tmp_path / "t")
         assert back.meta == {"states": "2"}
         assert back.rows == [("#x=1",), ("b",)]
+
+    def test_bare_carriage_return_stays_in_its_cell(self, tmp_path):
+        path = write_table(tmp_path / "t", Table(["x"], [["a\rb"]]))
+        with path.open(newline="") as fh:
+            assert list(csv.reader(fh)) == [["x"], ["a\rb"]]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

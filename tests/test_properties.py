@@ -26,6 +26,8 @@ from qrwalk import (
     TransitionMatrixSeq,
     ValidationError,
     WaveFunction,
+    apply_coin,
+    apply_shift,
     build_graph,
     build_multiwalker_matrix,
     build_sequence,
@@ -46,6 +48,7 @@ from qrwalk import persist
 from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
 from qrwalk.persist import Table, load_sequence, save_sequence, write_table
 from qrwalk.trajectory import _spawned_uniforms
+from qrwalk.walk import _coin_block_multiply
 
 #: Merging arcs that meet at one vertex may add them in another order than
 #: the reference does; allow this many units of double rounding.
@@ -446,6 +449,64 @@ def test_columns_are_closed_under_the_chain(seed, walkers):
         assert np.isin(np.flatnonzero(seq.rho[t] > 0.0), mat.col_ids).all()
         if t + 1 < seq.num_steps:
             assert np.isin(mat.indices, seq.matrices[t + 1].col_ids).all()
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
+def test_apply_equals_the_live_column_gather(seed, walkers):
+    """``apply`` weighs every stored entry, with zero for sources at or
+    below ZERO_PROB; it gives the bits of the gather over the live columns
+    alone, on built and on reloaded sequences."""
+    rng = np.random.default_rng(seed)
+    seq = random_sequence(rng, walkers, tiny=True)
+    with tempfile.TemporaryDirectory() as out:
+        save_sequence(out, seq)
+        loaded = load_sequence(out)
+    for s in (seq, loaded):
+        for t, mat in enumerate(s.matrices):
+            rho = s.rho[t].copy()
+            # some materialised sources get masses in (0, ZERO_PROB]
+            dead = mat.col_ids[rng.random(mat.col_ids.size) < 0.3]
+            rho[dead] = ZERO_PROB * (1.0 - rng.random(dead.size))
+            rho[dead[:1]] = ZERO_PROB
+            for r in (s.rho[t], rho):
+                want = oracle.reference_apply(mat, r, ZERO_PROB)
+                assert mat.apply(r).tobytes() == want.tobytes()
+
+
+def pendant_graph(rng):
+    """An irregular graph: a cycle with random chords and a pendant vertex
+    on vertex 0, with shuffled port orders."""
+    n = int(rng.integers(3, 7))
+    edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1), (0, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 2, n)
+              if rng.random() < 0.3}
+    g = build_graph(sorted(edges))
+    return build_graph(sorted(edges), ordering=[
+        list(rng.permutation(nbrs)) for nbrs in g.out_neighbors])
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), regular=st.booleans())
+def test_one_walker_operators_equal_the_direct_forms(seed, regular):
+    """One walker runs the K-walker axis code of the coin, the shift and
+    the vertex marginal; it gives the bits of the direct one-walker
+    forms."""
+    rng = np.random.default_rng(seed)
+    g = (random_regular_graph(2 * int(rng.integers(3, 7)),
+                              int(rng.integers(2, 5)), seed=rng)
+         if regular else pendant_graph(rng))
+    assert (len(g.degree_classes) == 1) == regular
+    coin = random_coin(g, rng, int(rng.integers(0, 3)))
+    shift = random_shift(g, rng, int(rng.integers(0, 3)))
+    psi = random_state(g, rng)
+    amps = psi.amplitudes
+    assert apply_coin(psi, coin).amplitudes.tobytes() \
+        == _coin_block_multiply(coin, amps).tobytes()
+    assert apply_shift(psi, shift).amplitudes.tobytes() \
+        == amps[shift.inverse].tobytes()
+    assert vertex_distribution(psi).tobytes() == np.add.reduceat(
+        np.abs(amps) ** 2, g.port_offsets[:-1]).tobytes()
 
 
 @SETTINGS

@@ -19,6 +19,7 @@ from qrwalk import (
     cycle_graph,
     step,
     vertex_distribution,
+    walk,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -64,10 +65,11 @@ class TestWaveFunction:
         WaveFunction.from_components(c4, [(0, 0, 1.0 + 1e-10)])
         assert not recwarn.list
 
-    def test_memory_budget_enforced(self, c4):
+    def test_memory_budget_enforced(self, c4, monkeypatch):
         pg = ProductGraph(c4, 2)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 100)
         with pytest.raises(ResourceLimitError):
-            WaveFunction.localized(pg, (0, 0), (0, 0), memory_budget=100)
+            WaveFunction.localized(pg, (0, 0), (0, 0))
 
     def test_amplitudes_frozen(self, c4):
         psi = WaveFunction.localized(c4, 0, 0)
