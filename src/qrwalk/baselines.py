@@ -324,7 +324,6 @@ def grover_torus_dp(
 def grover_torus_matrix(
     dp_t: TorusDPState,
     dp_next: TorusDPState,
-    validate: bool = True,
 ) -> TransitionMatrix:
     """Transition matrix between consecutive recursion states.
 
@@ -342,7 +341,7 @@ def grover_torus_matrix(
         )
     g = torus_graph(dp_t.dims)
     return matrix_from_masses(
-        ProductGraph(g, 1), [ShiftSpec.moving(g).permutation],
+        ProductGraph(g, 1), ShiftSpec.moving(g),
         dp_t.vertex_distribution(), dp_next.rho.reshape(-1),
-        np.arange(g.num_vertices), time=dp_t.time, validate=validate,
+        np.arange(g.num_vertices), time=dp_t.time,
     )

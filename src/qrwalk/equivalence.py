@@ -40,6 +40,7 @@ from .walk import (
     ShiftSpec,
     WaveFunction,
     _at,
+    _check_same_graph,
     _per_walker,
     check_budget,
     step,
@@ -268,35 +269,40 @@ def _column_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 def _arc_bytes(num_walkers: int) -> int:
     """Bytes per arc of the arc-wise arrays :func:`matrix_from_masses`
-    holds at once, rounded up: on tori its tracemalloc peak was 111, 126
-    and 148 bytes per arc for 1, 2 and 3 walkers."""
+    holds at once, an upper bound: on tori with every column on the ratio
+    rule its tracemalloc peak was 87, 86 and 92 bytes per arc for 1, 2 and
+    3 walkers."""
     return 8 * (3 * num_walkers + 11)
 
 
 def matrix_from_masses(
     pg: ProductGraph,
-    perms: Sequence[np.ndarray],
+    shifts: ShiftSpec | Sequence[ShiftSpec],
     rho_t: np.ndarray,
     p_next: np.ndarray,
     wanted: np.ndarray,
     time: int = 0,
-    validate: bool = True,
 ) -> TransitionMatrix:
     """Columns ``wanted`` of P(t) from the vertex (tuple) masses ``rho_t``
     at t and the basis-state masses ``p_next`` at t + 1.
 
-    Each arc leaving a source with mass above :data:`ZERO_PROB` is pushed
-    through the per-walker shift permutations ``perms``; the mass found
-    there over the source mass is the entry for the arc's target tuple
-    (arcs meeting at one tuple add up). Other sources get ``1/d`` on their
-    product out-neighbours. With ``validate``, ratio columns whose sum is
-    off 1 by more than :data:`COLUMN_SUM_ERROR` raise; the rest are
+    ``shifts`` is the shift of the step, shared or one per walker. Each arc
+    leaving a source with mass above :data:`ZERO_PROB` is pushed through
+    it; the mass found there over the source mass is the entry for the
+    arc's head tuple. Other sources get ``1/d`` on their product
+    out-neighbours. Every shift is edge-local and the graph simple, so the
+    arcs of one column reach distinct tuples and no entries merge. A ratio
+    column whose sum is off 1 by more than :data:`COLUMN_SUM_ERROR` raises
+    :class:`ConsistencyError` (the step was not unitary); the rest are
     rescaled onto the simplex.
 
     The arc-wise arrays are checked against the memory budget
     (:func:`~qrwalk.walk.check_budget`) before they are allocated.
     """
     base, k = pg.base, pg.num_walkers
+    shifts = _per_walker(shifts, k)
+    for s in shifts:
+        _check_same_graph(s.graph, base, "shift")
     wanted = np.asarray(wanted, dtype=np.int64)
     num_arcs = int(pg.out_degrees(wanted).sum())
     check_budget(_arc_bytes(k) * num_arcs,
@@ -305,43 +311,35 @@ def matrix_from_masses(
     owner, ports = pg.arcs(wanted)
     ratio = rho_t[wanted] > ZERO_PROB
     on_ratio = ratio[owner]
-    moved = np.stack([perm[p] for perm, p in zip(perms, ports)])
-    heads = np.where(on_ratio, base.vertex_of_basis[moved],
-                     base.heads[ports])
-    targets = np.ravel_multi_index(tuple(heads), pg.shape)
+    targets = np.ravel_multi_index(tuple(base.heads[ports]), pg.shape)
 
     probs = np.empty(owner.size)
     uniform = np.flatnonzero(~on_ratio)
     probs[uniform] = 1.0 / np.bincount(owner, minlength=wanted.size)[
         owner[uniform]]
     r = np.flatnonzero(on_ratio)
-    joint = np.ravel_multi_index(tuple(moved[:, r]), (base.basis_dim,) * k)
+    joint = np.ravel_multi_index(
+        tuple(s.permutation[p[r]] for s, p in zip(shifts, ports)),
+        (base.basis_dim,) * k)
     probs[r] = p_next[joint] / rho_t[wanted[owner[r]]]
 
-    keys = owner * pg.num_states + targets
-    order = np.argsort(keys)
-    if np.any(np.diff(keys[order]) == 0):
-        # arcs sharing a target (shifts built with enforce_edges=False)
-        keys, inverse = np.unique(keys, return_inverse=True)
-        probs = np.bincount(inverse, weights=probs)
-    else:
-        keys, probs = keys[order], probs[order]
-    owner, targets = np.divmod(keys, pg.num_states)
+    # ``owner`` ascends, so sorting by (owner, target) keeps it in place
+    order = np.argsort(owner * pg.num_states + targets)
+    targets, probs = targets[order], probs[order]
     indptr = np.zeros(wanted.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=wanted.size), out=indptr[1:])
 
     sums = _column_sums(indptr, probs)
     dev = np.abs(sums[ratio] - 1.0)
     worst = float(dev.max()) if dev.size else 0.0
-    if validate:
-        bad = np.flatnonzero(ratio & (np.abs(sums - 1.0) > COLUMN_SUM_ERROR))
-        if bad.size:
-            j = bad[0]
-            raise ConsistencyError(
-                f"column {pg.tuple_of(wanted[j])} of P({time}) sums to "
-                f"{float(sums[j])!r}; the step operator is not unitary"
-            )
-        probs = np.minimum(probs / np.where(ratio, sums, 1.0)[owner], 1.0)
+    bad = np.flatnonzero(ratio & (np.abs(sums - 1.0) > COLUMN_SUM_ERROR))
+    if bad.size:
+        j = bad[0]
+        raise ConsistencyError(
+            f"column {pg.tuple_of(wanted[j])} of P({time}) sums to "
+            f"{float(sums[j])!r}; the step operator is not unitary"
+        )
+    probs = np.minimum(probs / np.where(ratio, sums, 1.0)[owner], 1.0)
 
     keep = probs != 0.0
     if not keep.all():
@@ -365,7 +363,6 @@ def build_multiwalker_matrix(
     psi_next: WaveFunction,
     pg: ProductGraph | None = None,
     shifts: ShiftSpec | Sequence[ShiftSpec] | None = None,
-    validate: bool = True,
     time: int = 0,
 ) -> TransitionMatrix:
     """Transition matrix over vertex tuples for K >= 1 walkers.
@@ -376,8 +373,8 @@ def build_multiwalker_matrix(
     The columns follow the module's rule for a first step: every vertex
     for one walker (the paper's full matrix, linear in the arcs), the
     tuples with ``rho_t > 0`` for K > 1 (all |V|^K would be exponential in
-    K). ``validate`` is as for :func:`matrix_from_masses`; disable it to
-    inspect defective inputs.
+    K). The columns are checked and rescaled as in
+    :func:`matrix_from_masses`.
     """
     pg = pg or ProductGraph(psi_t.base, psi_t.num_walkers)
     base = psi_t.base
@@ -388,15 +385,11 @@ def build_multiwalker_matrix(
         raise ValidationError("states have different walker counts")
     if psi_next.base != base:
         raise ValidationError("states live on different graphs")
-    shift_list = _per_walker(
-        shifts if shifts is not None else ShiftSpec.flip_flop(base), k
-    )
-
     rho_t = vertex_distribution(psi_t)
     return matrix_from_masses(
-        pg, [s.permutation for s in shift_list], rho_t,
-        np.abs(psi_next.amplitudes) ** 2, _rule_columns(rho_t, k),
-        time=time, validate=validate,
+        pg, shifts if shifts is not None else ShiftSpec.flip_flop(base),
+        rho_t, np.abs(psi_next.amplitudes) ** 2, _rule_columns(rho_t, k),
+        time=time,
     )
 
 
@@ -407,7 +400,6 @@ def build_sequence(
     psi0: WaveFunction,
     horizon: int,
     interaction: InteractionLike | None = None,
-    validate: bool = True,
 ) -> TransitionMatrixSeq:
     """Evolve ``horizon`` steps and emit P(0..T-1) plus rho(0..T).
 
@@ -433,10 +425,9 @@ def build_sequence(
     matrices: list[TransitionMatrix] = []
     for t in range(horizon):
         psi_next = step(psi, coin, shift, interaction, t)
-        perms = [_at(s, t).permutation for s in _per_walker(shift, k)]
         matrices.append(matrix_from_masses(
-            pg, perms, rhos[-1], np.abs(psi_next.amplitudes) ** 2, wanted,
-            time=t, validate=validate,
+            pg, [_at(s, t) for s in _per_walker(shift, k)], rhos[-1],
+            np.abs(psi_next.amplitudes) ** 2, wanted, time=t,
         ))
         psi = psi_next
         rhos.append(vertex_distribution(psi))
@@ -452,8 +443,9 @@ def verify_theorem_properties(
 ) -> PropertyReport:
     """Measure the three matrix properties over a built sequence.
 
-    Reports worst-case residuals only; it never raises, so defective
-    sequences (built with ``validate=False``) can be inspected.
+    Reports worst-case residuals only and never raises. The builders
+    check every column as they make it, so a sequence that fails here
+    comes from a damaged store or a hand-built matrix.
     """
     report = PropertyReport(num_steps=seq.num_steps, tolerance=tolerance)
     for t, mat in enumerate(seq.matrices):

@@ -173,8 +173,7 @@ def coin_from_json(doc: dict, graph: PortGraph):
             return CoinSpec.random_unitary(graph, rng)
         if kind == "explicit":
             blocks = [_complex_matrix(b) for b in d["blocks"]]
-            return CoinSpec.from_blocks(graph, blocks,
-                                        validate=d.get("validate", True))
+            return CoinSpec.from_blocks(graph, blocks)
         raise ConfigError(f"unknown coin type {kind!r}")
     return _scheduled(doc, build)
 
@@ -187,9 +186,7 @@ def shift_from_json(doc: dict, graph: PortGraph):
         if kind == "moving":
             return ShiftSpec.moving(graph)
         if kind == "explicit":
-            return ShiftSpec.from_permutation(
-                graph, d["permutation"],
-                enforce_edges=d.get("enforce_edges", True))
+            return ShiftSpec(graph, d["permutation"])
         raise ConfigError(f"unknown shift type {kind!r}")
     return _scheduled(doc, build)
 

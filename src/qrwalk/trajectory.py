@@ -431,7 +431,6 @@ def convergence_report(
     ensemble_sizes: Sequence[int],
     t_grid: Sequence[int],
     master_seed: int | np.random.SeedSequence | None = None,
-    method: str = "scan",
 ) -> ConvergenceReport:
     """Tabulate TVD between ensemble marginals and the walk distribution.
 
@@ -450,8 +449,7 @@ def convergence_report(
         else np.random.SeedSequence(master_seed)
     report = ConvergenceReport()
     for child, size in zip(ss.spawn(len(list(ensemble_sizes))), ensemble_sizes):
-        ens = sample_ensemble(seq, int(size), child, length=length,
-                              method=method)
+        ens = sample_ensemble(seq, int(size), child, length=length)
         for t in t_grid:
             report.rows.append((
                 int(size), t,

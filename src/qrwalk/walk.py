@@ -12,7 +12,7 @@ Operators may vary with time: wherever a spec is accepted, a callable
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
@@ -76,15 +76,13 @@ class WaveFunction:
 
     For ``K`` walkers the basis is the K-fold tensor power of the single
     walker basis; the joint index is mixed-radix with walker 0 most
-    significant. States are validated to be normalised within
-    :data:`NORM_ATOL` and their storage is frozen. ``strict=False`` skips
-    the normalisation invariant and is inherited by evolved states, which
-    lets deliberately defective operators be run for diagnostics.
+    significant. Every state is checked to be normalised within
+    :data:`NORM_ATOL` when it is made, and its storage is frozen; since
+    every operator is unitary, evolved states pass the same check.
     """
 
     graph: PortGraph | ProductGraph
     amplitudes: np.ndarray
-    strict: bool = field(default=True, compare=False)
 
     def __post_init__(self) -> None:
         base, k = _as_base(self.graph)
@@ -96,12 +94,11 @@ class WaveFunction:
                 f"({expected},) for {k} walker(s) on a basis of dimension "
                 f"{base.basis_dim}"
             )
-        if self.strict:
-            norm2 = float(np.vdot(amps, amps).real)
-            if abs(norm2 - 1.0) > NORM_ATOL:
-                raise ValidationError(
-                    f"state is not normalised: squared norm {norm2!r}"
-                )
+        norm2 = float(np.vdot(amps, amps).real)
+        if abs(norm2 - 1.0) > NORM_ATOL:
+            raise ValidationError(
+                f"state is not normalised: squared norm {norm2!r}"
+            )
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -304,11 +301,13 @@ class CoinSpec:
         return cls(graph, _stacked(graph, draws), name="random-unitary")
 
     @classmethod
-    def from_blocks(cls, graph: PortGraph, blocks: Sequence[np.ndarray],
-                    validate: bool = True) -> "CoinSpec":
+    def from_blocks(cls, graph: PortGraph,
+                    blocks: Sequence[np.ndarray]) -> "CoinSpec":
+        """A coin of explicit per-vertex blocks, in vertex order, checked
+        by :meth:`validate`: a block that fails a unitarity condition
+        raises :class:`UnitarityError`."""
         spec = cls(graph, _stacked(graph, list(blocks)))
-        if validate:
-            spec.validate()
+        spec.validate()
         return spec
 
 
@@ -317,9 +316,10 @@ class ShiftSpec:
     """Basis permutation transporting amplitude along arcs.
 
     ``permutation[i]`` is the flattened target index of basis state ``i``.
-    The edge-respect invariant (the target vertex of ``(v, c)`` is
-    ``eta(v, c)``) is enforced unless explicitly disabled for degenerate
-    experiments.
+    Every shift is edge-local: the constructor rejects a permutation
+    unless the target of every ``(v, c)`` is a port of ``eta(v, c)``, so
+    amplitude only ever moves along an arc to its head. Build one with
+    ``ShiftSpec(graph, permutation)`` or a named builder.
     """
 
     graph: PortGraph
@@ -327,8 +327,9 @@ class ShiftSpec:
     name: str = "explicit"
 
     def __post_init__(self) -> None:
+        g = self.graph
         perm = np.asarray(self.permutation, dtype=np.int64)
-        dim = self.graph.basis_dim
+        dim = g.basis_dim
         if perm.shape != (dim,):
             raise ValidationError(
                 f"permutation has shape {perm.shape}, expected ({dim},)"
@@ -337,6 +338,15 @@ class ShiftSpec:
             raise ValidationError(
                 "shift map is not a permutation of the basis (it would "
                 "not be unitary)"
+            )
+        landed = g.vertex_of_basis[perm]
+        wrong = np.flatnonzero(landed != g.heads)
+        if wrong.size:
+            a = int(wrong[0])
+            v, c = g.basis_state(a)
+            raise ValidationError(
+                f"shift sends ({v}, {c}) to vertex {int(landed[a])}, but "
+                f"eta({v}, {c}) = {int(g.heads[a])}"
             )
         perm.flags.writeable = False
         object.__setattr__(self, "permutation", perm)
@@ -347,18 +357,6 @@ class ShiftSpec:
         inv[self.permutation] = np.arange(self.permutation.size)
         inv.flags.writeable = False
         return inv
-
-    def check_respects_edges(self) -> None:
-        g = self.graph
-        landed = g.vertex_of_basis[self.permutation]
-        wrong = np.flatnonzero(landed != g.heads)
-        if wrong.size:
-            a = int(wrong[0])
-            v, c = g.basis_state(a)
-            raise ValidationError(
-                f"shift sends ({v}, {c}) to vertex {int(landed[a])}, but "
-                f"eta({v}, {c}) = {int(g.heads[a])}"
-            )
 
     # -- named builders ----------------------------------------------------
 
@@ -399,14 +397,6 @@ class ShiftSpec:
                 "order; use the flip-flop shift or a custom port order"
             )
         return cls(graph, perm, name="moving")
-
-    @classmethod
-    def from_permutation(cls, graph: PortGraph, permutation: Sequence[int],
-                         enforce_edges: bool = True) -> "ShiftSpec":
-        spec = cls(graph, np.asarray(permutation, dtype=np.int64))
-        if enforce_edges:
-            spec.check_respects_edges()
-        return spec
 
 
 @dataclass(frozen=True)
@@ -519,8 +509,7 @@ def apply_coin(psi: WaveFunction, coin: CoinLike, t: int = 0) -> WaveFunction:
         moved = np.moveaxis(arr, axis, 0).reshape(dim, -1)
         arr = np.moveaxis(
             _coin_block_multiply(s, moved).reshape((dim,) * k), 0, axis)
-    return WaveFunction(psi.graph, np.ascontiguousarray(arr).reshape(-1),
-                        strict=psi.strict)
+    return WaveFunction(psi.graph, np.ascontiguousarray(arr).reshape(-1))
 
 
 def apply_shift(psi: WaveFunction, shift: ShiftLike, t: int = 0) -> WaveFunction:
@@ -532,8 +521,7 @@ def apply_shift(psi: WaveFunction, shift: ShiftLike, t: int = 0) -> WaveFunction
     dim = psi.single_dim
     arr = psi.amplitudes.reshape((dim,) * k)
     arr = arr[np.ix_(*(s.inverse for s in specs))]
-    return WaveFunction(psi.graph, np.ascontiguousarray(arr).reshape(-1),
-                        strict=psi.strict)
+    return WaveFunction(psi.graph, np.ascontiguousarray(arr).reshape(-1))
 
 
 def apply_interaction(psi: WaveFunction, interaction: InteractionLike | None,
@@ -570,7 +558,7 @@ def apply_interaction(psi: WaveFunction, interaction: InteractionLike | None,
             slices = tuple(slice(int(offs[ui]), int(offs[ui + 1])) for ui in u)
             sub = arr[slices]
             arr[slices] = (block @ sub.reshape(-1)).reshape(sub.shape)
-    return WaveFunction(psi.graph, arr.reshape(-1), strict=psi.strict)
+    return WaveFunction(psi.graph, arr.reshape(-1))
 
 
 def step(

@@ -25,6 +25,22 @@ def _offsets(graph) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(degs)])
 
 
+def reference_shift_error(graph, perm) -> str | None:
+    """The error a shift permutation must raise, found one arc at a time
+    in basis order: the first ``(v, c)`` sent to a port of a vertex other
+    than ``eta(v, c)``. ``None`` when every arc lands on its head."""
+    offs = _offsets(graph).tolist()
+    for v, nbrs in enumerate(graph.out_neighbors):
+        for c, head in enumerate(nbrs):
+            target = perm[offs[v] + c]
+            landed = max(w for w in range(len(offs) - 1)
+                         if offs[w] <= target)
+            if landed != head:
+                return (f"shift sends ({v}, {c}) to vertex {landed}, but "
+                        f"eta({v}, {c}) = {head}")
+    return None
+
+
 def reference_port_graph(out_neighbors) -> None:
     """Validate per-vertex neighbour lists one arc at a time, the way the
     engine first did it; raises :class:`GraphError` at the first fault.
@@ -269,8 +285,8 @@ def _mixed_radix(indices, radix: int) -> np.ndarray:
 
 
 def reference_columns(graph, num_walkers: int, perms, rho_t: np.ndarray,
-                      p_next: np.ndarray, wanted, zero_threshold: float,
-                      validate: bool = True) -> dict:
+                      p_next: np.ndarray, wanted, zero_threshold: float
+                      ) -> dict:
     """P(t) built one source column at a time, the way the engine first
     did it: ``{u: (targets, probs)}`` with exact zeros kept.
 
@@ -302,10 +318,9 @@ def reference_columns(graph, num_walkers: int, perms, rho_t: np.ndarray,
             targets, inverse = np.unique(joint_vertices, return_inverse=True)
             probs = np.bincount(inverse, weights=probs, minlength=targets.size)
             colsum = float(probs.sum())
-            if validate:
-                if abs(colsum - 1.0) > 1e-8:
-                    raise ValueError(f"column {idx} sums to {colsum!r}")
-                probs = np.minimum(probs / colsum, 1.0)
+            if abs(colsum - 1.0) > 1e-8:
+                raise ValueError(f"column {idx} sums to {colsum!r}")
+            probs = np.minimum(probs / colsum, 1.0)
         else:
             targets = []
             for w in itertools.product(

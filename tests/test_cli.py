@@ -118,6 +118,21 @@ class TestEquivalence:
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert "column-norm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, spec, message", [
+        ("coin", {"type": "explicit", "validate": False, "blocks": [
+            [[[1.1, 0], [0, 0]], [[0, 0], [1.1, 0]]]] * 4}, "column-norm"),
+        ("shift", {"type": "explicit", "enforce_edges": False,
+                   "permutation": list(range(8))},
+         "shift sends (0, 0) to vertex 0, but eta(0, 0) = 1"),
+    ], ids=["coin-validate", "shift-enforce_edges"])
+    def test_keys_that_skipped_a_check_are_not_read(self, tmp_path, capsys,
+                                                     key, spec, message):
+        cfg = write_config(tmp_path / "cfg.json",
+                           graph={"type": "cycle", "n": 4}, horizon=2,
+                           **{key: spec})
+        assert main(["equivalence", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_arcs_over_the_memory_budget_exit_1(self, tmp_path, capsys,
                                                 monkeypatch):

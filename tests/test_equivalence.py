@@ -9,6 +9,7 @@ from qrwalk import (
     ProductGraph,
     ResourceLimitError,
     ShiftSpec,
+    TransitionMatrix,
     TransitionMatrixSeq,
     ValidationError,
     WaveFunction,
@@ -55,16 +56,21 @@ class TestBuildTransitionMatrix:
         ])
         assert np.allclose(dense, expected, atol=1e-15)
 
-    def test_identity_walk_gives_identity_on_supported_columns(self, c4, rng):
-        ident_shift = ShiftSpec.from_permutation(c4, np.arange(8),
-                                                 enforce_edges=False)
+    def test_identity_coin_splits_each_column_by_port(self, c4, rng):
+        # the moving shift carries port 0 of u to u + 1 and port 1 to u - 1
+        shift = ShiftSpec.moving(c4)
         amps = rng.normal(size=8)
         amps /= np.linalg.norm(amps)
         psi0 = WaveFunction(c4, amps)
-        psi1 = step(psi0, CoinSpec.identity(c4), ident_shift)
-        mat = single_walker_matrix(psi0, psi1, ident_shift)
+        psi1 = step(psi0, CoinSpec.identity(c4), shift)
+        mat = single_walker_matrix(psi0, psi1, shift)
+        rho = vertex_distribution(psi0)
         for u in range(4):
-            assert mat.entry(u, u) == pytest.approx(1.0, abs=1e-12)
+            a0, a1 = amps[c4.basis_index(u, 0)], amps[c4.basis_index(u, 1)]
+            assert mat.entry((u + 1) % 4, u) \
+                == pytest.approx(a0 ** 2 / rho[u], abs=1e-12)
+            assert mat.entry((u - 1) % 4, u) \
+                == pytest.approx(a1 ** 2 / rho[u], abs=1e-12)
 
     def test_torus_grover_columns_stochastic(self, torus1010):
         coin = CoinSpec.grover(torus1010)
@@ -97,15 +103,14 @@ class TestBuildTransitionMatrix:
         assert np.array_equal(probs, [0.5, 0.5])
 
     def test_non_unitary_coin_raises_consistency_error(self, c4):
-        bad = CoinSpec.from_blocks(
-            c4, [1.1 * b for b in CoinSpec.hadamard(c4).blocks],
-            validate=False)
-        shift = ShiftSpec.moving(c4)
+        # the masses a coin scaled by 1.1 would leave after one step
+        coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
-        psi0 = WaveFunction(c4, psi0.amplitudes, strict=False)
-        psi1 = step(psi0, bad, shift)
+        psi1 = step(psi0, coin, shift)
         with pytest.raises(ConsistencyError, match="unitary"):
-            single_walker_matrix(psi0, psi1, shift)
+            matrix_from_masses(
+                ProductGraph(c4, 1), shift, vertex_distribution(psi0),
+                1.21 * np.abs(psi1.amplitudes) ** 2, np.arange(4))
 
     def test_mismatched_graph_rejected(self, c4, k5):
         coin, shift = hadamard_walk(c4)
@@ -173,13 +178,13 @@ class TestVerifyProperties:
         assert report.max_propagation_residual <= 1e-10
 
     def test_scaled_coin_reports_column_sum_violation(self, c4):
-        bad = CoinSpec.from_blocks(
-            c4, [1.1 * b for b in CoinSpec.hadamard(c4).blocks],
-            validate=False)
-        psi0 = WaveFunction(c4, WaveFunction.localized(c4, 0, 0).amplitudes,
-                            strict=False)
-        seq = build_sequence(c4, bad, ShiftSpec.moving(c4), psi0, 3,
-                             validate=False)
+        coin, shift = hadamard_walk(c4)
+        valid = build_sequence(c4, coin, shift,
+                               WaveFunction.localized(c4, 0, 0), 3)
+        seq = TransitionMatrixSeq(
+            [TransitionMatrix(m.time, m.num_states, m.col_ids, m.indptr,
+                              m.indices, 1.1 * m.data)
+             for m in valid.matrices], valid.rho)
         report = verify_theorem_properties(seq)
         assert not report.passed
         assert report.max_column_sum_deviation > 1e-2
@@ -317,7 +322,7 @@ class TestMultiwalker:
         psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
         psi1 = step(psi0, coin, shift)
         mat = matrix_from_masses(
-            pg, [shift.permutation] * 2, vertex_distribution(psi0),
+            pg, [shift] * 2, vertex_distribution(psi0),
             np.abs(psi1.amplitudes) ** 2, np.arange(pg.num_states))
         targets, probs = mat.column(pg.tuple_index((1, 2)))
         assert np.allclose(probs, 0.25, atol=0)
@@ -328,7 +333,7 @@ class TestMultiwalker:
         pg = ProductGraph(c4, 2)
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
-        args = (pg, [shift.permutation] * 2, vertex_distribution(psi0),
+        args = (pg, [shift] * 2, vertex_distribution(psi0),
                 np.abs(step(psi0, coin, shift).amplitudes) ** 2,
                 np.arange(pg.num_states))
         need = equivalence._arc_bytes(2) * 16 * 4  # 16 pairs, 4 arcs each

@@ -50,10 +50,6 @@ from qrwalk.persist import Table, load_sequence, save_sequence, write_table
 from qrwalk.trajectory import _spawned_uniforms
 from qrwalk.walk import _coin_block_multiply
 
-#: Merging arcs that meet at one vertex may add them in another order than
-#: the reference does; allow this many units of double rounding.
-MERGE_RTOL = 4 * np.finfo(np.float64).eps
-
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 #: The graph-core examples take about a millisecond each.
@@ -93,7 +89,7 @@ def edge_respecting_shift(g, rng) -> ShiftSpec:
     for w in range(g.num_vertices):
         incoming = np.flatnonzero(heads == w)
         perm[incoming] = g.port_offsets[w] + rng.permutation(incoming.size)
-    return ShiftSpec.from_permutation(g, perm)
+    return ShiftSpec(g, perm)
 
 
 def random_shift(g, rng, kind: int) -> ShiftSpec:
@@ -146,7 +142,7 @@ def every_column(g, walkers, shift, psi, psi_next):
     """The step's P(t) with all ``num_vertices ** walkers`` columns."""
     pg = ProductGraph(g, walkers)
     return matrix_from_masses(
-        pg, [shift.permutation] * walkers, vertex_distribution(psi),
+        pg, [shift] * walkers, vertex_distribution(psi),
         np.abs(psi_next.amplitudes) ** 2, np.arange(pg.num_states))
 
 
@@ -209,34 +205,34 @@ def test_sequence_store_and_export_round_trip(seed, walkers, fmt):
                       fmt)
 
 
-def merging_shift(g, rng) -> ShiftSpec:
-    """Flip-flop, except that every arc leaving one vertex ``v`` returns
-    to a port of ``v`` (the arcs that fed ``v`` take their old targets),
-    so two or more arcs leaving ``v`` meet at one vertex."""
-    perm = ShiftSpec.flip_flop(g).permutation.copy()
-    v = rng.choice(np.flatnonzero(g.degrees >= 2))
-    own = np.arange(g.port_offsets[v], g.port_offsets[v + 1])
-    feeders = np.flatnonzero(np.isin(perm, own))
-    perm[feeders], perm[own] = perm[own], rng.permutation(own)
-    return ShiftSpec.from_permutation(g, perm, enforce_edges=False)
-
-
-@SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
-def test_arcs_meeting_at_one_vertex_are_merged(seed, walkers):
+@GRAPH_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(range(3)))
+def test_only_edge_local_shifts_build(seed, kind):
+    """A random permutation, flip-flop with two arcs' targets swapped, or
+    a random edge-local permutation: the constructor raises the oracle's
+    message exactly when some arc lands off its head."""
     rng = np.random.default_rng(seed)
-    g, _, psi, _ = one_step(seed, walkers)
-    shift = merging_shift(g, rng)
-    psi_next = step(psi, CoinSpec.random_unitary(g, rng), shift)
-    mat = every_column(g, walkers, shift, psi, psi_next)
-    expected = reference(g, walkers, shift, psi, psi_next,
-                         range(g.num_vertices ** walkers))
-    for u, (targets, probs) in expected.items():
-        got_targets, got_probs = mat.column(u)
-        nonzero = probs != 0.0
-        assert np.array_equal(got_targets, targets[nonzero])
-        np.testing.assert_allclose(got_probs, probs[nonzero],
-                                   rtol=MERGE_RTOL, atol=0.0)
+    g = random_graph(rng)
+    if kind == 0:
+        perm = rng.permutation(g.basis_dim)
+    elif kind == 1:
+        perm = ShiftSpec.flip_flop(g).permutation.copy()
+        a, b = rng.choice(g.basis_dim, size=2, replace=False)
+        perm[[a, b]] = perm[[b, a]]
+    else:
+        perm = edge_respecting_shift(g, rng).permutation.copy()
+    expected = oracle.reference_shift_error(g, perm.tolist())
+    if expected is None:
+        assert ShiftSpec(g, perm).permutation.tolist() == perm.tolist()
+    else:
+        with pytest.raises(ValidationError) as err:
+            ShiftSpec(g, perm)
+        assert str(err.value) == expected
+    ShiftSpec.flip_flop(g)
+    try:
+        ShiftSpec.moving(g)
+    except ValidationError as exc:  # no moving shift for this port order
+        assert g.torus_dims is None and "moving shift" in str(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ function, ``walk.check_budget``: it alone reads ``DEFAULT_MEMORY_BUDGET``
 and raises ``ResourceLimitError``. A module that imported the budget by
 name would hold its own copy, and patching or changing the budget would
 miss it.
+
+Shifts, coins, states and P(t) are checked against the paper's
+conditions whenever they are made, so no parameter or dataclass field
+may offer to skip a check.
 """
 
 import ast
@@ -14,6 +18,8 @@ import qrwalk
 
 SRC = Path(qrwalk.__file__).parent
 BUDGET, ERROR = "DEFAULT_MEMORY_BUDGET", "ResourceLimitError"
+#: Names of the switches that once skipped a check.
+KNOBS = {"validate", "strict", "enforce_edges"}
 
 
 def _names(node) -> set[str]:
@@ -79,4 +85,51 @@ def test_the_guard_sees_each_breach():
         "walk.py:1 imports DEFAULT_MEMORY_BUDGET",
         "walk.py:3 reads DEFAULT_MEMORY_BUDGET",
         "walk.py:4 raises ResourceLimitError",
+    ]
+
+
+def knob_breaches(source: str, module: str) -> list[str]:
+    """Each function parameter and dataclass field in ``source`` named in
+    :data:`KNOBS`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs \
+                + [p for p in (a.vararg, a.kwarg) if p is not None]
+            found += [(p.lineno, f"parameter {p.arg}") for p in params
+                      if p.arg in KNOBS]
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _names(d) for d in node.decorator_list):
+            found += [(f.lineno, f"field {f.target.id}") for f in node.body
+                      if isinstance(f, ast.AnnAssign)
+                      and isinstance(f.target, ast.Name)
+                      and f.target.id in KNOBS]
+    return [f"{module}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_no_parameter_or_field_skips_a_check():
+    breaches = [b for path in sorted(SRC.glob("*.py"))
+                for b in knob_breaches(path.read_text(), path.name)]
+    assert breaches == []
+
+
+def test_the_knob_guard_sees_each_breach():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class State:\n"
+        "    strict: bool = True\n"
+        "class Plain:\n"
+        "    validate: bool = True\n"
+        "def build(g, validate=True, *, enforce_edges=False):\n"
+        "    def check(x, strict):\n"
+        "        return x\n"
+        "def validate(spec):\n"
+        "    return spec\n"
+    )
+    assert knob_breaches(source, "m.py") == [
+        "m.py:3 field strict",
+        "m.py:6 parameter enforce_edges",
+        "m.py:6 parameter validate",
+        "m.py:7 parameter strict",
     ]

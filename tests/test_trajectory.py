@@ -41,18 +41,19 @@ def torus_seq(torus1010):
                           WaveFunction.localized(torus1010, 0, 0), 10)
 
 
-def identity_chain(graph, horizon):
-    ident = ShiftSpec.from_permutation(graph, np.arange(graph.basis_dim),
-                                       enforce_edges=False)
-    return build_sequence(graph, CoinSpec.identity(graph), ident,
+def moving_chain(graph, horizon):
+    """Identity coin and moving shift from (0, port 0): on a cycle the
+    walker steps to t mod n at time t with certainty."""
+    return build_sequence(graph, CoinSpec.identity(graph),
+                          ShiftSpec.moving(graph),
                           WaveFunction.localized(graph, 0, 0), horizon)
 
 
 class TestSampleTrajectory:
-    def test_deterministic_chain_is_constant(self, c4):
-        seq = identity_chain(c4, 6)
+    def test_deterministic_chain_walks_around_the_cycle(self, c4):
+        seq = moving_chain(c4, 6)
         tau = sample_trajectory(seq, seed=0)
-        assert np.array_equal(tau.vertices, np.zeros(7))
+        assert np.array_equal(tau.vertices, np.arange(7) % 4)
 
     def test_c4_first_move_support(self, c4_seq):
         ss = np.random.SeedSequence(11)
@@ -212,11 +213,11 @@ class TestEmpiricalDistribution:
                                seq.rho[0]) < 0.05
 
     def test_deterministic_chain_point_mass(self, c4):
-        seq = identity_chain(c4, 4)
+        seq = moving_chain(c4, 4)
         ens = sample_ensemble(seq, 32, master_seed=0)
         for t in range(5):
             p = empirical_distribution(ens, t)
-            assert p[0] == 1.0
+            assert p[t % 4] == 1.0
 
     def test_time_out_of_range(self, c4_seq):
         ens = sample_ensemble(c4_seq, 4, master_seed=0)
