@@ -118,6 +118,9 @@ class TestBuildTransitionMatrix:
         psi1 = step(psi0, coin, shift)
         with pytest.raises(ValidationError):
             build_multiwalker_matrix(psi0, psi1, ProductGraph(k5, 1), shift)
+        with pytest.raises(ValidationError, match="different graph"):
+            build_multiwalker_matrix(psi0, psi1,
+                                     shifts=ShiftSpec.flip_flop(k5))
 
     def test_cauchy_schwarz_bound_on_random_instances(self, rng):
         g = torus_graph((3, 3))
