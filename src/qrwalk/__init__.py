@@ -69,6 +69,7 @@ from .walk import (
     apply_coin,
     apply_interaction,
     apply_shift,
+    evolve,
     step,
     vertex_distribution,
 )

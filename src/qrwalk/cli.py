@@ -40,7 +40,7 @@ from .persist import (
     write_table,
 )
 from .trajectory import convergence_report, locality_fraction, sample_ensemble
-from .walk import step, vertex_distribution
+from .walk import evolve, vertex_distribution
 
 _RUNTIME_ERRORS = (ConsistencyError, SamplingError, ResourceLimitError)
 
@@ -85,16 +85,19 @@ def _require(config: dict, *keys: str) -> None:
         raise ConfigError(f"config is missing required entries: {missing}")
 
 
-def _operators(config: dict, base, space, walkers: int):
+def _operators(config: dict, space):
+    """Coin, shift and interaction of a config, and its initial state on
+    the product graph ``space``."""
     _require(config, "coin", "shift")
-    coin = coin_from_json(config["coin"], base)
-    shift = shift_from_json(config["shift"], base)
+    coin = coin_from_json(config["coin"], space.base)
+    shift = shift_from_json(config["shift"], space.base)
     interaction = None
-    if walkers > 1:
+    if space.num_walkers > 1:
         interaction = interaction_from_json(config.get("interaction"), space)
     elif config.get("interaction") is not None:
         raise ConfigError("interactions require walkers > 1")
-    return coin, shift, interaction
+    psi = initial_state_from_json(config.get("initial_state"), space)
+    return coin, shift, interaction, psi
 
 
 def _as_runtime(exc: ValidationError) -> ConsistencyError:
@@ -122,16 +125,13 @@ def _horizon(config: dict) -> int:
 
 def cmd_evolve(args, config: dict) -> int:
     base, space, walkers = graph_and_spaces(config)
-    coin, shift, interaction = _operators(config, base, space, walkers)
-    psi = initial_state_from_json(config.get("initial_state"), space)
+    coin, shift, interaction, psi = _operators(config, space)
     horizon = _horizon(config)
     manifest = manifest_for(config, "evolve", base, format=args.format)
 
-    rhos = [vertex_distribution(psi)]
     try:
-        for t in range(horizon):
-            psi = step(psi, coin, shift, interaction, t)
-            rhos.append(vertex_distribution(psi))
+        rhos = list(map(vertex_distribution,
+                        evolve(psi, coin, shift, horizon, interaction)))
     except ValidationError as exc:
         raise _as_runtime(exc) from exc
 
@@ -147,21 +147,19 @@ def cmd_evolve(args, config: dict) -> int:
     return 0
 
 
-def _build_seq(config: dict, base, space, walkers: int) -> TransitionMatrixSeq:
-    coin, shift, interaction = _operators(config, base, space, walkers)
-    psi = initial_state_from_json(config.get("initial_state"), space)
+def _build_seq(config: dict, space) -> TransitionMatrixSeq:
+    coin, shift, interaction, psi = _operators(config, space)
     horizon = _horizon(config)
     try:
-        seq = build_sequence(space, coin, shift, psi, horizon,
-                             interaction=interaction)
+        return build_sequence(space, coin, shift, psi, horizon,
+                              interaction=interaction)
     except ValidationError as exc:
         raise _as_runtime(exc) from exc
-    return seq
 
 
 def cmd_equivalence(args, config: dict) -> int:
-    base, space, walkers = graph_and_spaces(config)
-    seq = _build_seq(config, base, space, walkers)
+    base, space, _ = graph_and_spaces(config)
+    seq = _build_seq(config, space)
     report = verify_theorem_properties(seq)
     manifest = manifest_for(config, "equivalence", base, format=args.format)
     out = _out_dir(args)
@@ -199,7 +197,7 @@ def cmd_sample(args, config: dict) -> int:
         )
     else:
         base, space, walkers = graph_and_spaces(config)
-        seq = _build_seq(config, base, space, walkers)
+        seq = _build_seq(config, space)
         base_n = base.num_vertices
         torus_dims = base.torus_dims
         manifest = manifest_for(config, "sample", base, format=args.format)
@@ -230,11 +228,11 @@ def cmd_sample(args, config: dict) -> int:
 
 def cmd_tvd(args, config: dict) -> int:
     _scan_only(config)
-    base, space, walkers = graph_and_spaces(config)
+    base, space, _ = graph_and_spaces(config)
     _require(config, "ensemble_sizes", "t_grid")
     sizes = [int(m) for m in config["ensemble_sizes"]]
     t_grid = [int(t) for t in config["t_grid"]]
-    seq = _build_seq(config, base, space, walkers)
+    seq = _build_seq(config, space)
     manifest = manifest_for(config, "tvd", base, ensemble_sizes=sizes,
                             t_grid=t_grid, format=args.format)
     report = convergence_report(seq, sizes, t_grid, config.get("seed"))
@@ -252,8 +250,7 @@ def cmd_rejection(args, config: dict) -> int:
     base, space, walkers = graph_and_spaces(config)
     if walkers != 1:
         raise ConfigError("the rejection baseline is single-walker")
-    coin, shift, _ = _operators(config, base, space, walkers)
-    psi = initial_state_from_json(config.get("initial_state"), space)
+    coin, shift, _, psi = _operators(config, space)
     length = int(config.get("length", 3))
     if length < 1:
         raise ConfigError("length must be >= 1")
@@ -262,11 +259,8 @@ def cmd_rejection(args, config: dict) -> int:
                             attempts=attempts)
 
     try:
-        rhos = [vertex_distribution(psi)]
-        for t in range(length - 1):
-            psi = step(psi, coin, shift, None, t)
-            rhos.append(vertex_distribution(psi))
-        rho_seq = np.stack(rhos)
+        rho_seq = np.stack(list(map(vertex_distribution,
+                                    evolve(psi, coin, shift, length - 1))))
         report = rejection_sample(rho_seq, base, attempts,
                                   seed=config.get("seed"))
         exact, total = exact_rejection_marginals(rho_seq, base)
@@ -293,7 +287,7 @@ def cmd_rejection(args, config: dict) -> int:
 
 
 def cmd_torus_dp(args, config: dict) -> int:
-    base, space, walkers = graph_and_spaces(config)
+    base, _, walkers = graph_and_spaces(config)
     if walkers != 1:
         raise ConfigError("the torus recursion is single-walker")
     if base.torus_dims is None:

@@ -10,8 +10,8 @@ Between two consecutive wavefunctions the vertex distribution evolves as
 where ``c`` is the port of ``v`` fed by ``u`` under the shift actually in
 use. Unitarity of the step operator makes every column a probability
 distribution (entries bounded by the Cauchy-Schwarz inequality, sums equal
-to the source vertex mass). The same construction runs on the K-walker
-product graph, where states are vertex tuples.
+to the source vertex mass). The same construction runs on the product
+graph of K >= 1 walkers, where states are vertex tuples.
 
 P(t) holds the columns of one rule. One walker gets every vertex: the
 paper's full matrix, at a cost linear in the arcs. K > 1 walkers have
@@ -39,11 +39,9 @@ from .walk import (
     ShiftLike,
     ShiftSpec,
     WaveFunction,
-    _at,
-    _check_same_graph,
     _per_walker,
     check_budget,
-    step,
+    evolve,
     vertex_distribution,
 )
 
@@ -269,15 +267,15 @@ def _column_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 def _arc_bytes(num_walkers: int) -> int:
     """Bytes per arc of the arc-wise arrays :func:`matrix_from_masses`
-    holds at once, an upper bound: on tori with every column on the ratio
-    rule its tracemalloc peak was 87, 86 and 92 bytes per arc for 1, 2 and
-    3 walkers."""
-    return 8 * (3 * num_walkers + 11)
+    holds at once, an upper bound: with every column on the ratio rule its
+    tracemalloc peak was 83-93, 85-87 and 91-92 bytes per arc for 1, 2
+    and 3 walkers, on tori and on irregular graphs."""
+    return 8 * (num_walkers + 11)
 
 
 def matrix_from_masses(
     pg: ProductGraph,
-    shifts: ShiftSpec | Sequence[ShiftSpec],
+    shifts: ShiftLike | Sequence[ShiftLike],
     rho_t: np.ndarray,
     p_next: np.ndarray,
     wanted: np.ndarray,
@@ -286,7 +284,8 @@ def matrix_from_masses(
     """Columns ``wanted`` of P(t) from the vertex (tuple) masses ``rho_t``
     at t and the basis-state masses ``p_next`` at t + 1.
 
-    ``shifts`` is the shift of the step, shared or one per walker. Each arc
+    ``shifts`` is the shift of the step, shared or one per walker; a
+    schedule ``t -> spec`` is resolved at ``time``. Each arc
     leaving a source with mass above :data:`ZERO_PROB` is pushed through
     it; the mass found there over the source mass is the entry for the
     arc's head tuple. Other sources get ``1/d`` on their product
@@ -300,9 +299,7 @@ def matrix_from_masses(
     (:func:`~qrwalk.walk.check_budget`) before they are allocated.
     """
     base, k = pg.base, pg.num_walkers
-    shifts = _per_walker(shifts, k)
-    for s in shifts:
-        _check_same_graph(s.graph, base, "shift")
+    shifts = _per_walker(shifts, pg, time, "shift")
     wanted = np.asarray(wanted, dtype=np.int64)
     num_arcs = int(pg.out_degrees(wanted).sum())
     check_budget(_arc_bytes(k) * num_arcs,
@@ -320,7 +317,7 @@ def matrix_from_masses(
     r = np.flatnonzero(on_ratio)
     joint = np.ravel_multi_index(
         tuple(s.permutation[p[r]] for s, p in zip(shifts, ports)),
-        (base.basis_dim,) * k)
+        pg.basis_shape)
     probs[r] = p_next[joint] / rho_t[wanted[owner[r]]]
 
     # ``owner`` ascends, so sorting by (owner, target) keeps it in place
@@ -361,11 +358,11 @@ def _rule_columns(rho: np.ndarray, k: int,
 def build_multiwalker_matrix(
     psi_t: WaveFunction,
     psi_next: WaveFunction,
-    pg: ProductGraph | None = None,
     shifts: ShiftSpec | Sequence[ShiftSpec] | None = None,
     time: int = 0,
 ) -> TransitionMatrix:
-    """Transition matrix over vertex tuples for K >= 1 walkers.
+    """Transition matrix over the vertex tuples of ``psi_t.graph``, the
+    product graph of K >= 1 walkers that both states live on.
 
     ``shifts`` is the shift the evolution used (per walker or shared); it
     determines which port of a target vertex carries the amplitude that
@@ -376,20 +373,14 @@ def build_multiwalker_matrix(
     K). The columns are checked and rescaled as in
     :func:`matrix_from_masses`.
     """
-    pg = pg or ProductGraph(psi_t.base, psi_t.num_walkers)
-    base = psi_t.base
-    k = psi_t.num_walkers
-    if pg.num_walkers != k or pg.base != base:
-        raise ValidationError("product graph does not match the states")
-    if psi_next.num_walkers != k:
-        raise ValidationError("states have different walker counts")
-    if psi_next.base != base:
+    pg = psi_t.graph
+    if psi_next.graph != pg:
         raise ValidationError("states live on different graphs")
     rho_t = vertex_distribution(psi_t)
     return matrix_from_masses(
-        pg, shifts if shifts is not None else ShiftSpec.flip_flop(base),
-        rho_t, np.abs(psi_next.amplitudes) ** 2, _rule_columns(rho_t, k),
-        time=time,
+        pg, shifts if shifts is not None else ShiftSpec.flip_flop(pg.base),
+        rho_t, np.abs(psi_next.amplitudes) ** 2,
+        _rule_columns(rho_t, pg.num_walkers), time=time,
     )
 
 
@@ -402,39 +393,34 @@ def build_sequence(
     interaction: InteractionLike | None = None,
 ) -> TransitionMatrixSeq:
     """Evolve ``horizon`` steps and emit P(0..T-1) plus rho(0..T).
+    ``graph`` is ``psi0``'s state space (a port graph: one walker).
 
     P(t) follows the module's column rule: every vertex for one walker
     (the paper's full matrix, linear in the arcs), and for K > 1 walkers
     the states with ``rho(t) > 0`` and the targets of P(t-1), so that the
     sampler and the verifier find every column they need.
     """
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0")
-    k = psi0.num_walkers
-    base = psi0.base
-    if isinstance(graph, ProductGraph):
-        if not isinstance(psi0.graph, ProductGraph) or graph.num_walkers != k:
-            raise ValidationError("graph walker count does not match psi0")
-    elif graph != base:
+    pg = psi0.graph
+    if ProductGraph.of(graph) != pg:
         raise ValidationError("graph does not match psi0")
-    pg = ProductGraph(base, k)
-
-    psi = psi0
-    rhos = [vertex_distribution(psi0)]
+    k = pg.num_walkers
+    states = evolve(psi0, coin, shift, horizon, interaction)
+    psi = next(states)
+    rhos = [vertex_distribution(psi)]
     wanted = _rule_columns(rhos[0], k)
     matrices: list[TransitionMatrix] = []
-    for t in range(horizon):
-        psi_next = step(psi, coin, shift, interaction, t)
+    for t, psi_next in enumerate(states):
         matrices.append(matrix_from_masses(
-            pg, [_at(s, t) for s in _per_walker(shift, k)], rhos[-1],
-            np.abs(psi_next.amplitudes) ** 2, wanted, time=t,
-        ))
+            pg, shift, rhos[-1], np.abs(psi_next.amplitudes) ** 2, wanted,
+            time=t))
+        # psi(t) is released only once P(t) is built: releasing it first
+        # made the two-walker benchmark about 5% slower (allocation order)
         psi = psi_next
         rhos.append(vertex_distribution(psi))
         wanted = _rule_columns(rhos[-1], k, matrices[-1].indices)
     return TransitionMatrixSeq(
         matrices, np.stack(rhos), num_walkers=k,
-        num_base_vertices=base.num_vertices,
+        num_base_vertices=pg.base.num_vertices,
     )
 
 

@@ -234,12 +234,14 @@ class PortGraph:
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """K-fold product of a base graph, kept virtual.
+    """K-fold product of a base graph, kept virtual: the one state space
+    type, of one walker too (:meth:`of`).
 
     Vertices are K-tuples of base vertices, adjacent exactly when every
     component pair is a base edge; adjacency is computed on demand and the
-    tuple vertex set is never materialised. Joint indices are mixed-radix
-    (walker 0 most significant); all tuple/index/label conversions live here.
+    tuple vertex set is never materialised. Joint indices of tuples and of
+    basis states are mixed-radix (walker 0 most significant); all
+    tuple/index/label conversions live here.
     """
 
     base: PortGraph
@@ -249,6 +251,11 @@ class ProductGraph:
         if self.num_walkers < 1:
             raise ValidationError("num_walkers must be >= 1")
 
+    @classmethod
+    def of(cls, graph: PortGraph | ProductGraph) -> ProductGraph:
+        """``graph`` as a state space: a port graph is one walker on it."""
+        return graph if isinstance(graph, ProductGraph) else cls(graph, 1)
+
     @property
     def num_states(self) -> int:
         return self.base.num_vertices ** self.num_walkers
@@ -257,6 +264,23 @@ class ProductGraph:
     def shape(self) -> tuple[int, ...]:
         """Radices of the joint index, one per walker."""
         return (self.base.num_vertices,) * self.num_walkers
+
+    @property
+    def basis_shape(self) -> tuple[int, ...]:
+        """Radices of the joint basis index, one per walker."""
+        return (self.base.basis_dim,) * self.num_walkers
+
+    @property
+    def basis_dim(self) -> int:
+        """Dimension of the joint (vertex, port) basis of all walkers."""
+        return self.base.basis_dim ** self.num_walkers
+
+    def basis_index(self, vertices: Sequence[int],
+                    ports: Sequence[int]) -> int:
+        """Joint basis index of one (vertex, port) pair per walker."""
+        return int(np.ravel_multi_index(
+            [self.base.basis_index(int(v), int(c))
+             for v, c in zip(vertices, ports)], self.basis_shape))
 
     def _check_tuple(self, u: Sequence[int]) -> None:
         if len(u) != self.num_walkers:

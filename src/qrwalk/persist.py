@@ -220,7 +220,7 @@ def initial_state_from_json(
     renormalised on load (with a warning beyond 1e-8 drift).
     """
     if doc is None:
-        k = graph.num_walkers if isinstance(graph, ProductGraph) else 1
+        k = ProductGraph.of(graph).num_walkers
         return WaveFunction.localized(graph, (0,) * k, (0,) * k)
     comps = []
     for item in doc:
@@ -233,18 +233,15 @@ def initial_state_from_json(
     return WaveFunction.from_components(graph, comps)
 
 
-def graph_and_spaces(
-    config: dict,
-) -> tuple[PortGraph, PortGraph | ProductGraph, int]:
-    """Build the base graph and, when walkers > 1, the product space."""
+def graph_and_spaces(config: dict) -> tuple[PortGraph, ProductGraph, int]:
+    """Build the base graph, the walkers' product graph and their count."""
     if "graph" not in config:
         raise ConfigError("config needs a 'graph' entry")
     base = graph_from_json(config["graph"])
     walkers = int(config.get("walkers", 1))
     if walkers < 1:
         raise ConfigError("walkers must be >= 1")
-    space = ProductGraph(base, walkers) if walkers > 1 else base
-    return base, space, walkers
+    return base, ProductGraph(base, walkers), walkers
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +445,11 @@ def ensemble_mean_table(
 ) -> Table:
     """Per-instant empirical mean of the unfolded torus coordinates."""
     dims = tuple(int(d) for d in torus_dims)
-    coords = np.stack(np.unravel_index(np.arange(int(np.prod(dims))), dims),
-                      axis=1).astype(np.float64)
+    means = np.mean(np.unravel_index(ens.paths, dims), axis=1)
     header = ["t"] + [f"mean_axis{i}" for i in range(len(dims))]
-    rows = []
-    for t in range(ens.length + 1):
-        mean = coords[ens.paths[:, t]].mean(axis=0)
-        rows.append([t] + [float(x) for x in mean])
     meta = {"manifest": manifest_sha} if manifest_sha else {}
-    return Table(header, rows, meta)
+    return Table(header, columns=[np.arange(ens.length + 1), *means],
+                 meta=meta)
 
 
 def tvd_table(rows: Sequence[tuple[int, int, float]],

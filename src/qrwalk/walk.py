@@ -1,9 +1,12 @@
 """Walker states and the coin / shift / interaction operators.
 
-One evolution step applies, in order, the optional interaction (K > 1
-walkers only), the block-diagonal coin, and the shift permutation. All
-operators are unitary, so a step maps a normalised state to a normalised
-state; nothing here renormalises, which keeps genuine defects visible.
+Every state lives on a :class:`~qrwalk.graphs.ProductGraph` of K >= 1
+walkers, one walker being the product of one. One evolution step applies,
+in order, the optional interaction (K > 1 walkers only), the
+block-diagonal coin of each walker, and the shift permutation;
+:func:`evolve` is the one walk loop. All operators are unitary, so a step
+maps a normalised state to a normalised state; nothing here renormalises,
+which keeps genuine defects visible.
 
 Operators may vary with time: wherever a spec is accepted, a callable
 ``t -> spec`` is accepted too and resolved at each step.
@@ -14,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +34,7 @@ __all__ = [
     "apply_shift",
     "apply_interaction",
     "step",
+    "evolve",
     "vertex_distribution",
     "check_budget",
     "NORM_ATOL",
@@ -55,44 +59,41 @@ def check_budget(nbytes: int, what: str) -> None:
         )
 
 
-def _as_base(graph: PortGraph | ProductGraph) -> tuple[PortGraph, int]:
-    if isinstance(graph, ProductGraph):
-        return graph.base, graph.num_walkers
-    return graph, 1
-
-
-def _joint_basis_index(base: PortGraph, vertices: Sequence[int],
-                       ports: Sequence[int]) -> int:
-    """Joint basis index of one (vertex, port) pair per walker, walker 0
-    most significant."""
-    return int(np.ravel_multi_index(
-        [base.basis_index(int(v), int(c)) for v, c in zip(vertices, ports)],
-        (base.basis_dim,) * len(vertices)))
+def _zero_state(graph: PortGraph | ProductGraph
+                ) -> tuple[ProductGraph, np.ndarray]:
+    """``graph`` as a state space, and a zero vector over its basis that
+    was checked against the memory budget before it was allocated."""
+    space = ProductGraph.of(graph)
+    dim = space.basis_dim
+    check_budget(16 * dim, f"a state vector of dimension {dim}")
+    return space, np.zeros(dim, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex amplitudes over the flattened (vertex, port) basis.
+    """Complex amplitudes over the joint (vertex, port) basis of ``graph``.
 
-    For ``K`` walkers the basis is the K-fold tensor power of the single
-    walker basis; the joint index is mixed-radix with walker 0 most
-    significant. Every state is checked to be normalised within
-    :data:`NORM_ATOL` when it is made, and its storage is frozen; since
-    every operator is unitary, evolved states pass the same check.
+    ``graph`` is a :class:`ProductGraph`; a port graph given to any
+    constructor is taken as one walker on it. For ``K`` walkers the basis
+    is the K-fold tensor power of the single walker basis, indexed by
+    :meth:`ProductGraph.basis_index`. Every state is checked to be
+    normalised within :data:`NORM_ATOL` when it is made, and its storage
+    is frozen; since every operator is unitary, evolved states pass the
+    same check.
     """
 
-    graph: PortGraph | ProductGraph
+    graph: ProductGraph
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        base, k = _as_base(self.graph)
+        space = ProductGraph.of(self.graph)
+        object.__setattr__(self, "graph", space)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        expected = base.basis_dim ** k
-        if amps.shape != (expected,):
+        if amps.shape != (space.basis_dim,):
             raise ValidationError(
                 f"amplitude vector has shape {amps.shape}, expected "
-                f"({expected},) for {k} walker(s) on a basis of dimension "
-                f"{base.basis_dim}"
+                f"({space.basis_dim},) for {space.num_walkers} walker(s) on "
+                f"a basis of dimension {space.base.basis_dim}"
             )
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > NORM_ATOL:
@@ -106,15 +107,11 @@ class WaveFunction:
 
     @property
     def base(self) -> PortGraph:
-        return _as_base(self.graph)[0]
+        return self.graph.base
 
     @property
     def num_walkers(self) -> int:
-        return _as_base(self.graph)[1]
-
-    @property
-    def single_dim(self) -> int:
-        return self.base.basis_dim
+        return self.graph.num_walkers
 
     # -- constructors --------------------------------------------------------
 
@@ -127,28 +124,25 @@ class WaveFunction:
     ) -> "WaveFunction":
         """Point mass on one basis state; tuples address K walkers. The
         vector is checked against the memory budget first."""
-        base, k = _as_base(graph)
-        vs = [vertex] * 1 if np.isscalar(vertex) else list(vertex)
+        space, amps = _zero_state(graph)
+        k = space.num_walkers
+        vs = [vertex] if np.isscalar(vertex) else list(vertex)
         ps = [port] * len(vs) if np.isscalar(port) else list(port)
         if len(vs) != k or len(ps) != k:
             raise ValidationError(
                 f"localized state needs {k} (vertex, port) pairs, got "
                 f"{len(vs)} vertices and {len(ps)} ports"
             )
-        dim = base.basis_dim ** k
-        check_budget(16 * dim, f"a state vector of dimension {dim}")
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[_joint_basis_index(base, vs, ps)] = 1.0
-        return cls(graph, amps)
+        amps[space.basis_index(vs, ps)] = 1.0
+        return cls(space, amps)
 
     @classmethod
     def uniform(cls, graph: PortGraph | ProductGraph) -> "WaveFunction":
         """Equal real amplitude on every basis state. The vector is checked
         against the memory budget first."""
-        base, k = _as_base(graph)
-        dim = base.basis_dim ** k
-        check_budget(16 * dim, f"a state vector of dimension {dim}")
-        return cls(graph, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
+        space, amps = _zero_state(graph)
+        amps += 1.0 / np.sqrt(amps.size)
+        return cls(space, amps)
 
     @classmethod
     def from_components(
@@ -163,10 +157,8 @@ class WaveFunction:
         a drift beyond 1e-8 triggers a warning since it usually means the
         input was not meant to be a state.
         """
-        base, k = _as_base(graph)
-        dim = base.basis_dim ** k
-        check_budget(16 * dim, f"a state vector of dimension {dim}")
-        amps = np.zeros(dim, dtype=np.complex128)
+        space, amps = _zero_state(graph)
+        k = space.num_walkers
         for vertex, port, amp in components:
             vs = [vertex] if np.isscalar(vertex) else list(vertex)
             ps = [port] if np.isscalar(port) else list(port)
@@ -175,7 +167,7 @@ class WaveFunction:
                     f"component ({vertex}, {port}) does not address "
                     f"{k} walker(s)"
                 )
-            amps[_joint_basis_index(base, vs, ps)] += complex(amp)
+            amps[space.basis_index(vs, ps)] += complex(amp)
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
             raise ValidationError("initial state has zero norm")
@@ -185,7 +177,7 @@ class WaveFunction:
                 stacklevel=2,
             )
         amps /= norm
-        return cls(graph, amps)
+        return cls(space, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +303,15 @@ class CoinSpec:
         return spec
 
 
+def _is_permutation(perm: np.ndarray) -> bool:
+    """Whether ``perm`` holds each of ``0..perm.size - 1`` exactly once."""
+    if perm.size and (perm.min() < 0 or perm.max() >= perm.size):
+        return False
+    hit = np.zeros(perm.size, dtype=bool)
+    hit[perm] = True
+    return bool(hit.all())
+
+
 @dataclass(frozen=True)
 class ShiftSpec:
     """Basis permutation transporting amplitude along arcs.
@@ -334,7 +335,7 @@ class ShiftSpec:
             raise ValidationError(
                 f"permutation has shape {perm.shape}, expected ({dim},)"
             )
-        if not np.array_equal(np.sort(perm), np.arange(dim)):
+        if not _is_permutation(perm):
             raise ValidationError(
                 "shift map is not a permutation of the basis (it would "
                 "not be unitary)"
@@ -391,7 +392,7 @@ class ShiftSpec:
                 f"exist at vertex {u} (degree {graph.degree(u)})"
             )
         perm = graph.port_offsets[heads] + port
-        if np.any(np.bincount(perm) > 1):
+        if not _is_permutation(perm):
             raise ValidationError(
                 "moving shift is not a permutation on this graph/port "
                 "order; use the flip-flop shift or a custom port order"
@@ -462,19 +463,18 @@ def _at(spec, t: int):
     return spec(t)
 
 
-def _per_walker(spec, k: int) -> list:
-    if isinstance(spec, (list, tuple)):
-        if len(spec) != k:
-            raise ValidationError(
-                f"got {len(spec)} per-walker specs for {k} walkers"
-            )
-        return list(spec)
-    return [spec] * k
-
-
-def _check_same_graph(spec_graph: PortGraph, base: PortGraph, what: str) -> None:
-    if spec_graph != base:
+def _per_walker(spec, space: ProductGraph, t: int, what: str) -> list:
+    """One spec per walker of ``space`` (``spec`` itself, shared, or its
+    items), resolved at step t and checked to be built for the base."""
+    k = space.num_walkers
+    specs = list(spec) if isinstance(spec, (list, tuple)) else [spec] * k
+    if len(specs) != k:
+        raise ValidationError(
+            f"got {len(specs)} per-walker specs for {k} walkers")
+    specs = [_at(s, t) for s in specs]
+    if any(s.graph != space.base for s in specs):
         raise ValidationError(f"{what} was built for a different graph")
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -499,27 +499,20 @@ def _coin_block_multiply(spec: CoinSpec, amps: np.ndarray) -> np.ndarray:
 
 def apply_coin(psi: WaveFunction, coin: CoinLike, t: int = 0) -> WaveFunction:
     """Mix amplitudes among each vertex's ports with the coin blocks."""
-    k = psi.num_walkers
-    specs = [_at(s, t) for s in _per_walker(coin, k)]
-    for s in specs:
-        _check_same_graph(s.graph, psi.base, "coin")
-    dim = psi.single_dim
-    arr = psi.amplitudes.reshape((dim,) * k)
+    specs = _per_walker(coin, psi.graph, t, "coin")
+    shape = psi.graph.basis_shape
+    arr = psi.amplitudes.reshape(shape)
     for axis, s in enumerate(specs):
-        moved = np.moveaxis(arr, axis, 0).reshape(dim, -1)
+        moved = np.moveaxis(arr, axis, 0).reshape(psi.base.basis_dim, -1)
         arr = np.moveaxis(
-            _coin_block_multiply(s, moved).reshape((dim,) * k), 0, axis)
+            _coin_block_multiply(s, moved).reshape(shape), 0, axis)
     return WaveFunction(psi.graph, np.ascontiguousarray(arr).reshape(-1))
 
 
 def apply_shift(psi: WaveFunction, shift: ShiftLike, t: int = 0) -> WaveFunction:
     """Transport amplitudes along arcs by the shift permutation."""
-    k = psi.num_walkers
-    specs = [_at(s, t) for s in _per_walker(shift, k)]
-    for s in specs:
-        _check_same_graph(s.graph, psi.base, "shift")
-    dim = psi.single_dim
-    arr = psi.amplitudes.reshape((dim,) * k)
+    specs = _per_walker(shift, psi.graph, t, "shift")
+    arr = psi.amplitudes.reshape(psi.graph.basis_shape)
     arr = arr[np.ix_(*(s.inverse for s in specs))]
     return WaveFunction(psi.graph, np.ascontiguousarray(arr).reshape(-1))
 
@@ -534,21 +527,16 @@ def apply_interaction(psi: WaveFunction, interaction: InteractionLike | None,
     if spec is None or spec.kind == "identity":
         return psi
     k = psi.num_walkers
-    if k < 2 or spec.graph.num_walkers != k:
-        raise ValidationError(
-            "interactions require at least two walkers" if k < 2 else
-            f"interaction is for {spec.graph.num_walkers} walkers, state "
-            f"has {k}"
-        )
+    if k < 2:
+        raise ValidationError("interactions require at least two walkers")
+    if spec.graph != psi.graph:
+        raise ValidationError("interaction was built for a different graph")
     base = psi.base
-    _check_same_graph(spec.graph.base, base, "interaction")
-    dim = psi.single_dim
-    arr = psi.amplitudes.reshape((dim,) * k).copy()
+    arr = psi.amplitudes.reshape(psi.graph.basis_shape).copy()
     offs = base.port_offsets
     if spec.kind == "coincidence-phase":
         # the basis states whose walkers all stand on one vertex
-        owners = [base.vertex_of_basis.reshape((dim,) + (1,) * (k - 1 - i))
-                  for i in range(k)]
+        owners = np.ix_(*[base.vertex_of_basis] * k)
         shared = np.ones(arr.shape, dtype=bool)
         for owner in owners[1:]:
             shared &= owners[0] == owner
@@ -574,6 +562,20 @@ def step(
     return apply_shift(psi, shift, t)
 
 
+def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
+           horizon: int, interaction: InteractionLike | None = None
+           ) -> Iterator[WaveFunction]:
+    """Yield psi(0) = ``psi0`` and each :func:`step` after it, at t = 0,
+    1, ..., up to psi(``horizon``)."""
+    if horizon < 0:
+        raise ValidationError("horizon must be >= 0")
+    psi = psi0
+    yield psi
+    for t in range(horizon):
+        psi = step(psi, coin, shift, interaction, t)
+        yield psi
+
+
 def vertex_distribution(psi: WaveFunction) -> np.ndarray:
     """Probability of finding the walker(s) at each vertex (tuple).
 
@@ -582,8 +584,7 @@ def vertex_distribution(psi: WaveFunction) -> np.ndarray:
     """
     p = np.abs(psi.amplitudes) ** 2
     starts = psi.base.port_offsets[:-1]
-    k = psi.num_walkers
-    arr = p.reshape((psi.single_dim,) * k)
-    for axis in range(k):
+    arr = p.reshape(psi.graph.basis_shape)
+    for axis in range(psi.num_walkers):
         arr = np.add.reduceat(arr, starts, axis=axis)
     return arr.reshape(-1)

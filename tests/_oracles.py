@@ -227,7 +227,7 @@ def dense_coincidence_phase(graph, num_walkers: int, phi: float) -> np.ndarray:
 def reference_interaction(psi, spec) -> np.ndarray:
     """Amplitudes after the coincidence phase ``spec``, applied to one
     vertex's block of ports per walker at a time, vertex by vertex."""
-    k, dim = psi.num_walkers, psi.single_dim
+    k, dim = psi.num_walkers, psi.base.basis_dim
     arr = psi.amplitudes.reshape((dim,) * k).copy()
     offs = psi.base.port_offsets
     factor = np.exp(1j * spec.phase)
@@ -437,6 +437,16 @@ def reference_write_table(path_base: str | Path, table: Table) -> Path:
             writer.writerow(row)
             fh.write(buf.getvalue()[:-2] + "\n")
     return path
+
+
+def reference_ensemble_mean(paths: np.ndarray, dims) -> list[list]:
+    """Rows ``[t, mean_axis0, ...]``: the coordinate table of the torus
+    indexed by each instant's vertices and averaged, one instant at a
+    time, as ``ensemble_mean_table`` did before it took one mean."""
+    coords = np.stack(np.unravel_index(np.arange(int(np.prod(dims))), dims),
+                      axis=1).astype(np.float64)
+    return [[t] + [float(x) for x in coords[paths[:, t]].mean(axis=0)]
+            for t in range(paths.shape[1])]
 
 
 def read_table(path_base: str | Path) -> Table:

@@ -358,6 +358,92 @@ def test_equivalence_outputs_are_pinned(tmp_path, name):
     assert got == GOLDEN_EQUIVALENCE[name]
 
 
+#: The other commands' runs: the arguments after ``qrwalk``, with ``{cfg}``
+#: the config and ``{eq}`` a directory that ``equivalence`` wrote first.
+COMMAND_RUNS = {
+    "evolve-csv": ["evolve", "--config", "{cfg}"],
+    "evolve-json": ["evolve", "--config", "{cfg}", "--format", "json"],
+    "tvd": ["tvd", "--config", "{cfg}"],
+    "rejection": ["rejection", "--config", "{cfg}"],
+    "torus-dp": ["torus-dp", "--config", "{cfg}"],
+    "sample-json": ["sample", "--config", "{cfg}", "--format", "json"],
+    "sample-from": ["sample", "--from", "{eq}", "--seed", "4",
+                    "--ensemble-size", "60"],
+}
+#: One walker and two, with the entries those commands read.
+COMMAND_CONFIGS = {
+    "torus6-grover": {**GOLDEN_SAMPLES["torus6-grover"][0],
+                      "ensemble_sizes": [20, 50], "t_grid": [1, 4, 8],
+                      "length": 3, "attempts": 5000,
+                      "emit_matrices": True},
+    "torus4-two-walker": {**GOLDEN_SAMPLES["torus4-two-walker"][0],
+                          "ensemble_sizes": [20, 50], "t_grid": [1, 5]},
+}
+#: The sha256 of each run's outputs, as written before one walker became
+#: a product graph of one and the walk loop became ``walk.evolve``.
+GOLDEN_RUNS = {
+    ("torus4-two-walker", "evolve-csv"): {
+        "rho.csv": "db39d4970dcb26dca2578ba5809fd268"
+                   "2015265580e6784edc81c4153eaf264c"},
+    ("torus4-two-walker", "evolve-json"): {
+        "rho.json": "4cd80e59e17be1786bc255741536d396"
+                    "0cecbeae5f37d343f7352f9648a93221"},
+    ("torus4-two-walker", "sample-from"): {
+        "trajectories.csv": "291113d346ad809058d407228dd9f6c9"
+                            "39e542b68e1cb2eaed2efbaa5a194d21"},
+    ("torus4-two-walker", "sample-json"): {
+        "trajectories.json": "502b9edd654370247cc17816f1fb78a3"
+                             "145a2d33a212b36ba9819a7cc709558d"},
+    ("torus4-two-walker", "tvd"): {
+        "tvd.csv": "0f31c2ad0289ef1cf719f962a9a2050b"
+                   "0e91dd2dcaab649c98c3a82f1e609f50"},
+    ("torus6-grover", "evolve-csv"): {
+        "rho.csv": "807fe951c153078a3c81acdf51d106d1"
+                   "cbb825cdf8f53ad834d75a24bbe2209c"},
+    ("torus6-grover", "evolve-json"): {
+        "rho.json": "d03e9d8c79bf6fe51c63844e42ce4ac4"
+                    "a28ae7a68d5b95ec645ae472d613926f"},
+    ("torus6-grover", "rejection"): {
+        "rejection.json": "af4a826e80fec0f3999196c4442b2557"
+                          "72f7ea937bc3b0bbca435af32e01d7e5"},
+    ("torus6-grover", "sample-from"): {
+        "trajectories.csv": "5d696de13bca3267357c3a9def9fec36"
+                            "ac29ce1495e73977863e23109d45daa3",
+        "ensemble_mean.csv": "5c6e0402ff9528243cbb80d1122bea31"
+                             "21d805164823b6f1fd635d329fa47aad"},
+    ("torus6-grover", "sample-json"): {
+        "trajectories.json": "ce75a30008a9e195f7ee9ceab8eaa627"
+                             "ff8695c812d213c31682aad5abcb1659",
+        "ensemble_mean.json": "0cb85ae352421debbc408604b9471732"
+                              "bcd0e2c3e2527fce9e11ccb5f0433ded"},
+    ("torus6-grover", "torus-dp"): {
+        "p_matrix.csv": "8b35ad9095f88e89e8c3e82094b0748a"
+                        "36108477e27bf1b4694f7aa552c09f66",
+        "rho.csv": "89d22bd301cf3f799e7aa15d288a28e4"
+                   "5813673b6ee0960e9b2d0961cc1f92d9",
+        "sequence.npz": "dea3cdad664c155ef7cc69c2135a3a46"
+                        "d6a1e4a16590f7c6e4645f90e3a0d373"},
+    ("torus6-grover", "tvd"): {
+        "tvd.csv": "c4aa2d2885b2cc8692069cd3d08d3955"
+                   "92c702db09e8f0f56ad8ff54737434ef"},
+}
+
+
+@pytest.mark.parametrize("name, run", sorted(GOLDEN_RUNS))
+def test_command_outputs_are_pinned(tmp_path, name, run):
+    cfg, eq, out = tmp_path / "cfg.json", tmp_path / "eq", tmp_path / "out"
+    cfg.write_text(json.dumps(COMMAND_CONFIGS[name]))
+    if run == "sample-from":
+        assert main(["equivalence", "--config", str(cfg),
+                     "--out-dir", str(eq)]) == 0
+    argv = [arg.format(cfg=cfg, eq=eq) for arg in COMMAND_RUNS[run]]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    digests = GOLDEN_RUNS[name, run]
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in digests}
+    assert got == digests
+
+
 class TestTvd:
     def test_rows_cover_grid(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from qrwalk import (
     TransitionMatrixSeq,
     ValidationError,
     WaveFunction,
+    build_graph,
     build_multiwalker_matrix,
     build_sequence,
     step,
@@ -21,7 +25,7 @@ from qrwalk import (
     vertex_distribution,
 )
 from qrwalk import equivalence, walk
-from qrwalk.equivalence import matrix_from_masses
+from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
 
 
 def hadamard_walk(graph, t=0):
@@ -32,6 +36,13 @@ def single_walker_matrix(psi_t, psi_next, shift, time=0):
     """Every column of P(t) for one walker."""
     return build_multiwalker_matrix(psi_t, psi_next, shifts=shift,
                                     time=time)
+
+
+def irregular_graph(n):
+    """The n-cycle with a chord (i, i + 2) at every third vertex, so that
+    degrees 2 and 3 alternate irregularly."""
+    return build_graph([(i, (i + 1) % n) for i in range(n)]
+                       + [(i, i + 2) for i in range(0, n - 2, 3)])
 
 
 def stored_columns(mat):
@@ -116,8 +127,6 @@ class TestBuildTransitionMatrix:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
         psi1 = step(psi0, coin, shift)
-        with pytest.raises(ValidationError):
-            build_multiwalker_matrix(psi0, psi1, ProductGraph(k5, 1), shift)
         with pytest.raises(ValidationError, match="different graph"):
             build_multiwalker_matrix(psi0, psi1,
                                      shifts=ShiftSpec.flip_flop(k5))
@@ -219,8 +228,7 @@ class TestMultiwalker:
         expected = np.zeros((4, 4))
         for u, (targets, probs) in single.items():
             expected[targets, u] = probs
-        multi = build_multiwalker_matrix(psi0, psi1, ProductGraph(c4, 1),
-                                         shift)
+        multi = build_multiwalker_matrix(psi0, psi1, shift)
         assert np.array_equal(multi.toarray(), expected)
 
     def test_joint_propagation_with_interaction(self, c4):
@@ -274,7 +282,7 @@ class TestMultiwalker:
         joint0 = WaveFunction(pg, np.kron(a.amplitudes, b.amplitudes))
         joint1 = step(joint0, coin, shift)
         a1, b1 = step(a, coin, shift), step(b, coin, shift)
-        multi = build_multiwalker_matrix(joint0, joint1, pg, shift)
+        multi = build_multiwalker_matrix(joint0, joint1, shift)
         m_a = single_walker_matrix(a, step(a, coin, shift), shift)
         m_b = single_walker_matrix(b, step(b, coin, shift), shift)
         rho_joint = vertex_distribution(joint0)
@@ -315,7 +323,7 @@ class TestMultiwalker:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
         psi1 = step(psi0, coin, shift)
-        mat = build_multiwalker_matrix(psi0, psi1, pg, shift)
+        mat = build_multiwalker_matrix(psi0, psi1, shift)
         with pytest.raises(ConsistencyError, match="not materialised"):
             mat.column(pg.tuple_index((1, 2)))
 
@@ -349,6 +357,35 @@ class TestMultiwalker:
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError, match="64 arcs .* P\\(0\\)"):
             matrix_from_masses(*args)
+
+    @pytest.mark.parametrize("walkers, graph", [
+        (1, torus_graph((60, 60))), (1, irregular_graph(3000)),
+        (2, torus_graph((6, 6))), (2, irregular_graph(30)),
+        (3, torus_graph((3, 4))), (3, irregular_graph(12)),
+    ], ids=["K1-torus", "K1-irregular", "K2-torus", "K2-irregular",
+            "K3-torus", "K3-irregular"])
+    def test_arc_budget_bounds_the_measured_peak(self, walkers, graph):
+        # every column on the ratio rule: the build's largest arc arrays
+        rng = np.random.default_rng(walkers)
+        pg = ProductGraph(graph, walkers)
+        amps = rng.normal(size=pg.basis_dim) \
+            + 1j * rng.normal(size=pg.basis_dim)
+        psi = WaveFunction(pg, amps / np.linalg.norm(amps))
+        shift = ShiftSpec.flip_flop(graph)
+        rho = vertex_distribution(psi)
+        assert rho.min() > ZERO_PROB
+        masses = np.abs(step(psi, CoinSpec.grover(graph), shift).amplitudes)
+        wanted = np.arange(pg.num_states)
+        arcs = int(pg.out_degrees(wanted).sum())
+        args = (pg, shift, rho, masses ** 2, wanted)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            matrix_from_masses(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= equivalence._arc_bytes(walkers) * arcs
 
     def test_dense_matrix_over_the_memory_budget_is_never_allocated(
             self, c4, monkeypatch):

@@ -208,6 +208,20 @@ class TestProductGraph:
         with pytest.raises(ValidationError, match="arity"):
             pg.degree((0, 1, 2))
 
+    def test_a_port_graph_is_one_walker(self, c4):
+        pg = ProductGraph(c4, 2)
+        assert ProductGraph.of(c4) == ProductGraph(c4, 1)
+        assert ProductGraph.of(pg) is pg
+
+    def test_joint_basis_index_is_mixed_radix(self, c4):
+        pg = ProductGraph(c4, 3)
+        assert pg.basis_shape == (8, 8, 8) and pg.basis_dim == 512
+        joint = pg.basis_index((1, 3, 0), (1, 0, 1))
+        assert joint == (c4.basis_index(1, 1) * 8
+                         + c4.basis_index(3, 0)) * 8 + c4.basis_index(0, 1)
+        assert ProductGraph.of(c4).basis_index([2], [1]) \
+            == c4.basis_index(2, 1)
+
 
 class TestJsonInterchange:
     def test_round_trip_preserves_port_order(self, c4):

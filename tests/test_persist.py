@@ -291,6 +291,9 @@ class TestSpecParsing:
         base, space, walkers = graph_and_spaces(
             {"graph": {"type": "cycle", "n": 4}, "walkers": 2})
         assert walkers == 2
-        assert isinstance(space, ProductGraph)
+        assert space == ProductGraph(base, 2)
+        base, space, walkers = graph_and_spaces(
+            {"graph": {"type": "cycle", "n": 4}})
+        assert (space, walkers) == (ProductGraph(base, 1), 1)
         with pytest.raises(ConfigError):
             graph_and_spaces({})

@@ -23,6 +23,7 @@ from qrwalk import (
     PortGraph,
     ProductGraph,
     ShiftSpec,
+    TrajectoryEnsemble,
     TransitionMatrixSeq,
     ValidationError,
     WaveFunction,
@@ -295,6 +296,22 @@ def test_torus_matches_per_vertex_reference(seed):
     assert g.out_neighbors == oracle.reference_torus_neighbors(dims)
     assert ShiftSpec.moving(g).permutation.tolist() \
         == oracle.reference_moving(g.out_neighbors)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ensemble_mean_matches_per_instant_reference(seed):
+    rng = np.random.default_rng(seed)
+    dims = tuple(rng.integers(3, 30, size=int(rng.integers(1, 4))).tolist())
+    paths = rng.integers(0, int(np.prod(dims)),
+                         size=(int(rng.integers(1, 500)),
+                               int(rng.integers(1, 8))))
+    table = persist.ensemble_mean_table(
+        TrajectoryEnsemble(paths, int(np.prod(dims))), dims)
+    got = [list(row) for row in table.rows]
+    expected = oracle.reference_ensemble_mean(paths, dims)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert [type(x) for x in got[0]] == [type(x) for x in expected[0]]
 
 
 def raised(call) -> Exception:

@@ -9,6 +9,9 @@ miss it.
 Shifts, coins, states and P(t) are checked against the paper's
 conditions whenever they are made, so no parameter or dataclass field
 may offer to skip a check.
+
+Every state space is a ``ProductGraph``, one walker being the product
+of one, so only ``graphs.py`` may ask which graph type it holds.
 """
 
 import ast
@@ -20,6 +23,8 @@ SRC = Path(qrwalk.__file__).parent
 BUDGET, ERROR = "DEFAULT_MEMORY_BUDGET", "ResourceLimitError"
 #: Names of the switches that once skipped a check.
 KNOBS = {"validate", "strict", "enforce_edges"}
+#: The graph types that were once two kinds of state space.
+GRAPH_TYPES = {"PortGraph", "ProductGraph"}
 
 
 def _names(node) -> set[str]:
@@ -133,3 +138,43 @@ def test_the_knob_guard_sees_each_breach():
         "m.py:6 parameter validate",
         "m.py:7 parameter strict",
     ]
+
+
+def type_check_breaches(source: str, module: str) -> list[str]:
+    """Each ``isinstance`` call in ``source`` that names a graph type,
+    unless ``module`` is ``graphs.py``."""
+    if module == "graphs.py":
+        return []
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            found += [(node.lineno, f"isinstance on {name}")
+                      for name in sorted(GRAPH_TYPES & _names(node.args[1]))]
+    return [f"{module}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_only_graphs_asks_which_graph_type_it_holds():
+    breaches = [b for path in sorted(SRC.glob("*.py"))
+                for b in type_check_breaches(path.read_text(), path.name)]
+    assert breaches == []
+
+
+def test_the_type_check_guard_sees_each_breach():
+    source = (
+        "def f(g, x):\n"
+        "    if isinstance(g, ProductGraph):\n"
+        "        return g.base\n"
+        "    if isinstance(x, (dict, graphs.PortGraph)):\n"
+        "        return x\n"
+        "    return isinstance(g, (PortGraph, ProductGraph, int))\n"
+        "def g(x):\n"
+        "    return isinstance(x, dict) or ProductGraph.of(x)\n"
+    )
+    assert type_check_breaches(source, "m.py") == [
+        "m.py:2 isinstance on ProductGraph",
+        "m.py:4 isinstance on PortGraph",
+        "m.py:6 isinstance on PortGraph",
+        "m.py:6 isinstance on ProductGraph",
+    ]
+    assert type_check_breaches(source, "graphs.py") == []

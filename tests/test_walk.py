@@ -17,6 +17,7 @@ from qrwalk import (
     apply_shift,
     build_graph,
     cycle_graph,
+    evolve,
     step,
     vertex_distribution,
     walk,
@@ -70,6 +71,15 @@ class TestWaveFunction:
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 100)
         with pytest.raises(ResourceLimitError):
             WaveFunction.localized(pg, (0, 0), (0, 0))
+
+    def test_a_port_graph_is_taken_as_one_walker(self, c4, rng):
+        one = ProductGraph(c4, 1)
+        states = [WaveFunction.localized(c4, 0, 0), WaveFunction.uniform(c4),
+                  WaveFunction.from_components(c4, [(1, 1, 1.0)]),
+                  random_state(c4, rng)]
+        assert all(psi.graph == one and psi.num_walkers == 1
+                   for psi in states)
+        assert WaveFunction(one, states[0].amplitudes).graph == one
 
     def test_amplitudes_frozen(self, c4):
         psi = WaveFunction.localized(c4, 0, 0)
@@ -191,6 +201,20 @@ class TestStep:
         assert psi.amplitudes[c4.basis_index(1, 0)] == 1.0
         psi = step(psi, coin, shift, t=1)   # now the coin mixes
         assert np.count_nonzero(psi.amplitudes) == 2
+
+    def test_evolve_yields_each_step_from_psi0(self, c4):
+        table = {0: CoinSpec.identity(c4), 1: CoinSpec.hadamard(c4)}
+        coin = lambda t: table.get(t, CoinSpec.grover(c4))  # noqa: E731
+        shift = ShiftSpec.moving(c4)
+        psi0 = WaveFunction.localized(c4, 0, 0)
+        states = list(evolve(psi0, coin, shift, 4))
+        assert len(states) == 5 and states[0] is psi0
+        for t in range(4):
+            expected = step(states[t], coin, shift, t=t)
+            assert states[t + 1].amplitudes.tobytes() \
+                == expected.amplitudes.tobytes()
+        with pytest.raises(ValidationError, match="horizon"):
+            next(evolve(psi0, coin, shift, -1))
 
     def test_interaction_requires_multiple_walkers(self, c4):
         pg = ProductGraph(c4, 2)
