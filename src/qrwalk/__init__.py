@@ -34,7 +34,6 @@ from .errors import (
     GraphError,
     QRWalkError,
     ResourceLimitError,
-    SamplingError,
     UnitarityError,
     ValidationError,
 )

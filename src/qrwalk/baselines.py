@@ -328,10 +328,11 @@ def grover_torus_matrix(
     """Transition matrix between consecutive recursion states.
 
     Entries are ``rho(v, c, t+1) / rho(u, t)`` where ``v = eta(u, c)``
-    (the moving shift keeps the port label); zero-mass columns are uniform
-    ``1 / (2 D)`` over the torus neighbours. The recursion's tables feed
-    the same column builder as the general construction, through the
-    moving-shift permutation.
+    (the moving shift keeps the port label); it stores the columns of the
+    vertices with mass, and the zero-mass ones are uniform ``1 / (2 D)``
+    over the torus neighbours. The recursion's tables feed the same
+    column builder as the general construction, through the moving-shift
+    permutation.
     """
     if dp_t.dims != dp_next.dims:
         raise ValidationError("states live on different tori")
@@ -342,6 +343,5 @@ def grover_torus_matrix(
     g = torus_graph(dp_t.dims)
     return matrix_from_masses(
         ProductGraph(g, 1), ShiftSpec.moving(g),
-        dp_t.vertex_distribution(), dp_next.rho.reshape(-1),
-        np.arange(g.num_vertices), time=dp_t.time,
+        dp_t.vertex_distribution(), dp_next.rho.reshape(-1), time=dp_t.time,
     )

@@ -21,7 +21,8 @@ from .baselines import exact_rejection_marginals, grover_torus_dp, \
 from .equivalence import TransitionMatrixSeq, build_sequence, \
     verify_theorem_properties
 from .errors import ConfigError, ConsistencyError, QRWalkError, \
-    ResourceLimitError, SamplingError, ValidationError
+    ResourceLimitError, ValidationError
+from .graphs import graph_from_json
 from .persist import (
     RunManifest,
     ensemble_mean_table,
@@ -42,7 +43,7 @@ from .persist import (
 from .trajectory import convergence_report, locality_fraction, sample_ensemble
 from .walk import evolve, vertex_distribution
 
-_RUNTIME_ERRORS = (ConsistencyError, SamplingError, ResourceLimitError)
+_RUNTIME_ERRORS = (ConsistencyError, ResourceLimitError)
 
 
 def _load_config(path: str | None) -> dict:
@@ -177,28 +178,23 @@ def cmd_equivalence(args, config: dict) -> int:
 
 def cmd_sample(args, config: dict) -> int:
     _scan_only(config)
-    torus_dims = None
-    space = None
     if args.from_dir:
         seq = load_sequence(args.from_dir)
-        walkers = seq.num_walkers
-        base_n = seq.num_base_vertices
         source = RunManifest.load(args.from_dir) \
             if (Path(args.from_dir) / "manifest.json").exists() else None
-        graph_doc = source.graph if source else {"loaded": args.from_dir}
-        if source:  # load_sequence checked that it made this store
-            base, space, _ = graph_and_spaces(
-                {"graph": source.graph, "walkers": source.walkers})
-            torus_dims = base.torus_dims
+        # load_sequence checked that the manifest made this store; the
+        # store's graph has no torus shape, the manifest's has
+        torus_dims = graph_from_json(source.graph).torus_dims \
+            if source else None
         manifest = RunManifest(
-            command="sample", graph=graph_doc,
+            command="sample",
+            graph=source.graph if source else {"loaded": args.from_dir},
             graph_sha256=source.graph_sha256 if source else "unknown",
-            walkers=walkers, seed=config.get("seed"),
+            walkers=seq.num_walkers, seed=config.get("seed"),
         )
     else:
-        base, space, walkers = graph_and_spaces(config)
+        base, space, _ = graph_and_spaces(config)
         seq = _build_seq(config, space)
-        base_n = base.num_vertices
         torus_dims = base.torus_dims
         manifest = manifest_for(config, "sample", base, format=args.format)
 
@@ -206,16 +202,18 @@ def cmd_sample(args, config: dict) -> int:
     manifest.params.update({"ensemble_size": size, "method": "scan"})
     ens = sample_ensemble(seq, size, config.get("seed"),
                           length=config.get("length"))
-    if space is not None and locality_fraction(ens, space) < 1.0:
+    if locality_fraction(ens, seq.graph) < 1.0:
         raise ConsistencyError(
             "sampled ensemble contains a non-edge transition"
         )
 
+    walkers = seq.num_walkers
     out = _out_dir(args)
     digest = manifest.save(out)
     path = write_table(
         out / "trajectories",
-        trajectories_table(ens, walkers, base_n, torus_dims, digest),
+        trajectories_table(ens, walkers, seq.num_base_vertices, torus_dims,
+                           digest),
         args.format,
     )
     if torus_dims is not None and walkers == 1:
@@ -312,8 +310,9 @@ def cmd_torus_dp(args, config: dict) -> int:
     if config.get("emit_matrices"):
         matrices = [grover_torus_matrix(states[t], states[t + 1])
                     for t in range(horizon)]
-        _, path = save_sequence(out, TransitionMatrixSeq(matrices, rho),
-                                digest, args.format)
+        _, path = save_sequence(
+            out, TransitionMatrixSeq(matrices, rho, base), digest,
+            args.format)
     else:
         path = write_table(out / "rho",
                            rho_table(rho, 1, base.num_vertices, digest),

@@ -13,15 +13,15 @@ distribution (entries bounded by the Cauchy-Schwarz inequality, sums equal
 to the source vertex mass). The same construction runs on the product
 graph of K >= 1 walkers, where states are vertex tuples.
 
-P(t) holds the columns of one rule. One walker gets every vertex: the
-paper's full matrix, at a cost linear in the arcs. K > 1 walkers have
-|V|^K tuples, so P(t) holds only R(t): R(0) = {rho(0) > 0} and R(t+1) =
-{rho(t+1) > 0} with the targets of P(t). Every state a trajectory from
-rho(0) can stand on, and every source ``P(t) rho(t)`` reads, is in R(t).
+P(t) stores only its ratio columns, the states with rho(u, t) above
+:data:`ZERO_PROB`, for every K. Every other column is uniform, fixed by
+the graph alone, and :meth:`TransitionMatrix.find` makes it for the
+readers that need it (``column``, ``entry``, ``apply``, ``toarray``, the
+sampler and the text export). So every state has a column.
 
 One walk step (a block-diagonal coin, then a basis permutation) costs
 time linear in the state dimension for bounded degree, and emitting one
-matrix is linear in the number of arcs leaving its materialised columns.
+matrix is linear in the number of arcs leaving its ratio columns.
 """
 
 from __future__ import annotations
@@ -68,21 +68,22 @@ COLUMN_SUM_ERROR = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """One column-stochastic transition matrix P(t) in compressed sparse
-    column (CSC) form, over the source columns that were materialised.
+    """One column-stochastic transition matrix P(t) over the states of
+    ``graph``, its ratio columns stored in compressed sparse column (CSC)
+    form.
 
-    ``col_ids`` lists the materialised source states in ascending order.
-    Column ``col_ids[j]`` holds the targets
-    ``indices[indptr[j]:indptr[j + 1]]`` (ascending) with probabilities
-    ``data[indptr[j]:indptr[j + 1]]``; entries that are exactly zero are
-    not stored, and no materialised column is empty. A source state absent
-    from ``col_ids`` was not built. For K-walker chains states are joint
-    vertex-tuple indices, and only the columns the module's rule names are
-    materialised. The arrays are read-only.
+    ``col_ids`` lists the stored source states in ascending order. Column
+    ``col_ids[j]`` holds the targets ``indices[indptr[j]:indptr[j + 1]]``
+    (ascending) with probabilities ``data[indptr[j]:indptr[j + 1]]``;
+    entries that are exactly zero are not stored, and no stored column is
+    empty. Every other state's column is uniform, ``1 / d(u)`` on its
+    out-neighbours, and :meth:`find` makes it on demand. States are joint
+    vertex-tuple indices of ``graph``, a port graph being one walker on
+    it. The arrays are read-only.
     """
 
     time: int
-    num_states: int
+    graph: ProductGraph
     col_ids: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
@@ -90,6 +91,7 @@ class TransitionMatrix:
     column_sum_error: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "graph", ProductGraph.of(self.graph))
         for name, dtype in (("col_ids", np.int64), ("indptr", np.int64),
                             ("indices", np.int64), ("data", np.float64)):
             arr = np.array(getattr(self, name), dtype=dtype, ndmin=1)
@@ -109,19 +111,58 @@ class TransitionMatrix:
             )
 
     @property
+    def num_states(self) -> int:
+        return self.graph.num_states
+
+    @property
     def sources(self) -> np.ndarray:
         """Source state of every stored entry."""
         return np.repeat(self.col_ids, np.diff(self.indptr))
 
+    def find(self, states) -> tuple[TransitionMatrix, np.ndarray]:
+        """A matrix with a column for each of ``states``, and the position
+        of each state's column in its ``col_ids``.
+
+        That matrix is ``self`` when every state has a stored column, else
+        a copy that adds the uniform columns of the others: targets in
+        ascending joint index, each with the value ``1.0 / d``. Its
+        entries are checked against the memory budget
+        (:func:`~qrwalk.walk.check_budget`) before anything is allocated.
+        """
+        states = np.asarray(states, dtype=np.int64)
+        pos = np.searchsorted(self.col_ids, states)
+        found = pos < self.col_ids.size
+        found[found] = self.col_ids[pos[found]] == states[found]
+        if found.all():
+            return self, pos
+        pg, new = self.graph, np.unique(states[~found])
+        size = int(pg.out_degrees(new).sum()) + self.data.size
+        check_budget(_arc_bytes(pg.num_walkers) * size,
+                     f"the {size} entries of P({self.time}) with {new.size} "
+                     "uniform columns")
+        owner, ports = pg.arcs(new)
+        targets = np.ravel_multi_index(tuple(pg.base.heads[ports]), pg.shape)
+        degrees = np.bincount(owner, minlength=new.size)
+        ids = np.concatenate([self.col_ids, new])
+        by_id = np.argsort(ids)
+        lengths = np.concatenate([np.diff(self.indptr), degrees])[by_id]
+        # both parts ascend by source, so a stable sort merges them
+        entries = np.argsort(np.concatenate([self.sources, new[owner]]),
+                             kind="stable")
+        targets = np.concatenate([self.indices, targets[np.argsort(
+            owner * pg.num_states + targets)]])[entries]
+        probs = np.concatenate([self.data, 1.0 / degrees[owner]])[entries]
+        mat = TransitionMatrix(
+            self.time, pg, ids[by_id],
+            np.concatenate([[0], np.cumsum(lengths)]), targets, probs,
+            self.column_sum_error)
+        return mat, np.searchsorted(mat.col_ids, states)
+
     def column(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (targets, probabilities) views of source column u."""
-        j = int(np.searchsorted(self.col_ids, u))
-        if j == self.col_ids.size or self.col_ids[j] != u:
-            raise ConsistencyError(
-                f"column {u} of P({self.time}) was not materialised"
-            )
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
+        mat, (j,) = self.find([u])
+        lo, hi = mat.indptr[j], mat.indptr[j + 1]
+        return mat.indices[lo:hi], mat.data[lo:hi]
 
     def entry(self, v: int, u: int) -> float:
         targets, probs = self.column(u)
@@ -134,8 +175,7 @@ class TransitionMatrix:
         """Propagate a distribution: returns P(t) @ rho.
 
         Sources with mass at or below :data:`ZERO_PROB` are skipped (their
-        entries get weight zero, which adds nothing); every other source
-        must have a materialised column.
+        entries get weight zero, which adds nothing).
         """
         rho = np.asarray(rho, dtype=np.float64)
         if rho.shape != (self.num_states,):
@@ -143,49 +183,45 @@ class TransitionMatrix:
                 f"distribution has shape {rho.shape}, expected "
                 f"({self.num_states},)"
             )
-        live = np.flatnonzero(rho > ZERO_PROB)
-        built = np.isin(live, self.col_ids, assume_unique=True)
-        if not built.all():
-            self.column(int(live[~built][0]))  # raises ConsistencyError
-        mass = rho[self.col_ids]
+        mat, _ = self.find(np.flatnonzero(rho > ZERO_PROB))
+        mass = rho[mat.col_ids]
         weights = np.repeat(np.where(mass > ZERO_PROB, mass, 0.0),
-                            np.diff(self.indptr)) * self.data
-        return np.bincount(self.indices, weights=weights,
+                            np.diff(mat.indptr)) * mat.data
+        return np.bincount(mat.indices, weights=weights,
                            minlength=self.num_states)
 
     def toarray(self) -> np.ndarray:
-        """Dense (num_states x num_states) array; missing columns are zero.
-        Its ``8 * num_states**2`` bytes are checked against the memory
-        budget first."""
+        """Dense (num_states x num_states) array. Its ``8 * num_states**2``
+        bytes, with the arc arrays of the uniform columns (at most one per
+        basis state), are checked against the memory budget first."""
         n = self.num_states
-        check_budget(8 * n * n, f"a dense P({self.time}) over {n} states")
+        check_budget(8 * n * n + _arc_bytes(self.graph.num_walkers)
+                     * self.graph.basis_dim,
+                     f"a dense P({self.time}) over {n} states")
+        mat, _ = self.find(np.arange(n))
         a = np.zeros((n, n))
-        a[self.indices, self.sources] = self.data
+        a[mat.indices, mat.sources] = mat.data
         return a
 
 
 @dataclass
 class TransitionMatrixSeq:
-    """Matrices P(0..T-1) with the distribution sequence rho(0..T).
-
-    The states are the ``num_walkers``-tuples of ``num_base_vertices``
-    vertices, which defaults to the K-th root of the state count.
-    """
+    """Matrices P(0..T-1) with the distribution sequence rho(0..T) over
+    the states of ``graph``, a port graph being one walker on it."""
 
     matrices: list[TransitionMatrix]
     rho: np.ndarray  # (T+1, num_states)
-    num_walkers: int = 1
-    num_base_vertices: int | None = None
+    graph: ProductGraph
 
     def __post_init__(self) -> None:
+        self.graph = ProductGraph.of(self.graph)
         self.rho = np.asarray(self.rho, dtype=np.float64)
-        if self.rho.ndim != 2 or self.rho.shape[0] != len(self.matrices) + 1:
+        shape = (len(self.matrices) + 1, self.graph.num_states)
+        if self.rho.shape != shape:
             raise ValidationError(
-                f"rho has shape {self.rho.shape}, expected "
-                f"({len(self.matrices) + 1}, num_states)"
-            )
-        self.num_base_vertices = ProductGraph.base_size(
-            self.rho.shape[1], self.num_walkers, self.num_base_vertices)
+                f"rho has shape {self.rho.shape}, expected {shape}")
+        if any(m.graph != self.graph for m in self.matrices):
+            raise ValidationError("the matrices live on a different graph")
 
     @property
     def num_steps(self) -> int:
@@ -193,7 +229,15 @@ class TransitionMatrixSeq:
 
     @property
     def num_states(self) -> int:
-        return int(self.rho.shape[1])
+        return self.graph.num_states
+
+    @property
+    def num_walkers(self) -> int:
+        return self.graph.num_walkers
+
+    @property
+    def num_base_vertices(self) -> int:
+        return self.graph.base.num_vertices
 
 
 @dataclass
@@ -201,9 +245,11 @@ class PropertyReport:
     """Worst-case residuals of the three defining matrix properties.
 
     ``max_entry_violation`` measures how far any entry leaves [0, 1],
-    ``max_column_sum_deviation`` how far any materialised column sum is
+    ``max_column_sum_deviation`` how far any stored column sum is
     from 1, and ``max_propagation_residual`` the sup-norm of
-    ``P(t) rho(t) - rho(t+1)`` over all steps.
+    ``P(t) rho(t) - rho(t+1)`` over all steps. ``columns_checked``
+    counts the stored (ratio) columns read; the uniform ones are exact by
+    construction.
     """
 
     num_steps: int
@@ -267,9 +313,10 @@ def _column_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 def _arc_bytes(num_walkers: int) -> int:
     """Bytes per arc of the arc-wise arrays :func:`matrix_from_masses`
-    holds at once, an upper bound: with every column on the ratio rule its
-    tracemalloc peak was 83-93, 85-87 and 91-92 bytes per arc for 1, 2
-    and 3 walkers, on tori and on irregular graphs."""
+    holds at once, an upper bound: its tracemalloc peak was 83-93, 85-87
+    and 91-92 bytes per arc for 1, 2 and 3 walkers, on tori and on
+    irregular graphs. It also bounds :meth:`TransitionMatrix.find` per
+    entry of the matrix it makes (62-90 bytes)."""
     return 8 * (num_walkers + 11)
 
 
@@ -278,81 +325,62 @@ def matrix_from_masses(
     shifts: ShiftLike | Sequence[ShiftLike],
     rho_t: np.ndarray,
     p_next: np.ndarray,
-    wanted: np.ndarray,
     time: int = 0,
 ) -> TransitionMatrix:
-    """Columns ``wanted`` of P(t) from the vertex (tuple) masses ``rho_t``
-    at t and the basis-state masses ``p_next`` at t + 1.
+    """The ratio columns of P(t), from the vertex (tuple) masses
+    ``rho_t`` at t and the basis-state masses ``p_next`` at t + 1.
 
     ``shifts`` is the shift of the step, shared or one per walker; a
-    schedule ``t -> spec`` is resolved at ``time``. Each arc
-    leaving a source with mass above :data:`ZERO_PROB` is pushed through
-    it; the mass found there over the source mass is the entry for the
-    arc's head tuple. Other sources get ``1/d`` on their product
-    out-neighbours. Every shift is edge-local and the graph simple, so the
-    arcs of one column reach distinct tuples and no entries merge. A ratio
-    column whose sum is off 1 by more than :data:`COLUMN_SUM_ERROR` raises
+    schedule ``t -> spec`` is resolved at ``time``. Each arc leaving a
+    source with mass above :data:`ZERO_PROB` is pushed through it; the
+    mass found there over the source mass is the entry for the arc's head
+    tuple. Every shift is edge-local and the graph simple, so the arcs of
+    one column reach distinct tuples and no entries merge. A column whose
+    sum is off 1 by more than :data:`COLUMN_SUM_ERROR` raises
     :class:`ConsistencyError` (the step was not unitary); the rest are
-    rescaled onto the simplex.
+    rescaled onto the simplex. The other sources are not stored: their
+    columns are uniform (:meth:`TransitionMatrix.find`).
 
     The arc-wise arrays are checked against the memory budget
     (:func:`~qrwalk.walk.check_budget`) before they are allocated.
     """
     base, k = pg.base, pg.num_walkers
     shifts = _per_walker(shifts, pg, time, "shift")
-    wanted = np.asarray(wanted, dtype=np.int64)
-    num_arcs = int(pg.out_degrees(wanted).sum())
+    cols = np.flatnonzero(rho_t > ZERO_PROB)
+    num_arcs = int(pg.out_degrees(cols).sum())
     check_budget(_arc_bytes(k) * num_arcs,
-                 f"the {num_arcs} arcs leaving {wanted.size} columns of "
+                 f"the {num_arcs} arcs leaving {cols.size} columns of "
                  f"P({time})")
-    owner, ports = pg.arcs(wanted)
-    ratio = rho_t[wanted] > ZERO_PROB
-    on_ratio = ratio[owner]
+    owner, ports = pg.arcs(cols)
     targets = np.ravel_multi_index(tuple(base.heads[ports]), pg.shape)
-
-    probs = np.empty(owner.size)
-    uniform = np.flatnonzero(~on_ratio)
-    probs[uniform] = 1.0 / np.bincount(owner, minlength=wanted.size)[
-        owner[uniform]]
-    r = np.flatnonzero(on_ratio)
     joint = np.ravel_multi_index(
-        tuple(s.permutation[p[r]] for s, p in zip(shifts, ports)),
+        tuple(s.permutation[p] for s, p in zip(shifts, ports)),
         pg.basis_shape)
-    probs[r] = p_next[joint] / rho_t[wanted[owner[r]]]
+    probs = p_next[joint] / rho_t[cols[owner]]
 
     # ``owner`` ascends, so sorting by (owner, target) keeps it in place
     order = np.argsort(owner * pg.num_states + targets)
     targets, probs = targets[order], probs[order]
-    indptr = np.zeros(wanted.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=wanted.size), out=indptr[1:])
+    indptr = np.zeros(cols.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=cols.size), out=indptr[1:])
 
     sums = _column_sums(indptr, probs)
-    dev = np.abs(sums[ratio] - 1.0)
-    worst = float(dev.max()) if dev.size else 0.0
-    bad = np.flatnonzero(ratio & (np.abs(sums - 1.0) > COLUMN_SUM_ERROR))
+    dev = np.abs(sums - 1.0)
+    bad = np.flatnonzero(dev > COLUMN_SUM_ERROR)
     if bad.size:
         j = bad[0]
         raise ConsistencyError(
-            f"column {pg.tuple_of(wanted[j])} of P({time}) sums to "
+            f"column {pg.tuple_of(cols[j])} of P({time}) sums to "
             f"{float(sums[j])!r}; the step operator is not unitary"
         )
-    probs = np.minimum(probs / np.where(ratio, sums, 1.0)[owner], 1.0)
+    probs = np.minimum(probs / sums[owner], 1.0)
 
     keep = probs != 0.0
     if not keep.all():
         owner, targets, probs = owner[keep], targets[keep], probs[keep]
-        np.cumsum(np.bincount(owner, minlength=wanted.size), out=indptr[1:])
-    return TransitionMatrix(time, pg.num_states, wanted, indptr, targets,
-                            probs, column_sum_error=worst)
-
-
-def _rule_columns(rho: np.ndarray, k: int,
-                  targets: np.ndarray | None = None) -> np.ndarray:
-    """The module's column rule for P(t), given the targets of P(t-1)."""
-    if k == 1:
-        return np.arange(rho.size)
-    live = np.flatnonzero(rho > 0.0)
-    return live if targets is None else np.union1d(live, targets)
+        np.cumsum(np.bincount(owner, minlength=cols.size), out=indptr[1:])
+    return TransitionMatrix(time, pg, cols, indptr, targets, probs,
+                            column_sum_error=float(dev.max(initial=0.0)))
 
 
 def build_multiwalker_matrix(
@@ -366,21 +394,17 @@ def build_multiwalker_matrix(
 
     ``shifts`` is the shift the evolution used (per walker or shared); it
     determines which port of a target vertex carries the amplitude that
-    moved along each arc, and defaults to the flip-flop shift.
-    The columns follow the module's rule for a first step: every vertex
-    for one walker (the paper's full matrix, linear in the arcs), the
-    tuples with ``rho_t > 0`` for K > 1 (all |V|^K would be exponential in
-    K). The columns are checked and rescaled as in
+    moved along each arc, and defaults to the flip-flop shift. The ratio
+    columns are built, checked and rescaled as in
     :func:`matrix_from_masses`.
     """
     pg = psi_t.graph
     if psi_next.graph != pg:
         raise ValidationError("states live on different graphs")
-    rho_t = vertex_distribution(psi_t)
     return matrix_from_masses(
         pg, shifts if shifts is not None else ShiftSpec.flip_flop(pg.base),
-        rho_t, np.abs(psi_next.amplitudes) ** 2,
-        _rule_columns(rho_t, pg.num_walkers), time=time,
+        vertex_distribution(psi_t), np.abs(psi_next.amplitudes) ** 2,
+        time=time,
     )
 
 
@@ -393,35 +417,22 @@ def build_sequence(
     interaction: InteractionLike | None = None,
 ) -> TransitionMatrixSeq:
     """Evolve ``horizon`` steps and emit P(0..T-1) plus rho(0..T).
-    ``graph`` is ``psi0``'s state space (a port graph: one walker).
-
-    P(t) follows the module's column rule: every vertex for one walker
-    (the paper's full matrix, linear in the arcs), and for K > 1 walkers
-    the states with ``rho(t) > 0`` and the targets of P(t-1), so that the
-    sampler and the verifier find every column they need.
-    """
+    ``graph`` is ``psi0``'s state space (a port graph: one walker)."""
     pg = psi0.graph
     if ProductGraph.of(graph) != pg:
         raise ValidationError("graph does not match psi0")
-    k = pg.num_walkers
     states = evolve(psi0, coin, shift, horizon, interaction)
     psi = next(states)
     rhos = [vertex_distribution(psi)]
-    wanted = _rule_columns(rhos[0], k)
     matrices: list[TransitionMatrix] = []
     for t, psi_next in enumerate(states):
         matrices.append(matrix_from_masses(
-            pg, shift, rhos[-1], np.abs(psi_next.amplitudes) ** 2, wanted,
-            time=t))
+            pg, shift, rhos[-1], np.abs(psi_next.amplitudes) ** 2, time=t))
         # psi(t) is released only once P(t) is built: releasing it first
         # made the two-walker benchmark about 5% slower (allocation order)
         psi = psi_next
         rhos.append(vertex_distribution(psi))
-        wanted = _rule_columns(rhos[-1], k, matrices[-1].indices)
-    return TransitionMatrixSeq(
-        matrices, np.stack(rhos), num_walkers=k,
-        num_base_vertices=pg.base.num_vertices,
-    )
+    return TransitionMatrixSeq(matrices, np.stack(rhos), pg)
 
 
 def verify_theorem_properties(

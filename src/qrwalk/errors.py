@@ -3,7 +3,7 @@
 The split mirrors how failures surface at the CLI: configuration and
 validation problems (bad graphs, non-unitary operators, malformed input)
 versus numerical failures detected while running (broken stochasticity,
-resource limits, missing sampler columns).
+resource limits).
 """
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "ConfigError",
     "ConsistencyError",
     "ResourceLimitError",
-    "SamplingError",
 ]
 
 
@@ -54,7 +53,3 @@ class ConsistencyError(QRWalkError, RuntimeError):
 
 class ResourceLimitError(QRWalkError, RuntimeError):
     """Requested computation exceeds the configured memory budget."""
-
-
-class SamplingError(QRWalkError, RuntimeError):
-    """Trajectory sampling hit a column that was not materialised."""

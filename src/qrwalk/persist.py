@@ -220,8 +220,7 @@ def initial_state_from_json(
     renormalised on load (with a warning beyond 1e-8 drift).
     """
     if doc is None:
-        k = ProductGraph.of(graph).num_walkers
-        return WaveFunction.localized(graph, (0,) * k, (0,) * k)
+        return WaveFunction.localized(graph, 0, 0)
     comps = []
     for item in doc:
         vertex = item["vertex"]
@@ -397,8 +396,11 @@ def rho_table(rho: np.ndarray, num_walkers: int, num_base: int,
 
 def matrix_table(seq: TransitionMatrixSeq,
                  manifest_sha: str | None = None) -> Table:
-    """Rows ``t,u,v,p`` over all stored (nonzero) entries."""
+    """Rows ``t,u,v,p`` over the nonzero entries of every column for one
+    walker (the paper's full matrix), of the stored ones for K > 1."""
     mats = seq.matrices
+    if seq.num_walkers == 1:
+        mats = [m.find(np.arange(m.num_states))[0] for m in mats]
     t = np.repeat(np.arange(len(mats)), [m.data.size for m in mats])
     u, v = _joined(mats, "sources"), _joined(mats, "indices")
     p = _joined(mats, "data", np.float64)
@@ -467,7 +469,7 @@ def tvd_table(rows: Sequence[tuple[int, int, float]],
 _STORE_MEMBERS = {
     "rho": ("f", 2), "step_ptr": ("i", 1), "col_ids": ("i", 1),
     "indptr": ("i", 1), "indices": ("i", 1), "data": ("f", 1),
-    "num_walkers": ("i", 0), "num_base_vertices": ("i", 0),
+    "num_walkers": ("i", 0), "port_offsets": ("i", 1), "heads": ("i", 1),
     "manifest": ("U", 0),
 }
 
@@ -478,10 +480,11 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
     """Write the store ``sequence.npz`` that :func:`load_sequence` reads,
     then export the ``p_matrix`` and ``rho`` tables and return their paths.
 
-    The store holds ``rho``, the CSC arrays of all steps end to end (P(t)
-    owns ``col_ids[step_ptr[t]:step_ptr[t + 1]]``; ``indptr`` spans all
-    steps), the walker and base-vertex counts and ``manifest_sha`` (an
-    empty string without one).
+    The store holds ``rho``, the CSC arrays of the stored (ratio) columns
+    of all steps end to end (P(t) owns ``col_ids[step_ptr[t]:step_ptr[t +
+    1]]``; ``indptr`` spans all steps), the walker count, the base graph's
+    ``port_offsets`` and ``heads``, which fix the uniform columns, and
+    ``manifest_sha`` (an empty string without one).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -496,8 +499,8 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
              indptr=indptr, indices=_joined(mats, "indices"),
              data=_joined(mats, "data", np.float64),
              num_walkers=np.int64(seq.num_walkers),
-             num_base_vertices=np.int64(seq.num_base_vertices),
-             manifest=np.str_(manifest_sha or ""))
+             port_offsets=seq.graph.base.port_offsets,
+             heads=seq.graph.base.heads, manifest=np.str_(manifest_sha or ""))
     p1 = write_table(out / "p_matrix", matrix_table(seq, manifest_sha), fmt)
     p2 = write_table(
         out / "rho",
@@ -532,7 +535,9 @@ def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
     sampling and verification run without re-evolving the walk.
 
     When the directory holds a ``manifest.json``, the store must record
-    that manifest's hash. Every P(t) is validated as it is rebuilt.
+    that manifest's hash. The graph is rebuilt through the checking
+    :class:`~qrwalk.graphs.PortGraph` constructor, and every P(t) and rho
+    are validated over it. A store without the graph is refused.
     """
     out = Path(out_dir)
     path = out / STORE_NAME
@@ -552,16 +557,19 @@ def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
             and indptr.size == col_ids.size + 1 and indptr[0] == 0
             and indptr[-1] == m["indices"].size == m["data"].size):
         raise ValidationError(f"{path} holds inconsistent step offsets")
-    rho = m["rho"]
-    matrices = []
-    for t, (lo, hi) in enumerate(zip(step_ptr[:-1], step_ptr[1:])):
-        ptr = indptr[lo:hi + 1]
-        matrices.append(TransitionMatrix(
-            t, rho.shape[1], col_ids[lo:hi], ptr - ptr[0],
-            m["indices"][ptr[0]:ptr[-1]], m["data"][ptr[0]:ptr[-1]]))
-    return TransitionMatrixSeq(
-        matrices, rho, num_walkers=int(m["num_walkers"]),
-        num_base_vertices=int(m["num_base_vertices"]))
+    try:
+        graph = ProductGraph(PortGraph(m["port_offsets"], m["heads"]),
+                             int(m["num_walkers"]))
+        matrices = []
+        for t, (lo, hi) in enumerate(zip(step_ptr[:-1], step_ptr[1:])):
+            ptr = indptr[lo:hi + 1]
+            matrices.append(TransitionMatrix(
+                t, graph, col_ids[lo:hi], ptr - ptr[0],
+                m["indices"][ptr[0]:ptr[-1]], m["data"][ptr[0]:ptr[-1]]))
+        return TransitionMatrixSeq(matrices, m["rho"], graph)
+    except ValidationError as exc:
+        raise ValidationError(f"{path} holds no valid sequence: {exc}") \
+            from None
 
 
 def write_json(path: str | Path, payload: dict) -> Path:

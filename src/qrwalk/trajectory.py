@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .equivalence import TransitionMatrixSeq
-from .errors import SamplingError, ValidationError
+from .errors import ValidationError
 from .graphs import PortGraph, ProductGraph
 from .walk import check_budget
 
@@ -273,25 +273,6 @@ def _initial_pick(rho0: np.ndarray, uniforms) -> np.ndarray:
     return support[np.minimum(idx, support.size - 1)]
 
 
-def _columns(seq: TransitionMatrixSeq, t: int,
-             states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length in ``P(t).data`` of each state's column; a loaded
-    or hand-built sequence may lack one."""
-    mat = seq.matrices[t]
-    pos = np.searchsorted(mat.col_ids, states)
-    found = pos < mat.col_ids.size
-    found[found] = mat.col_ids[pos[found]] == states[found]
-    if not found.all():
-        [label] = ProductGraph.state_labels(
-            [states[~found].min()], seq.num_walkers, seq.num_base_vertices)
-        raise SamplingError(
-            f"a trajectory reached state {label} at t={t}, but the "
-            f"sequence does not hold its column of P({t})"
-        )
-    start = mat.indptr[pos]
-    return start, mat.indptr[pos + 1] - start
-
-
 def _draw(seq: TransitionMatrixSeq, uniforms: np.ndarray,
           method: str) -> np.ndarray:
     """Paths of the trajectories whose uniforms are the rows of
@@ -303,8 +284,9 @@ def _draw(seq: TransitionMatrixSeq, uniforms: np.ndarray,
     paths = np.empty(uniforms.shape, dtype=np.int64)
     paths[:, 0] = _initial_pick(seq.rho[0], uniforms[:, 0])
     for t in range(uniforms.shape[1] - 1):
-        mat = seq.matrices[t]
-        start, deg = _columns(seq, t, paths[:, t])
+        mat, pos = seq.matrices[t].find(paths[:, t])
+        start = mat.indptr[pos]
+        deg = mat.indptr[pos + 1] - start
         paths[:, t + 1] = mat.indices[
             start + pick(mat.data, start, deg, uniforms[:, t + 1])]
     return paths

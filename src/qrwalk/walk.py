@@ -122,12 +122,13 @@ class WaveFunction:
         vertex: int | Sequence[int],
         port: int | Sequence[int] = 0,
     ) -> "WaveFunction":
-        """Point mass on one basis state; tuples address K walkers. The
-        vector is checked against the memory budget first."""
+        """Point mass on one basis state; tuples address K walkers, and a
+        scalar vertex or port is every walker's. The vector is checked
+        against the memory budget first."""
         space, amps = _zero_state(graph)
         k = space.num_walkers
-        vs = [vertex] if np.isscalar(vertex) else list(vertex)
-        ps = [port] * len(vs) if np.isscalar(port) else list(port)
+        vs = [vertex] * k if np.isscalar(vertex) else list(vertex)
+        ps = [port] * k if np.isscalar(port) else list(port)
         if len(vs) != k or len(ps) != k:
             raise ValidationError(
                 f"localized state needs {k} (vertex, port) pairs, got "

@@ -215,6 +215,24 @@ class TestSample:
                      "--out-dir", str(tmp_path / "s")]) == 1
         assert "non-edge" in capsys.readouterr().err
 
+    def test_sample_from_checks_locality_against_the_store_graph(
+            self, tmp_path, capsys):
+        # with no manifest to name the graph, the store's own graph judges
+        # the moves out of vertex 0, rewritten off the torus edges
+        cfg = write_config(tmp_path / "cfg.json", horizon=2)
+        eq_dir = tmp_path / "eq"
+        assert main(["equivalence", "--config", str(cfg),
+                     "--out-dir", str(eq_dir)]) == 0
+        (eq_dir / "manifest.json").unlink()
+        with np.load(eq_dir / "sequence.npz") as store:
+            assert store["col_ids"][0] == 0
+            indices, end = store["indices"], store["indptr"][1]
+        indices[:end] = 55 + np.arange(end)
+        rewrite_store(eq_dir / "sequence.npz", indices=indices)
+        assert main(["sample", "--from", str(eq_dir), "--seed", "3",
+                     "--out-dir", str(tmp_path / "s")]) == 1
+        assert "non-edge" in capsys.readouterr().err
+
     def test_sample_needs_config_or_source(self, tmp_path, capsys):
         assert main(["sample", "--out-dir", str(tmp_path)]) == 2
 
@@ -293,7 +311,8 @@ EQUIVALENCE_CONFIGS = {
         "horizon": 20, "seed": 5},
 }
 #: The sha256 of each config's store and of its tables in either format,
-#: as written when ``csv.writer`` wrote the CSV tables one row at a time.
+#: as written when ``csv.writer`` wrote the CSV tables one row at a time;
+#: the stores' since they hold only the ratio columns and the base graph.
 PINNED_FILES = {"csv": ("p_matrix.csv", "rho.csv", "sequence.npz"),
                 "json": ("p_matrix.json", "rho.json")}
 GOLDEN_EQUIVALENCE = {
@@ -302,8 +321,8 @@ GOLDEN_EQUIVALENCE = {
                         "4bf0e3c087172553e4b6898e35c042ab",
         "rho.csv": "a0f19fc7cf7e178731660c41d4f23f7b"
                    "11760a2d86ae678a0ba76756c723f00d",
-        "sequence.npz": "9dc557a3271c914b6821ae4141d827f5"
-                        "fd5b5ef8febde2607e89b0c9e9f473a1",
+        "sequence.npz": "da6192cccb60c3f4e1c5a37268da20d1"
+                        "bd1b69e4be4da7f99eb6f66c6f2611f6",
         "p_matrix.json": "feb587e6320c7ea109c3fb2352af7a5f"
                          "a3f8674be629aefa29c12c135a44fc1e",
         "rho.json": "e8e5642a4b277e2319d721d4f0c505d2"
@@ -313,8 +332,8 @@ GOLDEN_EQUIVALENCE = {
                         "1c948235d2bbb05dc9479ae022344664",
         "rho.csv": "cf3334a63d072c94c651d8b76773e821"
                    "7a38e6e816ba19edee9753d5603e7dba",
-        "sequence.npz": "0ad7cf3dd45156384158cbe13fd5c367"
-                        "cc33b2001f4f5f637cb6052a1af3adb2",
+        "sequence.npz": "53e35e07fb036e3d8ce832bfd89d7267"
+                        "ec1ddfa4236d48a0312203c8351218f1",
         "p_matrix.json": "550f5960a938fa4f1aa7bb9012b25a66"
                          "f46e997a52d41dcce76527453b790ef0",
         "rho.json": "6e9ad4d815b2fbcb60245244065895ab"
@@ -324,8 +343,8 @@ GOLDEN_EQUIVALENCE = {
                         "529469881b068d862c68bd12c14eb2d3",
         "rho.csv": "3e88338155c6a56468d0988b62cf691c"
                    "144c4527f27d6c33acd537adcb23d642",
-        "sequence.npz": "4508fdd4d6fe73744b4822c4eaa4e284"
-                        "4f8f011089ea5f50d1762dcb96c28e13",
+        "sequence.npz": "46d01ea6039503477593b758ca54f9d0"
+                        "6139fb0834ca52eb79ca30592773d146",
         "p_matrix.json": "97f07023c00979c657fa321e6d91cb00"
                          "d8a6994979b7abe57b731f82848e12b9",
         "rho.json": "f8948e97278ca4602d5d800d68acfe3e"
@@ -335,8 +354,8 @@ GOLDEN_EQUIVALENCE = {
                         "9cf7458b29c174df53c7cbf7b93fad19",
         "rho.csv": "fa88af356ce84297db3943ea0d50566f"
                    "12bae0dce8c95820a823e19c3a3f9baa",
-        "sequence.npz": "c7078531f5f2ac48d8bf51900d9f01cf"
-                        "f758abaf6de804f5af33d5314d43e836",
+        "sequence.npz": "367b941bebf074e5084022848a400c48"
+                        "c933be4230277d3f39f7af0269744fa8",
         "p_matrix.json": "d527237abc32a1ac3946bdb78215bee8"
                          "3fe1c13f6465ff0413dca86c92170b56",
         "rho.json": "cc55cdb0285e343e7084292f5e7a0bc6"
@@ -380,7 +399,8 @@ COMMAND_CONFIGS = {
                           "ensemble_sizes": [20, 50], "t_grid": [1, 5]},
 }
 #: The sha256 of each run's outputs, as written before one walker became
-#: a product graph of one and the walk loop became ``walk.evolve``.
+#: a product graph of one and the walk loop became ``walk.evolve``; the
+#: store's since it holds only the ratio columns and the base graph.
 GOLDEN_RUNS = {
     ("torus4-two-walker", "evolve-csv"): {
         "rho.csv": "db39d4970dcb26dca2578ba5809fd268"
@@ -421,8 +441,8 @@ GOLDEN_RUNS = {
                         "36108477e27bf1b4694f7aa552c09f66",
         "rho.csv": "89d22bd301cf3f799e7aa15d288a28e4"
                    "5813673b6ee0960e9b2d0961cc1f92d9",
-        "sequence.npz": "dea3cdad664c155ef7cc69c2135a3a46"
-                        "d6a1e4a16590f7c6e4645f90e3a0d373"},
+        "sequence.npz": "b509f3025f41596d3c0ab777d50ab1b5"
+                        "44610b60c60a672d08c7701287248648"},
     ("torus6-grover", "tvd"): {
         "tvd.csv": "c4aa2d2885b2cc8692069cd3d08d3955"
                    "92c702db09e8f0f56ad8ff54737434ef"},

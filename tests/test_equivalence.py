@@ -19,6 +19,7 @@ from qrwalk import (
     build_graph,
     build_multiwalker_matrix,
     build_sequence,
+    complete_graph,
     step,
     torus_graph,
     verify_theorem_properties,
@@ -45,9 +46,19 @@ def irregular_graph(n):
                        + [(i, i + 2) for i in range(0, n - 2, 3)])
 
 
+#: Graphs of 1 to 3 walkers, tori and irregular, for the arc budget.
+BUDGET_GRAPHS = [
+    (1, torus_graph((60, 60))), (1, irregular_graph(3000)),
+    (2, torus_graph((6, 6))), (2, irregular_graph(30)),
+    (3, torus_graph((3, 4))), (3, irregular_graph(12)),
+]
+BUDGET_IDS = ["K1-torus", "K1-irregular", "K2-torus", "K2-irregular",
+              "K3-torus", "K3-irregular"]
+
+
 def stored_columns(mat):
-    """(source, targets, probs) for every materialised column."""
-    for u in mat.col_ids.tolist():
+    """(source, targets, probs) for every column, stored or uniform."""
+    for u in range(mat.num_states):
         yield (u, *mat.column(u))
 
 
@@ -121,7 +132,7 @@ class TestBuildTransitionMatrix:
         with pytest.raises(ConsistencyError, match="unitary"):
             matrix_from_masses(
                 ProductGraph(c4, 1), shift, vertex_distribution(psi0),
-                1.21 * np.abs(psi1.amplitudes) ** 2, np.arange(4))
+                1.21 * np.abs(psi1.amplitudes) ** 2)
 
     def test_mismatched_graph_rejected(self, c4, k5):
         coin, shift = hadamard_walk(c4)
@@ -194,9 +205,9 @@ class TestVerifyProperties:
         valid = build_sequence(c4, coin, shift,
                                WaveFunction.localized(c4, 0, 0), 3)
         seq = TransitionMatrixSeq(
-            [TransitionMatrix(m.time, m.num_states, m.col_ids, m.indptr,
+            [TransitionMatrix(m.time, m.graph, m.col_ids, m.indptr,
                               m.indices, 1.1 * m.data)
-             for m in valid.matrices], valid.rho)
+             for m in valid.matrices], valid.rho, valid.graph)
         report = verify_theorem_properties(seq)
         assert not report.passed
         assert report.max_column_sum_deviation > 1e-2
@@ -318,38 +329,31 @@ class TestMultiwalker:
             for u in np.flatnonzero(seq.rho[t] > 1e-14):
                 seq.matrices[t].column(int(u))  # must not raise
 
-    def test_unmaterialised_column_raises(self, c4):
+    def test_extra_columns_materialise_uniform(self, c4):
+        # only (0, 0) has mass, so only its column is stored; (1, 2) gets
+        # 1/4 on its 4 product neighbours, in ascending joint index
         pg = ProductGraph(c4, 2)
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
         psi1 = step(psi0, coin, shift)
         mat = build_multiwalker_matrix(psi0, psi1, shift)
-        with pytest.raises(ConsistencyError, match="not materialised"):
-            mat.column(pg.tuple_index((1, 2)))
-
-    def test_extra_columns_materialise_uniform(self, c4):
-        pg = ProductGraph(c4, 2)
-        coin, shift = hadamard_walk(c4)
-        psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
-        psi1 = step(psi0, coin, shift)
-        mat = matrix_from_masses(
-            pg, [shift] * 2, vertex_distribution(psi0),
-            np.abs(psi1.amplitudes) ** 2, np.arange(pg.num_states))
+        assert mat.col_ids.tolist() == [0]
         targets, probs = mat.column(pg.tuple_index((1, 2)))
-        assert np.allclose(probs, 0.25, atol=0)
-        assert targets.size == 4
+        assert targets.tolist() == sorted(
+            pg.tuple_index(v) for v in pg.out_neighbors((1, 2)))
+        assert probs.tolist() == [0.25] * 4
+        assert not (targets.flags.writeable or probs.flags.writeable)
 
     def test_arcs_over_the_memory_budget_are_never_allocated(self, c4,
                                                              monkeypatch):
         pg = ProductGraph(c4, 2)
         coin, shift = hadamard_walk(c4)
-        psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
+        psi0 = WaveFunction.uniform(pg)  # every pair holds mass
         args = (pg, [shift] * 2, vertex_distribution(psi0),
-                np.abs(step(psi0, coin, shift).amplitudes) ** 2,
-                np.arange(pg.num_states))
+                np.abs(step(psi0, coin, shift).amplitudes) ** 2)
         need = equivalence._arc_bytes(2) * 16 * 4  # 16 pairs, 4 arcs each
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
-        assert matrix_from_masses(*args).data.size == 64
+        assert matrix_from_masses(*args).col_ids.size == 16
 
         def allocate(*args):
             raise AssertionError("arcs allocated before the budget check")
@@ -358,12 +362,43 @@ class TestMultiwalker:
         with pytest.raises(ResourceLimitError, match="64 arcs .* P\\(0\\)"):
             matrix_from_masses(*args)
 
-    @pytest.mark.parametrize("walkers, graph", [
-        (1, torus_graph((60, 60))), (1, irregular_graph(3000)),
-        (2, torus_graph((6, 6))), (2, irregular_graph(30)),
-        (3, torus_graph((3, 4))), (3, irregular_graph(12)),
-    ], ids=["K1-torus", "K1-irregular", "K2-torus", "K2-irregular",
-            "K3-torus", "K3-irregular"])
+    def test_uniform_columns_over_the_memory_budget_are_never_allocated(
+            self, c4, monkeypatch):
+        pg = ProductGraph(c4, 2)
+        mat = TransitionMatrix(0, pg, [], [0], [], [])
+        need = equivalence._arc_bytes(2) * 16 * 4  # 16 pairs, 4 arcs each
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
+        assert mat.find(np.arange(16))[0].col_ids.size == 16
+
+        def allocate(*args):
+            raise AssertionError("arcs allocated before the budget check")
+        monkeypatch.setattr(ProductGraph, "arcs", allocate)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ResourceLimitError, match="64 entries of P\\(0\\)"):
+            mat.find(np.arange(16))
+
+    @pytest.mark.parametrize("walkers, graph", BUDGET_GRAPHS,
+                             ids=BUDGET_IDS)
+    def test_uniform_columns_stay_within_the_arc_budget(self, walkers,
+                                                        graph):
+        # with none and with a third of the columns stored, find makes
+        # the rest: every state's arcs become entries of one matrix
+        pg = ProductGraph(graph, walkers)
+        states = np.arange(pg.num_states)
+        empty = TransitionMatrix(0, pg, [], [0], [], [])
+        np.unique(states)  # its first call allocates a one-off cache
+        for mat in (empty, empty.find(states[::3])[0]):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                mat.find(states)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= equivalence._arc_bytes(walkers) * pg.basis_dim
+
+    @pytest.mark.parametrize("walkers, graph", BUDGET_GRAPHS,
+                             ids=BUDGET_IDS)
     def test_arc_budget_bounds_the_measured_peak(self, walkers, graph):
         # every column on the ratio rule: the build's largest arc arrays
         rng = np.random.default_rng(walkers)
@@ -375,9 +410,8 @@ class TestMultiwalker:
         rho = vertex_distribution(psi)
         assert rho.min() > ZERO_PROB
         masses = np.abs(step(psi, CoinSpec.grover(graph), shift).amplitudes)
-        wanted = np.arange(pg.num_states)
-        arcs = int(pg.out_degrees(wanted).sum())
-        args = (pg, shift, rho, masses ** 2, wanted)
+        arcs = int(pg.out_degrees(np.arange(pg.num_states)).sum())
+        args = (pg, shift, rho, masses ** 2)
         gc.collect()
         tracemalloc.start()
         try:
@@ -392,7 +426,8 @@ class TestMultiwalker:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
         mat = single_walker_matrix(psi0, step(psi0, coin, shift), shift)
-        need = 8 * 4 * 4
+        # the dense array and the arc arrays of up to 8 uniform columns
+        need = 8 * 4 * 4 + equivalence._arc_bytes(1) * 8
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
         assert mat.toarray().shape == (4, 4)
 
@@ -417,14 +452,14 @@ class TestStateLabels:
 
 
 class TestSequenceShape:
-    def test_state_count_must_be_a_power_of_the_walker_count(self):
+    def test_state_count_must_be_a_power_of_the_walker_count(self, c4):
+        # rho has one entry per state of the graph: |V|^K of them
         rho = np.full((1, 8), 1.0 / 8)
-        assert TransitionMatrixSeq([], rho, num_walkers=3) \
-            .num_base_vertices == 2
-        with pytest.raises(ValidationError, match="8 states"):
-            TransitionMatrixSeq([], rho, num_walkers=2)
-        with pytest.raises(ValidationError, match="8 states"):
-            TransitionMatrixSeq([], rho, num_walkers=1, num_base_vertices=4)
-        with pytest.raises(ValidationError, match="4 states"):
-            TransitionMatrixSeq([], rho[:, :4], num_walkers=2,
-                                num_base_vertices=-2)
+        seq = TransitionMatrixSeq([], rho, ProductGraph(complete_graph(2), 3))
+        assert (seq.num_walkers, seq.num_base_vertices) == (3, 2)
+        with pytest.raises(ValidationError, match="expected \\(1, 16\\)"):
+            TransitionMatrixSeq([], rho, ProductGraph(c4, 2))
+        with pytest.raises(ValidationError, match="expected \\(1, 4\\)"):
+            TransitionMatrixSeq([], rho, c4)
+        with pytest.raises(ValidationError, match="expected \\(1, 16\\)"):
+            TransitionMatrixSeq([], rho[:, :4], ProductGraph(c4, 2))

@@ -176,14 +176,18 @@ class TestStore:
         built = build_sequence(pg, CoinSpec.hadamard(c4),
                                ShiftSpec.moving(c4),
                                WaveFunction.localized(pg, (0, 0), (0, 0)), 2)
-        seq = TransitionMatrixSeq(built.matrices, built.rho, num_walkers=2)
+        seq = TransitionMatrixSeq(built.matrices, built.rho, pg)
         assert seq.num_base_vertices == 4
         save_sequence(tmp_path, seq)
         with np.load(tmp_path / "sequence.npz") as store:
-            assert int(store["num_base_vertices"]) == 4
+            assert int(store["num_walkers"]) == 2
+            assert store["port_offsets"].tolist() == c4.port_offsets.tolist()
+            assert store["heads"].tolist() == c4.heads.tolist()
+            assert "num_base_vertices" not in store.files
         rows = read_table(tmp_path / "rho").rows
         assert rows[6][1] == "1|2"
-        assert load_sequence(tmp_path).num_base_vertices == 4
+        loaded = load_sequence(tmp_path)
+        assert loaded.graph == pg and loaded.num_base_vertices == 4
 
     @pytest.mark.parametrize("damage, message", [
         (lambda p: p.unlink(), "sequence.npz is missing"),
@@ -195,8 +199,18 @@ class TestStore:
          "cannot read .*allow_pickle"),
         (lambda p: rewrite_store(p, indices=np.arange(3.0)),
          "lacks a 1-d member 'indices' of dtype kind 'i'"),
+        # a store written before the graph travelled with it
+        (lambda p: rewrite_store(p, port_offsets=None, heads=None,
+                                 num_base_vertices=np.int64(4)),
+         "lacks a 1-d member 'port_offsets'"),
+        (lambda p: rewrite_store(p, heads=np.array([1, 3, 2, 0, 3, 1, 0,
+                                                    1])),
+         "holds no valid sequence: .*without its reverse"),
+        (lambda p: rewrite_store(p, num_walkers=np.int64(2)),
+         "holds no valid sequence: rho has shape \\(7, 4\\)"),
     ], ids=["missing", "truncated", "not-a-zip", "missing-member",
-            "object-member", "float-indices"])
+            "object-member", "float-indices", "old-store", "asymmetric-graph",
+            "walker-count"])
     def test_malformed_store_is_a_validation_error(self, tmp_path, c4_seq,
                                                    damage, message, capsys):
         save_sequence(tmp_path, c4_seq)

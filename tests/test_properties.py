@@ -2,8 +2,9 @@
 ``_oracles``: the array-built graph core (validation, neighbour lists,
 port maps, shifts, JSON and hash) on random edge lists and port orders,
 the array builder of P(t) and the sampler on random graphs, coins,
-shifts and states for one and two walkers, and the column-wise CSV
-writer against ``csv.writer`` on random tables."""
+shifts and states for up to three walkers, the sampler against the exact
+law of its paths, and the column-wise CSV writer against ``csv.writer``
+on random tables."""
 
 import tempfile
 from pathlib import Path
@@ -24,6 +25,7 @@ from qrwalk import (
     ProductGraph,
     ShiftSpec,
     TrajectoryEnsemble,
+    TransitionMatrix,
     TransitionMatrixSeq,
     ValidationError,
     WaveFunction,
@@ -34,6 +36,7 @@ from qrwalk import (
     build_sequence,
     complete_graph,
     cycle_graph,
+    evolve,
     graph_from_json,
     graph_hash,
     graph_to_json,
@@ -46,7 +49,7 @@ from qrwalk import (
     vertex_distribution,
 )
 from qrwalk import persist
-from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
+from qrwalk.equivalence import ZERO_PROB
 from qrwalk.persist import Table, load_sequence, save_sequence, write_table
 from qrwalk.trajectory import _spawned_uniforms
 from qrwalk.walk import _coin_block_multiply
@@ -57,11 +60,14 @@ SETTINGS = settings(max_examples=40, deadline=None,
 GRAPH_SETTINGS = settings(SETTINGS, max_examples=300)
 
 
-def random_graph(rng: np.random.Generator):
+def random_graph(rng: np.random.Generator, max_vertices: int = 12):
     """A small simple graph with shuffled port orders, or a cycle/torus
     (regular of degree 2 or 4, so the Hadamard coin and the moving shift
-    apply)."""
+    apply). The tori have 9 or 12 vertices; below ``max_vertices = 9``
+    none is drawn."""
     kind = rng.integers(0, 3)
+    if kind == 1 and max_vertices < 9:
+        kind = 2
     if kind == 0:
         return cycle_graph(int(rng.integers(3, 7)))
     if kind == 1:
@@ -120,11 +126,19 @@ def random_state(space, rng) -> WaveFunction:
 
 
 def one_step(seed: int, walkers: int, shift_kind: int | None = None):
+    """A random step of ``walkers`` walkers: the base graph, the shifts
+    (shared, or one per walker half of the time), psi(t) and psi(t + 1).
+    Three walkers get at most 6 vertices, so (n d)^3 stays small."""
     rng = np.random.default_rng(seed)
-    g = random_graph(rng)
-    coin = random_coin(g, rng, int(rng.integers(0, 3)))
-    shift = random_shift(g, rng, int(rng.integers(0, 3))
-                         if shift_kind is None else shift_kind)
+    g = random_graph(rng, 6 if walkers == 3 else 12)
+    shared = walkers == 1 or rng.random() < 0.5
+    draws = 1 if shared else walkers
+    coins = [random_coin(g, rng, int(rng.integers(0, 3)))
+             for _ in range(draws)]
+    shifts = [random_shift(g, rng, int(rng.integers(0, 3))
+                           if shift_kind is None else shift_kind)
+              for _ in range(draws)]
+    coin, shift = (coins[0], shifts[0]) if shared else (coins, shifts)
     space = ProductGraph(g, walkers) if walkers > 1 else g
     psi = random_state(space, rng)
     interaction = None
@@ -133,33 +147,44 @@ def one_step(seed: int, walkers: int, shift_kind: int | None = None):
     return g, shift, psi, step(psi, coin, shift, interaction)
 
 
-def reference(g, walkers, shift, psi, psi_next, wanted):
+def per_walker(shift, walkers: int) -> list:
+    return list(shift) if isinstance(shift, list) else [shift] * walkers
+
+
+def reference(g, walkers, shift, rho_t, p_next, wanted):
     return oracle.reference_columns(
-        g, walkers, [shift.permutation] * walkers, vertex_distribution(psi),
-        np.abs(psi_next.amplitudes) ** 2, wanted, ZERO_PROB)
+        g, walkers, [s.permutation for s in per_walker(shift, walkers)],
+        rho_t, p_next, wanted, ZERO_PROB)
 
 
-def every_column(g, walkers, shift, psi, psi_next):
-    """The step's P(t) with all ``num_vertices ** walkers`` columns."""
-    pg = ProductGraph(g, walkers)
-    return matrix_from_masses(
-        pg, [shift] * walkers, vertex_distribution(psi),
-        np.abs(psi_next.amplitudes) ** 2, np.arange(pg.num_states))
-
-
-@SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
-def test_builder_matches_per_column_reference(seed, walkers):
-    g, shift, psi, psi_next = one_step(seed, walkers)
-    mat = every_column(g, walkers, shift, psi, psi_next)
-    expected = reference(g, walkers, shift, psi, psi_next,
-                         range(g.num_vertices ** walkers))
-    assert mat.col_ids.tolist() == sorted(expected)
+def assert_columns_match(mat, expected: dict) -> None:
+    """``mat.column(u)`` is the reference column, its exact zeros left
+    out, bit for bit, for every state u of ``expected``."""
     for u, (targets, probs) in expected.items():
         got_targets, got_probs = mat.column(u)
         nonzero = probs != 0.0
-        assert np.array_equal(got_targets, targets[nonzero])
-        assert np.array_equal(got_probs, probs[nonzero])
+        assert got_targets.tolist() == targets[nonzero].tolist()
+        assert got_probs.tobytes() == probs[nonzero].tobytes()
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]))
+def test_builder_matches_per_column_reference(seed, walkers):
+    """P(t) stores the columns of the states above ZERO_PROB, and every
+    column, stored or uniform, is the reference's; the residuals hold."""
+    g, shift, psi, psi_next = one_step(seed, walkers)
+    mat = build_multiwalker_matrix(psi, psi_next, shifts=shift)
+    rho = np.stack([vertex_distribution(psi), vertex_distribution(psi_next)])
+    assert mat.col_ids.tolist() \
+        == np.flatnonzero(rho[0] > ZERO_PROB).tolist()
+    assert_columns_match(mat, reference(
+        g, walkers, shift, rho[0], np.abs(psi_next.amplitudes) ** 2,
+        range(mat.num_states)))
+    report = verify_theorem_properties(
+        TransitionMatrixSeq([mat], rho, psi.graph))
+    assert report.max_entry_violation <= 1e-10
+    assert report.max_column_sum_deviation <= 1e-10
+    assert report.max_propagation_residual <= 1e-10
 
 
 @SETTINGS
@@ -169,8 +194,7 @@ def test_residuals_and_round_trip(seed, walkers):
     mat = build_multiwalker_matrix(psi, psi_next, shifts=shift)
     seq = TransitionMatrixSeq(
         [mat], np.stack([vertex_distribution(psi),
-                         vertex_distribution(psi_next)]),
-        num_walkers=walkers, num_base_vertices=g.num_vertices)
+                         vertex_distribution(psi_next)]), psi.graph)
     report = verify_theorem_properties(seq)
     assert report.max_entry_violation <= 1e-10
     assert report.max_column_sum_deviation <= 1e-10
@@ -179,23 +203,27 @@ def test_residuals_and_round_trip(seed, walkers):
 
 
 def assert_round_trip(seq: TransitionMatrixSeq, fmt: str) -> None:
-    """The store gives back the arrays of ``seq`` bit for bit, and the
-    text export, parsed by the oracle, holds the same numbers."""
+    """The store gives back the graph and the arrays of ``seq`` bit for
+    bit, and the text export, parsed by the oracle, holds the same
+    numbers: every column for one walker, the stored ones for more."""
     with tempfile.TemporaryDirectory() as out:
         save_sequence(out, seq, fmt=fmt)
         loaded = load_sequence(out)
         rho, entries = oracle.table_sequence(out)
-    assert (loaded.num_walkers, loaded.num_base_vertices) \
-        == (seq.num_walkers, seq.num_base_vertices)
+    assert loaded.graph == seq.graph
     assert loaded.rho.tobytes() == seq.rho.tobytes() == rho.tobytes()
     assert len(loaded.matrices) == len(seq.matrices)
     for a, b in zip(loaded.matrices, seq.matrices):
         for name in ("col_ids", "indptr", "indices", "data"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    assert entries == {
-        (t, int(u), int(v)): float(p) for t, m in enumerate(seq.matrices)
-        for u, v, p in zip(m.sources, m.indices, m.data)}
+    exported = {}
+    for t, m in enumerate(seq.matrices):
+        sources = range(m.num_states) if seq.num_walkers == 1 else m.col_ids
+        for u in map(int, sources):
+            exported.update({(t, u, int(v)): float(p)
+                             for v, p in zip(*m.column(u))})
+    assert entries == exported
 
 
 @SETTINGS
@@ -432,11 +460,11 @@ def test_graph_hash_is_pinned(name):
 # sampling
 # ---------------------------------------------------------------------------
 
-def random_sequence(rng, walkers: int,
-                    tiny: bool = False) -> TransitionMatrixSeq:
-    """Three steps of a random walk. With ``tiny``, a few basis states of
-    emptied vertices get masses that add up to at most ``ZERO_PROB``, so
-    that some states start with mass in (0, ZERO_PROB]."""
+def random_walk(rng, walkers: int, tiny: bool = False) -> tuple:
+    """The coin, shift and initial state of a random walk. With ``tiny``,
+    a few basis states of emptied vertices get masses that add up to at
+    most ``ZERO_PROB``, so that some states start with mass in (0,
+    ZERO_PROB]."""
     g = random_graph(rng)
     coin = random_coin(g, rng, int(rng.integers(0, 3)))
     shift = random_shift(g, rng, int(rng.integers(0, 3)))
@@ -449,19 +477,82 @@ def random_sequence(rng, walkers: int,
         amps[picked] = np.sqrt(ZERO_PROB * rng.uniform(0.01, 1.0)
                                / max(picked.size, 1))
         psi = WaveFunction(space, amps)
-    return build_sequence(space, coin, shift, psi, 3)
+    return coin, shift, psi
+
+
+def random_sequence(rng, walkers: int,
+                    tiny: bool = False) -> TransitionMatrixSeq:
+    """Three steps of :func:`random_walk`."""
+    coin, shift, psi = random_walk(rng, walkers, tiny)
+    return build_sequence(psi.graph, coin, shift, psi, 3)
 
 
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
 def test_columns_are_closed_under_the_chain(seed, walkers):
-    """Every state with rho(t) > 0 has a column in P(t), and every target
-    of P(t) has one in P(t + 1)."""
-    seq = random_sequence(np.random.default_rng(seed), walkers, tiny=True)
+    """Every state has a column in every P(t), whatever its mass, so a
+    chain never reaches a state without one; each is the reference's."""
+    coin, shift, psi = random_walk(np.random.default_rng(seed), walkers,
+                                   tiny=True)
+    seq = build_sequence(psi.graph, coin, shift, psi, 3)
+    states = list(evolve(psi, coin, shift, 3))
     for t, mat in enumerate(seq.matrices):
-        assert np.isin(np.flatnonzero(seq.rho[t] > 0.0), mat.col_ids).all()
-        if t + 1 < seq.num_steps:
-            assert np.isin(mat.indices, seq.matrices[t + 1].col_ids).all()
+        assert_columns_match(mat, reference(
+            psi.base, walkers, shift, seq.rho[t],
+            np.abs(states[t + 1].amplitudes) ** 2, range(mat.num_states)))
+
+
+def path_law(seq: TransitionMatrixSeq) -> dict:
+    """``{path: probability}`` over every path tau(0..T) of positive
+    probability, rho(0)(tau(0)) times the product of its entries."""
+    law = {(int(x),): float(p) for x, p in enumerate(seq.rho[0]) if p > 0}
+    for mat in seq.matrices:
+        columns = {u: mat.column(u) for u in {path[-1] for path in law}}
+        law = {path + (int(v),): p * q for path, p in law.items()
+               for v, q in zip(*columns[path[-1]])}
+    return law
+
+
+def assert_paths_follow_the_law(seq: TransitionMatrixSeq, size: int,
+                                seed: int) -> None:
+    """The TVD between the ensemble's path histogram and the exact path
+    law stays within E[TVD] <= sqrt(S / M) / 2 over a support of S paths,
+    plus McDiarmid's sqrt(ln(1 / delta) / (2 M)) for delta = 1e-9. A path
+    the law does not hold counts in full."""
+    law = path_law(seq)
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-9)
+    paths, counts = np.unique(sample_ensemble(seq, size, seed).paths,
+                              axis=0, return_counts=True)
+    drawn = dict(zip(map(tuple, paths.tolist()), counts / size))
+    tvd = 0.5 * sum(abs(drawn.get(path, 0.0) - law.get(path, 0.0))
+                    for path in law.keys() | drawn.keys())
+    bound = 0.5 * np.sqrt(len(law) / size) \
+        + np.sqrt(np.log(1e9) / (2 * size))
+    assert tvd <= bound
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
+def test_sampled_paths_follow_the_exact_path_law(seed, walkers):
+    rng = np.random.default_rng(seed)
+    seq = random_sequence(rng, walkers, tiny=True)
+    assert_paths_follow_the_law(seq, 4000, int(rng.integers(2**31)))
+
+
+def test_paths_from_an_unstored_state_follow_the_exact_path_law(c4):
+    # rho(0) puts mass on vertex 1, whose column P(0) does not store: its
+    # moves are uniform, vertex 0's follow the stored column
+    p0 = TransitionMatrix(0, c4, col_ids=[0], indptr=[0, 2],
+                          indices=[1, 3], data=[0.8, 0.2])
+    p1 = TransitionMatrix(1, c4, col_ids=[], indptr=[0], indices=[],
+                          data=[])
+    rho = np.array([[0.3, 0.7, 0.0, 0.0]] * 3)
+    seq = TransitionMatrixSeq([p0, p1], rho, c4)
+    law = path_law(seq)
+    assert len(law) == 8
+    assert law[0, 1, 2] == 0.3 * 0.8 * 0.5
+    assert law[1, 2, 3] == 0.7 * 0.5 * 0.5
+    assert_paths_follow_the_law(seq, 4000, 17)
 
 
 @SETTINGS

@@ -12,6 +12,11 @@ may offer to skip a check.
 
 Every state space is a ``ProductGraph``, one walker being the product
 of one, so only ``graphs.py`` may ask which graph type it holds.
+
+P(t) stores only its ratio columns and makes the uniform ones on demand,
+so a reader of its stored column ids would miss the uniform columns:
+only ``equivalence.py``, which owns that convention, and ``persist.py``,
+which stores the arrays, may read ``col_ids``.
 """
 
 import ast
@@ -25,6 +30,8 @@ BUDGET, ERROR = "DEFAULT_MEMORY_BUDGET", "ResourceLimitError"
 KNOBS = {"validate", "strict", "enforce_edges"}
 #: The graph types that were once two kinds of state space.
 GRAPH_TYPES = {"PortGraph", "ProductGraph"}
+#: The modules that may read the stored column ids of P(t).
+COLUMN_OWNERS = {"equivalence.py", "persist.py"}
 
 
 def _names(node) -> set[str]:
@@ -178,3 +185,37 @@ def test_the_type_check_guard_sees_each_breach():
         "m.py:6 isinstance on ProductGraph",
     ]
     assert type_check_breaches(source, "graphs.py") == []
+
+
+def column_id_breaches(source: str, module: str) -> list[str]:
+    """Each read of a ``col_ids`` attribute in ``source``, unless
+    ``module`` is in :data:`COLUMN_OWNERS`."""
+    if module in COLUMN_OWNERS:
+        return []
+    found = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and node.attr == "col_ids"
+             and isinstance(node.ctx, ast.Load)]
+    return [f"{module}:{line} reads col_ids" for line in sorted(found)]
+
+
+def test_only_the_owners_read_stored_column_ids():
+    breaches = [b for path in sorted(SRC.glob("*.py"))
+                for b in column_id_breaches(path.read_text(), path.name)]
+    assert breaches == []
+
+
+def test_the_column_id_guard_sees_each_breach():
+    source = (
+        "def draw(seq, states):\n"
+        "    mat = seq.matrices[0]\n"
+        "    pos = np.searchsorted(mat.col_ids, states)\n"
+        "    return getattr(mat, 'indptr')[pos], seq.matrices[1].col_ids\n"
+        "def col_ids(x):\n"
+        "    return x\n"
+    )
+    assert column_id_breaches(source, "trajectory.py") == [
+        "trajectory.py:3 reads col_ids",
+        "trajectory.py:4 reads col_ids",
+    ]
+    assert column_id_breaches(source, "equivalence.py") == []
+    assert column_id_breaches(source, "persist.py") == []

@@ -7,13 +7,13 @@ from qrwalk import (
     CoinSpec,
     ProductGraph,
     ResourceLimitError,
-    SamplingError,
     ShiftSpec,
     TransitionMatrix,
     TransitionMatrixSeq,
     ValidationError,
     WaveFunction,
     build_sequence,
+    complete_graph,
     convergence_report,
     cycle_graph,
     empirical_distribution,
@@ -85,20 +85,25 @@ class TestSampleTrajectory:
         uniforms = np.column_stack([(np.arange(n) + 0.5) / n,
                                     np.full(n, top)])
         for mat in seq.matrices:
-            one_step = TransitionMatrixSeq([mat], np.full((2, n), 1.0 / n))
+            one_step = TransitionMatrixSeq([mat], np.full((2, n), 1.0 / n),
+                                           graph)
             paths = _draw(one_step, uniforms, "scan")
             assert np.array_equal(paths[:, 0], np.arange(n))
             for u, v in paths.tolist():
                 assert mat.entry(v, u) > 0.0
 
-    def test_unmaterialised_column_raises_sampling_error(self):
-        rho = np.array([[1.0, 0.0], [0.0, 1.0]])
-        no_columns = TransitionMatrix(0, 2, col_ids=[], indptr=[0],
+    def test_unstored_state_draws_from_its_uniform_column(self, c4):
+        # P(0) stores no column, so every move is a uniform draw over the
+        # two neighbours, as the per-column reference draws it
+        rho = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5]])
+        no_columns = TransitionMatrix(0, c4, col_ids=[], indptr=[0],
                                       indices=[], data=[])
-        seq = TransitionMatrixSeq([no_columns], rho)
-        with pytest.raises(SamplingError, match="state 0 at t=0, but the "
-                           "sequence does not hold its column of P\\(0\\)"):
-            sample_trajectory(seq, seed=0)
+        seq = TransitionMatrixSeq([no_columns], rho, c4)
+        uniforms = np.random.default_rng(3).random((200, 2))
+        paths = _draw(seq, uniforms, "scan")
+        assert np.array_equal(paths, oracle.reference_paths(seq, uniforms))
+        assert {tuple(p) for p in paths.tolist()} \
+            == {(0, 1), (0, 3), (1, 0), (1, 2)}
 
     def test_top_uniform_reaches_a_state_below_zero_prob(self):
         # a tuple with mass 2.5e-15 <= ZERO_PROB is still in the support of
@@ -117,8 +122,8 @@ class TestSampleTrajectory:
     def test_empty_column_rejected(self):
         # a column with no entries would give the draw no port to land on
         with pytest.raises(ValidationError, match="no empty columns"):
-            TransitionMatrix(0, 2, col_ids=[0, 1], indptr=[0, 0, 1],
-                             indices=[0], data=[1.0])
+            TransitionMatrix(0, complete_graph(2), col_ids=[0, 1],
+                             indptr=[0, 0, 1], indices=[0], data=[1.0])
 
 
 class TestSampleEnsemble:

@@ -49,6 +49,17 @@ class TestWaveFunction:
         assert psi.amplitudes[c4.basis_index(0, 0)] == 1.0
         assert np.count_nonzero(psi.amplitudes) == 1
 
+    def test_scalar_vertex_and_port_are_every_walkers(self):
+        pg = ProductGraph(cycle_graph(4), 2)
+        assert np.array_equal(
+            WaveFunction.localized(pg, 0).amplitudes,
+            WaveFunction.localized(pg, (0, 0), (0, 0)).amplitudes)
+        assert np.array_equal(
+            WaveFunction.localized(pg, 3, (0, 1)).amplitudes,
+            WaveFunction.localized(pg, (3, 3), (0, 1)).amplitudes)
+        with pytest.raises(ValidationError, match="needs 2"):
+            WaveFunction.localized(pg, (0, 1, 2))
+
     def test_unnormalised_rejected(self, c4):
         with pytest.raises(ValidationError, match="normalised"):
             WaveFunction(c4, np.ones(8))
