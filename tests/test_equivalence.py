@@ -329,6 +329,28 @@ class TestMultiwalker:
             for u in np.flatnonzero(seq.rho[t] > 1e-14):
                 seq.matrices[t].column(int(u))  # must not raise
 
+    def test_unmaterialised_column_raises(self, c4, monkeypatch):
+        # an unstored column is made on demand, so reading it is held to
+        # the memory budget; the stored one is read with no allocation
+        pg = ProductGraph(c4, 2)
+        coin, shift = hadamard_walk(c4)
+        psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
+        mat = build_multiwalker_matrix(psi0, step(psi0, coin, shift), shift)
+        assert mat.col_ids.tolist() == [0]
+        u = pg.tuple_index((1, 2))
+        need = equivalence._arc_bytes(2) * (mat.data.size + 4)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
+        assert mat.column(u)[0].size == 4
+
+        def allocate(*args):
+            raise AssertionError("arcs allocated before the budget check")
+        monkeypatch.setattr(ProductGraph, "arcs", allocate)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 0)
+        assert mat.column(0)[0].size == mat.data.size
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ResourceLimitError, match="1 uniform columns"):
+            mat.column(u)
+
     def test_extra_columns_materialise_uniform(self, c4):
         # only (0, 0) has mass, so only its column is stored; (1, 2) gets
         # 1/4 on its 4 product neighbours, in ascending joint index
