@@ -71,5 +71,6 @@ from .walk import (
     evolve,
     step,
     vertex_distribution,
+    vertex_masses,
 )
 

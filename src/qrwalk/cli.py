@@ -22,7 +22,7 @@ from .equivalence import TransitionMatrixSeq, build_sequence, \
     verify_theorem_properties
 from .errors import ConfigError, ConsistencyError, QRWalkError, \
     ResourceLimitError, ValidationError
-from .graphs import graph_from_json
+from .graphs import torus_dims_of
 from .persist import (
     RunManifest,
     ensemble_mean_table,
@@ -41,7 +41,7 @@ from .persist import (
     write_table,
 )
 from .trajectory import convergence_report, locality_fraction, sample_ensemble
-from .walk import evolve, vertex_distribution
+from .walk import evolve, vertex_masses
 
 _RUNTIME_ERRORS = (ConsistencyError, ResourceLimitError)
 
@@ -131,8 +131,8 @@ def cmd_evolve(args, config: dict) -> int:
     manifest = manifest_for(config, "evolve", base, format=args.format)
 
     try:
-        rhos = list(map(vertex_distribution,
-                        evolve(psi, coin, shift, horizon, interaction)))
+        rhos = [vertex_masses(space, p) for p in
+                evolve(psi, coin, shift, horizon, interaction)]
     except ValidationError as exc:
         raise _as_runtime(exc) from exc
 
@@ -183,9 +183,8 @@ def cmd_sample(args, config: dict) -> int:
         source = RunManifest.load(args.from_dir) \
             if (Path(args.from_dir) / "manifest.json").exists() else None
         # load_sequence checked that the manifest made this store; the
-        # store's graph has no torus shape, the manifest's has
-        torus_dims = graph_from_json(source.graph).torus_dims \
-            if source else None
+        # store's graph has no torus shape, the manifest's document has
+        torus_dims = torus_dims_of(source.graph) if source else None
         manifest = RunManifest(
             command="sample",
             graph=source.graph if source else {"loaded": args.from_dir},
@@ -257,8 +256,8 @@ def cmd_rejection(args, config: dict) -> int:
                             attempts=attempts)
 
     try:
-        rho_seq = np.stack(list(map(vertex_distribution,
-                                    evolve(psi, coin, shift, length - 1))))
+        rho_seq = np.stack([vertex_masses(space, p) for p in
+                            evolve(psi, coin, shift, length - 1)])
         report = rejection_sample(rho_seq, base, attempts,
                                   seed=config.get("seed"))
         exact, total = exact_rejection_marginals(rho_seq, base)

@@ -43,6 +43,7 @@ from .walk import (
     check_budget,
     evolve,
     vertex_distribution,
+    vertex_masses,
 )
 
 __all__ = [
@@ -94,8 +95,12 @@ class TransitionMatrix:
         object.__setattr__(self, "graph", ProductGraph.of(self.graph))
         for name, dtype in (("col_ids", np.int64), ("indptr", np.int64),
                             ("indices", np.int64), ("data", np.float64)):
-            arr = np.array(getattr(self, name), dtype=dtype, ndmin=1)
-            arr.flags.writeable = False
+            arr = getattr(self, name)
+            # a read-only array of the right type is kept as it is; any
+            # other input is copied, so the caller cannot change the matrix
+            if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+                    and arr.ndim == 1 and not arr.flags.writeable):
+                arr, = _sealed(np.array(arr, dtype=dtype, ndmin=1))
             object.__setattr__(self, name, arr)
         ptr, n = self.indptr, self.num_states
         if not (ptr.shape == (self.col_ids.size + 1,) and ptr[0] == 0
@@ -135,27 +140,38 @@ class TransitionMatrix:
         found[found] = self.col_ids[pos[found]] == states[found]
         if found.all():
             return self, pos
-        pg, new = self.graph, np.unique(states[~found])
-        size = int(pg.out_degrees(new).sum()) + self.data.size
+        pg = self.graph
+        missing = np.zeros(pg.num_states, dtype=bool)
+        missing[states[~found]] = True
+        new = np.flatnonzero(missing)
+        degrees = pg.out_degrees(new)
+        size = int(degrees.sum()) + self.data.size
         check_budget(_arc_bytes(pg.num_walkers) * size,
                      f"the {size} entries of P({self.time}) with {new.size} "
                      "uniform columns")
+        # the merged columns ascend by id: each new column lands after the
+        # stored ones below it, and the entries follow their columns
+        is_new = np.zeros(self.col_ids.size + new.size, dtype=bool)
+        is_new[np.arange(new.size) + np.searchsorted(self.col_ids, new)] = True
+        ids = np.empty(is_new.size, dtype=np.int64)
+        lengths = np.empty_like(ids)
+        ids[is_new], ids[~is_new] = new, self.col_ids
+        lengths[is_new], lengths[~is_new] = degrees, np.diff(self.indptr)
+        indptr = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        entry_is_new = np.repeat(is_new, lengths)
+        # arcs() lists each state's heads in ascending order
         owner, ports = pg.arcs(new)
-        targets = np.ravel_multi_index(tuple(pg.base.heads[ports]), pg.shape)
-        degrees = np.bincount(owner, minlength=new.size)
-        ids = np.concatenate([self.col_ids, new])
-        by_id = np.argsort(ids)
-        lengths = np.concatenate([np.diff(self.indptr), degrees])[by_id]
-        # both parts ascend by source, so a stable sort merges them
-        entries = np.argsort(np.concatenate([self.sources, new[owner]]),
-                             kind="stable")
-        targets = np.concatenate([self.indices, targets[np.argsort(
-            owner * pg.num_states + targets)]])[entries]
-        probs = np.concatenate([self.data, 1.0 / degrees[owner]])[entries]
-        mat = TransitionMatrix(
-            self.time, pg, ids[by_id],
-            np.concatenate([[0], np.cumsum(lengths)]), targets, probs,
-            self.column_sum_error)
+        targets = np.empty(size, dtype=np.int64)
+        targets[entry_is_new] = np.ravel_multi_index(
+            tuple(pg.base.heads[ports]), pg.shape)
+        targets[~entry_is_new] = self.indices
+        probs = np.empty(size)
+        probs[entry_is_new] = 1.0 / degrees[owner]
+        probs[~entry_is_new] = self.data
+        mat = TransitionMatrix(self.time, pg,
+                               *_sealed(ids, indptr, targets, probs),
+                               column_sum_error=self.column_sum_error)
         return mat, np.searchsorted(mat.col_ids, states)
 
     def column(self, u: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,12 +327,20 @@ def _column_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _sealed(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, made read-only, so that a :class:`TransitionMatrix`
+    built from them keeps them without a copy."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _arc_bytes(num_walkers: int) -> int:
     """Bytes per arc of the arc-wise arrays :func:`matrix_from_masses`
-    holds at once, an upper bound: its tracemalloc peak was 83-93, 85-87
-    and 91-92 bytes per arc for 1, 2 and 3 walkers, on tori and on
+    holds at once, an upper bound: its tracemalloc peak was 70-77, 67-71
+    and 73-74 bytes per arc for 1, 2 and 3 walkers, on tori and on
     irregular graphs. It also bounds :meth:`TransitionMatrix.find` per
-    entry of the matrix it makes (62-90 bytes)."""
+    entry of the matrix it makes (50-86 bytes)."""
     return 8 * (num_walkers + 11)
 
 
@@ -351,16 +375,13 @@ def matrix_from_masses(
     check_budget(_arc_bytes(k) * num_arcs,
                  f"the {num_arcs} arcs leaving {cols.size} columns of "
                  f"P({time})")
+    # arcs() lists each column's targets in ascending order
     owner, ports = pg.arcs(cols)
     targets = np.ravel_multi_index(tuple(base.heads[ports]), pg.shape)
     joint = np.ravel_multi_index(
         tuple(s.permutation[p] for s, p in zip(shifts, ports)),
         pg.basis_shape)
     probs = p_next[joint] / rho_t[cols[owner]]
-
-    # ``owner`` ascends, so sorting by (owner, target) keeps it in place
-    order = np.argsort(owner * pg.num_states + targets)
-    targets, probs = targets[order], probs[order]
     indptr = np.zeros(cols.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=cols.size), out=indptr[1:])
 
@@ -379,7 +400,7 @@ def matrix_from_masses(
     if not keep.all():
         owner, targets, probs = owner[keep], targets[keep], probs[keep]
         np.cumsum(np.bincount(owner, minlength=cols.size), out=indptr[1:])
-    return TransitionMatrix(time, pg, cols, indptr, targets, probs,
+    return TransitionMatrix(time, pg, *_sealed(cols, indptr, targets, probs),
                             column_sum_error=float(dev.max(initial=0.0)))
 
 
@@ -417,21 +438,21 @@ def build_sequence(
     interaction: InteractionLike | None = None,
 ) -> TransitionMatrixSeq:
     """Evolve ``horizon`` steps and emit P(0..T-1) plus rho(0..T).
-    ``graph`` is ``psi0``'s state space (a port graph: one walker)."""
+    ``graph`` is ``psi0``'s state space (a port graph: one walker).
+
+    P(t) comes from rho(t) and the basis-state masses of psi(t + 1) that
+    :func:`~qrwalk.walk.evolve` yields, so the walk keeps only its two
+    state buffers and the masses of one step at a time."""
     pg = psi0.graph
     if ProductGraph.of(graph) != pg:
         raise ValidationError("graph does not match psi0")
-    states = evolve(psi0, coin, shift, horizon, interaction)
-    psi = next(states)
-    rhos = [vertex_distribution(psi)]
+    masses = evolve(psi0, coin, shift, horizon, interaction)
+    rhos = [vertex_masses(pg, next(masses))]
     matrices: list[TransitionMatrix] = []
-    for t, psi_next in enumerate(states):
-        matrices.append(matrix_from_masses(
-            pg, shift, rhos[-1], np.abs(psi_next.amplitudes) ** 2, time=t))
-        # psi(t) is released only once P(t) is built: releasing it first
-        # made the two-walker benchmark about 5% slower (allocation order)
-        psi = psi_next
-        rhos.append(vertex_distribution(psi))
+    for t, p_next in enumerate(masses):
+        matrices.append(matrix_from_masses(pg, shift, rhos[-1], p_next,
+                                           time=t))
+        rhos.append(vertex_masses(pg, p_next))
     return TransitionMatrixSeq(matrices, np.stack(rhos), pg)
 
 

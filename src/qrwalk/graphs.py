@@ -49,6 +49,7 @@ __all__ = [
     "graph_from_json",
     "graph_to_json",
     "graph_hash",
+    "torus_dims_of",
 ]
 
 
@@ -165,6 +166,18 @@ class PortGraph:
         """``{d: the vertices of degree d}``, both in ascending order."""
         return {int(d): _readonly(np.flatnonzero(self.degrees == d))
                 for d in np.unique(self.degrees)}
+
+    @cached_property
+    def class_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis indices sorted by degree class (ascending degree,
+        then vertex, then port), and the inverse permutation: the ports of
+        each class of :attr:`degree_classes` become one contiguous run."""
+        order = np.concatenate([
+            (self.port_offsets[verts, None] + np.arange(d)).ravel()
+            for d, verts in self.degree_classes.items()])
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        return _readonly(order), _readonly(inverse)
 
     @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -303,7 +316,10 @@ class ProductGraph:
         return all(self.base.has_edge(ui, vi) for ui, vi in zip(u, v))
 
     def has_edges(self, src, dst) -> np.ndarray:
-        """Elementwise :meth:`has_edge` over broadcast joint-index arrays."""
+        """Elementwise :meth:`has_edge` over broadcast joint-index arrays;
+        one walker's joint indices are its base vertices."""
+        if self.num_walkers == 1:
+            return self.base.has_edges(src, dst)
         return np.logical_and.reduce([
             self.base.has_edges(s, d) for s, d in zip(
                 np.unravel_index(src, self.shape),
@@ -322,9 +338,12 @@ class ProductGraph:
 
     def arcs(self, states) -> tuple[np.ndarray, np.ndarray]:
         """Arcs (one base arc per walker) leaving each joint state, state by
-        state in the product order of the walkers' ports. Returns ``(owner,
-        ports)``: ``owner[a]`` is the position in ``states`` of arc ``a``'s
-        source and ``ports[i, a]`` walker ``i``'s flattened basis index."""
+        state, each state's in ascending order of the joint index of their
+        head tuple: the product order of the walkers' arcs (walker 0
+        slowest), each walker's taken in ascending order of their heads.
+        Returns ``(owner, ports)``: ``owner[a]`` is the position in
+        ``states`` of arc ``a``'s source and ``ports[i, a]`` walker ``i``'s
+        flattened basis index."""
         base = self.base
         digits = np.unravel_index(np.asarray(states, dtype=np.int64),
                                   self.shape)
@@ -336,7 +355,10 @@ class ProductGraph:
         ports = np.empty((self.num_walkers, owner.size), dtype=np.int64)
         for i in range(self.num_walkers - 1, -1, -1):
             d = degs[i][owner]
-            ports[i] = base.port_offsets[digits[i]][owner] + local % d
+            # the arc keys sort by (tail, head), so a vertex's block of
+            # _arc_order lists its arcs by ascending head
+            ports[i] = base._arc_order[
+                base.port_offsets[digits[i]][owner] + local % d]
             local //= d
         return owner, ports
 
@@ -551,10 +573,8 @@ def graph_from_json(doc: dict) -> PortGraph:
     """
     kind = doc.get("type")
     if kind is not None:
-        if kind == "cycle":
-            return cycle_graph(int(doc["n"]))
-        if kind == "torus":
-            return torus_graph(doc["dims"])
+        if kind in ("cycle", "torus"):
+            return torus_graph(torus_dims_of(doc))
         if kind == "complete":
             return complete_graph(int(doc["n"]))
         if kind == "random-regular":
@@ -563,9 +583,23 @@ def graph_from_json(doc: dict) -> PortGraph:
         raise ValidationError(f"unknown graph type {kind!r}")
     g = build_graph(doc["edges"], ordering=doc.get("ordering", "sorted"),
                     num_vertices=doc.get("n"))
-    if "torus_dims" in doc:
-        g = dataclasses.replace(g, torus_dims=tuple(doc["torus_dims"]))
-    return g
+    dims = torus_dims_of(doc)
+    return g if dims is None else dataclasses.replace(g, torus_dims=dims)
+
+
+def torus_dims_of(doc: dict) -> tuple[int, ...] | None:
+    """The torus shape of the graph a JSON document describes (that of
+    :func:`graph_from_json`), read without building the graph: a cycle's
+    ``(n,)``, a torus's ``dims``, or the ``torus_dims`` of an edge list;
+    ``None`` for any other graph."""
+    kind = doc.get("type")
+    if kind == "cycle":
+        return (int(doc["n"]),)
+    if kind == "torus":
+        return tuple(int(d) for d in doc["dims"])
+    if kind is None and "torus_dims" in doc:
+        return tuple(doc["torus_dims"])
+    return None
 
 
 def graph_hash(g: PortGraph) -> str:

@@ -560,12 +560,17 @@ def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
     try:
         graph = ProductGraph(PortGraph(m["port_offsets"], m["heads"]),
                              int(m["num_walkers"]))
+        # read-only slices of the store are kept by each P(t), not copied
+        indices, data = m["indices"], m["data"]
+        for arr in (col_ids, indices, data):
+            arr.flags.writeable = False
         matrices = []
         for t, (lo, hi) in enumerate(zip(step_ptr[:-1], step_ptr[1:])):
-            ptr = indptr[lo:hi + 1]
+            ptr = indptr[lo:hi + 1] - indptr[lo]
+            ptr.flags.writeable = False
             matrices.append(TransitionMatrix(
-                t, graph, col_ids[lo:hi], ptr - ptr[0],
-                m["indices"][ptr[0]:ptr[-1]], m["data"][ptr[0]:ptr[-1]]))
+                t, graph, col_ids[lo:hi], ptr,
+                indices[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]]))
         return TransitionMatrixSeq(matrices, m["rho"], graph)
     except ValidationError as exc:
         raise ValidationError(f"{path} holds no valid sequence: {exc}") \

@@ -3,10 +3,16 @@
 Every state lives on a :class:`~qrwalk.graphs.ProductGraph` of K >= 1
 walkers, one walker being the product of one. One evolution step applies,
 in order, the optional interaction (K > 1 walkers only), the
-block-diagonal coin of each walker, and the shift permutation;
-:func:`evolve` is the one walk loop. All operators are unitary, so a step
-maps a normalised state to a normalised state; nothing here renormalises,
-which keeps genuine defects visible.
+block-diagonal coin of each walker, and the shift permutation. All
+operators are unitary, so a step maps a normalised state to a normalised
+state; nothing here renormalises, which keeps genuine defects visible.
+
+Each operator has one kernel, which writes from one state buffer into
+another: the interaction in place, the coin and the shift one walker at a
+time. :func:`evolve`, the one walk loop, runs them in two preallocated
+buffers and yields the masses ``|psi(t)|^2``; :func:`step` and the
+``apply_*`` functions run the same kernels on a copy of a
+:class:`WaveFunction` and return a new one.
 
 Operators may vary with time: wherever a spec is accepted, a callable
 ``t -> spec`` is accepted too and resolved at each step.
@@ -36,6 +42,7 @@ __all__ = [
     "step",
     "evolve",
     "vertex_distribution",
+    "vertex_masses",
     "check_budget",
     "NORM_ATOL",
     "DEFAULT_MEMORY_BUDGET",
@@ -56,6 +63,15 @@ def check_budget(nbytes: int, what: str) -> None:
         raise ResourceLimitError(
             f"{what} needs {nbytes} bytes, over the memory budget of "
             f"{DEFAULT_MEMORY_BUDGET}"
+        )
+
+
+def _check_norm(norm2: float) -> None:
+    """Raise :class:`ValidationError` unless the squared norm ``norm2``
+    is 1 within :data:`NORM_ATOL`."""
+    if abs(norm2 - 1.0) > NORM_ATOL:
+        raise ValidationError(
+            f"state is not normalised: squared norm {norm2!r}"
         )
 
 
@@ -95,11 +111,7 @@ class WaveFunction:
                 f"({space.basis_dim},) for {space.num_walkers} walker(s) on "
                 f"a basis of dimension {space.base.basis_dim}"
             )
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > NORM_ATOL:
-            raise ValidationError(
-                f"state is not normalised: squared norm {norm2!r}"
-            )
+        _check_norm(float(np.vdot(amps, amps).real))
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -219,8 +231,8 @@ class CoinSpec:
     ports of ``graph.degree_classes[d][i]``, the ``i``-th vertex of degree
     ``d``. A named coin stores one block per class, repeated by a
     zero-stride :func:`numpy.broadcast_to` view. The coin is applied with
-    one batched ``matmul`` per class. ``blocks`` is a per-vertex view for
-    tests.
+    one ``matmul`` per class and walker. ``blocks`` is a per-vertex view
+    for tests.
     """
 
     graph: PortGraph
@@ -435,6 +447,18 @@ class InteractionSpec:
                 frozen[u] = b
             object.__setattr__(self, "blocks", frozen)
 
+    @cached_property
+    def coincident(self) -> np.ndarray:
+        """Read-only mask over the flat joint basis of the states whose
+        walkers all stand on one vertex; made once per spec."""
+        owners = np.ix_(*[self.graph.base.vertex_of_basis]
+                        * self.graph.num_walkers)
+        shared = np.ones(self.graph.basis_shape, dtype=bool)
+        for owner in owners[1:]:
+            shared &= owners[0] == owner
+        shared.flags.writeable = False
+        return shared.reshape(-1)
+
     @classmethod
     def identity(cls, graph: ProductGraph) -> "InteractionSpec":
         return cls(graph, kind="identity")
@@ -479,43 +503,157 @@ def _per_walker(spec, space: ProductGraph, t: int, what: str) -> list:
 
 
 # ---------------------------------------------------------------------------
+# operator kernels
+# ---------------------------------------------------------------------------
+#
+# A state of K walkers is a K-axis array of side D, the base basis
+# dimension. Walker i's kernel sees the state as the contiguous view
+# (left, D, right), with left = D**i and right = D**(K - 1 - i), and
+# writes into a second buffer of the same size; the walk then swaps the
+# two. A kernel may overwrite its input. The interaction acts in place.
+
+def _coin_kernel(spec: CoinSpec, x: np.ndarray, y: np.ndarray) -> None:
+    """``y`` = the coin on the middle axis of ``x``; ``x`` is overwritten
+    on an irregular graph.
+
+    On an irregular graph the ports are first gathered into degree-class
+    order (:attr:`~qrwalk.graphs.PortGraph.class_order`), each class is
+    multiplied as one run, and the result is scattered back."""
+    if len(spec.stacks) > 1:
+        order, inverse = spec.graph.class_order
+        np.take(x, order, axis=1, out=y, mode="clip")
+        _class_products(spec, y, x)
+        np.take(x, inverse, axis=1, out=y, mode="clip")
+    else:
+        _class_products(spec, x, y)
+
+
+def _class_products(spec: CoinSpec, x: np.ndarray, y: np.ndarray) -> None:
+    """Multiply the port blocks of each degree class, whose ports are
+    consecutive runs of ``x``'s middle axis in ascending degree, into
+    ``y``.
+
+    Each operand shape rounds, for the named coins, exactly as the coin
+    did when every walker's axis was first moved to the front. Walker 0
+    (one walker too: a row product rounds differently there) takes a
+    batched ``(d x d) @ (d x right)`` product per vertex, as do the
+    middle walkers. The last of several walkers takes a row product,
+    ``rows @ block.T``: one matrix product when one block serves the whole
+    axis, else one per vertex (a vertex alone in its class would make a
+    vector-matrix product, which rounds differently too)."""
+    left, dim, right = x.shape
+    start = 0
+    for d, stack in spec.stacks.items():
+        n = stack.shape[0]
+        src, dst = (a[:, start:start + n * d] for a in (x, y))
+        start += n * d
+        if right > 1 or left == 1:
+            shape = (n, d, right) if left == 1 else (left, n, d, right)
+            np.matmul(stack, src.reshape(shape), out=dst.reshape(shape))
+        elif n * d == dim and stack.strides[0] == 0:
+            np.matmul(x.reshape(-1, d), stack[0].T, out=y.reshape(-1, d))
+        else:
+            np.matmul(src.reshape(left, n, d).transpose(1, 0, 2),
+                      stack.transpose(0, 2, 1),
+                      out=dst.reshape(left, n, d).transpose(1, 0, 2))
+
+
+def _shift_kernel(spec: ShiftSpec, x: np.ndarray, y: np.ndarray) -> None:
+    """``y`` = the shift permutation on the middle axis of ``x``. The
+    indices are in range by construction; ``mode="clip"`` spares the
+    copy ``np.take`` buffers its output into under ``mode="raise"``."""
+    np.take(x, spec.inverse, axis=1, out=y, mode="clip")
+
+
+def _interaction_kernel(spec: InteractionSpec, x: np.ndarray) -> None:
+    """Apply the per-tuple interaction blocks to ``x`` in place."""
+    if spec.kind == "coincidence-phase":
+        np.multiply(x, np.exp(1j * spec.phase), out=x, where=spec.coincident)
+        return
+    arr = x.reshape(spec.graph.basis_shape)
+    offs = spec.graph.base.port_offsets
+    for u, block in spec.blocks.items():
+        slices = tuple(slice(int(offs[ui]), int(offs[ui + 1])) for ui in u)
+        sub = arr[slices]
+        arr[slices] = (block @ sub.reshape(-1)).reshape(sub.shape)
+
+
+def _per_axis(kernel, specs: list, x: np.ndarray, y: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``kernel`` for each walker's spec in turn, from ``x`` into
+    ``y`` and back; returns (the buffer holding the result, the other)."""
+    k, dim = len(specs), specs[0].graph.basis_dim
+    for i, spec in enumerate(specs):
+        shape = (dim ** i, dim, dim ** (k - 1 - i))
+        kernel(spec, x.reshape(shape), y.reshape(shape))
+        x, y = y, x
+    return x, y
+
+
+def _interaction_at(interaction: InteractionLike | None,
+                    space: ProductGraph, t: int) -> InteractionSpec | None:
+    """The interaction of step t, or ``None`` when it is the identity;
+    any other interaction needs a product of at least two walkers."""
+    spec = _at(interaction, t)
+    if spec is None or spec.kind == "identity":
+        return None
+    if space.num_walkers < 2:
+        raise ValidationError("interactions require at least two walkers")
+    if spec.graph != space:
+        raise ValidationError("interaction was built for a different graph")
+    return spec
+
+
+def _step(space: ProductGraph, x: np.ndarray, y: np.ndarray,
+          coin: CoinLike, shift: ShiftLike,
+          interaction: InteractionLike | None, t: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Step t on the amplitudes in ``x``, with ``y`` as the spare buffer;
+    returns (the buffer holding psi(t + 1), the other)."""
+    inter = _interaction_at(interaction, space, t)
+    coins = _per_walker(coin, space, t, "coin")
+    shifts = _per_walker(shift, space, t, "shift")
+    if inter is not None:
+        _interaction_kernel(inter, x)
+    x, y = _per_axis(_coin_kernel, coins, x, y)
+    return _per_axis(_shift_kernel, shifts, x, y)
+
+
+def _workspace(psi: WaveFunction, masses: bool = False
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """A writable copy of ``psi``'s amplitudes and a spare buffer of the
+    same size. With ``masses``, the memory budget check also covers two
+    float arrays of ``|psi|^2``: the one the walk is making and the one
+    its caller may still hold."""
+    dim = psi.graph.basis_dim
+    check_budget((48 if masses else 32) * dim,
+                 f"two state buffers{' and two mass arrays' if masses else ''}"
+                 f" of dimension {dim}")
+    return psi.amplitudes.copy(), np.empty_like(psi.amplitudes)
+
+
+def _masses(amps: np.ndarray) -> np.ndarray:
+    """``|amps|^2``, the bits of ``np.abs(amps) ** 2`` in one array."""
+    p = np.abs(amps)
+    return np.square(p, out=p)
+
+
+# ---------------------------------------------------------------------------
 # operator application
 # ---------------------------------------------------------------------------
-
-def _coin_block_multiply(spec: CoinSpec, amps: np.ndarray) -> np.ndarray:
-    """Apply the block-diagonal coin to rows of ``amps`` (dim x m or dim),
-    with one batched ``matmul`` per degree class."""
-    rows = amps.reshape(amps.shape[0], -1)
-    if len(spec.stacks) == 1:
-        # regular graph: the port blocks tile the rows, so a reshaped view
-        # replaces the gather and scatter copies
-        (d, stack), = spec.stacks.items()
-        return (stack @ rows.reshape(-1, d, rows.shape[1])).reshape(amps.shape)
-    out = np.empty_like(rows)
-    for d, verts in spec.graph.degree_classes.items():
-        ports = spec.graph.port_offsets[verts, None] + np.arange(d)
-        out[ports] = spec.stacks[d] @ rows[ports]
-    return out.reshape(amps.shape)
-
 
 def apply_coin(psi: WaveFunction, coin: CoinLike, t: int = 0) -> WaveFunction:
     """Mix amplitudes among each vertex's ports with the coin blocks."""
     specs = _per_walker(coin, psi.graph, t, "coin")
-    shape = psi.graph.basis_shape
-    arr = psi.amplitudes.reshape(shape)
-    for axis, s in enumerate(specs):
-        moved = np.moveaxis(arr, axis, 0).reshape(psi.base.basis_dim, -1)
-        arr = np.moveaxis(
-            _coin_block_multiply(s, moved).reshape(shape), 0, axis)
-    return WaveFunction(psi.graph, np.ascontiguousarray(arr).reshape(-1))
+    amps, _ = _per_axis(_coin_kernel, specs, *_workspace(psi))
+    return WaveFunction(psi.graph, amps)
 
 
 def apply_shift(psi: WaveFunction, shift: ShiftLike, t: int = 0) -> WaveFunction:
     """Transport amplitudes along arcs by the shift permutation."""
     specs = _per_walker(shift, psi.graph, t, "shift")
-    arr = psi.amplitudes.reshape(psi.graph.basis_shape)
-    arr = arr[np.ix_(*(s.inverse for s in specs))]
-    return WaveFunction(psi.graph, np.ascontiguousarray(arr).reshape(-1))
+    amps, _ = _per_axis(_shift_kernel, specs, *_workspace(psi))
+    return WaveFunction(psi.graph, amps)
 
 
 def apply_interaction(psi: WaveFunction, interaction: InteractionLike | None,
@@ -524,30 +662,12 @@ def apply_interaction(psi: WaveFunction, interaction: InteractionLike | None,
 
     ``None`` and the identity leave ``psi`` as it is; any other
     interaction needs a state of at least two walkers."""
-    spec = _at(interaction, t)
-    if spec is None or spec.kind == "identity":
+    spec = _interaction_at(interaction, psi.graph, t)
+    if spec is None:
         return psi
-    k = psi.num_walkers
-    if k < 2:
-        raise ValidationError("interactions require at least two walkers")
-    if spec.graph != psi.graph:
-        raise ValidationError("interaction was built for a different graph")
-    base = psi.base
-    arr = psi.amplitudes.reshape(psi.graph.basis_shape).copy()
-    offs = base.port_offsets
-    if spec.kind == "coincidence-phase":
-        # the basis states whose walkers all stand on one vertex
-        owners = np.ix_(*[base.vertex_of_basis] * k)
-        shared = np.ones(arr.shape, dtype=bool)
-        for owner in owners[1:]:
-            shared &= owners[0] == owner
-        np.multiply(arr, np.exp(1j * spec.phase), out=arr, where=shared)
-    else:
-        for u, block in spec.blocks.items():
-            slices = tuple(slice(int(offs[ui]), int(offs[ui + 1])) for ui in u)
-            sub = arr[slices]
-            arr[slices] = (block @ sub.reshape(-1)).reshape(sub.shape)
-    return WaveFunction(psi.graph, arr.reshape(-1))
+    amps, _ = _workspace(psi)
+    _interaction_kernel(spec, amps)
+    return WaveFunction(psi.graph, amps)
 
 
 def step(
@@ -557,35 +677,51 @@ def step(
     interaction: InteractionLike | None = None,
     t: int = 0,
 ) -> WaveFunction:
-    """One evolution step: shift(coin(interaction(psi)))."""
-    psi = apply_interaction(psi, interaction, t)
-    psi = apply_coin(psi, coin, t)
-    return apply_shift(psi, shift, t)
+    """One evolution step, shift(coin(interaction(psi))), on the kernels
+    :func:`evolve` runs; the new state is checked like any other."""
+    amps, _ = _step(psi.graph, *_workspace(psi), coin, shift, interaction, t)
+    return WaveFunction(psi.graph, amps)
 
 
 def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
            horizon: int, interaction: InteractionLike | None = None
-           ) -> Iterator[WaveFunction]:
-    """Yield psi(0) = ``psi0`` and each :func:`step` after it, at t = 0,
-    1, ..., up to psi(``horizon``)."""
+           ) -> Iterator[np.ndarray]:
+    """Yield the basis-state masses ``|psi(t)|^2`` for t = 0, 1, ...,
+    ``horizon``, each a new float array.
+
+    The walk runs in place in two state buffers, each step's operators
+    writing from one into the other; the buffers and the masses are
+    checked against the memory budget before anything is allocated. Every
+    psi(t + 1) is checked to be normalised within :data:`NORM_ATOL`, as a
+    :class:`WaveFunction` is, and :func:`step` gives the same bits.
+    :func:`vertex_masses` turns the masses into rho(t)."""
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
-    psi = psi0
-    yield psi
+    space = psi0.graph
+    x, y = _workspace(psi0, masses=True)
+    yield _masses(x)
     for t in range(horizon):
-        psi = step(psi, coin, shift, interaction, t)
-        yield psi
+        x, y = _step(space, x, y, coin, shift, interaction, t)
+        p = _masses(x)
+        _check_norm(float(p.sum()))
+        yield p
+
+
+def vertex_masses(graph: PortGraph | ProductGraph,
+                  masses: np.ndarray) -> np.ndarray:
+    """Probability of each vertex (tuple) of ``graph``, from the masses
+    of its basis states: the sum over each vertex's ports, walker by
+    walker. For K walkers the result is indexed by the mixed-radix tuple
+    index."""
+    space = ProductGraph.of(graph)
+    starts = space.base.port_offsets[:-1]
+    arr = np.asarray(masses).reshape(space.basis_shape)
+    for axis in range(space.num_walkers):
+        arr = np.add.reduceat(arr, starts, axis=axis)
+    return arr.reshape(-1)
 
 
 def vertex_distribution(psi: WaveFunction) -> np.ndarray:
-    """Probability of finding the walker(s) at each vertex (tuple).
-
-    Sums squared moduli over each vertex's ports; for K walkers the result
-    is indexed by the mixed-radix tuple index.
-    """
-    p = np.abs(psi.amplitudes) ** 2
-    starts = psi.base.port_offsets[:-1]
-    arr = p.reshape(psi.graph.basis_shape)
-    for axis in range(psi.num_walkers):
-        arr = np.add.reduceat(arr, starts, axis=axis)
-    return arr.reshape(-1)
+    """Probability of finding the walker(s) at each vertex (tuple):
+    :func:`vertex_masses` of ``|psi|^2``."""
+    return vertex_masses(psi.graph, _masses(psi.amplitudes))

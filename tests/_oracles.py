@@ -237,11 +237,113 @@ def reference_interaction(psi, spec) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def kron_power(mat: np.ndarray, k: int) -> np.ndarray:
-    out = mat
-    for _ in range(k - 1):
+def dense_permutation(perm) -> np.ndarray:
+    """The permutation matrix sending basis state ``i`` to ``perm[i]``."""
+    perm = np.asarray(perm)
+    s = np.zeros((perm.size, perm.size), dtype=np.complex128)
+    s[perm, np.arange(perm.size)] = 1.0
+    return s
+
+
+def dense_interaction_blocks(graph, num_walkers: int, blocks) -> np.ndarray:
+    """Identity on the joint basis, with each vertex tuple's block placed
+    on the joint ports of that tuple (walker 0 most significant)."""
+    offs = _offsets(graph)
+    dim = int(offs[-1])
+    u = np.eye(dim ** num_walkers, dtype=np.complex128)
+    for key, block in blocks.items():
+        idx = [int(np.ravel_multi_index(ports, (dim,) * num_walkers))
+               for ports in itertools.product(
+                   *(range(int(offs[v]), int(offs[v + 1])) for v in key))]
+        u[np.ix_(idx, idx)] = block
+    return u
+
+
+def _resolved(spec, t: int, num_walkers: int) -> list:
+    """One spec per walker at step t: a schedule ``t -> spec`` resolved,
+    a list taken as per-walker, anything else shared."""
+    specs = list(spec) if isinstance(spec, (list, tuple)) \
+        else [spec] * num_walkers
+    return [s(t) if callable(s) else s for s in specs]
+
+
+def reference_coin_block_multiply(spec, amps: np.ndarray) -> np.ndarray:
+    """The coin on the rows of ``amps`` (dim x m, or dim), one batched
+    ``matmul`` per degree class on a reshaped view (one class) or on
+    gathered port blocks scattered back; the engine's operator code up to
+    the in-place walk, kept as its bit-for-bit reference."""
+    rows = amps.reshape(amps.shape[0], -1)
+    if len(spec.stacks) == 1:
+        (d, stack), = spec.stacks.items()
+        return (stack @ rows.reshape(-1, d, rows.shape[1])).reshape(amps.shape)
+    out = np.empty_like(rows)
+    for d, verts in spec.graph.degree_classes.items():
+        ports = spec.graph.port_offsets[verts, None] + np.arange(d)
+        out[ports] = spec.stacks[d] @ rows[ports]
+    return out.reshape(amps.shape)
+
+
+def reference_step(psi, coin, shift, interaction=None, t: int = 0
+                   ) -> np.ndarray:
+    """Amplitudes of one step, shift(coin(interaction(psi))), by the
+    engine's operator code up to the in-place walk: a copy of the state
+    per operator, each walker's axis moved to the front for its coin, and
+    one outer-indexed gather for the shifts."""
+    k, dim = psi.num_walkers, psi.base.basis_dim
+    shape = (dim,) * k
+    arr = psi.amplitudes.reshape(shape).copy()
+    spec = interaction(t) if callable(interaction) else interaction
+    if spec is not None and spec.kind == "coincidence-phase":
+        owners = np.ix_(*[psi.base.vertex_of_basis] * k)
+        shared = np.ones(arr.shape, dtype=bool)
+        for owner in owners[1:]:
+            shared &= owners[0] == owner
+        np.multiply(arr, np.exp(1j * spec.phase), out=arr, where=shared)
+    elif spec is not None and spec.kind == "explicit":
+        offs = psi.base.port_offsets
+        for u, block in spec.blocks.items():
+            slices = tuple(slice(int(offs[ui]), int(offs[ui + 1]))
+                           for ui in u)
+            sub = arr[slices]
+            arr[slices] = (block @ sub.reshape(-1)).reshape(sub.shape)
+    for axis, c in enumerate(_resolved(coin, t, k)):
+        moved = np.moveaxis(arr, axis, 0).reshape(dim, -1)
+        arr = np.moveaxis(
+            reference_coin_block_multiply(c, moved).reshape(shape), 0, axis)
+    arr = arr[np.ix_(*(np.argsort(s.permutation)
+                       for s in _resolved(shift, t, k)))]
+    return np.ascontiguousarray(arr).reshape(-1)
+
+
+def dense_step(psi, coin, shift, interaction=None, t: int = 0
+               ) -> np.ndarray:
+    """Amplitudes of U(t) psi for the dense U(t) = S(t) C(t) I(t) on the
+    joint basis: S and C are Kronecker products of each walker's dense
+    shift permutation and dense coin, I the dense interaction."""
+    g, k = psi.base, psi.num_walkers
+    c = kron_factors([dense_coin(g, s.blocks)
+                      for s in _resolved(coin, t, k)])
+    s = kron_factors([dense_permutation(s.permutation)
+                      for s in _resolved(shift, t, k)])
+    amps = psi.amplitudes
+    spec = interaction(t) if callable(interaction) else interaction
+    if spec is not None and spec.kind == "coincidence-phase":
+        amps = dense_coincidence_phase(g, k, spec.phase) @ amps
+    elif spec is not None and spec.kind == "explicit":
+        amps = dense_interaction_blocks(g, k, spec.blocks) @ amps
+    return s @ (c @ amps)
+
+
+def kron_factors(mats) -> np.ndarray:
+    """``mats[0] (x) mats[1] (x) ...``, walker 0 most significant."""
+    out = mats[0]
+    for mat in mats[1:]:
         out = np.kron(out, mat)
     return out
+
+
+def kron_power(mat: np.ndarray, k: int) -> np.ndarray:
+    return kron_factors([mat] * k)
 
 
 def brute_rejection_marginals(rho_seq: np.ndarray, graph):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import read_table, rewrite_store
-from qrwalk import ValidationError, trajectory, walk
+from qrwalk import ValidationError, graphs, trajectory, walk
 from qrwalk.cli import main
 from qrwalk.persist import RunManifest, load_sequence, save_sequence
 from qrwalk.walk import DEFAULT_MEMORY_BUDGET
@@ -198,6 +198,31 @@ class TestSample:
         # (the manifests differ: one records the source directory)
         assert read_table(direct / "trajectories").rows \
             == read_table(loaded / "trajectories").rows
+
+    def test_sample_from_builds_the_graph_once(self, tmp_path,
+                                               monkeypatch):
+        # load_sequence builds the graph from the store; the torus shape
+        # comes from the manifest's document, not from a second build
+        cfg = write_config(tmp_path / "cfg.json", horizon=3)
+        eq_dir = tmp_path / "eq"
+        assert main(["equivalence", "--config", str(cfg),
+                     "--out-dir", str(eq_dir)]) == 0
+        direct = tmp_path / "direct"
+        assert main(["sample", "--from", str(eq_dir), "--seed", "5",
+                     "--out-dir", str(direct)]) == 0
+        built = []
+        init = graphs.PortGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(graphs.PortGraph, "__init__", counted)
+        once = tmp_path / "once"
+        assert main(["sample", "--from", str(eq_dir), "--seed", "5",
+                     "--out-dir", str(once)]) == 0
+        assert len(built) == 1
+        for name in ("trajectories.csv", "ensemble_mean.csv"):
+            assert (once / name).read_bytes() == (direct / name).read_bytes()
 
     def test_sample_from_checks_locality_against_the_manifest_graph(
             self, tmp_path, capsys):

@@ -27,6 +27,7 @@ from qrwalk import (
 )
 from qrwalk import equivalence, walk
 from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
+from qrwalk.persist import load_sequence, save_sequence
 
 
 def hadamard_walk(graph, t=0):
@@ -155,6 +156,57 @@ class TestBuildTransitionMatrix:
             mat = single_walker_matrix(psi0, psi1, shift)
             for _, _, probs in stored_columns(mat):
                 assert probs.max() <= 1.0 and probs.min() >= 0.0
+
+
+#: The arrays a TransitionMatrix holds.
+MATRIX_ARRAYS = ("col_ids", "indptr", "indices", "data")
+
+
+class TestMatrixArrays:
+    def test_read_only_arrays_are_kept_and_writeable_ones_copied(self, c4):
+        arrays = {"col_ids": np.array([0, 2]), "indptr": np.array([0, 2, 3]),
+                  "indices": np.array([1, 3, 1]),
+                  "data": np.array([0.5, 0.5, 1.0])}
+        mat = TransitionMatrix(0, c4, **arrays)
+        for name, arr in arrays.items():
+            got = getattr(mat, name)
+            assert got is not arr and not got.flags.writeable
+            assert got.tobytes() == arr.tobytes()
+        arrays["data"][0] = 0.25  # the caller's array, not the matrix's
+        assert mat.column(0)[1].tolist() == [0.5, 0.5]
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        kept = TransitionMatrix(0, c4, **arrays)
+        assert all(getattr(kept, name) is arr
+                   for name, arr in arrays.items())
+        # the wrong type is copied whatever its flags
+        ids = np.array([0, 2], dtype=np.int32)
+        ids.flags.writeable = False
+        cast = TransitionMatrix(0, c4, ids, *list(arrays.values())[1:])
+        assert cast.col_ids.dtype == np.int64 and cast.col_ids is not ids
+
+    def test_builders_hand_over_their_arrays_without_a_copy(
+            self, c4, tmp_path, monkeypatch):
+        # the arrays each constructor call receives are the ones it keeps
+        received = []
+        check = TransitionMatrix.__post_init__
+
+        def spy(mat):
+            arrays = {name: getattr(mat, name) for name in MATRIX_ARRAYS}
+            check(mat)
+            received.append((mat, arrays))
+        monkeypatch.setattr(TransitionMatrix, "__post_init__", spy)
+        pg = ProductGraph(c4, 2)
+        coin, shift = hadamard_walk(c4)
+        seq = build_sequence(pg, coin, shift,
+                             WaveFunction.localized(pg, (0, 1), (0, 1)), 3)
+        seq.matrices[0].find(np.arange(pg.num_states))
+        save_sequence(tmp_path, seq)
+        load_sequence(tmp_path)
+        assert len(received) == 3 + 1 + 3
+        for mat, arrays in received:
+            assert all(getattr(mat, name) is arr
+                       for name, arr in arrays.items())
 
 
 class TestBuildSequence:

@@ -15,6 +15,7 @@ from qrwalk import (
     random_regular_graph,
     torus_graph,
 )
+from qrwalk.graphs import torus_dims_of
 
 
 class TestBuildGraph:
@@ -223,6 +224,34 @@ class TestProductGraph:
             == c4.basis_index(2, 1)
 
 
+    @pytest.mark.parametrize("walkers", [1, 2, 3])
+    def test_arcs_list_each_states_heads_in_ascending_order(self, walkers):
+        # shuffled port orders: each walker's arcs are taken by head
+        g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3), (0, 3), (3, 4)],
+                        ordering=[[3, 1, 2], [2, 0], [3, 0, 1], [4, 0, 2],
+                                  [3]])
+        pg = ProductGraph(g, walkers)
+        states = np.arange(pg.num_states)
+        owner, ports = pg.arcs(states)
+        heads = np.ravel_multi_index(tuple(g.heads[ports]), pg.shape)
+        for u in states.tolist():
+            got = heads[owner == u].tolist()
+            assert got == sorted(pg.tuple_index(v) for v in
+                                 pg.out_neighbors(pg.tuple_of(u)))
+        assert np.bincount(owner).tolist() == pg.out_degrees(states).tolist()
+        # every arc leaves its own state on the walker's port block
+        tails = np.ravel_multi_index(tuple(g.vertex_of_basis[ports]),
+                                     pg.shape)
+        assert tails.tolist() == owner.tolist()
+
+    def test_one_walker_edges_are_the_base_graphs(self, rng):
+        g = random_regular_graph(12, 3, seed=4)
+        src, dst = rng.integers(0, 12, size=(2, 5, 7))
+        assert np.array_equal(ProductGraph(g, 1).has_edges(src, dst),
+                              g.has_edges(src, dst))
+        assert ProductGraph(g, 1).has_edges(src, dst).shape == (5, 7)
+
+
 class TestJsonInterchange:
     def test_round_trip_preserves_port_order(self, c4):
         doc = graph_to_json(c4)
@@ -237,6 +266,19 @@ class TestJsonInterchange:
         g = graph_from_json({"type": "random-regular", "n": 8, "d": 2,
                              "seed": 3})
         assert all(g.degree(v) == 2 for v in range(8))
+
+    @pytest.mark.parametrize("doc", [
+        {"type": "cycle", "n": 5},
+        {"type": "torus", "dims": [3, 4, 5]},
+        {"type": "complete", "n": 4},
+        {"type": "random-regular", "n": 8, "d": 3, "seed": 2},
+        graph_to_json(torus_graph((3, 4))),
+        graph_to_json(cycle_graph(4)) | {"torus_dims": None},
+        graph_to_json(complete_graph(3)),
+    ])
+    def test_torus_dims_read_without_building_the_graph(self, doc):
+        doc = {key: value for key, value in doc.items() if value is not None}
+        assert torus_dims_of(doc) == graph_from_json(doc).torus_dims
 
     def test_sorted_ordering_document(self):
         g = graph_from_json({"n": 4, "edges": [[0, 1], [1, 2], [2, 3],

@@ -41,6 +41,7 @@ from qrwalk import (
     graph_hash,
     graph_to_json,
     random_regular_graph,
+    random_unitary_coin,
     sample_ensemble,
     sample_trajectory,
     step,
@@ -52,7 +53,6 @@ from qrwalk import persist
 from qrwalk.equivalence import ZERO_PROB
 from qrwalk.persist import Table, load_sequence, save_sequence, write_table
 from qrwalk.trajectory import _spawned_uniforms
-from qrwalk.walk import _coin_block_multiply
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -185,6 +185,32 @@ def test_builder_matches_per_column_reference(seed, walkers):
     assert report.max_entry_violation <= 1e-10
     assert report.max_column_sum_deviation <= 1e-10
     assert report.max_propagation_residual <= 1e-10
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]))
+def test_find_merges_the_uniform_columns_in_order(seed, walkers):
+    """``find`` adds the uniform columns of any states, repeated and in
+    any order, to the stored ones: the ids ascend, each state's position
+    is its column's, and every column is the reference's bit for bit."""
+    g, shift, psi, psi_next = one_step(seed, walkers)
+    mat = build_multiwalker_matrix(psi, psi_next, shifts=shift)
+    rng = np.random.default_rng(seed)
+    states = rng.integers(0, mat.num_states,
+                          size=int(rng.integers(1, 2 * mat.num_states)))
+    merged, pos = mat.find(states)
+    assert merged.col_ids[pos].tolist() == states.tolist()
+    assert merged.col_ids.tolist() \
+        == sorted(set(mat.col_ids.tolist()) | set(states.tolist()))
+    expected = reference(g, walkers, shift, vertex_distribution(psi),
+                         np.abs(psi_next.amplitudes) ** 2,
+                         merged.col_ids.tolist())
+    for j, u in enumerate(merged.col_ids.tolist()):
+        lo, hi = merged.indptr[j], merged.indptr[j + 1]
+        targets, probs = expected[u]
+        nonzero = probs != 0.0
+        assert merged.indices[lo:hi].tolist() == targets[nonzero].tolist()
+        assert merged.data[lo:hi].tobytes() == probs[nonzero].tobytes()
 
 
 @SETTINGS
@@ -457,6 +483,119 @@ def test_graph_hash_is_pinned(name):
 
 
 # ---------------------------------------------------------------------------
+# the walk
+# ---------------------------------------------------------------------------
+
+def small_graph(rng, regular: bool, max_dim: int):
+    """A regular graph (a cycle, K4 or the 3x3 torus) or an irregular one
+    (:func:`pendant_graph`, or a star with a tail) of basis dimension at
+    most ``max_dim``."""
+    while True:
+        if regular:
+            g = [cycle_graph(int(rng.integers(3, 7))), complete_graph(4),
+                 torus_graph((3, 3))][rng.integers(3)]
+        elif rng.random() < 0.7:
+            g = pendant_graph(rng)
+        else:
+            g = build_graph([(0, 1), (0, 2), (0, 3), (3, 4)])
+        if g.basis_dim <= max_dim:
+            return g
+
+
+def scheduled(rng, make):
+    """A spec from ``make()``, or half of the time a schedule ``t ->
+    spec`` alternating between two of them."""
+    if rng.random() < 0.5:
+        return make()
+    specs = (make(), make())
+    return lambda t: specs[t % 2]
+
+
+def per_walker_or_shared(rng, walkers: int, make):
+    """One (possibly scheduled) spec for every walker, or half of the time
+    a list of one per walker."""
+    if walkers == 1 or rng.random() < 0.5:
+        return scheduled(rng, make)
+    return [scheduled(rng, make) for _ in range(walkers)]
+
+
+def random_interaction(rng, space):
+    """None, the coincidence phase, or explicit unitary blocks on one to
+    three vertex tuples; each may be a schedule."""
+    kind = int(rng.integers(3))
+    if space.num_walkers == 1 or kind == 0:
+        return None
+    if kind == 1:
+        return scheduled(rng, lambda: InteractionSpec.coincidence_phase(
+            space, rng.uniform(-np.pi, np.pi)))
+
+    def blocks():
+        tuples = {tuple(rng.integers(space.base.num_vertices,
+                                     size=space.num_walkers).tolist())
+                  for _ in range(int(rng.integers(1, 4)))}
+        return InteractionSpec.from_blocks(space, {
+            u: random_unitary_coin(space.degree(u), rng) for u in tuples})
+    return scheduled(rng, blocks)
+
+
+def scheduled_walk(rng, walkers: int, regular: bool, named: bool,
+                   max_dim: int) -> tuple:
+    """Coins, shifts and an interaction drawn per walker and over time,
+    and a random state, on a small graph. ``named`` keeps to the Hadamard,
+    Grover and identity coins."""
+    g = small_graph(rng, regular, max_dim)
+    space = ProductGraph(g, walkers)
+
+    def coin():
+        kind = int(rng.integers(4))
+        if kind == 3:
+            return CoinSpec.identity(g)
+        return random_coin(g, rng, min(kind, 1) if named else kind)
+    coin = per_walker_or_shared(rng, walkers, coin)
+    shift = per_walker_or_shared(
+        rng, walkers, lambda: random_shift(g, rng, int(rng.integers(3))))
+    return coin, shift, random_interaction(rng, space), \
+        random_state(space, rng)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]),
+       regular=st.booleans())
+def test_evolve_matches_the_dense_step_operator(seed, walkers, regular):
+    """The masses evolve yields are |U(t) ... U(0) psi|^2 for the dense
+    U(t) = S(t) C(t) I(t) built with np.kron, within 1e-12, under
+    per-walker coins and shifts, schedules and explicit interaction
+    blocks. The joint basis stays at most 512 states."""
+    rng = np.random.default_rng(seed)
+    coin, shift, interaction, psi = scheduled_walk(
+        rng, walkers, regular, named=False, max_dim=(40, 20, 8)[walkers - 1])
+    dense = psi
+    for t, masses in enumerate(evolve(psi, coin, shift, 3, interaction)):
+        if t:
+            dense = WaveFunction(psi.graph, oracle.dense_step(
+                dense, coin, shift, interaction, t - 1))
+        assert np.abs(masses - np.abs(dense.amplitudes) ** 2).max() <= 1e-12
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]),
+       regular=st.booleans())
+def test_evolve_keeps_the_bits_of_the_reference_step(seed, walkers,
+                                                     regular):
+    """With the named coins, up to two walkers, the in-place walk gives
+    the bits of the operator code that copied the state per operator."""
+    rng = np.random.default_rng(seed)
+    coin, shift, interaction, psi = scheduled_walk(
+        rng, walkers, regular, named=True, max_dim=(200, 40)[walkers - 1])
+    ref = psi
+    for t, masses in enumerate(evolve(psi, coin, shift, 3, interaction)):
+        if t:
+            ref = WaveFunction(psi.graph, oracle.reference_step(
+                ref, coin, shift, interaction, t - 1))
+        assert masses.tobytes() == (np.abs(ref.amplitudes) ** 2).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -495,11 +634,11 @@ def test_columns_are_closed_under_the_chain(seed, walkers):
     coin, shift, psi = random_walk(np.random.default_rng(seed), walkers,
                                    tiny=True)
     seq = build_sequence(psi.graph, coin, shift, psi, 3)
-    states = list(evolve(psi, coin, shift, 3))
+    masses = list(evolve(psi, coin, shift, 3))
     for t, mat in enumerate(seq.matrices):
         assert_columns_match(mat, reference(
-            psi.base, walkers, shift, seq.rho[t],
-            np.abs(states[t + 1].amplitudes) ** 2, range(mat.num_states)))
+            psi.base, walkers, shift, seq.rho[t], masses[t + 1],
+            range(mat.num_states)))
 
 
 def path_law(seq: TransitionMatrixSeq) -> dict:
@@ -606,7 +745,7 @@ def test_one_walker_operators_equal_the_direct_forms(seed, regular):
     psi = random_state(g, rng)
     amps = psi.amplitudes
     assert apply_coin(psi, coin).amplitudes.tobytes() \
-        == _coin_block_multiply(coin, amps).tobytes()
+        == oracle.reference_coin_block_multiply(coin, amps).tobytes()
     assert apply_shift(psi, shift).amplitudes.tobytes() \
         == amps[shift.inverse].tobytes()
     assert vertex_distribution(psi).tobytes() == np.add.reduceat(

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,15 +219,59 @@ class TestStep:
         table = {0: CoinSpec.identity(c4), 1: CoinSpec.hadamard(c4)}
         coin = lambda t: table.get(t, CoinSpec.grover(c4))  # noqa: E731
         shift = ShiftSpec.moving(c4)
-        psi0 = WaveFunction.localized(c4, 0, 0)
-        states = list(evolve(psi0, coin, shift, 4))
-        assert len(states) == 5 and states[0] is psi0
+        psi = WaveFunction.localized(c4, 0, 0)
+        masses = list(evolve(psi, coin, shift, 4))
+        assert len(masses) == 5
+        assert masses[0].tobytes() == (np.abs(psi.amplitudes) ** 2).tobytes()
         for t in range(4):
-            expected = step(states[t], coin, shift, t=t)
-            assert states[t + 1].amplitudes.tobytes() \
-                == expected.amplitudes.tobytes()
+            psi = step(psi, coin, shift, t=t)
+            assert masses[t + 1].tobytes() \
+                == (np.abs(psi.amplitudes) ** 2).tobytes()
         with pytest.raises(ValidationError, match="horizon"):
-            next(evolve(psi0, coin, shift, -1))
+            next(evolve(psi, coin, shift, -1))
+
+    def test_evolve_checks_every_state_is_normalised(self, c4):
+        stretched = CoinSpec(c4, {2: np.broadcast_to(1.01 * np.eye(2),
+                                                     (4, 2, 2))})
+        masses = evolve(WaveFunction.localized(c4, 0, 0), stretched,
+                        ShiftSpec.moving(c4), 2)
+        next(masses)
+        with pytest.raises(ValidationError, match="not normalised"):
+            next(masses)
+
+    def test_evolve_checks_its_buffers_against_the_budget_first(
+            self, c4, monkeypatch):
+        # two state buffers and two arrays of masses: 48 bytes a state
+        pg = ProductGraph(c4, 2)
+        psi = WaveFunction.localized(pg, 0)
+        coin, shift = CoinSpec.hadamard(c4), ShiftSpec.moving(c4)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 48 * 64)
+        assert len(list(evolve(psi, coin, shift, 2))) == 3
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("buffer allocated before the budget check")
+        monkeypatch.setattr(np, "empty_like", allocate)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 48 * 64 - 1)
+        with pytest.raises(ResourceLimitError, match="two state buffers"):
+            next(evolve(psi, coin, shift, 2))
+
+    def test_evolve_runs_in_two_state_buffers(self, torus1010):
+        # the two-walker benchmark's walk: its loop holds two buffers, the
+        # masses it yields and the next ones, and the coincidence mask
+        pg = ProductGraph(torus1010, 2)
+        psi = WaveFunction.localized(pg, (0, 55), (0, 1))
+        coin, shift = CoinSpec.hadamard(torus1010), \
+            ShiftSpec.flip_flop(torus1010)
+        inter = InteractionSpec.coincidence_phase(pg, np.pi / 2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in evolve(psi, coin, shift, 4, inter):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * psi.amplitudes.nbytes
 
     def test_interaction_requires_multiple_walkers(self, c4):
         pg = ProductGraph(c4, 2)
