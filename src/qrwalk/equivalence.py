@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .graphs import PortGraph, ProductGraph
+from .graphs import PortGraph, ProductGraph, _readonly
 from .walk import (
     CoinLike,
     InteractionLike,
@@ -100,7 +100,7 @@ class TransitionMatrix:
             # other input is copied, so the caller cannot change the matrix
             if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
                     and arr.ndim == 1 and not arr.flags.writeable):
-                arr, = _sealed(np.array(arr, dtype=dtype, ndmin=1))
+                arr = _readonly(np.array(arr, dtype=dtype, ndmin=1))
             object.__setattr__(self, name, arr)
         ptr, n = self.indptr, self.num_states
         if not (ptr.shape == (self.col_ids.size + 1,) and ptr[0] == 0
@@ -169,9 +169,10 @@ class TransitionMatrix:
         probs = np.empty(size)
         probs[entry_is_new] = 1.0 / degrees[owner]
         probs[~entry_is_new] = self.data
-        mat = TransitionMatrix(self.time, pg,
-                               *_sealed(ids, indptr, targets, probs),
-                               column_sum_error=self.column_sum_error)
+        # read-only arrays are kept by the constructor, not copied
+        mat = TransitionMatrix(
+            self.time, pg, *map(_readonly, (ids, indptr, targets, probs)),
+            column_sum_error=self.column_sum_error)
         return mat, np.searchsorted(mat.col_ids, states)
 
     def column(self, u: int) -> tuple[np.ndarray, np.ndarray]:
@@ -327,14 +328,6 @@ def _column_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _sealed(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``arrays``, made read-only, so that a :class:`TransitionMatrix`
-    built from them keeps them without a copy."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
 def _arc_bytes(num_walkers: int) -> int:
     """Bytes per arc of the arc-wise arrays :func:`matrix_from_masses`
     holds at once, an upper bound: its tracemalloc peak was 70-77, 67-71
@@ -400,8 +393,9 @@ def matrix_from_masses(
     if not keep.all():
         owner, targets, probs = owner[keep], targets[keep], probs[keep]
         np.cumsum(np.bincount(owner, minlength=cols.size), out=indptr[1:])
-    return TransitionMatrix(time, pg, *_sealed(cols, indptr, targets, probs),
-                            column_sum_error=float(dev.max(initial=0.0)))
+    return TransitionMatrix(
+        time, pg, *map(_readonly, (cols, indptr, targets, probs)),
+        column_sum_error=float(dev.max(initial=0.0)))
 
 
 def build_multiwalker_matrix(

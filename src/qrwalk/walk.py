@@ -513,12 +513,10 @@ def _per_walker(spec, space: ProductGraph, t: int, what: str) -> list:
 # two. A kernel may overwrite its input. The interaction acts in place.
 
 def _coin_kernel(spec: CoinSpec, x: np.ndarray, y: np.ndarray) -> None:
-    """``y`` = the coin on the middle axis of ``x``; ``x`` is overwritten
-    on an irregular graph.
-
-    On an irregular graph the ports are first gathered into degree-class
-    order (:attr:`~qrwalk.graphs.PortGraph.class_order`), each class is
-    multiplied as one run, and the result is scattered back."""
+    """``y`` = the coin on the middle axis of ``x``. On an irregular graph
+    the ports are gathered into degree-class order
+    (:attr:`~qrwalk.graphs.PortGraph.class_order`), each class is
+    multiplied as one run into ``x``, and the result is scattered back."""
     if len(spec.stacks) > 1:
         order, inverse = spec.graph.class_order
         np.take(x, order, axis=1, out=y, mode="clip")

@@ -2,7 +2,9 @@
 
 Everything here is built directly from the defining relations (explicit
 dense matrices, brute-force enumeration, multinomial draws) and never
-calls the engine's operator-application code paths.
+calls the engine's operator-application code paths. ``reference_step``
+keeps the engine's earlier operator code, which copied the state per
+operator, as the bit-for-bit reference of the in-place walk.
 """
 
 from __future__ import annotations
@@ -270,8 +272,8 @@ def _resolved(spec, t: int, num_walkers: int) -> list:
 def reference_coin_block_multiply(spec, amps: np.ndarray) -> np.ndarray:
     """The coin on the rows of ``amps`` (dim x m, or dim), one batched
     ``matmul`` per degree class on a reshaped view (one class) or on
-    gathered port blocks scattered back; the engine's operator code up to
-    the in-place walk, kept as its bit-for-bit reference."""
+    gathered port blocks scattered back. It is the coin code the engine
+    ran before its walk ran in place, kept as a bit-for-bit reference."""
     rows = amps.reshape(amps.shape[0], -1)
     if len(spec.stacks) == 1:
         (d, stack), = spec.stacks.items()
@@ -286,9 +288,9 @@ def reference_coin_block_multiply(spec, amps: np.ndarray) -> np.ndarray:
 def reference_step(psi, coin, shift, interaction=None, t: int = 0
                    ) -> np.ndarray:
     """Amplitudes of one step, shift(coin(interaction(psi))), by the
-    engine's operator code up to the in-place walk: a copy of the state
-    per operator, each walker's axis moved to the front for its coin, and
-    one outer-indexed gather for the shifts."""
+    operator code the engine ran before its walk ran in place: a copy of
+    the state per operator, each walker's axis moved to the front for its
+    coin, and one outer-indexed gather for the shifts."""
     k, dim = psi.num_walkers, psi.base.basis_dim
     shape = (dim,) * k
     arr = psi.amplitudes.reshape(shape).copy()
