@@ -28,6 +28,7 @@ from .persist import (
     ensemble_mean_table,
     graph_and_spaces,
     initial_state_from_json,
+    int_entry,
     interaction_from_json,
     load_sequence,
     manifest_for,
@@ -113,13 +114,6 @@ def _scan_only(config: dict) -> None:
                           "only 'scan' is supported")
 
 
-def _horizon(config: dict) -> int:
-    horizon = int(config.get("horizon", 0))
-    if horizon < 0:
-        raise ConfigError("horizon must be >= 0")
-    return horizon
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -127,7 +121,7 @@ def _horizon(config: dict) -> int:
 def cmd_evolve(args, config: dict) -> int:
     base, space, walkers = graph_and_spaces(config)
     coin, shift, interaction, psi = _operators(config, space)
-    horizon = _horizon(config)
+    horizon = int_entry(config, "horizon", 0)
     manifest = manifest_for(config, "evolve", base, format=args.format)
 
     try:
@@ -150,7 +144,7 @@ def cmd_evolve(args, config: dict) -> int:
 
 def _build_seq(config: dict, space) -> TransitionMatrixSeq:
     coin, shift, interaction, psi = _operators(config, space)
-    horizon = _horizon(config)
+    horizon = int_entry(config, "horizon", 0)
     try:
         return build_sequence(space, coin, shift, psi, horizon,
                               interaction=interaction)
@@ -178,6 +172,9 @@ def cmd_equivalence(args, config: dict) -> int:
 
 def cmd_sample(args, config: dict) -> int:
     _scan_only(config)
+    seed = int_entry(config, "seed", None)
+    size = int_entry(config, "ensemble_size", 20, minimum=1)
+    length = int_entry(config, "length", None)
     if args.from_dir:
         seq = load_sequence(args.from_dir)
         source = RunManifest.load(args.from_dir) \
@@ -189,7 +186,7 @@ def cmd_sample(args, config: dict) -> int:
             command="sample",
             graph=source.graph if source else {"loaded": args.from_dir},
             graph_sha256=source.graph_sha256 if source else "unknown",
-            walkers=seq.num_walkers, seed=config.get("seed"),
+            walkers=seq.num_walkers, seed=seed,
         )
     else:
         base, space, _ = graph_and_spaces(config)
@@ -197,10 +194,8 @@ def cmd_sample(args, config: dict) -> int:
         torus_dims = base.torus_dims
         manifest = manifest_for(config, "sample", base, format=args.format)
 
-    size = int(config.get("ensemble_size", 20))
     manifest.params.update({"ensemble_size": size, "method": "scan"})
-    ens = sample_ensemble(seq, size, config.get("seed"),
-                          length=config.get("length"))
+    ens = sample_ensemble(seq, size, seed, length=length)
     if locality_fraction(ens, seq.graph) < 1.0:
         raise ConsistencyError(
             "sampled ensemble contains a non-edge transition"
@@ -229,10 +224,11 @@ def cmd_tvd(args, config: dict) -> int:
     _require(config, "ensemble_sizes", "t_grid")
     sizes = [int(m) for m in config["ensemble_sizes"]]
     t_grid = [int(t) for t in config["t_grid"]]
+    seed = int_entry(config, "seed", None)
     seq = _build_seq(config, space)
     manifest = manifest_for(config, "tvd", base, ensemble_sizes=sizes,
                             t_grid=t_grid, format=args.format)
-    report = convergence_report(seq, sizes, t_grid, config.get("seed"))
+    report = convergence_report(seq, sizes, t_grid, seed)
     out = _out_dir(args)
     digest = manifest.save(out)
     path = write_table(out / "tvd", tvd_table(report.rows, digest),
@@ -248,18 +244,16 @@ def cmd_rejection(args, config: dict) -> int:
     if walkers != 1:
         raise ConfigError("the rejection baseline is single-walker")
     coin, shift, _, psi = _operators(config, space)
-    length = int(config.get("length", 3))
-    if length < 1:
-        raise ConfigError("length must be >= 1")
-    attempts = int(config.get("attempts", 1_000_000))
+    length = int_entry(config, "length", 3, minimum=1)
+    attempts = int_entry(config, "attempts", 1_000_000, minimum=1)
+    seed = int_entry(config, "seed", None)
     manifest = manifest_for(config, "rejection", base, length=length,
                             attempts=attempts)
 
     try:
         rho_seq = np.stack([vertex_masses(space, p) for p in
                             evolve(psi, coin, shift, length - 1)])
-        report = rejection_sample(rho_seq, base, attempts,
-                                  seed=config.get("seed"))
+        report = rejection_sample(rho_seq, base, attempts, seed=seed)
         exact, total = exact_rejection_marginals(rho_seq, base)
     except ValidationError as exc:
         raise _as_runtime(exc) from exc
@@ -293,7 +287,7 @@ def cmd_torus_dp(args, config: dict) -> int:
             '({"type": "torus", "dims": [...]} or {"type": "cycle", ...})'
         )
     psi = initial_state_from_json(config.get("initial_state"), base)
-    horizon = _horizon(config)
+    horizon = int_entry(config, "horizon", 0)
     manifest = manifest_for(config, "torus-dp", base,
                             emit_matrices=bool(config.get("emit_matrices")))
     amp = psi.amplitudes
@@ -358,7 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     overrides={"seed": "seed", "horizon": "horizon"})
 
     sp = sub.add_parser("equivalence",
-                        help="build P(0..T-1), verify, persist")
+                        help="build P(0..T-1), verify, persist; p_matrix "
+                             "lists the ratio columns only (an unlisted "
+                             "source moves uniformly to its neighbours)")
     common(sp)
     sp.add_argument("--horizon", type=int)
     sp.set_defaults(func=cmd_equivalence,

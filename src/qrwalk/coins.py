@@ -71,10 +71,11 @@ def random_unitary_coin(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q.astype(np.complex128, copy=False)
 
 
-def check_coin_unitary(block: np.ndarray, label: str | Sequence[str] = "",
-                       atol: float = UNITARY_ATOL) -> None:
+def check_coin_unitary(block: np.ndarray,
+                       label: str | Sequence[str] = "") -> None:
     """Raise :class:`UnitarityError` unless the block's columns are
-    orthonormal within ``atol``, naming the violated condition.
+    orthonormal within :data:`UNITARY_ATOL`, naming the violated
+    condition.
 
     An ``(n, d, d)`` stack of blocks is checked at once; ``label[i]`` then
     names block ``i``, and the first failing block is reported.
@@ -86,10 +87,10 @@ def check_coin_unitary(block: np.ndarray, label: str | Sequence[str] = "",
                      else (block[None], [label]))
     gram = np.swapaxes(stack.conj(), 1, 2) @ stack
     norms = np.real(np.diagonal(gram, axis1=1, axis2=2))
-    norm_bad = np.abs(norms - 1.0) > atol
+    norm_bad = np.abs(norms - 1.0) > UNITARY_ATOL
     off = np.abs(gram * (1.0 - np.eye(gram.shape[-1])))
     failing = np.flatnonzero(norm_bad.any(axis=1)
-                             | (off.max(axis=(1, 2)) > atol))
+                             | (off.max(axis=(1, 2)) > UNITARY_ATOL))
     if not failing.size:
         return
     i = failing[0]

@@ -16,8 +16,9 @@ graph of K >= 1 walkers, where states are vertex tuples.
 P(t) stores only its ratio columns, the states with rho(u, t) above
 :data:`ZERO_PROB`, for every K. Every other column is uniform, fixed by
 the graph alone, and :meth:`TransitionMatrix.find` makes it for the
-readers that need it (``column``, ``entry``, ``apply``, ``toarray``, the
-sampler and the text export). So every state has a column.
+readers that need it (``column``, ``entry``, ``apply``, ``toarray`` and
+the sampler). So every state has a column. The store and the text export
+hold the ratio columns only.
 
 One walk step (a block-diagonal coin, then a basis permutation) costs
 time linear in the state dimension for bounded degree, and emitting one
@@ -119,11 +120,6 @@ class TransitionMatrix:
     def num_states(self) -> int:
         return self.graph.num_states
 
-    @property
-    def sources(self) -> np.ndarray:
-        """Source state of every stored entry."""
-        return np.repeat(self.col_ids, np.diff(self.indptr))
-
     def find(self, states) -> tuple[TransitionMatrix, np.ndarray]:
         """A matrix with a column for each of ``states``, and the position
         of each state's column in its ``col_ids``.
@@ -133,6 +129,8 @@ class TransitionMatrix:
         ascending joint index, each with the value ``1.0 / d``. Its
         entries are checked against the memory budget
         (:func:`~qrwalk.walk.check_budget`) before anything is allocated.
+        The store and the text export never call it: they hold the ratio
+        columns only.
         """
         states = np.asarray(states, dtype=np.int64)
         pos = np.searchsorted(self.col_ids, states)
@@ -161,10 +159,9 @@ class TransitionMatrix:
         np.cumsum(lengths, out=indptr[1:])
         entry_is_new = np.repeat(is_new, lengths)
         # arcs() lists each state's heads in ascending order
-        owner, ports = pg.arcs(new)
+        owner, _, heads = pg.arcs(new)
         targets = np.empty(size, dtype=np.int64)
-        targets[entry_is_new] = np.ravel_multi_index(
-            tuple(pg.base.heads[ports]), pg.shape)
+        targets[entry_is_new] = heads
         targets[~entry_is_new] = self.indices
         probs = np.empty(size)
         probs[entry_is_new] = 1.0 / degrees[owner]
@@ -217,7 +214,8 @@ class TransitionMatrix:
                      f"a dense P({self.time}) over {n} states")
         mat, _ = self.find(np.arange(n))
         a = np.zeros((n, n))
-        a[mat.indices, mat.sources] = mat.data
+        sources = np.repeat(mat.col_ids, np.diff(mat.indptr))
+        a[mat.indices, sources] = mat.data
         return a
 
 
@@ -361,7 +359,7 @@ def matrix_from_masses(
     The arc-wise arrays are checked against the memory budget
     (:func:`~qrwalk.walk.check_budget`) before they are allocated.
     """
-    base, k = pg.base, pg.num_walkers
+    k = pg.num_walkers
     shifts = _per_walker(shifts, pg, time, "shift")
     cols = np.flatnonzero(rho_t > ZERO_PROB)
     num_arcs = int(pg.out_degrees(cols).sum())
@@ -369,8 +367,7 @@ def matrix_from_masses(
                  f"the {num_arcs} arcs leaving {cols.size} columns of "
                  f"P({time})")
     # arcs() lists each column's targets in ascending order
-    owner, ports = pg.arcs(cols)
-    targets = np.ravel_multi_index(tuple(base.heads[ports]), pg.shape)
+    owner, ports, targets = pg.arcs(cols)
     joint = np.ravel_multi_index(
         tuple(s.permutation[p] for s, p in zip(shifts, ports)),
         pg.basis_shape)

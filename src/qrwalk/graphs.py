@@ -231,8 +231,12 @@ class PortGraph:
         return self.arc_index(src, dst) >= 0
 
     def basis_index(self, v: int, c: int) -> int:
+        """Flattened index of (v, c); :class:`ValidationError` unless
+        ``0 <= v < n`` and ``0 <= c < d(v)``."""
+        if not 0 <= v < self.num_vertices:
+            raise ValidationError(f"vertex {v} out of range")
         if not 0 <= c < self.degree(v):
-            raise IndexError(f"port {c} out of range for vertex {v}")
+            raise ValidationError(f"port {c} out of range for vertex {v}")
         return int(self.port_offsets[v]) + c
 
     def basis_state(self, index: int) -> tuple[int, int]:
@@ -290,7 +294,13 @@ class ProductGraph:
 
     def basis_index(self, vertices: Sequence[int],
                     ports: Sequence[int]) -> int:
-        """Joint basis index of one (vertex, port) pair per walker."""
+        """Joint basis index of one (vertex, port) pair per walker; any
+        other number of pairs raises :class:`ValidationError`."""
+        k = self.num_walkers
+        if not len(vertices) == len(ports) == k:
+            raise ValidationError(
+                f"a basis state needs {k} (vertex, port) pairs, got "
+                f"{len(vertices)} vertices and {len(ports)} ports")
         return int(np.ravel_multi_index(
             [self.base.basis_index(int(v), int(c))
              for v, c in zip(vertices, ports)], self.basis_shape))
@@ -336,14 +346,15 @@ class ProductGraph:
                                   self.shape)
         return np.prod([self.base.degrees[d] for d in digits], axis=0)
 
-    def arcs(self, states) -> tuple[np.ndarray, np.ndarray]:
+    def arcs(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arcs (one base arc per walker) leaving each joint state, state by
         state, each state's in ascending order of the joint index of their
         head tuple: the product order of the walkers' arcs (walker 0
         slowest), each walker's taken in ascending order of their heads.
-        Returns ``(owner, ports)``: ``owner[a]`` is the position in
-        ``states`` of arc ``a``'s source and ``ports[i, a]`` walker ``i``'s
-        flattened basis index."""
+        Returns ``(owner, ports, heads)``: ``owner[a]`` is the position in
+        ``states`` of arc ``a``'s source, ``ports[i, a]`` walker ``i``'s
+        flattened basis index and ``heads[a]`` the joint index of the
+        arc's head tuple."""
         base = self.base
         digits = np.unravel_index(np.asarray(states, dtype=np.int64),
                                   self.shape)
@@ -360,7 +371,15 @@ class ProductGraph:
             ports[i] = base._arc_order[
                 base.port_offsets[digits[i]][owner] + local % d]
             local //= d
-        return owner, ports
+        del local, d  # arc-sized; freed first, the heads peak lower
+        return owner, ports, np.ravel_multi_index(tuple(base.heads[ports]),
+                                                  self.shape)
+
+    def walker_view(self, i: int) -> tuple[int, int, int]:
+        """Shape ``(D**i, D, D**(K - 1 - i))`` of a joint state, ``D`` the
+        base basis dimension, whose middle axis is walker ``i``'s."""
+        dim = self.base.basis_dim
+        return dim ** i, dim, dim ** (self.num_walkers - 1 - i)
 
     def tuple_index(self, u: Sequence[int]) -> int:
         """Joint index of a vertex tuple."""

@@ -9,7 +9,10 @@ canonical, so re-running a manifest reproduces files byte for byte.
 
 A sequence is read back only from its array store ``sequence.npz``. The
 tables are the human-readable export: CSV (default, with ``# key=value``
-comment lines for metadata) or an equivalent JSON document. The CSV
+comment lines for metadata) or an equivalent JSON document. The
+``p_matrix`` table renders the store, so it lists the ratio columns of
+P(t) only, for every K: a source not listed at step t had no mass and
+moves uniformly, ``1 / d(u)`` to each neighbour. The CSV
 bytes are those of ``csv.writer``, floats in ``repr`` form, but a table
 is written in chunks of :data:`CHUNK_ROWS` rows, column by column: each
 distinct value of a numeric column (by bit pattern) is formatted once
@@ -23,9 +26,10 @@ import hashlib
 import json
 import re
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +54,7 @@ __all__ = [
     "interaction_from_json",
     "initial_state_from_json",
     "graph_and_spaces",
+    "int_entry",
     "rho_table",
     "matrix_table",
     "trajectories_table",
@@ -121,7 +126,7 @@ def manifest_for(config: dict, command: str, base: PortGraph,
         command=command,
         graph=config["graph"],
         graph_sha256=graph_hash(base),
-        walkers=int(config.get("walkers", 1)),
+        walkers=int_entry(config, "walkers", 1, minimum=1),
         coin=config.get("coin"),
         shift=config.get("shift"),
         interaction=config.get("interaction"),
@@ -136,6 +141,31 @@ def manifest_for(config: dict, command: str, base: PortGraph,
 # operator and state specs from JSON documents
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _reading(what: str) -> Iterator[None]:
+    """Report a missing entry or a value of the wrong type or form (a
+    string for an object fails by ``AttributeError``) as a ConfigError."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed {what}: {exc!r}") from None
+
+
+def int_entry(config: dict, key: str, default: int | None,
+              minimum: int = 0) -> int | None:
+    """The integer entry ``key`` of a config, at least ``minimum``;
+    ``default`` when absent, and with a ``None`` default also when null."""
+    value = config.get(key, default)
+    if value is None and default is None:
+        return None
+    if type(value) is not int or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got "
+                          f"{value!r}")
+    return value
+
+
 def _complex_matrix(rows) -> np.ndarray:
     """Parse a matrix whose entries are numbers or [re, im] pairs."""
     def entry(x):
@@ -148,17 +178,19 @@ def _complex_matrix(rows) -> np.ndarray:
 
 def _scheduled(doc: dict, build: Callable[[dict], object]):
     """``{"schedule": {"0": spec, ...}, "default": spec}`` becomes a
-    callable ``t -> spec``; plain documents build the spec directly."""
+    callable ``t -> spec``; plain documents build the spec directly. Each
+    key is an integer step, named by one key only (not ``"1"`` and
+    ``"01"``)."""
     if "schedule" not in doc:
         return build(doc)
-    default_doc = doc.get("default")
-    if default_doc is None:
-        raise ConfigError("scheduled spec needs a 'default' entry")
     table = {int(t): build(sub) for t, sub in doc["schedule"].items()}
-    default = build(default_doc)
+    if len(table) < len(doc["schedule"]):
+        raise ConfigError("two schedule keys name one step")
+    default = build(doc["default"])
     return lambda t: table.get(t, default)
 
 
+@_reading("coin")
 def coin_from_json(doc: dict, graph: PortGraph):
     def build(d: dict) -> CoinSpec:
         kind = d.get("type")
@@ -178,6 +210,7 @@ def coin_from_json(doc: dict, graph: PortGraph):
     return _scheduled(doc, build)
 
 
+@_reading("shift")
 def shift_from_json(doc: dict, graph: PortGraph):
     def build(d: dict) -> ShiftSpec:
         kind = d.get("type")
@@ -191,6 +224,7 @@ def shift_from_json(doc: dict, graph: PortGraph):
     return _scheduled(doc, build)
 
 
+@_reading("interaction")
 def interaction_from_json(doc: dict | None, pg: ProductGraph):
     if doc is None:
         return None
@@ -209,6 +243,7 @@ def interaction_from_json(doc: dict | None, pg: ProductGraph):
     return _scheduled(doc, build)
 
 
+@_reading("initial_state")
 def initial_state_from_json(
     doc: list | None,
     graph: PortGraph | ProductGraph,
@@ -234,12 +269,9 @@ def initial_state_from_json(
 
 def graph_and_spaces(config: dict) -> tuple[PortGraph, ProductGraph, int]:
     """Build the base graph, the walkers' product graph and their count."""
-    if "graph" not in config:
-        raise ConfigError("config needs a 'graph' entry")
-    base = graph_from_json(config["graph"])
-    walkers = int(config.get("walkers", 1))
-    if walkers < 1:
-        raise ConfigError("walkers must be >= 1")
+    with _reading("graph"):
+        base = graph_from_json(config["graph"])
+    walkers = int_entry(config, "walkers", 1, minimum=1)
     return base, ProductGraph(base, walkers), walkers
 
 
@@ -394,20 +426,19 @@ def rho_table(rho: np.ndarray, num_walkers: int, num_base: int,
         states, num_walkers, num_base, manifest_sha))
 
 
-def matrix_table(seq: TransitionMatrixSeq,
-                 manifest_sha: str | None = None) -> Table:
-    """Rows ``t,u,v,p`` over the nonzero entries of every column for one
-    walker (the paper's full matrix), of the stored ones for K > 1."""
-    mats = seq.matrices
-    if seq.num_walkers == 1:
-        mats = [m.find(np.arange(m.num_states))[0] for m in mats]
-    t = np.repeat(np.arange(len(mats)), [m.data.size for m in mats])
-    u, v = _joined(mats, "sources"), _joined(mats, "indices")
-    p = _joined(mats, "data", np.float64)
-    k, n = seq.num_walkers, seq.num_base_vertices
-    columns = [t, _state_labels(u, k, n), _state_labels(v, k, n), p]
+def matrix_table(store: dict[str, np.ndarray]) -> Table:
+    """Rows ``t,u,v,p`` of the store :func:`save_sequence` writes: row i
+    is stored entry i, for every K. Only ratio columns are stored; a
+    source not listed at step t moves uniformly to its neighbours."""
+    k, n = int(store["num_walkers"]), store["port_offsets"].size - 1
+    indptr = store["indptr"]
+    t = np.repeat(np.arange(store["step_ptr"].size - 1),
+                  np.diff(indptr[store["step_ptr"]]))
+    u = np.repeat(store["col_ids"], np.diff(indptr))
+    columns = [t, _state_labels(u, k, n),
+               _state_labels(store["indices"], k, n), store["data"]]
     return Table(["t", "u", "v", "p"], columns=columns, meta=_table_meta(
-        seq.num_states, k, n, manifest_sha))
+        n ** k, k, n, str(store["manifest"])))
 
 
 def trajectories_table(
@@ -484,7 +515,9 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
     of all steps end to end (P(t) owns ``col_ids[step_ptr[t]:step_ptr[t +
     1]]``; ``indptr`` spans all steps), the walker count, the base graph's
     ``port_offsets`` and ``heads``, which fix the uniform columns, and
-    ``manifest_sha`` (an empty string without one).
+    ``manifest_sha`` (an empty string without one). The ``p_matrix``
+    table renders the same arrays (:func:`matrix_table`): ratio columns
+    only.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -494,14 +527,16 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
     indptr = np.concatenate([m.indptr[:-1] + off
                              for m, off in zip(mats, offsets)]
                             + [offsets[-1:]])
-    np.savez(out / STORE_NAME, allow_pickle=False, rho=seq.rho,
-             step_ptr=step_ptr, col_ids=_joined(mats, "col_ids"),
-             indptr=indptr, indices=_joined(mats, "indices"),
-             data=_joined(mats, "data", np.float64),
-             num_walkers=np.int64(seq.num_walkers),
-             port_offsets=seq.graph.base.port_offsets,
-             heads=seq.graph.base.heads, manifest=np.str_(manifest_sha or ""))
-    p1 = write_table(out / "p_matrix", matrix_table(seq, manifest_sha), fmt)
+    store = dict(rho=seq.rho, step_ptr=step_ptr,
+                 col_ids=_joined(mats, "col_ids"), indptr=indptr,
+                 indices=_joined(mats, "indices"),
+                 data=_joined(mats, "data", np.float64),
+                 num_walkers=np.int64(seq.num_walkers),
+                 port_offsets=seq.graph.base.port_offsets,
+                 heads=seq.graph.base.heads,
+                 manifest=np.str_(manifest_sha or ""))
+    np.savez(out / STORE_NAME, allow_pickle=False, **store)
+    p1 = write_table(out / "p_matrix", matrix_table(store), fmt)
     p2 = write_table(
         out / "rho",
         rho_table(seq.rho, seq.num_walkers, seq.num_base_vertices,

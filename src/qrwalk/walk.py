@@ -141,11 +141,6 @@ class WaveFunction:
         k = space.num_walkers
         vs = [vertex] * k if np.isscalar(vertex) else list(vertex)
         ps = [port] * k if np.isscalar(port) else list(port)
-        if len(vs) != k or len(ps) != k:
-            raise ValidationError(
-                f"localized state needs {k} (vertex, port) pairs, got "
-                f"{len(vs)} vertices and {len(ps)} ports"
-            )
         amps[space.basis_index(vs, ps)] = 1.0
         return cls(space, amps)
 
@@ -171,15 +166,9 @@ class WaveFunction:
         input was not meant to be a state.
         """
         space, amps = _zero_state(graph)
-        k = space.num_walkers
         for vertex, port, amp in components:
             vs = [vertex] if np.isscalar(vertex) else list(vertex)
             ps = [port] if np.isscalar(port) else list(port)
-            if len(vs) != k or len(ps) != k:
-                raise ValidationError(
-                    f"component ({vertex}, {port}) does not address "
-                    f"{k} walker(s)"
-                )
             amps[space.basis_index(vs, ps)] += complex(amp)
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
@@ -267,13 +256,14 @@ class CoinSpec:
                 out[v] = block
         return tuple(out)
 
-    def validate(self, atol: float = coins.UNITARY_ATOL) -> None:
-        """Check every block against the two coin unitarity conditions,
-        one degree class at a time in ascending degree; the error names
-        the first failing vertex of the first failing class."""
+    def validate(self) -> None:
+        """Check every block against the two coin unitarity conditions
+        within :data:`~qrwalk.coins.UNITARY_ATOL`, one degree class at a
+        time in ascending degree; the error names the first failing
+        vertex of the first failing class."""
         for d, verts in self.graph.degree_classes.items():
             coins.check_coin_unitary(
-                self.stacks[d], atol=atol,
+                self.stacks[d],
                 label=list(map("vertex {}".format, verts.tolist())))
 
     # -- named builders ----------------------------------------------------
@@ -508,9 +498,9 @@ def _per_walker(spec, space: ProductGraph, t: int, what: str) -> list:
 #
 # A state of K walkers is a K-axis array of side D, the base basis
 # dimension. Walker i's kernel sees the state as the contiguous view
-# (left, D, right), with left = D**i and right = D**(K - 1 - i), and
-# writes into a second buffer of the same size; the walk then swaps the
-# two. A kernel may overwrite its input. The interaction acts in place.
+# (left, D, right) of ProductGraph.walker_view(i), and writes into a
+# second buffer of the same size; the walk then swaps the two. A kernel
+# may overwrite its input. The interaction acts in place.
 
 def _coin_kernel(spec: CoinSpec, x: np.ndarray, y: np.ndarray) -> None:
     """``y`` = the coin on the middle axis of ``x``. On an irregular graph
@@ -576,13 +566,12 @@ def _interaction_kernel(spec: InteractionSpec, x: np.ndarray) -> None:
         arr[slices] = (block @ sub.reshape(-1)).reshape(sub.shape)
 
 
-def _per_axis(kernel, specs: list, x: np.ndarray, y: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _per_axis(kernel, space: ProductGraph, specs: list, x: np.ndarray,
+              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run ``kernel`` for each walker's spec in turn, from ``x`` into
     ``y`` and back; returns (the buffer holding the result, the other)."""
-    k, dim = len(specs), specs[0].graph.basis_dim
     for i, spec in enumerate(specs):
-        shape = (dim ** i, dim, dim ** (k - 1 - i))
+        shape = space.walker_view(i)
         kernel(spec, x.reshape(shape), y.reshape(shape))
         x, y = y, x
     return x, y
@@ -613,8 +602,8 @@ def _step(space: ProductGraph, x: np.ndarray, y: np.ndarray,
     shifts = _per_walker(shift, space, t, "shift")
     if inter is not None:
         _interaction_kernel(inter, x)
-    x, y = _per_axis(_coin_kernel, coins, x, y)
-    return _per_axis(_shift_kernel, shifts, x, y)
+    x, y = _per_axis(_coin_kernel, space, coins, x, y)
+    return _per_axis(_shift_kernel, space, shifts, x, y)
 
 
 def _workspace(psi: WaveFunction, masses: bool = False
@@ -643,14 +632,14 @@ def _masses(amps: np.ndarray) -> np.ndarray:
 def apply_coin(psi: WaveFunction, coin: CoinLike, t: int = 0) -> WaveFunction:
     """Mix amplitudes among each vertex's ports with the coin blocks."""
     specs = _per_walker(coin, psi.graph, t, "coin")
-    amps, _ = _per_axis(_coin_kernel, specs, *_workspace(psi))
+    amps, _ = _per_axis(_coin_kernel, psi.graph, specs, *_workspace(psi))
     return WaveFunction(psi.graph, amps)
 
 
 def apply_shift(psi: WaveFunction, shift: ShiftLike, t: int = 0) -> WaveFunction:
     """Transport amplitudes along arcs by the shift permutation."""
     specs = _per_walker(shift, psi.graph, t, "shift")
-    amps, _ = _per_axis(_shift_kernel, specs, *_workspace(psi))
+    amps, _ = _per_axis(_shift_kernel, psi.graph, specs, *_workspace(psi))
     return WaveFunction(psi.graph, amps)
 
 

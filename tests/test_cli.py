@@ -70,6 +70,43 @@ class TestEvolve:
         assert (out / "rho.json").exists()
 
 
+@pytest.mark.parametrize("command, entries", [
+    ("evolve", {"coin": {"type": "explicit"}}),
+    ("evolve", {"shift": {"type": "explicit"}}),
+    ("evolve", {"graph": {"type": "complete"}}),
+    ("evolve", {"graph": {"n": 4, "ordering": "sorted"}}),
+    ("evolve", {"initial_state": [{"port": 0, "re": 1.0}]}),
+    ("evolve", {"walkers": 2, "initial_state": None,
+                "interaction": {"type": "coincidence-phase"}}),
+    ("evolve", {"horizon": "abc"}),
+    ("evolve", {"walkers": "two"}),
+    ("sample", {"ensemble_size": "x"}),
+    ("evolve", {"coin": {"schedule": {"x": {"type": "grover"}},
+                         "default": {"type": "hadamard"}}}),
+    ("evolve", {"coin": {"schedule": {"1": {"type": "grover"},
+                                      "01": {"type": "identity"}},
+                         "default": {"type": "hadamard"}}}),
+    ("evolve", {"coin": {"schedule": [1],
+                         "default": {"type": "hadamard"}}}),
+    ("evolve", {"coin": "hadamard"}),
+    ("evolve", {"graph": "torus"}),
+    ("evolve", {"initial_state": [{"vertex": 0, "port": 0, "re": "x"}]}),
+    ("sample", {"seed": -1}),
+    ("sample", {"seed": "abc"}),
+    ("evolve", {"initial_state": [{"vertex": -2, "port": 0, "re": 1.0}]}),
+    ("evolve", {"initial_state": [{"vertex": -1, "port": 0, "re": 1.0}]}),
+    ("evolve", {"initial_state": [{"vertex": 100, "port": 0, "re": 1.0}]}),
+    ("evolve", {"initial_state": [{"vertex": 0, "port": 5, "re": 1.0}]}),
+])
+def test_malformed_entries_exit_2(tmp_path, capsys, command, entries):
+    """A missing or malformed entry makes the command that reads it exit
+    2 with a config error, never with a traceback."""
+    cfg = write_config(tmp_path / "cfg.json", **{"horizon": 2, **entries})
+    assert main([command, "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 class TestEquivalence:
     def test_c4_sequence_and_report(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
@@ -324,8 +361,10 @@ def test_sample_outputs_are_pinned(tmp_path, name):
     assert got == digests
 
 
-#: ``qrwalk equivalence`` configs: the sample configs above, and a torus
-#: whose ``p_matrix`` table (20356 rows) spans two write chunks.
+#: ``qrwalk equivalence`` configs: the sample configs above, a torus
+#: walk from one vertex (6276 stored entries), and the same walk from the
+#: uniform state, whose every column is stored, so that its ``p_matrix``
+#: table (20480 rows) spans two write chunks.
 EQUIVALENCE_CONFIGS = {
     **{name: config for name, (config, _) in GOLDEN_SAMPLES.items()},
     "torus16-grover": {
@@ -334,33 +373,41 @@ EQUIVALENCE_CONFIGS = {
         "initial_state": [{"vertex": 0, "port": p, "re": 0.5}
                           for p in range(4)],
         "horizon": 20, "seed": 5},
+    "torus16-uniform": {
+        "graph": {"type": "torus", "dims": [16, 16]},
+        "coin": {"type": "grover"}, "shift": {"type": "moving"},
+        "initial_state": [{"vertex": v, "port": p, "re": 1 / 32}
+                          for v in range(256) for p in range(4)],
+        "horizon": 20, "seed": 5},
 }
 #: The sha256 of each config's store and of its tables in either format,
 #: as written when ``csv.writer`` wrote the CSV tables one row at a time;
-#: the stores' since they hold only the ratio columns and the base graph.
+#: the stores' since they hold only the ratio columns and the base graph,
+#: and the one-walker ``p_matrix`` tables' since they list those columns
+#: only, as the two-walker table always did.
 PINNED_FILES = {"csv": ("p_matrix.csv", "rho.csv", "sequence.npz"),
                 "json": ("p_matrix.json", "rho.json")}
 GOLDEN_EQUIVALENCE = {
     "c16-hadamard": {
-        "p_matrix.csv": "f2621f79a4c4ceffa8e7d45f5759baa9"
-                        "4bf0e3c087172553e4b6898e35c042ab",
+        "p_matrix.csv": "5851e2c95af17a2e4b9bc9b7080b3249"
+                        "15d1f7a7085f254a45e953c34cac98ca",
         "rho.csv": "a0f19fc7cf7e178731660c41d4f23f7b"
                    "11760a2d86ae678a0ba76756c723f00d",
         "sequence.npz": "da6192cccb60c3f4e1c5a37268da20d1"
                         "bd1b69e4be4da7f99eb6f66c6f2611f6",
-        "p_matrix.json": "feb587e6320c7ea109c3fb2352af7a5f"
-                         "a3f8674be629aefa29c12c135a44fc1e",
+        "p_matrix.json": "8fe237e646b5dd64da27e1f453fea06a"
+                         "a24d8a745a2c6d020b45abb67c11a35b",
         "rho.json": "e8e5642a4b277e2319d721d4f0c505d2"
                     "80c859d3abdef04915c36b89d7704b40"},
     "torus16-grover": {
-        "p_matrix.csv": "07e09d772eba67687f88691d9fd59a8d"
-                        "1c948235d2bbb05dc9479ae022344664",
+        "p_matrix.csv": "fd2e0bae9b38e1477b34bdce1345cc00"
+                        "239279a195c61c0fc2bbd6797b349c22",
         "rho.csv": "cf3334a63d072c94c651d8b76773e821"
                    "7a38e6e816ba19edee9753d5603e7dba",
         "sequence.npz": "53e35e07fb036e3d8ce832bfd89d7267"
                         "ec1ddfa4236d48a0312203c8351218f1",
-        "p_matrix.json": "550f5960a938fa4f1aa7bb9012b25a66"
-                         "f46e997a52d41dcce76527453b790ef0",
+        "p_matrix.json": "cb4cee5ea1bc6a90a0e84fad183c0a43"
+                         "e7c61d63239792703ef77fbd1fcda00d",
         "rho.json": "6e9ad4d815b2fbcb60245244065895ab"
                     "65d2b9d4552565de26bb7196be68b137"},
     "torus4-two-walker": {
@@ -374,15 +421,26 @@ GOLDEN_EQUIVALENCE = {
                          "d8a6994979b7abe57b731f82848e12b9",
         "rho.json": "f8948e97278ca4602d5d800d68acfe3e"
                     "fcd54af92d8edf5a70defbbbf641a870"},
+    "torus16-uniform": {
+        "p_matrix.csv": "dff2bed6d1c0436779bb53712d3ef441"
+                        "2744a3e21ec85716be81c28b37939737",
+        "rho.csv": "0eca3142f7d2e402cf1e1e6b9c558d7e"
+                   "8465a75304839f821d881088440216ff",
+        "sequence.npz": "5c253fbf5129973c5021a08273376304"
+                        "9b9c3da7448fbeacc2c6604cbc61b440",
+        "p_matrix.json": "b8aedd61c287d35b00b675da22315c51"
+                         "1f72ee593277e75cada860e20f9bea11",
+        "rho.json": "0b365ba932d7b448a57b7a6dbe019abe"
+                    "f2d2cc2fb584e3468deb93a618638000"},
     "torus6-grover": {
-        "p_matrix.csv": "d73a977a846ce551cff1d5b56d435a03"
-                        "9cf7458b29c174df53c7cbf7b93fad19",
+        "p_matrix.csv": "3aa7cb75a577bf089f5930748516e61a"
+                        "d4e0b4d4e153d86f7e26f18633112f74",
         "rho.csv": "fa88af356ce84297db3943ea0d50566f"
                    "12bae0dce8c95820a823e19c3a3f9baa",
         "sequence.npz": "367b941bebf074e5084022848a400c48"
                         "c933be4230277d3f39f7af0269744fa8",
-        "p_matrix.json": "d527237abc32a1ac3946bdb78215bee8"
-                         "3fe1c13f6465ff0413dca86c92170b56",
+        "p_matrix.json": "b93672b076d1eb6c2e0b60bed171c894"
+                         "708428b314e7670a5513f99c033fe3b8",
         "rho.json": "cc55cdb0285e343e7084292f5e7a0bc6"
                     "e7f011f17d88cab7dfbd7c8994aebc9f"},
 }
@@ -425,7 +483,8 @@ COMMAND_CONFIGS = {
 }
 #: The sha256 of each run's outputs, as written before one walker became
 #: a product graph of one and the walk loop became ``walk.evolve``; the
-#: store's since it holds only the ratio columns and the base graph.
+#: store's since it holds only the ratio columns and the base graph, and
+#: ``torus-dp``'s ``p_matrix.csv``'s since it lists those columns only.
 GOLDEN_RUNS = {
     ("torus4-two-walker", "evolve-csv"): {
         "rho.csv": "db39d4970dcb26dca2578ba5809fd268"
@@ -462,8 +521,8 @@ GOLDEN_RUNS = {
         "ensemble_mean.json": "0cb85ae352421debbc408604b9471732"
                               "bcd0e2c3e2527fce9e11ccb5f0433ded"},
     ("torus6-grover", "torus-dp"): {
-        "p_matrix.csv": "8b35ad9095f88e89e8c3e82094b0748a"
-                        "36108477e27bf1b4694f7aa552c09f66",
+        "p_matrix.csv": "180ce3f69a39ec4b17a6164bade5b5d4"
+                        "449ab835c67448537f8a6884d25b65aa",
         "rho.csv": "89d22bd301cf3f799e7aa15d288a28e4"
                    "5813673b6ee0960e9b2d0961cc1f92d9",
         "sequence.npz": "b509f3025f41596d3c0ab777d50ab1b5"

@@ -232,8 +232,7 @@ class TestProductGraph:
                                   [3]])
         pg = ProductGraph(g, walkers)
         states = np.arange(pg.num_states)
-        owner, ports = pg.arcs(states)
-        heads = np.ravel_multi_index(tuple(g.heads[ports]), pg.shape)
+        owner, ports, heads = pg.arcs(states)
         for u in states.tolist():
             got = heads[owner == u].tolist()
             assert got == sorted(pg.tuple_index(v) for v in

@@ -259,6 +259,12 @@ class TestSpecParsing:
                                "default": {"type": "hadamard"}}, c4)
         assert coin(0).name == "hadamard"
         assert coin(2).name == "grover"
+        for keys, message in ((["1", "01"], "one step"),
+                              (["1", "x"], "'x'")):
+            with pytest.raises(ConfigError, match=message):
+                coin_from_json({"schedule": {k: {"type": "grover"}
+                                             for k in keys},
+                                "default": {"type": "hadamard"}}, c4)
 
     def test_unknown_coin_type(self, c4):
         with pytest.raises(ConfigError):

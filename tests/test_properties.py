@@ -231,7 +231,7 @@ def test_residuals_and_round_trip(seed, walkers):
 def assert_round_trip(seq: TransitionMatrixSeq, fmt: str) -> None:
     """The store gives back the graph and the arrays of ``seq`` bit for
     bit, and the text export, parsed by the oracle, holds the same
-    numbers: every column for one walker, the stored ones for more."""
+    numbers: the stored columns, for any number of walkers."""
     with tempfile.TemporaryDirectory() as out:
         save_sequence(out, seq, fmt=fmt)
         loaded = load_sequence(out)
@@ -245,8 +245,7 @@ def assert_round_trip(seq: TransitionMatrixSeq, fmt: str) -> None:
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     exported = {}
     for t, m in enumerate(seq.matrices):
-        sources = range(m.num_states) if seq.num_walkers == 1 else m.col_ids
-        for u in map(int, sources):
+        for u in map(int, m.col_ids):
             exported.update({(t, u, int(v)): float(p)
                              for v, p in zip(*m.column(u))})
     assert entries == exported
@@ -258,6 +257,86 @@ def assert_round_trip(seq: TransitionMatrixSeq, fmt: str) -> None:
 def test_sequence_store_and_export_round_trip(seed, walkers, fmt):
     assert_round_trip(random_sequence(np.random.default_rng(seed), walkers),
                       fmt)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), fmt=st.sampled_from(["csv", "json"]))
+def test_the_full_matrices_are_rebuilt_from_the_export(seed, fmt):
+    """The paper's full P(t) of one walker follows from the export and
+    the graph: each column the export does not list is ``1 / d(u)`` on
+    the neighbours of u, bit for bit ``toarray()`` of every step."""
+    seq = random_sequence(np.random.default_rng(seed), 1)
+    g = seq.graph.base
+    with tempfile.TemporaryDirectory() as out:
+        save_sequence(out, seq, fmt=fmt)
+        _, entries = oracle.table_sequence(out)
+    for t, m in enumerate(seq.matrices):
+        full, listed = np.zeros((m.num_states, m.num_states)), set()
+        for (s, u, v), p in entries.items():
+            if s == t:
+                full[v, u] = p
+                listed.add(u)
+        for u in set(range(m.num_states)) - listed:
+            full[list(g.out_neighbors[u]), u] = 1.0 / g.degree(u)
+        assert full.tobytes() == m.toarray().tobytes()
+
+
+def schedule_doc(rng, kinds: list, horizon: int) -> tuple[dict, list]:
+    """A ``{"schedule": ..., "default": ...}`` document over the
+    ``(json, python)`` spec pairs in ``kinds``, its keys padded with
+    zeros at random, and the pair it gives at each step."""
+    default, *steps = (kinds[i] for i in
+                       rng.integers(0, len(kinds), size=horizon + 1))
+    listed = rng.random(horizon) < 0.5
+    doc = {"default": default[0], "schedule": {
+        str(t).zfill(int(rng.integers(1, 3))): steps[t][0]
+        for t in np.flatnonzero(listed)}}
+    return doc, [steps[t] if listed[t] else default
+                 for t in range(horizon)]
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
+def test_json_schedules_walk_like_python_schedules(seed, walkers):
+    """Coin and shift schedules, and for two walkers a coincidence-phase
+    schedule, read from JSON give the masses, bit for bit, of the same
+    ``t -> spec`` callables written in Python."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, 6 if walkers == 2 else 12)
+    space = ProductGraph(g, walkers)
+    horizon = 4
+    coins = [({"type": "grover"}, CoinSpec.grover(g)),
+             ({"type": "identity"}, CoinSpec.identity(g))]
+    if all(int(d) in (2, 4) for d in g.degrees):
+        coins.append(({"type": "hadamard"}, CoinSpec.hadamard(g)))
+    coin_seed = int(rng.integers(2**31))
+    coins.append(({"type": "random-unitary", "seed": coin_seed},
+                  CoinSpec.random_unitary(
+                      g, np.random.default_rng(coin_seed))))
+    shifts = [({"type": "flip-flop"}, ShiftSpec.flip_flop(g))]
+    try:
+        shifts.append(({"type": "moving"}, ShiftSpec.moving(g)))
+    except ValidationError:  # no moving shift for this port order
+        pass
+    phi = float(rng.uniform(0, 2 * np.pi))
+    phases = [({"type": "identity"}, InteractionSpec.identity(space)),
+              ({"type": "coincidence-phase", "phi": phi},
+               InteractionSpec.coincidence_phase(space, phi))]
+    coin_doc, coin_at = schedule_doc(rng, coins, horizon)
+    shift_doc, shift_at = schedule_doc(rng, shifts, horizon)
+    phase_doc, phase_at = schedule_doc(rng, phases, horizon)
+    psi = random_state(space, rng)
+    json_phase = python_phase = None
+    if walkers == 2:
+        json_phase = persist.interaction_from_json(phase_doc, space)
+        python_phase = lambda t: phase_at[t][1]  # noqa: E731
+    from_json = evolve(psi, persist.coin_from_json(coin_doc, g),
+                       persist.shift_from_json(shift_doc, g), horizon,
+                       json_phase)
+    in_python = evolve(psi, lambda t: coin_at[t][1],
+                       lambda t: shift_at[t][1], horizon, python_phase)
+    for a, b in zip(from_json, in_python, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 @GRAPH_SETTINGS

@@ -16,7 +16,9 @@ of one, so only ``graphs.py`` may ask which graph type it holds.
 P(t) stores only its ratio columns and makes the uniform ones on demand,
 so a reader of its stored column ids would miss the uniform columns:
 only ``equivalence.py``, which owns that convention, and ``persist.py``,
-which stores the arrays, may read ``col_ids``.
+which stores the arrays, may read ``col_ids``. The store and its text
+export hold those ratio columns only, so ``persist.py`` reads the stored
+arrays and never calls ``find``, which makes the uniform ones.
 """
 
 import ast
@@ -32,6 +34,8 @@ KNOBS = {"validate", "strict", "enforce_edges"}
 GRAPH_TYPES = {"PortGraph", "ProductGraph"}
 #: The modules that may read the stored column ids of P(t).
 COLUMN_OWNERS = {"equivalence.py", "persist.py"}
+#: The modules that write the stored columns only, never the uniform ones.
+STORE_WRITERS = {"persist.py"}
 
 
 def _names(node) -> set[str]:
@@ -219,3 +223,34 @@ def test_the_column_id_guard_sees_each_breach():
     ]
     assert column_id_breaches(source, "equivalence.py") == []
     assert column_id_breaches(source, "persist.py") == []
+
+
+def find_call_breaches(source: str, module: str) -> list[str]:
+    """Each call of a ``find`` method in ``source``, if ``module`` is in
+    :data:`STORE_WRITERS`."""
+    if module not in STORE_WRITERS:
+        return []
+    found = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "find"]
+    return [f"{module}:{line} calls find" for line in sorted(found)]
+
+
+def test_the_store_writer_never_makes_uniform_columns():
+    breaches = [b for path in sorted(SRC.glob("*.py"))
+                for b in find_call_breaches(path.read_text(), path.name)]
+    assert breaches == []
+
+
+def test_the_find_guard_sees_each_breach():
+    source = (
+        "def table(seq):\n"
+        "    mats = [m.find(np.arange(m.num_states))[0]\n"
+        "            for m in seq.matrices]\n"
+        "    return mats, seq.matrices[0].col_ids, find(seq)\n"
+    )
+    assert find_call_breaches(source, "persist.py") == [
+        "persist.py:2 calls find",
+    ]
+    assert find_call_breaches(source, "trajectory.py") == []

@@ -62,6 +62,22 @@ class TestWaveFunction:
         with pytest.raises(ValidationError, match="needs 2"):
             WaveFunction.localized(pg, (0, 1, 2))
 
+    @pytest.mark.parametrize("walkers", [1, 2])
+    @pytest.mark.parametrize("vertex, port, message", [
+        (-2, 0, "vertex -2 out of range"), (-1, 0, "vertex -1 out of range"),
+        (6, 0, "vertex 6 out of range"), (0, 5, "port 5 out of range"),
+        (0, -1, "port -1 out of range")])
+    def test_a_start_outside_the_graph_is_rejected(self, walkers, vertex,
+                                                   port, message):
+        """A negative vertex does not wrap round to the last ones."""
+        space = ProductGraph(cycle_graph(6), walkers)
+        vertices = (0,) * (walkers - 1) + (vertex,)
+        ports = (0,) * (walkers - 1) + (port,)
+        with pytest.raises(ValidationError, match=message):
+            WaveFunction.localized(space, vertices, ports)
+        with pytest.raises(ValidationError, match=message):
+            WaveFunction.from_components(space, [(vertices, ports, 1.0)])
+
     def test_unnormalised_rejected(self, c4):
         with pytest.raises(ValidationError, match="normalised"):
             WaveFunction(c4, np.ones(8))
