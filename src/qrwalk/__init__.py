@@ -51,13 +51,11 @@ from .graphs import (
 )
 from .trajectory import (
     ConvergenceReport,
-    Trajectory,
     TrajectoryEnsemble,
     convergence_report,
     empirical_distribution,
     locality_fraction,
     sample_ensemble,
-    sample_trajectory,
     total_variation,
 )
 from .walk import (

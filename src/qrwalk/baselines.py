@@ -26,6 +26,7 @@ import numpy as np
 from .equivalence import TransitionMatrix, matrix_from_masses
 from .errors import ApplicabilityError, ConsistencyError, ValidationError
 from .graphs import PortGraph, ProductGraph, torus_graph
+from .trajectory import total_variation
 from .walk import ShiftSpec, check_budget
 
 __all__ = [
@@ -161,7 +162,7 @@ def rejection_sample(
         tvds = None
     else:
         marginals = counts / accepted
-        tvds = [0.5 * float(np.abs(marginals[t] - rho_seq[t]).sum())
+        tvds = [total_variation(marginals[t], rho_seq[t])
                 for t in range(length)]
 
     estimate = None

@@ -29,6 +29,7 @@ from .persist import (
     graph_and_spaces,
     initial_state_from_json,
     int_entry,
+    int_list,
     interaction_from_json,
     load_sequence,
     manifest_for,
@@ -41,7 +42,8 @@ from .persist import (
     write_json,
     write_table,
 )
-from .trajectory import convergence_report, locality_fraction, sample_ensemble
+from .trajectory import convergence_report, locality_fraction, \
+    sample_ensemble, total_variation
 from .walk import evolve, vertex_masses
 
 _RUNTIME_ERRORS = (ConsistencyError, ResourceLimitError)
@@ -73,12 +75,11 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _apply_overrides(config: dict, args, keys: dict) -> dict:
-    for attr, key in keys.items():
-        value = getattr(args, attr, None)
+def _apply_overrides(config: dict, args, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    return config
 
 
 def _require(config: dict, *keys: str) -> None:
@@ -222,8 +223,8 @@ def cmd_tvd(args, config: dict) -> int:
     _scan_only(config)
     base, space, _ = graph_and_spaces(config)
     _require(config, "ensemble_sizes", "t_grid")
-    sizes = [int(m) for m in config["ensemble_sizes"]]
-    t_grid = [int(t) for t in config["t_grid"]]
+    sizes = int_list(config, "ensemble_sizes", minimum=1)
+    t_grid = int_list(config, "t_grid")
     seed = int_entry(config, "seed", None)
     seq = _build_seq(config, space)
     manifest = manifest_for(config, "tvd", base, ensemble_sizes=sizes,
@@ -267,8 +268,7 @@ def cmd_rejection(args, config: dict) -> int:
         else [list(row) for row in exact],
         "exact_total_path_probability": total,
         "exact_tvd_vs_rho": None if exact is None else [
-            0.5 * float(np.abs(exact[t] - rho_seq[t]).sum())
-            for t in range(length)
+            total_variation(exact[t], rho_seq[t]) for t in range(length)
         ],
     }
     path = write_json(out / "rejection.json", payload)
@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--horizon", type=int)
     sp.set_defaults(func=cmd_evolve,
-                    overrides={"seed": "seed", "horizon": "horizon"})
+                    overrides=("seed", "horizon"))
 
     sp = sub.add_parser("equivalence",
                         help="build P(0..T-1), verify, persist; p_matrix "
@@ -358,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--horizon", type=int)
     sp.set_defaults(func=cmd_equivalence,
-                    overrides={"seed": "seed", "horizon": "horizon"})
+                    overrides=("seed", "horizon"))
 
     sp = sub.add_parser("sample", help="sample a trajectory ensemble")
     common(sp, config_required=False)
@@ -367,32 +367,30 @@ def _build_parser() -> argparse.ArgumentParser:
                          "equivalence writes")
     sp.add_argument("--ensemble-size", type=int)
     sp.set_defaults(func=cmd_sample,
-                    overrides={"seed": "seed",
-                               "ensemble_size": "ensemble_size"})
+                    overrides=("seed", "ensemble_size"))
 
     sp = sub.add_parser("tvd", help="ensemble-size convergence table")
     common(sp)
-    sp.set_defaults(func=cmd_tvd, overrides={"seed": "seed"})
+    sp.set_defaults(func=cmd_tvd, overrides=("seed",))
 
     sp = sub.add_parser("rejection", help="rejection-sampling baseline")
     common(sp)
     sp.add_argument("--attempts", type=int)
     sp.add_argument("--length", type=int)
     sp.set_defaults(func=cmd_rejection,
-                    overrides={"seed": "seed", "attempts": "attempts",
-                               "length": "length"})
+                    overrides=("seed", "attempts", "length"))
 
     sp = sub.add_parser("torus-dp",
                         help="Grover/moving-shift torus recursion")
     common(sp)
     sp.add_argument("--horizon", type=int)
     sp.set_defaults(func=cmd_torus_dp,
-                    overrides={"seed": "seed", "horizon": "horizon"})
+                    overrides=("seed", "horizon"))
 
     sp = sub.add_parser("verify", help="re-check persisted matrices")
     sp.add_argument("--in-dir", required=True)
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.set_defaults(func=cmd_verify, overrides={}, config=None,
+    sp.set_defaults(func=cmd_verify, overrides=(), config=None,
                     out_dir=None, format="csv", seed=None)
 
     return parser

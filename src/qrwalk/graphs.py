@@ -188,10 +188,15 @@ class PortGraph:
     # -- port maps ---------------------------------------------------------
 
     def degree(self, v: int) -> int:
+        """Degree of ``v``; :class:`IndexError` unless ``0 <= v < n``."""
+        if not 0 <= v < self.num_vertices:
+            raise IndexError(f"vertex {v} out of range for a graph of "
+                             f"{self.num_vertices} vertices")
         return int(self.degrees[v])
 
     def eta(self, v: int, c: int) -> int:
-        """The ``c``-th out-neighbour of ``v``."""
+        """The ``c``-th out-neighbour of ``v``; :class:`IndexError` for a
+        vertex or port outside the graph."""
         if not 0 <= c < self.degree(v):
             raise IndexError(f"port {c} out of range for vertex {v} "
                              f"(degree {self.degree(v)})")

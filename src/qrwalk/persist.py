@@ -55,6 +55,7 @@ __all__ = [
     "initial_state_from_json",
     "graph_and_spaces",
     "int_entry",
+    "int_list",
     "rho_table",
     "matrix_table",
     "trajectories_table",
@@ -164,6 +165,16 @@ def int_entry(config: dict, key: str, default: int | None,
         raise ConfigError(f"{key} must be an integer >= {minimum}, got "
                           f"{value!r}")
     return value
+
+
+def int_list(config: dict, key: str, minimum: int = 0) -> list[int]:
+    """The non-empty list entry ``key`` of a config, each item an integer
+    at least ``minimum`` as :func:`int_entry` reads it."""
+    values = config[key]
+    if type(values) is not list or not values:
+        raise ConfigError(f"{key} must be a non-empty list of integers, "
+                          f"got {values!r}")
+    return [int_entry({key: v}, key, 0, minimum) for v in values]
 
 
 def _complex_matrix(rows) -> np.ndarray:

@@ -455,16 +455,6 @@ def reference_apply(mat, rho: np.ndarray, zero_threshold: float
                        minlength=mat.num_states)
 
 
-def reference_uniforms(ss: np.random.SeedSequence, size: int,
-                       n: int) -> np.ndarray:
-    """``(size, n)`` uniforms from one generator per spawned child, the
-    way the sampler first seeded its trajectories (advances ``ss``)."""
-    out = np.empty((size, n))
-    for i, child in enumerate(ss.spawn(size)):
-        out[i] = np.random.default_rng(child).random(n)
-    return out
-
-
 def _reference_alias_table(probs: np.ndarray):
     """Walker alias table (accept thresholds, alias indices)."""
     n = probs.size

@@ -97,6 +97,14 @@ class TestEvolve:
     ("evolve", {"initial_state": [{"vertex": -1, "port": 0, "re": 1.0}]}),
     ("evolve", {"initial_state": [{"vertex": 100, "port": 0, "re": 1.0}]}),
     ("evolve", {"initial_state": [{"vertex": 0, "port": 5, "re": 1.0}]}),
+    ("tvd", {"ensemble_sizes": ["x"], "t_grid": [1]}),
+    ("tvd", {"ensemble_sizes": 20, "t_grid": [1]}),
+    ("tvd", {"ensemble_sizes": [1.5], "t_grid": [1]}),
+    ("tvd", {"ensemble_sizes": [0], "t_grid": [1]}),
+    ("tvd", {"ensemble_sizes": [20], "t_grid": [1.5]}),
+    ("tvd", {"ensemble_sizes": [20], "t_grid": {"t": 1}}),
+    ("tvd", {"ensemble_sizes": [], "t_grid": [1]}),
+    ("tvd", {"ensemble_sizes": [20], "t_grid": []}),
 ])
 def test_malformed_entries_exit_2(tmp_path, capsys, command, entries):
     """A missing or malformed entry makes the command that reads it exit
@@ -302,7 +310,7 @@ class TestSample:
                                                      monkeypatch):
         def allocate(*args):
             raise AssertionError("buffers allocated before the budget check")
-        monkeypatch.setattr(trajectory, "_spawned_uniforms", allocate)
+        monkeypatch.setattr(trajectory, "default_rng", allocate)
         size = DEFAULT_MEMORY_BUDGET // (16 * 7) + 1
         cfg = write_config(tmp_path / "cfg.json", horizon=6,
                            ensemble_size=size)
@@ -312,9 +320,10 @@ class TestSample:
 
 
 #: ``qrwalk sample`` configs and the sha256 of their output tables, as
-#: written by the sampler that drew each trajectory from its own spawned
-#: generator, one visited column at a time. Each table's ``# manifest=``
-#: line hashes the manifest, tool version included.
+#: written by the sampler that draws an ensemble's uniforms from one PCG64
+#: stream, row i holding trajectory i's L + 1 draws, and each step one
+#: visited column at a time. Each table's ``# manifest=`` line hashes the
+#: manifest, tool version included.
 GOLDEN_SAMPLES = {
     "c16-hadamard": (
         {"graph": {"type": "cycle", "n": 16}, "coin": {"type": "hadamard"},
@@ -322,20 +331,20 @@ GOLDEN_SAMPLES = {
          "initial_state": [{"vertex": 0, "port": 0, "re": 0.6},
                            {"vertex": 0, "port": 1, "im": 0.8}],
          "horizon": 12, "seed": 7, "ensemble_size": 300},
-        {"trajectories.csv": "cedb88eed791b16eaee1bdd81bdb89e8"
-                             "d6118ee0a93b8d10626508eb549f25e7",
-         "ensemble_mean.csv": "14d9dc012dd96a1eb1d01fdce0c377d0"
-                              "d3f5ceda6ad5acee7c81271bc9e24ec2"}),
+        {"trajectories.csv": "b8f18e1d95e1de5982ab039b0c869856"
+                             "e676cc4fe358a3d3f65c9ac1c7b62d42",
+         "ensemble_mean.csv": "dfe13c8980ac3df0947e3425a36a1a3c"
+                              "8d4afb830c54fa31909255203dfb4751"}),
     "torus6-grover": (
         {"graph": {"type": "torus", "dims": [6, 6]},
          "coin": {"type": "grover"}, "shift": {"type": "moving"},
          "initial_state": [{"vertex": 0, "port": p, "re": 0.5}
                            for p in range(4)],
          "horizon": 8, "seed": 11, "ensemble_size": 300},
-        {"trajectories.csv": "25cd243e9cf3623ffa95da5baae307c6"
-                             "04f382593a6eb80237c605002f672052",
-         "ensemble_mean.csv": "9a340d89c30f42f1d793384cde225d7a"
-                              "a8f766bb5f940fcac26b9d2048dcaf0e"}),
+        {"trajectories.csv": "3a8c34ded02278ce0770970e1583f461"
+                             "fe9f1aaebbad85479ca29ebaba38ecef",
+         "ensemble_mean.csv": "eca0e4596f15daba71f352312a217d5c"
+                              "363aba2213e3c8511870361194766c02"}),
     "torus4-two-walker": (
         {"graph": {"type": "torus", "dims": [4, 4]},
          "coin": {"type": "hadamard"}, "shift": {"type": "flip-flop"},
@@ -344,8 +353,8 @@ GOLDEN_SAMPLES = {
                          "phi": 1.5707963267948966},
          "initial_state": [{"vertex": [0, 5], "port": [0, 1], "re": 1.0}],
          "horizon": 5, "seed": 13, "ensemble_size": 200},
-        {"trajectories.csv": "2efa566220047573921ab57f08a197c6"
-                             "836a5291315c3a42572f36cb7b3e97c5"}),
+        {"trajectories.csv": "b32b4a784918436d754bbbe8610bd97b"
+                             "c340cb529b2e23488cb586949288e027"}),
 }
 
 
@@ -483,8 +492,10 @@ COMMAND_CONFIGS = {
 }
 #: The sha256 of each run's outputs, as written before one walker became
 #: a product graph of one and the walk loop became ``walk.evolve``; the
-#: store's since it holds only the ratio columns and the base graph, and
-#: ``torus-dp``'s ``p_matrix.csv``'s since it lists those columns only.
+#: store's since it holds only the ratio columns and the base graph,
+#: ``torus-dp``'s ``p_matrix.csv``'s since it lists those columns only, and
+#: the ``sample`` and ``tvd`` tables' since each ensemble draws from one
+#: PCG64 stream.
 GOLDEN_RUNS = {
     ("torus4-two-walker", "evolve-csv"): {
         "rho.csv": "db39d4970dcb26dca2578ba5809fd268"
@@ -493,14 +504,14 @@ GOLDEN_RUNS = {
         "rho.json": "4cd80e59e17be1786bc255741536d396"
                     "0cecbeae5f37d343f7352f9648a93221"},
     ("torus4-two-walker", "sample-from"): {
-        "trajectories.csv": "291113d346ad809058d407228dd9f6c9"
-                            "39e542b68e1cb2eaed2efbaa5a194d21"},
+        "trajectories.csv": "2f93a022bc482b9d337687b30930846d"
+                            "1ca6f5ef04b8b64b0288e9ef4bce63af"},
     ("torus4-two-walker", "sample-json"): {
-        "trajectories.json": "502b9edd654370247cc17816f1fb78a3"
-                             "145a2d33a212b36ba9819a7cc709558d"},
+        "trajectories.json": "0cb9cba5e752f27ab88aa03ac67e8243"
+                             "011f06eb947dbc792e27ed9304bd1c69"},
     ("torus4-two-walker", "tvd"): {
-        "tvd.csv": "0f31c2ad0289ef1cf719f962a9a2050b"
-                   "0e91dd2dcaab649c98c3a82f1e609f50"},
+        "tvd.csv": "1b0aaec1bf3b2366ee2718b6b4839324"
+                   "af04fa369838d32301a54360ef689abc"},
     ("torus6-grover", "evolve-csv"): {
         "rho.csv": "807fe951c153078a3c81acdf51d106d1"
                    "cbb825cdf8f53ad834d75a24bbe2209c"},
@@ -511,15 +522,15 @@ GOLDEN_RUNS = {
         "rejection.json": "af4a826e80fec0f3999196c4442b2557"
                           "72f7ea937bc3b0bbca435af32e01d7e5"},
     ("torus6-grover", "sample-from"): {
-        "trajectories.csv": "5d696de13bca3267357c3a9def9fec36"
-                            "ac29ce1495e73977863e23109d45daa3",
-        "ensemble_mean.csv": "5c6e0402ff9528243cbb80d1122bea31"
-                             "21d805164823b6f1fd635d329fa47aad"},
+        "trajectories.csv": "3de985a5a3236fba82f82a03c6b94c57"
+                            "5a2d64e42cccc44d567e43355638315b",
+        "ensemble_mean.csv": "bb62ac6b9cb412d075f156b8dbf6bc21"
+                             "9b7e85e3f9c5214067690d348b861637"},
     ("torus6-grover", "sample-json"): {
-        "trajectories.json": "ce75a30008a9e195f7ee9ceab8eaa627"
-                             "ff8695c812d213c31682aad5abcb1659",
-        "ensemble_mean.json": "0cb85ae352421debbc408604b9471732"
-                              "bcd0e2c3e2527fce9e11ccb5f0433ded"},
+        "trajectories.json": "bb5e169edf32a19aec0783ef1ffbd2f0"
+                             "045ac807c0b300535e885f9c5b0ccf0a",
+        "ensemble_mean.json": "339d3eb26afea64d34d7f9a9025b4045"
+                              "5ff0f0ed209565bc97fc68d3ffb4e36b"},
     ("torus6-grover", "torus-dp"): {
         "p_matrix.csv": "180ce3f69a39ec4b17a6164bade5b5d4"
                         "449ab835c67448537f8a6884d25b65aa",
@@ -528,8 +539,8 @@ GOLDEN_RUNS = {
         "sequence.npz": "b509f3025f41596d3c0ab777d50ab1b5"
                         "44610b60c60a672d08c7701287248648"},
     ("torus6-grover", "tvd"): {
-        "tvd.csv": "c4aa2d2885b2cc8692069cd3d08d3955"
-                   "92c702db09e8f0f56ad8ff54737434ef"},
+        "tvd.csv": "92fc8ad639f5be9f3450e9dfc9c07d34"
+                   "cd426cf00c3185591fc57ad16674bc57"},
 }
 
 

@@ -76,6 +76,14 @@ class TestPortMaps:
         with pytest.raises(IndexError):
             c4_sorted.eta(0, 2)
 
+    @pytest.mark.parametrize("call", [lambda g: g.eta(-2, 0),
+                                      lambda g: g.degree(-1),
+                                      lambda g: g.degree(6)])
+    def test_vertex_outside_the_graph_does_not_wrap(self, call):
+        # a negative vertex must not index from the end of the arrays
+        with pytest.raises(IndexError, match="vertex"):
+            call(cycle_graph(6))
+
     def test_torus_port_order_at_origin(self, torus1010):
         # fixed order (+x, -x, +y, -y) with row-major vertex ids
         assert torus1010.out_neighbors[0] == (10, 90, 1, 9)

@@ -43,7 +43,6 @@ from qrwalk import (
     random_regular_graph,
     random_unitary_coin,
     sample_ensemble,
-    sample_trajectory,
     step,
     torus_graph,
     verify_theorem_properties,
@@ -52,7 +51,6 @@ from qrwalk import (
 from qrwalk import persist
 from qrwalk.equivalence import ZERO_PROB
 from qrwalk.persist import Table, load_sequence, save_sequence, write_table
-from qrwalk.trajectory import _spawned_uniforms
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -852,31 +850,9 @@ def test_sampler_matches_per_column_reference(seed, walkers, method):
     size, master = int(rng.integers(1, 300)), int(rng.integers(2**31))
     length = int(rng.integers(0, seq.num_steps + 1))
     ens = sample_ensemble(seq, size, master, length=length, method=method)
-    uniforms = oracle.reference_uniforms(np.random.SeedSequence(master),
-                                         size, length + 1)
+    uniforms = np.random.default_rng(master).random((size, length + 1))
     assert np.array_equal(ens.paths,
                           oracle.reference_paths(seq, uniforms, method))
-    assert ens.sub_seeds == tuple(range(size))
-    tau = sample_trajectory(seq, master, length=length, method=method)
-    uniforms = np.random.default_rng(master).random((1, length + 1))
-    assert np.array_equal(tau.vertices,
-                          oracle.reference_paths(seq, uniforms, method)[0])
-
-
-@SETTINGS
-@given(entropy=st.one_of(st.none(), st.integers(0, 2**128),
-                         st.lists(st.integers(0, 2**64), max_size=6)),
-       spawn_key=st.lists(st.integers(0, 2**40), max_size=3),
-       spawned=st.integers(0, 1000), pool_size=st.sampled_from([4, 8]),
-       size=st.integers(1, 50), n=st.integers(1, 9))
-def test_spawned_uniforms_match_the_spawn_loop(entropy, spawn_key, spawned,
-                                               pool_size, size, n):
-    ss = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key),
-                                n_children_spawned=spawned,
-                                pool_size=pool_size)
-    got = _spawned_uniforms(ss, size, n)
-    assert ss.n_children_spawned == spawned
-    assert np.array_equal(got, oracle.reference_uniforms(ss, size, n))
 
 
 #: Floats whose text must stay apart or be spelled exactly: signed zeros

@@ -19,7 +19,6 @@ from qrwalk import (
     empirical_distribution,
     locality_fraction,
     sample_ensemble,
-    sample_trajectory,
     total_variation,
     torus_graph,
 )
@@ -52,14 +51,12 @@ def moving_chain(graph, horizon):
 class TestSampleTrajectory:
     def test_deterministic_chain_walks_around_the_cycle(self, c4):
         seq = moving_chain(c4, 6)
-        tau = sample_trajectory(seq, seed=0)
-        assert np.array_equal(tau.vertices, np.arange(7) % 4)
+        tau = sample_ensemble(seq, 1, master_seed=0).paths[0]
+        assert np.array_equal(tau, np.arange(7) % 4)
 
     def test_c4_first_move_support(self, c4_seq):
-        ss = np.random.SeedSequence(11)
-        firsts = {int(sample_trajectory(c4_seq, s).vertices[1])
-                  for s in ss.spawn(1000)}
-        assert firsts == {1, 3}
+        ens = sample_ensemble(c4_seq, 1000, master_seed=11)
+        assert set(ens.paths[:, 1].tolist()) == {1, 3}
 
     def test_torus_locality(self, torus_seq, torus1010):
         ens = sample_ensemble(torus_seq, 50, master_seed=2)
@@ -67,7 +64,7 @@ class TestSampleTrajectory:
 
     def test_length_beyond_horizon_rejected(self, c4_seq):
         with pytest.raises(ValidationError):
-            sample_trajectory(c4_seq, seed=0, length=6)
+            sample_ensemble(c4_seq, 1, master_seed=0, length=6)
 
     @pytest.mark.parametrize("graph, shift", [
         (cycle_graph(64), ShiftSpec.moving),
@@ -137,11 +134,16 @@ class TestSampleEnsemble:
         b = sample_ensemble(torus_seq, 64, master_seed=124)
         assert not np.array_equal(a.paths, b.paths)
 
-    def test_single_trajectory_matches_first_subseed(self, c4_seq):
-        ens = sample_ensemble(c4_seq, 1, master_seed=77)
-        child = np.random.SeedSequence(77).spawn(1)[0]
-        tau = sample_trajectory(c4_seq, child)
-        assert np.array_equal(ens.paths[0], tau.vertices)
+    def test_row_i_is_drawn_from_the_advanced_stream(self, c4_seq):
+        # trajectory i takes draws i (L + 1) .. (i + 1)(L + 1) - 1 of the
+        # master seed's PCG64 stream, so it can be drawn alone
+        for length in (0, 3, 5):
+            ens = sample_ensemble(c4_seq, 50, master_seed=77, length=length)
+            for i in range(ens.size):
+                bits = np.random.PCG64(77).advance(i * (length + 1))
+                uniforms = np.random.Generator(bits).random((1, length + 1))
+                assert np.array_equal(ens.paths[i],
+                                      _draw(c4_seq, uniforms, "scan")[0])
 
     def test_prefix_stability_under_size_growth(self, c4_seq):
         small = sample_ensemble(c4_seq, 10, master_seed=5)
@@ -156,16 +158,11 @@ class TestSampleEnsemble:
             self, c4_seq, monkeypatch):
         def allocate(*args):
             raise AssertionError("buffers allocated before the budget check")
-        monkeypatch.setattr(trajectory, "_spawned_uniforms", allocate)
+        monkeypatch.setattr(trajectory, "default_rng", allocate)
         # uniforms and paths take 16 bytes per trajectory and instant
         size = DEFAULT_MEMORY_BUDGET // (16 * (c4_seq.num_steps + 1)) + 1
         with pytest.raises(ResourceLimitError, match="memory budget"):
             sample_ensemble(c4_seq, size, master_seed=1)
-
-    def test_child_numbers_beyond_32_bits_rejected(self, c4_seq):
-        ss = np.random.SeedSequence(8, n_children_spawned=2**32 - 1)
-        with pytest.raises(ValidationError, match="2\\*\\*32"):
-            sample_ensemble(c4_seq, 2, master_seed=ss)
 
     def test_blocks_of_trajectories_draw_the_same_paths(self, torus_seq,
                                                         monkeypatch):
@@ -178,7 +175,6 @@ class TestSampleEnsemble:
         ss = np.random.SeedSequence(8, n_children_spawned=3)
         a = sample_ensemble(c4_seq, 20, master_seed=ss)
         assert ss.n_children_spawned == 3
-        assert a.sub_seeds == tuple(range(3, 23))
         b = sample_ensemble(c4_seq, 20, master_seed=ss)
         assert np.array_equal(a.paths, b.paths)
 
