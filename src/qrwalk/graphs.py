@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -331,14 +330,35 @@ class ProductGraph:
         return all(self.base.has_edge(ui, vi) for ui, vi in zip(u, v))
 
     def has_edges(self, src, dst) -> np.ndarray:
-        """Elementwise :meth:`has_edge` over broadcast joint-index arrays;
-        one walker's joint indices are its base vertices."""
+        """Elementwise :meth:`has_edge` over broadcast joint-index arrays,
+        False where an index lies outside the space; one walker's joint
+        indices are its base vertices."""
         if self.num_walkers == 1:
             return self.base.has_edges(src, dst)
-        return np.logical_and.reduce([
+        src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+        inside = (src >= 0) & (src < self.num_states) \
+            & (dst >= 0) & (dst < self.num_states)
+        return inside & np.logical_and.reduce([
             self.base.has_edges(s, d) for s, d in zip(
-                np.unravel_index(src, self.shape),
-                np.unravel_index(dst, self.shape))])
+                np.unravel_index(np.where(inside, src, 0), self.shape),
+                np.unravel_index(np.where(inside, dst, 0), self.shape))])
+
+    def distinct_moves(self, src, dst) -> tuple[np.ndarray, ...] | None:
+        """The distinct moves ``src[i] -> dst[i]`` between joint states and
+        how often each occurs, as ``(src, dst, counts)`` sorted by source,
+        then target: the moves are counted by their key ``src * S + dst``
+        over the S states. ``None`` when such a key can leave int64 (S**2
+        >= 2**63) or a state lies outside the space."""
+        src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+        s = self.num_states
+        if s * s >= 2**63 or src.size and not (
+                0 <= min(src.min(), dst.min())
+                and max(src.max(), dst.max()) < s):
+            return None
+        keys = src * s
+        keys += dst
+        keys, counts = np.unique(keys, return_counts=True)
+        return *np.divmod(keys, s), counts
 
     def out_neighbors(self, u: Sequence[int]) -> Iterator[tuple[int, ...]]:
         """Lazily enumerate the product out-neighbours of a tuple vertex."""
@@ -627,8 +647,17 @@ def torus_dims_of(doc: dict) -> tuple[int, ...] | None:
 
 
 def graph_hash(g: PortGraph) -> str:
-    """Stable hex digest of the graph structure including port order."""
-    out = _split(g.heads.tolist(), g.port_offsets)
-    payload = json.dumps({"n": g.num_vertices, "out": out},
-                         separators=(",", ":"))
+    """Stable hex digest of the graph structure including port order: the
+    SHA-256 of the compact JSON ``{"n":N,"out":[[heads of vertex 0],...]}``.
+
+    The text is spelled without the nested list: each vertex number is
+    formatted once and gathered at the heads, the first port of every
+    vertex takes a ``[`` and its last a ``]`` (every vertex has a port),
+    and the ports are joined by commas."""
+    n = g.num_vertices
+    texts = np.array(list(map(str, range(n))), dtype=object)[g.heads]
+    first, last = g.port_offsets[:-1], g.port_offsets[1:] - 1
+    texts[first] = "[" + texts[first]
+    texts[last] += "]"
+    payload = f'{{"n":{n},"out":[{",".join(texts.tolist())}]}}'
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -17,7 +17,10 @@ bytes are those of ``csv.writer``, floats in ``repr`` form, but a table
 is written in chunks of :data:`CHUNK_ROWS` rows, column by column: each
 distinct value of a numeric column (by bit pattern) is formatted once
 per chunk and gathered back, so the write's memory stays that of one
-chunk.
+chunk. Columns whose cells repeat a few values (steps, trajectory ids,
+state labels) are coded (:class:`CodedColumn`: an int code per cell
+over an array of values); their values are formatted once per table,
+and each chunk only gathers their texts.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .walk import NORM_ATOL, CoinSpec, InteractionSpec, ShiftSpec, WaveFunction
 __all__ = [
     "RunManifest",
     "Table",
+    "CodedColumn",
     "coin_from_json",
     "shift_from_json",
     "interaction_from_json",
@@ -290,12 +294,33 @@ def graph_and_spaces(config: dict) -> tuple[PortGraph, ProductGraph, int]:
 # tables
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class CodedColumn:
+    """A table column whose cells repeat a few values: cell ``i`` is
+    ``values[codes[i]]``, both 1-d numpy arrays. ``len``, iteration and
+    :meth:`tolist` give the cells."""
+
+    codes: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.tolist())
+
+    def tolist(self) -> list:
+        return self.values[self.codes].tolist()
+
+
 class Table:
     """Header, cells and ``meta`` key/value pairs of one data file.
 
-    Cells are held column by column, as lists or numpy arrays, so that
-    whole columns are formatted at once; ``rows`` is the row view. Pass
-    either ``rows`` or ``columns``.
+    Cells are held column by column, as lists, numpy arrays or coded
+    columns (:class:`CodedColumn`), so that whole columns are formatted at
+    once; a coded column's values are formatted once per table. ``rows``
+    is the row view, of the cell values. Pass either ``rows`` or
+    ``columns``.
     """
 
     def __init__(self, header: Sequence[str], rows: Sequence = (),
@@ -308,7 +333,8 @@ class Table:
 
     @property
     def rows(self) -> list[tuple]:
-        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+        return list(zip(*(c.tolist()
+                          if isinstance(c, (np.ndarray, CodedColumn)) else c
                           for c in self.columns)))
 
 
@@ -358,6 +384,18 @@ def _cells(part) -> list[str]:
     return [_cell(x) for x in values]
 
 
+def _column_cells(column, size: int) -> Iterator[list[str]]:
+    """The CSV text of a column's cells, :data:`CHUNK_ROWS` rows at a time
+    up to row ``size``; a coded column's values are formatted once."""
+    coded = isinstance(column, CodedColumn)
+    if coded:
+        texts = np.array(_cells(column.values), dtype=object)
+    for lo in range(0, size, CHUNK_ROWS):
+        hi = lo + CHUNK_ROWS
+        yield (texts[column.codes[lo:hi]].tolist() if coded
+               else _cells(column[lo:hi]))
+
+
 def _csv_lines(cells: list[list[str]]) -> str:
     """Rows of cell texts as CSV lines, each ended by a newline. A row of
     one empty cell is written ``""``, so that it is not a blank line."""
@@ -375,21 +413,20 @@ def write_table(path_base: str | Path, table: Table,
     values by ``str``, ``None`` as an empty cell, and cells holding a
     comma, a quote, a carriage return or a newline quoted. It is written
     in chunks of :data:`CHUNK_ROWS` rows, each column formatted per
-    chunk, so the write's memory stays bounded whatever the table's
-    length.
+    chunk (a coded column gathers the texts of its values, formatted once),
+    so the write's memory stays bounded whatever the table's length.
     """
     base = Path(path_base)
     if fmt == "csv":
         path = base.with_suffix(".csv")
-        columns = table.columns
-        size = min(map(len, columns), default=0)
+        size = min(map(len, table.columns), default=0)
         with path.open("w", newline="") as fh:
             for key in sorted(table.meta):
                 fh.write(f"# {key}={table.meta[key]}\n")
             fh.write(_csv_lines([[text] for text in _cells(table.header)]))
-            for lo in range(0, size, CHUNK_ROWS):
-                fh.write(_csv_lines([_cells(c[lo:lo + CHUNK_ROWS])
-                                     for c in columns]))
+            for cells in zip(*(_column_cells(c, size)
+                               for c in table.columns)):
+                fh.write(_csv_lines(list(cells)))
         return path
     if fmt == "json":
         path = base.with_suffix(".json")
@@ -415,13 +452,30 @@ def _joined(mats: Sequence[TransitionMatrix], name: str,
                           + [getattr(m, name) for m in mats])
 
 
-def _state_labels(states: np.ndarray, num_walkers: int,
-                  num_base: int) -> np.ndarray:
-    """Label of every state in ``states``; each distinct state is
-    formatted once."""
-    distinct, inverse = np.unique(states, return_inverse=True)
-    labels = ProductGraph.state_labels(distinct, num_walkers, num_base)
-    return np.array(labels, dtype=object)[inverse]
+def _runs(size: int, counts) -> CodedColumn:
+    """Each of ``0 .. size - 1`` in turn, ``i`` repeated ``counts[i]``
+    times (or ``counts`` times, for a scalar)."""
+    values = np.arange(size)
+    return CodedColumn(np.repeat(values, counts), values)
+
+
+def _coded_states(count: int, *states: np.ndarray
+                  ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Distinct joint states and the codes of each array of ``states``
+    over them: all ``count`` states of the space, coded by themselves,
+    when the arrays hold at least as many cells, else the states they
+    hold."""
+    sizes = [s.size for s in states]
+    if count <= sum(sizes):
+        return np.arange(count), list(states)
+    distinct, inverse = np.unique(np.concatenate(states), return_inverse=True)
+    return distinct, np.split(inverse, np.cumsum(sizes)[:-1])
+
+
+def _labels(states: np.ndarray, num_walkers: int,
+            num_base: int) -> np.ndarray:
+    return np.array(ProductGraph.state_labels(states, num_walkers, num_base),
+                    dtype=object)
 
 
 def rho_table(rho: np.ndarray, num_walkers: int, num_base: int,
@@ -429,9 +483,9 @@ def rho_table(rho: np.ndarray, num_walkers: int, num_base: int,
     """Rows ``t,v,rho`` (tuple states serialised as ``u1|u2|...``)."""
     rho = np.asarray(rho, dtype=np.float64)
     steps, states = rho.shape
-    labels = ProductGraph.state_labels(np.arange(states), num_walkers,
-                                       num_base)
-    columns = [np.repeat(np.arange(steps), states), labels * steps,
+    labels = _labels(np.arange(states), num_walkers, num_base)
+    columns = [_runs(steps, states),
+               CodedColumn(np.tile(np.arange(states), steps), labels),
                rho.reshape(-1)]
     return Table(["t", "v", "rho"], columns=columns, meta=_table_meta(
         states, num_walkers, num_base, manifest_sha))
@@ -443,11 +497,14 @@ def matrix_table(store: dict[str, np.ndarray]) -> Table:
     source not listed at step t moves uniformly to its neighbours."""
     k, n = int(store["num_walkers"]), store["port_offsets"].size - 1
     indptr = store["indptr"]
-    t = np.repeat(np.arange(store["step_ptr"].size - 1),
-                  np.diff(indptr[store["step_ptr"]]))
-    u = np.repeat(store["col_ids"], np.diff(indptr))
-    columns = [t, _state_labels(u, k, n),
-               _state_labels(store["indices"], k, n), store["data"]]
+    distinct, (u, v) = _coded_states(
+        n ** k, np.repeat(store["col_ids"], np.diff(indptr)),
+        store["indices"])
+    labels = _labels(distinct, k, n)
+    columns = [_runs(store["step_ptr"].size - 1,
+                     np.diff(indptr[store["step_ptr"]])),
+               CodedColumn(u, labels), CodedColumn(v, labels),
+               store["data"]]
     return Table(["t", "u", "v", "p"], columns=columns, meta=_table_meta(
         n ** k, k, n, str(store["manifest"])))
 
@@ -467,12 +524,13 @@ def trajectories_table(
               and num_walkers == 1)
     header = ["traj_id", "t", "vertex"] + (["x", "y"] if unfold else [])
     size, steps = ens.paths.shape
-    states = ens.paths.reshape(-1)
-    columns = [np.repeat(np.arange(size), steps),
-               np.tile(np.arange(steps), size),
-               _state_labels(states, num_walkers, num_base)]
+    distinct, (states,) = _coded_states(ens.num_states, ens.paths.reshape(-1))
+    columns = [_runs(size, steps),
+               CodedColumn(np.tile(np.arange(steps), size), np.arange(steps)),
+               CodedColumn(states, _labels(distinct, num_walkers, num_base))]
     if unfold:
-        columns += np.unravel_index(states, tuple(int(d) for d in torus_dims))
+        columns += [CodedColumn(states, x) for x in np.unravel_index(
+            distinct, tuple(int(d) for d in torus_dims))]
     meta = {"trajectories": ens.size, "length": ens.length,
             "method": ens.method, "rng": RNG_ALGORITHM}
     if ens.master_seed is not None:

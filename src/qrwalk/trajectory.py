@@ -45,7 +45,8 @@ RNG_ALGORITHM = "numpy-PCG64"
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """M independent trajectories sampled under a single master seed."""
+    """M independent trajectories sampled under a single master seed; a
+    state outside ``0 .. num_states - 1`` raises :class:`ValidationError`."""
 
     paths: np.ndarray  # (M, L+1) state indices
     num_states: int
@@ -54,6 +55,9 @@ class TrajectoryEnsemble:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.paths, dtype=np.int64)
+        if p.size and not 0 <= p.min() <= p.max() < self.num_states:
+            raise ValidationError(f"paths leave the {self.num_states} "
+                                  "states of the space")
         p.flags.writeable = False
         object.__setattr__(self, "paths", p)
 
@@ -294,8 +298,20 @@ def convergence_report(
 def locality_fraction(
     ens: TrajectoryEnsemble, graph: PortGraph | ProductGraph
 ) -> float:
-    """Fraction of consecutive pairs that are graph (tuple) edges."""
+    """Fraction of consecutive pairs that are graph (tuple) edges.
+
+    Each distinct move is looked up once
+    (:meth:`~qrwalk.graphs.ProductGraph.distinct_moves`), in sorted order,
+    and the counts of the moves that are edges are summed, which gives
+    the float of the mean over all moves. When a move's key would
+    overflow int64 (S**2 >= 2**63 states, only from a hand-made ensemble),
+    the mean is taken over the moves one by one."""
     if ens.length == 0:
         return 1.0
-    return float(np.mean(graph.has_edges(ens.paths[:, :-1],
-                                         ens.paths[:, 1:])))
+    space = ProductGraph.of(graph)
+    src, dst = ens.paths[:, :-1], ens.paths[:, 1:]
+    moves = space.distinct_moves(src, dst)
+    if moves is None:
+        return float(np.mean(space.has_edges(src, dst)))
+    src, dst, counts = moves
+    return float(counts[space.has_edges(src, dst)].sum() / counts.sum())

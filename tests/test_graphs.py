@@ -258,6 +258,25 @@ class TestProductGraph:
                               g.has_edges(src, dst))
         assert ProductGraph(g, 1).has_edges(src, dst).shape == (5, 7)
 
+    @pytest.mark.parametrize("walkers", [1, 2, 3])
+    def test_index_outside_the_space_is_no_edge(self, walkers):
+        # state 0 is the tuple (0, ..., 0) and (3**K - 1) / 2 is (1, ..., 1);
+        # -1 and 3**K lie outside the space
+        pg = ProductGraph(cycle_graph(3), walkers)
+        ones = (pg.num_states - 1) // 2
+        got = pg.has_edges([-1, 0, pg.num_states, 0, ones],
+                           [0, ones, 1, pg.num_states, -1])
+        assert got.tolist() == [False, True, False, False, False]
+
+    def test_distinct_moves_are_counted_by_their_key(self, c4):
+        pg = ProductGraph(c4, 2)
+        src, dst, counts = pg.distinct_moves([5, 1, 5, 1], [0, 5, 0, 4])
+        assert src.tolist() == [1, 1, 5] and dst.tolist() == [4, 5, 0]
+        assert counts.tolist() == [1, 1, 2]
+        # the key 1 * 16 - 11 of 1 -> -11 would read as the move 0 -> 5
+        assert pg.distinct_moves([1], [-11]) is None
+        assert pg.distinct_moves([16], [0]) is None
+
 
 class TestJsonInterchange:
     def test_round_trip_preserves_port_order(self, c4):

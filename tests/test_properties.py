@@ -40,6 +40,7 @@ from qrwalk import (
     graph_from_json,
     graph_hash,
     graph_to_json,
+    locality_fraction,
     random_regular_graph,
     random_unitary_coin,
     sample_ensemble,
@@ -50,7 +51,13 @@ from qrwalk import (
 )
 from qrwalk import persist
 from qrwalk.equivalence import ZERO_PROB
-from qrwalk.persist import Table, load_sequence, save_sequence, write_table
+from qrwalk.persist import (
+    CodedColumn,
+    Table,
+    load_sequence,
+    save_sequence,
+    write_table,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -416,6 +423,22 @@ def test_graph_core_matches_per_vertex_reference(seed):
     assert doc["edges"] == sorted(map(sorted, edges))
     assert doc["ordering"] == list(map(list, expected))
     assert graph_from_json(doc) == g
+
+
+@GRAPH_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_graph_hash_equals_the_json_reference(seed):
+    # a random tree (so degree-1 vertices) plus random chords, on up to 40
+    # vertices (so multi-digit heads), with random port orders
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    edges |= {(u, v) for u, v in rng.integers(0, n, size=(n // 2, 2)).tolist()
+              if u < v}
+    nbrs = build_graph(sorted(edges)).out_neighbors
+    g = build_graph(sorted(edges),
+                    ordering=[rng.permutation(x).tolist() for x in nbrs])
+    assert graph_hash(g) == oracle.reference_graph_hash(g.out_neighbors)
 
 
 @SETTINGS
@@ -841,6 +864,55 @@ def test_sampled_moves_have_positive_probability(seed, walkers, method):
         assert all(mat.entry(v, u) > 0 for u, v in moves.tolist())
 
 
+def reference_locality(paths: np.ndarray, space: ProductGraph) -> float:
+    """The mean of ``has_edge`` over every move, one move at a time."""
+    local = [space.has_edge(space.tuple_of(u), space.tuple_of(v))
+             for path in paths.tolist() for u, v in zip(path, path[1:])]
+    return sum(local) / len(local) if local else 1.0
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
+def test_locality_equals_the_per_move_mean(seed, walkers):
+    # paths that mostly step along tuple edges, with jumps to any state
+    # (non-edges, and moves to the same state) and repeated moves
+    rng = np.random.default_rng(seed)
+    space = ProductGraph(random_graph(rng), walkers)
+    size, length = int(rng.integers(1, 30)), int(rng.integers(0, 6))
+    paths = np.empty((size, length + 1), dtype=np.int64)
+    paths[:, 0] = rng.integers(0, space.num_states, size)
+    for t in range(length):
+        _, _, heads = space.arcs(paths[:, t])
+        ends = np.cumsum(space.out_degrees(paths[:, t]))
+        paths[:, t + 1] = heads[ends - 1]  # each state's last arc
+        jump = rng.random(size) < 0.3
+        paths[jump, t + 1] = rng.integers(0, space.num_states, jump.sum())
+    if size > 1 and rng.random() < 0.5:
+        paths[size // 2:] = paths[:size - size // 2]
+    ens = TrajectoryEnsemble(paths, space.num_states)
+    got = locality_fraction(ens, space if walkers > 1 else space.base)
+    assert got == reference_locality(paths, space)
+
+
+def test_locality_beyond_the_int64_move_keys_is_the_pairwise_mean():
+    # four walkers on a 240-cycle: 240**4 ~ 3.3e9 states, whose squared
+    # count overflows int64, so no move key is formed
+    space = ProductGraph(cycle_graph(240), 4)
+    rng = np.random.default_rng(5)
+    steps = rng.choice([-1, 1], size=(20, 6, 4))
+    steps[3, 2, 1] = 0  # one walker stays put: not an edge
+    steps[7, 4] = 2  # every walker jumps two places: not an edge
+    tuples = (rng.integers(0, 240, (20, 1, 4))
+              + np.concatenate([np.zeros((20, 1, 4), np.int64),
+                                np.cumsum(steps, axis=1)], axis=1)) % 240
+    paths = np.ravel_multi_index(tuple(np.moveaxis(tuples, 2, 0)),
+                                 space.shape)
+    assert space.distinct_moves(paths[:, :-1], paths[:, 1:]) is None
+    got = locality_fraction(TrajectoryEnsemble(paths, space.num_states),
+                            space)
+    assert got == reference_locality(paths, space) == 118 / 120
+
+
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]),
        method=st.sampled_from(["scan", "alias"]))
@@ -864,11 +936,28 @@ INT64 = np.iinfo(np.int64)
 CELL_TEXT = st.text(alphabet=',"\n\r |a0#', max_size=4)
 
 
+def coded_column(size: int):
+    """A coded column of ``size`` cells over one to four int64, float64
+    or text values."""
+    values = st.one_of(
+        hnp.arrays(np.int64, st.integers(1, 4),
+                   elements=st.integers(INT64.min, INT64.max)),
+        hnp.arrays(np.float64, st.integers(1, 4),
+                   elements=st.floats() | st.sampled_from(SPECIAL_FLOATS)),
+        st.lists(CELL_TEXT, min_size=1, max_size=4)
+        .map(lambda cells: np.array(cells, dtype=object)),
+    )
+    return values.flatmap(lambda v: hnp.arrays(
+        np.int64, size, elements=st.integers(0, v.size - 1)
+    ).map(lambda codes: CodedColumn(codes, v)))
+
+
 def csv_column(size: int):
     """One column of ``size`` cells in any of the forms a table holds."""
     def array(dtype, elements=None):
         return hnp.arrays(dtype, size, elements=elements)
     return st.one_of(
+        coded_column(size),
         array(st.sampled_from([np.int8, np.int32, np.uint8, np.uint64])),
         array(np.int64, st.integers(INT64.min, INT64.max)
               | st.sampled_from([INT64.min, INT64.max])),
@@ -902,3 +991,15 @@ def test_csv_export_equals_the_csv_module(table, chunk):
         got = write_table(Path(out) / "got", table).read_bytes()
         want = oracle.reference_write_table(Path(out) / "want", table)
         assert got == want.read_bytes()
+
+
+@settings(SETTINGS, max_examples=100)
+@given(table=csv_tables())
+def test_coded_columns_write_the_json_of_their_cells(table):
+    plain = Table(table.header, meta=table.meta, columns=[
+        c.values[c.codes] if isinstance(c, CodedColumn) else c
+        for c in table.columns])
+    with tempfile.TemporaryDirectory() as out:
+        got = write_table(Path(out) / "got", table, "json")
+        want = write_table(Path(out) / "want", plain, "json")
+        assert got.read_bytes() == want.read_bytes()

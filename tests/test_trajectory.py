@@ -10,6 +10,7 @@ from qrwalk import (
     ShiftSpec,
     TransitionMatrix,
     TransitionMatrixSeq,
+    TrajectoryEnsemble,
     ValidationError,
     WaveFunction,
     build_sequence,
@@ -149,6 +150,11 @@ class TestSampleEnsemble:
         small = sample_ensemble(c4_seq, 10, master_seed=5)
         big = sample_ensemble(c4_seq, 30, master_seed=5)
         assert np.array_equal(big.paths[:10], small.paths)
+
+    @pytest.mark.parametrize("path", [[0, 4], [-1, 0]])
+    def test_states_outside_the_space_rejected(self, path):
+        with pytest.raises(ValidationError, match="leave the 4 states"):
+            TrajectoryEnsemble([path], 4)
 
     def test_invalid_size(self, c4_seq):
         with pytest.raises(ValidationError):
