@@ -23,7 +23,6 @@ from .equivalence import (
     PropertyReport,
     TransitionMatrix,
     TransitionMatrixSeq,
-    build_multiwalker_matrix,
     build_sequence,
     verify_theorem_properties,
 )

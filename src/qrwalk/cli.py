@@ -133,11 +133,8 @@ def cmd_evolve(args, config: dict) -> int:
 
     out = _out_dir(args)
     digest = manifest.save(out)
-    path = write_table(
-        out / "rho",
-        rho_table(np.stack(rhos), walkers, base.num_vertices, digest),
-        args.format,
-    )
+    path = write_table(out / "rho", rho_table(
+        np.stack(rhos), walkers, base.num_vertices), args.format, digest)
     print(f"wrote {len(rhos)} distributions over "
           f"{base.num_vertices ** walkers} states to {path}")
     return 0
@@ -205,16 +202,11 @@ def cmd_sample(args, config: dict) -> int:
     walkers = seq.num_walkers
     out = _out_dir(args)
     digest = manifest.save(out)
-    path = write_table(
-        out / "trajectories",
-        trajectories_table(ens, walkers, seq.num_base_vertices, torus_dims,
-                           digest),
-        args.format,
-    )
+    path = write_table(out / "trajectories", trajectories_table(
+        ens, walkers, seq.num_base_vertices, torus_dims), args.format, digest)
     if torus_dims is not None and walkers == 1:
         write_table(out / "ensemble_mean",
-                    ensemble_mean_table(ens, torus_dims, digest),
-                    args.format)
+                    ensemble_mean_table(ens, torus_dims), args.format, digest)
     print(f"wrote {size} trajectories of length {ens.length} to {path}")
     return 0
 
@@ -232,8 +224,8 @@ def cmd_tvd(args, config: dict) -> int:
     report = convergence_report(seq, sizes, t_grid, seed)
     out = _out_dir(args)
     digest = manifest.save(out)
-    path = write_table(out / "tvd", tvd_table(report.rows, digest),
-                       args.format)
+    path = write_table(out / "tvd", tvd_table(report.rows), args.format,
+                       digest)
     for m in sizes:
         print(f"M={m}: median TVD over grid = {report.median_tvd(m):.6f}")
     print(f"wrote {len(report.rows)} rows to {path}")
@@ -307,9 +299,8 @@ def cmd_torus_dp(args, config: dict) -> int:
             out, TransitionMatrixSeq(matrices, rho, base), digest,
             args.format)
     else:
-        path = write_table(out / "rho",
-                           rho_table(rho, 1, base.num_vertices, digest),
-                           args.format)
+        path = write_table(out / "rho", rho_table(rho, 1, base.num_vertices),
+                           args.format, digest)
     print(f"wrote {rho.shape[0]} distributions to {path}")
     return 0
 

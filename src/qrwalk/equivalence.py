@@ -38,12 +38,10 @@ from .walk import (
     CoinLike,
     InteractionLike,
     ShiftLike,
-    ShiftSpec,
     WaveFunction,
     _per_walker,
     check_budget,
     evolve,
-    vertex_distribution,
     vertex_masses,
 )
 
@@ -51,7 +49,6 @@ __all__ = [
     "TransitionMatrix",
     "TransitionMatrixSeq",
     "PropertyReport",
-    "build_multiwalker_matrix",
     "matrix_from_masses",
     "build_sequence",
     "verify_theorem_properties",
@@ -110,10 +107,12 @@ class TransitionMatrix:
                 and np.all(np.diff(self.col_ids) > 0)
                 and all(a.size == 0 or (a.min() >= 0 and a.max() < n)
                         for a in (self.col_ids, self.indices))
-                and np.all(self.data != 0.0)):
+                and np.all(self.data != 0.0)
+                and np.isfinite(self.data).all()):
             raise ValidationError(
                 f"P({self.time}) is not a CSC matrix over {n} states with "
-                "ascending column ids, no empty columns and no stored zeros"
+                "ascending column ids, no empty columns and no stored zeros "
+                "or non-finite values"
             )
 
     @property
@@ -186,10 +185,10 @@ class TransitionMatrix:
         return 0.0
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Propagate a distribution: returns P(t) @ rho.
-
-        Sources with mass at or below :data:`ZERO_PROB` are skipped (their
-        entries get weight zero, which adds nothing).
+        """Propagate a distribution: ``P(t) @ rho`` over the sources with
+        mass above :data:`ZERO_PROB` only. A smaller, negative or NaN mass
+        adds nothing, so this is ``P(t) @ rho`` only when every mass is 0
+        or above ``ZERO_PROB``.
         """
         rho = np.asarray(rho, dtype=np.float64)
         if rho.shape != (self.num_states,):
@@ -235,6 +234,8 @@ class TransitionMatrixSeq:
         if self.rho.shape != shape:
             raise ValidationError(
                 f"rho has shape {self.rho.shape}, expected {shape}")
+        if not np.isfinite(self.rho).all():
+            raise ValidationError("rho holds a non-finite value")
         if any(m.graph != self.graph for m in self.matrices):
             raise ValidationError("the matrices live on a different graph")
 
@@ -393,31 +394,6 @@ def matrix_from_masses(
     return TransitionMatrix(
         time, pg, *map(_readonly, (cols, indptr, targets, probs)),
         column_sum_error=float(dev.max(initial=0.0)))
-
-
-def build_multiwalker_matrix(
-    psi_t: WaveFunction,
-    psi_next: WaveFunction,
-    shifts: ShiftSpec | Sequence[ShiftSpec] | None = None,
-    time: int = 0,
-) -> TransitionMatrix:
-    """Transition matrix over the vertex tuples of ``psi_t.graph``, the
-    product graph of K >= 1 walkers that both states live on.
-
-    ``shifts`` is the shift the evolution used (per walker or shared); it
-    determines which port of a target vertex carries the amplitude that
-    moved along each arc, and defaults to the flip-flop shift. The ratio
-    columns are built, checked and rescaled as in
-    :func:`matrix_from_masses`.
-    """
-    pg = psi_t.graph
-    if psi_next.graph != pg:
-        raise ValidationError("states live on different graphs")
-    return matrix_from_masses(
-        pg, shifts if shifts is not None else ShiftSpec.flip_flop(pg.base),
-        vertex_distribution(psi_t), np.abs(psi_next.amplitudes) ** 2,
-        time=time,
-    )
 
 
 def build_sequence(

@@ -4,7 +4,8 @@ manifests.
 Every output directory carries one ``manifest.json`` describing the run
 (graph, operator specs, initial state, horizon, thresholds, RNG algorithm
 and master seed, tool version); data files reference the manifest by its
-hash. Floats use shortest round-trip formatting and all row orders are
+hash, which :func:`write_table` stamps as their ``manifest`` metadata.
+Floats use shortest round-trip formatting and all row orders are
 canonical, so re-running a manifest reproduces files byte for byte.
 
 A sequence is read back only from its array store ``sequence.npz``. The
@@ -12,15 +13,19 @@ tables are the human-readable export: CSV (default, with ``# key=value``
 comment lines for metadata) or an equivalent JSON document. The
 ``p_matrix`` table renders the store, so it lists the ratio columns of
 P(t) only, for every K: a source not listed at step t had no mass and
-moves uniformly, ``1 / d(u)`` to each neighbour. The CSV
-bytes are those of ``csv.writer``, floats in ``repr`` form, but a table
-is written in chunks of :data:`CHUNK_ROWS` rows, column by column: each
-distinct value of a numeric column (by bit pattern) is formatted once
-per chunk and gathered back, so the write's memory stays that of one
-chunk. Columns whose cells repeat a few values (steps, trajectory ids,
-state labels) are coded (:class:`CodedColumn`: an int code per cell
-over an array of values); their values are formatted once per table,
-and each chunk only gathers their texts.
+moves uniformly, ``1 / d(u)`` to each neighbour.
+
+A table holds numbers and plain labels only: 1-d numeric arrays, and
+columns of non-empty strings without a comma, a quote or a line break.
+So no CSV cell is ever quoted, and the bytes are those of
+``csv.writer`` with floats in ``repr`` form. A table is written in
+chunks of :data:`CHUNK_ROWS` rows, column by column: each distinct value
+of a numeric column (by bit pattern) is formatted once per chunk and
+gathered back, so the write's memory stays that of one chunk. Columns
+whose cells repeat a few values (steps, trajectory ids, state labels) are
+coded (:class:`CodedColumn`: an int code per cell over an array of
+values); their values are formatted once per table, and each chunk only
+gathers their texts.
 """
 
 from __future__ import annotations
@@ -121,8 +126,14 @@ class RunManifest:
 
     @classmethod
     def load(cls, out_dir: str | Path) -> "RunManifest":
+        """Read ``out_dir/manifest.json``; a file that is not a manifest's
+        JSON object raises :class:`ValidationError`."""
         path = Path(out_dir) / MANIFEST_NAME
-        return cls(**json.loads(path.read_text()))
+        try:
+            return cls(**json.loads(path.read_text()))
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"{path} holds no valid manifest: {exc}") \
+                from None
 
 
 def manifest_for(config: dict, command: str, base: PortGraph,
@@ -316,20 +327,20 @@ class CodedColumn:
 class Table:
     """Header, cells and ``meta`` key/value pairs of one data file.
 
-    Cells are held column by column, as lists, numpy arrays or coded
-    columns (:class:`CodedColumn`), so that whole columns are formatted at
-    once; a coded column's values are formatted once per table. ``rows``
-    is the row view, of the cell values. Pass either ``rows`` or
-    ``columns``.
+    Cells are held column by column, as numpy arrays, lists of strings or
+    coded columns (:class:`CodedColumn`), so that whole columns are
+    formatted at once; a coded column's values are formatted once per
+    table. ``rows`` is the row view, of the cell values.
     """
 
-    def __init__(self, header: Sequence[str], rows: Sequence = (),
-                 meta: dict | None = None, columns: list | None = None):
+    def __init__(self, header: Sequence[str], columns: Sequence,
+                 meta: dict | None = None):
         self.header = list(header)
+        self.columns = list(columns)
         self.meta = dict(meta) if meta else {}
-        self.columns = (list(columns) if columns is not None
-                        else [list(c) for c in zip(*rows)] if len(rows)
-                        else [[] for _ in self.header])
+        if len(self.columns) != len(self.header):
+            raise ValidationError(f"{len(self.columns)} columns under "
+                                  f"{len(self.header)} header cells")
 
     @property
     def rows(self) -> list[tuple]:
@@ -340,33 +351,18 @@ class Table:
 
 #: Rows formatted and written at a time by :func:`write_table`.
 CHUNK_ROWS = 1 << 14
-#: Characters that make a CSV cell quoted: the delimiter, the quote
-#: character and both line-break characters, so that a bare ``"\r"`` does
-#: not split a row for a reader (``csv.writer`` with ``"\n"`` line ends
-#: quotes it on Python 3.13, not on 3.11).
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+#: Characters no text cell may hold: the delimiter, the quote character
+#: and both line-break characters, which would need quoting.
+_SPECIAL = re.compile(r'[,"\r\n]')
 
 
-def _cell(value) -> str:
-    """The CSV text of one value: ``float.__repr__`` of a float (numpy
-    float scalars included), ``str`` of any other value, nothing for
-    ``None``; quoted when it holds a delimiter, a quote or a line break,
-    with its quotes doubled."""
-    text = ("" if value is None else value if isinstance(value, str)
-            else float.__repr__(value) if isinstance(value, float)
-            else str(value))
-    if _NEEDS_QUOTES.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _cells(part) -> list[str]:
-    """The CSV text of every value in a slice of a column.
+def _cells(part, name: str) -> list[str]:
+    """The CSV text of every value in a slice of column ``name``.
 
     A numeric array formats each distinct bit pattern once (so ``-0.0``
-    and ``0.0`` stay apart; no number needs quotes) and gathers the texts
-    back; strings without a special character are their own text; other
-    values are formatted one by one.
+    and ``0.0`` stay apart) and gathers the texts back. Any other column
+    must hold non-empty strings without a special character, which are
+    their own text; anything else raises :class:`ValidationError`.
     """
     if (isinstance(part, np.ndarray) and part.ndim == 1
             and part.dtype.kind in "biuf"
@@ -377,72 +373,66 @@ def _cells(part) -> list[str]:
         texts = np.array(list(map(text, distinct.view(part.dtype).tolist())),
                          dtype=object)
         return texts[inverse].tolist()
-    values = part.tolist() if isinstance(part, np.ndarray) else part
-    if (set(map(type, values)) <= {str}
-            and not _NEEDS_QUOTES.search("".join(values))):
+    values = part.tolist() if isinstance(part, np.ndarray) else list(part)
+    if (set(map(type, values)) <= {str} and all(values)
+            and not _SPECIAL.search("".join(values))):
         return values
-    return [_cell(x) for x in values]
+    raise ValidationError(
+        f"{name} holds a cell that is neither a number nor a non-empty "
+        "string without a comma, a quote or a line break")
 
 
-def _column_cells(column, size: int) -> Iterator[list[str]]:
+def _column_cells(column, name: str, size: int) -> Iterator[list[str]]:
     """The CSV text of a column's cells, :data:`CHUNK_ROWS` rows at a time
     up to row ``size``; a coded column's values are formatted once."""
     coded = isinstance(column, CodedColumn)
     if coded:
-        texts = np.array(_cells(column.values), dtype=object)
+        texts = np.array(_cells(column.values, name), dtype=object)
     for lo in range(0, size, CHUNK_ROWS):
         hi = lo + CHUNK_ROWS
         yield (texts[column.codes[lo:hi]].tolist() if coded
-               else _cells(column[lo:hi]))
+               else _cells(column[lo:hi], name))
 
 
-def _csv_lines(cells: list[list[str]]) -> str:
-    """Rows of cell texts as CSV lines, each ended by a newline. A row of
-    one empty cell is written ``""``, so that it is not a blank line."""
-    if len(cells) == 1:
-        cells = [[text or '""' for text in cells[0]]]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def write_table(path_base: str | Path, table: Table,
-                fmt: str = "csv") -> Path:
-    """Write a table as ``<base>.csv`` or ``<base>.json``.
+def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
+                manifest: str | None = None) -> Path:
+    """Write a table as ``<base>.csv`` or ``<base>.json``, with the
+    ``manifest`` digest, when given, added to its metadata (``table``
+    itself is not changed).
 
     The CSV form is what ``csv.writer`` writes (excel dialect, newline
-    line ends): floats in shortest round-trip form (``repr``), other
-    values by ``str``, ``None`` as an empty cell, and cells holding a
-    comma, a quote, a carriage return or a newline quoted. It is written
-    in chunks of :data:`CHUNK_ROWS` rows, each column formatted per
-    chunk (a coded column gathers the texts of its values, formatted once),
-    so the write's memory stays bounded whatever the table's length.
+    line ends) for cells that need no quotes: floats in shortest
+    round-trip form (``repr``), other numbers by ``str`` and strings as
+    they are. A cell that is neither a number of a 1-d numeric array nor
+    a non-empty string without a comma, a quote or a line break raises
+    :class:`ValidationError` naming its column. The CSV is written in
+    chunks of :data:`CHUNK_ROWS` rows, each column formatted per chunk (a
+    coded column gathers the texts of its values, formatted once), so the
+    write's memory stays bounded whatever the table's length.
     """
     base = Path(path_base)
+    meta = {**table.meta, "manifest": manifest} if manifest else table.meta
     if fmt == "csv":
         path = base.with_suffix(".csv")
         size = min(map(len, table.columns), default=0)
         with path.open("w", newline="") as fh:
-            for key in sorted(table.meta):
-                fh.write(f"# {key}={table.meta[key]}\n")
-            fh.write(_csv_lines([[text] for text in _cells(table.header)]))
-            for cells in zip(*(_column_cells(c, size)
-                               for c in table.columns)):
-                fh.write(_csv_lines(list(cells)))
+            for key in sorted(meta):
+                fh.write(f"# {key}={meta[key]}\n")
+            fh.write(",".join(_cells(table.header, "the header")) + "\n")
+            for cells in zip(*(_column_cells(c, f"column {h!r}", size)
+                               for h, c in zip(table.header, table.columns))):
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         return path
     if fmt == "json":
         path = base.with_suffix(".json")
-        payload = {"meta": table.meta, "header": table.header,
-                   "rows": table.rows}
+        payload = {"meta": meta, "header": table.header, "rows": table.rows}
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         return path
     raise ConfigError(f"unknown output format {fmt!r}")
 
 
-def _table_meta(states: int, walkers: int, base: int,
-                manifest_sha: str | None) -> dict:
-    meta = {"states": states, "walkers": walkers, "base": base}
-    if manifest_sha:
-        meta["manifest"] = manifest_sha
-    return meta
+def _table_meta(states: int, walkers: int, base: int) -> dict:
+    return {"states": states, "walkers": walkers, "base": base}
 
 
 def _joined(mats: Sequence[TransitionMatrix], name: str,
@@ -478,8 +468,7 @@ def _labels(states: np.ndarray, num_walkers: int,
                     dtype=object)
 
 
-def rho_table(rho: np.ndarray, num_walkers: int, num_base: int,
-              manifest_sha: str | None = None) -> Table:
+def rho_table(rho: np.ndarray, num_walkers: int, num_base: int) -> Table:
     """Rows ``t,v,rho`` (tuple states serialised as ``u1|u2|...``)."""
     rho = np.asarray(rho, dtype=np.float64)
     steps, states = rho.shape
@@ -487,8 +476,8 @@ def rho_table(rho: np.ndarray, num_walkers: int, num_base: int,
     columns = [_runs(steps, states),
                CodedColumn(np.tile(np.arange(states), steps), labels),
                rho.reshape(-1)]
-    return Table(["t", "v", "rho"], columns=columns, meta=_table_meta(
-        states, num_walkers, num_base, manifest_sha))
+    return Table(["t", "v", "rho"], columns,
+                 _table_meta(states, num_walkers, num_base))
 
 
 def matrix_table(store: dict[str, np.ndarray]) -> Table:
@@ -505,8 +494,7 @@ def matrix_table(store: dict[str, np.ndarray]) -> Table:
                      np.diff(indptr[store["step_ptr"]])),
                CodedColumn(u, labels), CodedColumn(v, labels),
                store["data"]]
-    return Table(["t", "u", "v", "p"], columns=columns, meta=_table_meta(
-        n ** k, k, n, str(store["manifest"])))
+    return Table(["t", "u", "v", "p"], columns, _table_meta(n ** k, k, n))
 
 
 def trajectories_table(
@@ -514,7 +502,6 @@ def trajectories_table(
     num_walkers: int = 1,
     num_base: int | None = None,
     torus_dims: Sequence[int] | None = None,
-    manifest_sha: str | None = None,
 ) -> Table:
     """Rows ``traj_id,t,vertex`` plus unfolded ``x,y`` columns on a
     generated 2-D torus (plot-ready long format). ``num_base`` defaults to
@@ -535,30 +522,22 @@ def trajectories_table(
             "method": ens.method, "rng": RNG_ALGORITHM}
     if ens.master_seed is not None:
         meta["seed"] = ens.master_seed
-    if manifest_sha:
-        meta["manifest"] = manifest_sha
-    return Table(header, columns=columns, meta=meta)
+    return Table(header, columns, meta)
 
 
-def ensemble_mean_table(
-    ens: TrajectoryEnsemble,
-    torus_dims: Sequence[int],
-    manifest_sha: str | None = None,
-) -> Table:
+def ensemble_mean_table(ens: TrajectoryEnsemble,
+                        torus_dims: Sequence[int]) -> Table:
     """Per-instant empirical mean of the unfolded torus coordinates."""
     dims = tuple(int(d) for d in torus_dims)
     means = np.mean(np.unravel_index(ens.paths, dims), axis=1)
     header = ["t"] + [f"mean_axis{i}" for i in range(len(dims))]
-    meta = {"manifest": manifest_sha} if manifest_sha else {}
-    return Table(header, columns=[np.arange(ens.length + 1), *means],
-                 meta=meta)
+    return Table(header, [np.arange(ens.length + 1), *means])
 
 
-def tvd_table(rows: Sequence[tuple[int, int, float]],
-              manifest_sha: str | None = None) -> Table:
-    meta = {"manifest": manifest_sha} if manifest_sha else {}
-    return Table(["M", "t", "tvd"],
-                 [[int(m), int(t), float(d)] for m, t, d in rows], meta)
+def tvd_table(rows: Sequence[tuple[int, int, float]]) -> Table:
+    return Table(["M", "t", "tvd"], [
+        np.array([row[i] for row in rows], dtype)
+        for i, dtype in enumerate((np.int64, np.int64, np.float64))])
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +565,7 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
     ``port_offsets`` and ``heads``, which fix the uniform columns, and
     ``manifest_sha`` (an empty string without one). The ``p_matrix``
     table renders the same arrays (:func:`matrix_table`): ratio columns
-    only.
+    only. Both tables carry ``manifest_sha`` as their ``manifest`` entry.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -605,13 +584,9 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
                  heads=seq.graph.base.heads,
                  manifest=np.str_(manifest_sha or ""))
     np.savez(out / STORE_NAME, allow_pickle=False, **store)
-    p1 = write_table(out / "p_matrix", matrix_table(store), fmt)
-    p2 = write_table(
-        out / "rho",
-        rho_table(seq.rho, seq.num_walkers, seq.num_base_vertices,
-                  manifest_sha),
-        fmt,
-    )
+    p1 = write_table(out / "p_matrix", matrix_table(store), fmt, manifest_sha)
+    p2 = write_table(out / "rho", rho_table(
+        seq.rho, seq.num_walkers, seq.num_base_vertices), fmt, manifest_sha)
     return p1, p2
 
 

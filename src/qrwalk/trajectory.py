@@ -197,7 +197,8 @@ def sample_ensemble(
     with ``L``. Each step is drawn for all trajectories at once. A passed
     ``SeedSequence`` is not advanced: sampling twice from one sequence
     gives the same ensemble, so pass distinct children for independent
-    ensembles.
+    ensembles. The ensemble records as ``master_seed`` the integer seed
+    that redraws it, and None for a spawned child.
 
     The ``(size, L + 1)`` uniform and path buffers are checked against
     the memory budget (:func:`~qrwalk.walk.check_budget`) before anything
@@ -213,7 +214,8 @@ def sample_ensemble(
                  f"{length}")
     rng = default_rng(master_seed)
     paths = _draw(seq, rng.random((size, length + 1)), method)
-    entropy = rng.bit_generator.seed_seq.entropy
+    seed_seq = rng.bit_generator.seed_seq
+    entropy = None if seed_seq.spawn_key else seed_seq.entropy
     return TrajectoryEnsemble(
         paths, num_states=seq.num_states,
         master_seed=entropy if isinstance(entropy, int) else None,
@@ -285,11 +287,12 @@ def convergence_report(
     ss = master_seed if isinstance(master_seed, np.random.SeedSequence) \
         else np.random.SeedSequence(master_seed)
     report = ConvergenceReport()
-    for child, size in zip(ss.spawn(len(list(ensemble_sizes))), ensemble_sizes):
-        ens = sample_ensemble(seq, int(size), child, length=length)
+    sizes = [int(m) for m in ensemble_sizes]
+    for child, size in zip(ss.spawn(len(sizes)), sizes):
+        ens = sample_ensemble(seq, size, child, length=length)
         for t in t_grid:
             report.rows.append((
-                int(size), t,
+                size, t,
                 total_variation(empirical_distribution(ens, t), seq.rho[t]),
             ))
     return report

@@ -569,12 +569,12 @@ def read_table(path_base: str | Path) -> Table:
             raise ValidationError(
                 f"{csv_path} has rows that are not {width} cells wide")
         cells = ",".join(data).split(",") if data else []
-        return Table(header, meta=meta,
-                     columns=[cells[j::width] for j in range(width)])
+        return Table(header, [cells[j::width] for j in range(width)], meta)
     if json_path.exists():
         payload = json.loads(json_path.read_text())
-        return Table(payload["header"], payload["rows"],
-                     payload.get("meta", {}))
+        header, rows = payload["header"], payload["rows"]
+        columns = [list(c) for c in zip(*rows)] if rows else [[]] * len(header)
+        return Table(header, columns, payload.get("meta", {}))
     raise ValidationError(f"neither {csv_path} nor {json_path} exists")
 
 

@@ -239,7 +239,7 @@ def test_criterion_5_trajectory_locality_and_reproducibility(tmp_path):
         paths = [
             write_table(tmp_path / f"{coin.name}_{i}",
                         trajectories_table(ens, 1, g.num_vertices,
-                                           g.torus_dims, "fixed"))
+                                           g.torus_dims), manifest="fixed")
             for i, ens in enumerate((ens1, ens2))
         ]
         identical = identical and (paths[0].read_bytes()

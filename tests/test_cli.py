@@ -658,6 +658,41 @@ class TestVerify:
         rewrite_store(out / "sequence.npz", data=data)
         assert main(["verify", "--in-dir", str(out)]) == 1
 
+    @staticmethod
+    def six_cycle(tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           graph={"type": "cycle", "n": 6}, horizon=5)
+        out = tmp_path / "eq"
+        assert main(["equivalence", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("member, index", [("data", 0), ("rho", (0, 3))],
+                             ids=["data", "rho"])
+    def test_a_stored_nan_exits_2(self, tmp_path, capsys, member, index):
+        # max(0.0, nan) is 0.0, so a NaN must be refused on load, not
+        # left to the residuals
+        out = self.six_cycle(tmp_path)
+        with np.load(out / "sequence.npz") as store:
+            values = store[member]
+        values[index] = np.nan
+        rewrite_store(out / "sequence.npz", **{member: values})
+        assert main(["verify", "--in-dir", str(out)]) == 2
+        assert "holds no valid sequence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{}", "not json", "[1]"])
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_a_malformed_manifest_exits_2(self, tmp_path, capsys, text,
+                                          command):
+        out = self.six_cycle(tmp_path)
+        (out / "manifest.json").write_text(text)
+        argv = (["verify", "--in-dir", str(out)] if command == "verify"
+                else ["sample", "--from", str(out),
+                      "--out-dir", str(tmp_path / "s")])
+        assert main(argv) == 2
+        assert "manifest.json holds no valid manifest" \
+            in capsys.readouterr().err
+
 
 class TestManifestReferences:
     def test_outputs_reference_the_manifest(self, tmp_path):

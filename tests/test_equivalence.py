@@ -17,7 +17,6 @@ from qrwalk import (
     ValidationError,
     WaveFunction,
     build_graph,
-    build_multiwalker_matrix,
     build_sequence,
     complete_graph,
     step,
@@ -34,10 +33,10 @@ def hadamard_walk(graph, t=0):
     return CoinSpec.hadamard(graph), ShiftSpec.moving(graph)
 
 
-def single_walker_matrix(psi_t, psi_next, shift, time=0):
-    """Every column of P(t) for one walker."""
-    return build_multiwalker_matrix(psi_t, psi_next, shifts=shift,
-                                    time=time)
+def step_matrix(psi_t, psi_next, shift, time=0):
+    """P(t) between two states of one or more walkers on one graph."""
+    return matrix_from_masses(psi_t.graph, shift, vertex_distribution(psi_t),
+                              np.abs(psi_next.amplitudes) ** 2, time=time)
 
 
 def irregular_graph(n):
@@ -68,7 +67,7 @@ class TestBuildTransitionMatrix:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
         psi1 = step(psi0, coin, shift)
-        mat = single_walker_matrix(psi0, psi1, shift)
+        mat = step_matrix(psi0, psi1, shift)
         dense = mat.toarray()
         # supported column 0 carries the walk; the rest are uniform 1/2
         expected = np.array([
@@ -86,7 +85,7 @@ class TestBuildTransitionMatrix:
         amps /= np.linalg.norm(amps)
         psi0 = WaveFunction(c4, amps)
         psi1 = step(psi0, CoinSpec.identity(c4), shift)
-        mat = single_walker_matrix(psi0, psi1, shift)
+        mat = step_matrix(psi0, psi1, shift)
         rho = vertex_distribution(psi0)
         for u in range(4):
             a0, a1 = amps[c4.basis_index(u, 0)], amps[c4.basis_index(u, 1)]
@@ -101,7 +100,7 @@ class TestBuildTransitionMatrix:
         psi = WaveFunction.localized(torus1010, 0, 0)
         for t in range(50):
             nxt = step(psi, coin, shift, t=t)
-            mat = single_walker_matrix(psi, nxt, shift, time=t)
+            mat = step_matrix(psi, nxt, shift, time=t)
             for u, targets, probs in stored_columns(mat):
                 assert abs(probs.sum() - 1.0) < 1e-10
                 assert probs.min() >= 0.0 and probs.max() <= 1.0
@@ -112,7 +111,7 @@ class TestBuildTransitionMatrix:
         shift = ShiftSpec.flip_flop(c4)
         psi0 = WaveFunction(c4, np.full(8, 1 / np.sqrt(8), dtype=complex))
         psi1 = step(psi0, coin, shift)
-        mat = single_walker_matrix(psi0, psi1, shift)
+        mat = step_matrix(psi0, psi1, shift)
         for u, targets, probs in stored_columns(mat):
             for v in targets[probs > 0].tolist():
                 assert c4.has_edge(u, v)
@@ -121,7 +120,7 @@ class TestBuildTransitionMatrix:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
         psi1 = step(psi0, coin, shift)
-        mat = single_walker_matrix(psi0, psi1, shift)
+        mat = step_matrix(psi0, psi1, shift)
         targets, probs = mat.column(2)  # rho(2, 0) = 0
         assert np.array_equal(probs, [0.5, 0.5])
 
@@ -140,8 +139,7 @@ class TestBuildTransitionMatrix:
         psi0 = WaveFunction.localized(c4, 0, 0)
         psi1 = step(psi0, coin, shift)
         with pytest.raises(ValidationError, match="different graph"):
-            build_multiwalker_matrix(psi0, psi1,
-                                     shifts=ShiftSpec.flip_flop(k5))
+            step_matrix(psi0, psi1, ShiftSpec.flip_flop(k5))
 
     def test_cauchy_schwarz_bound_on_random_instances(self, rng):
         g = torus_graph((3, 3))
@@ -153,7 +151,7 @@ class TestBuildTransitionMatrix:
             amps /= np.linalg.norm(amps)
             psi0 = WaveFunction(g, amps)
             psi1 = step(psi0, coin, shift)
-            mat = single_walker_matrix(psi0, psi1, shift)
+            mat = step_matrix(psi0, psi1, shift)
             for _, _, probs in stored_columns(mat):
                 assert probs.max() <= 1.0 and probs.min() >= 0.0
 
@@ -215,7 +213,7 @@ class TestBuildSequence:
         psi0 = WaveFunction.localized(c4, 0, 0)
         seq = build_sequence(c4, coin, shift, psi0, 1)
         psi1 = step(psi0, coin, shift)
-        direct = single_walker_matrix(psi0, psi1, shift)
+        direct = step_matrix(psi0, psi1, shift)
         assert np.array_equal(seq.matrices[0].toarray(), direct.toarray())
 
     def test_c4_hadamard_propagation(self, c4):
@@ -291,7 +289,7 @@ class TestMultiwalker:
         expected = np.zeros((4, 4))
         for u, (targets, probs) in single.items():
             expected[targets, u] = probs
-        multi = build_multiwalker_matrix(psi0, psi1, shift)
+        multi = step_matrix(psi0, psi1, shift)
         assert np.array_equal(multi.toarray(), expected)
 
     def test_joint_propagation_with_interaction(self, c4):
@@ -345,9 +343,9 @@ class TestMultiwalker:
         joint0 = WaveFunction(pg, np.kron(a.amplitudes, b.amplitudes))
         joint1 = step(joint0, coin, shift)
         a1, b1 = step(a, coin, shift), step(b, coin, shift)
-        multi = build_multiwalker_matrix(joint0, joint1, shift)
-        m_a = single_walker_matrix(a, step(a, coin, shift), shift)
-        m_b = single_walker_matrix(b, step(b, coin, shift), shift)
+        multi = step_matrix(joint0, joint1, shift)
+        m_a = step_matrix(a, step(a, coin, shift), shift)
+        m_b = step_matrix(b, step(b, coin, shift), shift)
         rho_joint = vertex_distribution(joint0)
         for u in np.flatnonzero(rho_joint > 1e-14):
             u1, u2 = pg.tuple_of(int(u))
@@ -387,7 +385,7 @@ class TestMultiwalker:
         pg = ProductGraph(c4, 2)
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
-        mat = build_multiwalker_matrix(psi0, step(psi0, coin, shift), shift)
+        mat = step_matrix(psi0, step(psi0, coin, shift), shift)
         assert mat.col_ids.tolist() == [0]
         u = pg.tuple_index((1, 2))
         need = equivalence._arc_bytes(2) * (mat.data.size + 4)
@@ -410,7 +408,7 @@ class TestMultiwalker:
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
         psi1 = step(psi0, coin, shift)
-        mat = build_multiwalker_matrix(psi0, psi1, shift)
+        mat = step_matrix(psi0, psi1, shift)
         assert mat.col_ids.tolist() == [0]
         targets, probs = mat.column(pg.tuple_index((1, 2)))
         assert targets.tolist() == sorted(
@@ -499,7 +497,7 @@ class TestMultiwalker:
             self, c4, monkeypatch):
         coin, shift = hadamard_walk(c4)
         psi0 = WaveFunction.localized(c4, 0, 0)
-        mat = single_walker_matrix(psi0, step(psi0, coin, shift), shift)
+        mat = step_matrix(psi0, step(psi0, coin, shift), shift)
         # the dense array and the arc arrays of up to 8 uniform columns
         need = 8 * 4 * 4 + equivalence._arc_bytes(1) * 8
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)

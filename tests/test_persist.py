@@ -1,4 +1,3 @@
-import csv
 import json
 import tracemalloc
 
@@ -22,6 +21,7 @@ from qrwalk import (
 from qrwalk.cli import main
 from qrwalk.persist import (
     CHUNK_ROWS,
+    CodedColumn,
     RunManifest,
     Table,
     coin_from_json,
@@ -48,7 +48,8 @@ def c4_seq(c4):
 class TestTables:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip(self, tmp_path, fmt):
-        table = Table(["a", "b"], [[1, 0.1], [2, 0.2]], {"states": 4})
+        table = Table(["a", "b"], [np.array([1, 2]), np.array([0.1, 0.2])],
+                      {"states": 4})
         path = write_table(tmp_path / "t", table, fmt)
         back = read_table(tmp_path / "t")
         assert back.header == ["a", "b"]
@@ -58,27 +59,46 @@ class TestTables:
 
     def test_float_round_trip_is_exact(self, tmp_path):
         value = 1.0 / 3.0 + 1e-16
-        write_table(tmp_path / "t", Table(["x"], [[value]]), "csv")
+        write_table(tmp_path / "t", Table(["x"], [np.array([value])]), "csv")
         back = read_table(tmp_path / "t")
         assert float(back.rows[0][0]) == value
 
     def test_metadata_comes_only_from_the_leading_comments(self, tmp_path):
         # a data cell may start with "#"; only the lines before the
         # header are metadata
-        table = Table(["label"], [["#x=1"], ["b"]], {"states": 2})
+        table = Table(["label"], [["#x=1", "b"]], {"states": 2})
         write_table(tmp_path / "t", table, "csv")
         back = read_table(tmp_path / "t")
         assert back.meta == {"states": "2"}
         assert back.rows == [("#x=1",), ("b",)]
 
-    def test_bare_carriage_return_stays_in_its_cell(self, tmp_path):
-        path = write_table(tmp_path / "t", Table(["x"], [["a\rb"]]))
-        with path.open(newline="") as fh:
-            assert list(csv.reader(fh)) == [["x"], ["a\rb"]]
+    @pytest.mark.parametrize("cell", ["a\rb", "a\nb", "a,b", 'a"b', "",
+                                      None, 1, 0.5],
+                             ids=["cr", "lf", "comma", "quote", "empty",
+                                  "none", "int", "float"])
+    def test_a_cell_outside_the_contract_is_refused(self, tmp_path, cell):
+        # only numeric arrays and plain non-empty strings are written
+        for column in ([cell, "b"], np.array(["b", cell], dtype=object),
+                       CodedColumn(np.array([0, 0]),
+                                   np.array([cell], dtype=object))):
+            with pytest.raises(ValidationError, match="column 'x'"):
+                write_table(tmp_path / "t", Table(["n", "x"], [
+                    np.arange(2), column]))
+        with pytest.raises(ValidationError, match="the header"):
+            write_table(tmp_path / "t", Table([cell], [np.arange(2)]))
+
+    def test_the_manifest_is_stamped_without_changing_the_table(
+            self, tmp_path):
+        table = Table(["x"], [np.arange(2)], {"states": 2})
+        for fmt in ("csv", "json"):
+            write_table(tmp_path / "t", table, fmt, manifest="abc")
+            assert read_table(tmp_path / "t").meta["manifest"] == "abc"
+            (tmp_path / f"t.{fmt}").unlink()
+        assert table.meta == {"states": 2}
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            write_table(tmp_path / "t", Table(["x"], []), "xml")
+            write_table(tmp_path / "t", Table(["x"], [[]]), "xml")
 
     def test_trajectory_labels_default_to_the_walker_root(self):
         table = trajectories_table(TrajectoryEnsemble([[6, 6]], 16), 2)
@@ -96,23 +116,18 @@ class TestCsvChunks:
     @pytest.mark.parametrize("size", [CHUNK_ROWS - 1, CHUNK_ROWS,
                                       CHUNK_ROWS + 1])
     def test_chunk_boundary_matches_the_csv_module(self, tmp_path, size):
-        labels = np.array(["a", "b,c", 'd"e', ""], dtype=object)
+        labels = np.array(["a", "b|c", "d e", "#"], dtype=object)
         table = Table(["t", "u", "p", "note"], meta={"states": 4}, columns=[
             np.arange(size), np.resize(labels, size), _special_column(size),
-            [None, 1, 2.5, "x\ny"] * (size // 4) + [None] * (size % 4)])
+            ["x", "1", "2.5", "y|z"] * (size // 4) + ["x"] * (size % 4)])
         got = write_table(tmp_path / "got", table).read_bytes()
         assert got == reference_write_table(tmp_path / "want",
                                             table).read_bytes()
 
-    def test_one_empty_cell_per_row_is_quoted(self, tmp_path):
-        table = Table([""], columns=[[None, "", "a"] * CHUNK_ROWS])
-        got = write_table(tmp_path / "t", table).read_text()
-        assert got.splitlines()[:4] == ['""', '""', '""', "a"]
-
     @staticmethod
     def _write_peak(path, size: int) -> int:
         rng = np.random.default_rng(7)
-        table = Table(["i", "x"], columns=[np.arange(size), rng.random(size)])
+        table = Table(["i", "x"], [np.arange(size), rng.random(size)])
         tracemalloc.start()
         try:
             write_table(path, table)

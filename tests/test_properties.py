@@ -32,7 +32,6 @@ from qrwalk import (
     apply_coin,
     apply_shift,
     build_graph,
-    build_multiwalker_matrix,
     build_sequence,
     complete_graph,
     cycle_graph,
@@ -50,7 +49,7 @@ from qrwalk import (
     vertex_distribution,
 )
 from qrwalk import persist
-from qrwalk.equivalence import ZERO_PROB
+from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
 from qrwalk.persist import (
     CodedColumn,
     Table,
@@ -178,7 +177,8 @@ def test_builder_matches_per_column_reference(seed, walkers):
     """P(t) stores the columns of the states above ZERO_PROB, and every
     column, stored or uniform, is the reference's; the residuals hold."""
     g, shift, psi, psi_next = one_step(seed, walkers)
-    mat = build_multiwalker_matrix(psi, psi_next, shifts=shift)
+    mat = matrix_from_masses(psi.graph, shift, vertex_distribution(psi),
+                             np.abs(psi_next.amplitudes) ** 2)
     rho = np.stack([vertex_distribution(psi), vertex_distribution(psi_next)])
     assert mat.col_ids.tolist() \
         == np.flatnonzero(rho[0] > ZERO_PROB).tolist()
@@ -199,7 +199,8 @@ def test_find_merges_the_uniform_columns_in_order(seed, walkers):
     any order, to the stored ones: the ids ascend, each state's position
     is its column's, and every column is the reference's bit for bit."""
     g, shift, psi, psi_next = one_step(seed, walkers)
-    mat = build_multiwalker_matrix(psi, psi_next, shifts=shift)
+    mat = matrix_from_masses(psi.graph, shift, vertex_distribution(psi),
+                             np.abs(psi_next.amplitudes) ** 2)
     rng = np.random.default_rng(seed)
     states = rng.integers(0, mat.num_states,
                           size=int(rng.integers(1, 2 * mat.num_states)))
@@ -222,7 +223,8 @@ def test_find_merges_the_uniform_columns_in_order(seed, walkers):
 @given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]))
 def test_residuals_and_round_trip(seed, walkers):
     g, shift, psi, psi_next = one_step(seed, walkers)
-    mat = build_multiwalker_matrix(psi, psi_next, shifts=shift)
+    mat = matrix_from_masses(psi.graph, shift, vertex_distribution(psi),
+                             np.abs(psi_next.amplitudes) ** 2)
     seq = TransitionMatrixSeq(
         [mat], np.stack([vertex_distribution(psi),
                          vertex_distribution(psi_next)]), psi.graph)
@@ -932,8 +934,14 @@ def test_sampler_matches_per_column_reference(seed, walkers, method):
 SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
                   -2.5e-310, float(2**63), -float(2**63), 0.1, 1e16]
 INT64 = np.iinfo(np.int64)
-#: Short strings, empty ones and ones that must be quoted.
-CELL_TEXT = st.text(alphabet=',"\n\r |a0#', max_size=4)
+#: Short non-empty strings without a comma, a quote or a line break: the
+#: text a table cell may hold.
+CELL_TEXT = st.text(alphabet=" |a0#", min_size=1, max_size=4)
+#: Cells no table may hold: empty strings, strings with a comma, a quote or
+#: a line break, and values that are not strings.
+BAD_CELL = (st.text(alphabet=',"\n\r a', max_size=4)
+            .filter(lambda text: text.strip(" a") or not text)
+            | st.none() | st.integers() | st.floats() | st.booleans())
 
 
 def coded_column(size: int):
@@ -966,9 +974,7 @@ def csv_column(size: int):
         array(np.bool_),
         st.lists(CELL_TEXT, min_size=size, max_size=size)
         .map(lambda cells: np.array(cells, dtype=object)),
-        st.lists(st.none() | st.integers() | st.floats() | st.booleans()
-                 | CELL_TEXT | st.floats().map(np.float64),
-                 min_size=size, max_size=size),
+        st.lists(CELL_TEXT, min_size=size, max_size=size),
     )
 
 
@@ -991,6 +997,31 @@ def test_csv_export_equals_the_csv_module(table, chunk):
         got = write_table(Path(out) / "got", table).read_bytes()
         want = oracle.reference_write_table(Path(out) / "want", table)
         assert got == want.read_bytes()
+
+
+@settings(SETTINGS, max_examples=100)
+@given(data=st.data(), size=st.integers(1, 12), width=st.integers(0, 3))
+def test_a_cell_outside_the_contract_is_refused(data, size, width):
+    """One cell that is not a plain non-empty string, in a plain, array or
+    coded text column, raises ValidationError naming that column; in the
+    header, naming the header."""
+    cells = data.draw(st.lists(CELL_TEXT, min_size=size, max_size=size))
+    bad = data.draw(BAD_CELL)
+    cells[data.draw(st.integers(0, size - 1))] = bad
+    texts = np.array(cells, dtype=object)
+    column = data.draw(st.sampled_from(
+        [cells, texts, CodedColumn(np.arange(size), texts)]))
+    header = [f"c{i}" for i in range(width)]
+    columns = [data.draw(csv_column(size)) for _ in range(width)]
+    at = data.draw(st.integers(0, width))
+    header.insert(at, "bad")
+    columns.insert(at, column)
+    with tempfile.TemporaryDirectory() as out:
+        with pytest.raises(ValidationError, match="column 'bad'"):
+            write_table(Path(out) / "t", Table(header, columns))
+        header[at], columns[at] = bad, np.arange(size)
+        with pytest.raises(ValidationError, match="the header"):
+            write_table(Path(out) / "t", Table(header, columns))
 
 
 @settings(SETTINGS, max_examples=100)

@@ -184,6 +184,14 @@ class TestSampleEnsemble:
         b = sample_ensemble(c4_seq, 20, master_seed=ss)
         assert np.array_equal(a.paths, b.paths)
 
+    def test_only_a_root_seed_is_recorded(self, c4_seq):
+        # a spawned child's root entropy would not redraw its ensemble
+        assert sample_ensemble(c4_seq, 5, master_seed=7).master_seed == 7
+        root = np.random.SeedSequence(7)
+        assert sample_ensemble(c4_seq, 5, root).master_seed == 7
+        for child in root.spawn(2):
+            assert sample_ensemble(c4_seq, 5, child).master_seed is None
+
     def test_alias_method_deterministic_and_local(self, torus_seq,
                                                   torus1010):
         a = sample_ensemble(torus_seq, 500, master_seed=9, method="alias")
@@ -281,6 +289,12 @@ class TestConvergence:
         ens = sample_ensemble(c4_seq, 50, master_seed=4)
         p = empirical_distribution(ens, 3)
         assert total_variation(p, p) == 0.0
+
+    def test_sizes_may_be_a_generator(self, c4_seq):
+        listed = convergence_report(c4_seq, [10, 20], [1, 2], master_seed=3)
+        generated = convergence_report(c4_seq, (m for m in (10, 20)), [1, 2],
+                                       master_seed=3)
+        assert generated.rows == listed.rows and len(listed.rows) == 4
 
     def test_grid_beyond_horizon_rejected(self, c4_seq):
         with pytest.raises(ValidationError):
