@@ -336,7 +336,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: $QRWALK_OUT_DIR or .)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("evolve", help="run the walk, write rho(0..T)")
+    sp = sub.add_parser("evolve",
+                        help="run the walk, write rho(0..T); rho lists the "
+                             "non-zero masses only (an unlisted state has "
+                             "mass 0)")
     common(sp)
     sp.add_argument("--horizon", type=int)
     sp.set_defaults(func=cmd_evolve,
@@ -345,7 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("equivalence",
                         help="build P(0..T-1), verify, persist; p_matrix "
                              "lists the ratio columns only (an unlisted "
-                             "source moves uniformly to its neighbours)")
+                             "source moves uniformly to its neighbours), "
+                             "rho the non-zero masses only (an unlisted "
+                             "state has mass 0)")
     common(sp)
     sp.add_argument("--horizon", type=int)
     sp.set_defaults(func=cmd_equivalence,
@@ -372,7 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     overrides=("seed", "attempts", "length"))
 
     sp = sub.add_parser("torus-dp",
-                        help="Grover/moving-shift torus recursion")
+                        help="Grover/moving-shift torus recursion; rho "
+                             "lists the non-zero masses only (an unlisted "
+                             "state has mass 0)")
     common(sp)
     sp.add_argument("--horizon", type=int)
     sp.set_defaults(func=cmd_torus_dp,

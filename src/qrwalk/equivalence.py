@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ConsistencyError, ValidationError
 from .graphs import PortGraph, ProductGraph, _readonly
 from .walk import (
+    NORM_ATOL,
     CoinLike,
     InteractionLike,
     ShiftLike,
@@ -221,7 +222,9 @@ class TransitionMatrix:
 @dataclass
 class TransitionMatrixSeq:
     """Matrices P(0..T-1) with the distribution sequence rho(0..T) over
-    the states of ``graph``, a port graph being one walker on it."""
+    the states of ``graph``, a port graph being one walker on it. Each
+    rho(t) must be a distribution: finite, non-negative, and summing to 1
+    within :data:`~qrwalk.walk.NORM_ATOL`."""
 
     matrices: list[TransitionMatrix]
     rho: np.ndarray  # (T+1, num_states)
@@ -236,6 +239,13 @@ class TransitionMatrixSeq:
                 f"rho has shape {self.rho.shape}, expected {shape}")
         if not np.isfinite(self.rho).all():
             raise ValidationError("rho holds a non-finite value")
+        if (self.rho < 0.0).any():
+            raise ValidationError("rho holds a negative mass")
+        sums = self.rho.sum(axis=1)
+        t = int(np.abs(sums - 1.0).argmax())
+        if abs(sums[t] - 1.0) > NORM_ATOL:
+            raise ValidationError(f"rho({t}) sums to {float(sums[t])!r}, "
+                                  f"not 1 within {NORM_ATOL}")
         if any(m.graph != self.graph for m in self.matrices):
             raise ValidationError("the matrices live on a different graph")
 

@@ -13,7 +13,9 @@ tables are the human-readable export: CSV (default, with ``# key=value``
 comment lines for metadata) or an equivalent JSON document. The
 ``p_matrix`` table renders the store, so it lists the ratio columns of
 P(t) only, for every K: a source not listed at step t had no mass and
-moves uniformly, ``1 / d(u)`` to each neighbour.
+moves uniformly, ``1 / d(u)`` to each neighbour. The ``rho`` table lists
+the support of rho(t) only, the rows with a non-zero mass: an unlisted
+(t, v) has mass exactly 0, and the ``states`` metadata sizes rho(t).
 
 A table holds numbers and plain labels only: 1-d numeric arrays, and
 columns of non-empty strings without a comma, a quote or a line break.
@@ -341,6 +343,9 @@ class Table:
         if len(self.columns) != len(self.header):
             raise ValidationError(f"{len(self.columns)} columns under "
                                   f"{len(self.header)} header cells")
+        sizes = [len(c) for c in self.columns]
+        if len(set(sizes)) > 1:
+            raise ValidationError(f"columns of unequal lengths {sizes}")
 
     @property
     def rows(self) -> list[tuple]:
@@ -356,6 +361,12 @@ CHUNK_ROWS = 1 << 14
 _SPECIAL = re.compile(r'[,"\r\n]')
 
 
+def _numeric(part) -> bool:
+    return (isinstance(part, np.ndarray) and part.ndim == 1
+            and part.dtype.kind in "biuf"
+            and part.dtype.itemsize in (1, 2, 4, 8))
+
+
 def _cells(part, name: str) -> list[str]:
     """The CSV text of every value in a slice of column ``name``.
 
@@ -364,9 +375,7 @@ def _cells(part, name: str) -> list[str]:
     must hold non-empty strings without a special character, which are
     their own text; anything else raises :class:`ValidationError`.
     """
-    if (isinstance(part, np.ndarray) and part.ndim == 1
-            and part.dtype.kind in "biuf"
-            and part.dtype.itemsize in (1, 2, 4, 8)):
+    if _numeric(part):
         bits = part.view(f"u{part.dtype.itemsize}")
         distinct, inverse = np.unique(bits, return_inverse=True)
         text = float.__repr__ if part.dtype.kind == "f" else str
@@ -403,29 +412,35 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     The CSV form is what ``csv.writer`` writes (excel dialect, newline
     line ends) for cells that need no quotes: floats in shortest
     round-trip form (``repr``), other numbers by ``str`` and strings as
-    they are. A cell that is neither a number of a 1-d numeric array nor
-    a non-empty string without a comma, a quote or a line break raises
-    :class:`ValidationError` naming its column. The CSV is written in
+    they are. In either format, a cell that is neither a number of a 1-d
+    numeric array nor a non-empty string without a comma, a quote or a
+    line break raises :class:`ValidationError` naming its column (a coded
+    column's values are checked once). The CSV is written in
     chunks of :data:`CHUNK_ROWS` rows, each column formatted per chunk (a
     coded column gathers the texts of its values, formatted once), so the
     write's memory stays bounded whatever the table's length.
     """
     base = Path(path_base)
     meta = {**table.meta, "manifest": manifest} if manifest else table.meta
+    header = _cells(table.header, "the header")
     if fmt == "csv":
         path = base.with_suffix(".csv")
-        size = min(map(len, table.columns), default=0)
+        size = len(table.columns[0]) if table.columns else 0
         with path.open("w", newline="") as fh:
             for key in sorted(meta):
                 fh.write(f"# {key}={meta[key]}\n")
-            fh.write(",".join(_cells(table.header, "the header")) + "\n")
+            fh.write(",".join(header) + "\n")
             for cells in zip(*(_column_cells(c, f"column {h!r}", size)
-                               for h, c in zip(table.header, table.columns))):
+                               for h, c in zip(header, table.columns))):
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         return path
     if fmt == "json":
         path = base.with_suffix(".json")
-        payload = {"meta": meta, "header": table.header, "rows": table.rows}
+        for h, c in zip(header, table.columns):
+            part = c.values if isinstance(c, CodedColumn) else c
+            if not _numeric(part):  # numbers need no check
+                _cells(part, f"column {h!r}")
+        payload = {"meta": meta, "header": header, "rows": table.rows}
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         return path
     raise ConfigError(f"unknown output format {fmt!r}")
@@ -469,14 +484,14 @@ def _labels(states: np.ndarray, num_walkers: int,
 
 
 def rho_table(rho: np.ndarray, num_walkers: int, num_base: int) -> Table:
-    """Rows ``t,v,rho`` (tuple states serialised as ``u1|u2|...``)."""
+    """Rows ``t,v,rho`` (tuple states serialised as ``u1|u2|...``) of the
+    non-zero masses only: an unlisted (t, v) has mass exactly 0."""
     rho = np.asarray(rho, dtype=np.float64)
-    steps, states = rho.shape
-    labels = _labels(np.arange(states), num_walkers, num_base)
-    columns = [_runs(steps, states),
-               CodedColumn(np.tile(np.arange(states), steps), labels),
-               rho.reshape(-1)]
-    return Table(["t", "v", "rho"], columns,
+    (t, v), states = np.nonzero(rho), rho.shape[1]
+    distinct, (codes,) = _coded_states(states, v)
+    labels = _labels(distinct, num_walkers, num_base)
+    return Table(["t", "v", "rho"], [CodedColumn(t, np.arange(len(rho))),
+                                     CodedColumn(codes, labels), rho[t, v]],
                  _table_meta(states, num_walkers, num_base))
 
 
@@ -565,7 +580,8 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
     ``port_offsets`` and ``heads``, which fix the uniform columns, and
     ``manifest_sha`` (an empty string without one). The ``p_matrix``
     table renders the same arrays (:func:`matrix_table`): ratio columns
-    only. Both tables carry ``manifest_sha`` as their ``manifest`` entry.
+    only; the ``rho`` table lists the non-zero masses (:func:`rho_table`).
+    Both tables carry ``manifest_sha`` as their ``manifest`` entry.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -587,24 +587,39 @@ def rewrite_store(path, **members) -> None:
     np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
 
 
-def table_sequence(out_dir) -> tuple[np.ndarray, dict]:
-    """rho and the stored entries ``{(t, u, v): p}`` of the exported
-    ``rho`` and ``p_matrix`` tables, parsed one row and one label at a
-    time."""
-    out = Path(out_dir)
-    rho_tab, p_tab = read_table(out / "rho"), read_table(out / "p_matrix")
-    k, n = int(rho_tab.meta["walkers"]), int(rho_tab.meta["base"])
+def _state_of(meta: dict):
+    """Label ``u1|u2|...`` -> state index, for the walker and base-vertex
+    counts of a table's metadata."""
+    k, n = int(meta["walkers"]), int(meta["base"])
 
     def state(label) -> int:
         digits = [int(x) for x in str(label).split("|")]
         assert len(digits) == k
         return int(np.ravel_multi_index(digits, (n,) * k))
+    return state
 
-    rows = rho_tab.rows
+
+def table_rho(out_dir) -> np.ndarray:
+    """The dense rho of the exported ``rho`` table, parsed one row and one
+    label at a time. The table lists the non-zero masses only, so every
+    (t, v) it does not list is filled with an exact 0.0; rho(t) has
+    ``states`` entries, and the last step is the last listed one (every
+    rho(t) of a walk has mass)."""
+    table = read_table(Path(out_dir) / "rho")
+    state, rows = _state_of(table.meta), table.rows
     rho = np.zeros((max(int(r[0]) for r in rows) + 1,
-                    int(rho_tab.meta["states"])))
+                    int(table.meta["states"])))
     for t, v, mass in rows:
         rho[int(t), state(v)] = float(mass)
+    return rho
+
+
+def table_sequence(out_dir) -> tuple[np.ndarray, dict]:
+    """rho (:func:`table_rho`, its zeros filled in) and the stored entries
+    ``{(t, u, v): p}`` of the exported ``p_matrix`` table, parsed one row
+    and one label at a time."""
+    p_tab = read_table(Path(out_dir) / "p_matrix")
+    state = _state_of(p_tab.meta)
     entries = {(int(t), state(u), state(v)): float(p)
                for t, u, v, p in p_tab.rows}
-    return rho, entries
+    return table_rho(out_dir), entries

@@ -5,7 +5,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from _oracles import read_table, rewrite_store
+from _oracles import read_table, rewrite_store, table_rho
 from qrwalk import ValidationError, graphs, trajectory, walk
 from qrwalk.cli import main
 from qrwalk.persist import RunManifest, load_sequence, save_sequence
@@ -26,18 +26,25 @@ def write_config(path, **overrides):
     return path
 
 
-def rho_rows(out_dir):
-    return [row for row in read_table(out_dir / "rho").rows]
+def evolved_rho(horizon: int) -> np.ndarray:
+    """rho(0..horizon) of the default config's walk, by ``vertex_masses``."""
+    g = graphs.torus_graph((10, 10))
+    return np.stack([walk.vertex_masses(g, p) for p in walk.evolve(
+        walk.WaveFunction.localized(g, 0, 0), walk.CoinSpec.hadamard(g),
+        walk.ShiftSpec.moving(g), horizon)])
 
 
 class TestEvolve:
     def test_torus_distribution_table(self, tmp_path):
+        # the table lists the non-zero masses only; filled with zeros, it
+        # is the walk's rho bit for bit
         cfg = write_config(tmp_path / "cfg.json", horizon=50)
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(cfg),
                      "--out-dir", str(out)]) == 0
-        rows = rho_rows(out)
-        assert len(rows) == 51 * 100
+        rho = evolved_rho(50)
+        assert table_rho(out).tobytes() == rho.tobytes()
+        assert len(read_table(out / "rho").rows) == np.count_nonzero(rho)
         assert (out / "manifest.json").exists()
 
     def test_zero_horizon_gives_only_rho0(self, tmp_path):
@@ -45,7 +52,8 @@ class TestEvolve:
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(cfg),
                      "--out-dir", str(out)]) == 0
-        assert len(rho_rows(out)) == 100
+        assert table_rho(out).tobytes() == evolved_rho(0).tobytes()
+        assert read_table(out / "rho").rows == [("0", "0", "1.0")]
 
     def test_malformed_json_exit_2_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -392,44 +400,46 @@ EQUIVALENCE_CONFIGS = {
 #: The sha256 of each config's store and of its tables in either format,
 #: as written when ``csv.writer`` wrote the CSV tables one row at a time;
 #: the stores' since they hold only the ratio columns and the base graph,
-#: and the one-walker ``p_matrix`` tables' since they list those columns
-#: only, as the two-walker table always did.
+#: the one-walker ``p_matrix`` tables' since they list those columns
+#: only, as the two-walker table always did, and the ``rho`` tables' since
+#: they list the non-zero masses only (each new table is the old one with
+#: its zero rows removed; ``torus16-uniform``'s has none, so it stayed).
 PINNED_FILES = {"csv": ("p_matrix.csv", "rho.csv", "sequence.npz"),
                 "json": ("p_matrix.json", "rho.json")}
 GOLDEN_EQUIVALENCE = {
     "c16-hadamard": {
         "p_matrix.csv": "5851e2c95af17a2e4b9bc9b7080b3249"
                         "15d1f7a7085f254a45e953c34cac98ca",
-        "rho.csv": "a0f19fc7cf7e178731660c41d4f23f7b"
-                   "11760a2d86ae678a0ba76756c723f00d",
+        "rho.csv": "ee035378ab5351d524c97f81c381d734"
+                   "3b594c740306f5517d50db2750bff791",
         "sequence.npz": "da6192cccb60c3f4e1c5a37268da20d1"
                         "bd1b69e4be4da7f99eb6f66c6f2611f6",
         "p_matrix.json": "8fe237e646b5dd64da27e1f453fea06a"
                          "a24d8a745a2c6d020b45abb67c11a35b",
-        "rho.json": "e8e5642a4b277e2319d721d4f0c505d2"
-                    "80c859d3abdef04915c36b89d7704b40"},
+        "rho.json": "6af53642bfe2f10dd1a031422c385dfe"
+                    "cdf2dda29482422a9dc538a554ca6edf"},
     "torus16-grover": {
         "p_matrix.csv": "fd2e0bae9b38e1477b34bdce1345cc00"
                         "239279a195c61c0fc2bbd6797b349c22",
-        "rho.csv": "cf3334a63d072c94c651d8b76773e821"
-                   "7a38e6e816ba19edee9753d5603e7dba",
+        "rho.csv": "2ede63a0132fa356577005215811249e"
+                   "e3ad524068acf64f20dbf95dfb929937",
         "sequence.npz": "53e35e07fb036e3d8ce832bfd89d7267"
                         "ec1ddfa4236d48a0312203c8351218f1",
         "p_matrix.json": "cb4cee5ea1bc6a90a0e84fad183c0a43"
                          "e7c61d63239792703ef77fbd1fcda00d",
-        "rho.json": "6e9ad4d815b2fbcb60245244065895ab"
-                    "65d2b9d4552565de26bb7196be68b137"},
+        "rho.json": "1d4085026547980e606592c686984f8d"
+                    "ca346a67d1a94236757d9c1347e5c711"},
     "torus4-two-walker": {
         "p_matrix.csv": "0dfb5bd4bf3ba8e615b6648a21004e52"
                         "529469881b068d862c68bd12c14eb2d3",
-        "rho.csv": "3e88338155c6a56468d0988b62cf691c"
-                   "144c4527f27d6c33acd537adcb23d642",
+        "rho.csv": "3623ad91a7c09b8bf0aa49cf830d8f95"
+                   "faa8e5962332cd6178acfb5ee2b56188",
         "sequence.npz": "46d01ea6039503477593b758ca54f9d0"
                         "6139fb0834ca52eb79ca30592773d146",
         "p_matrix.json": "97f07023c00979c657fa321e6d91cb00"
                          "d8a6994979b7abe57b731f82848e12b9",
-        "rho.json": "f8948e97278ca4602d5d800d68acfe3e"
-                    "fcd54af92d8edf5a70defbbbf641a870"},
+        "rho.json": "ab683ae6fcce2239ad06a45f3d63dd42"
+                    "407371e9c6e5ba586e1e9c001d3f5088"},
     "torus16-uniform": {
         "p_matrix.csv": "dff2bed6d1c0436779bb53712d3ef441"
                         "2744a3e21ec85716be81c28b37939737",
@@ -444,14 +454,14 @@ GOLDEN_EQUIVALENCE = {
     "torus6-grover": {
         "p_matrix.csv": "3aa7cb75a577bf089f5930748516e61a"
                         "d4e0b4d4e153d86f7e26f18633112f74",
-        "rho.csv": "fa88af356ce84297db3943ea0d50566f"
-                   "12bae0dce8c95820a823e19c3a3f9baa",
+        "rho.csv": "9f130c5bde24e29876f57cf6d88e742d"
+                   "0250545bc7975180cb4f45f70c29390c",
         "sequence.npz": "367b941bebf074e5084022848a400c48"
                         "c933be4230277d3f39f7af0269744fa8",
         "p_matrix.json": "b93672b076d1eb6c2e0b60bed171c894"
                          "708428b314e7670a5513f99c033fe3b8",
-        "rho.json": "cc55cdb0285e343e7084292f5e7a0bc6"
-                    "e7f011f17d88cab7dfbd7c8994aebc9f"},
+        "rho.json": "ed521834cbf8f463566a0952458feaf3"
+                    "66abc8f824d5aeacb9ebf89b7063814d"},
 }
 
 
@@ -493,16 +503,17 @@ COMMAND_CONFIGS = {
 #: The sha256 of each run's outputs, as written before one walker became
 #: a product graph of one and the walk loop became ``walk.evolve``; the
 #: store's since it holds only the ratio columns and the base graph,
-#: ``torus-dp``'s ``p_matrix.csv``'s since it lists those columns only, and
+#: ``torus-dp``'s ``p_matrix.csv``'s since it lists those columns only,
 #: the ``sample`` and ``tvd`` tables' since each ensemble draws from one
-#: PCG64 stream.
+#: PCG64 stream, and the ``rho`` tables' since they list the non-zero
+#: masses only (each is the old table with its zero rows removed).
 GOLDEN_RUNS = {
     ("torus4-two-walker", "evolve-csv"): {
-        "rho.csv": "db39d4970dcb26dca2578ba5809fd268"
-                   "2015265580e6784edc81c4153eaf264c"},
+        "rho.csv": "2cb10240205d896741c788a345787c7b"
+                   "caa15b5d3187eb06ff7bec497157cfc9"},
     ("torus4-two-walker", "evolve-json"): {
-        "rho.json": "4cd80e59e17be1786bc255741536d396"
-                    "0cecbeae5f37d343f7352f9648a93221"},
+        "rho.json": "d1cef4ba6ade853ab78947f407b52aff"
+                    "c1ccaee3f64aa87a2247fc7eb43a7ec1"},
     ("torus4-two-walker", "sample-from"): {
         "trajectories.csv": "2f93a022bc482b9d337687b30930846d"
                             "1ca6f5ef04b8b64b0288e9ef4bce63af"},
@@ -513,11 +524,11 @@ GOLDEN_RUNS = {
         "tvd.csv": "1b0aaec1bf3b2366ee2718b6b4839324"
                    "af04fa369838d32301a54360ef689abc"},
     ("torus6-grover", "evolve-csv"): {
-        "rho.csv": "807fe951c153078a3c81acdf51d106d1"
-                   "cbb825cdf8f53ad834d75a24bbe2209c"},
+        "rho.csv": "5450bfe30b192a61621af5ae38631e6a"
+                   "82b4edb58892b6badbad964373d2b1bc"},
     ("torus6-grover", "evolve-json"): {
-        "rho.json": "d03e9d8c79bf6fe51c63844e42ce4ac4"
-                    "a28ae7a68d5b95ec645ae472d613926f"},
+        "rho.json": "5f8dd6fe35ea054a6c4ed1be59bec466"
+                    "05d93180e214e43f08a8cd8b1c0ee1b6"},
     ("torus6-grover", "rejection"): {
         "rejection.json": "af4a826e80fec0f3999196c4442b2557"
                           "72f7ea937bc3b0bbca435af32e01d7e5"},
@@ -534,8 +545,8 @@ GOLDEN_RUNS = {
     ("torus6-grover", "torus-dp"): {
         "p_matrix.csv": "180ce3f69a39ec4b17a6164bade5b5d4"
                         "449ab835c67448537f8a6884d25b65aa",
-        "rho.csv": "89d22bd301cf3f799e7aa15d288a28e4"
-                   "5813673b6ee0960e9b2d0961cc1f92d9",
+        "rho.csv": "63e006cd65cd1a70e4f26fc9e8a26f3d"
+                   "911255bf8a0dda84398fbcae109647db",
         "sequence.npz": "b509f3025f41596d3c0ab777d50ab1b5"
                         "44610b60c60a672d08c7701287248648"},
     ("torus6-grover", "tvd"): {
@@ -610,10 +621,9 @@ class TestTorusDp:
                      "--out-dir", str(out_dp)]) == 0
         assert main(["evolve", "--config", str(cfg),
                      "--out-dir", str(out_ev)]) == 0
-        dp = {(r[0], r[1]): float(r[2]) for r in rho_rows(out_dp)}
-        ev = {(r[0], r[1]): float(r[2]) for r in rho_rows(out_ev)}
-        assert dp.keys() == ev.keys()
-        assert max(abs(dp[k] - ev[k]) for k in dp) <= 1e-9
+        dp, ev = table_rho(out_dp), table_rho(out_ev)
+        assert dp.shape == ev.shape == (21, 16)
+        assert np.abs(dp - ev).max() <= 1e-9
 
     def test_requires_torus_graph(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
@@ -679,6 +689,37 @@ class TestVerify:
         rewrite_store(out / "sequence.npz", **{member: values})
         assert main(["verify", "--in-dir", str(out)]) == 2
         assert "holds no valid sequence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["doubled", "negative",
+                                        "negative-same-sum"])
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_a_stored_rho_that_is_no_distribution_exits_2(
+            self, tmp_path, capsys, damage, command):
+        # the residuals of P(t) rho(t) = rho(t+1) can pass on such a rho,
+        # so it must be refused on load
+        cfg = write_config(tmp_path / "cfg.json",
+                           graph={"type": "torus", "dims": [4, 4]},
+                           coin={"type": "grover"}, horizon=3)
+        out = tmp_path / "eq"
+        assert main(["equivalence", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        with np.load(out / "sequence.npz") as store:
+            rho = store["rho"]
+        if damage == "doubled":
+            rho *= 2.0
+        else:
+            # -0.3 at a state without mass; the same 0.3 moved onto vertex
+            # 0 keeps the sum 1, so only the sign is wrong
+            rho[0, np.flatnonzero(rho[0] == 0.0)[0]] = -0.3
+            rho[0, 0] += 0.3 if damage == "negative-same-sum" else 0.0
+        rewrite_store(out / "sequence.npz", rho=rho)
+        argv = (["verify", "--in-dir", str(out)] if command == "verify"
+                else ["sample", "--from", str(out),
+                      "--out-dir", str(tmp_path / "s")])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "holds no valid sequence" in err
+        assert ("negative" if damage != "doubled" else "sums to 2.0") in err
 
     @pytest.mark.parametrize("text", ["{}", "not json", "[1]"])
     @pytest.mark.parametrize("command", ["verify", "sample"])

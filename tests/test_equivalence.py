@@ -535,3 +535,13 @@ class TestSequenceShape:
             TransitionMatrixSeq([], rho, c4)
         with pytest.raises(ValidationError, match="expected \\(1, 16\\)"):
             TransitionMatrixSeq([], rho[:, :4], ProductGraph(c4, 2))
+
+    @pytest.mark.parametrize("masses, message", [
+        ([0.5, 0.5, 0.5, 0.0], "rho\\(0\\) sums to 1.5"),
+        ([0.5, 0.5 - 2e-10, 0.0, 0.0], "not 1 within 1e-10"),
+        ([0.8, 0.5, -0.3, 0.0], "negative mass"),
+    ], ids=["sum", "drift", "negative"])
+    def test_rho_must_be_a_distribution(self, c4, masses, message):
+        TransitionMatrixSeq([], [[0.5, 0.5 - 5e-11, 0.0, 5e-11]], c4)
+        with pytest.raises(ValidationError, match=message):
+            TransitionMatrixSeq([], [masses], c4)

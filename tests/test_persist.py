@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -77,15 +78,24 @@ class TestTables:
                              ids=["cr", "lf", "comma", "quote", "empty",
                                   "none", "int", "float"])
     def test_a_cell_outside_the_contract_is_refused(self, tmp_path, cell):
-        # only numeric arrays and plain non-empty strings are written
-        for column in ([cell, "b"], np.array(["b", cell], dtype=object),
-                       CodedColumn(np.array([0, 0]),
-                                   np.array([cell], dtype=object))):
+        # only numeric arrays and plain non-empty strings are written, in
+        # either format
+        for fmt, column in itertools.product(("csv", "json"), (
+                [cell, "b"], np.array(["b", cell], dtype=object),
+                CodedColumn(np.array([0, 0]),
+                            np.array([cell], dtype=object)))):
             with pytest.raises(ValidationError, match="column 'x'"):
                 write_table(tmp_path / "t", Table(["n", "x"], [
-                    np.arange(2), column]))
-        with pytest.raises(ValidationError, match="the header"):
-            write_table(tmp_path / "t", Table([cell], [np.arange(2)]))
+                    np.arange(2), column]), fmt)
+            with pytest.raises(ValidationError, match="the header"):
+                write_table(tmp_path / "t", Table([cell], [np.arange(2)]),
+                            fmt)
+
+    def test_columns_of_unequal_lengths_are_refused(self):
+        for short in (np.arange(2.0), ["a", "b"],
+                      CodedColumn(np.zeros(2, int), np.arange(1))):
+            with pytest.raises(ValidationError, match=r"lengths \[3, 2\]"):
+                Table(["a", "b"], [np.arange(3), short])
 
     def test_the_manifest_is_stamped_without_changing_the_table(
             self, tmp_path):
@@ -199,8 +209,12 @@ class TestStore:
             assert store["port_offsets"].tolist() == c4.port_offsets.tolist()
             assert store["heads"].tolist() == c4.heads.tolist()
             assert "num_base_vertices" not in store.files
-        rows = read_table(tmp_path / "rho").rows
-        assert rows[6][1] == "1|2"
+        # both walkers move at every step, so their vertex parities agree:
+        # (1, 3) has mass at t = 1, (1, 2) never, and is not listed
+        masses = {(int(t), v): float(r)
+                  for t, v, r in read_table(tmp_path / "rho").rows}
+        assert masses[1, "1|3"] == seq.rho[1, 7] > 0.0
+        assert not {(t, "1|2") for t in range(3)} & masses.keys()
         loaded = load_sequence(tmp_path)
         assert loaded.graph == pg and loaded.num_base_vertices == 4
 

@@ -288,6 +288,35 @@ def test_the_full_matrices_are_rebuilt_from_the_export(seed, fmt):
         assert full.tobytes() == m.toarray().tobytes()
 
 
+#: Masses a rho holds besides the drawn ones: exact zeros, the smallest
+#: subnormal and a larger one, and the smallest normal.
+EDGE_MASSES = [0.0, 5e-324, 1e-310, 2.0 ** -1022]
+
+
+@SETTINGS
+@given(data=st.data(), walkers=st.sampled_from([1, 2, 3]),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_the_dense_rho_is_rebuilt_from_the_export(data, walkers, fmt):
+    """The ``rho`` export lists the non-zero masses only, yet it and the
+    ``states`` metadata give back the dense rho bit for bit: any
+    non-negative rho with mass in every row, subnormals and exact zeros
+    included, as every walk's rho has mass at every step."""
+    base = data.draw(st.integers(1, 4))
+    steps, states = data.draw(st.integers(1, 4)), base ** walkers
+    rho = data.draw(hnp.arrays(np.float64, (steps, states), elements=(
+        st.sampled_from(EDGE_MASSES) | st.floats(0.0, 1.0))))
+    for t in range(steps):
+        at = data.draw(st.integers(0, states - 1))
+        rho[t, at] = data.draw(st.sampled_from(EDGE_MASSES[1:])
+                               | st.floats(5e-324, 1.0))
+    with tempfile.TemporaryDirectory() as out:
+        write_table(Path(out) / "rho",
+                    persist.rho_table(rho, walkers, base), fmt)
+        assert len(oracle.read_table(Path(out) / "rho").rows) \
+            == np.count_nonzero(rho)
+        assert oracle.table_rho(out).tobytes() == rho.tobytes()
+
+
 def schedule_doc(rng, kinds: list, horizon: int) -> tuple[dict, list]:
     """A ``{"schedule": ..., "default": ...}`` document over the
     ``(json, python)`` spec pairs in ``kinds``, its keys padded with
@@ -1000,11 +1029,12 @@ def test_csv_export_equals_the_csv_module(table, chunk):
 
 
 @settings(SETTINGS, max_examples=100)
-@given(data=st.data(), size=st.integers(1, 12), width=st.integers(0, 3))
-def test_a_cell_outside_the_contract_is_refused(data, size, width):
+@given(data=st.data(), size=st.integers(1, 12), width=st.integers(0, 3),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_a_cell_outside_the_contract_is_refused(data, size, width, fmt):
     """One cell that is not a plain non-empty string, in a plain, array or
     coded text column, raises ValidationError naming that column; in the
-    header, naming the header."""
+    header, naming the header; in CSV and JSON alike."""
     cells = data.draw(st.lists(CELL_TEXT, min_size=size, max_size=size))
     bad = data.draw(BAD_CELL)
     cells[data.draw(st.integers(0, size - 1))] = bad
@@ -1018,10 +1048,10 @@ def test_a_cell_outside_the_contract_is_refused(data, size, width):
     columns.insert(at, column)
     with tempfile.TemporaryDirectory() as out:
         with pytest.raises(ValidationError, match="column 'bad'"):
-            write_table(Path(out) / "t", Table(header, columns))
+            write_table(Path(out) / "t", Table(header, columns), fmt)
         header[at], columns[at] = bad, np.arange(size)
         with pytest.raises(ValidationError, match="the header"):
-            write_table(Path(out) / "t", Table(header, columns))
+            write_table(Path(out) / "t", Table(header, columns), fmt)
 
 
 @settings(SETTINGS, max_examples=100)
