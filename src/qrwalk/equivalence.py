@@ -64,6 +64,10 @@ ZERO_PROB = 1e-14
 #: Column sums deviating from 1 by more than this raise instead of being
 #: rescaled away; it signals non-unitary inputs.
 COLUMN_SUM_ERROR = 1e-8
+#: Bytes per move of the arrays :meth:`TransitionMatrix.draw` holds at once
+#: for its pick, an upper bound: beyond the position map and the cumulative
+#: sums, its tracemalloc peak was 48-54 bytes per move.
+_PICK_BYTES = 56
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +175,55 @@ class TransitionMatrix:
             self.time, pg, *map(_readonly, (ids, indptr, targets, probs)),
             column_sum_error=self.column_sum_error)
         return mat, np.searchsorted(mat.col_ids, states)
+
+    def draw(self, states, uniforms) -> np.ndarray:
+        """The move out of each of ``states`` for its uniform ``u`` in
+        [0, 1): the target at port k of the state's column, k the count of
+        the column's cumulative sums at or below ``u``, clamped to the last
+        port d - 1.
+
+        The cumulative sums of every column are made once per call, each
+        bit for bit the ``np.cumsum`` of the column alone
+        (:func:`_column_cumsums`). A dense position map finds each state's
+        column, and ceil(log2 dmax) rounds of bisection over all states
+        count its sums. Sums of non-negative entries never decrease, so
+        the count, and with it every path, is that of a scan of each
+        column on its own. A state without a stored column draws from its
+        uniform column, which :meth:`find` makes only when some state
+        lacks one. The position map, the sums and the pick's arrays are
+        checked against the memory budget
+        (:func:`~qrwalk.walk.check_budget`) before they are allocated.
+        """
+        states = np.asarray(states, dtype=np.int64)
+        u = np.asarray(uniforms, dtype=np.float64)
+        what = f"the draw of {states.size} moves through P({self.time})"
+        check_budget(self._draw_bytes(states.size), what)
+        pos = np.full(self.num_states, -1, dtype=np.int64)
+        pos[self.col_ids] = np.arange(self.col_ids.size)
+        j, mat = pos[states], self
+        if (j < 0).any():
+            mat, j = self.find(states)
+            check_budget(mat._draw_bytes(states.size), what)
+        cums = _column_cumsums(mat.indptr, mat.data)
+        # ``at`` is the last sum known to be at or below u (none yet: the
+        # entry before the column), ``end`` the last one searched, port d - 2
+        at = mat.indptr[j] - 1
+        end = mat.indptr[j + 1] - 2
+        # the largest power of two not above the longest search, or 0
+        step = 1 << int((end - at).max(initial=0)).bit_length() >> 1
+        while step:
+            probe = at + step
+            at += step * ((probe <= end)
+                          & (cums.take(probe, mode="clip") <= u))
+            step >>= 1
+        return mat.indices[at + 1]
+
+    def _draw_bytes(self, size: int) -> int:
+        """Bytes :meth:`draw` holds at once for ``size`` moves, an upper
+        bound: 8 per state for the position map, 32 per entry for the sums
+        and the blocks they are made from, :data:`_PICK_BYTES` per move."""
+        return (8 * self.num_states + 32 * self.data.size
+                + _PICK_BYTES * size)
 
     def column(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (targets, probabilities) views of source column u."""
@@ -321,20 +374,32 @@ class PropertyReport:
 # construction
 # ---------------------------------------------------------------------------
 
-def _column_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Sum of every CSC column.
-
-    Columns are grouped by length and each group is summed as one
-    (columns x length) block along its rows, which rounds exactly like
-    summing each column on its own.
-    """
+def _length_blocks(indptr: np.ndarray):
+    """The non-empty CSC columns grouped by length: per length, the
+    columns and the (columns x length) block of their entries' indices.
+    Reducing a block along its rows rounds each row exactly like the
+    column on its own."""
     lengths = np.diff(indptr)
-    sums = np.zeros(lengths.size)
     for length in np.unique(lengths[lengths > 0]):
         cols = np.flatnonzero(lengths == length)
-        block = data[indptr[cols, None] + np.arange(length)]
-        sums[cols] = block.sum(axis=1)
+        yield cols, indptr[cols, None] + np.arange(length)
+
+
+def _column_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Sum of every CSC column, as it sums on its own."""
+    sums = np.zeros(indptr.size - 1)
+    for cols, at in _length_blocks(indptr):
+        sums[cols] = data[at].sum(axis=1)
     return sums
+
+
+def _column_cumsums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` of every CSC column, entry by entry: each column is
+    added in order from its first entry, bit for bit as on its own."""
+    cums = np.empty_like(data)
+    for _, at in _length_blocks(indptr):
+        cums[at] = np.cumsum(data[at], axis=1)
+    return cums
 
 
 def _arc_bytes(num_walkers: int) -> int:

@@ -20,14 +20,15 @@ the support of rho(t) only, the rows with a non-zero mass: an unlisted
 A table holds numbers and plain labels only: 1-d numeric arrays, and
 columns of non-empty strings without a comma, a quote or a line break.
 So no CSV cell is ever quoted, and the bytes are those of
-``csv.writer`` with floats in ``repr`` form. A table is written in
-chunks of :data:`CHUNK_ROWS` rows, column by column: each distinct value
-of a numeric column (by bit pattern) is formatted once per chunk and
-gathered back, so the write's memory stays that of one chunk. Columns
-whose cells repeat a few values (steps, trajectory ids, state labels) are
-coded (:class:`CodedColumn`: an int code per cell over an array of
-values); their values are formatted once per table, and each chunk only
-gathers their texts.
+``csv.writer`` with floats in ``repr`` form. A table is checked whole
+before its file is opened, then written in chunks of :data:`CHUNK_ROWS`
+rows, in CSV and in JSON alike, so the write's memory stays that of one
+chunk. In CSV each distinct value of a numeric column (by bit pattern)
+is formatted once per chunk and gathered back. Columns whose cells repeat
+a few values (steps, trajectory ids, state labels) are coded
+(:class:`CodedColumn`: an int code per cell over an array of values);
+their values are formatted once per table, and each chunk only gathers
+their texts.
 """
 
 from __future__ import annotations
@@ -349,9 +350,15 @@ class Table:
 
     @property
     def rows(self) -> list[tuple]:
-        return list(zip(*(c.tolist()
-                          if isinstance(c, (np.ndarray, CodedColumn)) else c
-                          for c in self.columns)))
+        return list(zip(*(_values(c, 0, len(c)) for c in self.columns)))
+
+
+def _values(column, lo: int, hi: int) -> list:
+    """The cell values of rows ``lo`` to ``hi - 1`` of a table column."""
+    if isinstance(column, CodedColumn):
+        return column.values[column.codes[lo:hi]].tolist()
+    part = column[lo:hi]
+    return part.tolist() if isinstance(part, np.ndarray) else list(part)
 
 
 #: Rows formatted and written at a time by :func:`write_table`.
@@ -367,13 +374,24 @@ def _numeric(part) -> bool:
             and part.dtype.itemsize in (1, 2, 4, 8))
 
 
-def _cells(part, name: str) -> list[str]:
-    """The CSV text of every value in a slice of column ``name``.
+def _check_text(part, name: str) -> None:
+    """Raise :class:`ValidationError` unless every cell of ``part``, a
+    column that is not numeric, is a non-empty string without a special
+    character."""
+    values = part.tolist() if isinstance(part, np.ndarray) else list(part)
+    if not (set(map(type, values)) <= {str} and all(values)
+            and not _SPECIAL.search("".join(values))):
+        raise ValidationError(
+            f"{name} holds a cell that is neither a number nor a non-empty "
+            "string without a comma, a quote or a line break")
+
+
+def _cells(part) -> list[str]:
+    """The CSV text of every value in a slice of a checked column.
 
     A numeric array formats each distinct bit pattern once (so ``-0.0``
-    and ``0.0`` stay apart) and gathers the texts back. Any other column
-    must hold non-empty strings without a special character, which are
-    their own text; anything else raises :class:`ValidationError`.
+    and ``0.0`` stay apart) and gathers the texts back; checked text cells
+    are their own text.
     """
     if _numeric(part):
         bits = part.view(f"u{part.dtype.itemsize}")
@@ -382,25 +400,20 @@ def _cells(part, name: str) -> list[str]:
         texts = np.array(list(map(text, distinct.view(part.dtype).tolist())),
                          dtype=object)
         return texts[inverse].tolist()
-    values = part.tolist() if isinstance(part, np.ndarray) else list(part)
-    if (set(map(type, values)) <= {str} and all(values)
-            and not _SPECIAL.search("".join(values))):
-        return values
-    raise ValidationError(
-        f"{name} holds a cell that is neither a number nor a non-empty "
-        "string without a comma, a quote or a line break")
+    return part.tolist() if isinstance(part, np.ndarray) else list(part)
 
 
-def _column_cells(column, name: str, size: int) -> Iterator[list[str]]:
-    """The CSV text of a column's cells, :data:`CHUNK_ROWS` rows at a time
-    up to row ``size``; a coded column's values are formatted once."""
+def _column_cells(column, size: int) -> Iterator[list[str]]:
+    """The CSV text of a checked column's cells, :data:`CHUNK_ROWS` rows
+    at a time up to row ``size``; a coded column's values are formatted
+    once."""
     coded = isinstance(column, CodedColumn)
     if coded:
-        texts = np.array(_cells(column.values, name), dtype=object)
+        texts = np.array(_cells(column.values), dtype=object)
     for lo in range(0, size, CHUNK_ROWS):
         hi = lo + CHUNK_ROWS
         yield (texts[column.codes[lo:hi]].tolist() if coded
-               else _cells(column[lo:hi], name))
+               else _cells(column[lo:hi]))
 
 
 def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
@@ -412,38 +425,49 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     The CSV form is what ``csv.writer`` writes (excel dialect, newline
     line ends) for cells that need no quotes: floats in shortest
     round-trip form (``repr``), other numbers by ``str`` and strings as
-    they are. In either format, a cell that is neither a number of a 1-d
-    numeric array nor a non-empty string without a comma, a quote or a
-    line break raises :class:`ValidationError` naming its column (a coded
-    column's values are checked once). The CSV is written in
-    chunks of :data:`CHUNK_ROWS` rows, each column formatted per chunk (a
-    coded column gathers the texts of its values, formatted once), so the
-    write's memory stays bounded whatever the table's length.
+    they are. The JSON form is ``json.dumps`` of ``{"meta", "header",
+    "rows"}`` with sorted keys, and a newline. In either format, a cell
+    that is neither a number of a 1-d numeric array nor a non-empty string
+    without a comma, a quote or a line break raises
+    :class:`ValidationError` naming its column (a coded column's values
+    are checked once), before the file is opened. Both forms are written
+    in chunks of :data:`CHUNK_ROWS` rows (in CSV each column formatted per
+    chunk, a coded column gathering the texts of its values, formatted
+    once), so the write's memory stays bounded whatever the table's
+    length.
     """
     base = Path(path_base)
     meta = {**table.meta, "manifest": manifest} if manifest else table.meta
-    header = _cells(table.header, "the header")
+    _check_text(table.header, "the header")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {fmt!r}")
+    for h, c in zip(table.header, table.columns):
+        part = c.values if isinstance(c, CodedColumn) else c
+        if not _numeric(part):  # numbers need no check
+            _check_text(part, f"column {h!r}")
+    size = len(table.columns[0]) if table.columns else 0
     if fmt == "csv":
-        path = base.with_suffix(".csv")
-        size = len(table.columns[0]) if table.columns else 0
-        with path.open("w", newline="") as fh:
-            for key in sorted(meta):
-                fh.write(f"# {key}={meta[key]}\n")
-            fh.write(",".join(header) + "\n")
-            for cells in zip(*(_column_cells(c, f"column {h!r}", size)
-                               for h, c in zip(header, table.columns))):
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-        return path
-    if fmt == "json":
-        path = base.with_suffix(".json")
-        for h, c in zip(header, table.columns):
-            part = c.values if isinstance(c, CodedColumn) else c
-            if not _numeric(part):  # numbers need no check
-                _cells(part, f"column {h!r}")
-        payload = {"meta": meta, "header": header, "rows": table.rows}
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        return path
-    raise ConfigError(f"unknown output format {fmt!r}")
+        head = "".join(f"# {key}={meta[key]}\n" for key in sorted(meta)) \
+            + ",".join(table.header) + "\n"
+        chunks = ("\n".join(map(",".join, zip(*cells))) + "\n"
+                  for cells in zip(*(_column_cells(c, size)
+                                     for c in table.columns)))
+        tail = ""
+    else:
+        # "rows" sorts last: the document up to its opening bracket, then
+        # the rows chunk by chunk, each without its own brackets
+        head = json.dumps({"meta": meta, "header": table.header, "rows": []},
+                          sort_keys=True)[:-2]
+        chunks = ((", " if lo else "") + json.dumps(list(zip(*(
+            _values(c, lo, lo + CHUNK_ROWS) for c in table.columns))))[1:-1]
+            for lo in range(0, size, CHUNK_ROWS))
+        tail = "]}\n"
+    path = base.with_suffix(f".{fmt}")
+    with path.open("w", newline="") as fh:
+        fh.write(head)
+        fh.writelines(chunks)
+        fh.write(tail)
+    return path
 
 
 def _table_meta(states: int, walkers: int, base: int) -> dict:

@@ -13,7 +13,9 @@ ensemble of M trajectories takes them from one PCG64 stream,
 ``i * (L + 1)`` to ``(i + 1) * (L + 1) - 1`` of the stream, so trajectory i
 does not depend on M, and ``Generator(PCG64(seed).advance(i * (L + 1)))``
 draws it alone. It does depend on L. Each step is drawn for the whole
-ensemble at once.
+ensemble at once (:meth:`~qrwalk.equivalence.TransitionMatrix.draw`),
+from the cumulative sums of P(t)'s columns made once per step, not once
+per trajectory.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import default_rng
 
-from .equivalence import TransitionMatrixSeq
+from .equivalence import TransitionMatrix, TransitionMatrixSeq
 from .errors import ValidationError
 from .graphs import PortGraph, ProductGraph
 from .walk import check_budget
@@ -74,33 +76,6 @@ class TrajectoryEnsemble:
 # categorical draws
 # ---------------------------------------------------------------------------
 
-#: Largest (trajectories x max degree) block a scan draw gathers at once.
-_BLOCK_ENTRIES = 1 << 20
-
-
-def _scan_picks(data: np.ndarray, start: np.ndarray, deg: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
-    """Port of each trajectory's column: how many of the column's
-    ``np.cumsum`` entries are at or below its uniform, clamped to the last
-    port; blocks of trajectories are padded with zeros to the largest
-    degree.
-
-    ``np.cumsum(axis=1)`` adds each row in order, so every row is
-    bit-identical to the cumulative sum of its column alone; the padding
-    repeats the column's total, which leaves the clamped count unchanged.
-    """
-    width = int(deg.max())
-    ports = np.arange(width)
-    rows = max(1, _BLOCK_ENTRIES // width)
-    pick = np.empty_like(start)
-    for lo in range(0, start.size, rows):
-        s, d = start[lo:lo + rows, None], deg[lo:lo + rows, None]
-        probs = np.where(ports < d, data.take(s + ports, mode="clip"), 0.0)
-        below = (np.cumsum(probs, axis=1) <= u[lo:lo + rows, None]).sum(1)
-        pick[lo:lo + rows] = np.minimum(below, d[:, 0] - 1)
-    return pick
-
-
 def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walker alias table (accept thresholds, alias indices)."""
     n = probs.size
@@ -120,21 +95,24 @@ def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
-def _alias_picks(data: np.ndarray, start: np.ndarray, deg: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """Port of each trajectory's column by an alias draw, with one table
-    per visited column."""
+def _alias_draw(mat: TransitionMatrix, states: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """The move out of each of ``states`` by an alias draw through ``mat``,
+    with one table per visited column."""
+    mat, pos = mat.find(states)
+    start = mat.indptr[pos]
+    deg = mat.indptr[pos + 1] - start
     cols, first, inv = np.unique(start, return_index=True,
                                  return_inverse=True)
     sizes = deg[first]
-    tables = [_alias_table(data[s:s + d])
+    tables = [_alias_table(mat.data[s:s + d])
               for s, d in zip(cols.tolist(), sizes.tolist())]
     accept = np.concatenate([a for a, _ in tables])
     alias = np.concatenate([b for _, b in tables])
     x = u * deg
     i = np.minimum(x.astype(np.int64), deg - 1)
     at = (np.cumsum(sizes) - sizes)[inv] + i
-    return np.where(x - i < accept[at], i, alias[at])
+    return mat.indices[start + np.where(x - i < accept[at], i, alias[at])]
 
 
 def _initial_pick(rho0: np.ndarray, uniforms) -> np.ndarray:
@@ -152,15 +130,12 @@ def _draw(seq: TransitionMatrixSeq, uniforms: np.ndarray,
     out of tau(t) through P(t), for all trajectories at once."""
     if method not in ("scan", "alias"):
         raise ValidationError(f"unknown sampling method {method!r}")
-    pick = _scan_picks if method == "scan" else _alias_picks
     paths = np.empty(uniforms.shape, dtype=np.int64)
     paths[:, 0] = _initial_pick(seq.rho[0], uniforms[:, 0])
-    for t in range(uniforms.shape[1] - 1):
-        mat, pos = seq.matrices[t].find(paths[:, t])
-        start = mat.indptr[pos]
-        deg = mat.indptr[pos + 1] - start
-        paths[:, t + 1] = mat.indices[
-            start + pick(mat.data, start, deg, uniforms[:, t + 1])]
+    for t, mat in enumerate(seq.matrices[:uniforms.shape[1] - 1]):
+        states, u = paths[:, t], uniforms[:, t + 1]
+        paths[:, t + 1] = (mat.draw(states, u) if method == "scan"
+                           else _alias_draw(mat, states, u))
     return paths
 
 
@@ -202,9 +177,12 @@ def sample_ensemble(
 
     The ``(size, L + 1)`` uniform and path buffers are checked against
     the memory budget (:func:`~qrwalk.walk.check_budget`) before anything
-    is allocated. ``method`` is ``"scan"``, the draw the CLI uses, whose
-    cost is O(d(tau(t))) per step, or ``"alias"``, which draws from a
-    Walker alias table of each visited column.
+    is allocated. ``method`` is ``"scan"``, the draw the CLI uses, or
+    ``"alias"``, which draws from a Walker alias table of each visited
+    column. Scan draws each step by
+    :meth:`~qrwalk.equivalence.TransitionMatrix.draw`, at
+    O(S + nnz(P(t)) + M log2 dmax) per step for M trajectories over S
+    states, not O(d) cumulative-sum work per trajectory.
     """
     if size < 1:
         raise ValidationError("ensemble size must be >= 1")

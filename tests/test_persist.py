@@ -91,6 +91,13 @@ class TestTables:
                 write_table(tmp_path / "t", Table([cell], [np.arange(2)]),
                             fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_refused_table_leaves_no_file(self, tmp_path, fmt):
+        table = Table(["n", "x"], [np.arange(2), ["a", "b,c"]])
+        with pytest.raises(ValidationError, match="column 'x'"):
+            write_table(tmp_path / "t", table, fmt)
+        assert list(tmp_path.iterdir()) == []
+
     def test_columns_of_unequal_lengths_are_refused(self):
         for short in (np.arange(2.0), ["a", "b"],
                       CodedColumn(np.zeros(2, int), np.arange(1))):
@@ -134,13 +141,27 @@ class TestCsvChunks:
         assert got == reference_write_table(tmp_path / "want",
                                             table).read_bytes()
 
+    @pytest.mark.parametrize("size", [0, CHUNK_ROWS - 1, CHUNK_ROWS,
+                                      CHUNK_ROWS + 1])
+    def test_json_chunk_boundary_matches_json_dumps(self, tmp_path, size):
+        labels = np.array(["a", "b|c", "d e", "#"], dtype=object)
+        codes = np.arange(size) % labels.size
+        table = Table(["t", "u", "p"], meta={"states": 4}, columns=[
+            np.arange(size), CodedColumn(codes, labels),
+            _special_column(size)])
+        payload = {"meta": table.meta, "header": table.header,
+                   "rows": list(zip(range(size), labels[codes].tolist(),
+                                    _special_column(size).tolist()))}
+        got = write_table(tmp_path / "t", table, "json").read_bytes()
+        assert got == (json.dumps(payload, sort_keys=True) + "\n").encode()
+
     @staticmethod
-    def _write_peak(path, size: int) -> int:
+    def _write_peak(path, size: int, fmt: str = "csv") -> int:
         rng = np.random.default_rng(7)
         table = Table(["i", "x"], [np.arange(size), rng.random(size)])
         tracemalloc.start()
         try:
-            write_table(path, table)
+            write_table(path, table, fmt)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -148,6 +169,11 @@ class TestCsvChunks:
     def test_write_memory_does_not_grow_with_the_table(self, tmp_path):
         small = self._write_peak(tmp_path / "small", 1 << 16)
         assert self._write_peak(tmp_path / "large", 4 << 16) < 1.5 * small
+
+    def test_json_write_memory_does_not_grow_with_the_table(self, tmp_path):
+        small = self._write_peak(tmp_path / "small", 1 << 16, "json")
+        assert self._write_peak(tmp_path / "large", 4 << 16,
+                                "json") < 1.5 * small
 
 
 class TestSequenceRoundTrip:

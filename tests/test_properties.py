@@ -6,6 +6,7 @@ shifts and states for up to three walkers, the sampler against the exact
 law of its paths, and the column-wise CSV writer against ``csv.writer``
 on random tables."""
 
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -1052,6 +1053,7 @@ def test_a_cell_outside_the_contract_is_refused(data, size, width, fmt):
         header[at], columns[at] = bad, np.arange(size)
         with pytest.raises(ValidationError, match="the header"):
             write_table(Path(out) / "t", Table(header, columns), fmt)
+        assert not any(Path(out).iterdir())
 
 
 @settings(SETTINGS, max_examples=100)
@@ -1064,3 +1066,26 @@ def test_coded_columns_write_the_json_of_their_cells(table):
         got = write_table(Path(out) / "got", table, "json")
         want = write_table(Path(out) / "want", plain, "json")
         assert got.read_bytes() == want.read_bytes()
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data(), chunk=st.sampled_from([1, 2, 3, 5]))
+def test_json_rows_written_in_chunks_are_one_json_document(data, chunk):
+    # around the chunk size, and with no rows at all
+    size = data.draw(st.sampled_from([0, chunk - 1, chunk, chunk + 1])
+                     | st.integers(0, 12))
+    width = data.draw(st.integers(0, 4))
+    table = Table(
+        data.draw(st.lists(CELL_TEXT, min_size=width, max_size=width)),
+        columns=[data.draw(csv_column(size)) for _ in range(width)],
+        meta=data.draw(st.dictionaries(st.sampled_from(["seed", "states"]),
+                                       st.integers(0, 99))))
+    cells = [c.values[c.codes].tolist() if isinstance(c, CodedColumn)
+             else c.tolist() if isinstance(c, np.ndarray) else list(c)
+             for c in table.columns]
+    payload = {"meta": table.meta, "header": table.header,
+               "rows": list(zip(*cells))}
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(persist, "CHUNK_ROWS", chunk):
+        got = write_table(Path(out) / "t", table, "json").read_bytes()
+    assert got == (json.dumps(payload, sort_keys=True) + "\n").encode()

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -13,6 +16,7 @@ from qrwalk import (
     TrajectoryEnsemble,
     ValidationError,
     WaveFunction,
+    build_graph,
     build_sequence,
     complete_graph,
     convergence_report,
@@ -23,7 +27,7 @@ from qrwalk import (
     total_variation,
     torus_graph,
 )
-from qrwalk import trajectory
+from qrwalk import equivalence, trajectory, walk
 from qrwalk.trajectory import _draw
 from qrwalk.walk import DEFAULT_MEMORY_BUDGET
 
@@ -39,6 +43,26 @@ def torus_seq(torus1010):
     return build_sequence(torus1010, CoinSpec.grover(torus1010),
                           ShiftSpec.moving(torus1010),
                           WaveFunction.localized(torus1010, 0, 0), 10)
+
+
+#: A star of 40 leaves around vertex 0, with a path of 10 more vertices
+#: hanging from leaf 40 and an edge from leaf 2 to the path's vertex 45:
+#: one hub of degree 40 among vertices of degree 1, 2 and 3.
+HUB = build_graph([(0, v) for v in range(1, 41)]
+                  + [(v, v + 1) for v in range(40, 50)] + [(2, 45)],
+                  ordering="sorted")
+
+
+def hub_sequence(psi, horizon):
+    return build_sequence(HUB, CoinSpec.grover(HUB), ShiftSpec.flip_flop(HUB),
+                          psi, horizon)
+
+
+def one_step(mat):
+    """P(t) alone, after a uniform rho(0): a start uniform of
+    ``(v + 0.5) / n`` starts at state v."""
+    n = mat.num_states
+    return TransitionMatrixSeq([mat], np.full((2, n), 1.0 / n), mat.graph)
 
 
 def moving_chain(graph, horizon):
@@ -117,6 +141,38 @@ class TestSampleTrajectory:
             assert mat.entry(paths[0, t + 1], paths[0, t]) > 0.0
 
 
+    @pytest.mark.parametrize("start", ["uniform", "localized"])
+    def test_uniforms_on_the_cumulative_sums_pick_like_the_scan(self, start):
+        # per state: u = 0, u on each cumulative sum of its column and one
+        # ulp either side (a sum at or below u counts), and u from the
+        # column's rounded total up to just below 1 (the clamp). From the
+        # localized start most states have no stored column, so find makes
+        # their uniform ones
+        psi = (WaveFunction.uniform(HUB) if start == "uniform"
+               else WaveFunction.localized(HUB, 0, 0))
+        top = np.nextafter(1.0, 0.0)
+        n = HUB.num_vertices
+        for mat in hub_sequence(psi, 5).matrices:
+            rows = []
+            for v in range(n):
+                cum = np.cumsum(mat.column(v)[1])
+                near = [np.nextafter(cum, 0.0), cum, np.nextafter(cum, 1.0)]
+                tail = [x for x in (cum[-1], (cum[-1] + 1.0) / 2, top)
+                        if x < 1.0]
+                for x in np.concatenate([[0.0], *near, tail]):
+                    rows.append(((v + 0.5) / n, x))
+            uniforms = np.array(rows)
+            paths = _draw(one_step(mat), uniforms, "scan")
+            assert np.array_equal(
+                paths, oracle.reference_paths(one_step(mat), uniforms))
+        # on the hub's own column, u equal to the k-th sum takes port k + 1
+        targets, probs = mat.column(0)
+        cum = np.cumsum(probs)
+        uniforms = np.column_stack([np.full(cum.size - 1, 0.5 / n),
+                                    cum[:-1]])
+        assert _draw(one_step(mat), uniforms, "scan")[:, 1].tolist() \
+            == targets[1:].tolist()
+
     def test_empty_column_rejected(self):
         # a column with no entries would give the draw no port to land on
         with pytest.raises(ValidationError, match="no empty columns"):
@@ -170,12 +226,84 @@ class TestSampleEnsemble:
         with pytest.raises(ResourceLimitError, match="memory budget"):
             sample_ensemble(c4_seq, size, master_seed=1)
 
-    def test_blocks_of_trajectories_draw_the_same_paths(self, torus_seq,
-                                                        monkeypatch):
-        whole = sample_ensemble(torus_seq, 200, master_seed=17)
-        monkeypatch.setattr(trajectory, "_BLOCK_ENTRIES", 9)
-        blocks = sample_ensemble(torus_seq, 200, master_seed=17)
-        assert np.array_equal(blocks.paths, whole.paths)
+    def test_short_columns_ride_the_bisection_rounds_of_a_hub(self):
+        # columns of degree 1, 2, 3 and 40 are searched in the same rounds,
+        # so the short ones see probes past their ends in all but the last
+        seq = hub_sequence(WaveFunction.uniform(HUB), 6)
+        uniforms = np.random.default_rng(17).random((2000, 7))
+        assert np.array_equal(_draw(seq, uniforms, "scan"),
+                              oracle.reference_paths(seq, uniforms))
+
+    def test_stored_columns_are_drawn_without_find(self, torus1010,
+                                                   monkeypatch):
+        # from a uniform start every state keeps a ratio column, so no step
+        # has to look a state up among the stored columns
+        seq = build_sequence(torus1010, CoinSpec.grover(torus1010),
+                             ShiftSpec.moving(torus1010),
+                             WaveFunction.uniform(torus1010), 5)
+        uniforms = np.random.default_rng(4).random((300, 6))
+        expected = oracle.reference_paths(seq, uniforms)
+
+        def find(*args):
+            raise AssertionError("a stored column was looked up by find")
+        monkeypatch.setattr(TransitionMatrix, "find", find)
+        assert np.array_equal(_draw(seq, uniforms, "scan"), expected)
+
+    def test_draw_over_the_memory_budget_rejected_before_allocation(
+            self, monkeypatch):
+        # P(0) of the chain stores state 0's column only
+        mat = moving_chain(cycle_graph(20_000), 1).matrices[0]
+        stored, u = np.zeros(100, dtype=np.int64), np.full(100, 0.5)
+        need = mat._draw_bytes(100)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
+        assert mat.draw(stored, u).tolist() == [1] * 100
+
+        def allocate(*args):
+            raise AssertionError("sums allocated before the budget check")
+        monkeypatch.setattr(equivalence, "_column_cumsums", allocate)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match="draw of 100 moves through P\\(0\\)"):
+                mat.draw(stored, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # not even the 160 000-byte position map was made
+        assert peak < 8 * mat.num_states // 4
+        # a state without a stored column adds its uniform column, whose
+        # sums are checked again before they are made
+        unstored = np.array([0, 7])
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET",
+                            mat._draw_bytes(2))
+        with pytest.raises(ResourceLimitError, match="draw of 2 moves"):
+            mat.draw(unstored, u[:2])
+
+    @pytest.mark.parametrize("start", ["uniform", "localized"])
+    def test_draw_memory_stays_within_its_budget(self, start):
+        # the localized start leaves most states without a stored column,
+        # so find makes theirs first, under its own check
+        psi = (WaveFunction.uniform(HUB) if start == "uniform"
+               else WaveFunction.localized(HUB, 0, 0))
+        seq = hub_sequence(psi, 4)
+        states = np.random.default_rng(2).integers(0, HUB.num_vertices, 5000)
+        uniforms = np.random.default_rng(3).random(5000)
+        np.unique(states)  # its first call allocates a one-off cache
+        for mat in seq.matrices:
+            full, _ = mat.find(states)
+            bound = full._draw_bytes(states.size)
+            if full is not mat:
+                bound += equivalence._arc_bytes(1) * full.data.size
+            gc.collect()
+            tracemalloc.start()
+            try:
+                mat.draw(states, uniforms)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
     def test_passed_seed_sequence_is_not_advanced(self, c4_seq):
         ss = np.random.SeedSequence(8, n_children_spawned=3)
