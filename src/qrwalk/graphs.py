@@ -122,9 +122,16 @@ class PortGraph:
         # with no repeats, the distinct keys are every arc's key, sorted
         object.__setattr__(self, "_arc_keys", keys)
         object.__setattr__(self, "_arc_order", order)
-        _reject([(self.arc_index(heads, tails) < 0,
-                  "edge ({0}, {1}) present without its reverse; the "
-                  "directed graph must be symmetric")], tails, heads)
+        # the arcs are distinct, so the graph is symmetric exactly when the
+        # reversed arcs' keys, sorted, are the arc keys; only a graph that
+        # is not looks up each reversed arc, to name the first one missing
+        reversed_keys = heads * n
+        reversed_keys += tails
+        reversed_keys.sort()
+        if not np.array_equal(reversed_keys, keys):
+            _reject([(self.arc_index(heads, tails) < 0,
+                      "edge ({0}, {1}) present without its reverse; the "
+                      "directed graph must be symmetric")], tails, heads)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PortGraph):

@@ -18,17 +18,21 @@ the support of rho(t) only, the rows with a non-zero mass: an unlisted
 (t, v) has mass exactly 0, and the ``states`` metadata sizes rho(t).
 
 A table holds numbers and plain labels only: 1-d numeric arrays, and
-columns of non-empty strings without a comma, a quote or a line break.
-So no CSV cell is ever quoted, and the bytes are those of
+columns of non-empty strings without a comma, a quote, a line break or a
+NUL. So no CSV cell is ever quoted, and the bytes are those of
 ``csv.writer`` with floats in ``repr`` form. A table is checked whole
 before its file is opened, then written in chunks of :data:`CHUNK_ROWS`
 rows, in CSV and in JSON alike, so the write's memory stays that of one
-chunk. In CSV each distinct value of a numeric column (by bit pattern)
-is formatted once per chunk and gathered back. Columns whose cells repeat
-a few values (steps, trajectory ids, state labels) are coded
-(:class:`CodedColumn`: an int code per cell over an array of values);
-their values are formatted once per table, and each chunk only gathers
-their texts.
+chunk. A CSV chunk is assembled as packed bytes, with no Python work per
+row: each distinct cell text, with its separator, is encoded and
+NUL-padded to whole 8-byte words; one gather per column lays the chunk's
+words out row by row; and their non-NUL bytes, in order, are the
+chunk's lines (so no cell may hold a NUL). Each distinct value of a
+numeric column (by bit pattern) is formatted once per chunk. Columns
+whose cells repeat a few values (steps, trajectory ids, state labels)
+are coded (:class:`CodedColumn`: an int code per cell over an array of
+values); their values are formatted once per table, and each chunk only
+gathers their words.
 """
 
 from __future__ import annotations
@@ -364,8 +368,9 @@ def _values(column, lo: int, hi: int) -> list:
 #: Rows formatted and written at a time by :func:`write_table`.
 CHUNK_ROWS = 1 << 14
 #: Characters no text cell may hold: the delimiter, the quote character
-#: and both line-break characters, which would need quoting.
-_SPECIAL = re.compile(r'[,"\r\n]')
+#: and both line-break characters, which would need quoting, and NUL, which
+#: pads the packed CSV words.
+_SPECIAL = re.compile(r'[,"\r\n\0]')
 
 
 def _numeric(part) -> bool:
@@ -383,37 +388,73 @@ def _check_text(part, name: str) -> None:
             and not _SPECIAL.search("".join(values))):
         raise ValidationError(
             f"{name} holds a cell that is neither a number nor a non-empty "
-            "string without a comma, a quote or a line break")
+            "string without a comma, a quote, a line break or a NUL")
 
 
-def _cells(part) -> list[str]:
-    """The CSV text of every value in a slice of a checked column.
+def _cells(part, encoding: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct CSV texts of a slice of a checked column, as a bytes
+    array, and the index of each cell's text among them.
 
     A numeric array formats each distinct bit pattern once (so ``-0.0``
-    and ``0.0`` stay apart) and gathers the texts back; checked text cells
-    are their own text.
+    and ``0.0`` stay apart), in ASCII; checked text cells are their own
+    text, in ``encoding``.
     """
     if _numeric(part):
         bits = part.view(f"u{part.dtype.itemsize}")
         distinct, inverse = np.unique(bits, return_inverse=True)
-        text = float.__repr__ if part.dtype.kind == "f" else str
-        texts = np.array(list(map(text, distinct.view(part.dtype).tolist())),
-                         dtype=object)
-        return texts[inverse].tolist()
-    return part.tolist() if isinstance(part, np.ndarray) else list(part)
+        values = distinct.view(part.dtype)
+        if part.dtype.kind != "f":  # numpy's cast spells them as str does
+            return values.astype("S"), inverse
+        # the repr of a double has at most 24 characters
+        return np.array(list(map(float.__repr__, values.tolist())),
+                        dtype="S24"), inverse
+    texts = part.tolist() if isinstance(part, np.ndarray) else list(part)
+    return (np.array([text.encode(encoding) for text in texts], dtype="S"),
+            np.arange(len(texts)))
 
 
-def _column_cells(column, size: int) -> Iterator[list[str]]:
-    """The CSV text of a checked column's cells, :data:`CHUNK_ROWS` rows
-    at a time up to row ``size``; a coded column's values are formatted
-    once."""
+def _words(texts: np.ndarray, end: str) -> np.ndarray:
+    """The ``(len(texts), w)`` uint64 table of a bytes array: each text
+    and its ``end``, NUL-padded to ``w`` whole 8-byte words."""
+    lengths = np.count_nonzero(
+        texts.view(np.uint8).reshape(len(texts), texts.itemsize), axis=1)
+    size = int(lengths.max(initial=0)) // 8 * 8 + 8
+    octets = texts.astype(f"S{size}").view(np.uint8).reshape(-1, size)
+    octets[np.arange(len(texts)), lengths] = ord(end)
+    return octets.view(np.uint64)
+
+
+def _column_words(column, size: int, end: str, encoding: str
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The word table (:func:`_words`) of a checked column's texts and the
+    codes of its cells into it, :data:`CHUNK_ROWS` rows at a time up to
+    row ``size``; a coded column's table, of its values, is made once."""
     coded = isinstance(column, CodedColumn)
     if coded:
-        texts = np.array(_cells(column.values), dtype=object)
+        texts, inverse = _cells(column.values, encoding)
+        table = _words(texts, end)[inverse]
     for lo in range(0, size, CHUNK_ROWS):
         hi = lo + CHUNK_ROWS
-        yield (texts[column.codes[lo:hi]].tolist() if coded
-               else _cells(column[lo:hi]))
+        if coded:
+            yield table, column.codes[lo:hi]
+        else:
+            texts, codes = _cells(column[lo:hi], encoding)
+            yield _words(texts, end), codes
+
+
+def _csv_rows(columns: Sequence, size: int,
+              encoding: str) -> Iterator[np.ndarray]:
+    """The bytes of rows 0 to ``size - 1`` of checked columns,
+    :data:`CHUNK_ROWS` rows at a time: each column's words gathered by
+    code side by side, one ``(rows, words)`` array per chunk, whose
+    non-NUL bytes, in order, are the chunk's lines."""
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    for parts in zip(*(_column_words(c, size, end, encoding)
+                       for c, end in zip(columns, ends))):
+        words = np.concatenate([table[codes] for table, codes in parts],
+                               axis=1)
+        octets = words.view(np.uint8).reshape(-1)
+        yield octets[octets != 0]
 
 
 def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
@@ -425,16 +466,17 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     The CSV form is what ``csv.writer`` writes (excel dialect, newline
     line ends) for cells that need no quotes: floats in shortest
     round-trip form (``repr``), other numbers by ``str`` and strings as
-    they are. The JSON form is ``json.dumps`` of ``{"meta", "header",
-    "rows"}`` with sorted keys, and a newline. In either format, a cell
-    that is neither a number of a 1-d numeric array nor a non-empty string
-    without a comma, a quote or a line break raises
-    :class:`ValidationError` naming its column (a coded column's values
-    are checked once), before the file is opened. Both forms are written
-    in chunks of :data:`CHUNK_ROWS` rows (in CSV each column formatted per
-    chunk, a coded column gathering the texts of its values, formatted
-    once), so the write's memory stays bounded whatever the table's
-    length.
+    they are, in the encoding of a text-mode file. The JSON form is
+    ``json.dumps`` of ``{"meta", "header", "rows"}`` with sorted keys,
+    and a newline. In either format, a cell that is neither a number of a
+    1-d numeric array nor a non-empty string without a comma, a quote, a
+    line break or a NUL raises :class:`ValidationError` naming its column
+    (a coded column's values are checked once), before the file is
+    opened. Both forms are written in chunks of :data:`CHUNK_ROWS` rows,
+    so the write's memory stays bounded whatever the table's length. A
+    CSV chunk is packed bytes (:func:`_csv_rows`): each cell's text with
+    its separator, NUL-padded to whole 8-byte words, is gathered by code
+    into one word array, whose non-NUL bytes are the chunk's lines.
     """
     base = Path(path_base)
     meta = {**table.meta, "manifest": manifest} if manifest else table.meta
@@ -449,10 +491,7 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     if fmt == "csv":
         head = "".join(f"# {key}={meta[key]}\n" for key in sorted(meta)) \
             + ",".join(table.header) + "\n"
-        chunks = ("\n".join(map(",".join, zip(*cells))) + "\n"
-                  for cells in zip(*(_column_cells(c, size)
-                                     for c in table.columns)))
-        tail = ""
+        chunks, tail = [], ""
     else:
         # "rows" sorts last: the document up to its opening bracket, then
         # the rows chunk by chunk, each without its own brackets
@@ -465,6 +504,9 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     path = base.with_suffix(f".{fmt}")
     with path.open("w", newline="") as fh:
         fh.write(head)
+        if fmt == "csv":  # the rows are bytes, written below the text layer
+            fh.flush()
+            fh.buffer.writelines(_csv_rows(table.columns, size, fh.encoding))
         fh.writelines(chunks)
         fh.write(tail)
     return path

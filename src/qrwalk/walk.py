@@ -699,12 +699,34 @@ def vertex_masses(graph: PortGraph | ProductGraph,
     """Probability of each vertex (tuple) of ``graph``, from the masses
     of its basis states: the sum over each vertex's ports, walker by
     walker. For K walkers the result is indexed by the mixed-radix tuple
-    index."""
+    index.
+
+    A vertex's port masses ``a0 .. a(d-1)`` are summed as
+    ``np.add.reduceat`` sums them: ``a0 + ((a1 + a2) + ... + a(d-1))``,
+    the first entry plus numpy's pairwise sum of the rest, which is a
+    plain loop below 8 terms. So on a graph whose vertices all have one
+    degree d in 2..8 the sum is d - 1 strided adds in that order, with the
+    same bits. Otherwise ``reduceat`` runs: on an irregular graph the
+    port runs differ in length, and past 8 terms the pairwise sum keeps 8
+    accumulators, whose order the strided adds would not match.
+    """
     space = ProductGraph.of(graph)
+    classes = space.base.degree_classes
+    degree = next(iter(classes)) if len(classes) == 1 else 0
     starts = space.base.port_offsets[:-1]
     arr = np.asarray(masses).reshape(space.basis_shape)
     for axis in range(space.num_walkers):
-        arr = np.add.reduceat(arr, starts, axis=axis)
+        if not 1 < degree <= 8:
+            arr = np.add.reduceat(arr, starts, axis=axis)
+            continue
+        runs = arr.reshape(arr.shape[:axis] + (-1, degree)
+                           + arr.shape[axis + 1:])
+        ports = [runs[(slice(None),) * (axis + 1) + (c,)]
+                 for c in range(degree)]
+        rest = ports[1].copy()
+        for port in ports[2:]:
+            rest += port
+        arr = np.add(ports[0], rest, out=rest)
     return arr.reshape(-1)
 
 

@@ -92,6 +92,19 @@ class TestTables:
                             fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_nul_cell_is_refused(self, tmp_path, fmt):
+        # NUL pads the packed CSV words, so no cell or header may hold one
+        for column in (["a\0b", "c"], np.array(["c", "\0"], dtype=object),
+                       CodedColumn(np.array([0, 0]),
+                                   np.array(["a\0"], dtype=object))):
+            with pytest.raises(ValidationError, match="column 'x'"):
+                write_table(tmp_path / "t", Table(["n", "x"], [
+                    np.arange(2), column]), fmt)
+        with pytest.raises(ValidationError, match="the header"):
+            write_table(tmp_path / "t", Table(["n\0"], [np.arange(2)]), fmt)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_refused_table_leaves_no_file(self, tmp_path, fmt):
         table = Table(["n", "x"], [np.arange(2), ["a", "b,c"]])
         with pytest.raises(ValidationError, match="column 'x'"):
@@ -134,9 +147,15 @@ class TestCsvChunks:
                                       CHUNK_ROWS + 1])
     def test_chunk_boundary_matches_the_csv_module(self, tmp_path, size):
         labels = np.array(["a", "b|c", "d e", "#"], dtype=object)
-        table = Table(["t", "u", "p", "note"], meta={"states": 4}, columns=[
-            np.arange(size), np.resize(labels, size), _special_column(size),
-            ["x", "1", "2.5", "y|z"] * (size // 4) + ["x"] * (size % 4)])
+        # texts and their separators of 10 to 16 bytes: two words each
+        long = np.array(["0123|4567", "state|123456789", "ü|é|π|€"],
+                        dtype=object)
+        table = Table(
+            ["t", "u", "label", "p", "note"], meta={"states": 4}, columns=[
+                np.arange(size), np.resize(labels, size),
+                CodedColumn(np.arange(size) % long.size, long),
+                _special_column(size),
+                ["x", "1", "2.5", "y|z"] * (size // 4) + ["x"] * (size % 4)])
         got = write_table(tmp_path / "got", table).read_bytes()
         assert got == reference_write_table(tmp_path / "want",
                                             table).read_bytes()
@@ -156,9 +175,15 @@ class TestCsvChunks:
         assert got == (json.dumps(payload, sort_keys=True) + "\n").encode()
 
     @staticmethod
-    def _write_peak(path, size: int, fmt: str = "csv") -> int:
+    def _write_peak(path, size: int, fmt: str = "csv",
+                    coded: bool = False) -> int:
+        """The traced peak of writing a table of ``size`` rows: a number
+        and a float column, or (``coded``) the three coded columns of the
+        trajectories of 13 instants on 2048 states."""
         rng = np.random.default_rng(7)
-        table = Table(["i", "x"], [np.arange(size), rng.random(size)])
+        table = (trajectories_table(TrajectoryEnsemble(
+            rng.integers(0, 2048, (size // 13, 13)), 2048)) if coded
+            else Table(["i", "x"], [np.arange(size), rng.random(size)]))
         tracemalloc.start()
         try:
             write_table(path, table, fmt)
@@ -167,8 +192,11 @@ class TestCsvChunks:
             tracemalloc.stop()
 
     def test_write_memory_does_not_grow_with_the_table(self, tmp_path):
-        small = self._write_peak(tmp_path / "small", 1 << 16)
-        assert self._write_peak(tmp_path / "large", 4 << 16) < 1.5 * small
+        for coded in (False, True):
+            small = self._write_peak(tmp_path / "small", 1 << 16,
+                                     coded=coded)
+            assert self._write_peak(tmp_path / "large", 4 << 16,
+                                    coded=coded) < 1.5 * small
 
     def test_json_write_memory_does_not_grow_with_the_table(self, tmp_path):
         small = self._write_peak(tmp_path / "small", 1 << 16, "json")

@@ -2,8 +2,9 @@
 ``_oracles``: the array-built graph core (validation, neighbour lists,
 port maps, shifts, JSON and hash) on random edge lists and port orders,
 the array builder of P(t) and the sampler on random graphs, coins,
-shifts and states for up to three walkers, the sampler against the exact
-law of its paths, and the column-wise CSV writer against ``csv.writer``
+shifts and states for up to three walkers, the port sums of
+``vertex_masses`` against ``np.add.reduceat``, the sampler against the
+exact law of its paths, and the packed CSV writer against ``csv.writer``
 on random tables."""
 
 import json
@@ -48,6 +49,7 @@ from qrwalk import (
     torus_graph,
     verify_theorem_properties,
     vertex_distribution,
+    vertex_masses,
 )
 from qrwalk import persist
 from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
@@ -727,6 +729,34 @@ def test_evolve_keeps_the_bits_of_the_reference_step(seed, walkers,
         assert masses.tobytes() == (np.abs(ref.amplitudes) ** 2).tobytes()
 
 
+@settings(SETTINGS, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]),
+       degree=st.integers(1, 12), regular=st.booleans())
+def test_vertex_masses_keep_the_bits_of_reduceat(seed, walkers, degree,
+                                                 regular):
+    """The port sums of ``vertex_masses`` are those of np.add.reduceat
+    over each walker's axis, bit for bit: on complete graphs, regular of
+    degree 1 to 12 (at most 8 for three walkers), and on irregular ones,
+    a star of ``degree`` leaves with random edges among them; with exact
+    zeros among masses spread over 30 decades."""
+    rng = np.random.default_rng(seed)
+    if regular:
+        g = complete_graph(min(degree, 8 if walkers == 3 else 12) + 1)
+    else:
+        leaves = range(1, degree + 1)
+        g = build_graph([(0, v) for v in leaves]
+                        + [(u, v) for u in leaves for v in leaves
+                           if u < v and rng.random() < 0.3])
+    space = ProductGraph(g, walkers)
+    masses = (rng.random(space.basis_dim)
+              * 10.0 ** rng.integers(-30, 1, space.basis_dim))
+    masses[rng.random(masses.size) < 0.3] = 0.0
+    want = masses.reshape(space.basis_shape)
+    for axis in range(walkers):
+        want = np.add.reduceat(want, g.port_offsets[:-1], axis=axis)
+    assert vertex_masses(space, masses).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -960,16 +990,23 @@ def test_sampler_matches_per_column_reference(seed, walkers, method):
 
 
 #: Floats whose text must stay apart or be spelled exactly: signed zeros
-#: and NaNs, infinities, subnormals and the int64 extremes.
+#: and NaNs, infinities, subnormals, the int64 extremes and the longest
+#: repr (24 characters).
 SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
-                  -2.5e-310, float(2**63), -float(2**63), 0.1, 1e16]
+                  -2.5e-310, float(2**63), -float(2**63), 0.1, 1e16,
+                  -2.2250738585072014e-308]
 INT64 = np.iinfo(np.int64)
-#: Short non-empty strings without a comma, a quote or a line break: the
-#: text a table cell may hold.
-CELL_TEXT = st.text(alphabet=" |a0#", min_size=1, max_size=4)
-#: Cells no table may hold: empty strings, strings with a comma, a quote or
-#: a line break, and values that are not strings.
-BAD_CELL = (st.text(alphabet=',"\n\r a', max_size=4)
+#: Non-empty strings without a comma, a quote, a line break or a NUL: the
+#: text a table cell may hold. Short ones; ones of 7-9 and 15-17 bytes,
+#: which with their separator fill one or two 8-byte words or spill into
+#: the next; and non-ASCII ones, of 2- to 4-byte UTF-8 characters.
+CELL_TEXT = (st.text(alphabet=" |a0#", min_size=1, max_size=4)
+             | st.text(alphabet=" |a0#", min_size=7, max_size=9)
+             | st.text(alphabet=" |a0#", min_size=15, max_size=17)
+             | st.text(alphabet="a|éπ€😀", min_size=1, max_size=6))
+#: Cells no table may hold: empty strings, strings with a comma, a quote,
+#: a line break or a NUL, and values that are not strings.
+BAD_CELL = (st.text(alphabet=',"\n\r\0 a', max_size=4)
             .filter(lambda text: text.strip(" a") or not text)
             | st.none() | st.integers() | st.floats() | st.booleans())
 
