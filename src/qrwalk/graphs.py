@@ -62,17 +62,71 @@ def _reject(checks, *values) -> None:
 
 
 def _later_repeats(keys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sorted distinct ``keys``, the first item of each, and the mask of
-    the items whose key occurs at an earlier item."""
-    distinct, first = np.unique(keys, return_index=True)
-    repeated = np.ones(keys.size, dtype=bool)
-    repeated[first] = False
-    return distinct, first, repeated
+    """``keys`` sorted, the stable order that sorts them (equal keys keep
+    their item order), and the mask of the items whose key occurs at an
+    earlier item."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeated = np.zeros(keys.size, dtype=bool)
+    repeated[order[1:][keys[1:] == keys[:-1]]] = True
+    return keys, order, repeated
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _digits(values) -> np.ndarray:
+    """The decimal text of each integer of a 1-d array, as ``str`` spells
+    it, in ASCII: a ``(n, w)`` uint8 table whose row ``i`` holds the text
+    of ``values[i]`` right-aligned, NUL-padded on the left to the width
+    ``w`` of the longest text (at least 1).
+
+    The one integer formatter of the package: every digit column is made
+    by whole-array division, with no Python work per value, so the non-NUL
+    bytes of the rows, in order, are the texts end to end."""
+    values = np.asarray(values)
+    negative = values < 0
+    sign = bool(negative.any())
+    # magnitudes as uint64: two's complement negation spells int64 min too
+    mag = values.astype(np.uint64 if values.dtype.kind == "u"
+                        else np.int64).view(np.uint64)
+    if sign:
+        mag = np.where(negative, -mag, mag)
+    top = int(mag.max(initial=0))
+    digits = len(str(top))
+    width = max(digits, len(str(int(mag[negative].max()))) + 1) if sign \
+        else digits
+    if top < 2**32:  # a narrower division is faster
+        mag = mag.astype(np.uint32)
+    # column by column, each a contiguous row here, transposed at the end
+    out = np.zeros((width, values.size), np.uint8)
+    length = np.ones(values.size if sign else 0, np.uint8)
+    for col in range(width - 1, width - 1 - digits, -1):
+        quot = mag // 10
+        np.subtract(mag, quot * 10, out=out[col], casting="unsafe")
+        out[col] += ord("0")
+        if col < width - 1:  # a leading zero is padding
+            nonzero = mag != 0
+            out[col] *= nonzero
+            if sign:
+                length += nonzero
+        mag = quot
+    if sign:  # just left of the first digit
+        out[width - 1 - length[negative], negative] = ord("-")
+    return np.ascontiguousarray(out.T)
+
+
+def _texts(octets: np.ndarray) -> np.ndarray:
+    """The non-NUL bytes of each row of a 2-d uint8 table, in order, as a
+    1-d bytes array (numpy ``S`` dtype)."""
+    keep = octets != 0
+    packed = np.zeros_like(octets)
+    # row-major, the kept bytes fill each row's first (row length) slots
+    packed[np.arange(octets.shape[1])
+           < np.count_nonzero(keep, axis=1)[:, None]] = octets[keep]
+    return packed.view(f"S{octets.shape[1]}").reshape(-1)
 
 
 def _split(flat: Sequence, offsets: np.ndarray) -> list:
@@ -114,12 +168,13 @@ class PortGraph:
         tails = self.vertex_of_basis
         _reject([(self.degrees == 0, "vertex {0} is isolated; its coin "
                                      "space would be empty")], np.arange(n))
-        keys, order, repeated = _later_repeats(tails * n + heads)
+        keys = tails * n
+        keys += heads
+        keys, order, repeated = _later_repeats(keys)
         _reject([((heads < 0) | (heads >= n),
                   "neighbour {1} of vertex {0} out of range"),
                  (heads == tails, "self-loop at vertex {0} not supported"),
                  (repeated, "duplicate edge ({0}, {1})")], tails, heads)
-        # with no repeats, the distinct keys are every arc's key, sorted
         object.__setattr__(self, "_arc_keys", keys)
         object.__setattr__(self, "_arc_order", order)
         # the arcs are distinct, so the graph is symmetric exactly when the
@@ -439,16 +494,36 @@ class ProductGraph:
         return n
 
     @staticmethod
+    def label_texts(indices, num_walkers: int, num_base: int) -> np.ndarray:
+        """ASCII labels of joint indices, as a bytes array (numpy ``S``
+        dtype): ``u`` for one walker, ``u1|u2|...`` for vertex tuples, the
+        digits of each walker's vertex joined by ``|``. Static, so that
+        tables can be written without the graph. Indices that are not a
+        1-d array of integers in ``0 .. num_base**num_walkers - 1`` raise
+        :class:`ValidationError`."""
+        indices = np.asarray(indices)
+        count = num_base ** num_walkers
+        if indices.ndim != 1 \
+                or indices.size and indices.dtype.kind not in "iu":
+            raise ValidationError(
+                f"state indices must be a 1-d array of integers, got "
+                f"{indices.ndim}-d {indices.dtype}")
+        if indices.size and not (0 <= int(indices.min())
+                                 and int(indices.max()) < count):
+            bad = indices[(indices < 0) | (indices >= count)][0]
+            raise ValidationError(
+                f"state index {bad} outside 0 .. {count - 1}")
+        digits = np.unravel_index(indices.astype(np.int64),
+                                  (num_base,) * num_walkers)
+        bar = np.full((indices.size, 1), ord("|"), np.uint8)
+        parts = [part for d in digits for part in (bar, _digits(d))][1:]
+        return _texts(np.concatenate(parts, axis=1))
+
+    @staticmethod
     def state_labels(indices, num_walkers: int, num_base: int) -> list[str]:
-        """Text labels of joint indices: ``u`` for one walker, ``u1|u2|...``
-        for vertex tuples. Static, so that tables can be written without
-        the graph."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if num_walkers == 1:
-            return list(map(str, indices.tolist()))
-        digits = np.unravel_index(indices, (num_base,) * num_walkers)
-        return list(map("|".join,
-                        zip(*(map(str, d.tolist()) for d in digits))))
+        """The labels of :meth:`label_texts` as ``str``."""
+        return ProductGraph.label_texts(indices, num_walkers, num_base) \
+            .astype("U").tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +733,25 @@ def graph_hash(g: PortGraph) -> str:
     SHA-256 of the compact JSON ``{"n":N,"out":[[heads of vertex 0],...]}``.
 
     The text is spelled without the nested list: each vertex number is
-    formatted once and gathered at the heads, the first port of every
-    vertex takes a ``[`` and its last a ``]`` (every vertex has a port),
-    and the ports are joined by commas."""
-    n = g.num_vertices
-    texts = np.array(list(map(str, range(n))), dtype=object)[g.heads]
-    first, last = g.port_offsets[:-1], g.port_offsets[1:] - 1
-    texts[first] = "[" + texts[first]
-    texts[last] += "]"
-    payload = f'{{"n":{n},"out":[{",".join(texts.tolist())}]}}'
-    return hashlib.sha256(payload.encode()).hexdigest()
+    spelled once (:func:`_digits`) into a row of whole 8-byte words, with
+    a ``[`` slot before its digits and a ``,`` and a free slot after them,
+    and the rows are gathered at the heads as words. The first port of
+    every vertex fills its ``[`` (every vertex has a port), and the last
+    port of a vertex turns its ``,`` into ``],`` (the last of all into
+    ``]``); the non-NUL bytes of the rows, in order, are the list."""
+    n, offsets = g.num_vertices, g.port_offsets
+    digits = _digits(np.arange(n))
+    w = digits.shape[1]
+    texts = np.zeros((n, (w + 10) // 8 * 8), np.uint8)
+    texts[:, 1:w + 1] = digits
+    texts[:, w + 1] = ord(",")
+    arcs = texts.view(np.uint64)[g.heads].view(np.uint8)
+    arcs[offsets[:-1], 0] = ord("[")
+    last = offsets[1:] - 1
+    arcs[last, w + 1] = ord("]")
+    arcs[last[:-1], w + 2] = ord(",")
+    octets = arcs.reshape(-1)
+    digest = hashlib.sha256(b'{"n":%d,"out":[' % n)
+    digest.update(octets[octets != 0])
+    digest.update(b"]}")
+    return digest.hexdigest()

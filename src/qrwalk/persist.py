@@ -20,15 +20,21 @@ the support of rho(t) only, the rows with a non-zero mass: an unlisted
 A table holds numbers and plain labels only: 1-d numeric arrays, and
 columns of non-empty strings without a comma, a quote, a line break or a
 NUL. So no CSV cell is ever quoted, and the bytes are those of
-``csv.writer`` with floats in ``repr`` form. A table is checked whole
-before its file is opened, then written in chunks of :data:`CHUNK_ROWS`
-rows, in CSV and in JSON alike, so the write's memory stays that of one
-chunk. A CSV chunk is assembled as packed bytes, with no Python work per
-row: each distinct cell text, with its separator, is encoded and
-NUL-padded to whole 8-byte words; one gather per column lays the chunk's
-words out row by row; and their non-NUL bytes, in order, are the
-chunk's lines (so no cell may hold a NUL). Each distinct value of a
-numeric column (by bit pattern) is formatted once per chunk. Columns
+``csv.writer`` with floats in ``repr`` form. A label column may also be a
+bytes array (numpy ``S`` dtype) of ASCII texts, checked as bytes, which
+reads back as ``str`` (:attr:`Table.rows`, :meth:`CodedColumn.tolist`,
+the JSON form): the state labels are made that way
+(:meth:`~qrwalk.graphs.ProductGraph.label_texts`), so no ``str`` is made
+per label on the CSV path. A table is checked whole before its file is
+opened, then written in chunks of :data:`CHUNK_ROWS` rows, in CSV and in
+JSON alike, so the write's memory stays that of one chunk. A CSV chunk is
+assembled as packed bytes, with no Python work per row: each distinct
+cell text, with its separator, is encoded and NUL-padded to whole 8-byte
+words; one gather per column lays the chunk's words out row by row; and
+their non-NUL bytes, in order, are the chunk's lines (so no cell may
+hold a NUL). Each distinct value of a numeric column (by bit pattern) is
+formatted once per chunk, an integer by the package's one digit kernel
+(``graphs._digits``), with no Python work per value either. Columns
 whose cells repeat a few values (steps, trajectory ids, state labels)
 are coded (:class:`CodedColumn`: an int code per cell over an array of
 values); their values are formatted once per table, and each chunk only
@@ -57,7 +63,13 @@ from .equivalence import (
     TransitionMatrixSeq,
 )
 from .errors import ConfigError, ValidationError
-from .graphs import PortGraph, ProductGraph, graph_from_json, graph_hash
+from .graphs import (
+    PortGraph,
+    ProductGraph,
+    _digits,
+    graph_from_json,
+    graph_hash,
+)
 from .trajectory import RNG_ALGORITHM, TrajectoryEnsemble
 from .walk import NORM_ATOL, CoinSpec, InteractionSpec, ShiftSpec, WaveFunction
 
@@ -328,7 +340,7 @@ class CodedColumn:
         return iter(self.tolist())
 
     def tolist(self) -> list:
-        return self.values[self.codes].tolist()
+        return _values(self, 0, len(self))
 
 
 class Table:
@@ -358,11 +370,15 @@ class Table:
 
 
 def _values(column, lo: int, hi: int) -> list:
-    """The cell values of rows ``lo`` to ``hi - 1`` of a table column."""
+    """The cell values of rows ``lo`` to ``hi - 1`` of a table column; the
+    texts of a bytes array as ``str``."""
     if isinstance(column, CodedColumn):
-        return column.values[column.codes[lo:hi]].tolist()
-    part = column[lo:hi]
-    return part.tolist() if isinstance(part, np.ndarray) else list(part)
+        part = column.values[column.codes[lo:hi]]
+    else:
+        part = column[lo:hi]
+    if not isinstance(part, np.ndarray):
+        return list(part)
+    return (part.astype("U") if part.dtype.kind == "S" else part).tolist()
 
 
 #: Rows formatted and written at a time by :func:`write_table`.
@@ -371,6 +387,11 @@ CHUNK_ROWS = 1 << 14
 #: and both line-break characters, which would need quoting, and NUL, which
 #: pads the packed CSV words.
 _SPECIAL = re.compile(r'[,"\r\n\0]')
+#: The bytes no text of a bytes array may hold: those of :data:`_SPECIAL`
+#: but NUL, which pads the array (a NUL inside a text is refused apart),
+#: and every byte that is not ASCII.
+_SPECIAL_OCTETS = np.array([i > 127 or i > 0 and bool(_SPECIAL.match(chr(i)))
+                            for i in range(256)])
 
 
 def _numeric(part) -> bool:
@@ -379,49 +400,68 @@ def _numeric(part) -> bool:
             and part.dtype.itemsize in (1, 2, 4, 8))
 
 
+def _octets(texts: np.ndarray) -> np.ndarray:
+    """The ``(len(texts), itemsize)`` uint8 table of a bytes array."""
+    texts = np.ascontiguousarray(texts)
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+
+
 def _check_text(part, name: str) -> None:
     """Raise :class:`ValidationError` unless every cell of ``part``, a
     column that is not numeric, is a non-empty string without a special
-    character."""
-    values = part.tolist() if isinstance(part, np.ndarray) else list(part)
-    if not (set(map(type, values)) <= {str} and all(values)
-            and not _SPECIAL.search("".join(values))):
+    character. A bytes array (numpy ``S`` dtype) is checked as bytes: each
+    text must be non-empty ASCII, with no NUL before its last byte."""
+    if isinstance(part, np.ndarray) and part.dtype.kind == "S":
+        octets = _octets(part)
+        valid = (octets[:, :1].all() and not _SPECIAL_OCTETS[octets].any()
+                 and not ((octets[:, :-1] == 0) & (octets[:, 1:] != 0)).any())
+    else:
+        values = part.tolist() if isinstance(part, np.ndarray) else list(part)
+        valid = (set(map(type, values)) <= {str} and all(values)
+                 and not _SPECIAL.search("".join(values)))
+    if not valid:
         raise ValidationError(
             f"{name} holds a cell that is neither a number nor a non-empty "
             "string without a comma, a quote, a line break or a NUL")
 
 
 def _cells(part, encoding: str) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct CSV texts of a slice of a checked column, as a bytes
-    array, and the index of each cell's text among them.
+    """The distinct CSV texts of a slice of a checked column, as a 2-d
+    uint8 table with one text per row, NUL-padded, and the index of each
+    cell's text among them.
 
     A numeric array formats each distinct bit pattern once (so ``-0.0``
-    and ``0.0`` stay apart), in ASCII; checked text cells are their own
-    text, in ``encoding``.
+    and ``0.0`` stay apart), in ASCII: integers by :func:`_digits`, bools
+    and floats as ``str`` and ``repr`` spell them. A bytes array (the
+    state labels) is its own ASCII text, and other checked text cells are
+    their own text, in ``encoding``.
     """
     if _numeric(part):
         bits = part.view(f"u{part.dtype.itemsize}")
         distinct, inverse = np.unique(bits, return_inverse=True)
         values = distinct.view(part.dtype)
-        if part.dtype.kind != "f":  # numpy's cast spells them as str does
-            return values.astype("S"), inverse
-        # the repr of a double has at most 24 characters
-        return np.array(list(map(float.__repr__, values.tolist())),
-                        dtype="S24"), inverse
-    texts = part.tolist() if isinstance(part, np.ndarray) else list(part)
-    return (np.array([text.encode(encoding) for text in texts], dtype="S"),
-            np.arange(len(texts)))
+        if part.dtype.kind in "iu":
+            return _digits(values), inverse
+        if part.dtype.kind == "b":
+            return _octets(np.where(values, b"True", b"False")), inverse
+        return _octets(np.array(list(map(float.__repr__, values.tolist())),
+                                dtype="S")), inverse
+    if not (isinstance(part, np.ndarray) and part.dtype.kind == "S"):
+        texts = part.tolist() if isinstance(part, np.ndarray) else list(part)
+        part = np.array([text.encode(encoding) for text in texts], dtype="S")
+    return _octets(part), np.arange(len(part))
 
 
-def _words(texts: np.ndarray, end: str) -> np.ndarray:
-    """The ``(len(texts), w)`` uint64 table of a bytes array: each text
-    and its ``end``, NUL-padded to ``w`` whole 8-byte words."""
-    lengths = np.count_nonzero(
-        texts.view(np.uint8).reshape(len(texts), texts.itemsize), axis=1)
-    size = int(lengths.max(initial=0)) // 8 * 8 + 8
-    octets = texts.astype(f"S{size}").view(np.uint8).reshape(-1, size)
-    octets[np.arange(len(texts)), lengths] = ord(end)
-    return octets.view(np.uint64)
+def _words(octets: np.ndarray, end: str) -> np.ndarray:
+    """The ``(len(octets), w)`` uint64 table of a table of NUL-padded
+    texts: each row and then ``end``, NUL-padded to ``w`` whole 8-byte
+    words (the NULs between a text and its ``end`` are dropped with the
+    others)."""
+    size = octets.shape[1] // 8 * 8 + 8
+    words = np.zeros((len(octets), size), np.uint8)
+    words[:, :octets.shape[1]] = octets
+    words[:, octets.shape[1]] = ord(end)
+    return words.view(np.uint64)
 
 
 def _column_words(column, size: int, end: str, encoding: str
@@ -431,15 +471,15 @@ def _column_words(column, size: int, end: str, encoding: str
     row ``size``; a coded column's table, of its values, is made once."""
     coded = isinstance(column, CodedColumn)
     if coded:
-        texts, inverse = _cells(column.values, encoding)
-        table = _words(texts, end)[inverse]
+        octets, inverse = _cells(column.values, encoding)
+        table = _words(octets, end)[inverse]
     for lo in range(0, size, CHUNK_ROWS):
         hi = lo + CHUNK_ROWS
         if coded:
             yield table, column.codes[lo:hi]
         else:
-            texts, codes = _cells(column[lo:hi], encoding)
-            yield _words(texts, end), codes
+            octets, codes = _cells(column[lo:hi], encoding)
+            yield _words(octets, end), codes
 
 
 def _csv_rows(columns: Sequence, size: int,
@@ -465,18 +505,22 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
 
     The CSV form is what ``csv.writer`` writes (excel dialect, newline
     line ends) for cells that need no quotes: floats in shortest
-    round-trip form (``repr``), other numbers by ``str`` and strings as
-    they are, in the encoding of a text-mode file. The JSON form is
+    round-trip form (``repr``), integers and bools as ``str`` spells them
+    (integers by the digit kernel, :func:`~qrwalk.graphs._digits`),
+    strings as they are, in the encoding of a text-mode file, and the
+    texts of a bytes array as their ASCII bytes. The JSON form is
     ``json.dumps`` of ``{"meta", "header", "rows"}`` with sorted keys,
-    and a newline. In either format, a cell that is neither a number of a
-    1-d numeric array nor a non-empty string without a comma, a quote, a
-    line break or a NUL raises :class:`ValidationError` naming its column
-    (a coded column's values are checked once), before the file is
-    opened. Both forms are written in chunks of :data:`CHUNK_ROWS` rows,
-    so the write's memory stays bounded whatever the table's length. A
-    CSV chunk is packed bytes (:func:`_csv_rows`): each cell's text with
-    its separator, NUL-padded to whole 8-byte words, is gathered by code
-    into one word array, whose non-NUL bytes are the chunk's lines.
+    and a newline, with the texts of a bytes array as ``str``. In either
+    format, a cell that is neither a number of a 1-d numeric array nor a
+    non-empty string without a comma, a quote, a line break or a NUL (for
+    a bytes array, non-empty ASCII without them) raises
+    :class:`ValidationError` naming its column (a coded column's values
+    are checked once), before the file is opened. Both forms are written
+    in chunks of :data:`CHUNK_ROWS` rows, so the write's memory stays
+    bounded whatever the table's length. A CSV chunk is packed bytes
+    (:func:`_csv_rows`): each cell's text with its separator, NUL-padded
+    to whole 8-byte words, is gathered by code into one word array, whose
+    non-NUL bytes are the chunk's lines.
     """
     base = Path(path_base)
     meta = {**table.meta, "manifest": manifest} if manifest else table.meta
@@ -543,19 +587,13 @@ def _coded_states(count: int, *states: np.ndarray
     return distinct, np.split(inverse, np.cumsum(sizes)[:-1])
 
 
-def _labels(states: np.ndarray, num_walkers: int,
-            num_base: int) -> np.ndarray:
-    return np.array(ProductGraph.state_labels(states, num_walkers, num_base),
-                    dtype=object)
-
-
 def rho_table(rho: np.ndarray, num_walkers: int, num_base: int) -> Table:
     """Rows ``t,v,rho`` (tuple states serialised as ``u1|u2|...``) of the
     non-zero masses only: an unlisted (t, v) has mass exactly 0."""
     rho = np.asarray(rho, dtype=np.float64)
     (t, v), states = np.nonzero(rho), rho.shape[1]
     distinct, (codes,) = _coded_states(states, v)
-    labels = _labels(distinct, num_walkers, num_base)
+    labels = ProductGraph.label_texts(distinct, num_walkers, num_base)
     return Table(["t", "v", "rho"], [CodedColumn(t, np.arange(len(rho))),
                                      CodedColumn(codes, labels), rho[t, v]],
                  _table_meta(states, num_walkers, num_base))
@@ -570,7 +608,7 @@ def matrix_table(store: dict[str, np.ndarray]) -> Table:
     distinct, (u, v) = _coded_states(
         n ** k, np.repeat(store["col_ids"], np.diff(indptr)),
         store["indices"])
-    labels = _labels(distinct, k, n)
+    labels = ProductGraph.label_texts(distinct, k, n)
     columns = [_runs(store["step_ptr"].size - 1,
                      np.diff(indptr[store["step_ptr"]])),
                CodedColumn(u, labels), CodedColumn(v, labels),
@@ -595,7 +633,8 @@ def trajectories_table(
     distinct, (states,) = _coded_states(ens.num_states, ens.paths.reshape(-1))
     columns = [_runs(size, steps),
                CodedColumn(np.tile(np.arange(steps), size), np.arange(steps)),
-               CodedColumn(states, _labels(distinct, num_walkers, num_base))]
+               CodedColumn(states, ProductGraph.label_texts(
+                   distinct, num_walkers, num_base))]
     if unfold:
         columns += [CodedColumn(states, x) for x in np.unravel_index(
             distinct, tuple(int(d) for d in torus_dims))]

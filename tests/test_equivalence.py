@@ -522,6 +522,24 @@ class TestStateLabels:
             digits = [int(x) for x in label.split("|")]
             assert np.ravel_multi_index(digits, (4, 4)) == idx
 
+    @pytest.mark.parametrize("walkers", [1, 2, 3])
+    @pytest.mark.parametrize("bad, message", [
+        (-1, "state index -1 outside 0 .. {last}"),
+        ("end", "state index {end} outside 0 .. {last}"),
+        (3.7, "a 1-d array of integers, got 1-d float64"),
+        (True, "a 1-d array of integers, got 1-d bool"),
+    ], ids=["negative", "past-the-end", "float", "bool"])
+    def test_bad_indices_are_refused(self, walkers, bad, message):
+        # on 10 base vertices the states are 0 .. 10**walkers - 1
+        end = 10 ** walkers
+        indices = [end if bad == "end" else bad]
+        for spell in (ProductGraph.state_labels, ProductGraph.label_texts):
+            with pytest.raises(ValidationError, match=message.format(
+                    end=end, last=end - 1)):
+                spell(indices, walkers, 10)
+            with pytest.raises(ValidationError, match="got 2-d int64"):
+                spell([[0, 1]], walkers, 10)
+
 
 class TestSequenceShape:
     def test_state_count_must_be_a_power_of_the_walker_count(self, c4):

@@ -104,6 +104,38 @@ class TestTables:
             write_table(tmp_path / "t", Table(["n\0"], [np.arange(2)]), fmt)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("cell", [b"", b"a,b", b'a"b', b"a\nb", b"a\rb",
+                                      b"a\0b", b"\0a", "é".encode()],
+                             ids=["empty", "comma", "quote", "lf", "cr",
+                                  "nul", "leading-nul", "non-ascii"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_bytes_cell_outside_the_contract_is_refused(self, tmp_path,
+                                                          cell, fmt):
+        # a bytes array is checked as bytes: non-empty ASCII texts with no
+        # special character and no NUL before their last byte
+        texts = np.array([b"b", cell])
+        for column in (texts, CodedColumn(np.array([1, 0]), texts)):
+            with pytest.raises(ValidationError, match="column 'x'"):
+                write_table(tmp_path / "t", Table(["n", "x"], [
+                    np.arange(2), column]), fmt)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_columns_write_their_ascii_text(self, tmp_path, fmt):
+        texts = ["7", "10|3", "a b#", "x" * 17]
+        plain = np.array(texts, dtype=object)
+        raw = np.array([text.encode() for text in texts])
+        codes = np.array([3, 0, 0, 1, 2, 3])
+        for column, same in ((raw, plain), (CodedColumn(codes, raw),
+                                            CodedColumn(codes, plain))):
+            want = write_table(tmp_path / "want", Table(
+                ["n", "x"], [np.arange(len(column)), same]), fmt)
+            table = Table(["n", "x"], [np.arange(len(column)), column])
+            got = write_table(tmp_path / "got", table, fmt)
+            assert got.read_bytes() == want.read_bytes()
+            assert [row[1] for row in table.rows] == list(same)
+        assert CodedColumn(codes, raw).tolist() == plain[codes].tolist()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_refused_table_leaves_no_file(self, tmp_path, fmt):
         table = Table(["n", "x"], [np.arange(2), ["a", "b,c"]])

@@ -4,8 +4,9 @@ port maps, shifts, JSON and hash) on random edge lists and port orders,
 the array builder of P(t) and the sampler on random graphs, coins,
 shifts and states for up to three walkers, the port sums of
 ``vertex_masses`` against ``np.add.reduceat``, the sampler against the
-exact law of its paths, and the packed CSV writer against ``csv.writer``
-on random tables."""
+exact law of its paths, the packed CSV writer against ``csv.writer``
+on random tables, and the digit kernel and the state labels against
+``str``."""
 
 import json
 import tempfile
@@ -53,6 +54,7 @@ from qrwalk import (
 )
 from qrwalk import persist
 from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
+from qrwalk.graphs import _digits
 from qrwalk.persist import (
     CodedColumn,
     Table,
@@ -473,6 +475,24 @@ def test_graph_hash_equals_the_json_reference(seed):
     g = build_graph(sorted(edges),
                     ordering=[rng.permutation(x).tolist() for x in nbrs])
     assert graph_hash(g) == oracle.reference_graph_hash(g.out_neighbors)
+
+
+@pytest.mark.parametrize("n", [2, 9, 10, 11, 99, 100, 101, 1000])
+def test_graph_hash_equals_the_json_reference_across_digit_counts(n):
+    # sizes on either side of each new digit, irregular with random port
+    # orders (a random tree plus chords); n = 1 has no graph, as a lone
+    # vertex would be isolated
+    rng = np.random.default_rng(n)
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    edges |= {(u, v) for u, v in rng.integers(0, n, size=(n, 2)).tolist()
+              if u < v}
+    nbrs = build_graph(sorted(edges)).out_neighbors
+    g = build_graph(sorted(edges),
+                    ordering=[rng.permutation(x).tolist() for x in nbrs])
+    assert graph_hash(g) == oracle.reference_graph_hash(g.out_neighbors)
+    ring = cycle_graph(max(n, 3))
+    assert graph_hash(ring) \
+        == oracle.reference_graph_hash(ring.out_neighbors)
 
 
 @SETTINGS
@@ -987,6 +1007,63 @@ def test_sampler_matches_per_column_reference(seed, walkers, method):
     uniforms = np.random.default_rng(master).random((size, length + 1))
     assert np.array_equal(ens.paths,
                           oracle.reference_paths(seq, uniforms, method))
+
+
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def edge_integers(dtype) -> list[int]:
+    """0, the extremes of ``dtype`` and each +-10**k and +-(10**k - 1) it
+    holds: the values whose text gains or loses a digit or a sign."""
+    info = np.iinfo(dtype)
+    edges = {0, int(info.min), int(info.max)} | {
+        sign * (10**k - d) for k in range(21) for d in (0, 1)
+        for sign in (1, -1)}
+    return sorted(x for x in edges if info.min <= x <= info.max)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(data=st.data(), dtype=st.sampled_from(INTEGER_DTYPES))
+def test_digits_spell_every_integer_as_str(data, dtype):
+    """Each row of the digit table is the value's ``str``, right-aligned
+    and NUL-padded on the left to the longest text."""
+    info = np.iinfo(dtype)
+    values = data.draw(st.lists(st.integers(int(info.min), int(info.max)),
+                                max_size=20))
+    values += data.draw(st.lists(st.sampled_from(edge_integers(dtype)),
+                                 max_size=20))
+    every_edge = data.draw(st.booleans())
+    if every_edge:
+        values += edge_integers(dtype)
+    table = _digits(np.array(values, dtype=dtype))
+    width = max(map(len, map(str, values)), default=1)
+    assert table.dtype == np.uint8 and table.shape == (len(values), width)
+    assert [bytes(row) for row in table] \
+        == [str(v).encode().rjust(width, b"\0") for v in values]
+
+
+@settings(SETTINGS, max_examples=60)
+@given(data=st.data(), walkers=st.integers(1, 3),
+       base=st.sampled_from([2, 9, 10, 11, 99, 100, 101]),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_state_labels_join_the_str_of_each_walker(data, walkers, base, fmt):
+    """Labels, as ``str`` and as a written table's cells, are the vertex
+    numbers spelled by ``str`` and joined by ``|``, with bases on either
+    side of a new digit."""
+    count = base ** walkers
+    states = sorted(data.draw(st.sets(st.integers(0, count - 1),
+                                      max_size=30)) | {0, count - 1})
+    want = oracle.reference_state_labels(states, walkers, base)
+    assert ProductGraph.state_labels(states, walkers, base) == want
+    assert ProductGraph.label_texts(states, walkers, base).tolist() \
+        == [label.encode() for label in want]
+    table = persist.trajectories_table(
+        TrajectoryEnsemble(np.array(states)[:, None], count), walkers, base)
+    with tempfile.TemporaryDirectory() as out:
+        write_table(Path(out) / "t", table, fmt)
+        rows = oracle.read_table(Path(out) / "t").rows
+    assert [row[2] for row in rows] == want
 
 
 #: Floats whose text must stay apart or be spelled exactly: signed zeros

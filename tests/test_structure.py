@@ -13,6 +13,11 @@ may offer to skip a check.
 Every state space is a ``ProductGraph``, one walker being the product
 of one, so only ``graphs.py`` may ask which graph type it holds.
 
+Integers are spelled in one place, ``graphs._digits``, with no Python
+work per value: the graph hash, the state labels and the integer cells
+of a table all go through it, so no other code may spell them one ``str``
+or one numpy bytes cast at a time.
+
 P(t) stores only its ratio columns and makes the uniform ones on demand,
 so a reader of its stored column ids would miss the uniform columns:
 only ``equivalence.py``, which owns that convention, and ``persist.py``,
@@ -36,6 +41,8 @@ GRAPH_TYPES = {"PortGraph", "ProductGraph"}
 COLUMN_OWNERS = {"equivalence.py", "persist.py"}
 #: The modules that write the stored columns only, never the uniform ones.
 STORE_WRITERS = {"persist.py"}
+#: The one integer formatter: module and function.
+DIGIT_KERNEL = ("graphs.py", "_digits")
 
 
 def _names(node) -> set[str]:
@@ -254,3 +261,61 @@ def test_the_find_guard_sees_each_breach():
         "persist.py:2 calls find",
     ]
     assert find_call_breaches(source, "trajectory.py") == []
+
+
+def spelling_breaches(source: str, module: str) -> list[str]:
+    """Each ``map(str, ...)`` call and each ``astype`` to a bytes dtype
+    (``"S"`` or ``"S<n>"``) in ``source``, outside the digit kernel."""
+    tree = ast.parse(source)
+    inside = set()
+    if module == DIGIT_KERNEL[0]:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name == DIGIT_KERNEL[1]:
+                inside = {id(n) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside or not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Name) and func.id == "map" and args \
+                and isinstance(args[0], ast.Name) and args[0].id == "str":
+            found.append((node.lineno, "map(str, ...)"))
+        elif isinstance(func, ast.Attribute) and func.attr == "astype":
+            dtypes = args[:1] + [k.value for k in node.keywords
+                                 if k.arg == "dtype"]
+            if any(isinstance(d, ast.Constant) and isinstance(d.value, str)
+                   and d.value.lstrip("|").startswith("S")
+                   for d in dtypes):
+                found.append((node.lineno, "astype to bytes"))
+    return [f"{module}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_integers_are_spelled_by_the_digit_kernel_only():
+    breaches = [b for path in sorted(SRC.glob("*.py"))
+                for b in spelling_breaches(path.read_text(), path.name)]
+    assert breaches == []
+
+
+def test_the_spelling_guard_sees_each_breach():
+    source = (
+        "def _digits(values):\n"
+        "    return values.astype('S'), list(map(str, values))\n"
+        "def labels(ids):\n"
+        "    return '|'.join(map(str, ids.tolist()))\n"
+        "def cells(part):\n"
+        "    return part.astype('S21'), part.astype(dtype='|S'), \\\n"
+        "        part.astype('U'), list(map(repr, part))\n"
+    )
+    assert spelling_breaches(source, "persist.py") == [
+        "persist.py:2 astype to bytes",
+        "persist.py:2 map(str, ...)",
+        "persist.py:4 map(str, ...)",
+        "persist.py:6 astype to bytes",
+        "persist.py:6 astype to bytes",
+    ]
+    assert spelling_breaches(source, "graphs.py") == [
+        "graphs.py:4 map(str, ...)",
+        "graphs.py:6 astype to bytes",
+        "graphs.py:6 astype to bytes",
+    ]
