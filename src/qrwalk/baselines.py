@@ -26,7 +26,7 @@ import numpy as np
 from .equivalence import TransitionMatrix, matrix_from_masses
 from .errors import ApplicabilityError, ConsistencyError, ValidationError
 from .graphs import PortGraph, ProductGraph, torus_graph
-from .trajectory import total_variation
+from .trajectory import _pick, total_variation
 from .walk import ShiftSpec, check_budget
 
 __all__ = [
@@ -126,15 +126,6 @@ def rejection_sample(
     check_budget(16 * batch * length,
                  f"a batch of {batch} sequences of length {length}")
 
-    supports = []
-    cums = []
-    for t in range(length):
-        sup = np.flatnonzero(rho_seq[t] > 0.0)
-        if sup.size == 0:
-            raise ValidationError(f"distribution at t={t} has no support")
-        supports.append(sup)
-        cums.append(np.cumsum(rho_seq[t][sup]))
-
     counts = np.zeros((length, graph.num_vertices), dtype=np.int64)
     accepted = 0
     done = 0
@@ -143,9 +134,7 @@ def rejection_sample(
         u = rng.random((batch, length))
         seqs = np.empty((batch, length), dtype=np.int64)
         for t in range(length):
-            idx = np.minimum(np.searchsorted(cums[t], u[:, t], side="right"),
-                             supports[t].size - 1)
-            seqs[:, t] = supports[t][idx]
+            seqs[:, t] = _pick(rho_seq[t], u[:, t])
         if length > 1:
             ok = graph.has_edges(seqs[:, :-1], seqs[:, 1:]).all(axis=1)
         else:

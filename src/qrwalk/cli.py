@@ -44,7 +44,7 @@ from .persist import (
 )
 from .trajectory import convergence_report, locality_fraction, \
     sample_ensemble, total_variation
-from .walk import evolve, vertex_masses
+from .walk import evolve
 
 _RUNTIME_ERRORS = (ConsistencyError, ResourceLimitError)
 
@@ -126,7 +126,7 @@ def cmd_evolve(args, config: dict) -> int:
     manifest = manifest_for(config, "evolve", base, format=args.format)
 
     try:
-        rhos = [vertex_masses(space, p) for p in
+        rhos = [rho for _, rho in
                 evolve(psi, coin, shift, horizon, interaction)]
     except ValidationError as exc:
         raise _as_runtime(exc) from exc
@@ -244,7 +244,7 @@ def cmd_rejection(args, config: dict) -> int:
                             attempts=attempts)
 
     try:
-        rho_seq = np.stack([vertex_masses(space, p) for p in
+        rho_seq = np.stack([rho for _, rho in
                             evolve(psi, coin, shift, length - 1)])
         report = rejection_sample(rho_seq, base, attempts, seed=seed)
         exact, total = exact_rejection_marginals(rho_seq, base)
@@ -388,8 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="re-check persisted matrices")
     sp.add_argument("--in-dir", required=True)
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.set_defaults(func=cmd_verify, overrides=(), config=None,
-                    out_dir=None, format="csv", seed=None)
+    sp.set_defaults(func=cmd_verify, overrides=())
 
     return parser
 

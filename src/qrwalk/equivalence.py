@@ -43,7 +43,6 @@ from .walk import (
     _per_walker,
     check_budget,
     evolve,
-    vertex_masses,
 )
 
 __all__ = [
@@ -482,19 +481,20 @@ def build_sequence(
     """Evolve ``horizon`` steps and emit P(0..T-1) plus rho(0..T).
     ``graph`` is ``psi0``'s state space (a port graph: one walker).
 
-    P(t) comes from rho(t) and the basis-state masses of psi(t + 1) that
-    :func:`~qrwalk.walk.evolve` yields, so the walk keeps only its two
-    state buffers and the masses of one step at a time."""
+    :func:`~qrwalk.walk.evolve` yields the masses of psi(t) and rho(t) at
+    each t; P(t) comes from rho(t) and the masses of psi(t + 1), so the
+    walk keeps only its two state buffers and the masses of one step at a
+    time."""
     pg = psi0.graph
     if ProductGraph.of(graph) != pg:
         raise ValidationError("graph does not match psi0")
-    masses = evolve(psi0, coin, shift, horizon, interaction)
-    rhos = [vertex_masses(pg, next(masses))]
-    matrices: list[TransitionMatrix] = []
-    for t, p_next in enumerate(masses):
-        matrices.append(matrix_from_masses(pg, shift, rhos[-1], p_next,
-                                           time=t))
-        rhos.append(vertex_masses(pg, p_next))
+    rhos, matrices = [], []
+    for t, (masses, rho) in enumerate(
+            evolve(psi0, coin, shift, horizon, interaction)):
+        if t:
+            matrices.append(matrix_from_masses(pg, shift, rhos[-1], masses,
+                                               time=t - 1))
+        rhos.append(rho)
     return TransitionMatrixSeq(matrices, np.stack(rhos), pg)
 
 

@@ -349,7 +349,8 @@ class Table:
     Cells are held column by column, as numpy arrays, lists of strings or
     coded columns (:class:`CodedColumn`), so that whole columns are
     formatted at once; a coded column's values are formatted once per
-    table. ``rows`` is the row view, of the cell values.
+    table, and once for all the columns that share them. ``rows`` is the
+    row view, of the cell values.
     """
 
     def __init__(self, header: Sequence[str], columns: Sequence,
@@ -464,36 +465,30 @@ def _words(octets: np.ndarray, end: str) -> np.ndarray:
     return words.view(np.uint64)
 
 
-def _column_words(column, size: int, end: str, encoding: str
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The word table (:func:`_words`) of a checked column's texts and the
-    codes of its cells into it, :data:`CHUNK_ROWS` rows at a time up to
-    row ``size``; a coded column's table, of its values, is made once."""
-    coded = isinstance(column, CodedColumn)
-    if coded:
-        octets, inverse = _cells(column.values, encoding)
-        table = _words(octets, end)[inverse]
-    for lo in range(0, size, CHUNK_ROWS):
-        hi = lo + CHUNK_ROWS
-        if coded:
-            yield table, column.codes[lo:hi]
-        else:
-            octets, codes = _cells(column[lo:hi], encoding)
-            yield _words(octets, end), codes
-
-
 def _csv_rows(columns: Sequence, size: int,
               encoding: str) -> Iterator[np.ndarray]:
     """The bytes of rows 0 to ``size - 1`` of checked columns,
-    :data:`CHUNK_ROWS` rows at a time: each column's words gathered by
-    code side by side, one ``(rows, words)`` array per chunk, whose
-    non-NUL bytes, in order, are the chunk's lines."""
+    :data:`CHUNK_ROWS` rows at a time: each column's word table
+    (:func:`_words`) gathered by code side by side, one ``(rows, words)``
+    array per chunk, whose non-NUL bytes, in order, are the chunk's lines.
+    The word table of a coded column's values is made once per distinct
+    values array and separator, so columns that share their values (the
+    ``u`` and ``v`` labels of :func:`matrix_table`) share one table."""
     ends = [","] * (len(columns) - 1) + ["\n"]
-    for parts in zip(*(_column_words(c, size, end, encoding)
-                       for c, end in zip(columns, ends))):
-        words = np.concatenate([table[codes] for table, codes in parts],
-                               axis=1)
-        octets = words.view(np.uint8).reshape(-1)
+    tables = {}
+    for c, end in zip(columns, ends):
+        if isinstance(c, CodedColumn) and (id(c.values), end) not in tables:
+            octets, inverse = _cells(c.values, encoding)
+            tables[id(c.values), end] = _words(octets, end)[inverse]
+    for lo in range(0, size, CHUNK_ROWS):
+        hi, parts = lo + CHUNK_ROWS, []
+        for c, end in zip(columns, ends):
+            if isinstance(c, CodedColumn):
+                parts.append(tables[id(c.values), end][c.codes[lo:hi]])
+            else:
+                octets, codes = _cells(c[lo:hi], encoding)
+                parts.append(_words(octets, end)[codes])
+        octets = np.concatenate(parts, axis=1).view(np.uint8).reshape(-1)
         yield octets[octets != 0]
 
 
@@ -514,23 +509,25 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     format, a cell that is neither a number of a 1-d numeric array nor a
     non-empty string without a comma, a quote, a line break or a NUL (for
     a bytes array, non-empty ASCII without them) raises
-    :class:`ValidationError` naming its column (a coded column's values
-    are checked once), before the file is opened. Both forms are written
-    in chunks of :data:`CHUNK_ROWS` rows, so the write's memory stays
-    bounded whatever the table's length. A CSV chunk is packed bytes
-    (:func:`_csv_rows`): each cell's text with its separator, NUL-padded
-    to whole 8-byte words, is gathered by code into one word array, whose
-    non-NUL bytes are the chunk's lines.
+    :class:`ValidationError` naming its column (each distinct values array
+    is checked once, under the first column that holds it), before the
+    file is opened. Both forms are written in chunks of :data:`CHUNK_ROWS`
+    rows, so the write's memory stays bounded whatever the table's length.
+    A CSV chunk is packed bytes (:func:`_csv_rows`): each cell's text with
+    its separator, NUL-padded to whole 8-byte words, is gathered by code
+    into one word array, whose non-NUL bytes are the chunk's lines.
     """
     base = Path(path_base)
     meta = {**table.meta, "manifest": manifest} if manifest else table.meta
     _check_text(table.header, "the header")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
+    checked = set()
     for h, c in zip(table.header, table.columns):
         part = c.values if isinstance(c, CodedColumn) else c
-        if not _numeric(part):  # numbers need no check
+        if not _numeric(part) and id(part) not in checked:  # numbers pass
             _check_text(part, f"column {h!r}")
+            checked.add(id(part))
     size = len(table.columns[0]) if table.columns else 0
     if fmt == "csv":
         head = "".join(f"# {key}={meta[key]}\n" for key in sorted(meta)) \

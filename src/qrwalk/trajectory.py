@@ -115,11 +115,14 @@ def _alias_draw(mat: TransitionMatrix, states: np.ndarray,
     return mat.indices[start + np.where(x - i < accept[at], i, alias[at])]
 
 
-def _initial_pick(rho0: np.ndarray, uniforms) -> np.ndarray:
-    support = np.flatnonzero(rho0 > 0.0)
+def _pick(rho: np.ndarray, uniforms) -> np.ndarray:
+    """The state each of ``uniforms`` picks from the distribution ``rho``:
+    the first state of its support whose cumulative mass exceeds the
+    uniform, or the last one."""
+    support = np.flatnonzero(rho > 0.0)
     if support.size == 0:
-        raise ValidationError("initial distribution has no support")
-    idx = np.searchsorted(np.cumsum(rho0[support]), uniforms, side="right")
+        raise ValidationError("a distribution to draw from has no support")
+    idx = np.searchsorted(np.cumsum(rho[support]), uniforms, side="right")
     return support[np.minimum(idx, support.size - 1)]
 
 
@@ -131,7 +134,7 @@ def _draw(seq: TransitionMatrixSeq, uniforms: np.ndarray,
     if method not in ("scan", "alias"):
         raise ValidationError(f"unknown sampling method {method!r}")
     paths = np.empty(uniforms.shape, dtype=np.int64)
-    paths[:, 0] = _initial_pick(seq.rho[0], uniforms[:, 0])
+    paths[:, 0] = _pick(seq.rho[0], uniforms[:, 0])
     for t, mat in enumerate(seq.matrices[:uniforms.shape[1] - 1]):
         states, u = paths[:, t], uniforms[:, t + 1]
         paths[:, t + 1] = (mat.draw(states, u) if method == "scan"

@@ -10,9 +10,10 @@ state; nothing here renormalises, which keeps genuine defects visible.
 Each operator has one kernel, which writes from one state buffer into
 another: the interaction in place, the coin and the shift one walker at a
 time. :func:`evolve`, the one walk loop, runs them in two preallocated
-buffers and yields the masses ``|psi(t)|^2``; :func:`step` and the
-``apply_*`` functions run the same kernels on a copy of a
-:class:`WaveFunction` and return a new one.
+buffers and yields, at each t, the masses ``|psi(t)|^2`` and the vertex
+distribution rho(t) they sum to; no other loop of the package makes
+rho(t). :func:`step` and the ``apply_*`` functions run the same kernels
+on a copy of a :class:`WaveFunction` and return a new one.
 
 Operators may vary with time: wherever a spec is accepted, a callable
 ``t -> spec`` is accepted too and resolved at each step.
@@ -619,9 +620,10 @@ def _workspace(psi: WaveFunction, masses: bool = False
     return psi.amplitudes.copy(), np.empty_like(psi.amplitudes)
 
 
-def _masses(amps: np.ndarray) -> np.ndarray:
-    """``|amps|^2``, the bits of ``np.abs(amps) ** 2`` in one array."""
-    p = np.abs(amps)
+def _masses(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``|amps|^2``, the bits of ``np.abs(amps) ** 2``, in ``out`` (a float
+    array of the shape of ``amps``) or in one new array."""
+    p = np.abs(amps, out=out)
     return np.square(p, out=p)
 
 
@@ -672,26 +674,32 @@ def step(
 
 def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
            horizon: int, interaction: InteractionLike | None = None
-           ) -> Iterator[np.ndarray]:
-    """Yield the basis-state masses ``|psi(t)|^2`` for t = 0, 1, ...,
-    ``horizon``, each a new float array.
+           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(masses, rho)`` for t = 0, 1, ..., ``horizon``: the
+    basis-state masses ``|psi(t)|^2`` and rho(t), their
+    :func:`vertex_masses`, each a new float array.
 
     The walk runs in place in two state buffers, each step's operators
     writing from one into the other; the buffers and the masses are
     checked against the memory budget before anything is allocated. Every
     psi(t + 1) is checked to be normalised within :data:`NORM_ATOL`, as a
-    :class:`WaveFunction` is, and :func:`step` gives the same bits.
-    :func:`vertex_masses` turns the masses into rho(t)."""
+    :class:`WaveFunction` is, before its masses are yielded, and
+    :func:`step` gives the same bits."""
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
     space = psi0.graph
     x, y = _workspace(psi0, masses=True)
-    yield _masses(x)
-    for t in range(horizon):
-        x, y = _step(space, x, y, coin, shift, interaction, t)
-        p = _masses(x)
-        _check_norm(float(p.sum()))
-        yield p
+    for t in range(horizon + 1):
+        if t:
+            x, y = _step(space, x, y, coin, shift, interaction, t - 1)
+        # the masses are made and summed in the spare buffer, then copied
+        # out: the port sums' temporaries never sit beside both the masses
+        # the caller still holds and the new ones
+        p = _masses(x, y.view(np.float64)[:x.size])
+        if t:
+            _check_norm(float(p.sum()))
+        rho = vertex_masses(space, p)
+        yield p.copy(), rho
 
 
 def vertex_masses(graph: PortGraph | ProductGraph,

@@ -109,6 +109,12 @@ class TestRejection:
         with pytest.raises(ValidationError):
             rejection_sample(np.ones((2, 3)) / 3, c4, 10, seed=0)
 
+    def test_a_row_without_support_is_refused(self, c4):
+        rho = np.full((3, 4), 0.25)
+        rho[1] = 0.0
+        with pytest.raises(ValidationError, match="no support"):
+            rejection_sample(rho, c4, 10, seed=0)
+
 
 class TestGroverTorusDP:
     def test_matches_engine_on_4x4_torus(self):

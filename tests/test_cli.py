@@ -29,7 +29,7 @@ def write_config(path, **overrides):
 def evolved_rho(horizon: int) -> np.ndarray:
     """rho(0..horizon) of the default config's walk, by ``vertex_masses``."""
     g = graphs.torus_graph((10, 10))
-    return np.stack([walk.vertex_masses(g, p) for p in walk.evolve(
+    return np.stack([walk.vertex_masses(g, p) for p, _ in walk.evolve(
         walk.WaveFunction.localized(g, 0, 0), walk.CoinSpec.hadamard(g),
         walk.ShiftSpec.moving(g), horizon)])
 
@@ -121,6 +121,25 @@ def test_malformed_entries_exit_2(tmp_path, capsys, command, entries):
     assert main([command, "--config", str(cfg),
                  "--out-dir", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("command", ["evolve", "equivalence", "sample",
+                                     "tvd", "rejection"])
+def test_a_walk_that_fails_midway_exits_1(tmp_path, capsys, monkeypatch,
+                                          command):
+    """A walk that breaks after the config has been read is a numerical
+    failure: with every mass doubled, step 1 fails the norm check, and
+    the command exits 1 before it writes anything."""
+    cfg = write_config(tmp_path / "cfg.json", horizon=2, length=3,
+                       attempts=100, ensemble_sizes=[20], t_grid=[1, 2])
+    masses = walk._masses
+    monkeypatch.setattr(walk, "_masses", lambda *a: 2.0 * masses(*a))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "not normalised" in err
+    assert not out.exists()
 
 
 class TestEquivalence:

@@ -19,6 +19,7 @@ from qrwalk import (
     sample_ensemble,
     torus_graph,
 )
+from qrwalk import persist
 from qrwalk.cli import main
 from qrwalk.persist import (
     CHUNK_ROWS,
@@ -303,6 +304,33 @@ class TestStore:
         assert not {(t, "1|2") for t in range(3)} & masses.keys()
         loaded = load_sequence(tmp_path)
         assert loaded.graph == pg and loaded.num_base_vertices == 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shared_labels_are_checked_and_formatted_once(
+            self, tmp_path, monkeypatch, fmt):
+        # the u and v columns of the p_matrix table share one labels
+        # array; a write checks it once and builds its word table once
+        g = torus_graph((4, 4))
+        pg = ProductGraph(g, 2)
+        seq = build_sequence(pg, CoinSpec.hadamard(g), ShiftSpec.flip_flop(g),
+                             WaveFunction.localized(pg, (0, 5), 0), 4)
+        save_sequence(tmp_path, seq, fmt=fmt)
+        with np.load(tmp_path / "sequence.npz") as store:
+            table = matrix_table(dict(store))
+        labels = table.columns[1].values
+        assert table.columns[2].values is labels
+        calls = {"_check_text": 0, "_cells": 0}
+        for name in calls:
+            def spy(part, *args, real=getattr(persist, name), name=name):
+                calls[name] += part is labels
+                return real(part, *args)
+            monkeypatch.setattr(persist, name, spy)
+        got = write_table(tmp_path / "again", table, fmt).read_bytes()
+        assert calls == {"_check_text": 1, "_cells": int(fmt == "csv")}
+        assert got == (tmp_path / f"p_matrix.{fmt}").read_bytes()
+        if fmt == "csv":
+            assert got == reference_write_table(tmp_path / "want",
+                                                table).read_bytes()
 
     @pytest.mark.parametrize("damage, message", [
         (lambda p: p.unlink(), "sequence.npz is missing"),

@@ -376,7 +376,7 @@ def test_json_schedules_walk_like_python_schedules(seed, walkers):
                        json_phase)
     in_python = evolve(psi, lambda t: coin_at[t][1],
                        lambda t: shift_at[t][1], horizon, python_phase)
-    for a, b in zip(from_json, in_python, strict=True):
+    for (a, _), (b, _) in zip(from_json, in_python, strict=True):
         assert a.tobytes() == b.tobytes()
 
 
@@ -724,7 +724,8 @@ def test_evolve_matches_the_dense_step_operator(seed, walkers, regular):
     coin, shift, interaction, psi = scheduled_walk(
         rng, walkers, regular, named=False, max_dim=(40, 20, 8)[walkers - 1])
     dense = psi
-    for t, masses in enumerate(evolve(psi, coin, shift, 3, interaction)):
+    for t, (masses, _) in enumerate(evolve(psi, coin, shift, 3,
+                                           interaction)):
         if t:
             dense = WaveFunction(psi.graph, oracle.dense_step(
                 dense, coin, shift, interaction, t - 1))
@@ -742,7 +743,8 @@ def test_evolve_keeps_the_bits_of_the_reference_step(seed, walkers,
     coin, shift, interaction, psi = scheduled_walk(
         rng, walkers, regular, named=True, max_dim=(200, 40)[walkers - 1])
     ref = psi
-    for t, masses in enumerate(evolve(psi, coin, shift, 3, interaction)):
+    for t, (masses, _) in enumerate(evolve(psi, coin, shift, 3,
+                                           interaction)):
         if t:
             ref = WaveFunction(psi.graph, oracle.reference_step(
                 ref, coin, shift, interaction, t - 1))
@@ -816,7 +818,7 @@ def test_columns_are_closed_under_the_chain(seed, walkers):
     coin, shift, psi = random_walk(np.random.default_rng(seed), walkers,
                                    tiny=True)
     seq = build_sequence(psi.graph, coin, shift, psi, 3)
-    masses = list(evolve(psi, coin, shift, 3))
+    masses = [p for p, _ in evolve(psi, coin, shift, 3)]
     for t, mat in enumerate(seq.matrices):
         assert_columns_match(mat, reference(
             psi.base, walkers, shift, seq.rho[t], masses[t + 1],

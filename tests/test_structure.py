@@ -24,6 +24,10 @@ only ``equivalence.py``, which owns that convention, and ``persist.py``,
 which stores the arrays, may read ``col_ids``. The store and its text
 export hold those ratio columns only, so ``persist.py`` reads the stored
 arrays and never calls ``find``, which makes the uniform ones.
+
+One walk loop, ``walk.evolve``, turns the walk into rho(t): it yields
+each step's masses with their ``vertex_masses``, so only ``walk.py`` may
+call ``vertex_masses``, and no other module keeps a walk loop of its own.
 """
 
 import ast
@@ -43,6 +47,8 @@ COLUMN_OWNERS = {"equivalence.py", "persist.py"}
 STORE_WRITERS = {"persist.py"}
 #: The one integer formatter: module and function.
 DIGIT_KERNEL = ("graphs.py", "_digits")
+#: The one module that sums basis-state masses into rho(t).
+WALK_LOOP = "walk.py"
 
 
 def _names(node) -> set[str]:
@@ -261,6 +267,40 @@ def test_the_find_guard_sees_each_breach():
         "persist.py:2 calls find",
     ]
     assert find_call_breaches(source, "trajectory.py") == []
+
+
+def vertex_masses_breaches(source: str, module: str) -> list[str]:
+    """Each call of ``vertex_masses`` in ``source``, bare or as an
+    attribute, unless ``module`` is :data:`WALK_LOOP`."""
+    if module == WALK_LOOP:
+        return []
+    found = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)
+             and "vertex_masses" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))]
+    return [f"{module}:{line} calls vertex_masses" for line in sorted(found)]
+
+
+def test_only_the_walk_loop_makes_rho():
+    breaches = [b for path in sorted(SRC.glob("*.py"))
+                for b in vertex_masses_breaches(path.read_text(), path.name)]
+    assert breaches == []
+
+
+def test_the_vertex_masses_guard_sees_each_breach():
+    source = (
+        "from .walk import evolve, vertex_masses\n"
+        "def rhos(space, psi, coin, shift, horizon):\n"
+        "    return [vertex_masses(space, p)\n"
+        "            for p, _ in evolve(psi, coin, shift, horizon)]\n"
+        "def rho(space, p):\n"
+        "    return walk.vertex_masses(space, p), space.vertex_masses\n"
+    )
+    assert vertex_masses_breaches(source, "cli.py") == [
+        "cli.py:3 calls vertex_masses",
+        "cli.py:6 calls vertex_masses",
+    ]
+    assert vertex_masses_breaches(source, "walk.py") == []
 
 
 def spelling_breaches(source: str, module: str) -> list[str]:

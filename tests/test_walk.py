@@ -236,13 +236,14 @@ class TestStep:
         coin = lambda t: table.get(t, CoinSpec.grover(c4))  # noqa: E731
         shift = ShiftSpec.moving(c4)
         psi = WaveFunction.localized(c4, 0, 0)
-        masses = list(evolve(psi, coin, shift, 4))
-        assert len(masses) == 5
-        assert masses[0].tobytes() == (np.abs(psi.amplitudes) ** 2).tobytes()
-        for t in range(4):
-            psi = step(psi, coin, shift, t=t)
-            assert masses[t + 1].tobytes() \
+        steps = list(evolve(psi, coin, shift, 4))
+        assert len(steps) == 5
+        for t, (masses, rho) in enumerate(steps):
+            if t:
+                psi = step(psi, coin, shift, t=t - 1)
+            assert masses.tobytes() \
                 == (np.abs(psi.amplitudes) ** 2).tobytes()
+            assert rho.tobytes() == vertex_distribution(psi).tobytes()
         with pytest.raises(ValidationError, match="horizon"):
             next(evolve(psi, coin, shift, -1))
 
