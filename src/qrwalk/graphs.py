@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GraphError, ValidationError
+from .numtext import _digits, _texts
 
 __all__ = [
     "PortGraph",
@@ -75,58 +76,6 @@ def _later_repeats(keys: np.ndarray) -> tuple[np.ndarray, ...]:
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _digits(values) -> np.ndarray:
-    """The decimal text of each integer of a 1-d array, as ``str`` spells
-    it, in ASCII: a ``(n, w)`` uint8 table whose row ``i`` holds the text
-    of ``values[i]`` right-aligned, NUL-padded on the left to the width
-    ``w`` of the longest text (at least 1).
-
-    The one integer formatter of the package: every digit column is made
-    by whole-array division, with no Python work per value, so the non-NUL
-    bytes of the rows, in order, are the texts end to end."""
-    values = np.asarray(values)
-    negative = values < 0
-    sign = bool(negative.any())
-    # magnitudes as uint64: two's complement negation spells int64 min too
-    mag = values.astype(np.uint64 if values.dtype.kind == "u"
-                        else np.int64).view(np.uint64)
-    if sign:
-        mag = np.where(negative, -mag, mag)
-    top = int(mag.max(initial=0))
-    digits = len(str(top))
-    width = max(digits, len(str(int(mag[negative].max()))) + 1) if sign \
-        else digits
-    if top < 2**32:  # a narrower division is faster
-        mag = mag.astype(np.uint32)
-    # column by column, each a contiguous row here, transposed at the end
-    out = np.zeros((width, values.size), np.uint8)
-    length = np.ones(values.size if sign else 0, np.uint8)
-    for col in range(width - 1, width - 1 - digits, -1):
-        quot = mag // 10
-        np.subtract(mag, quot * 10, out=out[col], casting="unsafe")
-        out[col] += ord("0")
-        if col < width - 1:  # a leading zero is padding
-            nonzero = mag != 0
-            out[col] *= nonzero
-            if sign:
-                length += nonzero
-        mag = quot
-    if sign:  # just left of the first digit
-        out[width - 1 - length[negative], negative] = ord("-")
-    return np.ascontiguousarray(out.T)
-
-
-def _texts(octets: np.ndarray) -> np.ndarray:
-    """The non-NUL bytes of each row of a 2-d uint8 table, in order, as a
-    1-d bytes array (numpy ``S`` dtype)."""
-    keep = octets != 0
-    packed = np.zeros_like(octets)
-    # row-major, the kept bytes fill each row's first (row length) slots
-    packed[np.arange(octets.shape[1])
-           < np.count_nonzero(keep, axis=1)[:, None]] = octets[keep]
-    return packed.view(f"S{octets.shape[1]}").reshape(-1)
 
 
 def _split(flat: Sequence, offsets: np.ndarray) -> list:
@@ -468,11 +417,6 @@ class ProductGraph:
         dim = self.base.basis_dim
         return dim ** i, dim, dim ** (self.num_walkers - 1 - i)
 
-    def tuple_index(self, u: Sequence[int]) -> int:
-        """Joint index of a vertex tuple."""
-        self._check_tuple(u)
-        return int(np.ravel_multi_index(tuple(u), self.shape))
-
     def tuple_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(x) for x in np.unravel_index(index, self.shape))
 
@@ -518,12 +462,6 @@ class ProductGraph:
         bar = np.full((indices.size, 1), ord("|"), np.uint8)
         parts = [part for d in digits for part in (bar, _digits(d))][1:]
         return _texts(np.concatenate(parts, axis=1))
-
-    @staticmethod
-    def state_labels(indices, num_walkers: int, num_base: int) -> list[str]:
-        """The labels of :meth:`label_texts` as ``str``."""
-        return ProductGraph.label_texts(indices, num_walkers, num_base) \
-            .astype("U").tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -20,25 +20,31 @@ the support of rho(t) only, the rows with a non-zero mass: an unlisted
 A table holds numbers and plain labels only: 1-d numeric arrays, and
 columns of non-empty strings without a comma, a quote, a line break or a
 NUL. So no CSV cell is ever quoted, and the bytes are those of
-``csv.writer`` with floats in ``repr`` form. A label column may also be a
-bytes array (numpy ``S`` dtype) of ASCII texts, checked as bytes, which
-reads back as ``str`` (:attr:`Table.rows`, :meth:`CodedColumn.tolist`,
-the JSON form): the state labels are made that way
+``csv.writer`` with floats in ``repr`` form (spelled in numpy, below). A
+label column may also be a bytes array (numpy ``S`` dtype) of ASCII
+texts, checked as bytes, which reads back as ``str``
+(:attr:`Table.rows`, :meth:`CodedColumn.tolist`, the JSON form): the
+state labels are made that way
 (:meth:`~qrwalk.graphs.ProductGraph.label_texts`), so no ``str`` is made
 per label on the CSV path. A table is checked whole before its file is
 opened, then written in chunks of :data:`CHUNK_ROWS` rows, in CSV and in
-JSON alike, so the write's memory stays that of one chunk. A CSV chunk is
-assembled as packed bytes, with no Python work per row: each distinct
+JSON alike, so the write's memory stays that of one chunk. A CSV chunk
+is assembled as packed bytes, with no Python work per row: each distinct
 cell text, with its separator, is encoded and NUL-padded to whole 8-byte
 words; one gather per column lays the chunk's words out row by row; and
 their non-NUL bytes, in order, are the chunk's lines (so no cell may
 hold a NUL). Each distinct value of a numeric column (by bit pattern) is
-formatted once per chunk, an integer by the package's one digit kernel
-(``graphs._digits``), with no Python work per value either. Columns
+formatted once per chunk, with no Python work per value either: an
+integer by the package's one digit kernel (``numtext._digits``), a float
+by its one vectorised float speller (``numtext._reprs``), which gives
+``repr``'s texts and leaves a chunk of fewer than
+``numtext.FLOAT_FLOOR`` distinct floats to ``repr`` itself. Columns
 whose cells repeat a few values (steps, trajectory ids, state labels)
 are coded (:class:`CodedColumn`: an int code per cell over an array of
 values); their values are formatted once per table, and each chunk only
-gathers their words.
+gathers their words. In the JSON form, likewise, each distinct values
+array is decoded to Python values once per table, and each chunk only
+gathers its cells by code.
 """
 
 from __future__ import annotations
@@ -63,13 +69,8 @@ from .equivalence import (
     TransitionMatrixSeq,
 )
 from .errors import ConfigError, ValidationError
-from .graphs import (
-    PortGraph,
-    ProductGraph,
-    _digits,
-    graph_from_json,
-    graph_hash,
-)
+from .graphs import PortGraph, ProductGraph, graph_from_json, graph_hash
+from .numtext import _digits, _reprs
 from .trajectory import RNG_ALGORITHM, TrajectoryEnsemble
 from .walk import NORM_ATOL, CoinSpec, InteractionSpec, ShiftSpec, WaveFunction
 
@@ -340,7 +341,7 @@ class CodedColumn:
         return iter(self.tolist())
 
     def tolist(self) -> list:
-        return _values(self, 0, len(self))
+        return _values(self, 0, len(self), {})
 
 
 class Table:
@@ -367,19 +368,31 @@ class Table:
 
     @property
     def rows(self) -> list[tuple]:
-        return list(zip(*(_values(c, 0, len(c)) for c in self.columns)))
+        decoded = {}
+        return list(zip(*(_values(c, 0, len(c), decoded)
+                          for c in self.columns)))
 
 
-def _values(column, lo: int, hi: int) -> list:
-    """The cell values of rows ``lo`` to ``hi - 1`` of a table column; the
-    texts of a bytes array as ``str``."""
-    if isinstance(column, CodedColumn):
-        part = column.values[column.codes[lo:hi]]
-    else:
-        part = column[lo:hi]
+def _decoded(part) -> list:
+    """The cells of a plain column, or a coded column's values, as Python
+    values; the texts of a bytes array as ``str``."""
     if not isinstance(part, np.ndarray):
         return list(part)
     return (part.astype("U") if part.dtype.kind == "S" else part).tolist()
+
+
+def _values(column, lo: int, hi: int, decoded: dict) -> list:
+    """The cell values of rows ``lo`` to ``hi - 1`` of a table column
+    (:func:`_decoded`). A coded column's values are decoded once per
+    ``decoded``, which keeps them by id as an object array that each call
+    gathers by code, so columns that share their values array (the ``u``
+    and ``v`` labels of :func:`matrix_table`) share one decoding."""
+    if not isinstance(column, CodedColumn):
+        return _decoded(column[lo:hi])
+    key = id(column.values)
+    if key not in decoded:
+        decoded[key] = np.array(_decoded(column.values), dtype=object)
+    return decoded[key][column.codes[lo:hi]].tolist()
 
 
 #: Rows formatted and written at a time by :func:`write_table`.
@@ -428,14 +441,17 @@ def _check_text(part, name: str) -> None:
 
 def _cells(part, encoding: str) -> tuple[np.ndarray, np.ndarray]:
     """The distinct CSV texts of a slice of a checked column, as a 2-d
-    uint8 table with one text per row, NUL-padded, and the index of each
-    cell's text among them.
+    uint8 table with one text per row, whose non-NUL bytes are the text,
+    and the index of each cell's text among them.
 
     A numeric array formats each distinct bit pattern once (so ``-0.0``
     and ``0.0`` stay apart), in ASCII: integers by :func:`_digits`, bools
-    and floats as ``str`` and ``repr`` spell them. A bytes array (the
-    state labels) is its own ASCII text, and other checked text cells are
-    their own text, in ``encoding``.
+    as ``str`` spells them, and floats by the vectorised float speller
+    :func:`~qrwalk.numtext._reprs`, whose texts are those of ``repr`` (by
+    ``repr`` itself below ``numtext.FLOAT_FLOOR`` distinct values), with
+    NULs that may fall inside a row. A bytes array (the state labels) is
+    its own ASCII text, and other checked text cells are their own text,
+    in ``encoding``.
     """
     if _numeric(part):
         bits = part.view(f"u{part.dtype.itemsize}")
@@ -445,8 +461,7 @@ def _cells(part, encoding: str) -> tuple[np.ndarray, np.ndarray]:
             return _digits(values), inverse
         if part.dtype.kind == "b":
             return _octets(np.where(values, b"True", b"False")), inverse
-        return _octets(np.array(list(map(float.__repr__, values.tolist())),
-                                dtype="S")), inverse
+        return _reprs(values), inverse
     if not (isinstance(part, np.ndarray) and part.dtype.kind == "S"):
         texts = part.tolist() if isinstance(part, np.ndarray) else list(part)
         part = np.array([text.encode(encoding) for text in texts], dtype="S")
@@ -500,18 +515,21 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
 
     The CSV form is what ``csv.writer`` writes (excel dialect, newline
     line ends) for cells that need no quotes: floats in shortest
-    round-trip form (``repr``), integers and bools as ``str`` spells them
-    (integers by the digit kernel, :func:`~qrwalk.graphs._digits`),
-    strings as they are, in the encoding of a text-mode file, and the
-    texts of a bytes array as their ASCII bytes. The JSON form is
-    ``json.dumps`` of ``{"meta", "header", "rows"}`` with sorted keys,
-    and a newline, with the texts of a bytes array as ``str``. In either
-    format, a cell that is neither a number of a 1-d numeric array nor a
-    non-empty string without a comma, a quote, a line break or a NUL (for
-    a bytes array, non-empty ASCII without them) raises
-    :class:`ValidationError` naming its column (each distinct values array
-    is checked once, under the first column that holds it), before the
-    file is opened. Both forms are written in chunks of :data:`CHUNK_ROWS`
+    round-trip form, the texts of ``repr`` (by the vectorised float
+    speller, :func:`~qrwalk.numtext._reprs`, or below its ``FLOAT_FLOOR``
+    distinct values by ``repr`` itself), integers and bools as ``str``
+    spells them (integers by the digit kernel,
+    :func:`~qrwalk.numtext._digits`), strings as they are, in the encoding
+    of a text-mode file, and the texts of a bytes array as their ASCII
+    bytes. The JSON form is ``json.dumps`` of ``{"meta", "header",
+    "rows"}`` with sorted keys, and a newline, with the texts of a bytes
+    array as ``str``; each distinct values array of the coded columns is
+    decoded once (:func:`_values`). In either format, a cell that is
+    neither a number of a 1-d numeric array nor a non-empty string without
+    a comma, a quote, a line break or a NUL (for a bytes array, non-empty
+    ASCII without them) raises :class:`ValidationError` naming its column
+    (each distinct values array is checked once, under the first column
+    that holds it), before the file is opened. Both forms are written in chunks of :data:`CHUNK_ROWS`
     rows, so the write's memory stays bounded whatever the table's length.
     A CSV chunk is packed bytes (:func:`_csv_rows`): each cell's text with
     its separator, NUL-padded to whole 8-byte words, is gathered by code
@@ -538,8 +556,10 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
         # the rows chunk by chunk, each without its own brackets
         head = json.dumps({"meta": meta, "header": table.header, "rows": []},
                           sort_keys=True)[:-2]
+        decoded = {}
         chunks = ((", " if lo else "") + json.dumps(list(zip(*(
-            _values(c, lo, lo + CHUNK_ROWS) for c in table.columns))))[1:-1]
+            _values(c, lo, lo + CHUNK_ROWS, decoded)
+            for c in table.columns))))[1:-1]
             for lo in range(0, size, CHUNK_ROWS))
         tail = "]}\n"
     path = base.with_suffix(f".{fmt}")

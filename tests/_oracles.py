@@ -176,8 +176,8 @@ def reference_graph_hash(out_neighbors) -> str:
 def reference_state_labels(indices, num_walkers: int,
                            num_base: int) -> list[str]:
     """Labels of joint indices spelled one ``str`` per vertex, as
-    ``ProductGraph.state_labels`` did before it formatted digits in
-    numpy: ``u`` for one walker, ``u1|u2|...`` for vertex tuples."""
+    ``ProductGraph.label_texts`` spells them in numpy: ``u`` for one
+    walker, ``u1|u2|...`` for vertex tuples."""
     digits = np.unravel_index(np.asarray(indices, dtype=np.int64),
                               (num_base,) * num_walkers)
     return list(map("|".join, zip(*(map(str, d.tolist()) for d in digits))))

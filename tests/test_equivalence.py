@@ -387,7 +387,7 @@ class TestMultiwalker:
         psi0 = WaveFunction.localized(pg, (0, 0), (0, 0))
         mat = step_matrix(psi0, step(psi0, coin, shift), shift)
         assert mat.col_ids.tolist() == [0]
-        u = pg.tuple_index((1, 2))
+        u = int(np.ravel_multi_index((1, 2), pg.shape))
         need = equivalence._arc_bytes(2) * (mat.data.size + 4)
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
         assert mat.column(u)[0].size == 4
@@ -410,9 +410,9 @@ class TestMultiwalker:
         psi1 = step(psi0, coin, shift)
         mat = step_matrix(psi0, psi1, shift)
         assert mat.col_ids.tolist() == [0]
-        targets, probs = mat.column(pg.tuple_index((1, 2)))
-        assert targets.tolist() == sorted(
-            pg.tuple_index(v) for v in pg.out_neighbors((1, 2)))
+        targets, probs = mat.column(np.ravel_multi_index((1, 2), pg.shape))
+        assert targets.tolist() == sorted(np.ravel_multi_index(
+            tuple(zip(*pg.out_neighbors((1, 2)))), pg.shape).tolist())
         assert probs.tolist() == [0.25] * 4
         assert not (targets.flags.writeable or probs.flags.writeable)
 
@@ -514,12 +514,12 @@ class TestMultiwalker:
 
 class TestStateLabels:
     def test_single_walker_labels(self):
-        assert ProductGraph.state_labels([7], 1, 10) == ["7"]
+        assert ProductGraph.label_texts([7], 1, 10).tolist() == [b"7"]
 
     def test_tuple_labels_round_trip(self):
         for idx in (0, 5, 15):
-            [label] = ProductGraph.state_labels([idx], 2, 4)
-            digits = [int(x) for x in label.split("|")]
+            [label] = ProductGraph.label_texts([idx], 2, 4).tolist()
+            digits = [int(x) for x in label.split(b"|")]
             assert np.ravel_multi_index(digits, (4, 4)) == idx
 
     @pytest.mark.parametrize("walkers", [1, 2, 3])
@@ -533,12 +533,11 @@ class TestStateLabels:
         # on 10 base vertices the states are 0 .. 10**walkers - 1
         end = 10 ** walkers
         indices = [end if bad == "end" else bad]
-        for spell in (ProductGraph.state_labels, ProductGraph.label_texts):
-            with pytest.raises(ValidationError, match=message.format(
-                    end=end, last=end - 1)):
-                spell(indices, walkers, 10)
-            with pytest.raises(ValidationError, match="got 2-d int64"):
-                spell([[0, 1]], walkers, 10)
+        with pytest.raises(ValidationError, match=message.format(
+                end=end, last=end - 1)):
+            ProductGraph.label_texts(indices, walkers, 10)
+        with pytest.raises(ValidationError, match="got 2-d int64"):
+            ProductGraph.label_texts([[0, 1]], walkers, 10)
 
 
 class TestSequenceShape:

@@ -309,7 +309,8 @@ class TestStore:
     def test_shared_labels_are_checked_and_formatted_once(
             self, tmp_path, monkeypatch, fmt):
         # the u and v columns of the p_matrix table share one labels
-        # array; a write checks it once and builds its word table once
+        # array; a write checks it once and builds its word table (CSV)
+        # or decodes its texts (JSON) once
         g = torus_graph((4, 4))
         pg = ProductGraph(g, 2)
         seq = build_sequence(pg, CoinSpec.hadamard(g), ShiftSpec.flip_flop(g),
@@ -317,16 +318,26 @@ class TestStore:
         save_sequence(tmp_path, seq, fmt=fmt)
         with np.load(tmp_path / "sequence.npz") as store:
             table = matrix_table(dict(store))
-        labels = table.columns[1].values
-        assert table.columns[2].values is labels
-        calls = {"_check_text": 0, "_cells": 0}
-        for name in calls:
+        assert table.columns[2].values is table.columns[1].values
+        calls = {"_check_text": 0, "_cells": 0, "decode": 0}
+
+        class Labels(np.ndarray):
+            # a decoding casts the bytes texts, or a gather of them, to str
+            def astype(self, dtype, *args, **kwargs):
+                calls["decode"] += np.dtype(dtype).kind == "U"
+                return super().astype(dtype, *args, **kwargs)
+
+        labels = table.columns[1].values.view(Labels)
+        table.columns[1:3] = [CodedColumn(c.codes, labels)
+                              for c in table.columns[1:3]]
+        for name in ("_check_text", "_cells"):
             def spy(part, *args, real=getattr(persist, name), name=name):
                 calls[name] += part is labels
                 return real(part, *args)
             monkeypatch.setattr(persist, name, spy)
         got = write_table(tmp_path / "again", table, fmt).read_bytes()
-        assert calls == {"_check_text": 1, "_cells": int(fmt == "csv")}
+        assert calls == {"_check_text": 1, "_cells": int(fmt == "csv"),
+                         "decode": int(fmt == "json")}
         assert got == (tmp_path / f"p_matrix.{fmt}").read_bytes()
         if fmt == "csv":
             assert got == reference_write_table(tmp_path / "want",

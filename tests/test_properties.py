@@ -52,9 +52,9 @@ from qrwalk import (
     vertex_distribution,
     vertex_masses,
 )
-from qrwalk import persist
+from qrwalk import numtext, persist
 from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
-from qrwalk.graphs import _digits
+from qrwalk.numtext import _digits
 from qrwalk.persist import (
     CodedColumn,
     Table,
@@ -1050,14 +1050,13 @@ def test_digits_spell_every_integer_as_str(data, dtype):
        base=st.sampled_from([2, 9, 10, 11, 99, 100, 101]),
        fmt=st.sampled_from(["csv", "json"]))
 def test_state_labels_join_the_str_of_each_walker(data, walkers, base, fmt):
-    """Labels, as ``str`` and as a written table's cells, are the vertex
+    """Labels, as bytes and as a written table's cells, are the vertex
     numbers spelled by ``str`` and joined by ``|``, with bases on either
     side of a new digit."""
     count = base ** walkers
     states = sorted(data.draw(st.sets(st.integers(0, count - 1),
                                       max_size=30)) | {0, count - 1})
     want = oracle.reference_state_labels(states, walkers, base)
-    assert ProductGraph.state_labels(states, walkers, base) == want
     assert ProductGraph.label_texts(states, walkers, base).tolist() \
         == [label.encode() for label in want]
     table = persist.trajectories_table(
@@ -1136,13 +1135,35 @@ def csv_tables(draw) -> Table:
 
 @settings(SETTINGS, max_examples=200)
 @given(table=csv_tables(),
-       chunk=st.sampled_from([1, 2, 3, 5, persist.CHUNK_ROWS]))
-def test_csv_export_equals_the_csv_module(table, chunk):
+       chunk=st.sampled_from([1, 2, 3, 5, persist.CHUNK_ROWS]),
+       floor=st.sampled_from([0, numtext.FLOAT_FLOOR]))
+def test_csv_export_equals_the_csv_module(table, chunk, floor):
+    # floor 0 sends every float column through the numpy float speller
     with tempfile.TemporaryDirectory() as out, \
-            mock.patch.object(persist, "CHUNK_ROWS", chunk):
+            mock.patch.object(persist, "CHUNK_ROWS", chunk), \
+            mock.patch.object(numtext, "FLOAT_FLOOR", floor):
         got = write_table(Path(out) / "got", table).read_bytes()
         want = oracle.reference_write_table(Path(out) / "want", table)
         assert got == want.read_bytes()
+
+
+def test_float_columns_on_either_side_of_the_floor_equal_the_csv_module(
+        tmp_path):
+    # one column of FLOAT_FLOOR - 1 distinct floats, spelled by repr, and
+    # one of FLOAT_FLOOR, spelled in numpy; specials ride in both
+    rng = np.random.default_rng(11)
+    size = numtext.FLOAT_FLOOR
+    columns = [rng.random(size) * 10.0 ** rng.integers(-30, 30, size)
+               for _ in range(2)]
+    for column in columns:
+        column[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    columns[0][-1] = columns[0][-2]
+    assert [np.unique(c.view(np.uint64)).size for c in columns] \
+        == [size - 1, size]
+    table = Table(["below", "at"], columns)
+    got = write_table(tmp_path / "got", table).read_bytes()
+    assert got == oracle.reference_write_table(tmp_path / "want",
+                                               table).read_bytes()
 
 
 @settings(SETTINGS, max_examples=100)

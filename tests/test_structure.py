@@ -13,10 +13,12 @@ may offer to skip a check.
 Every state space is a ``ProductGraph``, one walker being the product
 of one, so only ``graphs.py`` may ask which graph type it holds.
 
-Integers are spelled in one place, ``graphs._digits``, with no Python
+Integers are spelled in one place, ``numtext._digits``, with no Python
 work per value: the graph hash, the state labels and the integer cells
 of a table all go through it, so no other code may spell them one ``str``
-or one numpy bytes cast at a time.
+or one numpy bytes cast at a time. Floats are spelled in one place too,
+``numtext._reprs``, so no other code may map ``repr`` or
+``float.__repr__`` over them.
 
 P(t) stores only its ratio columns and makes the uniform ones on demand,
 so a reader of its stored column ids would miss the uniform columns:
@@ -46,7 +48,9 @@ COLUMN_OWNERS = {"equivalence.py", "persist.py"}
 #: The modules that write the stored columns only, never the uniform ones.
 STORE_WRITERS = {"persist.py"}
 #: The one integer formatter: module and function.
-DIGIT_KERNEL = ("graphs.py", "_digits")
+DIGIT_KERNEL = ("numtext.py", "_digits")
+#: The one float formatter: module and function.
+FLOAT_SPELLER = ("numtext.py", "_reprs")
 #: The one module that sums basis-state masses into rho(t).
 WALK_LOOP = "walk.py"
 
@@ -303,23 +307,34 @@ def test_the_vertex_masses_guard_sees_each_breach():
     assert vertex_masses_breaches(source, "walk.py") == []
 
 
+def _inside(tree, module: str, kernel: tuple[str, str]) -> set[int]:
+    """The ids of the nodes of the top-level function ``kernel`` names,
+    when ``module`` is its module."""
+    return {id(n) for node in tree.body
+            if module == kernel[0] and isinstance(node, ast.FunctionDef)
+            and node.name == kernel[1] for n in ast.walk(node)}
+
+
 def spelling_breaches(source: str, module: str) -> list[str]:
     """Each ``map(str, ...)`` call and each ``astype`` to a bytes dtype
-    (``"S"`` or ``"S<n>"``) in ``source``, outside the digit kernel."""
+    (``"S"`` or ``"S<n>"``) in ``source``, outside the digit kernel, and
+    each ``map(repr, ...)`` or ``map(float.__repr__, ...)`` call outside
+    the float speller."""
     tree = ast.parse(source)
-    inside = set()
-    if module == DIGIT_KERNEL[0]:
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) \
-                    and node.name == DIGIT_KERNEL[1]:
-                inside = {id(n) for n in ast.walk(node)}
+    digits = _inside(tree, module, DIGIT_KERNEL)
+    floats = _inside(tree, module, FLOAT_SPELLER)
     found = []
     for node in ast.walk(tree):
-        if id(node) in inside or not isinstance(node, ast.Call):
+        if not isinstance(node, ast.Call):
             continue
         func, args = node.func, node.args
-        if isinstance(func, ast.Name) and func.id == "map" and args \
-                and isinstance(args[0], ast.Name) and args[0].id == "str":
+        mapped = ast.unparse(args[0]) if isinstance(func, ast.Name) \
+            and func.id == "map" and args else None
+        if mapped in ("repr", "float.__repr__") and id(node) not in floats:
+            found.append((node.lineno, f"map({mapped}, ...)"))
+        if id(node) in digits:
+            continue
+        if mapped == "str":
             found.append((node.lineno, "map(str, ...)"))
         elif isinstance(func, ast.Attribute) and func.attr == "astype":
             dtypes = args[:1] + [k.value for k in node.keywords
@@ -332,6 +347,7 @@ def spelling_breaches(source: str, module: str) -> list[str]:
 
 
 def test_integers_are_spelled_by_the_digit_kernel_only():
+    # and floats by the float speller only
     breaches = [b for path in sorted(SRC.glob("*.py"))
                 for b in spelling_breaches(path.read_text(), path.name)]
     assert breaches == []
@@ -346,16 +362,22 @@ def test_the_spelling_guard_sees_each_breach():
         "def cells(part):\n"
         "    return part.astype('S21'), part.astype(dtype='|S'), \\\n"
         "        part.astype('U'), list(map(repr, part))\n"
+        "def _reprs(values):\n"
+        "    return list(map(float.__repr__, values)), map(repr, values)\n"
     )
+    floats = ["7 map(repr, ...)", "9 map(float.__repr__, ...)",
+              "9 map(repr, ...)"]
     assert spelling_breaches(source, "persist.py") == [
         "persist.py:2 astype to bytes",
         "persist.py:2 map(str, ...)",
         "persist.py:4 map(str, ...)",
         "persist.py:6 astype to bytes",
         "persist.py:6 astype to bytes",
-    ]
-    assert spelling_breaches(source, "graphs.py") == [
-        "graphs.py:4 map(str, ...)",
-        "graphs.py:6 astype to bytes",
-        "graphs.py:6 astype to bytes",
+    ] + [f"persist.py:{b}" for b in floats]
+    # the kernels are exempt in their own module only
+    assert spelling_breaches(source, "numtext.py") == [
+        "numtext.py:4 map(str, ...)",
+        "numtext.py:6 astype to bytes",
+        "numtext.py:6 astype to bytes",
+        "numtext.py:7 map(repr, ...)",
     ]

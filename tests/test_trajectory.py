@@ -136,7 +136,7 @@ class TestSampleTrajectory:
         seq = build_sequence(pg, CoinSpec.hadamard(pg.base),
                              ShiftSpec.moving(pg.base), psi0, 3)
         paths = _draw(seq, np.full((1, 4), np.nextafter(1.0, 0.0)), "scan")
-        assert paths[0, 0] == pg.tuple_index((1, 2))
+        assert paths[0, 0] == np.ravel_multi_index((1, 2), pg.shape)
         for t, mat in enumerate(seq.matrices):
             assert mat.entry(paths[0, t + 1], paths[0, t]) > 0.0
 

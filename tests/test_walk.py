@@ -432,4 +432,4 @@ class TestVertexDistribution:
         psi = WaveFunction.localized(pg, (1, 2), (0, 1))
         rho = vertex_distribution(psi)
         assert rho.shape == (16,)
-        assert rho[pg.tuple_index((1, 2))] == 1.0
+        assert rho[np.ravel_multi_index((1, 2), pg.shape)] == 1.0
