@@ -190,6 +190,16 @@ class PortGraph:
         return _readonly(order), _readonly(inverse)
 
     @cached_property
+    def class_vertices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The vertices sorted by degree class (ascending degree, then
+        vertex), the order of :attr:`class_order`'s port runs, and the
+        rank of each vertex in that order."""
+        order = np.concatenate(list(self.degree_classes.values()))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return _readonly(order), _readonly(rank)
+
+    @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex neighbour tuples in port order; a derived view for
         tests and small examples, built on first use."""
@@ -410,12 +420,6 @@ class ProductGraph:
         del local, d  # arc-sized; freed first, the heads peak lower
         return owner, ports, np.ravel_multi_index(tuple(base.heads[ports]),
                                                   self.shape)
-
-    def walker_view(self, i: int) -> tuple[int, int, int]:
-        """Shape ``(D**i, D, D**(K - 1 - i))`` of a joint state, ``D`` the
-        base basis dimension, whose middle axis is walker ``i``'s."""
-        dim = self.base.basis_dim
-        return dim ** i, dim, dim ** (self.num_walkers - 1 - i)
 
     def tuple_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(x) for x in np.unravel_index(index, self.shape))

@@ -481,14 +481,15 @@ def _words(octets: np.ndarray, end: str) -> np.ndarray:
 
 
 def _csv_rows(columns: Sequence, size: int,
-              encoding: str) -> Iterator[np.ndarray]:
+              encoding: str) -> Iterator[bytes]:
     """The bytes of rows 0 to ``size - 1`` of checked columns,
     :data:`CHUNK_ROWS` rows at a time: each column's word table
     (:func:`_words`) gathered by code side by side, one ``(rows, words)``
-    array per chunk, whose non-NUL bytes, in order, are the chunk's lines.
-    The word table of a coded column's values is made once per distinct
-    values array and separator, so columns that share their values (the
-    ``u`` and ``v`` labels of :func:`matrix_table`) share one table."""
+    array per chunk, whose bytes, with every NUL deleted by
+    ``bytes.translate``, are the chunk's lines. The word table of a coded
+    column's values is made once per distinct values array and separator,
+    so columns that share their values (the ``u`` and ``v`` labels of
+    :func:`matrix_table`) share one table."""
     ends = [","] * (len(columns) - 1) + ["\n"]
     tables = {}
     for c, end in zip(columns, ends):
@@ -503,8 +504,7 @@ def _csv_rows(columns: Sequence, size: int,
             else:
                 octets, codes = _cells(c[lo:hi], encoding)
                 parts.append(_words(octets, end)[codes])
-        octets = np.concatenate(parts, axis=1).view(np.uint8).reshape(-1)
-        yield octets[octets != 0]
+        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
 def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
@@ -533,7 +533,8 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     rows, so the write's memory stays bounded whatever the table's length.
     A CSV chunk is packed bytes (:func:`_csv_rows`): each cell's text with
     its separator, NUL-padded to whole 8-byte words, is gathered by code
-    into one word array, whose non-NUL bytes are the chunk's lines.
+    into one word array, whose bytes less their NULs (dropped by one
+    ``bytes.translate``) are the chunk's lines.
     """
     base = Path(path_base)
     meta = {**table.meta, "manifest": manifest} if manifest else table.meta

@@ -15,22 +15,34 @@ distribution rho(t) they sum to; no other loop of the package makes
 rho(t). :func:`step` and the ``apply_*`` functions run the same kernels
 on a copy of a :class:`WaveFunction` and return a new one.
 
+The kernels run on a box of the state, not on the whole space. A coin or
+an interaction mixes amplitude within one vertex (tuple), and a shift
+moves it along an arc (:class:`ShiftSpec` accepts no other map), so
+psi(t) is exactly zero outside the light cone of psi(0)'s support: the
+product of the sets of vertices each walker can have reached. The walk
+keeps only the box over their ports, at the front of its two buffers,
+each walker's ports listed in degree-class order so that each coin class
+is one run; a state over the whole space is kept in that order too.
+:func:`step` and the ``apply_*`` functions run on the whole-space box,
+the step the tests hold the light cone to.
+
 Operators may vary with time: wherever a spec is accepted, a callable
 ``t -> spec`` is accepted too and resolved at each step.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from . import coins
 from .errors import ResourceLimitError, UnitarityError, ValidationError
-from .graphs import PortGraph, ProductGraph
+from .graphs import PortGraph, ProductGraph, _readonly
 
 __all__ = [
     "WaveFunction",
@@ -363,6 +375,18 @@ class ShiftSpec:
         inv.flags.writeable = False
         return inv
 
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """The shift as a gather over ports in degree-class order
+        (:attr:`~qrwalk.graphs.PortGraph.class_order`): the amplitude of
+        position k comes from position ``gather[k]``. It is
+        :attr:`inverse` composed with the class order, and is
+        :attr:`inverse` itself on a regular graph."""
+        if len(self.graph.degree_classes) == 1:
+            return self.inverse
+        order, inverse = self.graph.class_order
+        return _readonly(inverse[self.inverse[order]])
+
     # -- named builders ----------------------------------------------------
 
     @classmethod
@@ -440,15 +464,14 @@ class InteractionSpec:
 
     @cached_property
     def coincident(self) -> np.ndarray:
-        """Read-only mask over the flat joint basis of the states whose
+        """Read-only mask over the flat joint basis, each walker's ports in
+        degree-class order as the walk stores them, of the states whose
         walkers all stand on one vertex; made once per spec."""
-        owners = np.ix_(*[self.graph.base.vertex_of_basis]
-                        * self.graph.num_walkers)
-        shared = np.ones(self.graph.basis_shape, dtype=bool)
-        for owner in owners[1:]:
-            shared &= owners[0] == owner
-        shared.flags.writeable = False
-        return shared.reshape(-1)
+        base = self.graph.base
+        owners = base.vertex_of_basis
+        if len(base.degree_classes) > 1:
+            owners = owners[base.class_order[0]]
+        return _readonly(_coincident([owners] * self.graph.num_walkers))
 
     @classmethod
     def identity(cls, graph: ProductGraph) -> "InteractionSpec":
@@ -494,33 +517,268 @@ def _per_walker(spec, space: ProductGraph, t: int, what: str) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the light cone
+# ---------------------------------------------------------------------------
+#
+# Walker i's vertex set S_i is the projection of psi(0)'s support on axis
+# i, then after each step the heads of the arcs leaving S_i; psi(t) is
+# zero outside the box over the ports of S_1 x ... x S_K (module docstring).
+
+class _Axis(NamedTuple):
+    """One walker's axis of a box, of ``size`` slots. ``verts`` are the
+    vertices the walker can have reached, in degree-class order, and
+    ``reached`` marks their class ranks (``None``: every vertex). Their
+    ports fill the slots in that order: slot s holds basis index
+    ``ports[s]`` (``ports`` is ``None`` when slot s is basis index s, on
+    a whole axis of one class), and the ports of vertex v start at slot
+    ``first[v]`` (read at ``verts`` only). ``runs`` gives, per degree
+    class, how many of its vertices are on the axis and their positions
+    in the class (``None``: the whole class)."""
+
+    verts: np.ndarray
+    ports: np.ndarray | None
+    first: np.ndarray
+    reached: np.ndarray | None
+    runs: list
+    size: int
+
+    @property
+    def whole(self) -> bool:
+        return self.reached is None
+
+    @property
+    def in_order(self) -> bool:
+        return self.ports is None
+
+
+#: The complex matrix product makes the columns of the coin's ``(d x d) @
+#: (d x right)`` products (every walker's but the last of several) in
+#: blocks of this many, and the columns of a last, partial block round
+#: differently (OpenBLAS's zgemm kernels).
+COLUMN_BLOCK = 4
+
+
+def _column_steps(space: ProductGraph) -> list[int]:
+    """The number of ports each walker's axis of a box must be a multiple
+    of, 0 where it must be whole, so that the coin's products give the
+    bits of the whole space.
+
+    A box axis after the first makes, with those after it, the columns
+    of the products of the walkers before it: with a multiple of
+    :data:`COLUMN_BLOCK` ports it fills whole blocks, as the whole axis
+    does when it is such a multiple. The last axis, alone the columns of
+    the walker before it, must be whole when the whole axis is not. The
+    first axis needs 2 ports (:meth:`_Box.reach`), and one walker has no
+    columns."""
+    k, dim = space.num_walkers, space.base.basis_dim
+    steps = [1] + [COLUMN_BLOCK] * (k - 1)
+    if k > 1 and dim % COLUMN_BLOCK:
+        steps[-1] = 0
+    return steps
+
+
+def _middle(buf: np.ndarray, dims: Sequence[int], i: int) -> np.ndarray:
+    """The array of shape ``dims`` at the front of ``buf``, as the view
+    ``(left, dims[i], right)`` whose middle axis is axis i."""
+    left, right = math.prod(dims[:i]), math.prod(dims[i + 1:])
+    return buf[:left * dims[i] * right].reshape(left, dims[i], right)
+
+
+def _outer(indices: Sequence, size: int) -> tuple:
+    """An index of a K-axis array of side ``size`` picking the outer
+    product of one index array per axis, ``None`` for the whole axis."""
+    return np.ix_(*(np.arange(size) if a is None else a for a in indices))
+
+
+def _coincident(owners: Sequence[np.ndarray]) -> np.ndarray:
+    """The flat mask of the tuples of ports, one from each array of port
+    owners, whose walkers all stand on one vertex."""
+    grids = np.ix_(*owners)
+    shared = np.ones([o.size for o in owners], dtype=bool)
+    for owner in grids[1:]:
+        shared &= grids[0] == owner
+    return shared.reshape(-1)
+
+
+class _Box:
+    """The box of a walk's state: one :class:`_Axis` per walker, the
+    state being the C-contiguous array of shape :attr:`shape` at the front
+    of a state buffer. The shifts move the axes on (:meth:`move`)."""
+
+    def __init__(self, space: ProductGraph, support: np.ndarray | None):
+        """The box over the whole space, or over the vertices of the
+        basis states where the flat mask ``support`` is set."""
+        g, k = space.base, space.num_walkers
+        self.space, self.graph = space, g
+        self.sizes = [v.size for v in g.degree_classes.values()]
+        ports, first = None, g.port_offsets[:-1]
+        if len(self.sizes) > 1:
+            ports, inverse = g.class_order
+            first = inverse[first]
+        self.full = _Axis(g.class_vertices[0], ports, first, None,
+                          [(size, None) for size in self.sizes],
+                          g.basis_dim)
+        self.steps = _column_steps(space)
+        self.degree = _degree(g)
+        self.axes = [self.full] * k
+        if support is not None:
+            support = support.reshape(space.basis_shape)
+            for i in range(k):
+                hit = support.any(axis=tuple(j for j in range(k) if j != i))
+                self.axes[i] = self.reach(i, g.vertex_of_basis[hit])
+        self.shape = [a.size for a in self.axes]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def whole(self) -> bool:
+        return all(a.whole for a in self.axes)
+
+    @property
+    def in_order(self) -> bool:
+        return all(a.in_order for a in self.axes)
+
+    def view(self, buf: np.ndarray, i: int) -> np.ndarray:
+        return _middle(buf, self.shape, i)
+
+    def move(self, i: int, axis: _Axis) -> None:
+        self.axes[i] = axis
+        self.shape[i] = axis.size
+
+    def reach(self, i: int, verts: np.ndarray) -> _Axis:
+        """Walker i's axis over the vertices ``verts`` (repeats allowed),
+        made in O(its ports) from a reach mask over the vertices' class
+        ranks; the whole axis when they are every vertex, or when the
+        axis's ports are not a multiple of ``self.steps[i]``
+        (:func:`_column_steps`). It is whole too when it would hold one
+        port: the coin's matrix products would then turn into vector
+        products, which round differently."""
+        g, degree = self.graph, self.degree
+        reached = np.zeros(g.num_vertices, dtype=bool)
+        reached[verts if degree else g.class_vertices[1][verts]] = True
+        ranks = np.flatnonzero(reached)
+        if ranks.size == g.num_vertices:
+            return self.full
+        if degree:  # one class: the class ranks are the vertices
+            verts, size, repeats = ranks, ranks.size * degree, degree
+            starts = np.arange(0, size, degree)
+        else:
+            verts = g.class_vertices[0][ranks]
+            repeats = g.degrees[verts]
+            ends = np.cumsum(repeats)
+            size = int(ends[-1])
+            starts = ends - repeats
+        step = self.steps[i]
+        if size == 1 or not step or size % step:
+            return self.full
+        ports = np.repeat(g.port_offsets[verts] - starts, repeats)
+        ports += np.arange(size)
+        first = np.empty(g.num_vertices, dtype=np.int64)
+        first[verts] = starts
+        if degree:
+            return _Axis(verts, ports, first, reached, [(ranks.size, ranks)],
+                         size)
+        lows = np.cumsum([0] + self.sizes[:-1])
+        counts = np.add.reduceat(reached, lows, dtype=np.int64)
+        runs, at = [], 0
+        for total, low, count in zip(self.sizes, lows.tolist(),
+                                     counts.tolist()):
+            runs.append((count, None if count == total
+                         else ranks[at:at + count] - low))
+            at += count
+        return _Axis(verts, ports, first, reached, runs, size)
+
+    def gather(self, amps: np.ndarray, x: np.ndarray, y: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The box of the basis-order state ``amps`` put at the front of
+        ``x`` or ``y`` by one ``np.take`` per axis not in order, each into
+        the buffer the last one did not write (or by a copy when every
+        axis is in order); returns (that buffer, the other)."""
+        src, dims = amps, list(self.space.basis_shape)
+        for i, axis in enumerate(self.axes):
+            if not axis.in_order:
+                view = _middle(src, dims, i)
+                dims[i] = axis.size
+                np.take(view, axis.ports, axis=1, out=_middle(x, dims, i),
+                        mode="clip")
+                src, x, y = x, y, x
+        if src is amps:
+            x[:] = amps
+            return x, y
+        return src, x
+
+    def scatter(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, a flat array over the joint basis that is zero outside
+        the box, with the box's ``values`` put at their basis indices."""
+        index = _outer([None if a.in_order else a.ports for a in self.axes],
+                       self.space.base.basis_dim)
+        out.reshape(self.space.basis_shape)[index] = \
+            values.reshape(self.shape)
+        return out
+
+    def masses(self, p: np.ndarray) -> np.ndarray:
+        """The box's masses ``p`` as a new flat array over the joint
+        basis, in basis order and zero outside the box."""
+        if self.in_order:
+            return p.copy()
+        return self.scatter(p, np.zeros(self.space.basis_dim))
+
+    def vertex_masses(self, p: np.ndarray) -> np.ndarray:
+        """rho: the port sums (:func:`_port_sums`) of the box's masses
+        ``p``, as a new flat array over the vertex tuples, zero outside
+        the box."""
+        sums = _port_sums(p.reshape(self.shape),
+                          [a.first[a.verts] for a in self.axes], self.degree)
+        if self.in_order:
+            return sums.reshape(-1)
+        space = self.space
+        rho = np.zeros(space.num_states)
+        index = _outer([None if a.in_order else a.verts for a in self.axes],
+                       space.base.num_vertices)
+        rho.reshape(space.shape)[index] = sums
+        return rho
+
+    def state(self, x: np.ndarray, y: np.ndarray) -> WaveFunction:
+        """The whole-space box in ``x`` as a :class:`WaveFunction`, put in
+        basis order in ``y`` unless every axis is in order."""
+        if not self.in_order:
+            x = self.scatter(x, y)
+        return WaveFunction(self.space, x)
+
+
+# ---------------------------------------------------------------------------
 # operator kernels
 # ---------------------------------------------------------------------------
 #
-# A state of K walkers is a K-axis array of side D, the base basis
-# dimension. Walker i's kernel sees the state as the contiguous view
-# (left, D, right) of ProductGraph.walker_view(i), and writes into a
-# second buffer of the same size; the walk then swaps the two. A kernel
-# may overwrite its input. The interaction acts in place.
+# Walker i's kernel sees the box as the contiguous view (left, m_i, right)
+# of _Box.view, whose middle axis is walker i's, and writes into a second
+# buffer; the walk then swaps the two. A kernel may overwrite its input.
+# The interaction acts in place.
 
-def _coin_kernel(spec: CoinSpec, x: np.ndarray, y: np.ndarray) -> None:
-    """``y`` = the coin on the middle axis of ``x``. On an irregular graph
-    the ports are gathered into degree-class order
-    (:attr:`~qrwalk.graphs.PortGraph.class_order`), each class is
-    multiplied as one run into ``x``, and the result is scattered back."""
-    if len(spec.stacks) > 1:
-        order, inverse = spec.graph.class_order
-        np.take(x, order, axis=1, out=y, mode="clip")
-        _class_products(spec, y, x)
-        np.take(x, inverse, axis=1, out=y, mode="clip")
-    else:
-        _class_products(spec, x, y)
+def _coin_kernel(spec: CoinSpec, axis: _Axis, x: np.ndarray,
+                 y: np.ndarray) -> None:
+    """``y`` = the coin on the middle axis of ``x``, whose slots are
+    ``axis``'s. The axis lists its ports in degree-class order, so each
+    class's block stack, cut to the axis's vertices, multiplies one run
+    (:func:`_class_products`): a named coin's zero-stride stack is sliced,
+    not copied, and a whole class's is used as it is."""
+    stacks = []
+    for stack, (count, picked) in zip(spec.stacks.values(), axis.runs):
+        if picked is not None:
+            stack = stack[:count] if stack.strides[0] == 0 else stack[picked]
+        if count:
+            stacks.append(stack)
+    one = len(spec.stacks) == 1 and stacks[0].strides[0] == 0
+    _class_products(stacks, one, x, y)
 
 
-def _class_products(spec: CoinSpec, x: np.ndarray, y: np.ndarray) -> None:
-    """Multiply the port blocks of each degree class, whose ports are
-    consecutive runs of ``x``'s middle axis in ascending degree, into
-    ``y``.
+def _class_products(stacks: list[np.ndarray], one: bool, x: np.ndarray,
+                    y: np.ndarray) -> None:
+    """Multiply the port blocks of each ``(n, d, d)`` stack, whose ports
+    are consecutive runs of ``x``'s middle axis in order, into ``y``;
+    ``one`` when a single block serves every vertex of the graph.
 
     Each operand shape rounds, for the named coins, exactly as the coin
     did when every walker's axis was first moved to the front. Walker 0
@@ -530,16 +788,16 @@ def _class_products(spec: CoinSpec, x: np.ndarray, y: np.ndarray) -> None:
     ``rows @ block.T``: one matrix product when one block serves the whole
     axis, else one per vertex (a vertex alone in its class would make a
     vector-matrix product, which rounds differently too)."""
-    left, dim, right = x.shape
+    left, _, right = x.shape
     start = 0
-    for d, stack in spec.stacks.items():
-        n = stack.shape[0]
+    for stack in stacks:
+        n, d, _ = stack.shape
         src, dst = (a[:, start:start + n * d] for a in (x, y))
         start += n * d
         if right > 1 or left == 1:
             shape = (n, d, right) if left == 1 else (left, n, d, right)
             np.matmul(stack, src.reshape(shape), out=dst.reshape(shape))
-        elif n * d == dim and stack.strides[0] == 0:
+        elif one:
             np.matmul(x.reshape(-1, d), stack[0].T, out=y.reshape(-1, d))
         else:
             np.matmul(src.reshape(left, n, d).transpose(1, 0, 2),
@@ -547,33 +805,63 @@ def _class_products(spec: CoinSpec, x: np.ndarray, y: np.ndarray) -> None:
                       out=dst.reshape(left, n, d).transpose(1, 0, 2))
 
 
-def _shift_kernel(spec: ShiftSpec, x: np.ndarray, y: np.ndarray) -> None:
-    """``y`` = the shift permutation on the middle axis of ``x``. The
-    indices are in range by construction; ``mode="clip"`` spares the
-    copy ``np.take`` buffers its output into under ``mode="raise"``."""
-    np.take(x, spec.inverse, axis=1, out=y, mode="clip")
-
-
-def _interaction_kernel(spec: InteractionSpec, x: np.ndarray) -> None:
-    """Apply the per-tuple interaction blocks to ``x`` in place."""
+def _interaction_kernel(spec: InteractionSpec, box: _Box,
+                        x: np.ndarray) -> None:
+    """Apply the per-tuple interaction blocks to the box in ``x`` in
+    place: the coincidence mask read on the box, the explicit blocks of
+    the tuples inside it (the others act on zeros)."""
     if spec.kind == "coincidence-phase":
-        np.multiply(x, np.exp(1j * spec.phase), out=x, where=spec.coincident)
+        owners = spec.graph.base.vertex_of_basis
+        shared = spec.coincident if box.whole else _coincident(
+            [owners if a.in_order else owners[a.ports] for a in box.axes])
+        np.multiply(x, np.exp(1j * spec.phase), out=x, where=shared)
         return
-    arr = x.reshape(spec.graph.basis_shape)
-    offs = spec.graph.base.port_offsets
+    arr = x.reshape(box.shape)
+    base = spec.graph.base
+    rank = base.class_vertices[1]
     for u, block in spec.blocks.items():
-        slices = tuple(slice(int(offs[ui]), int(offs[ui + 1])) for ui in u)
-        sub = arr[slices]
-        arr[slices] = (block @ sub.reshape(-1)).reshape(sub.shape)
+        if all(a.whole or a.reached[rank[ui]] for a, ui in zip(box.axes, u)):
+            slices = tuple(slice(a.first[ui], a.first[ui] + base.degrees[ui])
+                           for a, ui in zip(box.axes, u))
+            sub = arr[slices]
+            arr[slices] = (block @ sub.reshape(-1)).reshape(sub.shape)
 
 
-def _per_axis(kernel, space: ProductGraph, specs: list, x: np.ndarray,
-              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``kernel`` for each walker's spec in turn, from ``x`` into
-    ``y`` and back; returns (the buffer holding the result, the other)."""
+def _coins(box: _Box, specs: list, x: np.ndarray,
+           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each walker's coin in turn, from ``x`` into ``y`` and back; returns
+    (the buffer holding the result, the other)."""
     for i, spec in enumerate(specs):
-        shape = space.walker_view(i)
-        kernel(spec, x.reshape(shape), y.reshape(shape))
+        _coin_kernel(spec, box.axes[i], box.view(x, i), box.view(y, i))
+        x, y = y, x
+    return x, y
+
+
+def _shifts(box: _Box, specs: list, x: np.ndarray,
+            y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each walker's shift in turn, from ``x`` into ``y`` and back, moving
+    the box's axes on; returns (the buffer holding the result, the
+    other). A whole axis is one gather (:attr:`ShiftSpec.gather`). Any
+    other axis moves to the heads of its ports' arcs, which a reach mask
+    over the vertices turns into the new axis (:meth:`_Box.reach`), whose
+    ``first`` slots place each arc's target; the new box is zero-filled
+    and then scattered into."""
+    g = box.space.base
+    for i, spec in enumerate(specs):
+        old = box.axes[i]
+        src = box.view(x, i)
+        if old.whole:  # in range by construction: "clip" spares the
+            # copy np.take buffers its output into under "raise"
+            np.take(src, spec.gather, axis=1, out=box.view(y, i),
+                    mode="clip")
+        else:
+            heads = g.heads[old.ports]
+            box.move(i, box.reach(i, heads))
+            targets = box.axes[i].first[heads] - g.port_offsets[heads]
+            targets += spec.permutation[old.ports]
+            dst = box.view(y, i)
+            dst.fill(0)
+            dst[:, targets] = src
         x, y = y, x
     return x, y
 
@@ -592,32 +880,36 @@ def _interaction_at(interaction: InteractionLike | None,
     return spec
 
 
-def _step(space: ProductGraph, x: np.ndarray, y: np.ndarray,
+def _step(box: _Box, x: np.ndarray, y: np.ndarray,
           coin: CoinLike, shift: ShiftLike,
           interaction: InteractionLike | None, t: int
           ) -> tuple[np.ndarray, np.ndarray]:
-    """Step t on the amplitudes in ``x``, with ``y`` as the spare buffer;
-    returns (the buffer holding psi(t + 1), the other)."""
+    """Step t on the box in ``x``, with ``y`` as the spare buffer; moves
+    the box on and returns (the buffer holding psi(t + 1), the other)."""
+    space = box.space
     inter = _interaction_at(interaction, space, t)
     coins = _per_walker(coin, space, t, "coin")
     shifts = _per_walker(shift, space, t, "shift")
     if inter is not None:
-        _interaction_kernel(inter, x)
-    x, y = _per_axis(_coin_kernel, space, coins, x, y)
-    return _per_axis(_shift_kernel, space, shifts, x, y)
+        _interaction_kernel(inter, box, x[:box.size])
+    x, y = _coins(box, coins, x, y)
+    return _shifts(box, shifts, x, y)
 
 
-def _workspace(psi: WaveFunction, masses: bool = False
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """A writable copy of ``psi``'s amplitudes and a spare buffer of the
-    same size. With ``masses``, the memory budget check also covers two
-    float arrays of ``|psi|^2``: the one the walk is making and the one
-    its caller may still hold."""
+def _workspace(psi: WaveFunction, cone: bool = False
+               ) -> tuple[_Box, np.ndarray, np.ndarray]:
+    """Two state buffers, one holding a box of ``psi``: the whole space,
+    or with ``cone`` (the walk loop) the box of its support. With
+    ``cone``, the memory budget check also covers two float arrays of
+    ``|psi|^2``: the one the walk is making and the one its caller may
+    still hold."""
     dim = psi.graph.basis_dim
-    check_budget((48 if masses else 32) * dim,
-                 f"two state buffers{' and two mass arrays' if masses else ''}"
+    check_budget((48 if cone else 32) * dim,
+                 f"two state buffers{' and two mass arrays' if cone else ''}"
                  f" of dimension {dim}")
-    return psi.amplitudes.copy(), np.empty_like(psi.amplitudes)
+    box = _Box(psi.graph, psi.amplitudes != 0 if cone else None)
+    x, y = np.empty_like(psi.amplitudes), np.empty_like(psi.amplitudes)
+    return (box, *box.gather(psi.amplitudes, x, y))
 
 
 def _masses(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -634,15 +926,15 @@ def _masses(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def apply_coin(psi: WaveFunction, coin: CoinLike, t: int = 0) -> WaveFunction:
     """Mix amplitudes among each vertex's ports with the coin blocks."""
     specs = _per_walker(coin, psi.graph, t, "coin")
-    amps, _ = _per_axis(_coin_kernel, psi.graph, specs, *_workspace(psi))
-    return WaveFunction(psi.graph, amps)
+    box, x, y = _workspace(psi)
+    return box.state(*_coins(box, specs, x, y))
 
 
 def apply_shift(psi: WaveFunction, shift: ShiftLike, t: int = 0) -> WaveFunction:
     """Transport amplitudes along arcs by the shift permutation."""
     specs = _per_walker(shift, psi.graph, t, "shift")
-    amps, _ = _per_axis(_shift_kernel, psi.graph, specs, *_workspace(psi))
-    return WaveFunction(psi.graph, amps)
+    box, x, y = _workspace(psi)
+    return box.state(*_shifts(box, specs, x, y))
 
 
 def apply_interaction(psi: WaveFunction, interaction: InteractionLike | None,
@@ -654,9 +946,9 @@ def apply_interaction(psi: WaveFunction, interaction: InteractionLike | None,
     spec = _interaction_at(interaction, psi.graph, t)
     if spec is None:
         return psi
-    amps, _ = _workspace(psi)
-    _interaction_kernel(spec, amps)
-    return WaveFunction(psi.graph, amps)
+    box, x, y = _workspace(psi)
+    _interaction_kernel(spec, box, x)
+    return box.state(x, y)
 
 
 def step(
@@ -666,66 +958,80 @@ def step(
     interaction: InteractionLike | None = None,
     t: int = 0,
 ) -> WaveFunction:
-    """One evolution step, shift(coin(interaction(psi))), on the kernels
-    :func:`evolve` runs; the new state is checked like any other."""
-    amps, _ = _step(psi.graph, *_workspace(psi), coin, shift, interaction, t)
-    return WaveFunction(psi.graph, amps)
+    """One evolution step, shift(coin(interaction(psi))), by the kernels
+    :func:`evolve` runs, on the box of the whole space (each axis in
+    degree-class order, so an irregular graph's state is put in that
+    order first and back in basis order last); the new state is checked
+    like any other."""
+    box, x, y = _workspace(psi)
+    return box.state(*_step(box, x, y, coin, shift, interaction, t))
 
 
 def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
            horizon: int, interaction: InteractionLike | None = None
            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(masses, rho)`` for t = 0, 1, ..., ``horizon``: the
-    basis-state masses ``|psi(t)|^2`` and rho(t), their
-    :func:`vertex_masses`, each a new float array.
+    basis-state masses ``|psi(t)|^2`` and rho(t), their vertex masses
+    (the port sums of :func:`vertex_masses`), each a new float array over
+    the whole space.
 
-    The walk runs in place in two state buffers, each step's operators
-    writing from one into the other; the buffers and the masses are
-    checked against the memory budget before anything is allocated. Every
-    psi(t + 1) is checked to be normalised within :data:`NORM_ATOL`, as a
-    :class:`WaveFunction` is, before its masses are yielded, and
-    :func:`step` gives the same bits."""
+    The walk evolves only its light cone. Coins and interactions act
+    within one vertex (tuple), and every shift is edge-local, so psi(t)
+    is exactly zero outside the box over the ports of S_1 x ... x S_K,
+    S_i being the vertices walker i can have reached: the projection of
+    psi(0)'s support on axis i, then the heads of the arcs leaving S_i.
+    Each step runs its kernels on that box alone (:class:`_Box`), and
+    the masses and their port sums are made on it and put in place in
+    arrays that are zero elsewhere, with the bits of a walk over the
+    whole space. An axis that covers every vertex runs the whole-space
+    kernels, without index work.
+
+    The box lives at the front of two state buffers, each step's
+    operators writing from one into the other; the buffers and the
+    masses are checked against the memory budget before anything is
+    allocated. Every psi(t + 1) is checked to be normalised within
+    :data:`NORM_ATOL`, as a :class:`WaveFunction` is, before its masses
+    are yielded, and :func:`step` gives the same bits."""
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
-    space = psi0.graph
-    x, y = _workspace(psi0, masses=True)
+    box, x, y = _workspace(psi0, cone=True)
     for t in range(horizon + 1):
         if t:
-            x, y = _step(space, x, y, coin, shift, interaction, t - 1)
+            x, y = _step(box, x, y, coin, shift, interaction, t - 1)
         # the masses are made and summed in the spare buffer, then copied
         # out: the port sums' temporaries never sit beside both the masses
         # the caller still holds and the new ones
-        p = _masses(x, y.view(np.float64)[:x.size])
+        size = box.size
+        p = _masses(x[:size], y.view(np.float64)[:size])
         if t:
             _check_norm(float(p.sum()))
-        rho = vertex_masses(space, p)
-        yield p.copy(), rho
+        rho = box.vertex_masses(p)
+        yield box.masses(p), rho
 
 
-def vertex_masses(graph: PortGraph | ProductGraph,
-                  masses: np.ndarray) -> np.ndarray:
-    """Probability of each vertex (tuple) of ``graph``, from the masses
-    of its basis states: the sum over each vertex's ports, walker by
-    walker. For K walkers the result is indexed by the mixed-radix tuple
-    index.
+def _degree(graph: PortGraph) -> int:
+    """The one degree of a regular graph, else 0."""
+    classes = graph.degree_classes
+    return next(iter(classes)) if len(classes) == 1 else 0
+
+
+def _port_sums(arr: np.ndarray, starts: Sequence[np.ndarray],
+               degree: int) -> np.ndarray:
+    """The sums of ``arr`` over each run of one vertex's ports, axis by
+    axis, ``starts[i]`` the first slots of axis i's runs and ``degree``
+    the one length of them all, or 0 if they differ.
 
     A vertex's port masses ``a0 .. a(d-1)`` are summed as
     ``np.add.reduceat`` sums them: ``a0 + ((a1 + a2) + ... + a(d-1))``,
     the first entry plus numpy's pairwise sum of the rest, which is a
-    plain loop below 8 terms. So on a graph whose vertices all have one
-    degree d in 2..8 the sum is d - 1 strided adds in that order, with the
-    same bits. Otherwise ``reduceat`` runs: on an irregular graph the
-    port runs differ in length, and past 8 terms the pairwise sum keeps 8
-    accumulators, whose order the strided adds would not match.
-    """
-    space = ProductGraph.of(graph)
-    classes = space.base.degree_classes
-    degree = next(iter(classes)) if len(classes) == 1 else 0
-    starts = space.base.port_offsets[:-1]
-    arr = np.asarray(masses).reshape(space.basis_shape)
-    for axis in range(space.num_walkers):
+    plain loop below 8 terms. So when every run has one length d in 2..8
+    the sum is d - 1 strided adds in that order, with the same bits.
+    Otherwise ``reduceat`` runs: the runs differ in length, or past 8
+    terms the pairwise sum keeps 8 accumulators, whose order the strided
+    adds would not match."""
+    for axis, axis_starts in enumerate(starts):
         if not 1 < degree <= 8:
-            arr = np.add.reduceat(arr, starts, axis=axis)
+            arr = np.add.reduceat(arr, axis_starts, axis=axis)
             continue
         runs = arr.reshape(arr.shape[:axis] + (-1, degree)
                            + arr.shape[axis + 1:])
@@ -735,7 +1041,20 @@ def vertex_masses(graph: PortGraph | ProductGraph,
         for port in ports[2:]:
             rest += port
         arr = np.add(ports[0], rest, out=rest)
-    return arr.reshape(-1)
+    return arr
+
+
+def vertex_masses(graph: PortGraph | ProductGraph,
+                  masses: np.ndarray) -> np.ndarray:
+    """Probability of each vertex (tuple) of ``graph``, from the masses
+    of its basis states: the sum over each vertex's ports, walker by
+    walker, in the order of :func:`_port_sums`. For K walkers the result
+    is indexed by the mixed-radix tuple index."""
+    space = ProductGraph.of(graph)
+    base = space.base
+    return _port_sums(np.asarray(masses).reshape(space.basis_shape),
+                      [base.port_offsets[:-1]] * space.num_walkers,
+                      _degree(base)).reshape(-1)
 
 
 def vertex_distribution(psi: WaveFunction) -> np.ndarray:

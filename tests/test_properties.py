@@ -751,6 +751,115 @@ def test_evolve_keeps_the_bits_of_the_reference_step(seed, walkers,
         assert masses.tobytes() == (np.abs(ref.amplitudes) ** 2).tobytes()
 
 
+def cone_graph(rng, regular: bool, max_dim: int):
+    """A graph on which a light cone grows for a few steps before it
+    fills: a cycle, a torus or a random 3-regular graph, or an irregular
+    tree with a few chords (shuffled port orders), of basis dimension at
+    most ``max_dim``."""
+    while True:
+        if regular:
+            kind = int(rng.integers(3))
+            if kind == 0:
+                g = cycle_graph(int(rng.integers(5, 31)))
+            elif kind == 1:
+                g = torus_graph((int(rng.integers(3, 7)),
+                                 int(rng.integers(3, 7))))
+            else:
+                g = random_regular_graph(2 * int(rng.integers(3, 11)), 3,
+                                         seed=rng)
+        else:
+            n = int(rng.integers(4, 31))
+            edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+            edges |= {tuple(sorted(rng.choice(n, 2, replace=False).tolist()))
+                      for _ in range(int(rng.integers(4)))}
+            g = build_graph(sorted(edges))
+            g = build_graph(sorted(edges), ordering=[
+                list(rng.permutation(nbrs)) for nbrs in g.out_neighbors])
+        if g.basis_dim <= max_dim:
+            return g
+
+
+def sparse_state(space, rng) -> WaveFunction:
+    """A localized state, or complex amplitudes on one to three basis
+    states."""
+    states = rng.choice(space.basis_dim, int(rng.integers(1, 4)),
+                        replace=False)
+    amps = np.zeros(space.basis_dim, dtype=np.complex128)
+    amps[states] = 1.0 if states.size == 1 \
+        else rng.normal(size=states.size) + 1j * rng.normal(size=states.size)
+    return WaveFunction(space, amps / np.linalg.norm(amps))
+
+
+def cone_walk(rng, walkers: int, regular: bool) -> tuple:
+    """Coins (named, random or explicit blocks), shifts and an
+    interaction (the coincidence phase, or explicit blocks on tuples
+    around the start), each per walker or shared and possibly scheduled,
+    and a sparse start, on a :func:`cone_graph`. Returns them with
+    whether every coin is named."""
+    g = cone_graph(rng, regular, (240, 60, 24)[walkers - 1])
+    space = ProductGraph(g, walkers)
+    psi = sparse_state(space, rng)
+    kinds = []
+
+    def coin():
+        kind = int(rng.integers(4))
+        kinds.append(kind)
+        if kind == 3:
+            return CoinSpec.from_blocks(g, [
+                random_unitary_coin(int(d), rng) for d in g.degrees])
+        return random_coin(g, rng, kind)
+    coin = per_walker_or_shared(rng, walkers, coin)
+    named = all(kind < 2 for kind in kinds)
+    shift = per_walker_or_shared(
+        rng, walkers, lambda: random_shift(g, rng, int(rng.integers(3))))
+    interaction = None
+    if walkers > 1 and rng.random() < 0.7:
+        start = np.unravel_index(int(np.flatnonzero(psi.amplitudes)[0]),
+                                 space.basis_shape)
+        near = [int(g.vertex_of_basis[a]) for a in start]
+
+        def blocks():
+            tuples = {tuple(near)} | {
+                tuple(int(v) for v in g.heads[g.port_offsets[near]])}
+            tuples |= {tuple(rng.integers(g.num_vertices,
+                                          size=walkers).tolist())}
+            return InteractionSpec.from_blocks(space, {
+                u: random_unitary_coin(space.degree(u), rng)
+                for u in tuples})
+        interaction = scheduled(rng, blocks if rng.random() < 0.5 else (
+            lambda: InteractionSpec.coincidence_phase(
+                space, rng.uniform(-np.pi, np.pi))))
+    return coin, shift, interaction, psi, named
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]),
+       regular=st.booleans())
+def test_evolve_from_sparse_starts_keeps_the_bits_of_the_whole_space(
+        seed, walkers, regular):
+    """From a localized or few-component start, whose light cone grows
+    step by step, the masses and rho that evolve yields over T steps are
+    those of the chained operator code, bit for bit. The chain is of
+    ``reference_step`` where its bits are the engine's (named coins, or
+    one walker); it moves each walker's axis to the front for the coin,
+    which rounds otherwise for other coins of several walkers, and there
+    the chain is of :func:`step`, the engine's kernels run on the whole
+    space."""
+    rng = np.random.default_rng(seed)
+    coin, shift, interaction, psi, named = cone_walk(rng, walkers, regular)
+    ref = psi
+    for t, (masses, rho) in enumerate(evolve(psi, coin, shift, 6,
+                                             interaction)):
+        if t and (named or walkers == 1):
+            ref = WaveFunction(psi.graph, oracle.reference_step(
+                ref, coin, shift, interaction, t - 1))
+        elif t:
+            ref = step(ref, coin, shift, interaction, t - 1)
+        want = np.abs(ref.amplitudes) ** 2
+        assert masses.tobytes() == want.tobytes()
+        assert rho.tobytes() == vertex_masses(psi.graph, want).tobytes()
+
+
 @settings(SETTINGS, max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]),
        degree=st.integers(1, 12), regular=st.booleans())

@@ -21,6 +21,7 @@ from qrwalk import (
     cycle_graph,
     evolve,
     step,
+    torus_graph,
     vertex_distribution,
     walk,
 )
@@ -289,6 +290,46 @@ class TestStep:
         finally:
             tracemalloc.stop()
         assert peak <= 3.25 * psi.amplitudes.nbytes
+
+    @staticmethod
+    def coin_ports(monkeypatch, psi, coin, shift, horizon, interaction=None):
+        """The ports each coin product of evolve's walk passes per walker,
+        step by step: the middle axis of ``_class_products``' input."""
+        passed, products = [], walk._class_products
+
+        def spy(*args):
+            passed.append(args[-2].shape[1])
+            return products(*args)
+        monkeypatch.setattr(walk, "_class_products", spy)
+        for _ in evolve(psi, coin, shift, horizon, interaction):
+            pass
+        k = psi.num_walkers
+        return [passed[t * k:(t + 1) * k] for t in range(horizon)]
+
+    def test_the_coin_runs_on_the_light_cone(self, monkeypatch):
+        # from one vertex of a 30x30 torus the walk can have reached at
+        # most the 2t^2 + 2t + 1 vertices of the t-ball by step t; the
+        # whole space is 3600 ports
+        g = torus_graph((30, 30))
+        steps = self.coin_ports(
+            monkeypatch, WaveFunction.localized(g, 435, 2),
+            CoinSpec.grover(g), ShiftSpec.moving(g), 5)
+        for t, (ports,) in enumerate(steps):
+            assert ports <= 4 * (2 * t * t + 2 * t + 1)
+
+    def test_a_box_that_fills_the_space_stays_whole(self, monkeypatch):
+        # two walkers on a 5x5 torus, which is not bipartite: both light
+        # cones fill the space, and then every step passes all of it
+        g = torus_graph((5, 5))
+        pg = ProductGraph(g, 2)
+        steps = self.coin_ports(
+            monkeypatch, WaveFunction.localized(pg, (0, 12), (0, 3)),
+            CoinSpec.hadamard(g), ShiftSpec.flip_flop(g), 8,
+            InteractionSpec.coincidence_phase(pg, 0.3))
+        full = [t for t, ports in enumerate(steps)
+                if ports == [g.basis_dim] * 2]
+        assert steps[0] == [4, 4] and full
+        assert full == list(range(full[0], len(steps)))
 
     def test_interaction_requires_multiple_walkers(self, c4):
         pg = ProductGraph(c4, 2)
