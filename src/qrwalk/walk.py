@@ -463,15 +463,10 @@ class InteractionSpec:
             object.__setattr__(self, "blocks", frozen)
 
     @cached_property
-    def coincident(self) -> np.ndarray:
-        """Read-only mask over the flat joint basis, each walker's ports in
-        degree-class order as the walk stores them, of the states whose
-        walkers all stand on one vertex; made once per spec."""
-        base = self.graph.base
-        owners = base.vertex_of_basis
-        if len(base.degree_classes) > 1:
-            owners = owners[base.class_order[0]]
-        return _readonly(_coincident([owners] * self.graph.num_walkers))
+    def _whole_coincident(self) -> np.ndarray:
+        """:meth:`_Box.coincident` of the whole-space box, read-only and
+        made once per spec."""
+        return _readonly(_Box(self.graph, None).coincident())
 
     @classmethod
     def identity(cls, graph: ProductGraph) -> "InteractionSpec":
@@ -551,11 +546,38 @@ class _Axis(NamedTuple):
         return self.ports is None
 
 
+def _column_block() -> int:
+    """The column block of this numpy's complex matrix product, probed
+    once at import: the least b in 1..8 such that, for a ``(d x d)``
+    block B with d in 2..4 and a ``(d x 24)`` operand X, ``B @ X[:, o:o
+    + w]`` has the bits of ``(B @ X)[:, o:o + w]`` at every offset o <
+    8 and every multiple w of b up to 16, while 2..9 rows of a ``(24 x
+    d)`` operand A, at every offset o < 4, keep their bits in ``A @ B``.
+    0 if no b does. The probe's products are too small for the BLAS to
+    split across threads, so it says nothing of such splits."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for d in (2, 3, 4):
+        b, x, a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                   for shape in ((d, d), (d, 24), (24, d)))
+        cases.append((b, x, b @ x, a, a @ b))
+    if not all((a[o:o + m] @ b).tobytes() == ab[o:o + m].tobytes()
+               for b, _, _, a, ab in cases
+               for m in range(2, 10) for o in range(4)):
+        return 0
+    return next((block for block in range(1, 9) if all(
+        (b @ x[:, o:o + w].copy()).tobytes() == bx[:, o:o + w].tobytes()
+        for b, x, bx, _, _ in cases
+        for w in range(block, 17, block) for o in range(8))), 0)
+
+
 #: The complex matrix product makes the columns of the coin's ``(d x d) @
 #: (d x right)`` products (every walker's but the last of several) in
 #: blocks of this many, and the columns of a last, partial block round
-#: differently (OpenBLAS's zgemm kernels).
-COLUMN_BLOCK = 4
+#: differently (4 with OpenBLAS's Haswell zgemm kernels); 0 when the
+#: probe (:func:`_column_block`) finds no such block, or finds that a
+#: product's bits depend on its number of rows.
+COLUMN_BLOCK = _column_block()
 
 
 def _column_steps(space: ProductGraph) -> list[int]:
@@ -569,8 +591,12 @@ def _column_steps(space: ProductGraph) -> list[int]:
     does when it is such a multiple. The last axis, alone the columns of
     the walker before it, must be whole when the whole axis is not. The
     first axis needs 2 ports (:meth:`_Box.reach`), and one walker has no
-    columns."""
+    columns. Several walkers keep every axis whole when
+    :data:`COLUMN_BLOCK` is 0: their products then have the shapes of
+    the whole space."""
     k, dim = space.num_walkers, space.base.basis_dim
+    if k > 1 and not COLUMN_BLOCK:
+        return [0] * k
     steps = [1] + [COLUMN_BLOCK] * (k - 1)
     if k > 1 and dim % COLUMN_BLOCK:
         steps[-1] = 0
@@ -588,16 +614,6 @@ def _outer(indices: Sequence, size: int) -> tuple:
     """An index of a K-axis array of side ``size`` picking the outer
     product of one index array per axis, ``None`` for the whole axis."""
     return np.ix_(*(np.arange(size) if a is None else a for a in indices))
-
-
-def _coincident(owners: Sequence[np.ndarray]) -> np.ndarray:
-    """The flat mask of the tuples of ports, one from each array of port
-    owners, whose walkers all stand on one vertex."""
-    grids = np.ix_(*owners)
-    shared = np.ones([o.size for o in owners], dtype=bool)
-    for owner in grids[1:]:
-        shared &= grids[0] == owner
-    return shared.reshape(-1)
 
 
 class _Box:
@@ -655,21 +671,17 @@ class _Box:
         (:func:`_column_steps`). It is whole too when it would hold one
         port: the coin's matrix products would then turn into vector
         products, which round differently."""
-        g, degree = self.graph, self.degree
+        g = self.graph
         reached = np.zeros(g.num_vertices, dtype=bool)
-        reached[verts if degree else g.class_vertices[1][verts]] = True
+        reached[g.class_vertices[1][verts]] = True
         ranks = np.flatnonzero(reached)
         if ranks.size == g.num_vertices:
             return self.full
-        if degree:  # one class: the class ranks are the vertices
-            verts, size, repeats = ranks, ranks.size * degree, degree
-            starts = np.arange(0, size, degree)
-        else:
-            verts = g.class_vertices[0][ranks]
-            repeats = g.degrees[verts]
-            ends = np.cumsum(repeats)
-            size = int(ends[-1])
-            starts = ends - repeats
+        verts = g.class_vertices[0][ranks]
+        repeats = g.degrees[verts]
+        ends = np.cumsum(repeats)
+        size = int(ends[-1])
+        starts = ends - repeats
         step = self.steps[i]
         if size == 1 or not step or size % step:
             return self.full
@@ -677,9 +689,6 @@ class _Box:
         ports += np.arange(size)
         first = np.empty(g.num_vertices, dtype=np.int64)
         first[verts] = starts
-        if degree:
-            return _Axis(verts, ports, first, reached, [(ranks.size, ranks)],
-                         size)
         lows = np.cumsum([0] + self.sizes[:-1])
         counts = np.add.reduceat(reached, lows, dtype=np.int64)
         runs, at = [], 0
@@ -689,6 +698,17 @@ class _Box:
                          else ranks[at:at + count] - low))
             at += count
         return _Axis(verts, ports, first, reached, runs, size)
+
+    def coincident(self) -> np.ndarray:
+        """The flat mask over the box of the tuples of ports whose walkers
+        all stand on one vertex."""
+        owners = self.graph.vertex_of_basis
+        grids = np.ix_(*(owners if a.in_order else owners[a.ports]
+                         for a in self.axes))
+        shared = np.ones(self.shape, dtype=bool)
+        for owner in grids[1:]:
+            shared &= grids[0] == owner
+        return shared.reshape(-1)
 
     def gather(self, amps: np.ndarray, x: np.ndarray, y: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -709,21 +729,16 @@ class _Box:
             return x, y
         return src, x
 
-    def scatter(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out``, a flat array over the joint basis that is zero outside
-        the box, with the box's ``values`` put at their basis indices."""
-        index = _outer([None if a.in_order else a.ports for a in self.axes],
-                       self.space.base.basis_dim)
-        out.reshape(self.space.basis_shape)[index] = \
-            values.reshape(self.shape)
-        return out
-
     def masses(self, p: np.ndarray) -> np.ndarray:
         """The box's masses ``p`` as a new flat array over the joint
         basis, in basis order and zero outside the box."""
         if self.in_order:
             return p.copy()
-        return self.scatter(p, np.zeros(self.space.basis_dim))
+        out = np.zeros(self.space.basis_dim)
+        index = _outer([None if a.in_order else a.ports for a in self.axes],
+                       self.space.base.basis_dim)
+        out.reshape(self.space.basis_shape)[index] = p.reshape(self.shape)
+        return out
 
     def vertex_masses(self, p: np.ndarray) -> np.ndarray:
         """rho: the port sums (:func:`_port_sums`) of the box's masses
@@ -741,10 +756,16 @@ class _Box:
         return rho
 
     def state(self, x: np.ndarray, y: np.ndarray) -> WaveFunction:
-        """The whole-space box in ``x`` as a :class:`WaveFunction`, put in
-        basis order in ``y`` unless every axis is in order."""
-        if not self.in_order:
-            x = self.scatter(x, y)
+        """The whole-space box in ``x`` as a :class:`WaveFunction`, each
+        axis not in order put back in basis order by one ``np.take`` of
+        the inverse class order, into the buffer the last one did not
+        write."""
+        inverse = self.graph.class_order[1]
+        for i, axis in enumerate(self.axes):
+            if not axis.in_order:
+                np.take(self.view(x, i), inverse, axis=1,
+                        out=self.view(y, i), mode="clip")
+                x, y = y, x
         return WaveFunction(self.space, x)
 
 
@@ -811,9 +832,7 @@ def _interaction_kernel(spec: InteractionSpec, box: _Box,
     place: the coincidence mask read on the box, the explicit blocks of
     the tuples inside it (the others act on zeros)."""
     if spec.kind == "coincidence-phase":
-        owners = spec.graph.base.vertex_of_basis
-        shared = spec.coincident if box.whole else _coincident(
-            [owners if a.in_order else owners[a.ports] for a in box.axes])
+        shared = spec._whole_coincident if box.whole else box.coincident()
         np.multiply(x, np.exp(1j * spec.phase), out=x, where=shared)
         return
     arr = x.reshape(box.shape)
@@ -962,7 +981,8 @@ def step(
     :func:`evolve` runs, on the box of the whole space (each axis in
     degree-class order, so an irregular graph's state is put in that
     order first and back in basis order last); the new state is checked
-    like any other."""
+    like any other. Its bits are those of :func:`evolve`'s light cone on
+    the condition that :func:`evolve` states."""
     box, x, y = _workspace(psi)
     return box.state(*_step(box, x, y, coin, shift, interaction, t))
 
@@ -991,7 +1011,15 @@ def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
     masses are checked against the memory budget before anything is
     allocated. Every psi(t + 1) is checked to be normalised within
     :data:`NORM_ATOL`, as a :class:`WaveFunction` is, before its masses
-    are yielded, and :func:`step` gives the same bits."""
+    are yielded.
+
+    :func:`step` gives the same bits as long as a matrix product's bits
+    depend only on its operand shapes and on the column blocks of
+    :data:`COLUMN_BLOCK`, which is probed at import: with several walkers
+    a box axis after the first stays partial only with a multiple of
+    that many ports, and every axis stays whole when the probe finds no
+    block. A BLAS that splits one product across threads at other
+    columns than a single thread would breaks that condition."""
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
     box, x, y = _workspace(psi0, cone=True)

@@ -328,8 +328,28 @@ class TestStep:
             InteractionSpec.coincidence_phase(pg, 0.3))
         full = [t for t, ports in enumerate(steps)
                 if ports == [g.basis_dim] * 2]
-        assert steps[0] == [4, 4] and full
-        assert full == list(range(full[0], len(steps)))
+        # an axis of the start's 4 ports stays partial where the column
+        # steps allow it: [4, 4] with this BLAS's column block of 4
+        assert steps[0] == [4 if s and 4 % s == 0 else g.basis_dim
+                            for s in walk._column_steps(pg)]
+        assert full and full == list(range(full[0], len(steps)))
+
+    def test_without_a_column_block_several_walkers_stay_whole(
+            self, monkeypatch):
+        # when the import probe finds no column block, the products of
+        # several walkers keep the shapes of the whole space; one walker,
+        # which has no columns, still runs on its light cone
+        monkeypatch.setattr(walk, "COLUMN_BLOCK", 0)
+        g = torus_graph((6, 6))
+        pg = ProductGraph(g, 2)
+        coin, shift = CoinSpec.grover(g), ShiftSpec.flip_flop(g)
+        steps = self.coin_ports(
+            monkeypatch, WaveFunction.localized(pg, (0, 14), (1, 2)),
+            coin, shift, 3, InteractionSpec.coincidence_phase(pg, 0.7))
+        assert steps == [[g.basis_dim] * 2] * 3
+        steps = self.coin_ports(monkeypatch, WaveFunction.localized(g, 14),
+                                coin, shift, 1)
+        assert steps == [[4]]
 
     def test_interaction_requires_multiple_walkers(self, c4):
         pg = ProductGraph(c4, 2)
