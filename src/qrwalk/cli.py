@@ -320,13 +320,26 @@ def cmd_verify(args, config: dict) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("evolve", "equivalence", "sample", "tvd", "rejection",
+            "torus-dp", "verify")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``command`` only, or of every
+    command for ``None``. Its metavar gives a one-command parser the full
+    usage line; the full parser keeps the name "command" in its errors."""
     parser = argparse.ArgumentParser(
         prog="qrwalk",
         description="Coined quantum walks, their equivalent non-homogeneous "
                     "random walks, and trajectory sampling.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
+
+    def add(name, **kwargs):
+        return sub.add_parser(name, **kwargs) \
+            if command in (None, name) else None
 
     def common(sp, config_required=True):
         sp.add_argument("--config", required=config_required,
@@ -336,66 +349,69 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: $QRWALK_OUT_DIR or .)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("evolve",
-                        help="run the walk, write rho(0..T); rho lists the "
-                             "non-zero masses only (an unlisted state has "
-                             "mass 0)")
-    common(sp)
-    sp.add_argument("--horizon", type=int)
-    sp.set_defaults(func=cmd_evolve,
-                    overrides=("seed", "horizon"))
+    if sp := add("evolve",
+                 help="run the walk, write rho(0..T); rho lists the "
+                      "non-zero masses only (an unlisted state has "
+                      "mass 0)"):
+        common(sp)
+        sp.add_argument("--horizon", type=int)
+        sp.set_defaults(func=cmd_evolve,
+                        overrides=("seed", "horizon"))
 
-    sp = sub.add_parser("equivalence",
-                        help="build P(0..T-1), verify, persist; p_matrix "
-                             "lists the ratio columns only (an unlisted "
-                             "source moves uniformly to its neighbours), "
-                             "rho the non-zero masses only (an unlisted "
-                             "state has mass 0)")
-    common(sp)
-    sp.add_argument("--horizon", type=int)
-    sp.set_defaults(func=cmd_equivalence,
-                    overrides=("seed", "horizon"))
+    if sp := add("equivalence",
+                 help="build P(0..T-1), verify, persist; p_matrix "
+                      "lists the ratio columns only (an unlisted "
+                      "source moves uniformly to its neighbours), "
+                      "rho the non-zero masses only (an unlisted "
+                      "state has mass 0)"):
+        common(sp)
+        sp.add_argument("--horizon", type=int)
+        sp.set_defaults(func=cmd_equivalence,
+                        overrides=("seed", "horizon"))
 
-    sp = sub.add_parser("sample", help="sample a trajectory ensemble")
-    common(sp, config_required=False)
-    sp.add_argument("--from", dest="from_dir",
-                    help="directory with the sequence.npz store that "
-                         "equivalence writes")
-    sp.add_argument("--ensemble-size", type=int)
-    sp.set_defaults(func=cmd_sample,
-                    overrides=("seed", "ensemble_size"))
+    if sp := add("sample", help="sample a trajectory ensemble"):
+        common(sp, config_required=False)
+        sp.add_argument("--from", dest="from_dir",
+                        help="directory with the sequence.npz store that "
+                             "equivalence writes")
+        sp.add_argument("--ensemble-size", type=int)
+        sp.set_defaults(func=cmd_sample,
+                        overrides=("seed", "ensemble_size"))
 
-    sp = sub.add_parser("tvd", help="ensemble-size convergence table")
-    common(sp)
-    sp.set_defaults(func=cmd_tvd, overrides=("seed",))
+    if sp := add("tvd", help="ensemble-size convergence table"):
+        common(sp)
+        sp.set_defaults(func=cmd_tvd, overrides=("seed",))
 
-    sp = sub.add_parser("rejection", help="rejection-sampling baseline")
-    common(sp)
-    sp.add_argument("--attempts", type=int)
-    sp.add_argument("--length", type=int)
-    sp.set_defaults(func=cmd_rejection,
-                    overrides=("seed", "attempts", "length"))
+    if sp := add("rejection", help="rejection-sampling baseline"):
+        common(sp)
+        sp.add_argument("--attempts", type=int)
+        sp.add_argument("--length", type=int)
+        sp.set_defaults(func=cmd_rejection,
+                        overrides=("seed", "attempts", "length"))
 
-    sp = sub.add_parser("torus-dp",
-                        help="Grover/moving-shift torus recursion; rho "
-                             "lists the non-zero masses only (an unlisted "
-                             "state has mass 0)")
-    common(sp)
-    sp.add_argument("--horizon", type=int)
-    sp.set_defaults(func=cmd_torus_dp,
-                    overrides=("seed", "horizon"))
+    if sp := add("torus-dp",
+                 help="Grover/moving-shift torus recursion; rho "
+                      "lists the non-zero masses only (an unlisted "
+                      "state has mass 0)"):
+        common(sp)
+        sp.add_argument("--horizon", type=int)
+        sp.set_defaults(func=cmd_torus_dp,
+                        overrides=("seed", "horizon"))
 
-    sp = sub.add_parser("verify", help="re-check persisted matrices")
-    sp.add_argument("--in-dir", required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.set_defaults(func=cmd_verify, overrides=())
+    if sp := add("verify", help="re-check persisted matrices"):
+        sp.add_argument("--in-dir", required=True)
+        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.set_defaults(func=cmd_verify, overrides=())
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # only the invoked command's subparser is built; top-level help, a
+    # missing or an unknown command build them all
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS
+                         else None).parse_args(argv)
     try:
         config = _load_config(getattr(args, "config", None))
         _apply_overrides(config, args, args.overrides)

@@ -22,7 +22,9 @@ hold the ratio columns only.
 
 One walk step (a block-diagonal coin, then a basis permutation) costs
 time linear in the state dimension for bounded degree, and emitting one
-matrix is linear in the number of arcs leaving its ratio columns.
+matrix is linear in the number of arcs leaving its ratio columns, made
+as one 2-d block per tuple of the walkers' degrees
+(:func:`matrix_from_masses`).
 """
 
 from __future__ import annotations
@@ -161,13 +163,13 @@ class TransitionMatrix:
         indptr = np.zeros(ids.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         entry_is_new = np.repeat(is_new, lengths)
-        # arcs() lists each state's heads in ascending order
-        owner, _, heads = pg.arcs(new)
         targets = np.empty(size, dtype=np.int64)
+        (heads,) = _csc_order([(rows, block) for rows, _, block
+                               in pg.arc_blocks(new)], degrees, np.int64)
         targets[entry_is_new] = heads
         targets[~entry_is_new] = self.indices
         probs = np.empty(size)
-        probs[entry_is_new] = 1.0 / degrees[owner]
+        probs[entry_is_new] = np.repeat(1.0 / degrees, degrees)
         probs[~entry_is_new] = self.data
         # read-only arrays are kept by the constructor, not copied
         mat = TransitionMatrix(
@@ -401,12 +403,28 @@ def _column_cumsums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     return cums
 
 
+def _csc_order(blocks, lengths: np.ndarray, *dtypes) -> list[np.ndarray]:
+    """The (m, L) arrays of the ``(rows, *arrays)`` blocks, one per dtype,
+    joined in column order: row j holds column ``rows[j]``'s L entries,
+    column c has ``lengths[c]``. One block is only flattened."""
+    if len(blocks) == 1:
+        return [a.ravel() for a in blocks[0][1:]]
+    starts = np.cumsum(lengths) - lengths
+    out = [np.empty(int(lengths.sum()), dtype=dt) for dt in dtypes]
+    for rows, *arrays in blocks:
+        at = starts[rows, None] + np.arange(arrays[0].shape[1])
+        for whole, block in zip(out, arrays):
+            whole[at] = block
+    return out
+
+
 def _arc_bytes(num_walkers: int) -> int:
     """Bytes per arc of the arc-wise arrays :func:`matrix_from_masses`
-    holds at once, an upper bound: its tracemalloc peak was 70-77, 67-71
-    and 73-74 bytes per arc for 1, 2 and 3 walkers, on tori and on
-    irregular graphs. It also bounds :meth:`TransitionMatrix.find` per
-    entry of the matrix it makes (50-86 bytes)."""
+    holds at once, an upper bound: its tracemalloc peak was 44 and 82, 37
+    and 60, and 27 and 45 bytes per arc for 1, 2 and 3 walkers, on a torus
+    and on an irregular graph (several blocks, scattered). It also bounds
+    :meth:`TransitionMatrix.find` per entry of the matrix it makes (29-73
+    bytes)."""
     return 8 * (num_walkers + 11)
 
 
@@ -425,32 +443,40 @@ def matrix_from_masses(
     source with mass above :data:`ZERO_PROB` is pushed through it; the
     mass found there over the source mass is the entry for the arc's head
     tuple. Every shift is edge-local and the graph simple, so the arcs of
-    one column reach distinct tuples and no entries merge. A column whose
-    sum is off 1 by more than :data:`COLUMN_SUM_ERROR` raises
-    :class:`ConsistencyError` (the step was not unitary); the rest are
-    rescaled onto the simplex. The other sources are not stored: their
-    columns are uniform (:meth:`TransitionMatrix.find`).
+    one column reach distinct tuples and no entries merge. If a column's
+    sum is off 1 by more than :data:`COLUMN_SUM_ERROR`, the lowest such
+    column raises :class:`ConsistencyError` (the step was not unitary);
+    otherwise every column is rescaled onto the simplex, and
+    ``column_sum_error`` is the largest deviation. The other sources are
+    not stored: their columns are uniform (:meth:`TransitionMatrix.find`).
+
+    The sources whose walkers have the same degrees form one (m, L) block
+    (:meth:`~qrwalk.graphs.ProductGraph.arc_blocks`), row j the arcs of
+    its j-th source by ascending head tuple, their shifted basis indices
+    and heads broadcast from each walker's head-sorted ports. The masses
+    at t + 1 are gathered, divided and summed as a block; a row of a
+    contiguous block sums with the bits of the column alone. A regular
+    graph is one block, already in CSC order; several are scattered.
 
     The arc-wise arrays are checked against the memory budget
     (:func:`~qrwalk.walk.check_budget`) before they are allocated.
     """
-    k = pg.num_walkers
     shifts = _per_walker(shifts, pg, time, "shift")
     cols = np.flatnonzero(rho_t > ZERO_PROB)
-    num_arcs = int(pg.out_degrees(cols).sum())
-    check_budget(_arc_bytes(k) * num_arcs,
+    degrees = pg.out_degrees(cols)
+    num_arcs = int(degrees.sum())
+    check_budget(_arc_bytes(pg.num_walkers) * num_arcs,
                  f"the {num_arcs} arcs leaving {cols.size} columns of "
                  f"P({time})")
-    # arcs() lists each column's targets in ascending order
-    owner, ports, targets = pg.arcs(cols)
-    joint = np.ravel_multi_index(
-        tuple(s.permutation[p] for s, p in zip(shifts, ports)),
-        pg.basis_shape)
-    probs = p_next[joint] / rho_t[cols[owner]]
-    indptr = np.zeros(cols.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=cols.size), out=indptr[1:])
-
-    sums = _column_sums(indptr, probs)
+    blocks, sums = [], np.empty(cols.size)
+    for rows, ports, heads in pg.arc_blocks(cols):
+        probs = p_next[pg.outer_index(
+            [s.permutation[p] for s, p in zip(shifts, ports)],
+            pg.base.basis_dim)]
+        probs /= rho_t[cols[rows], None]
+        # a row of a contiguous block sums as the column alone would
+        sums[rows] = probs.sum(axis=1)
+        blocks.append((rows, heads, probs))
     dev = np.abs(sums - 1.0)
     bad = np.flatnonzero(dev > COLUMN_SUM_ERROR)
     if bad.size:
@@ -459,12 +485,19 @@ def matrix_from_masses(
             f"column {pg.tuple_of(cols[j])} of P({time}) sums to "
             f"{float(sums[j])!r}; the step operator is not unitary"
         )
-    probs = np.minimum(probs / sums[owner], 1.0)
 
+    # the blocks rescaled in place; exact zeros are dropped last
+    counts = np.empty(cols.size, dtype=np.int64)
+    for rows, _, probs in blocks:
+        probs /= sums[rows, None]
+        np.minimum(probs, 1.0, out=probs)
+        counts[rows] = np.count_nonzero(probs, axis=1)
+    targets, probs = _csc_order(blocks, degrees, np.int64, np.float64)
     keep = probs != 0.0
     if not keep.all():
-        owner, targets, probs = owner[keep], targets[keep], probs[keep]
-        np.cumsum(np.bincount(owner, minlength=cols.size), out=indptr[1:])
+        targets, probs = targets[keep], probs[keep]
+    indptr = np.zeros(cols.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     return TransitionMatrix(
         time, pg, *map(_readonly, (cols, indptr, targets, probs)),
         column_sum_error=float(dev.max(initial=0.0)))

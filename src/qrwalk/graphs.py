@@ -392,34 +392,52 @@ class ProductGraph:
                                   self.shape)
         return np.prod([self.base.degrees[d] for d in digits], axis=0)
 
-    def arcs(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arcs (one base arc per walker) leaving each joint state, state by
-        state, each state's in ascending order of the joint index of their
-        head tuple: the product order of the walkers' arcs (walker 0
-        slowest), each walker's taken in ascending order of their heads.
-        Returns ``(owner, ports, heads)``: ``owner[a]`` is the position in
-        ``states`` of arc ``a``'s source, ``ports[i, a]`` walker ``i``'s
-        flattened basis index and ``heads[a]`` the joint index of the
-        arc's head tuple."""
+    def arc_blocks(self, states) -> Iterator[tuple[np.ndarray, ...]]:
+        """The arcs (one base arc per walker) leaving ``states``, one block
+        per tuple of the walkers' degrees; a regular graph is one block.
+
+        Yields ``(rows, ports, heads)`` for the block's m states at the
+        ascending positions ``rows`` in ``states``. ``ports`` holds one
+        (m, d_i) array per walker: row j is the cut of the sorted arc keys
+        at walker i's vertex of state ``rows[j]``, the basis indices of its
+        arcs in ascending order of their heads. ``heads`` is the
+        (m, d_0 * ... * d_{K-1}) array of the joint indices of the head
+        tuples of their product (:meth:`outer_index`), each row ascending.
+        Nothing is made before the first block is asked for, so a caller
+        can check the memory budget first."""
         base = self.base
-        digits = np.unravel_index(np.asarray(states, dtype=np.int64),
-                                  self.shape)
-        degs = [base.degrees[d] for d in digits]
-        counts = np.prod(degs, axis=0)
-        owner = np.repeat(np.arange(counts.size), counts)
-        local = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
-                                                  counts)
-        ports = np.empty((self.num_walkers, owner.size), dtype=np.int64)
-        for i in range(self.num_walkers - 1, -1, -1):
-            d = degs[i][owner]
+        states = np.asarray(states, dtype=np.int64)
+        if not states.size:
+            return
+        digits = np.unravel_index(states, self.shape)
+        degrees = [base.degrees[d] for d in digits]
+        blocks = [np.arange(states.size)]
+        if len(base.degree_classes) > 1:
+            key = np.ravel_multi_index(
+                degrees, (int(base.degrees.max()) + 1,) * self.num_walkers)
+            # a stable sort keeps each block's states in ascending order
+            order = np.argsort(key, kind="stable")
+            blocks = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+        for rows in blocks:
             # the arc keys sort by (tail, head), so a vertex's block of
             # _arc_order lists its arcs by ascending head
-            ports[i] = base._arc_order[
-                base.port_offsets[digits[i]][owner] + local % d]
-            local //= d
-        del local, d  # arc-sized; freed first, the heads peak lower
-        return owner, ports, np.ravel_multi_index(tuple(base.heads[ports]),
-                                                  self.shape)
+            ports = [base._arc_order[base.port_offsets[d[rows], None]
+                                     + np.arange(deg[rows[0]])]
+                     for d, deg in zip(digits, degrees)]
+            yield rows, ports, self.outer_index(
+                [base.heads[p] for p in ports], base.num_vertices)
+
+    @staticmethod
+    def outer_index(parts: Sequence[np.ndarray], radix: int) -> np.ndarray:
+        """The mixed-radix index (walker 0 most significant, each digit
+        below ``radix``) of every product of the walkers' (m, d_i) rows
+        ``parts``, walker 0 slowest, as an (m, d_0 * ... * d_{K-1}) array:
+        one broadcast add per walker after the first."""
+        out = parts[0]
+        for part in parts[1:]:
+            out = (out * radix)[..., None] \
+                + part.reshape(part.shape[0], *[1] * (out.ndim - 1), -1)
+        return out.reshape(out.shape[0], -1)
 
     def tuple_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(x) for x in np.unravel_index(index, self.shape))

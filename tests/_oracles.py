@@ -4,7 +4,8 @@ Everything here is built directly from the defining relations (explicit
 dense matrices, brute-force enumeration, multinomial draws) and never
 calls the engine's operator-application code paths. ``reference_step``
 keeps the engine's earlier operator code, which copied the state per
-operator, as the bit-for-bit reference of the in-place walk.
+operator, as the bit-for-bit reference of the in-place walk for named
+coins or one walker (see its docstring).
 """
 
 from __future__ import annotations
@@ -300,7 +301,14 @@ def reference_step(psi, coin, shift, interaction=None, t: int = 0
     """Amplitudes of one step, shift(coin(interaction(psi))), by the
     operator code the engine ran before its walk ran in place: a copy of
     the state per operator, each walker's axis moved to the front for its
-    coin, and one outer-indexed gather for the shifts."""
+    coin, and one outer-indexed gather for the shifts.
+
+    It holds the engine's bits for the named coins (Hadamard, Grover) of
+    any number of walkers, and for any coin of one walker. Random or
+    explicit coins of two or more walkers round otherwise, because the
+    moved axis changes the operands of their products: there it agrees
+    with the engine within 1e-12 only, and a bit-for-bit check must chain
+    the engine's own whole-space kernels instead."""
     k, dim = psi.num_walkers, psi.base.basis_dim
     shape = (dim,) * k
     arr = psi.amplitudes.reshape(shape).copy()

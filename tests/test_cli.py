@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import read_table, rewrite_store, table_rho
-from qrwalk import ValidationError, graphs, trajectory, walk
+from qrwalk import ValidationError, cli, graphs, trajectory, walk
 from qrwalk.cli import main
 from qrwalk.persist import RunManifest, load_sequence, save_sequence
 from qrwalk.walk import DEFAULT_MEMORY_BUDGET
@@ -808,3 +808,34 @@ class TestProvenance:
             load_sequence(mixed)
         assert main(["sample", "--from", str(mixed),
                      "--out-dir", str(tmp_path / "s")]) == 2
+
+
+#: Command lines that argparse ends: help, a missing required flag, an
+#: unknown flag, and a missing or an unknown command.
+PARSER_EXITS = [["-h"], [], ["bogus"], ["--bogus"], ["bogus", "-h"]] \
+    + [[command, "-h"] for command in cli.COMMANDS] \
+    + [[command] for command in cli.COMMANDS if command != "sample"] \
+    + [[command, "--in-dir" if command == "verify" else "--config", "x",
+        "--bogus"] for command in cli.COMMANDS] \
+    + [["equivalence", "--config", "c.json", "--format", "xml"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_one_command_parser_prints_what_the_full_one_does(argv, capsys,
+                                                          monkeypatch):
+    # main builds the invoked command's subparser only; its output and
+    # exit code are those of the parser with every command
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    full = outcome(cli._build_parser().parse_args)
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command=None: built.append(command)
+                        or build(command))
+    assert outcome(main) == full
+    assert full[0] in (0, 2) and (full[1] or full[2])
+    assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]

@@ -394,7 +394,7 @@ class TestMultiwalker:
 
         def allocate(*args):
             raise AssertionError("arcs allocated before the budget check")
-        monkeypatch.setattr(ProductGraph, "arcs", allocate)
+        monkeypatch.setattr(ProductGraph, "arc_blocks", allocate)
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 0)
         assert mat.column(0)[0].size == mat.data.size
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
@@ -429,7 +429,7 @@ class TestMultiwalker:
 
         def allocate(*args):
             raise AssertionError("arcs allocated before the budget check")
-        monkeypatch.setattr(ProductGraph, "arcs", allocate)
+        monkeypatch.setattr(ProductGraph, "arc_blocks", allocate)
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError, match="64 arcs .* P\\(0\\)"):
             matrix_from_masses(*args)
@@ -444,7 +444,7 @@ class TestMultiwalker:
 
         def allocate(*args):
             raise AssertionError("arcs allocated before the budget check")
-        monkeypatch.setattr(ProductGraph, "arcs", allocate)
+        monkeypatch.setattr(ProductGraph, "arc_blocks", allocate)
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError, match="64 entries of P\\(0\\)"):
             mat.find(np.arange(16))

@@ -234,22 +234,29 @@ class TestProductGraph:
 
     @pytest.mark.parametrize("walkers", [1, 2, 3])
     def test_arcs_list_each_states_heads_in_ascending_order(self, walkers):
-        # shuffled port orders: each walker's arcs are taken by head
+        # shuffled port orders and degrees 1, 2 and 3: each walker's arcs
+        # are taken by head, one block per tuple of the walkers' degrees
         g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3), (0, 3), (3, 4)],
                         ordering=[[3, 1, 2], [2, 0], [3, 0, 1], [4, 0, 2],
                                   [3]])
         pg = ProductGraph(g, walkers)
-        states = np.arange(pg.num_states)
-        owner, ports, heads = pg.arcs(states)
-        for u in states.tolist():
-            got = heads[owner == u].tolist()
-            assert got == sorted(np.ravel_multi_index(tuple(zip(
-                *pg.out_neighbors(pg.tuple_of(u)))), pg.shape).tolist())
-        assert np.bincount(owner).tolist() == pg.out_degrees(states).tolist()
-        # every arc leaves its own state on the walker's port block
-        tails = np.ravel_multi_index(tuple(g.vertex_of_basis[ports]),
-                                     pg.shape)
-        assert tails.tolist() == owner.tolist()
+        states = np.random.default_rng(walkers).permutation(pg.num_states)
+        blocks = list(pg.arc_blocks(states))
+        assert len(blocks) == 3 ** walkers
+        listed = []
+        for rows, ports, heads in blocks:
+            assert np.all(np.diff(rows) > 0)
+            for u, got in zip(states[rows].tolist(), heads.tolist()):
+                assert got == sorted(np.ravel_multi_index(tuple(zip(
+                    *pg.out_neighbors(pg.tuple_of(u)))), pg.shape).tolist())
+            # every arc leaves its own state on the walker's port block
+            tails = pg.outer_index([g.vertex_of_basis[p] for p in ports],
+                                   g.num_vertices)
+            assert np.array_equal(tails, np.broadcast_to(
+                states[rows, None], tails.shape))
+            listed.extend(rows.tolist())
+        assert sorted(listed) == list(range(states.size))
+        assert list(pg.arc_blocks([])) == []
 
     def test_one_walker_edges_are_the_base_graphs(self, rng):
         g = random_regular_graph(12, 3, seed=4)

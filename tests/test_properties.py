@@ -9,13 +9,14 @@ on random tables, and the digit kernel and the state labels against
 ``str``."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -53,7 +54,9 @@ from qrwalk import (
     vertex_masses,
 )
 from qrwalk import numtext, persist
-from qrwalk.equivalence import ZERO_PROB, matrix_from_masses
+from qrwalk.equivalence import COLUMN_SUM_ERROR, ZERO_PROB, \
+    matrix_from_masses
+from qrwalk.errors import ConsistencyError
 from qrwalk.numtext import _digits
 from qrwalk.persist import (
     CodedColumn,
@@ -81,13 +84,45 @@ def random_graph(rng: np.random.Generator, max_vertices: int = 12):
         return cycle_graph(int(rng.integers(3, 7)))
     if kind == 1:
         return torus_graph((3, int(rng.integers(3, 5))))
-    n = int(rng.integers(3, 7))
+    return shuffled_graph(rng)
+
+
+def shuffled_graph(rng: np.random.Generator, min_vertices: int = 3):
+    """A random simple graph on ``min_vertices`` to 6 vertices, a path
+    with random chords, with shuffled port orders."""
+    n = int(rng.integers(min_vertices, 7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = {p for p in pairs if rng.random() < 0.5}
     edges |= {(v, v + 1) for v in range(n - 1)}  # no isolated vertex
     g = build_graph(sorted(edges))
     ordering = [list(rng.permutation(nbrs)) for nbrs in g.out_neighbors]
     return build_graph(sorted(edges), ordering=ordering)
+
+
+def regular_graph(rng: np.random.Generator, max_vertices: int = 12):
+    """A cycle, or the complete graph on 4 vertices with shuffled port
+    orders: one degree class, so the builder makes one block."""
+    if rng.random() < 0.5:
+        return cycle_graph(int(rng.integers(3, 7)))
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    return build_graph(edges, ordering=[
+        list(rng.permutation([w for w in range(4) if w != v]))
+        for v in range(4)])
+
+
+def classes_graph(rng: np.random.Generator, max_vertices: int = 12):
+    """A :func:`shuffled_graph` with three or more degree classes, so
+    that several walkers' states fall in many blocks."""
+    while True:
+        g = shuffled_graph(rng, min_vertices=4)
+        if len(g.degree_classes) >= 3:
+            return g
+
+
+#: Graph draws by layout: any of :func:`random_graph`'s, regular only, or
+#: with three or more degree classes.
+LAYOUTS = {"drawn": random_graph, "regular": regular_graph,
+           "classes": classes_graph}
 
 
 def random_coin(g, rng, kind: int):
@@ -134,13 +169,16 @@ def random_state(space, rng) -> WaveFunction:
     return WaveFunction(space, amps / np.linalg.norm(amps))
 
 
-def one_step(seed: int, walkers: int, shift_kind: int | None = None):
-    """A random step of ``walkers`` walkers: the base graph, the shifts
-    (shared, or one per walker half of the time), psi(t) and psi(t + 1).
-    Three walkers get at most 6 vertices, so (n d)^3 stays small."""
+def one_step(seed: int, walkers: int, shift_kind: int | None = None,
+             layout: str = "drawn"):
+    """A random step of ``walkers`` walkers on a graph of ``layout``
+    (:data:`LAYOUTS`): the base graph, the shifts (shared, or one per
+    walker half of the time and always for the ``"classes"`` layout),
+    psi(t) and psi(t + 1). Three walkers get at most 6 vertices, so
+    (n d)^3 stays small."""
     rng = np.random.default_rng(seed)
-    g = random_graph(rng, 6 if walkers == 3 else 12)
-    shared = walkers == 1 or rng.random() < 0.5
+    g = LAYOUTS[layout](rng, 6 if walkers == 3 else 12)
+    shared = walkers == 1 or (layout != "classes" and rng.random() < 0.5)
     draws = 1 if shared else walkers
     coins = [random_coin(g, rng, int(rng.integers(0, 3)))
              for _ in range(draws)]
@@ -177,11 +215,14 @@ def assert_columns_match(mat, expected: dict) -> None:
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]))
-def test_builder_matches_per_column_reference(seed, walkers):
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]),
+       layout=st.sampled_from(sorted(LAYOUTS)))
+def test_builder_matches_per_column_reference(seed, walkers, layout):
     """P(t) stores the columns of the states above ZERO_PROB, and every
-    column, stored or uniform, is the reference's; the residuals hold."""
-    g, shift, psi, psi_next = one_step(seed, walkers)
+    column, stored or uniform, is the reference's; the residuals hold.
+    Regular graphs make one block of columns; graphs with three or more
+    degree classes make many, under per-walker shifts."""
+    g, shift, psi, psi_next = one_step(seed, walkers, layout=layout)
     mat = matrix_from_masses(psi.graph, shift, vertex_distribution(psi),
                              np.abs(psi_next.amplitudes) ** 2)
     rho = np.stack([vertex_distribution(psi), vertex_distribution(psi_next)])
@@ -198,12 +239,14 @@ def test_builder_matches_per_column_reference(seed, walkers):
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]))
-def test_find_merges_the_uniform_columns_in_order(seed, walkers):
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]),
+       layout=st.sampled_from(sorted(LAYOUTS)))
+def test_find_merges_the_uniform_columns_in_order(seed, walkers, layout):
     """``find`` adds the uniform columns of any states, repeated and in
     any order, to the stored ones: the ids ascend, each state's position
-    is its column's, and every column is the reference's bit for bit."""
-    g, shift, psi, psi_next = one_step(seed, walkers)
+    is its column's, and every column is the reference's bit for bit,
+    whether the new columns make one block or many."""
+    g, shift, psi, psi_next = one_step(seed, walkers, layout=layout)
     mat = matrix_from_masses(psi.graph, shift, vertex_distribution(psi),
                              np.abs(psi_next.amplitudes) ** 2)
     rng = np.random.default_rng(seed)
@@ -222,6 +265,50 @@ def test_find_merges_the_uniform_columns_in_order(seed, walkers):
         nonzero = probs != 0.0
         assert merged.indices[lo:hi].tolist() == targets[nonzero].tolist()
         assert merged.data[lo:hi].tobytes() == probs[nonzero].tobytes()
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([2, 3]))
+def test_a_non_unitary_step_is_caught_in_every_block(seed, walkers):
+    """Columns of two or three blocks (tuples of the walkers' degrees)
+    made to sum off 1: within COLUMN_SUM_ERROR, ``column_sum_error`` is
+    the largest deviation over all blocks; beyond it, the error names the
+    lowest failing column, whichever block holds it."""
+    g, shift, psi, psi_next = one_step(seed, walkers, layout="classes")
+    pg, rho = psi.graph, vertex_distribution(psi)
+    masses = np.abs(psi_next.amplitudes) ** 2
+    cols = np.flatnonzero(rho > ZERO_PROB)
+    degrees = np.stack([g.degrees[d] for d in np.unravel_index(cols,
+                                                               pg.shape)])
+    _, block = np.unique(degrees, axis=1, return_inverse=True)
+    block = block.ravel()
+    assume(block.max() > 0)
+    rng = np.random.default_rng(seed)
+    picks = rng.permutation(block.max() + 1)[:int(rng.integers(2, 4))]
+    bad = [int(rng.choice(cols[block == b])) for b in picks]
+    shifts = per_walker(shift, walkers)
+
+    def fed(u):
+        """The basis states at t + 1 that the arcs of column u reach."""
+        return np.ravel_multi_index(np.ix_(*(
+            s.permutation[g.port_offsets[v]:g.port_offsets[v + 1]]
+            for s, v in zip(shifts, pg.tuple_of(u)))), pg.basis_shape)
+
+    for scale in (rng.uniform(1e-9, 9e-9, len(bad)),
+                  rng.uniform(1e-6, 1e-3, len(bad))):
+        off = masses.copy()
+        for u, eps in zip(bad, scale):
+            off[fed(u)] *= 1.0 + eps
+        if scale.max() < COLUMN_SUM_ERROR:
+            mat = matrix_from_masses(pg, shift, rho, off)
+            worst = max(abs((off[fed(u)] / rho[u]).sum() - 1.0)
+                        for u in cols.tolist())
+            assert abs(mat.column_sum_error - worst) <= 1e-14
+            assert worst >= scale.max() / 2
+        else:
+            with pytest.raises(ConsistencyError, match=re.escape(
+                    f"column {pg.tuple_of(min(bad))} of P(0) sums to")):
+                matrix_from_masses(pg, shift, rho, off)
 
 
 @SETTINGS
@@ -738,7 +825,10 @@ def test_evolve_matches_the_dense_step_operator(seed, walkers, regular):
 def test_evolve_keeps_the_bits_of_the_reference_step(seed, walkers,
                                                      regular):
     """With the named coins, up to two walkers, the in-place walk gives
-    the bits of the operator code that copied the state per operator."""
+    the bits of the operator code that copied the state per operator.
+    ``reference_step`` holds those bits for named coins or one walker
+    only; random or explicit coins of several walkers agree within 1e-12
+    (``test_evolve_matches_the_dense_step_operator``)."""
     rng = np.random.default_rng(seed)
     coin, shift, interaction, psi = scheduled_walk(
         rng, walkers, regular, named=True, max_dim=(200, 40)[walkers - 1])
@@ -1075,9 +1165,8 @@ def test_locality_equals_the_per_move_mean(seed, walkers):
     paths = np.empty((size, length + 1), dtype=np.int64)
     paths[:, 0] = rng.integers(0, space.num_states, size)
     for t in range(length):
-        _, _, heads = space.arcs(paths[:, t])
-        ends = np.cumsum(space.out_degrees(paths[:, t]))
-        paths[:, t + 1] = heads[ends - 1]  # each state's last arc
+        for rows, _, heads in space.arc_blocks(paths[:, t]):
+            paths[rows, t + 1] = heads[:, -1]  # each state's last arc
         jump = rng.random(size) < 0.3
         paths[jump, t + 1] = rng.integers(0, space.num_states, jump.sum())
     if size > 1 and rng.random() < 0.5:
