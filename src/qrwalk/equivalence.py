@@ -165,7 +165,7 @@ class TransitionMatrix:
         entry_is_new = np.repeat(is_new, lengths)
         targets = np.empty(size, dtype=np.int64)
         (heads,) = _csc_order([(rows, block) for rows, _, block
-                               in pg.arc_blocks(new)], degrees, np.int64)
+                               in pg.arc_blocks(new)], degrees)
         targets[entry_is_new] = heads
         targets[~entry_is_new] = self.indices
         probs = np.empty(size)
@@ -403,14 +403,14 @@ def _column_cumsums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     return cums
 
 
-def _csc_order(blocks, lengths: np.ndarray, *dtypes) -> list[np.ndarray]:
-    """The (m, L) arrays of the ``(rows, *arrays)`` blocks, one per dtype,
-    joined in column order: row j holds column ``rows[j]``'s L entries,
-    column c has ``lengths[c]``. One block is only flattened."""
+def _csc_order(blocks, lengths: np.ndarray) -> list[np.ndarray]:
+    """The (m, L) arrays of the ``(rows, *arrays)`` blocks joined in
+    column order: row j holds column ``rows[j]``'s L entries, column c has
+    ``lengths[c]``. One block is only flattened."""
     if len(blocks) == 1:
         return [a.ravel() for a in blocks[0][1:]]
     starts = np.cumsum(lengths) - lengths
-    out = [np.empty(int(lengths.sum()), dtype=dt) for dt in dtypes]
+    out = [np.empty(int(lengths.sum()), dtype=a.dtype) for a in blocks[0][1:]]
     for rows, *arrays in blocks:
         at = starts[rows, None] + np.arange(arrays[0].shape[1])
         for whole, block in zip(out, arrays):
@@ -492,7 +492,7 @@ def matrix_from_masses(
         probs /= sums[rows, None]
         np.minimum(probs, 1.0, out=probs)
         counts[rows] = np.count_nonzero(probs, axis=1)
-    targets, probs = _csc_order(blocks, degrees, np.int64, np.float64)
+    targets, probs = _csc_order(blocks, degrees)
     keep = probs != 0.0
     if not keep.all():
         targets, probs = targets[keep], probs[keep]

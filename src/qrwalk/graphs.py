@@ -403,26 +403,21 @@ class ProductGraph:
         arcs in ascending order of their heads. ``heads`` is the
         (m, d_0 * ... * d_{K-1}) array of the joint indices of the head
         tuples of their product (:meth:`outer_index`), each row ascending.
-        Nothing is made before the first block is asked for, so a caller
-        can check the memory budget first."""
+        No states make one empty block. Nothing is made before the first
+        block is asked for, so a caller can check the memory budget first."""
         base = self.base
-        states = np.asarray(states, dtype=np.int64)
-        if not states.size:
-            return
-        digits = np.unravel_index(states, self.shape)
+        digits = np.unravel_index(np.asarray(states, dtype=np.int64),
+                                  self.shape)
         degrees = [base.degrees[d] for d in digits]
-        blocks = [np.arange(states.size)]
-        if len(base.degree_classes) > 1:
-            key = np.ravel_multi_index(
-                degrees, (int(base.degrees.max()) + 1,) * self.num_walkers)
-            # a stable sort keeps each block's states in ascending order
-            order = np.argsort(key, kind="stable")
-            blocks = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
-        for rows in blocks:
+        key = np.ravel_multi_index(
+            degrees, (int(base.degrees.max()) + 1,) * self.num_walkers)
+        # a stable sort keeps each block's states in ascending order
+        order = np.argsort(key, kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
             # the arc keys sort by (tail, head), so a vertex's block of
             # _arc_order lists its arcs by ascending head
             ports = [base._arc_order[base.port_offsets[d[rows], None]
-                                     + np.arange(deg[rows[0]])]
+                                     + np.arange(deg[rows].max(initial=0))]
                      for d, deg in zip(digits, degrees)]
             yield rows, ports, self.outer_index(
                 [base.heads[p] for p in ports], base.num_vertices)
@@ -435,9 +430,10 @@ class ProductGraph:
         one broadcast add per walker after the first."""
         out = parts[0]
         for part in parts[1:]:
-            out = (out * radix)[..., None] \
-                + part.reshape(part.shape[0], *[1] * (out.ndim - 1), -1)
-        return out.reshape(out.shape[0], -1)
+            (m, width), d = out.shape, part.shape[1]
+            out = (out[:, :, None] * radix
+                   + part[:, None, :]).reshape(m, width * d)
+        return out
 
     def tuple_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(x) for x in np.unravel_index(index, self.shape))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import zipfile
@@ -808,6 +809,19 @@ class TestProvenance:
             load_sequence(mixed)
         assert main(["sample", "--from", str(mixed),
                      "--out-dir", str(tmp_path / "s")]) == 2
+
+
+def test_the_command_list_names_each_subparser_once():
+    # main picks the one-command parser by cli.COMMANDS: it must name the
+    # full parser's subcommands, in order, and each must build alone
+    def names(parser):
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return tuple(sub.choices)
+
+    assert names(cli._build_parser()) == cli.COMMANDS
+    for command in cli.COMMANDS:
+        assert names(cli._build_parser(command)) == (command,)
 
 
 #: Command lines that argparse ends: help, a missing required flag, an

@@ -256,7 +256,9 @@ class TestProductGraph:
                 states[rows, None], tails.shape))
             listed.extend(rows.tolist())
         assert sorted(listed) == list(range(states.size))
-        assert list(pg.arc_blocks([])) == []
+        [(rows, ports, heads)] = pg.arc_blocks([])
+        assert rows.size == 0 and heads.shape == (0, 0)
+        assert [p.shape for p in ports] == [(0, 0)] * walkers
 
     def test_one_walker_edges_are_the_base_graphs(self, rng):
         g = random_regular_graph(12, 3, seed=4)
