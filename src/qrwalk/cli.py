@@ -320,8 +320,30 @@ def cmd_verify(args, config: dict) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-COMMANDS = ("evolve", "equivalence", "sample", "tvd", "rejection",
-            "torus-dp", "verify")
+#: Each command: its handler, its help, and the config entries that it
+#: lets integer flags of the same name override (``--ensemble-size`` for
+#: ``ensemble_size``), besides ``--seed``. Every command but ``verify``
+#: reads a config, and ``sample`` may read a store instead.
+_COMMANDS = {
+    "evolve": (cmd_evolve, "run the walk, write rho(0..T); rho lists the "
+               "non-zero masses only (an unlisted state has mass 0)",
+               ("horizon",)),
+    "equivalence": (cmd_equivalence, "build P(0..T-1), verify, persist; "
+                    "p_matrix lists the ratio columns only (an unlisted "
+                    "source moves uniformly to its neighbours), rho the "
+                    "non-zero masses only (an unlisted state has mass 0)",
+                    ("horizon",)),
+    "sample": (cmd_sample, "sample a trajectory ensemble",
+               ("ensemble_size",)),
+    "tvd": (cmd_tvd, "ensemble-size convergence table", ()),
+    "rejection": (cmd_rejection, "rejection-sampling baseline",
+                  ("attempts", "length")),
+    "torus-dp": (cmd_torus_dp, "Grover/moving-shift torus recursion; rho "
+                 "lists the non-zero masses only (an unlisted state has "
+                 "mass 0)", ("horizon",)),
+    "verify": (cmd_verify, "re-check persisted matrices", ()),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -336,73 +358,27 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True,
         metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, **kwargs) \
-            if command in (None, name) else None
-
-    def common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required,
+    for name in COMMANDS if command is None else (command,):
+        func, help_text, keys = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        if name == "verify":
+            sp.add_argument("--in-dir", required=True)
+            sp.add_argument("--tol", type=float, default=1e-10)
+            sp.set_defaults(func=func, overrides=())
+            continue
+        sp.add_argument("--config", required=name != "sample",
                         help="JSON run configuration")
         sp.add_argument("--seed", type=int, help="master RNG seed override")
         sp.add_argument("--out-dir",
                         help="output directory (default: $QRWALK_OUT_DIR or .)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    if sp := add("evolve",
-                 help="run the walk, write rho(0..T); rho lists the "
-                      "non-zero masses only (an unlisted state has "
-                      "mass 0)"):
-        common(sp)
-        sp.add_argument("--horizon", type=int)
-        sp.set_defaults(func=cmd_evolve,
-                        overrides=("seed", "horizon"))
-
-    if sp := add("equivalence",
-                 help="build P(0..T-1), verify, persist; p_matrix "
-                      "lists the ratio columns only (an unlisted "
-                      "source moves uniformly to its neighbours), "
-                      "rho the non-zero masses only (an unlisted "
-                      "state has mass 0)"):
-        common(sp)
-        sp.add_argument("--horizon", type=int)
-        sp.set_defaults(func=cmd_equivalence,
-                        overrides=("seed", "horizon"))
-
-    if sp := add("sample", help="sample a trajectory ensemble"):
-        common(sp, config_required=False)
-        sp.add_argument("--from", dest="from_dir",
-                        help="directory with the sequence.npz store that "
-                             "equivalence writes")
-        sp.add_argument("--ensemble-size", type=int)
-        sp.set_defaults(func=cmd_sample,
-                        overrides=("seed", "ensemble_size"))
-
-    if sp := add("tvd", help="ensemble-size convergence table"):
-        common(sp)
-        sp.set_defaults(func=cmd_tvd, overrides=("seed",))
-
-    if sp := add("rejection", help="rejection-sampling baseline"):
-        common(sp)
-        sp.add_argument("--attempts", type=int)
-        sp.add_argument("--length", type=int)
-        sp.set_defaults(func=cmd_rejection,
-                        overrides=("seed", "attempts", "length"))
-
-    if sp := add("torus-dp",
-                 help="Grover/moving-shift torus recursion; rho "
-                      "lists the non-zero masses only (an unlisted "
-                      "state has mass 0)"):
-        common(sp)
-        sp.add_argument("--horizon", type=int)
-        sp.set_defaults(func=cmd_torus_dp,
-                        overrides=("seed", "horizon"))
-
-    if sp := add("verify", help="re-check persisted matrices"):
-        sp.add_argument("--in-dir", required=True)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.set_defaults(func=cmd_verify, overrides=())
-
+        if name == "sample":
+            sp.add_argument("--from", dest="from_dir",
+                            help="directory with the sequence.npz store that "
+                                 "equivalence writes")
+        for key in keys:
+            sp.add_argument("--" + key.replace("_", "-"), type=int)
+        sp.set_defaults(func=func, overrides=("seed",) + keys)
     return parser
 
 

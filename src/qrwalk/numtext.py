@@ -12,8 +12,9 @@ uint64 arithmetic whose 64x128-bit products are built from 32-bit limbs,
 and lays them out as Python's ``repr`` does (Steele & White, PLDI 1990;
 Gay, AT&T report 90-10, 1990; Adams, *Ryu*, PLDI 2018, is the related
 table-driven method). Zeros, subnormals and non-finite values, and every
-array of fewer than :data:`FLOAT_FLOOR` values, are spelled by ``repr``
-one by one.
+array of fewer than :data:`FLOAT_FLOOR` values, are spelled one by one,
+by ``repr`` or by the speller the caller gives (``json.dumps`` for the
+JSON form, which spells the non-finite values its own way).
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def _layout(bits: np.ndarray) -> np.ndarray:
     return src.reshape(-1).take(index)
 
 
-def _reprs(values) -> np.ndarray:
+def _reprs(values, spell=repr) -> np.ndarray:
     """The ``repr`` text of each float of a 1-d array (narrower floats
     widened to float64 first, as ``tolist`` does), in ASCII: a ``(n, w)``
     uint8 table whose row ``i``, without its NULs, is the text of
@@ -233,11 +234,12 @@ def _reprs(values) -> np.ndarray:
     digits come from :func:`_shortest`, are spelled by :func:`_digits`
     and laid out by one gather through :data:`_LAYOUTS`. Zeros,
     subnormals and non-finite values, and every array of fewer than
-    :data:`FLOAT_FLOOR` values, go through ``repr`` one by one."""
+    :data:`FLOAT_FLOOR` values, go through ``spell`` one by one, whose
+    ASCII text of a finite float must be its ``repr``: ``json.dumps``
+    spells the non-finite ones ``NaN``, ``Infinity`` and ``-Infinity``."""
     values = np.asarray(values, dtype=np.float64)
     if values.size < FLOAT_FLOOR:
-        texts = np.array(list(map(float.__repr__, values.tolist())),
-                         dtype="S")
+        texts = np.array(list(map(spell, values.tolist())), dtype="S")
         return texts.view(np.uint8).reshape(values.size, texts.itemsize)
     bits = values.view(np.uint64)
     out = np.empty((values.size, _LAYOUTS.shape[1]), np.uint8)
@@ -249,7 +251,7 @@ def _reprs(values) -> np.ndarray:
     rare = np.flatnonzero((exponent == 0)
                           | (exponent == np.uint64(0x7FF << 52)))
     if rare.size:
-        texts = np.array(list(map(float.__repr__, values[rare].tolist())),
+        texts = np.array(list(map(spell, values[rare].tolist())),
                          dtype=f"S{out.shape[1]}")
         out[rare] = texts.view(np.uint8).reshape(rare.size, -1)
     return out

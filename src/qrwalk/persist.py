@@ -20,31 +20,34 @@ the support of rho(t) only, the rows with a non-zero mass: an unlisted
 A table holds numbers and plain labels only: 1-d numeric arrays, and
 columns of non-empty strings without a comma, a quote, a line break or a
 NUL. So no CSV cell is ever quoted, and the bytes are those of
-``csv.writer`` with floats in ``repr`` form (spelled in numpy, below). A
-label column may also be a bytes array (numpy ``S`` dtype) of ASCII
-texts, checked as bytes, which reads back as ``str``
+``csv.writer`` with floats in ``repr`` form; the JSON form is that of
+``json.dumps``. A label column may also be a bytes array (numpy ``S``
+dtype) of ASCII texts, checked as bytes, which reads back as ``str``
 (:attr:`Table.rows`, :meth:`CodedColumn.tolist`, the JSON form): the
 state labels are made that way
 (:meth:`~qrwalk.graphs.ProductGraph.label_texts`), so no ``str`` is made
 per label on the CSV path. A table is checked whole before its file is
-opened, then written in chunks of :data:`CHUNK_ROWS` rows, in CSV and in
-JSON alike, so the write's memory stays that of one chunk. A CSV chunk
-is assembled as packed bytes, with no Python work per row: each distinct
-cell text, with its separator, is encoded and NUL-padded to whole 8-byte
-words; one gather per column lays the chunk's words out row by row; and
-their non-NUL bytes, in order, are the chunk's lines (so no cell may
-hold a NUL). Each distinct value of a numeric column (by bit pattern) is
-formatted once per chunk, with no Python work per value either: an
-integer by the package's one digit kernel (``numtext._digits``), a float
-by its one vectorised float speller (``numtext._reprs``), which gives
-``repr``'s texts and leaves a chunk of fewer than
-``numtext.FLOAT_FLOOR`` distinct floats to ``repr`` itself. Columns
-whose cells repeat a few values (steps, trajectory ids, state labels)
-are coded (:class:`CodedColumn`: an int code per cell over an array of
-values); their values are formatted once per table, and each chunk only
-gathers their words. In the JSON form, likewise, each distinct values
-array is decoded to Python values once per table, and each chunk only
-gathers its cells by code.
+opened, then written in chunks of :data:`CHUNK_ROWS` rows, so the write's
+memory stays that of one chunk.
+
+Both formats have one row writer, :func:`_rows`, and differ only in data
+(:data:`_FORMATS`): the texts that end a cell, a row and the table, and
+the speller of the values no kernel spells. A chunk is assembled as
+packed bytes, with no Python work per row: each distinct cell text, with
+the text that ends it, is NUL-padded to whole 8-byte words; one gather
+per column lays the chunk's words out row by row; and their non-NUL
+bytes, in order, are the chunk's rows (so no cell may hold a NUL). Each
+distinct value of a numeric column (by bit pattern) is spelled once per
+chunk, with no Python work per value either: an integer by the
+package's one digit kernel (``numtext._digits``), a float by its one
+vectorised float speller (``numtext._reprs``), which gives ``repr``'s
+texts and leaves a chunk of fewer than ``numtext.FLOAT_FLOOR`` distinct
+floats, and its zeros, subnormals and non-finite values, to the format's
+speller (``str`` for CSV, ``json.dumps`` for JSON). Columns whose cells
+repeat a few values (steps, trajectory ids, state labels) are coded
+(:class:`CodedColumn`: an int code per cell over an array of values);
+their values are spelled once per table, and each chunk only gathers
+their words.
 """
 
 from __future__ import annotations
@@ -328,11 +331,22 @@ def graph_and_spaces(config: dict) -> tuple[PortGraph, ProductGraph, int]:
 @dataclass(frozen=True, eq=False)
 class CodedColumn:
     """A table column whose cells repeat a few values: cell ``i`` is
-    ``values[codes[i]]``, both 1-d numpy arrays. ``len``, iteration and
-    :meth:`tolist` give the cells."""
+    ``values[codes[i]]``, both 1-d numpy arrays, the codes integers in
+    ``0 .. len(values) - 1`` (else :class:`ValidationError`). ``len``,
+    iteration and :meth:`tolist` give the cells."""
 
     codes: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        codes = self.codes
+        if not (isinstance(codes, np.ndarray) and codes.ndim == 1
+                and codes.dtype.kind in "iu"
+                and (not codes.size or codes.min() >= 0
+                     and codes.max() < len(self.values))):
+            raise ValidationError(
+                "a coded column's codes must be a 1-d integer array in "
+                f"0 .. {len(self.values) - 1}")
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -341,7 +355,7 @@ class CodedColumn:
         return iter(self.tolist())
 
     def tolist(self) -> list:
-        return _values(self, 0, len(self), {})
+        return _values(self)
 
 
 class Table:
@@ -368,44 +382,37 @@ class Table:
 
     @property
     def rows(self) -> list[tuple]:
-        decoded = {}
-        return list(zip(*(_values(c, 0, len(c), decoded)
-                          for c in self.columns)))
+        return list(zip(*map(_values, self.columns)))
 
 
-def _decoded(part) -> list:
-    """The cells of a plain column, or a coded column's values, as Python
-    values; the texts of a bytes array as ``str``."""
-    if not isinstance(part, np.ndarray):
-        return list(part)
-    return (part.astype("U") if part.dtype.kind == "S" else part).tolist()
-
-
-def _values(column, lo: int, hi: int, decoded: dict) -> list:
-    """The cell values of rows ``lo`` to ``hi - 1`` of a table column
-    (:func:`_decoded`). A coded column's values are decoded once per
-    ``decoded``, which keeps them by id as an object array that each call
-    gathers by code, so columns that share their values array (the ``u``
-    and ``v`` labels of :func:`matrix_table`) share one decoding."""
-    if not isinstance(column, CodedColumn):
-        return _decoded(column[lo:hi])
-    key = id(column.values)
-    if key not in decoded:
-        decoded[key] = np.array(_decoded(column.values), dtype=object)
-    return decoded[key][column.codes[lo:hi]].tolist()
+def _values(column) -> list:
+    """The cells of a table column as Python values; the texts of a bytes
+    array as ``str``."""
+    if isinstance(column, CodedColumn):
+        return np.array(_values(column.values), object)[column.codes].tolist()
+    if not isinstance(column, np.ndarray):
+        return list(column)
+    return (column.astype("U") if column.dtype.kind == "S"
+            else column).tolist()
 
 
 #: Rows formatted and written at a time by :func:`write_table`.
 CHUNK_ROWS = 1 << 14
 #: Characters no text cell may hold: the delimiter, the quote character
 #: and both line-break characters, which would need quoting, and NUL, which
-#: pads the packed CSV words.
+#: pads the packed words.
 _SPECIAL = re.compile(r'[,"\r\n\0]')
 #: The bytes no text of a bytes array may hold: those of :data:`_SPECIAL`
 #: but NUL, which pads the array (a NUL inside a text is refused apart),
 #: and every byte that is not ASCII.
 _SPECIAL_OCTETS = np.array([i > 127 or i > 0 and bool(_SPECIAL.match(chr(i)))
                             for i in range(256)])
+#: What tells the formats apart, per format: the text after each cell of a
+#: row but the last, after the last cell of each row, and after the last
+#: cell of the table; and the speller of the values no kernel spells
+#: (bools, texts, and the floats ``numtext._reprs`` leaves to Python).
+_FORMATS = {"csv": (",", "\n", "\n", str),
+            "json": (", ", "], [", "]", json.dumps)}
 
 
 def _numeric(part) -> bool:
@@ -439,72 +446,79 @@ def _check_text(part, name: str) -> None:
             "string without a comma, a quote, a line break or a NUL")
 
 
-def _cells(part, encoding: str) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct CSV texts of a slice of a checked column, as a 2-d
+def _cells(part, spell: Callable[[object], str],
+           encoding: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct cell texts of a slice of a checked column, as a 2-d
     uint8 table with one text per row, whose non-NUL bytes are the text,
     and the index of each cell's text among them.
 
-    A numeric array formats each distinct bit pattern once (so ``-0.0``
-    and ``0.0`` stay apart), in ASCII: integers by :func:`_digits`, bools
-    as ``str`` spells them, and floats by the vectorised float speller
-    :func:`~qrwalk.numtext._reprs`, whose texts are those of ``repr`` (by
-    ``repr`` itself below ``numtext.FLOAT_FLOOR`` distinct values), with
-    NULs that may fall inside a row. A bytes array (the state labels) is
-    its own ASCII text, and other checked text cells are their own text,
-    in ``encoding``.
+    A numeric array spells each distinct bit pattern once (so ``-0.0``
+    and ``0.0`` stay apart), in ASCII: integers by :func:`_digits`, floats
+    by :func:`~qrwalk.numtext._reprs`, whose texts are those of ``repr``
+    but for the values it leaves to ``spell``, and bools by ``spell``.
+    Other cells are spelled by ``spell`` each, in ``encoding``: ``str``
+    leaves a text as it is, so a bytes array (the state labels) is then its
+    own ASCII text, with no Python work per cell.
     """
     if _numeric(part):
-        bits = part.view(f"u{part.dtype.itemsize}")
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        values = distinct.view(part.dtype)
+        distinct, codes = np.unique(part.view(f"u{part.dtype.itemsize}"),
+                                    return_inverse=True)
+        part = distinct.view(part.dtype)
         if part.dtype.kind in "iu":
-            return _digits(values), inverse
-        if part.dtype.kind == "b":
-            return _octets(np.where(values, b"True", b"False")), inverse
-        return _reprs(values), inverse
-    if not (isinstance(part, np.ndarray) and part.dtype.kind == "S"):
-        texts = part.tolist() if isinstance(part, np.ndarray) else list(part)
-        part = np.array([text.encode(encoding) for text in texts], dtype="S")
-    return _octets(part), np.arange(len(part))
+            return _digits(part), codes
+        if part.dtype.kind == "f":
+            return _reprs(part, spell), codes
+    else:
+        codes = np.arange(len(part))
+        if spell is str and isinstance(part, np.ndarray) \
+                and part.dtype.kind == "S":
+            return _octets(part), codes
+    return _octets(np.array([spell(value).encode(encoding)
+                             for value in _values(part)], dtype="S")), codes
 
 
 def _words(octets: np.ndarray, end: str) -> np.ndarray:
     """The ``(len(octets), w)`` uint64 table of a table of NUL-padded
-    texts: each row and then ``end``, NUL-padded to ``w`` whole 8-byte
-    words (the NULs between a text and its ``end`` are dropped with the
-    others)."""
-    size = octets.shape[1] // 8 * 8 + 8
-    words = np.zeros((len(octets), size), np.uint8)
+    texts: each row and then ``end`` (ASCII), NUL-padded to ``w`` whole
+    8-byte words (the NULs between a text and its ``end`` are dropped with
+    the others)."""
+    width = octets.shape[1] + len(end)
+    words = np.zeros((len(octets), -(-width // 8) * 8), np.uint8)
     words[:, :octets.shape[1]] = octets
-    words[:, octets.shape[1]] = ord(end)
+    words[:, octets.shape[1]:width] = np.frombuffer(end.encode(), np.uint8)
     return words.view(np.uint64)
 
 
-def _csv_rows(columns: Sequence, size: int,
-              encoding: str) -> Iterator[bytes]:
-    """The bytes of rows 0 to ``size - 1`` of checked columns,
-    :data:`CHUNK_ROWS` rows at a time: each column's word table
-    (:func:`_words`) gathered by code side by side, one ``(rows, words)``
-    array per chunk, whose bytes, with every NUL deleted by
-    ``bytes.translate``, are the chunk's lines. The word table of a coded
+def _rows(columns: Sequence, size: int, fmt: str,
+          encoding: str) -> Iterator[bytes]:
+    """The bytes of rows 0 to ``size - 1`` of checked columns in format
+    ``fmt`` (:data:`_FORMATS`), :data:`CHUNK_ROWS` rows at a time: each
+    column's word table (:func:`_words`) gathered by code side by side, one
+    ``(rows, words)`` array per chunk, whose bytes, with every NUL deleted
+    by ``bytes.translate``, are the chunk's rows. The word table of a coded
     column's values is made once per distinct values array and separator,
     so columns that share their values (the ``u`` and ``v`` labels of
     :func:`matrix_table`) share one table."""
-    ends = [","] * (len(columns) - 1) + ["\n"]
+    sep, end, last, spell = _FORMATS[fmt]
+    ends = [sep] * (len(columns) - 1) + [end]
     tables = {}
-    for c, end in zip(columns, ends):
-        if isinstance(c, CodedColumn) and (id(c.values), end) not in tables:
-            octets, inverse = _cells(c.values, encoding)
-            tables[id(c.values), end] = _words(octets, end)[inverse]
+    for c, e in zip(columns, ends):
+        if isinstance(c, CodedColumn) and (id(c.values), e) not in tables:
+            octets, inverse = _cells(c.values, spell, encoding)
+            tables[id(c.values), e] = _words(octets, e)[inverse]
     for lo in range(0, size, CHUNK_ROWS):
         hi, parts = lo + CHUNK_ROWS, []
-        for c, end in zip(columns, ends):
+        for c, e in zip(columns, ends):
             if isinstance(c, CodedColumn):
-                parts.append(tables[id(c.values), end][c.codes[lo:hi]])
+                parts.append(tables[id(c.values), e][c.codes[lo:hi]])
             else:
-                octets, codes = _cells(c[lo:hi], encoding)
-                parts.append(_words(octets, end)[codes])
-        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+                octets, codes = _cells(c[lo:hi], spell, encoding)
+                parts.append(_words(octets, e)[codes])
+        # the table's last row ends in ``last``, a start of ``end``; no
+        # name holds a chunk's bytes while the next chunk is built
+        cut = len(end) - len(last) if hi >= size else 0
+        yield np.concatenate(parts, axis=1).tobytes().translate(
+            None, b"\0")[:-cut or None]
 
 
 def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
@@ -514,32 +528,33 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     itself is not changed).
 
     The CSV form is what ``csv.writer`` writes (excel dialect, newline
-    line ends) for cells that need no quotes: floats in shortest
-    round-trip form, the texts of ``repr`` (by the vectorised float
-    speller, :func:`~qrwalk.numtext._reprs`, or below its ``FLOAT_FLOOR``
-    distinct values by ``repr`` itself), integers and bools as ``str``
-    spells them (integers by the digit kernel,
-    :func:`~qrwalk.numtext._digits`), strings as they are, in the encoding
-    of a text-mode file, and the texts of a bytes array as their ASCII
-    bytes. The JSON form is ``json.dumps`` of ``{"meta", "header",
-    "rows"}`` with sorted keys, and a newline, with the texts of a bytes
-    array as ``str``; each distinct values array of the coded columns is
-    decoded once (:func:`_values`). In either format, a cell that is
-    neither a number of a 1-d numeric array nor a non-empty string without
-    a comma, a quote, a line break or a NUL (for a bytes array, non-empty
-    ASCII without them) raises :class:`ValidationError` naming its column
-    (each distinct values array is checked once, under the first column
-    that holds it), before the file is opened. Both forms are written in chunks of :data:`CHUNK_ROWS`
-    rows, so the write's memory stays bounded whatever the table's length.
-    A CSV chunk is packed bytes (:func:`_csv_rows`): each cell's text with
-    its separator, NUL-padded to whole 8-byte words, is gathered by code
-    into one word array, whose bytes less their NULs (dropped by one
-    ``bytes.translate``) are the chunk's lines.
+    line ends) for cells that need no quotes, with its metadata as ``#
+    key=value`` lines above the header. The JSON form is ``json.dumps`` of
+    ``{"meta", "header", "rows"}`` with sorted keys, and a newline. In
+    either format, a cell that is neither a number of a 1-d numeric array
+    nor a non-empty string without a comma, a quote, a line break or a NUL
+    (for a bytes array, non-empty ASCII without them) raises
+    :class:`ValidationError` naming its column (each distinct values array
+    is checked once, under the first column that holds it), before the
+    file is opened.
+
+    Both forms have one row writer, :func:`_rows`, and differ only in
+    their separators and in the speller of the values no kernel spells
+    (:data:`_FORMATS`). Integers are spelled by the digit kernel,
+    :func:`~qrwalk.numtext._digits`, and floats, in shortest round-trip
+    form, by the float speller, :func:`~qrwalk.numtext._reprs`. The CSV
+    form spells the other values as ``str`` does: bools as ``True`` and
+    ``False``, strings as they are, in the encoding of a text-mode file,
+    and the texts of a bytes array as their ASCII bytes. The JSON form
+    spells them as ``json.dumps`` does: ``NaN`` and ``Infinity``, ``true``
+    and ``false``, and each text quoted, the texts of a bytes array as
+    ``str``. The rows are written in chunks of :data:`CHUNK_ROWS`, so the
+    write's memory stays bounded whatever the table's length.
     """
     base = Path(path_base)
     meta = {**table.meta, "manifest": manifest} if manifest else table.meta
     _check_text(table.header, "the header")
-    if fmt not in ("csv", "json"):
+    if fmt not in _FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
     checked = set()
     for h, c in zip(table.header, table.columns):
@@ -551,25 +566,18 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     if fmt == "csv":
         head = "".join(f"# {key}={meta[key]}\n" for key in sorted(meta)) \
             + ",".join(table.header) + "\n"
-        chunks, tail = [], ""
+        tail = ""
     else:
-        # "rows" sorts last: the document up to its opening bracket, then
-        # the rows chunk by chunk, each without its own brackets
+        # "rows" sorts last: the document up to its opening bracket and the
+        # first row's, then the rows, each ending in the next one's bracket
         head = json.dumps({"meta": meta, "header": table.header, "rows": []},
-                          sort_keys=True)[:-2]
-        decoded = {}
-        chunks = ((", " if lo else "") + json.dumps(list(zip(*(
-            _values(c, lo, lo + CHUNK_ROWS, decoded)
-            for c in table.columns))))[1:-1]
-            for lo in range(0, size, CHUNK_ROWS))
+                          sort_keys=True)[:-2] + "[" * (size > 0)
         tail = "]}\n"
     path = base.with_suffix(f".{fmt}")
     with path.open("w", newline="") as fh:
         fh.write(head)
-        if fmt == "csv":  # the rows are bytes, written below the text layer
-            fh.flush()
-            fh.buffer.writelines(_csv_rows(table.columns, size, fh.encoding))
-        fh.writelines(chunks)
+        fh.flush()  # the rows are bytes, written below the text layer
+        fh.buffer.writelines(_rows(table.columns, size, fmt, fh.encoding))
         fh.write(tail)
     return path
 

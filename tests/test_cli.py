@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from _oracles import read_table, rewrite_store, table_rho
-from qrwalk import ValidationError, cli, graphs, trajectory, walk
+from qrwalk import ValidationError, cli, graphs, numtext, trajectory, \
+    walk
 from qrwalk.cli import main
 from qrwalk.persist import RunManifest, load_sequence, save_sequence
 from qrwalk.walk import DEFAULT_MEMORY_BUDGET
@@ -504,6 +505,8 @@ def test_equivalence_outputs_are_pinned(tmp_path, name):
 COMMAND_RUNS = {
     "evolve-csv": ["evolve", "--config", "{cfg}"],
     "evolve-json": ["evolve", "--config", "{cfg}", "--format", "json"],
+    "equivalence-json": ["equivalence", "--config", "{cfg}", "--format",
+                         "json"],
     "tvd": ["tvd", "--config", "{cfg}"],
     "rejection": ["rejection", "--config", "{cfg}"],
     "torus-dp": ["torus-dp", "--config", "{cfg}"],
@@ -511,7 +514,10 @@ COMMAND_RUNS = {
     "sample-from": ["sample", "--from", "{eq}", "--seed", "4",
                     "--ensemble-size", "60"],
 }
-#: One walker and two, with the entries those commands read.
+#: One walker and two, with the entries those commands read, and the two
+#: walkers one step further, whose ``p_matrix`` holds at least
+#: ``numtext.FLOAT_FLOOR`` distinct floats, so that its JSON form takes
+#: the vectorised float speller.
 COMMAND_CONFIGS = {
     "torus6-grover": {**GOLDEN_SAMPLES["torus6-grover"][0],
                       "ensemble_sizes": [20, 50], "t_grid": [1, 4, 8],
@@ -519,6 +525,8 @@ COMMAND_CONFIGS = {
                       "emit_matrices": True},
     "torus4-two-walker": {**GOLDEN_SAMPLES["torus4-two-walker"][0],
                           "ensemble_sizes": [20, 50], "t_grid": [1, 5]},
+    "torus4-two-walker-h6": {**GOLDEN_SAMPLES["torus4-two-walker"][0],
+                             "horizon": 6},
 }
 #: The sha256 of each run's outputs, as written before one walker became
 #: a product graph of one and the walk loop became ``walk.evolve``; the
@@ -526,8 +534,15 @@ COMMAND_CONFIGS = {
 #: ``torus-dp``'s ``p_matrix.csv``'s since it lists those columns only,
 #: the ``sample`` and ``tvd`` tables' since each ensemble draws from one
 #: PCG64 stream, and the ``rho`` tables' since they list the non-zero
-#: masses only (each is the old table with its zero rows removed).
+#: masses only (each is the old table with its zero rows removed). The
+#: ``equivalence-json`` tables' are as written when ``json.dumps`` spelled
+#: the JSON rows one chunk at a time.
 GOLDEN_RUNS = {
+    ("torus4-two-walker", "equivalence-json"): {
+        "p_matrix.json": "97f07023c00979c657fa321e6d91cb00"
+                         "d8a6994979b7abe57b731f82848e12b9",
+        "rho.json": "ab683ae6fcce2239ad06a45f3d63dd42"
+                    "407371e9c6e5ba586e1e9c001d3f5088"},
     ("torus4-two-walker", "evolve-csv"): {
         "rho.csv": "2cb10240205d896741c788a345787c7b"
                    "caa15b5d3187eb06ff7bec497157cfc9"},
@@ -543,6 +558,16 @@ GOLDEN_RUNS = {
     ("torus4-two-walker", "tvd"): {
         "tvd.csv": "1b0aaec1bf3b2366ee2718b6b4839324"
                    "af04fa369838d32301a54360ef689abc"},
+    ("torus4-two-walker-h6", "equivalence-json"): {
+        "p_matrix.json": "f02c0b793ddd051aa87743cf9b1d61c9"
+                         "683faf51be429036d6a0efe60b64012a",
+        "rho.json": "7d485c70e9e76ca89bc4de636fb1342c"
+                    "3c4b30ef9fc4e1c0071e23bc9b7f3a47"},
+    ("torus6-grover", "equivalence-json"): {
+        "p_matrix.json": "b93672b076d1eb6c2e0b60bed171c894"
+                         "708428b314e7670a5513f99c033fe3b8",
+        "rho.json": "ed521834cbf8f463566a0952458feaf3"
+                    "66abc8f824d5aeacb9ebf89b7063814d"},
     ("torus6-grover", "evolve-csv"): {
         "rho.csv": "5450bfe30b192a61621af5ae38631e6a"
                    "82b4edb58892b6badbad964373d2b1bc"},
@@ -588,6 +613,17 @@ def test_command_outputs_are_pinned(tmp_path, name, run):
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in digests}
     assert got == digests
+
+
+def test_a_pinned_json_matrix_spans_the_float_floor(tmp_path):
+    # the float-heavy config's p_matrix.json is pinned above; its floats
+    # are enough for the vectorised speller, not repr one at a time
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(COMMAND_CONFIGS["torus4-two-walker-h6"]))
+    assert main(["equivalence", "--config", str(cfg), "--out-dir", str(out),
+                 "--format", "json"]) == 0
+    rows = json.loads((out / "p_matrix.json").read_text())["rows"]
+    assert len({p for *_, p in rows}) >= numtext.FLOAT_FLOOR
 
 
 class TestTvd:

@@ -3,8 +3,10 @@ its size floor bypassed so that every array takes the numpy path: random
 bit patterns of every class, the fixed sets whose texts change form or
 length (powers of 10 and of 2, integers, the layout edges, the longest
 repr), and arrays that mix normal values with those spelled by ``repr``
-one at a time."""
+one at a time, or by the speller the caller gives."""
 
+import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -112,3 +114,18 @@ def test_the_floor_picks_the_path_by_size():
     assert [bytes(row).replace(b"\0", b"").decode() for row in at[1:]] \
         == [bytes(row).replace(b"\0", b"").decode() for row in below] \
         == reprs(values[1:])
+
+
+@pytest.mark.parametrize("size", [60, numtext.FLOAT_FLOOR])
+def test_a_given_speller_spells_what_repr_would(size):
+    # json.dumps, the JSON form's: NaN and +-inf its own way, every finite
+    # value as repr does, below the floor and above it
+    rng = np.random.default_rng(9)
+    values = rng.random(size) * 10.0 ** rng.integers(-30, 30, size)
+    values[:len(NON_NORMAL)] = NON_NORMAL
+    table = numtext._reprs(values, json.dumps)
+    assert [bytes(row).replace(b"\0", b"").decode() for row in table] \
+        == [repr(v) if math.isfinite(v) else json.dumps(v)
+            for v in values.tolist()]
+    assert [json.dumps(v) for v in (np.nan, np.inf, -np.inf)] \
+        == ["NaN", "Infinity", "-Infinity"]

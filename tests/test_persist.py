@@ -19,7 +19,7 @@ from qrwalk import (
     sample_ensemble,
     torus_graph,
 )
-from qrwalk import persist
+from qrwalk import numtext, persist
 from qrwalk.cli import main
 from qrwalk.persist import (
     CHUNK_ROWS,
@@ -143,6 +143,42 @@ class TestTables:
         with pytest.raises(ValidationError, match="column 'x'"):
             write_table(tmp_path / "t", table, fmt)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("codes", [
+        np.array([0, 5]), np.array([0, -1]), np.array([[0], [1]]),
+        np.array([0.0, 1.0])], ids=["past-the-end", "negative", "2-d",
+                                    "float"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_codes_that_name_no_value_are_refused(self, tmp_path, fmt,
+                                                  codes):
+        # each code names one of the values: none past the end, none
+        # negative (which would wrap), in a 1-d integer array; so a write
+        # never fails once its file is open
+        with pytest.raises(ValidationError, match="codes"):
+            write_table(tmp_path / "t", Table(
+                ["x"], [CodedColumn(codes, np.arange(3))]), fmt)
+        assert list(tmp_path.iterdir()) == []
+        assert CodedColumn(np.array([0, 2]), np.arange(3)).tolist() == [0, 2]
+        assert CodedColumn(np.array([], int), np.arange(0)).tolist() == []
+
+    def test_json_floats_are_spelled_by_the_float_speller(self, tmp_path,
+                                                          monkeypatch):
+        # as in CSV, by numtext._reprs: the numpy path at FLOAT_FLOOR
+        # distinct values, with the non-finite ones spelled as JSON
+        values = np.random.default_rng(2).random(numtext.FLOAT_FLOOR)
+        values[:3] = [np.nan, np.inf, -np.inf]
+        calls, real = [], persist._reprs
+
+        def spy(part, *args):
+            calls.append(part.size)
+            return real(part, *args)
+        monkeypatch.setattr(persist, "_reprs", spy)
+        got = write_table(tmp_path / "t", Table(["x"], [values]), "json")
+        assert calls == [numtext.FLOAT_FLOOR]
+        payload = {"meta": {}, "header": ["x"],
+                   "rows": [[v] for v in values.tolist()]}
+        assert got.read_bytes() \
+            == (json.dumps(payload, sort_keys=True) + "\n").encode()
 
     def test_columns_of_unequal_lengths_are_refused(self):
         for short in (np.arange(2.0), ["a", "b"],
@@ -309,8 +345,8 @@ class TestStore:
     def test_shared_labels_are_checked_and_formatted_once(
             self, tmp_path, monkeypatch, fmt):
         # the u and v columns of the p_matrix table share one labels
-        # array; a write checks it once and builds its word table (CSV)
-        # or decodes its texts (JSON) once
+        # array; a write checks it once and spells it once, by one _cells
+        # call, which decodes its texts for JSON only
         g = torus_graph((4, 4))
         pg = ProductGraph(g, 2)
         seq = build_sequence(pg, CoinSpec.hadamard(g), ShiftSpec.flip_flop(g),
@@ -336,7 +372,7 @@ class TestStore:
                 return real(part, *args)
             monkeypatch.setattr(persist, name, spy)
         got = write_table(tmp_path / "again", table, fmt).read_bytes()
-        assert calls == {"_check_text": 1, "_cells": int(fmt == "csv"),
+        assert calls == {"_check_text": 1, "_cells": 1,
                          "decode": int(fmt == "json")}
         assert got == (tmp_path / f"p_matrix.{fmt}").read_bytes()
         if fmt == "csv":

@@ -18,7 +18,13 @@ work per value: the graph hash, the state labels and the integer cells
 of a table all go through it, so no other code may spell them one ``str``
 or one numpy bytes cast at a time. Floats are spelled in one place too,
 ``numtext._reprs``, so no other code may map ``repr`` or
-``float.__repr__`` over them.
+``float.__repr__`` over them. That holds for the JSON form of a table as
+for the CSV form: both go through one row writer, which hands
+``json.dumps`` to ``_reprs`` as the speller of the values it leaves to
+Python (non-finite ones, arrays below its floor) and calls it on distinct
+cell values only. So ``persist.py`` calls ``json.dumps`` by name only
+where it writes the manifest, the reports and a JSON table's head, and
+never in a loop.
 
 P(t) stores only its ratio columns and makes the uniform ones on demand,
 so a reader of its stored column ids would miss the uniform columns:
@@ -53,6 +59,14 @@ DIGIT_KERNEL = ("numtext.py", "_digits")
 FLOAT_SPELLER = ("numtext.py", "_reprs")
 #: The one module that sums basis-state masses into rho(t).
 WALK_LOOP = "walk.py"
+#: The functions of ``persist.py`` that may call ``json.dumps``, once
+#: each: those that write the manifest, the reports and a JSON table's
+#: head.
+JSON_WRITERS = {"_compact", "write_json", "write_table"}
+#: The nodes that repeat their body: a call inside one runs per row, per
+#: chunk or per cell.
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
 
 
 def _names(node) -> set[str]:
@@ -381,3 +395,46 @@ def test_the_spelling_guard_sees_each_breach():
         "numtext.py:6 astype to bytes",
         "numtext.py:7 map(repr, ...)",
     ]
+
+
+def json_dumps_breaches(source: str, module: str) -> list[str]:
+    """Each ``json.dumps`` call in ``persist.py`` outside the functions of
+    :data:`JSON_WRITERS`, or inside a loop (:data:`LOOPS`)."""
+    if module != "persist.py":
+        return []
+    tree = ast.parse(source)
+    allowed = {id(n) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name in JSON_WRITERS for n in ast.walk(node)}
+    looped = {id(n) for node in ast.walk(tree) if isinstance(node, LOOPS)
+              for n in ast.walk(node)}
+    found = [(node.lineno, "in a loop" if id(node) in looped else "")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "json.dumps"
+             and (id(node) not in allowed or id(node) in looped)]
+    return [f"{module}:{line} calls json.dumps {where}".rstrip()
+            for line, where in sorted(found)]
+
+
+def test_json_rows_are_not_spelled_by_json_dumps():
+    breaches = [b for path in sorted(SRC.glob("*.py"))
+                for b in json_dumps_breaches(path.read_text(), path.name)]
+    assert breaches == []
+
+
+def test_the_json_dumps_guard_sees_each_breach():
+    source = (
+        "def write_table(table, size):\n"
+        "    head = json.dumps(table.meta)\n"
+        "    chunks = (json.dumps(rows(lo)) for lo in range(0, size, 8))\n"
+        "    return head, [json.dumps(c) for c in table.columns]\n"
+        "def _chunk(rows):\n"
+        "    return json.dumps(rows)\n"
+        "_FORMATS = {'json': json.dumps}\n"
+    )
+    assert json_dumps_breaches(source, "persist.py") == [
+        "persist.py:3 calls json.dumps in a loop",
+        "persist.py:4 calls json.dumps in a loop",
+        "persist.py:6 calls json.dumps"]
+    assert json_dumps_breaches(source, "cli.py") == []
