@@ -44,7 +44,6 @@ from .graphs import (
     cycle_graph,
     graph_from_json,
     graph_hash,
-    graph_to_json,
     random_regular_graph,
     torus_graph,
 )

@@ -25,6 +25,7 @@ from .errors import ConfigError, ConsistencyError, QRWalkError, \
 from .graphs import torus_dims_of
 from .persist import (
     RunManifest,
+    _load_run,
     ensemble_mean_table,
     graph_and_spaces,
     initial_state_from_json,
@@ -44,7 +45,7 @@ from .persist import (
 )
 from .trajectory import convergence_report, locality_fraction, \
     sample_ensemble, total_variation
-from .walk import evolve
+from .walk import _light_cone
 
 _RUNTIME_ERRORS = (ConsistencyError, ResourceLimitError)
 
@@ -126,8 +127,8 @@ def cmd_evolve(args, config: dict) -> int:
     manifest = manifest_for(config, "evolve", base, format=args.format)
 
     try:
-        rhos = [rho for _, rho in
-                evolve(psi, coin, shift, horizon, interaction)]
+        rhos = [rho for *_, rho in
+                _light_cone(psi, coin, shift, horizon, interaction)]
     except ValidationError as exc:
         raise _as_runtime(exc) from exc
 
@@ -174,10 +175,8 @@ def cmd_sample(args, config: dict) -> int:
     size = int_entry(config, "ensemble_size", 20, minimum=1)
     length = int_entry(config, "length", None)
     if args.from_dir:
-        seq = load_sequence(args.from_dir)
-        source = RunManifest.load(args.from_dir) \
-            if (Path(args.from_dir) / "manifest.json").exists() else None
-        # load_sequence checked that the manifest made this store; the
+        seq, source = _load_run(args.from_dir)
+        # _load_run checked that the manifest made this store; the
         # store's graph has no torus shape, the manifest's document has
         torus_dims = torus_dims_of(source.graph) if source else None
         manifest = RunManifest(
@@ -244,8 +243,8 @@ def cmd_rejection(args, config: dict) -> int:
                             attempts=attempts)
 
     try:
-        rho_seq = np.stack([rho for _, rho in
-                            evolve(psi, coin, shift, length - 1)])
+        rho_seq = np.stack([rho for *_, rho in
+                            _light_cone(psi, coin, shift, length - 1)])
         report = rejection_sample(rho_seq, base, attempts, seed=seed)
         exact, total = exact_rejection_marginals(rho_seq, base)
     except ValidationError as exc:

@@ -16,8 +16,8 @@ graph of K >= 1 walkers, where states are vertex tuples.
 P(t) stores only its ratio columns, the states with rho(u, t) above
 :data:`ZERO_PROB`, for every K. Every other column is uniform, fixed by
 the graph alone, and :meth:`TransitionMatrix.find` makes it for the
-readers that need it (``column``, ``entry``, ``apply``, ``toarray`` and
-the sampler). So every state has a column. The store and the text export
+readers that need it (``column``, ``entry``, ``apply`` and the
+sampler). So every state has a column. The store and the text export
 hold the ratio columns only.
 
 One walk step (a block-diagonal coin, then a basis permutation) costs
@@ -42,9 +42,10 @@ from .walk import (
     InteractionLike,
     ShiftLike,
     WaveFunction,
+    _light_cone,
     _per_walker,
+    _slots,
     check_budget,
-    evolve,
 )
 
 __all__ = [
@@ -258,20 +259,6 @@ class TransitionMatrix:
         return np.bincount(mat.indices, weights=weights,
                            minlength=self.num_states)
 
-    def toarray(self) -> np.ndarray:
-        """Dense (num_states x num_states) array. Its ``8 * num_states**2``
-        bytes, with the arc arrays of the uniform columns (at most one per
-        basis state), are checked against the memory budget first."""
-        n = self.num_states
-        check_budget(8 * n * n + _arc_bytes(self.graph.num_walkers)
-                     * self.graph.basis_dim,
-                     f"a dense P({self.time}) over {n} states")
-        mat, _ = self.find(np.arange(n))
-        a = np.zeros((n, n))
-        sources = np.repeat(mat.col_ids, np.diff(mat.indptr))
-        a[mat.indices, sources] = mat.data
-        return a
-
 
 @dataclass
 class TransitionMatrixSeq:
@@ -434,9 +421,16 @@ def matrix_from_masses(
     rho_t: np.ndarray,
     p_next: np.ndarray,
     time: int = 0,
+    axes: Sequence | None = None,
 ) -> TransitionMatrix:
     """The ratio columns of P(t), from the vertex (tuple) masses
     ``rho_t`` at t and the basis-state masses ``p_next`` at t + 1.
+
+    ``p_next`` is over the whole joint basis, in basis order, or, with
+    ``axes``, the box-local masses that the walk's light-cone loop
+    (:func:`~qrwalk.walk._light_cone`) yields with them, of shape ``(a.size
+    for a in axes)``. It is only read, so the loop's view of its spare
+    buffer serves until the loop steps on.
 
     ``shifts`` is the shift of the step, shared or one per walker; a
     schedule ``t -> spec`` is resolved at ``time``. Each arc leaving a
@@ -453,8 +447,11 @@ def matrix_from_masses(
     The sources whose walkers have the same degrees form one (m, L) block
     (:meth:`~qrwalk.graphs.ProductGraph.arc_blocks`), row j the arcs of
     its j-th source by ascending head tuple, their shifted basis indices
-    and heads broadcast from each walker's head-sorted ports. The masses
-    at t + 1 are gathered, divided and summed as a block; a row of a
+    and heads broadcast from each walker's head-sorted ports. The
+    shifted indices, mapped to the slots of each walker's axis
+    (:func:`~qrwalk.walk._slots`; the whole space is a box of whole axes
+    in basis order) and composed over the box's shape, gather the masses
+    at t + 1, which are divided and summed as a block; a row of a
     contiguous block sums with the bits of the column alone. A regular
     graph is one block, already in CSC order; several are scattered.
 
@@ -462,6 +459,11 @@ def matrix_from_masses(
     (:func:`~qrwalk.walk.check_budget`) before they are allocated.
     """
     shifts = _per_walker(shifts, pg, time, "shift")
+    if axes is None:
+        axes, shape = [None] * pg.num_walkers, pg.basis_shape
+    else:
+        shape = [a.size for a in axes]
+    p_next = np.ravel(p_next)
     cols = np.flatnonzero(rho_t > ZERO_PROB)
     degrees = pg.out_degrees(cols)
     num_arcs = int(degrees.sum())
@@ -471,8 +473,8 @@ def matrix_from_masses(
     blocks, sums = [], np.empty(cols.size)
     for rows, ports, heads in pg.arc_blocks(cols):
         probs = p_next[pg.outer_index(
-            [s.permutation[p] for s, p in zip(shifts, ports)],
-            pg.base.basis_dim)]
+            [_slots(pg.base, a, s.permutation[p])
+             for a, s, p in zip(axes, shifts, ports)], shape)]
         probs /= rho_t[cols[rows], None]
         # a row of a contiguous block sums as the column alone would
         sums[rows] = probs.sum(axis=1)
@@ -514,19 +516,21 @@ def build_sequence(
     """Evolve ``horizon`` steps and emit P(0..T-1) plus rho(0..T).
     ``graph`` is ``psi0``'s state space (a port graph: one walker).
 
-    :func:`~qrwalk.walk.evolve` yields the masses of psi(t) and rho(t) at
-    each t; P(t) comes from rho(t) and the masses of psi(t + 1), so the
-    walk keeps only its two state buffers and the masses of one step at a
-    time."""
+    The walk's light-cone loop (:func:`~qrwalk.walk._light_cone`)
+    yields the box-local masses of psi(t), the box's axes and rho(t) at
+    each t; P(t) comes from rho(t) and the masses of psi(t + 1), read in
+    the walk's spare buffer before the loop steps on. So no step makes
+    an array over the whole joint basis but the walk's two state
+    buffers."""
     pg = psi0.graph
     if ProductGraph.of(graph) != pg:
         raise ValidationError("graph does not match psi0")
     rhos, matrices = [], []
-    for t, (masses, rho) in enumerate(
-            evolve(psi0, coin, shift, horizon, interaction)):
+    for t, (masses, axes, rho) in enumerate(
+            _light_cone(psi0, coin, shift, horizon, interaction)):
         if t:
             matrices.append(matrix_from_masses(pg, shift, rhos[-1], masses,
-                                               time=t - 1))
+                                               time=t - 1, axes=axes))
         rhos.append(rho)
     return TransitionMatrixSeq(matrices, np.stack(rhos), pg)
 

@@ -47,7 +47,6 @@ __all__ = [
     "complete_graph",
     "random_regular_graph",
     "graph_from_json",
-    "graph_to_json",
     "graph_hash",
     "torus_dims_of",
 ]
@@ -420,16 +419,17 @@ class ProductGraph:
                                      + np.arange(deg[rows].max(initial=0))]
                      for d, deg in zip(digits, degrees)]
             yield rows, ports, self.outer_index(
-                [base.heads[p] for p in ports], base.num_vertices)
+                [base.heads[p] for p in ports], self.shape)
 
     @staticmethod
-    def outer_index(parts: Sequence[np.ndarray], radix: int) -> np.ndarray:
-        """The mixed-radix index (walker 0 most significant, each digit
-        below ``radix``) of every product of the walkers' (m, d_i) rows
-        ``parts``, walker 0 slowest, as an (m, d_0 * ... * d_{K-1}) array:
-        one broadcast add per walker after the first."""
+    def outer_index(parts: Sequence[np.ndarray],
+                    radices: Sequence[int]) -> np.ndarray:
+        """The mixed-radix index (walker 0 most significant, walker i's
+        digit below ``radices[i]``) of every product of the walkers' (m,
+        d_i) rows ``parts``, walker 0 slowest, as an (m, d_0 * ... *
+        d_{K-1}) array: one broadcast add per walker after the first."""
         out = parts[0]
-        for part in parts[1:]:
+        for part, radix in zip(parts[1:], radices[1:]):
             (m, width), d = out.shape, part.shape[1]
             out = (out[:, :, None] * radix
                    + part[:, None, :]).reshape(m, width * d)
@@ -629,20 +629,6 @@ def random_regular_graph(
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
-
-def graph_to_json(g: PortGraph) -> dict:
-    """JSON-serialisable description; explicit ordering so the port
-    convention round-trips exactly."""
-    tails, heads = np.divmod(g._arc_keys, g.num_vertices)
-    doc: dict = {
-        "n": g.num_vertices,
-        "edges": np.stack([tails, heads], axis=1)[tails < heads].tolist(),
-        "ordering": _split(g.heads.tolist(), g.port_offsets),
-    }
-    if g.torus_dims is not None:
-        doc["torus_dims"] = list(g.torus_dims)
-    return doc
-
 
 def graph_from_json(doc: dict) -> PortGraph:
     """Parse ``{"n": ..., "edges": [[u, v], ...], "ordering": ...}``.

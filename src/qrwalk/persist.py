@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import locale
 import re
 import zipfile
 from contextlib import contextmanager
@@ -151,9 +152,15 @@ class RunManifest:
     def load(cls, out_dir: str | Path) -> "RunManifest":
         """Read ``out_dir/manifest.json``; a file that is not a manifest's
         JSON object raises :class:`ValidationError`."""
-        path = Path(out_dir) / MANIFEST_NAME
+        return cls._read(Path(out_dir) / MANIFEST_NAME)[0]
+
+    @classmethod
+    def _read(cls, path: Path) -> tuple["RunManifest", bytes]:
+        """The manifest in the file ``path``, as :meth:`load` reads it,
+        and the file's bytes."""
+        text = path.read_bytes()
         try:
-            return cls(**json.loads(path.read_text()))
+            return cls(**json.loads(text)), text
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"{path} holds no valid manifest: {exc}") \
                 from None
@@ -427,23 +434,32 @@ def _octets(texts: np.ndarray) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
-def _check_text(part, name: str) -> None:
+def _check_text(part, name: str, encoding: str | None = None) -> None:
     """Raise :class:`ValidationError` unless every cell of ``part``, a
     column that is not numeric, is a non-empty string without a special
-    character. A bytes array (numpy ``S`` dtype) is checked as bytes: each
-    text must be non-empty ASCII, with no NUL before its last byte."""
+    character that, given an ``encoding``, it can hold. A bytes array
+    (numpy ``S`` dtype) is checked as bytes: each text must be non-empty
+    ASCII, with no NUL before its last byte."""
     if isinstance(part, np.ndarray) and part.dtype.kind == "S":
         octets = _octets(part)
         valid = (octets[:, :1].all() and not _SPECIAL_OCTETS[octets].any()
                  and not ((octets[:, :-1] == 0) & (octets[:, 1:] != 0)).any())
+        text = ""  # ASCII, which a locale's encoding holds
     else:
         values = part.tolist() if isinstance(part, np.ndarray) else list(part)
-        valid = (set(map(type, values)) <= {str} and all(values)
-                 and not _SPECIAL.search("".join(values)))
+        valid = set(map(type, values)) <= {str} and all(values)
+        text = "".join(values) if valid else ""
+        valid = valid and not _SPECIAL.search(text)
     if not valid:
         raise ValidationError(
             f"{name} holds a cell that is neither a number nor a non-empty "
             "string without a comma, a quote, a line break or a NUL")
+    if encoding is not None:
+        try:
+            text.encode(encoding)
+        except UnicodeEncodeError:
+            raise ValidationError(f"{name} holds a cell that the encoding "
+                                  f"{encoding} cannot hold") from None
 
 
 def _cells(part, spell: Callable[[object], str],
@@ -536,7 +552,9 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     (for a bytes array, non-empty ASCII without them) raises
     :class:`ValidationError` naming its column (each distinct values array
     is checked once, under the first column that holds it), before the
-    file is opened.
+    file is opened. So does a CSV text cell or header that the locale's
+    encoding, which the file is opened with, cannot hold; JSON escapes
+    every text to ASCII.
 
     Both forms have one row writer, :func:`_rows`, and differ only in
     their separators and in the speller of the values no kernel spells
@@ -553,14 +571,16 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
     """
     base = Path(path_base)
     meta = {**table.meta, "manifest": manifest} if manifest else table.meta
-    _check_text(table.header, "the header")
+    encoding = locale.getpreferredencoding(False)
+    holds = encoding if fmt == "csv" else None
+    _check_text(table.header, "the header", holds)
     if fmt not in _FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
     checked = set()
     for h, c in zip(table.header, table.columns):
         part = c.values if isinstance(c, CodedColumn) else c
         if not _numeric(part) and id(part) not in checked:  # numbers pass
-            _check_text(part, f"column {h!r}")
+            _check_text(part, f"column {h!r}", holds)
             checked.add(id(part))
     size = len(table.columns[0]) if table.columns else 0
     if fmt == "csv":
@@ -574,10 +594,10 @@ def write_table(path_base: str | Path, table: Table, fmt: str = "csv",
                           sort_keys=True)[:-2] + "[" * (size > 0)
         tail = "]}\n"
     path = base.with_suffix(f".{fmt}")
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding=encoding) as fh:
         fh.write(head)
         fh.flush()  # the rows are bytes, written below the text layer
-        fh.buffer.writelines(_rows(table.columns, size, fmt, fh.encoding))
+        fh.buffer.writelines(_rows(table.columns, size, fmt, encoding))
         fh.write(tail)
     return path
 
@@ -765,17 +785,31 @@ def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
     :class:`~qrwalk.graphs.PortGraph` constructor, and every P(t) and rho
     are validated over it. A store without the graph is refused.
     """
+    return _load_run(out_dir)[0]
+
+
+def _load_run(out_dir: str | Path
+              ) -> tuple[TransitionMatrixSeq, RunManifest | None]:
+    """The sequence of :func:`load_sequence` and the manifest beside it
+    (``None`` without one), each file read once. The store's digest is
+    checked against the hash of the manifest file's bytes less the last
+    newline, the text :meth:`RunManifest.save` hashed, and only when they
+    differ against the parsed manifest's :attr:`~RunManifest.sha256`, so
+    that a manifest spelled otherwise still matches its run."""
     out = Path(out_dir)
     path = out / STORE_NAME
     m = _read_store(path)
-    digest = str(m["manifest"])
+    digest, manifest = str(m["manifest"]), None
     if (out / MANIFEST_NAME).exists():
-        expected = RunManifest.load(out).sha256
-        if digest != expected:
-            raise ValidationError(
-                f"{path} and {out / MANIFEST_NAME} come from different "
-                f"runs: manifest hashes {digest or None!r} and {expected!r}"
-            )
+        manifest, text = RunManifest._read(out / MANIFEST_NAME)
+        if digest != hashlib.sha256(text.removesuffix(b"\n")).hexdigest():
+            expected = manifest.sha256
+            if digest != expected:
+                raise ValidationError(
+                    f"{path} and {out / MANIFEST_NAME} come from different "
+                    f"runs: manifest hashes {digest or None!r} and "
+                    f"{expected!r}"
+                )
     step_ptr, col_ids, indptr = m["step_ptr"], m["col_ids"], m["indptr"]
     if not (step_ptr.size and step_ptr[0] == 0
             and np.all(np.diff(step_ptr) >= 0)
@@ -797,7 +831,7 @@ def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
             matrices.append(TransitionMatrix(
                 t, graph, col_ids[lo:hi], ptr,
                 indices[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]]))
-        return TransitionMatrixSeq(matrices, m["rho"], graph)
+        return TransitionMatrixSeq(matrices, m["rho"], graph), manifest
     except ValidationError as exc:
         raise ValidationError(f"{path} holds no valid sequence: {exc}") \
             from None

@@ -9,11 +9,13 @@ state; nothing here renormalises, which keeps genuine defects visible.
 
 Each operator has one kernel, which writes from one state buffer into
 another: the interaction in place, the coin and the shift one walker at a
-time. :func:`evolve`, the one walk loop, runs them in two preallocated
-buffers and yields, at each t, the masses ``|psi(t)|^2`` and the vertex
-distribution rho(t) they sum to; no other loop of the package makes
-rho(t). :func:`step` and the ``apply_*`` functions run the same kernels
-on a copy of a :class:`WaveFunction` and return a new one.
+time. :func:`_light_cone`, the one walk loop, runs them in two
+preallocated buffers and yields, at each t, the masses ``|psi(t)|^2`` on
+the walk's box and the vertex distribution rho(t) they sum to; no other
+loop of the package makes rho(t). :func:`evolve` is that loop with the
+masses put over the whole space. :func:`step` and the ``apply_*``
+functions run the same kernels on a copy of a :class:`WaveFunction` and
+return a new one.
 
 The kernels run on a box of the state, not on the whole space. A coin or
 an interaction mixes amplitude within one vertex (tuple), and a shift
@@ -546,6 +548,20 @@ class _Axis(NamedTuple):
         return self.ports is None
 
 
+def _slots(graph: PortGraph, axis: _Axis | None,
+           index: np.ndarray) -> np.ndarray:
+    """The slots of ``axis`` that hold the basis indices ``index``, ports
+    of its vertices: ``index`` itself on an axis in order (``None``: the
+    whole space's axis in basis order), else ``first[v]`` plus the port's
+    place among the ports of its vertex v."""
+    if axis is None or axis.in_order:
+        return index
+    verts = graph.vertex_of_basis[index]
+    slots = axis.first[verts] - graph.port_offsets[verts]
+    slots += index
+    return slots
+
+
 def _column_block() -> int:
     """The column block of this numpy's complex matrix product, probed
     once at import: the least b in 1..8 such that, for a ``(d x d)``
@@ -729,17 +745,6 @@ class _Box:
             return x, y
         return src, x
 
-    def masses(self, p: np.ndarray) -> np.ndarray:
-        """The box's masses ``p`` as a new flat array over the joint
-        basis, in basis order and zero outside the box."""
-        if self.in_order:
-            return p.copy()
-        out = np.zeros(self.space.basis_dim)
-        index = _outer([None if a.in_order else a.ports for a in self.axes],
-                       self.space.base.basis_dim)
-        out.reshape(self.space.basis_shape)[index] = p.reshape(self.shape)
-        return out
-
     def vertex_masses(self, p: np.ndarray) -> np.ndarray:
         """rho: the port sums (:func:`_port_sums`) of the box's masses
         ``p``, as a new flat array over the vertex tuples, zero outside
@@ -920,8 +925,8 @@ def _workspace(psi: WaveFunction, cone: bool = False
     """Two state buffers, one holding a box of ``psi``: the whole space,
     or with ``cone`` (the walk loop) the box of its support. With
     ``cone``, the memory budget check also covers two float arrays of
-    ``|psi|^2``: the one the walk is making and the one its caller may
-    still hold."""
+    ``|psi|^2`` over the joint basis: the one :func:`evolve` is making
+    and the one its caller may still hold."""
     dim = psi.graph.basis_dim
     check_budget((48 if cone else 32) * dim,
                  f"two state buffers{' and two mass arrays' if cone else ''}"
@@ -978,40 +983,45 @@ def step(
     t: int = 0,
 ) -> WaveFunction:
     """One evolution step, shift(coin(interaction(psi))), by the kernels
-    :func:`evolve` runs, on the box of the whole space (each axis in
+    the walk loop runs, on the box of the whole space (each axis in
     degree-class order, so an irregular graph's state is put in that
     order first and back in basis order last); the new state is checked
-    like any other. Its bits are those of :func:`evolve`'s light cone on
-    the condition that :func:`evolve` states."""
+    like any other. Its bits are those of the loop's light cone on the
+    condition that :func:`_light_cone` states."""
     box, x, y = _workspace(psi)
     return box.state(*_step(box, x, y, coin, shift, interaction, t))
 
 
-def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
-           horizon: int, interaction: InteractionLike | None = None
-           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(masses, rho)`` for t = 0, 1, ..., ``horizon``: the
-    basis-state masses ``|psi(t)|^2`` and rho(t), their vertex masses
-    (the port sums of :func:`vertex_masses`), each a new float array over
-    the whole space.
+def _light_cone(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
+                horizon: int, interaction: InteractionLike | None = None
+                ) -> Iterator[tuple[np.ndarray, tuple[_Axis, ...],
+                                    np.ndarray]]:
+    """The walk loop: yield ``(masses, axes, rho)`` for t = 0, 1, ...,
+    ``horizon``, where ``axes`` are the walk's box at t (a tuple that later
+    steps leave as it is), ``masses`` the box-local ``|psi(t)|^2``, of shape
+    ``(a.size for a in axes)``, and rho(t) their port sums over the
+    vertex tuples, a new array.
+
+    The masses are a view of the spare state buffer, not a copy: the
+    next step overwrites them, so a consumer is done with them before it
+    asks for the next step. :func:`evolve` puts them over the joint
+    basis; :func:`~qrwalk.equivalence.build_sequence` reads P(t) from
+    them where they are.
 
     The walk evolves only its light cone. Coins and interactions act
     within one vertex (tuple), and every shift is edge-local, so psi(t)
     is exactly zero outside the box over the ports of S_1 x ... x S_K,
     S_i being the vertices walker i can have reached: the projection of
     psi(0)'s support on axis i, then the heads of the arcs leaving S_i.
-    Each step runs its kernels on that box alone (:class:`_Box`), and
-    the masses and their port sums are made on it and put in place in
-    arrays that are zero elsewhere, with the bits of a walk over the
-    whole space. An axis that covers every vertex runs the whole-space
-    kernels, without index work.
-
-    The box lives at the front of two state buffers, each step's
-    operators writing from one into the other; the buffers and the
-    masses are checked against the memory budget before anything is
-    allocated. Every psi(t + 1) is checked to be normalised within
-    :data:`NORM_ATOL`, as a :class:`WaveFunction` is, before its masses
-    are yielded.
+    Each step runs its kernels on that box alone (:class:`_Box`), with
+    the bits of a walk over the whole space; an axis that covers every
+    vertex runs the whole-space kernels, without index work. The box
+    lives at the front of two state buffers, each step's operators
+    writing from one into the other. The buffers, and two mass arrays
+    over the joint basis for :func:`evolve`, are checked against the
+    memory budget before anything is allocated. Every psi(t + 1) is
+    checked to be normalised within :data:`NORM_ATOL`, as a
+    :class:`WaveFunction` is, before its masses are yielded.
 
     :func:`step` gives the same bits as long as a matrix product's bits
     depend only on its operand shapes and on the column blocks of
@@ -1026,15 +1036,43 @@ def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
     for t in range(horizon + 1):
         if t:
             x, y = _step(box, x, y, coin, shift, interaction, t - 1)
-        # the masses are made and summed in the spare buffer, then copied
-        # out: the port sums' temporaries never sit beside both the masses
-        # the caller still holds and the new ones
         size = box.size
         p = _masses(x[:size], y.view(np.float64)[:size])
         if t:
             _check_norm(float(p.sum()))
-        rho = box.vertex_masses(p)
-        yield box.masses(p), rho
+        yield p.reshape(box.shape), tuple(box.axes), box.vertex_masses(p)
+
+
+def _basis_masses(space: ProductGraph, axes: Sequence[_Axis],
+                  p: np.ndarray) -> np.ndarray:
+    """The masses ``p`` of the box of ``axes`` as a new flat array over
+    the joint basis, in basis order and zero outside the box."""
+    if all(a.in_order for a in axes):
+        return p.reshape(-1).copy()
+    out = np.zeros(space.basis_dim)
+    index = _outer([None if a.in_order else a.ports for a in axes],
+                   space.base.basis_dim)
+    out.reshape(space.basis_shape)[index] = p
+    return out
+
+
+def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
+           horizon: int, interaction: InteractionLike | None = None
+           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(masses, rho)`` for t = 0, 1, ..., ``horizon``: the
+    basis-state masses ``|psi(t)|^2`` and rho(t), their vertex masses
+    (the port sums of :func:`vertex_masses`), each a new float array over
+    the whole space.
+
+    These are the walk loop's (:func:`_light_cone`, which evolves only
+    the light cone of psi(0)'s support, and checks the budget and each
+    state's norm), its box-local masses put in place in an array that is
+    zero outside the box. A caller that needs only rho(t), or can read
+    the masses on the box, takes the loop itself and makes no such
+    array."""
+    for p, axes, rho in _light_cone(psi0, coin, shift, horizon,
+                                    interaction):
+        yield _basis_masses(psi0.graph, axes, p), rho
 
 
 def _degree(graph: PortGraph) -> int:

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from qrwalk import walk
+from qrwalk.equivalence import _arc_bytes
 from qrwalk.errors import GraphError, ValidationError
 from qrwalk.persist import Table
 
@@ -457,6 +459,37 @@ def reference_columns(graph, num_walkers: int, perms, rho_t: np.ndarray,
     return columns
 
 
+def toarray(mat) -> np.ndarray:
+    """The dense (num_states x num_states) array of the P(t) ``mat``, its
+    uniform columns made by ``find``. Its ``8 * num_states**2`` bytes, with
+    the arc arrays of the uniform columns (at most one per basis state),
+    are checked against the memory budget first."""
+    n = mat.num_states
+    walk.check_budget(8 * n * n + _arc_bytes(mat.graph.num_walkers)
+                      * mat.graph.basis_dim,
+                      f"a dense P({mat.time}) over {n} states")
+    full, _ = mat.find(np.arange(n))
+    a = np.zeros((n, n))
+    sources = np.repeat(full.col_ids, np.diff(full.indptr))
+    a[full.indices, sources] = full.data
+    return a
+
+
+def graph_to_json(g) -> dict:
+    """The JSON document of a port graph that ``graph_from_json`` reads
+    back: its edges, its explicit port order, and its torus shape if it
+    has one."""
+    tails, heads = np.divmod(g._arc_keys, g.num_vertices)
+    doc: dict = {
+        "n": g.num_vertices,
+        "edges": np.stack([tails, heads], axis=1)[tails < heads].tolist(),
+        "ordering": [list(nbrs) for nbrs in g.out_neighbors],
+    }
+    if g.torus_dims is not None:
+        doc["torus_dims"] = list(g.torus_dims)
+    return doc
+
+
 def reference_apply(mat, rho: np.ndarray, zero_threshold: float
                     ) -> np.ndarray:
     """``P(t) @ rho`` from the entries of the sources above
@@ -641,3 +674,22 @@ def table_sequence(out_dir) -> tuple[np.ndarray, dict]:
     entries = {(int(t), state(u), state(v)): float(p)
                for t, u, v, p in p_tab.rows}
     return table_rho(out_dir), entries
+
+
+def blas_build() -> str:
+    """The BLAS this numpy was built with, as its build configuration
+    (``np.show_config(mode="dicts")``) names it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = blas.get("openblas configuration")
+    return f"{blas['name']} {blas['version']}" \
+        + (f" ({config})" if config else "")
+
+
+def pinned_on(blas: str, column_block: int) -> str:
+    """The note of a failing pinned digest: the BLAS build and
+    ``walk.COLUMN_BLOCK`` the digests were taken on, and this machine's.
+    The coin's matrix products round as the BLAS's kernels do, so another
+    build may change a digest without a fault in the program."""
+    return (f"the digests were pinned on BLAS {blas} with walk.COLUMN_BLOCK "
+            f"{column_block}; this machine has BLAS {blas_build()} with "
+            f"walk.COLUMN_BLOCK {walk.COLUMN_BLOCK}")

@@ -265,8 +265,9 @@ def test_criterion_6_torus_recursion_oracle():
                             float(np.abs(states[t].vertex_distribution()
                                          - seq.rho[t]).max()))
         for t in range(30):
-            dp_dense = grover_torus_matrix(states[t], states[t + 1]).toarray()
-            th_dense = seq.matrices[t].toarray()
+            dp_dense = oracle.toarray(
+                grover_torus_matrix(states[t], states[t + 1]))
+            th_dense = oracle.toarray(seq.matrices[t])
             for u in np.flatnonzero(seq.rho[t] > 1e-12):
                 worst_mat = max(worst_mat,
                                 float(np.abs(dp_dense[:, u]

@@ -194,7 +194,7 @@ class TestGroverTorusMatrix:
         for t in range(30):
             dp_mat = grover_torus_matrix(states[t], states[t + 1])
             general = seq.matrices[t]
-            dense_dp, dense_g = dp_mat.toarray(), general.toarray()
+            dense_dp, dense_g = map(oracle.toarray, (dp_mat, general))
             for u in np.flatnonzero(seq.rho[t] > 1e-12):
                 assert np.max(np.abs(dense_dp[:, u] - dense_g[:, u])) <= 1e-9
 

@@ -6,7 +6,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from _oracles import read_table, rewrite_store, table_rho
+from _oracles import blas_build, pinned_on, read_table, rewrite_store, \
+    table_rho
 from qrwalk import ValidationError, cli, graphs, numtext, trajectory, \
     walk
 from qrwalk.cli import main
@@ -348,6 +349,15 @@ class TestSample:
         assert "memory budget" in capsys.readouterr().err
 
 
+#: The BLAS build (``_oracles.blas_build``) and ``walk.COLUMN_BLOCK`` that
+#: the digests of ``GOLDEN_SAMPLES``, ``GOLDEN_EQUIVALENCE`` and
+#: ``GOLDEN_RUNS`` were taken on. The coin's matrix products round as the
+#: BLAS's kernels do, so a failing golden test names this build and the
+#: machine's own; the comparison stays exact.
+PINNED_ON = ("scipy-openblas 0.3.31.188.0 (OpenBLAS 0.3.31.188.0  "
+             "USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64)",
+             4)
+
 #: ``qrwalk sample`` configs and the sha256 of their output tables, as
 #: written by the sampler that draws an ensemble's uniforms from one PCG64
 #: stream, row i holding trajectory i's L + 1 draws, and each step one
@@ -396,7 +406,7 @@ def test_sample_outputs_are_pinned(tmp_path, name):
     assert main(["sample", "--config", str(cfg), "--out-dir", str(out)]) == 0
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in digests}
-    assert got == digests
+    assert got == digests, pinned_on(*PINNED_ON)
 
 
 #: ``qrwalk equivalence`` configs: the sample configs above, a torus
@@ -497,7 +507,7 @@ def test_equivalence_outputs_are_pinned(tmp_path, name):
                      str(out), "--format", fmt]) == 0
         got.update({f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                     for f in PINNED_FILES[fmt]})
-    assert got == GOLDEN_EQUIVALENCE[name]
+    assert got == GOLDEN_EQUIVALENCE[name], pinned_on(*PINNED_ON)
 
 
 #: The other commands' runs: the arguments after ``qrwalk``, with ``{cfg}``
@@ -612,7 +622,13 @@ def test_command_outputs_are_pinned(tmp_path, name, run):
     digests = GOLDEN_RUNS[name, run]
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in digests}
-    assert got == digests
+    assert got == digests, pinned_on(*PINNED_ON)
+
+
+def test_a_failing_golden_test_names_both_builds():
+    note = pinned_on(*PINNED_ON)
+    assert PINNED_ON[0] in note and blas_build() in note
+    assert note.endswith(f"walk.COLUMN_BLOCK {walk.COLUMN_BLOCK}")
 
 
 def test_a_pinned_json_matrix_spans_the_float_floor(tmp_path):

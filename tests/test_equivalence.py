@@ -68,7 +68,7 @@ class TestBuildTransitionMatrix:
         psi0 = WaveFunction.localized(c4, 0, 0)
         psi1 = step(psi0, coin, shift)
         mat = step_matrix(psi0, psi1, shift)
-        dense = mat.toarray()
+        dense = oracle.toarray(mat)
         # supported column 0 carries the walk; the rest are uniform 1/2
         expected = np.array([
             [0.0, 0.5, 0.0, 0.5],
@@ -214,7 +214,8 @@ class TestBuildSequence:
         seq = build_sequence(c4, coin, shift, psi0, 1)
         psi1 = step(psi0, coin, shift)
         direct = step_matrix(psi0, psi1, shift)
-        assert np.array_equal(seq.matrices[0].toarray(), direct.toarray())
+        assert np.array_equal(oracle.toarray(seq.matrices[0]),
+                              oracle.toarray(direct))
 
     def test_c4_hadamard_propagation(self, c4):
         coin, shift = hadamard_walk(c4)
@@ -236,6 +237,48 @@ class TestBuildSequence:
         with pytest.raises(ValidationError):
             build_sequence(c4, coin, shift,
                            WaveFunction.localized(c4, 0, 0), -1)
+
+    @staticmethod
+    def torus_walk():
+        g = torus_graph((12, 12))
+        return (g, CoinSpec.grover(g), ShiftSpec.moving(g),
+                WaveFunction.localized(g, 0, 0))
+
+    def test_the_masses_are_never_put_over_the_whole_space(self,
+                                                           monkeypatch):
+        # build_sequence reads each step's masses on the walk's box; only
+        # evolve scatters them over the joint basis
+        g, coin, shift, psi = self.torus_walk()
+        want = build_sequence(g, coin, shift, psi, 4)
+
+        def scatter(*args):
+            raise AssertionError("masses put over the whole space")
+        monkeypatch.setattr(walk, "_basis_masses", scatter)
+        got = build_sequence(g, coin, shift, psi, 4)
+        assert got.rho.tobytes() == want.rho.tobytes()
+        for a, b in zip(got.matrices, want.matrices):
+            assert all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                       for name in ("col_ids", "indptr", "indices", "data"))
+        with pytest.raises(AssertionError, match="whole space"):
+            next(walk.evolve(psi, coin, shift, 4))
+
+    def test_the_builder_reads_the_masses_in_the_walk_buffer(self,
+                                                             monkeypatch):
+        # each P(t) gets a view of the walk's spare buffer, shaped as the
+        # box of the axes it comes with, smaller than the joint basis
+        g, coin, shift, psi = self.torus_walk()
+        seen, build = [], equivalence.matrix_from_masses
+
+        def spy(pg, shifts, rho_t, p_next, time=0, axes=None):
+            seen.append((p_next.shape, p_next.flags.owndata,
+                         tuple(a.size for a in axes)))
+            return build(pg, shifts, rho_t, p_next, time, axes)
+        monkeypatch.setattr(equivalence, "matrix_from_masses", spy)
+        build_sequence(g, coin, shift, psi, 4)
+        assert len(seen) == 4
+        for shape, owned, sizes in seen:
+            assert shape == sizes and not owned
+            assert 0 < np.prod(shape) < g.basis_dim
 
 
 class TestVerifyProperties:
@@ -290,7 +333,7 @@ class TestMultiwalker:
         for u, (targets, probs) in single.items():
             expected[targets, u] = probs
         multi = step_matrix(psi0, psi1, shift)
-        assert np.array_equal(multi.toarray(), expected)
+        assert np.array_equal(oracle.toarray(multi), expected)
 
     def test_joint_propagation_with_interaction(self, c4):
         pg = ProductGraph(c4, 2)
@@ -501,7 +544,7 @@ class TestMultiwalker:
         # the dense array and the arc arrays of up to 8 uniform columns
         need = 8 * 4 * 4 + equivalence._arc_bytes(1) * 8
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
-        assert mat.toarray().shape == (4, 4)
+        assert oracle.toarray(mat).shape == (4, 4)
 
         def allocate(*args, **kwargs):
             raise AssertionError("dense array allocated before the budget "
@@ -509,7 +552,7 @@ class TestMultiwalker:
         monkeypatch.setattr(np, "zeros", allocate)
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError, match="dense P\\(0\\)"):
-            mat.toarray()
+            oracle.toarray(mat)
 
 
 class TestStateLabels:

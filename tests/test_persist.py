@@ -1,11 +1,16 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import read_table, reference_write_table, rewrite_store
+from _oracles import read_table, reference_write_table, rewrite_store, \
+    toarray
 from qrwalk import (
     CoinSpec,
     ConfigError,
@@ -144,6 +149,36 @@ class TestTables:
             write_table(tmp_path / "t", table, fmt)
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_cell_the_locale_cannot_encode_is_refused(self, tmp_path):
+        # under the C locale the CSV file would be ASCII: an accented cell
+        # or header is refused before the file is opened, while JSON
+        # escapes it to ASCII
+        script = (
+            "import locale\n"
+            "from qrwalk.errors import ValidationError\n"
+            "from qrwalk.persist import Table, write_table\n"
+            "print(locale.getpreferredencoding(False))\n"
+            "for header, cell in (('x', 'a\\u00e9'), ('\\u00e9', 'a')):\n"
+            "    try:\n"
+            "        write_table('t', Table([header], [['a', cell]]))\n"
+            "    except ValidationError as exc:\n"
+            "        print(exc)\n"
+            "write_table('t', Table(['x'], [['a', 'a\\u00e9']]), 'json')\n"
+        )
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        encoding, *errors = proc.stdout.splitlines()
+        assert errors == [f"{name} holds a cell that the encoding "
+                          f"{encoding} cannot hold"
+                          for name in ("column 'x'", "the header")]
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+        assert read_table(tmp_path / "t").rows == [("a",), ("a\u00e9",)]
+
     @pytest.mark.parametrize("codes", [
         np.array([0, 5]), np.array([0, -1]), np.array([[0], [1]]),
         np.array([0.0, 1.0])], ids=["past-the-end", "negative", "2-d",
@@ -280,7 +315,7 @@ class TestSequenceRoundTrip:
         loaded = load_sequence(tmp_path)
         assert np.array_equal(loaded.rho, c4_seq.rho)
         for a, b in zip(loaded.matrices, c4_seq.matrices):
-            assert np.array_equal(a.toarray(), b.toarray())
+            assert np.array_equal(toarray(a), toarray(b))
 
     @pytest.mark.parametrize("walkers", [1, 2])
     def test_reloaded_csc_arrays_equal(self, tmp_path, walkers):
@@ -429,6 +464,50 @@ class TestManifest:
         m1 = manifest_for(config, "sample", c4, ensemble_size=10)
         m2 = manifest_for(config, "sample", c4, ensemble_size=20)
         assert m1.sha256 != m2.sha256
+
+    def test_a_store_is_matched_to_its_manifest_by_the_file_bytes(
+            self, tmp_path, c4, monkeypatch):
+        # the saved bytes match without serialising the manifest again; a
+        # manifest spelled otherwise is serialised and still matches
+        config = {"graph": {"type": "cycle", "n": 4},
+                  "coin": {"type": "hadamard"},
+                  "shift": {"type": "moving"}, "horizon": 3, "seed": 1}
+        manifest = manifest_for(config, "equivalence", c4)
+        seq = build_sequence(c4, CoinSpec.hadamard(c4), ShiftSpec.moving(c4),
+                             WaveFunction.localized(c4, 0, 0), 3)
+        save_sequence(tmp_path, seq, manifest.save(tmp_path))
+        compact, serialised = RunManifest._compact, []
+
+        def spy(self):
+            serialised.append(self.command)
+            return compact(self)
+        monkeypatch.setattr(RunManifest, "_compact", spy)
+        assert load_sequence(tmp_path).rho.tobytes() == seq.rho.tobytes()
+        assert serialised == []
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+        assert load_sequence(tmp_path).rho.tobytes() == seq.rho.tobytes()
+        assert serialised == ["equivalence"]
+
+    def test_sample_from_a_store_reads_the_manifest_once(self, tmp_path,
+                                                         monkeypatch):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "graph": {"type": "cycle", "n": 6}, "coin": {"type": "hadamard"},
+            "shift": {"type": "moving"}, "horizon": 3, "seed": 1}))
+        assert main(["equivalence", "--config", str(config), "--out-dir",
+                     str(tmp_path / "eq")]) == 0
+        reads, read_bytes = [], Path.read_bytes
+
+        def spy(path):
+            reads.append(path.name)
+            return read_bytes(path)
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        monkeypatch.setattr(Path, "read_text",
+                            lambda path, *args, **kwargs: spy(path).decode())
+        assert main(["sample", "--from", str(tmp_path / "eq"), "--out-dir",
+                     str(tmp_path / "s")]) == 0
+        assert reads.count("manifest.json") == 1
 
 
 class TestSpecParsing:

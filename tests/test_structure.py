@@ -33,9 +33,12 @@ which stores the arrays, may read ``col_ids``. The store and its text
 export hold those ratio columns only, so ``persist.py`` reads the stored
 arrays and never calls ``find``, which makes the uniform ones.
 
-One walk loop, ``walk.evolve``, turns the walk into rho(t): it yields
-each step's masses with their ``vertex_masses``, so only ``walk.py`` may
-call ``vertex_masses``, and no other module keeps a walk loop of its own.
+One walk loop, the light-cone loop ``walk._light_cone``, turns the walk
+into rho(t): it yields each step's masses on the walk's box with their
+``vertex_masses``, so only ``walk.py`` may call ``vertex_masses``, and
+no other module keeps a walk loop of its own. ``walk.evolve`` is that
+loop with the masses put over the whole space; ``build_sequence`` and the
+commands that need only rho(t) read the loop itself.
 """
 
 import ast
