@@ -61,9 +61,6 @@ from .walk import (
     InteractionSpec,
     ShiftSpec,
     WaveFunction,
-    apply_coin,
-    apply_interaction,
-    apply_shift,
     evolve,
     step,
     vertex_distribution,

@@ -13,9 +13,8 @@ time. :func:`_light_cone`, the one walk loop, runs them in two
 preallocated buffers and yields, at each t, the masses ``|psi(t)|^2`` on
 the walk's box and the vertex distribution rho(t) they sum to; no other
 loop of the package makes rho(t). :func:`evolve` is that loop with the
-masses put over the whole space. :func:`step` and the ``apply_*``
-functions run the same kernels on a copy of a :class:`WaveFunction` and
-return a new one.
+masses put over the whole space. :func:`step` runs the same kernels on
+a copy of a :class:`WaveFunction` and returns a new one.
 
 The kernels run on a box of the state, not on the whole space. A coin or
 an interaction mixes amplitude within one vertex (tuple), and a shift
@@ -25,8 +24,8 @@ product of the sets of vertices each walker can have reached. The walk
 keeps only the box over their ports, at the front of its two buffers,
 each walker's ports listed in degree-class order so that each coin class
 is one run; a state over the whole space is kept in that order too.
-:func:`step` and the ``apply_*`` functions run on the whole-space box,
-the step the tests hold the light cone to.
+:func:`step` runs on the whole-space box, the step the tests hold the
+light cone to.
 
 Operators may vary with time: wherever a spec is accepted, a callable
 ``t -> spec`` is accepted too and resolved at each step.
@@ -51,9 +50,6 @@ __all__ = [
     "CoinSpec",
     "ShiftSpec",
     "InteractionSpec",
-    "apply_coin",
-    "apply_shift",
-    "apply_interaction",
     "step",
     "evolve",
     "vertex_distribution",
@@ -656,7 +652,8 @@ class _Box:
         if support is not None:
             support = support.reshape(space.basis_shape)
             for i in range(k):
-                hit = support.any(axis=tuple(j for j in range(k) if j != i))
+                hit = support if k == 1 else \
+                    support.any(axis=tuple(j for j in range(k) if j != i))
                 self.axes[i] = self.reach(i, g.vertex_of_basis[hit])
         self.shape = [a.size for a in self.axes]
 
@@ -922,16 +919,15 @@ def _step(box: _Box, x: np.ndarray, y: np.ndarray,
 
 def _workspace(psi: WaveFunction, cone: bool = False
                ) -> tuple[_Box, np.ndarray, np.ndarray]:
-    """Two state buffers, one holding a box of ``psi``: the whole space,
-    or with ``cone`` (the walk loop) the box of its support. With
-    ``cone``, the memory budget check also covers two float arrays of
-    ``|psi|^2`` over the joint basis: the one :func:`evolve` is making
-    and the one its caller may still hold."""
+    """Two state buffers, checked against the memory budget first, one
+    holding a box of ``psi``: the whole space, or with ``cone`` (the walk
+    loop) the box of its support."""
     dim = psi.graph.basis_dim
-    check_budget((48 if cone else 32) * dim,
-                 f"two state buffers{' and two mass arrays' if cone else ''}"
-                 f" of dimension {dim}")
-    box = _Box(psi.graph, psi.amplitudes != 0 if cone else None)
+    check_budget(32 * dim, f"two state buffers of dimension {dim}")
+    support = None
+    if cone:  # a nonzero real or imaginary part, on the float view
+        support = (psi.amplitudes.view(np.float64) != 0).view(np.uint16) != 0
+    box = _Box(psi.graph, support)
     x, y = np.empty_like(psi.amplitudes), np.empty_like(psi.amplitudes)
     return (box, *box.gather(psi.amplitudes, x, y))
 
@@ -944,36 +940,8 @@ def _masses(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# operator application
+# the step and the walk loop
 # ---------------------------------------------------------------------------
-
-def apply_coin(psi: WaveFunction, coin: CoinLike, t: int = 0) -> WaveFunction:
-    """Mix amplitudes among each vertex's ports with the coin blocks."""
-    specs = _per_walker(coin, psi.graph, t, "coin")
-    box, x, y = _workspace(psi)
-    return box.state(*_coins(box, specs, x, y))
-
-
-def apply_shift(psi: WaveFunction, shift: ShiftLike, t: int = 0) -> WaveFunction:
-    """Transport amplitudes along arcs by the shift permutation."""
-    specs = _per_walker(shift, psi.graph, t, "shift")
-    box, x, y = _workspace(psi)
-    return box.state(*_shifts(box, specs, x, y))
-
-
-def apply_interaction(psi: WaveFunction, interaction: InteractionLike | None,
-                      t: int = 0) -> WaveFunction:
-    """Apply the per-tuple interaction blocks (walkers do not move).
-
-    ``None`` and the identity leave ``psi`` as it is; any other
-    interaction needs a state of at least two walkers."""
-    spec = _interaction_at(interaction, psi.graph, t)
-    if spec is None:
-        return psi
-    box, x, y = _workspace(psi)
-    _interaction_kernel(spec, box, x)
-    return box.state(x, y)
-
 
 def step(
     psi: WaveFunction,
@@ -1017,8 +985,7 @@ def _light_cone(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
     the bits of a walk over the whole space; an axis that covers every
     vertex runs the whole-space kernels, without index work. The box
     lives at the front of two state buffers, each step's operators
-    writing from one into the other. The buffers, and two mass arrays
-    over the joint basis for :func:`evolve`, are checked against the
+    writing from one into the other. The buffers are checked against the
     memory budget before anything is allocated. Every psi(t + 1) is
     checked to be normalised within :data:`NORM_ATOL`, as a
     :class:`WaveFunction` is, before its masses are yielded.
@@ -1065,11 +1032,16 @@ def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
     the whole space.
 
     These are the walk loop's (:func:`_light_cone`, which evolves only
-    the light cone of psi(0)'s support, and checks the budget and each
-    state's norm), its box-local masses put in place in an array that is
-    zero outside the box. A caller that needs only rho(t), or can read
+    the light cone of psi(0)'s support, and checks each state's norm),
+    its box-local masses put in place in an array that is zero outside
+    the box. The memory budget is checked first for the loop's two state
+    buffers and two such arrays: the one being made and the one the
+    caller may still hold. A caller that needs only rho(t), or can read
     the masses on the box, takes the loop itself and makes no such
     array."""
+    dim = psi0.graph.basis_dim
+    check_budget(48 * dim, "two state buffers and two mass arrays of "
+                 f"dimension {dim}")
     for p, axes, rho in _light_cone(psi0, coin, shift, horizon,
                                     interaction):
         yield _basis_masses(psi0.graph, axes, p), rho

@@ -5,7 +5,9 @@ dense matrices, brute-force enumeration, multinomial draws) and never
 calls the engine's operator-application code paths. ``reference_step``
 keeps the engine's earlier operator code, which copied the state per
 operator, as the bit-for-bit reference of the in-place walk for named
-coins or one walker (see its docstring).
+coins or one walker (see its docstring). ``apply_coin``, ``apply_shift``
+and ``apply_interaction`` are no oracles: they run one of the engine's
+kernels alone, for the tests that check one operator at a time.
 """
 
 from __future__ import annotations
@@ -488,6 +490,35 @@ def graph_to_json(g) -> dict:
     if g.torus_dims is not None:
         doc["torus_dims"] = list(g.torus_dims)
     return doc
+
+
+def apply_coin(psi, coin, t: int = 0):
+    """``psi`` with each vertex's ports mixed by the coin blocks: the
+    walk's coin kernel alone, on the whole-space box."""
+    specs = walk._per_walker(coin, psi.graph, t, "coin")
+    box, x, y = walk._workspace(psi)
+    return box.state(*walk._coins(box, specs, x, y))
+
+
+def apply_shift(psi, shift, t: int = 0):
+    """``psi`` moved along the arcs by the shift permutation: the walk's
+    shift kernel alone, on the whole-space box."""
+    specs = walk._per_walker(shift, psi.graph, t, "shift")
+    box, x, y = walk._workspace(psi)
+    return box.state(*walk._shifts(box, specs, x, y))
+
+
+def apply_interaction(psi, interaction, t: int = 0):
+    """``psi`` with the per-tuple interaction blocks applied (walkers do
+    not move): the walk's interaction kernel alone, on the whole-space
+    box. ``None`` and the identity leave ``psi`` as it is; any other
+    interaction needs a state of at least two walkers."""
+    spec = walk._interaction_at(interaction, psi.graph, t)
+    if spec is None:
+        return psi
+    box, x, y = walk._workspace(psi)
+    walk._interaction_kernel(spec, box, x)
+    return box.state(x, y)
 
 
 def reference_apply(mat, rho: np.ndarray, zero_threshold: float

@@ -129,3 +129,91 @@ def test_a_given_speller_spells_what_repr_would(size):
             for v in values.tolist()]
     assert [json.dumps(v) for v in (np.nan, np.inf, -np.inf)] \
         == ["NaN", "Infinity", "-Infinity"]
+
+
+#: The exponent range of the first digit of each form a normal double's
+#: text takes: positional below 1 with 0 to 3 zeros after the point,
+#: positional in [1, 1e16), and the exponent form with a negative or a
+#: positive exponent of 2 or 3 digits.
+FORMS = {"0.d": (-1, -1), "0.0d": (-2, -2), "0.00d": (-3, -3),
+         "0.000d": (-4, -4), "d.d": (0, 15), "de-XX": (-99, -5),
+         "de-XXX": (-307, -100), "de+XX": (16, 99), "de+XXX": (100, 307)}
+
+
+@st.composite
+def form_values(draw) -> float:
+    """A normal double of one of the :data:`FORMS`, each form as likely,
+    with 1 digit, 17 digits or any number between, of either sign."""
+    lo, hi = draw(st.sampled_from(list(FORMS.values())))
+    e = draw(st.integers(lo, hi))
+    n = draw(st.sampled_from([1, 17]) | st.integers(1, 17))
+    digits = draw(st.integers(10 ** (n - 1), 10 ** n - 1))
+    return draw(st.sampled_from([1.0, -1.0])) * float(f"{digits}e{e - n + 1}")
+
+
+@SETTINGS
+@given(st.lists(form_values(), min_size=1, max_size=64),
+       st.integers(0, 2**32 - 1))
+def test_every_form_mixed_in_one_block_spells_as_repr(values, seed):
+    # the drawn values repeated and shuffled to fill one whole block
+    block = np.random.default_rng(seed).permutation(
+        np.resize(np.array(values), numtext.FLOAT_BLOCK))
+    assert spelled(block) == reprs(block)
+
+
+@pytest.mark.parametrize("form, values", [
+    ("0.d", [0.5, 0.12345678901234568, -0.1]),
+    ("0.0d", [0.05, 0.012345678901234568]),
+    ("0.00d", [0.001, -0.0012345678901234567]),
+    ("0.000d", [0.0001, 0.00012345678901234567]),
+    ("d.d", [1.0, 123.456, 1e15, 9999999999999998.0, 1.2345678901234567]),
+    ("de-XX", [1e-05, -1.2345678901234567e-05, 9e-99]),
+    ("de-XXX", [1e-100, 1.2345678901234567e-100, -2.5e-307]),
+    ("de+XX", [1e+16, -1.2345678901234567e+16, 5e+99]),
+    ("de+XXX", [1e+100, 1.2345678901234567e+300, -3e+200]),
+])
+def test_each_form_with_one_and_seventeen_digits(form, values):
+    lo, hi = FORMS[form]
+    assert all(lo <= int(f"{v:.16e}".split("e")[1]) <= hi for v in values)
+    kept = {len(repr(abs(v)).split("e")[0].replace(".", "").strip("0"))
+            for v in values}
+    assert {1, 17} <= kept
+    assert spelled(values) == reprs(values)
+
+
+@pytest.mark.parametrize("negative", [False, True])
+def test_the_table_is_no_wider_than_the_longest_text(negative):
+    # 24 columns hold the longest repr, -2.2250738585072014e-308; with no
+    # value negative the sign column goes, and 23 remain
+    rng = np.random.default_rng(11)
+    values = rng.random(numtext.FLOAT_FLOOR) \
+        * 10.0 ** rng.integers(-307, 308, numtext.FLOAT_FLOOR)
+    values[:2] = [2.2250738585072014e-308, 0.00012345678901234567]
+    if negative:
+        values[::3] *= -1
+    table = numtext._reprs(values)
+    assert table.shape[1] <= (24 if negative else 23)
+    assert [bytes(row).replace(b"\0", b"").decode() for row in table] \
+        == reprs(values)
+
+
+def test_only_values_in_one_to_1e16_reach_the_per_row_layout():
+    # a block below 1 and in the exponent form is laid out by the template
+    # alone; the rows in [1, 1e16) are laid out again, and only those
+    rng = np.random.default_rng(13)
+    size = numtext.FLOAT_FLOOR
+    values = np.where(rng.random(size) < 0.5, rng.random(size),
+                      rng.uniform(1, 10, size)
+                      * 10.0 ** rng.integers(16, 300, size))
+    values[::2] *= -1
+    calls, positional = [], numtext._positional
+
+    def spy(rows, *args):
+        calls.append(rows.copy())
+        return positional(rows, *args)
+    with mock.patch.object(numtext, "_positional", spy):
+        assert spelled(values) == reprs(values)
+        assert calls == []
+        values[[7, 500]] = [1.0, -123456.789]
+        assert spelled(values) == reprs(values)
+    assert [c.tolist() for c in calls] == [[7, 500]]

@@ -34,8 +34,6 @@ from qrwalk import (
     TransitionMatrixSeq,
     ValidationError,
     WaveFunction,
-    apply_coin,
-    apply_shift,
     build_graph,
     build_sequence,
     complete_graph,
@@ -1193,9 +1191,9 @@ def test_one_walker_operators_equal_the_direct_forms(seed, regular):
     shift = random_shift(g, rng, int(rng.integers(0, 3)))
     psi = random_state(g, rng)
     amps = psi.amplitudes
-    assert apply_coin(psi, coin).amplitudes.tobytes() \
+    assert oracle.apply_coin(psi, coin).amplitudes.tobytes() \
         == oracle.reference_coin_block_multiply(coin, amps).tobytes()
-    assert apply_shift(psi, shift).amplitudes.tobytes() \
+    assert oracle.apply_shift(psi, shift).amplitudes.tobytes() \
         == amps[shift.inverse].tobytes()
     assert vertex_distribution(psi).tobytes() == np.add.reduceat(
         np.abs(amps) ** 2, g.port_offsets[:-1]).tobytes()

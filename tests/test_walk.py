@@ -14,10 +14,8 @@ from qrwalk import (
     ShiftSpec,
     ValidationError,
     WaveFunction,
-    apply_coin,
-    apply_interaction,
-    apply_shift,
     build_graph,
+    build_sequence,
     cycle_graph,
     evolve,
     step,
@@ -120,12 +118,12 @@ class TestWaveFunction:
 class TestApplyCoin:
     def test_identity_leaves_state(self, c4, rng):
         psi = random_state(c4, rng)
-        out = apply_coin(psi, CoinSpec.identity(c4))
+        out = oracle.apply_coin(psi, CoinSpec.identity(c4))
         assert np.allclose(out.amplitudes, psi.amplitudes, atol=0)
 
     def test_hadamard_on_localized_c4(self, c4):
         psi = WaveFunction.localized(c4, 0, 0)
-        out = apply_coin(psi, CoinSpec.hadamard(c4))
+        out = oracle.apply_coin(psi, CoinSpec.hadamard(c4))
         assert abs(out.amplitudes[c4.basis_index(0, 0)] - INV_SQRT2) < 1e-15
         assert abs(out.amplitudes[c4.basis_index(0, 1)] - INV_SQRT2) < 1e-15
 
@@ -134,18 +132,19 @@ class TestApplyCoin:
         coin = CoinSpec.random_unitary(g, rng)
         for _ in range(5):
             psi = random_state(g, rng)
-            out = apply_coin(psi, coin)
+            out = oracle.apply_coin(psi, coin)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
     def test_block_dimension_mismatch(self, c4, k5):
         with pytest.raises(ValidationError):
-            apply_coin(WaveFunction.localized(k5, 0, 0), CoinSpec.hadamard(c4))
+            oracle.apply_coin(WaveFunction.localized(k5, 0, 0),
+                              CoinSpec.hadamard(c4))
 
 
 class TestApplyShift:
     def test_moving_shift_on_c4(self, c4):
         psi = WaveFunction.localized(c4, 0, 0)
-        out = apply_shift(psi, ShiftSpec.moving(c4))
+        out = oracle.apply_shift(psi, ShiftSpec.moving(c4))
         assert out.amplitudes[c4.basis_index(1, 0)] == 1.0
 
     def test_moving_shift_cycles_back_after_n_steps(self):
@@ -154,18 +153,18 @@ class TestApplyShift:
         shift = ShiftSpec.moving(g)
         psi = WaveFunction.localized(g, 0, 0)
         for _ in range(4):
-            psi = apply_shift(psi, shift)
+            psi = oracle.apply_shift(psi, shift)
         assert psi.amplitudes[g.basis_index(0, 0)] == 1.0
 
     def test_flip_flop_is_involution(self, torus44, rng):
         shift = ShiftSpec.flip_flop(torus44)
         psi = random_state(torus44, rng)
-        out = apply_shift(apply_shift(psi, shift), shift)
+        out = oracle.apply_shift(oracle.apply_shift(psi, shift), shift)
         assert np.allclose(out.amplitudes, psi.amplitudes, atol=0)
 
     def test_norm_preserved(self, torus44, rng):
         psi = random_state(torus44, rng)
-        out = apply_shift(psi, ShiftSpec.moving(torus44))
+        out = oracle.apply_shift(psi, ShiftSpec.moving(torus44))
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
     def test_moving_rejected_on_incompatible_port_order(self, c4_sorted):
@@ -272,6 +271,49 @@ class TestStep:
         monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 48 * 64 - 1)
         with pytest.raises(ResourceLimitError, match="two state buffers"):
             next(evolve(psi, coin, shift, 2))
+
+    def test_the_walk_loop_is_charged_for_its_two_buffers_alone(
+            self, monkeypatch):
+        # 40 bytes a state: the loop's two state buffers (32) fit, and so
+        # does the matrix build on a localized start; evolve's two arrays
+        # of masses over the whole space (48 in all) do not
+        g = torus_graph((30, 30))
+        psi = WaveFunction.localized(g, 435, 2)
+        coin, shift = CoinSpec.grover(g), ShiftSpec.flip_flop(g)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 40 * g.basis_dim)
+        assert len(build_sequence(g, coin, shift, psi, 5).matrices) == 5
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("buffer allocated before the budget check")
+        monkeypatch.setattr(np, "empty_like", allocate)
+        with pytest.raises(ResourceLimitError, match="two mass arrays"):
+            next(evolve(psi, coin, shift, 5))
+
+    @pytest.mark.parametrize("walkers", [1, 2])
+    def test_the_support_counts_any_nonzero_part(self, walkers):
+        # an imaginary-only amplitude is in psi(0)'s support, a zero with
+        # a -0.0 real part is not: the box is the one of the complex
+        # compare, and every mass and rho(t) those of the whole-space step
+        g = torus_graph((6, 6))
+        space = ProductGraph(g, walkers)
+        amps = np.zeros(space.basis_dim, np.complex128)
+        amps[[3, 40, 77]] = [0.6j, complex(-0.0, -0.6), complex(0.5, -0.0)]
+        amps[[5, 90, 130]] = complex(-0.0, 0.0)
+        amps.view(np.float64)[:] /= np.linalg.norm(amps)  # keeps each -0.0
+        psi = WaveFunction(space, amps)
+        assert np.signbit(psi.amplitudes.real[[5, 40, 90, 130]]).all()
+        box = walk._workspace(psi, cone=True)[0]
+        expect = walk._Box(space, psi.amplitudes != 0)
+        assert [(a.verts.tolist(), a.size) for a in box.axes] \
+            == [(a.verts.tolist(), a.size) for a in expect.axes]
+        assert box.axes[0].size < g.basis_dim
+        coin, shift = CoinSpec.hadamard(g), ShiftSpec.flip_flop(g)
+        for t, (masses, rho) in enumerate(evolve(psi, coin, shift, 3)):
+            if t:
+                psi = step(psi, coin, shift, t=t - 1)
+            assert masses.tobytes() \
+                == (np.abs(psi.amplitudes) ** 2).tobytes()
+            assert rho.tobytes() == vertex_distribution(psi).tobytes()
 
     def test_evolve_runs_in_two_state_buffers(self, torus1010):
         # the two-walker benchmark's walk: its loop holds two buffers, the
@@ -414,7 +456,7 @@ class TestDenseOracle:
                    for j in range(int(offs[v2]), int(offs[v2 + 1]))]
             u[np.ix_(idx, idx)] = block
         psi = random_state(c4, rng, walkers=2)
-        got = apply_interaction(psi, inter)
+        got = oracle.apply_interaction(psi, inter)
         assert np.max(np.abs(got.amplitudes - u @ psi.amplitudes)) < 1e-12
 
 
@@ -428,7 +470,7 @@ class TestInteractionLocality:
         for i in range(dim * dim):
             amps = np.zeros(dim * dim, dtype=np.complex128)
             amps[i] = 1.0
-            out = apply_interaction(WaveFunction(pg, amps), inter)
+            out = oracle.apply_interaction(WaveFunction(pg, amps), inter)
             src = (c4.vertex_of_basis[i // dim], c4.vertex_of_basis[i % dim])
             for j in np.flatnonzero(np.abs(out.amplitudes) > 1e-14):
                 tgt = (c4.vertex_of_basis[j // dim],
@@ -445,7 +487,7 @@ class TestInteractionLocality:
             inter = InteractionSpec.coincidence_phase(
                 ProductGraph(g, walkers), rng.uniform(-np.pi, np.pi))
             psi = random_state(g, rng, walkers=walkers)
-            got = apply_interaction(psi, inter).amplitudes
+            got = oracle.apply_interaction(psi, inter).amplitudes
             assert np.array_equal(got, oracle.reference_interaction(psi, inter))
 
     @pytest.mark.parametrize("walkers", [2, 3])
@@ -458,7 +500,7 @@ class TestInteractionLocality:
             inter = InteractionSpec.coincidence_phase(
                 ProductGraph(g, walkers), rng.uniform(-np.pi, np.pi))
             psi = random_state(g, rng, walkers=walkers)
-            got = apply_interaction(psi, inter).amplitudes
+            got = oracle.apply_interaction(psi, inter).amplitudes
             assert np.allclose(got, oracle.reference_interaction(psi, inter),
                                rtol=1e-15, atol=0.0)
 
