@@ -18,7 +18,10 @@ P(t) stores only its ratio columns, the states with rho(u, t) above
 the graph alone, and :meth:`TransitionMatrix.find` makes it for the
 readers that need it (``column``, ``entry``, ``apply`` and the
 sampler). So every state has a column. The store and the text export
-hold the ratio columns only.
+hold the ratio columns only. A sequence holds those of all steps end to
+end, in the store's layout (:class:`TransitionMatrixSeq`), checks them
+once, and measures the theorem properties in one pass over them
+(:func:`verify_theorem_properties`).
 
 One walk step (a block-diagonal coin, then a basis permutation) costs
 time linear in the state dimension for bounded degree, and emitting one
@@ -30,6 +33,7 @@ as one 2-d block per tuple of the walkers' degrees
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -122,6 +126,18 @@ class TransitionMatrix:
                 "or non-finite values"
             )
 
+    @classmethod
+    def _view(cls, time: int, graph: ProductGraph, col_ids: np.ndarray,
+              indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+              column_sum_error: float) -> TransitionMatrix:
+        """P(t) over read-only arrays that a :class:`TransitionMatrixSeq`
+        has checked, made without checking them again."""
+        mat = object.__new__(cls)
+        vars(mat).update(time=time, graph=graph, col_ids=col_ids,
+                         indptr=indptr, indices=indices, data=data,
+                         column_sum_error=column_sum_error)
+        return mat
+
     @property
     def num_states(self) -> int:
         return self.graph.num_states
@@ -148,33 +164,11 @@ class TransitionMatrix:
         missing = np.zeros(pg.num_states, dtype=bool)
         missing[states[~found]] = True
         new = np.flatnonzero(missing)
-        degrees = pg.out_degrees(new)
-        size = int(degrees.sum()) + self.data.size
-        check_budget(_arc_bytes(pg.num_walkers) * size,
-                     f"the {size} entries of P({self.time}) with {new.size} "
-                     "uniform columns")
-        # the merged columns ascend by id: each new column lands after the
-        # stored ones below it, and the entries follow their columns
-        is_new = np.zeros(self.col_ids.size + new.size, dtype=bool)
-        is_new[np.arange(new.size) + np.searchsorted(self.col_ids, new)] = True
-        ids = np.empty(is_new.size, dtype=np.int64)
-        lengths = np.empty_like(ids)
-        ids[is_new], ids[~is_new] = new, self.col_ids
-        lengths[is_new], lengths[~is_new] = degrees, np.diff(self.indptr)
-        indptr = np.zeros(ids.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        entry_is_new = np.repeat(is_new, lengths)
-        targets = np.empty(size, dtype=np.int64)
-        (heads,) = _csc_order([(rows, block) for rows, _, block
-                               in pg.arc_blocks(new)], degrees)
-        targets[entry_is_new] = heads
-        targets[~entry_is_new] = self.indices
-        probs = np.empty(size)
-        probs[entry_is_new] = np.repeat(1.0 / degrees, degrees)
-        probs[~entry_is_new] = self.data
         # read-only arrays are kept by the constructor, not copied
         mat = TransitionMatrix(
-            self.time, pg, *map(_readonly, (ids, indptr, targets, probs)),
+            self.time, pg, *map(_readonly, _with_uniform(
+                pg, self.col_ids, self.indptr, self.indices, self.data,
+                new, new, f"P({self.time})")),
             column_sum_error=self.column_sum_error)
         return mat, np.searchsorted(mat.col_ids, states)
 
@@ -260,21 +254,63 @@ class TransitionMatrix:
                            minlength=self.num_states)
 
 
-@dataclass
 class TransitionMatrixSeq:
     """Matrices P(0..T-1) with the distribution sequence rho(0..T) over
-    the states of ``graph``, a port graph being one walker on it. Each
-    rho(t) must be a distribution: finite, non-negative, and summing to 1
-    within :data:`~qrwalk.walk.NORM_ATOL`."""
+    the states of ``graph``, a port graph being one walker on it, held in
+    the layout of the store (:func:`~qrwalk.persist.save_sequence`).
 
-    matrices: list[TransitionMatrix]
-    rho: np.ndarray  # (T+1, num_states)
-    graph: ProductGraph
+    The CSC arrays of the stored (ratio) columns of all steps lie end to
+    end: P(t) owns the columns ``step_ptr[t]`` to ``step_ptr[t + 1] - 1``,
+    column j has the id ``col_ids[j]`` and the entries ``indptr[j]`` to
+    ``indptr[j + 1] - 1`` of ``indices`` and ``data``, and ``indptr``
+    spans all steps. The arrays are read-only, and they are checked once,
+    one pass per check over all steps, for what :class:`TransitionMatrix`
+    checks of each P(t): ids ascending within each step (they may fall
+    where a step begins), no empty column, no stored zero or non-finite
+    value, and every id in range. A failure names the first failing
+    P(t). Each rho(t) must be a distribution: finite, non-negative, and
+    summing to 1 within :data:`~qrwalk.walk.NORM_ATOL`.
 
-    def __post_init__(self) -> None:
-        self.graph = ProductGraph.of(self.graph)
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        shape = (len(self.matrices) + 1, self.graph.num_states)
+    ``TransitionMatrixSeq(matrices, rho, graph)`` joins a list of P(t)
+    once; :meth:`from_arrays` takes the arrays as they are.
+    :attr:`matrices` views each step's slices as a
+    :class:`TransitionMatrix`, made on first use and not checked again.
+    """
+
+    def __init__(self, matrices: Sequence[TransitionMatrix], rho,
+                 graph: PortGraph | ProductGraph) -> None:
+        graph = ProductGraph.of(graph)
+        if any(m.graph != graph for m in matrices):
+            raise ValidationError("the matrices live on a different graph")
+        self._hold(rho, graph, *_joined(
+            [(m.col_ids, m.indptr, m.indices, m.data) for m in matrices]),
+            column_sum_errors=[m.column_sum_error for m in matrices])
+
+    @classmethod
+    def from_arrays(cls, rho, graph: PortGraph | ProductGraph,
+                    step_ptr, col_ids, indptr, indices, data,
+                    column_sum_errors: Sequence[float] | None = None
+                    ) -> TransitionMatrixSeq:
+        """The sequence of the store's arrays, kept as they are when they
+        have the right types (read-only from then on), else copied. Each
+        P(t) of :attr:`matrices` reports ``column_sum_errors[t]`` (0.0
+        without them)."""
+        seq = cls.__new__(cls)
+        seq._hold(rho, ProductGraph.of(graph), step_ptr, col_ids, indptr,
+                  indices, data, column_sum_errors=column_sum_errors)
+        return seq
+
+    def _hold(self, rho, graph: ProductGraph, *arrays,
+              column_sum_errors) -> None:
+        self.graph = graph
+        (self.step_ptr, self.col_ids, self.indptr, self.indices,
+         self.data) = arrays = [
+            _readonly(np.array(a, dtype=dtype, ndmin=1, copy=None))
+            for a, dtype in zip(arrays, [np.int64] * 4 + [np.float64])]
+        _check_columns(*arrays, graph.num_states)
+        self._sum_errors = column_sum_errors or [0.0] * self.num_steps
+        self.rho = np.asarray(rho, dtype=np.float64)
+        shape = (self.num_steps + 1, graph.num_states)
         if self.rho.shape != shape:
             raise ValidationError(
                 f"rho has shape {self.rho.shape}, expected {shape}")
@@ -287,12 +323,24 @@ class TransitionMatrixSeq:
         if abs(sums[t] - 1.0) > NORM_ATOL:
             raise ValidationError(f"rho({t}) sums to {float(sums[t])!r}, "
                                   f"not 1 within {NORM_ATOL}")
-        if any(m.graph != self.graph for m in self.matrices):
-            raise ValidationError("the matrices live on a different graph")
+
+    @cached_property
+    def matrices(self) -> tuple[TransitionMatrix, ...]:
+        """P(0..T-1), each a view of its step's slices of the checked
+        arrays; only ``indptr`` is rebased to start at 0."""
+        cut, ptr = self.step_ptr.tolist(), self.indptr
+        views = []
+        for t, (lo, hi) in enumerate(zip(cut[:-1], cut[1:])):
+            a, b = int(ptr[lo]), int(ptr[hi])
+            views.append(TransitionMatrix._view(
+                t, self.graph, self.col_ids[lo:hi],
+                _readonly(ptr[lo:hi + 1] - a), self.indices[a:b],
+                self.data[a:b], self._sum_errors[t]))
+        return tuple(views)
 
     @property
     def num_steps(self) -> int:
-        return len(self.matrices)
+        return self.step_ptr.size - 1
 
     @property
     def num_states(self) -> int:
@@ -305,6 +353,63 @@ class TransitionMatrixSeq:
     @property
     def num_base_vertices(self) -> int:
         return self.graph.base.num_vertices
+
+
+def _joined(steps: Sequence[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    """The arrays ``step_ptr``, ``col_ids``, ``indptr`` (spanning all
+    steps), ``indices`` and ``data`` of the steps' CSC arrays ``(col_ids,
+    indptr, indices, data)``, end to end."""
+    step_ptr = np.cumsum([0] + [ids.size for ids, *_ in steps],
+                         dtype=np.int64)
+    offsets = np.cumsum([0] + [data.size for *_, data in steps],
+                        dtype=np.int64)
+    indptr = np.concatenate([ptr[:-1] + off for (_, ptr, _, _), off
+                             in zip(steps, offsets)] + [offsets[-1:]])
+    ids, _, indices, data = (
+        np.concatenate([np.empty(0, dtype)] + [step[i] for step in steps])
+        for i, dtype in enumerate([np.int64] * 3 + [np.float64]))
+    return [step_ptr, ids, indptr, indices, data]
+
+
+def _check_columns(step_ptr: np.ndarray, col_ids: np.ndarray,
+                   indptr: np.ndarray, indices: np.ndarray,
+                   data: np.ndarray, num_states: int) -> None:
+    """Raise :class:`ValidationError` unless the joined CSC arrays of a
+    :class:`TransitionMatrixSeq` split into steps and each step passes the
+    checks of :class:`TransitionMatrix`; the error names the first P(t)
+    that fails them. Each check is one pass over all steps; only a
+    failure looks for its step."""
+    cols = col_ids.size
+    if not (step_ptr.size and step_ptr[0] == 0
+            and (np.diff(step_ptr) >= 0).all() and step_ptr[-1] == cols
+            and indptr.size == cols + 1 and indptr[0] == 0
+            and indptr[-1] == indices.size == data.size):
+        raise ValidationError("inconsistent step offsets")
+    # ids may fall where a step begins: each pair of ids across a step
+    # boundary, inside the columns, counts as rising
+    rises = np.diff(col_ids) > 0
+    rises[step_ptr[(step_ptr > 0) & (step_ptr < cols)] - 1] = True
+    lengths = np.diff(indptr)
+    in_range = [a.size == 0 or (a.min() >= 0 and a.max() < num_states)
+                for a in (col_ids, indices)]
+    if (all(in_range) and rises.all() and (lengths > 0).all()
+            and (data != 0.0).all() and np.isfinite(data).all()):
+        return
+    steps = step_ptr.size - 1
+    bad = (lengths <= 0) | (col_ids < 0) | (col_ids >= num_states)
+    bad[1:] |= ~rises
+    t = int(np.searchsorted(step_ptr, bad.argmax(), "right")) - 1 \
+        if bad.any() else steps
+    # the entries of the steps before t follow their columns' lengths
+    bad = (indices < 0) | (indices >= num_states) | (data == 0.0) \
+        | ~np.isfinite(data)
+    e = int(bad.argmax()) if bad.any() else indices.size
+    if e < (indices.size if t == steps else indptr[step_ptr[t]]):
+        t = int(np.searchsorted(indptr[step_ptr[:t + 1]], e, "right")) - 1
+    raise ValidationError(
+        f"P({t}) is not a CSC matrix over {num_states} states with "
+        "ascending column ids, no empty columns and no stored zeros or "
+        "non-finite values")
 
 
 @dataclass
@@ -368,7 +473,7 @@ def _length_blocks(indptr: np.ndarray):
     Reducing a block along its rows rounds each row exactly like the
     column on its own."""
     lengths = np.diff(indptr)
-    for length in np.unique(lengths[lengths > 0]):
+    for length in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
         cols = np.flatnonzero(lengths == length)
         yield cols, indptr[cols, None] + np.arange(length)
 
@@ -403,6 +508,42 @@ def _csc_order(blocks, lengths: np.ndarray) -> list[np.ndarray]:
         for whole, block in zip(out, arrays):
             whole[at] = block
     return out
+
+
+def _with_uniform(pg: ProductGraph, keys: np.ndarray, indptr: np.ndarray,
+                  indices: np.ndarray, data: np.ndarray, new: np.ndarray,
+                  states: np.ndarray, name: str) -> list[np.ndarray]:
+    """The CSC arrays ``(keys, indptr, indices, data)`` of stored columns
+    under the ascending ``keys``, with the uniform columns of ``states``
+    merged in under the ascending keys ``new``, none of them stored: the
+    targets of each in ascending joint index, each with the value ``1.0 /
+    d``. The entries, of the matrices ``name`` names, are checked against
+    the memory budget (:func:`~qrwalk.walk.check_budget`) first."""
+    degrees = pg.out_degrees(states)
+    size = int(degrees.sum()) + data.size
+    check_budget(_arc_bytes(pg.num_walkers) * size,
+                 f"the {size} entries of {name} with {new.size} uniform "
+                 "columns")
+    # the merged columns ascend by key: each new column lands after the
+    # stored ones below it, and the entries follow their columns
+    is_new = np.zeros(keys.size + new.size, dtype=bool)
+    is_new[np.arange(new.size) + np.searchsorted(keys, new)] = True
+    ids = np.empty(is_new.size, dtype=np.int64)
+    lengths = np.empty_like(ids)
+    ids[is_new], ids[~is_new] = new, keys
+    lengths[is_new], lengths[~is_new] = degrees, np.diff(indptr)
+    merged = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=merged[1:])
+    entry_is_new = np.repeat(is_new, lengths)
+    targets = np.empty(size, dtype=np.int64)
+    (heads,) = _csc_order([(rows, block) for rows, _, block
+                           in pg.arc_blocks(states)], degrees)
+    targets[entry_is_new] = heads
+    targets[~entry_is_new] = indices
+    probs = np.empty(size)
+    probs[entry_is_new] = np.repeat(1.0 / degrees, degrees)
+    probs[~entry_is_new] = data
+    return [ids, merged, targets, probs]
 
 
 def _arc_bytes(num_walkers: int) -> int:
@@ -458,6 +599,18 @@ def matrix_from_masses(
     The arc-wise arrays are checked against the memory budget
     (:func:`~qrwalk.walk.check_budget`) before they are allocated.
     """
+    arrays, error = _ratio_columns(pg, shifts, rho_t, p_next, time, axes)
+    return TransitionMatrix(time, pg, *map(_readonly, arrays),
+                            column_sum_error=error)
+
+
+def _ratio_columns(pg: ProductGraph, shifts, rho_t: np.ndarray,
+                   p_next: np.ndarray, time: int, axes: Sequence | None
+                   ) -> tuple[list[np.ndarray], float]:
+    """The CSC arrays ``(col_ids, indptr, indices, data)`` of
+    :func:`matrix_from_masses` and its ``column_sum_error``, not yet
+    checked as a :class:`TransitionMatrix`: :func:`build_sequence` checks
+    all steps' arrays once, joined."""
     shifts = _per_walker(shifts, pg, time, "shift")
     if axes is None:
         axes, shape = [None] * pg.num_walkers, pg.basis_shape
@@ -500,9 +653,7 @@ def matrix_from_masses(
         targets, probs = targets[keep], probs[keep]
     indptr = np.zeros(cols.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return TransitionMatrix(
-        time, pg, *map(_readonly, (cols, indptr, targets, probs)),
-        column_sum_error=float(dev.max(initial=0.0)))
+    return [cols, indptr, targets, probs], float(dev.max(initial=0.0))
 
 
 def build_sequence(
@@ -518,21 +669,29 @@ def build_sequence(
 
     The walk's light-cone loop (:func:`~qrwalk.walk._light_cone`)
     yields the box-local masses of psi(t), the box's axes and rho(t) at
-    each t; P(t) comes from rho(t) and the masses of psi(t + 1), read in
-    the walk's spare buffer before the loop steps on. So no step makes
-    an array over the whole joint basis but the walk's two state
-    buffers."""
+    each t; P(t)'s ratio columns come from rho(t) and the masses of
+    psi(t + 1), read in the walk's spare buffer before the loop steps on.
+    So no step makes an array over the whole joint basis but the walk's
+    two state buffers. Once the loop has ended and its buffers are gone,
+    the steps' columns are joined into the sequence's arrays and checked
+    once (:class:`TransitionMatrixSeq`)."""
     pg = psi0.graph
     if ProductGraph.of(graph) != pg:
         raise ValidationError("graph does not match psi0")
-    rhos, matrices = [], []
+    rhos, columns, errors = [], [], []
     for t, (masses, axes, rho) in enumerate(
             _light_cone(psi0, coin, shift, horizon, interaction)):
         if t:
-            matrices.append(matrix_from_masses(pg, shift, rhos[-1], masses,
-                                               time=t - 1, axes=axes))
+            arrays, error = _ratio_columns(pg, shift, rhos[-1], masses,
+                                           t - 1, axes)
+            columns.append(arrays)
+            errors.append(error)
         rhos.append(rho)
-    return TransitionMatrixSeq(matrices, np.stack(rhos), pg)
+    masses = axes = None  # the last view of the walk's buffers
+    joined = _joined(columns)
+    columns.clear()  # one copy of P(t) from here on
+    return TransitionMatrixSeq.from_arrays(np.stack(rhos), pg, *joined,
+                                           column_sum_errors=errors)
 
 
 def verify_theorem_properties(
@@ -543,22 +702,62 @@ def verify_theorem_properties(
     Reports worst-case residuals only and never raises. The builders
     check every column as they make it, so a sequence that fails here
     comes from a damaged store or a hand-built matrix.
+
+    Each property is one pass over the sequence's joined arrays: the
+    entry violation from the largest and the smallest entry, the column
+    sums by :func:`_column_sums`, and the residuals of all steps by
+    :func:`_residuals`. Each value has the bits a step-by-step pass gives
+    (``P(t) rho(t)`` by :meth:`TransitionMatrix.apply`).
     """
-    report = PropertyReport(num_steps=seq.num_steps, tolerance=tolerance)
-    for t, mat in enumerate(seq.matrices):
+    data = seq.data
+    report = PropertyReport(num_steps=seq.num_steps, tolerance=tolerance,
+                            columns_checked=int(seq.col_ids.size))
+    if data.size:
+        # subtracting 1 is monotone, so the largest x - 1 is max(x) - 1
         report.max_entry_violation = max(
-            report.max_entry_violation,
-            float(np.max(np.maximum(mat.data - 1.0, -mat.data), initial=0.0)),
-        )
-        report.max_column_sum_deviation = max(
-            report.max_column_sum_deviation,
-            float(np.max(np.abs(_column_sums(mat.indptr, mat.data) - 1.0),
-                         initial=0.0)),
-        )
-        report.columns_checked += int(mat.col_ids.size)
-        residual = mat.apply(seq.rho[t]) - seq.rho[t + 1]
-        report.max_propagation_residual = max(
-            report.max_propagation_residual,
-            float(np.max(np.abs(residual))) if residual.size else 0.0,
-        )
+            0.0, float(data.max()) - 1.0, -float(data.min()))
+        report.max_column_sum_deviation = float(np.abs(
+            _column_sums(seq.indptr, data) - 1.0).max())
+    if seq.num_steps:
+        residuals = _residuals(seq)
+        report.max_propagation_residual = float(
+            np.abs(residuals, out=residuals).max())
     return report
+
+
+def _residuals(seq: TransitionMatrixSeq) -> np.ndarray:
+    """``P(t) rho(t) - rho(t + 1)`` for every t, as one (T * S) array, by
+    one ``np.bincount`` over (t, target) keys: each sum adds the entries
+    of its step in the order :meth:`TransitionMatrix.apply` does, from
+    the sources with mass above :data:`ZERO_PROB` only. A source with mass
+    and no stored column moves uniformly; its column is merged in column
+    order (:func:`_with_uniform`), as :meth:`TransitionMatrix.find` merges
+    it. The sums, the mask of the sources with mass and the per-entry
+    keys and weights are checked against the memory budget
+    (:func:`~qrwalk.walk.check_budget`) first."""
+    steps, states = seq.num_steps, seq.num_states
+    check_budget(9 * steps * states + 24 * seq.data.size,
+                 f"the propagation residuals of {steps} steps over "
+                 f"{states} states")
+    rho = seq.rho.reshape(-1)
+    keys = np.repeat(np.arange(steps) * states, np.diff(seq.step_ptr)) \
+        + seq.col_ids
+    indptr, indices, data = seq.indptr, seq.indices, seq.data
+    live = np.flatnonzero(rho[:steps * states] > ZERO_PROB)
+    pos = np.searchsorted(keys, live)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == live[found]
+    if not found.all():
+        new = live[~found]
+        keys, indptr, indices, data = _with_uniform(
+            seq.graph, keys, indptr, indices, data, new, new % states,
+            f"P(0..{steps - 1})")
+    mass = rho[keys]
+    lengths = np.diff(indptr)
+    weights = np.repeat(np.where(mass > ZERO_PROB, mass, 0.0), lengths)
+    weights *= data
+    targets = np.repeat(keys - keys % states, lengths)
+    targets += indices
+    sums = np.bincount(targets, weights=weights, minlength=steps * states)
+    sums -= rho[states:]
+    return sums

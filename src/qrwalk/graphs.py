@@ -174,7 +174,7 @@ class PortGraph:
     def degree_classes(self) -> dict[int, np.ndarray]:
         """``{d: the vertices of degree d}``, both in ascending order."""
         return {int(d): _readonly(np.flatnonzero(self.degrees == d))
-                for d in np.unique(self.degrees)}
+                for d in np.flatnonzero(np.bincount(self.degrees))}
 
     @cached_property
     def class_order(self) -> tuple[np.ndarray, np.ndarray]:

@@ -112,19 +112,29 @@ _M32, _M63 = np.uint64(2**32 - 1), np.uint64(2**63 - 1)
 _U32, _U63 = np.uint64(32), np.uint64(63)
 
 
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of each 128-bit product ``a * b``, from 32-bit
-    limbs."""
-    a1, a0, b1, b0 = a >> _U32, a & _M32, b >> _U32, b & _M32
+def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and the low 32 bits of each of ``x`` (uint64)."""
+    return x >> _U32, x & _M32
+
+
+def _mulhi(a: tuple[np.ndarray, np.ndarray],
+           b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The high 64 bits of each 128-bit product of two factors given as
+    their 32-bit limbs (:func:`_limbs`)."""
+    (a1, a0), (b1, b0) = a, b
     lh, hl = a0 * b1, a1 * b0
     mid = (a0 * b0 >> _U32) + (lh & _M32) + (hl & _M32)
     return a1 * b1 + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
 
 
 def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """Schubfach's round-to-odd product ``g * cp / 2**127``."""
-    z = (g1 * cp >> np.uint64(1)) + _mulhi(g0, cp)
-    return (_mulhi(g1, cp) + (z >> _U63)) | ((z & _M63) + _M63) >> _U63
+    """Schubfach's round-to-odd products ``g * cp / 2**127`` of each row
+    of ``cp`` (k, n) with the n values ``g``; each factor is split into
+    limbs once for all rows."""
+    c = _limbs(cp)
+    z = (g1 * cp >> np.uint64(1)) + _mulhi(_limbs(g0), c)
+    return (_mulhi(_limbs(g1), c) + (z >> _U63)) \
+        | ((z & _M63) + _M63) >> _U63
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,9 +152,9 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = (q * 661971961083 - narrow * 274743187321) >> 41
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
     g1, g0 = _G1[k + 324], _G0[k + 324]
-    vb = _rop(g1, g0, cb << h)
-    vbl = _rop(g1, g0, (cb - np.uint64(2) + narrow) << h)
-    vbr = _rop(g1, g0, (cb + np.uint64(2)) << h)
+    # the value and the two ends of its rounding interval, in one pass
+    vb, vbl, vbr = _rop(g1, g0, np.stack(
+        [cb, cb - np.uint64(2) + narrow, cb + np.uint64(2)]) << h)
     s = vb >> np.uint64(2)
     t = s + np.uint64(1)
     # one digit fewer: the multiple of 10 inside the rounding interval

@@ -8,7 +8,12 @@ hash, which :func:`write_table` stamps as their ``manifest`` metadata.
 Floats use shortest round-trip formatting and all row orders are
 canonical, so re-running a manifest reproduces files byte for byte.
 
-A sequence is read back only from its array store ``sequence.npz``. The
+A sequence is read back only from its array store ``sequence.npz``,
+whose members are the arrays a
+:class:`~qrwalk.equivalence.TransitionMatrixSeq` holds: the CSC arrays of
+the ratio columns of all steps end to end, and the step offsets. So the
+writer saves them as they are, and the reader hands them to the
+sequence, which checks them once, all steps in one pass per check. The
 tables are the human-readable export: CSV (default, with ``# key=value``
 comment lines for metadata) or an equivalent JSON document. The
 ``p_matrix`` table renders the store, so it lists the ratio columns of
@@ -69,7 +74,6 @@ from .coins import UNITARY_ATOL
 from .equivalence import (
     COLUMN_SUM_ERROR,
     ZERO_PROB,
-    TransitionMatrix,
     TransitionMatrixSeq,
 )
 from .errors import ConfigError, ValidationError
@@ -606,13 +610,6 @@ def _table_meta(states: int, walkers: int, base: int) -> dict:
     return {"states": states, "walkers": walkers, "base": base}
 
 
-def _joined(mats: Sequence[TransitionMatrix], name: str,
-            dtype=np.int64) -> np.ndarray:
-    """The ``name`` arrays of all matrices, end to end."""
-    return np.concatenate([np.empty(0, dtype)]
-                          + [getattr(m, name) for m in mats])
-
-
 def _runs(size: int, counts) -> CodedColumn:
     """Each of ``0 .. size - 1`` in turn, ``i`` repeated ``counts[i]``
     times (or ``counts`` times, for a scalar)."""
@@ -725,27 +722,20 @@ def save_sequence(out_dir: str | Path, seq: TransitionMatrixSeq,
     """Write the store ``sequence.npz`` that :func:`load_sequence` reads,
     then export the ``p_matrix`` and ``rho`` tables and return their paths.
 
-    The store holds ``rho``, the CSC arrays of the stored (ratio) columns
-    of all steps end to end (P(t) owns ``col_ids[step_ptr[t]:step_ptr[t +
-    1]]``; ``indptr`` spans all steps), the walker count, the base graph's
-    ``port_offsets`` and ``heads``, which fix the uniform columns, and
-    ``manifest_sha`` (an empty string without one). The ``p_matrix``
+    The store's members are the sequence's own arrays, written as they
+    are: ``rho``, the CSC arrays of the stored (ratio) columns of all
+    steps end to end (P(t) owns ``col_ids[step_ptr[t]:step_ptr[t + 1]]``;
+    ``indptr`` spans all steps), and with them the walker count, the base
+    graph's ``port_offsets`` and ``heads``, which fix the uniform columns,
+    and ``manifest_sha`` (an empty string without one). The ``p_matrix``
     table renders the same arrays (:func:`matrix_table`): ratio columns
     only; the ``rho`` table lists the non-zero masses (:func:`rho_table`).
     Both tables carry ``manifest_sha`` as their ``manifest`` entry.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mats = seq.matrices
-    step_ptr = np.cumsum([0] + [m.col_ids.size for m in mats])
-    offsets = np.cumsum([0] + [m.data.size for m in mats])
-    indptr = np.concatenate([m.indptr[:-1] + off
-                             for m, off in zip(mats, offsets)]
-                            + [offsets[-1:]])
-    store = dict(rho=seq.rho, step_ptr=step_ptr,
-                 col_ids=_joined(mats, "col_ids"), indptr=indptr,
-                 indices=_joined(mats, "indices"),
-                 data=_joined(mats, "data", np.float64),
+    store = dict(rho=seq.rho, step_ptr=seq.step_ptr, col_ids=seq.col_ids,
+                 indptr=seq.indptr, indices=seq.indices, data=seq.data,
                  num_walkers=np.int64(seq.num_walkers),
                  port_offsets=seq.graph.base.port_offsets,
                  heads=seq.graph.base.heads,
@@ -782,8 +772,12 @@ def load_sequence(out_dir: str | Path) -> TransitionMatrixSeq:
 
     When the directory holds a ``manifest.json``, the store must record
     that manifest's hash. The graph is rebuilt through the checking
-    :class:`~qrwalk.graphs.PortGraph` constructor, and every P(t) and rho
-    are validated over it. A store without the graph is refused.
+    :class:`~qrwalk.graphs.PortGraph` constructor. The store's arrays
+    become the sequence's, not copied, and the sequence checks them over
+    that graph once, all steps in one pass per check (every P(t) and
+    rho); its :attr:`~qrwalk.equivalence.TransitionMatrixSeq.matrices` are
+    views of them. A store without the graph, or whose arrays fail a
+    check, is refused.
     """
     return _load_run(out_dir)[0]
 
@@ -810,28 +804,13 @@ def _load_run(out_dir: str | Path
                     f"runs: manifest hashes {digest or None!r} and "
                     f"{expected!r}"
                 )
-    step_ptr, col_ids, indptr = m["step_ptr"], m["col_ids"], m["indptr"]
-    if not (step_ptr.size and step_ptr[0] == 0
-            and np.all(np.diff(step_ptr) >= 0)
-            and step_ptr[-1] == col_ids.size
-            and indptr.size == col_ids.size + 1 and indptr[0] == 0
-            and indptr[-1] == m["indices"].size == m["data"].size):
-        raise ValidationError(f"{path} holds inconsistent step offsets")
     try:
         graph = ProductGraph(PortGraph(m["port_offsets"], m["heads"]),
                              int(m["num_walkers"]))
-        # read-only slices of the store are kept by each P(t), not copied
-        indices, data = m["indices"], m["data"]
-        for arr in (col_ids, indices, data):
-            arr.flags.writeable = False
-        matrices = []
-        for t, (lo, hi) in enumerate(zip(step_ptr[:-1], step_ptr[1:])):
-            ptr = indptr[lo:hi + 1] - indptr[lo]
-            ptr.flags.writeable = False
-            matrices.append(TransitionMatrix(
-                t, graph, col_ids[lo:hi], ptr,
-                indices[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]]))
-        return TransitionMatrixSeq(matrices, m["rho"], graph), manifest
+        # the store's arrays are the sequence's, kept, not copied
+        return TransitionMatrixSeq.from_arrays(
+            m["rho"], graph, m["step_ptr"], m["col_ids"], m["indptr"],
+            m["indices"], m["data"]), manifest
     except ValidationError as exc:
         raise ValidationError(f"{path} holds no valid sequence: {exc}") \
             from None

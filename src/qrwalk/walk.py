@@ -417,13 +417,15 @@ class ShiftSpec:
                 f"moving shift undefined: port {int(port[a])} does not "
                 f"exist at vertex {u} (degree {graph.degree(u)})"
             )
-        perm = graph.port_offsets[heads] + port
-        if not _is_permutation(perm):
+        # every arc lands on its head, so the constructor can refuse the
+        # map only as no permutation
+        try:
+            return cls(graph, graph.port_offsets[heads] + port, name="moving")
+        except ValidationError:
             raise ValidationError(
                 "moving shift is not a permutation on this graph/port "
                 "order; use the flip-flop shift or a custom port order"
-            )
-        return cls(graph, perm, name="moving")
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Everything here is built directly from the defining relations (explicit
 dense matrices, brute-force enumeration, multinomial draws) and never
 calls the engine's operator-application code paths. ``reference_step``
-keeps the engine's earlier operator code, which copied the state per
-operator, as the bit-for-bit reference of the in-place walk for named
-coins or one walker (see its docstring). ``apply_coin``, ``apply_shift``
+copies the state per operator and multiplies each coin with the operand
+shapes the engine documents, so it is the bit-for-bit reference of the
+in-place walk for every coin. ``apply_coin``, ``apply_shift``
 and ``apply_interaction`` are no oracles: they run one of the engine's
 kernels alone, for the tests that check one operator at a time.
 """
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from qrwalk import walk
-from qrwalk.equivalence import _arc_bytes
+from qrwalk.equivalence import PropertyReport, _arc_bytes, _column_sums
 from qrwalk.errors import GraphError, ValidationError
 from qrwalk.persist import Table
 
@@ -300,19 +300,60 @@ def reference_coin_block_multiply(spec, amps: np.ndarray) -> np.ndarray:
     return out.reshape(amps.shape)
 
 
+def reference_coin(spec, arr: np.ndarray, axis: int) -> np.ndarray:
+    """The coin ``spec`` on walker ``axis`` of the joint amplitudes
+    ``arr`` (one axis per walker, each in degree-class order: ascending
+    degree, then vertex, then port), with the operand shapes of the
+    walk's products. Each class's ports are one run of the walker's axis,
+    between the ``left`` states of the walkers before it and the
+    ``right`` states of those after it; the columns of a product are
+    those states in that order, and they round by their place in it:
+
+    - walker 0, one walker, and the middle walkers take a batched ``(d x
+      d) @ (d x right)`` product per vertex (and per left state);
+    - the last of several walkers takes a row product, ``rows @
+      block.T``: one ``(left * |V|, d) @ (d, d)`` product when one block
+      serves every vertex (a named coin's zero-stride stack on a regular
+      graph), else one ``(left, d) @ (d, d)`` product per vertex.
+    """
+    left = int(np.prod(arr.shape[:axis], dtype=np.int64))
+    right = int(np.prod(arr.shape[axis + 1:], dtype=np.int64))
+    flat = arr.reshape(left, arr.shape[axis], right)
+    out = np.empty_like(flat)
+    start = 0
+    for d, stack in sorted(spec.stacks.items()):
+        n = stack.shape[0]
+        run = slice(start, start + n * d)
+        start += n * d
+        if right > 1 or left == 1:
+            rows = flat[:, run].reshape(left, n, d, right)
+            out[:, run] = (stack @ rows).reshape(left, n * d, right)
+        elif len(spec.stacks) == 1 and stack.strides[0] == 0:
+            out[:] = (flat.reshape(-1, d) @ stack[0].T).reshape(flat.shape)
+        else:
+            rows = flat[:, run, 0].reshape(left, n, d).transpose(1, 0, 2)
+            out[:, run, 0] = (rows @ stack.transpose(0, 2, 1)) \
+                .transpose(1, 0, 2).reshape(left, n * d)
+    return out.reshape(arr.shape)
+
+
+def class_order(graph) -> np.ndarray:
+    """The basis indices of ``graph`` by degree class: ascending degree,
+    then vertex, then port."""
+    return np.concatenate([
+        (graph.port_offsets[verts, None] + np.arange(d)).ravel()
+        for d, verts in graph.degree_classes.items()])
+
+
 def reference_step(psi, coin, shift, interaction=None, t: int = 0
                    ) -> np.ndarray:
-    """Amplitudes of one step, shift(coin(interaction(psi))), by the
-    operator code the engine ran before its walk ran in place: a copy of
-    the state per operator, each walker's axis moved to the front for its
-    coin, and one outer-indexed gather for the shifts.
-
-    It holds the engine's bits for the named coins (Hadamard, Grover) of
-    any number of walkers, and for any coin of one walker. Random or
-    explicit coins of two or more walkers round otherwise, because the
-    moved axis changes the operands of their products: there it agrees
-    with the engine within 1e-12 only, and a bit-for-bit check must chain
-    the engine's own whole-space kernels instead."""
+    """Amplitudes of one step, shift(coin(interaction(psi))), by operator
+    code independent of the engine's: a copy of the state per operator,
+    each walker's coin by :func:`reference_coin` on the state laid out in
+    degree-class order (:func:`class_order`) on every axis, whose operand
+    shapes are those the engine documents for its products, and one
+    outer-indexed gather for the shifts. It holds the engine's bits for
+    every coin, of any number of walkers."""
     k, dim = psi.num_walkers, psi.base.basis_dim
     shape = (dim,) * k
     arr = psi.amplitudes.reshape(shape).copy()
@@ -330,10 +371,11 @@ def reference_step(psi, coin, shift, interaction=None, t: int = 0
                            for ui in u)
             sub = arr[slices]
             arr[slices] = (block @ sub.reshape(-1)).reshape(sub.shape)
+    order = class_order(psi.base)
+    arr = arr[np.ix_(*[order] * k)]
     for axis, c in enumerate(_resolved(coin, t, k)):
-        moved = np.moveaxis(arr, axis, 0).reshape(dim, -1)
-        arr = np.moveaxis(
-            reference_coin_block_multiply(c, moved).reshape(shape), 0, axis)
+        arr = reference_coin(c, arr, axis)
+    arr = arr[np.ix_(*[np.argsort(order)] * k)]
     arr = arr[np.ix_(*(np.argsort(s.permutation)
                        for s in _resolved(shift, t, k)))]
     return np.ascontiguousarray(arr).reshape(-1)
@@ -519,6 +561,32 @@ def apply_interaction(psi, interaction, t: int = 0):
     box, x, y = walk._workspace(psi)
     walk._interaction_kernel(spec, box, x)
     return box.state(x, y)
+
+
+def reference_properties(seq, tolerance: float = 1e-10):
+    """The report of ``verify_theorem_properties`` measured one P(t) at a
+    time, the way it first did it: per step, the entries' distance from
+    [0, 1], each stored column's sum, and ``P(t) rho(t) - rho(t + 1)``
+    by ``apply``, which merges the uniform column of a source with mass
+    and no stored column."""
+    report = PropertyReport(num_steps=seq.num_steps, tolerance=tolerance)
+    for t, mat in enumerate(seq.matrices):
+        report.max_entry_violation = max(
+            report.max_entry_violation,
+            float(np.max(np.maximum(mat.data - 1.0, -mat.data), initial=0.0)),
+        )
+        report.max_column_sum_deviation = max(
+            report.max_column_sum_deviation,
+            float(np.max(np.abs(_column_sums(mat.indptr, mat.data) - 1.0),
+                         initial=0.0)),
+        )
+        report.columns_checked += int(mat.col_ids.size)
+        residual = mat.apply(seq.rho[t]) - seq.rho[t + 1]
+        report.max_propagation_residual = max(
+            report.max_propagation_residual,
+            float(np.max(np.abs(residual))) if residual.size else 0.0,
+        )
+    return report
 
 
 def reference_apply(mat, rho: np.ndarray, zero_threshold: float

@@ -158,6 +158,7 @@ class TestBuildTransitionMatrix:
 
 #: The arrays a TransitionMatrix holds.
 MATRIX_ARRAYS = ("col_ids", "indptr", "indices", "data")
+SEQ_ARRAYS = ("step_ptr",) + MATRIX_ARRAYS
 
 
 class TestMatrixArrays:
@@ -185,25 +186,32 @@ class TestMatrixArrays:
 
     def test_builders_hand_over_their_arrays_without_a_copy(
             self, c4, tmp_path, monkeypatch):
-        # the arrays each constructor call receives are the ones it keeps
+        # the arrays each constructor call receives are the ones it keeps:
+        # the matrix find makes, and the joined arrays of the built and
+        # the loaded sequence; the views of their steps check nothing
         received = []
-        check = TransitionMatrix.__post_init__
+        check, hold = TransitionMatrix.__post_init__, TransitionMatrixSeq._hold
 
         def spy(mat):
             arrays = {name: getattr(mat, name) for name in MATRIX_ARRAYS}
             check(mat)
             received.append((mat, arrays))
+
+        def spy_hold(seq, rho, graph, *arrays, **kwargs):
+            hold(seq, rho, graph, *arrays, **kwargs)
+            received.append((seq, dict(zip(SEQ_ARRAYS, arrays))))
         monkeypatch.setattr(TransitionMatrix, "__post_init__", spy)
+        monkeypatch.setattr(TransitionMatrixSeq, "_hold", spy_hold)
         pg = ProductGraph(c4, 2)
         coin, shift = hadamard_walk(c4)
         seq = build_sequence(pg, coin, shift,
                              WaveFunction.localized(pg, (0, 1), (0, 1)), 3)
         seq.matrices[0].find(np.arange(pg.num_states))
         save_sequence(tmp_path, seq)
-        load_sequence(tmp_path)
-        assert len(received) == 3 + 1 + 3
-        for mat, arrays in received:
-            assert all(getattr(mat, name) is arr
+        assert len(load_sequence(tmp_path).matrices) == 3
+        assert len(received) == 1 + 1 + 1
+        for obj, arrays in received:
+            assert all(getattr(obj, name) is arr
                        for name, arr in arrays.items())
 
 
@@ -267,13 +275,13 @@ class TestBuildSequence:
         # each P(t) gets a view of the walk's spare buffer, shaped as the
         # box of the axes it comes with, smaller than the joint basis
         g, coin, shift, psi = self.torus_walk()
-        seen, build = [], equivalence.matrix_from_masses
+        seen, build = [], equivalence._ratio_columns
 
-        def spy(pg, shifts, rho_t, p_next, time=0, axes=None):
+        def spy(pg, shifts, rho_t, p_next, time, axes):
             seen.append((p_next.shape, p_next.flags.owndata,
                          tuple(a.size for a in axes)))
             return build(pg, shifts, rho_t, p_next, time, axes)
-        monkeypatch.setattr(equivalence, "matrix_from_masses", spy)
+        monkeypatch.setattr(equivalence, "_ratio_columns", spy)
         build_sequence(g, coin, shift, psi, 4)
         assert len(seen) == 4
         for shape, owned, sizes in seen:

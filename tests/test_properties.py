@@ -28,6 +28,7 @@ from qrwalk import (
     InteractionSpec,
     PortGraph,
     ProductGraph,
+    ResourceLimitError,
     ShiftSpec,
     TrajectoryEnsemble,
     TransitionMatrix,
@@ -789,14 +790,18 @@ def scheduled_walk(rng, walkers: int, regular: bool, named: bool,
                    max_dim: int) -> tuple:
     """Coins, shifts and an interaction drawn per walker and over time,
     and a random state, on a small graph. ``named`` keeps to the Hadamard,
-    Grover and identity coins."""
+    Grover and identity coins; else random unitary and explicit blocks
+    are drawn too."""
     g = small_graph(rng, regular, max_dim)
     space = ProductGraph(g, walkers)
 
     def coin():
-        kind = int(rng.integers(4))
+        kind = int(rng.integers(5))
         if kind == 3:
             return CoinSpec.identity(g)
+        if kind == 4 and not named:
+            return CoinSpec.from_blocks(g, [
+                random_unitary_coin(int(d), rng) for d in g.degrees])
         return random_coin(g, rng, min(kind, 1) if named else kind)
     coin = per_walker_or_shared(rng, walkers, coin)
     shift = per_walker_or_shared(
@@ -826,18 +831,19 @@ def test_evolve_matches_the_dense_step_operator(seed, walkers, regular):
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]),
-       regular=st.booleans())
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]),
+       regular=st.booleans(), named=st.booleans())
 def test_evolve_keeps_the_bits_of_the_reference_step(seed, walkers,
-                                                     regular):
-    """With the named coins, up to two walkers, the in-place walk gives
-    the bits of the operator code that copied the state per operator.
-    ``reference_step`` holds those bits for named coins or one walker
-    only; random or explicit coins of several walkers agree within 1e-12
-    (``test_evolve_matches_the_dense_step_operator``)."""
+                                                     regular, named):
+    """The in-place walk gives the bits of ``reference_step``, the
+    operator code that copies the state per operator and makes each
+    coin's products with the operand shapes the engine documents: for
+    named, random and explicit coins of one to three walkers, on regular
+    and irregular graphs."""
     rng = np.random.default_rng(seed)
     coin, shift, interaction, psi = scheduled_walk(
-        rng, walkers, regular, named=True, max_dim=(200, 40)[walkers - 1])
+        rng, walkers, regular, named=named,
+        max_dim=(200, 40, 12)[walkers - 1])
     ref = psi
     for t, (masses, _) in enumerate(evolve(psi, coin, shift, 3,
                                            interaction)):
@@ -890,22 +896,18 @@ def cone_walk(rng, walkers: int, regular: bool) -> tuple:
     """Coins (named, random or explicit blocks), shifts and an
     interaction (the coincidence phase, or explicit blocks on tuples
     around the start), each per walker or shared and possibly scheduled,
-    and a sparse start, on a :func:`cone_graph`. Returns them with
-    whether every coin is named."""
+    and a sparse start, on a :func:`cone_graph`."""
     g = cone_graph(rng, regular, (240, 60, 24)[walkers - 1])
     space = ProductGraph(g, walkers)
     psi = sparse_state(space, rng)
-    kinds = []
 
     def coin():
         kind = int(rng.integers(4))
-        kinds.append(kind)
         if kind == 3:
             return CoinSpec.from_blocks(g, [
                 random_unitary_coin(int(d), rng) for d in g.degrees])
         return random_coin(g, rng, kind)
     coin = per_walker_or_shared(rng, walkers, coin)
-    named = all(kind < 2 for kind in kinds)
     shift = per_walker_or_shared(
         rng, walkers, lambda: random_shift(g, rng, int(rng.integers(3))))
     interaction = None
@@ -925,7 +927,7 @@ def cone_walk(rng, walkers: int, regular: bool) -> tuple:
         interaction = scheduled(rng, blocks if rng.random() < 0.5 else (
             lambda: InteractionSpec.coincidence_phase(
                 space, rng.uniform(-np.pi, np.pi))))
-    return coin, shift, interaction, psi, named
+    return coin, shift, interaction, psi
 
 
 @SETTINGS
@@ -935,22 +937,16 @@ def test_evolve_from_sparse_starts_keeps_the_bits_of_the_whole_space(
         seed, walkers, regular):
     """From a localized or few-component start, whose light cone grows
     step by step, the masses and rho that evolve yields over T steps are
-    those of the chained operator code, bit for bit. The chain is of
-    ``reference_step`` where its bits are the engine's (named coins, or
-    one walker); it moves each walker's axis to the front for the coin,
-    which rounds otherwise for other coins of several walkers, and there
-    the chain is of :func:`step`, the engine's kernels run on the whole
-    space."""
+    those of the chained operator code, ``reference_step``, bit for bit,
+    for every coin."""
     rng = np.random.default_rng(seed)
-    coin, shift, interaction, psi, named = cone_walk(rng, walkers, regular)
+    coin, shift, interaction, psi = cone_walk(rng, walkers, regular)
     ref = psi
     for t, (masses, rho) in enumerate(evolve(psi, coin, shift, 6,
                                              interaction)):
-        if t and (named or walkers == 1):
+        if t:
             ref = WaveFunction(psi.graph, oracle.reference_step(
                 ref, coin, shift, interaction, t - 1))
-        elif t:
-            ref = step(ref, coin, shift, interaction, t - 1)
         want = np.abs(ref.amplitudes) ** 2
         assert masses.tobytes() == want.tobytes()
         assert rho.tobytes() == vertex_masses(psi.graph, want).tobytes()
@@ -966,7 +962,7 @@ def box_matrices_match(seed: int, walkers: int, regular: bool,
     the loop yielded: ``"partial"``, ``"in order"`` (whole, in basis
     order) and ``"class order"`` (whole, in degree-class order)."""
     rng = np.random.default_rng(seed)
-    coin, shift, interaction, psi, _ = cone_walk(rng, walkers, regular)
+    coin, shift, interaction, psi = cone_walk(rng, walkers, regular)
     space = psi.graph
     if start == "random":
         psi = random_state(space, rng)
@@ -1086,6 +1082,159 @@ def test_columns_are_closed_under_the_chain(seed, walkers):
         assert_columns_match(mat, reference(
             psi.base, walkers, shift, seq.rho[t], masses[t + 1],
             range(mat.num_states)))
+
+
+#: Damage a per-step CSC matrix can carry, each refused by the check of
+#: its P(t): none, an empty column, ids out of order within the step, a
+#: stored zero, a NaN, an inf, and a column id or a target out of range.
+DAMAGES = ("none", "empty", "order", "zero", "nan", "inf", "column id",
+           "target")
+
+
+def random_steps(rng, num_states: int) -> list[tuple[np.ndarray, ...]]:
+    """Zero to four steps of CSC arrays ``(col_ids, indptr, indices,
+    data)`` over ``num_states`` states, valid but for the damage of
+    :data:`DAMAGES` that each step carries with some chance. The ids of
+    one step often fall below those of the step before it."""
+    steps = []
+    for _ in range(int(rng.integers(5))):
+        ids = np.sort(rng.choice(num_states, int(rng.integers(
+            min(5, num_states + 1))), replace=False))
+        lengths = rng.integers(1, 4, ids.size)
+        indices = rng.integers(num_states, size=int(lengths.sum()))
+        data = rng.uniform(0.1, 1.0, indices.size)
+        damage = DAMAGES[int(rng.integers(len(DAMAGES)))] \
+            if rng.random() < 0.4 else "none"
+        if damage == "empty" and ids.size:
+            lengths[rng.integers(ids.size)] = 0
+            indices, data = indices[:lengths.sum()], data[:lengths.sum()]
+        elif damage == "order" and ids.size > 1:
+            j = int(rng.integers(ids.size - 1))
+            ids[j + 1] = ids[j] if rng.random() < 0.5 else ids[j] - 1
+        elif damage in ("zero", "nan", "inf") and data.size:
+            data[rng.integers(data.size)] = {
+                "zero": 0.0, "nan": np.nan, "inf": -np.inf}[damage]
+        elif damage == "column id" and ids.size:
+            ids[-1 if rng.random() < 0.5 else 0] = \
+                num_states if rng.random() < 0.5 else -1
+        elif damage == "target" and indices.size:
+            indices[rng.integers(indices.size)] = \
+                num_states + int(rng.integers(3)) if rng.random() < 0.5 \
+                else -1
+        steps.append((ids, np.concatenate([[0], np.cumsum(lengths)]),
+                      indices, data))
+    return steps
+
+
+def store_arrays(steps) -> list[np.ndarray]:
+    """``step_ptr``, ``col_ids``, ``indptr``, ``indices`` and ``data`` of
+    per-step CSC arrays, joined one step at a time."""
+    step_ptr, ids, indptr, indices, data = [0], [], [0], [], []
+    for col_ids, ptr, idx, vals in steps:
+        step_ptr.append(step_ptr[-1] + len(col_ids))
+        for length in np.diff(ptr).tolist():
+            indptr.append(indptr[-1] + length)
+        ids += list(col_ids)
+        indices += list(idx)
+        data += list(vals)
+    return [np.array(step_ptr), np.array(ids, dtype=np.int64),
+            np.array(indptr), np.array(indices, dtype=np.int64),
+            np.array(data, dtype=np.float64)]
+
+
+@settings(SETTINGS, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_sequence_refuses_what_the_step_check_refuses(seed):
+    """The sequence checks its joined arrays once, and refuses them
+    exactly when the check of some P(t) on its own would: an empty
+    column, ids out of order within a step, a stored zero, NaN or inf,
+    an id out of range. Ids that fall where a step begins are accepted.
+    The error names the first failing P(t)."""
+    rng = np.random.default_rng(seed)
+    g = ProductGraph(cycle_graph(int(rng.integers(3, 6))),
+                     int(rng.integers(1, 3)))
+    steps = random_steps(rng, g.num_states)
+    rho = np.full((len(steps) + 1, g.num_states), 1.0 / g.num_states)
+    first = None
+    for t, arrays in enumerate(steps):
+        try:
+            TransitionMatrix(t, g, *arrays)
+        except ValidationError:
+            first = t
+            break
+    if first is None:
+        seq = TransitionMatrixSeq.from_arrays(rho, g, *store_arrays(steps))
+        for mat, arrays in zip(seq.matrices, steps):
+            for got, want in zip((mat.col_ids, mat.indptr, mat.indices,
+                                  mat.data), arrays):
+                assert got.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"P({first}) is not a CSC")):
+            TransitionMatrixSeq.from_arrays(rho, g, *store_arrays(steps))
+
+
+def dropped_columns(seq: TransitionMatrixSeq, rng) -> TransitionMatrixSeq:
+    """``seq`` with some stored columns of each P(t) dropped, so that
+    rho(t) has mass on sources with no stored column, and its entries
+    scaled off the simplex: some beyond 1, some below 0."""
+    mats = []
+    for mat in seq.matrices:
+        keep = np.flatnonzero(rng.random(mat.col_ids.size) < 0.6)
+        lengths = np.diff(mat.indptr)[keep]
+        at = np.concatenate([np.arange(mat.indptr[j], mat.indptr[j + 1])
+                             for j in keep] + [np.empty(0, np.int64)])
+        data = mat.data[at] * rng.uniform(0.5, 1.5, at.size)
+        data[rng.random(at.size) < 0.05] *= -0.1
+        mats.append(TransitionMatrix(
+            mat.time, mat.graph, mat.col_ids[keep],
+            np.concatenate([[0], np.cumsum(lengths)]), mat.indices[at],
+            data))
+    return TransitionMatrixSeq(mats, seq.rho, seq.graph)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]),
+       regular=st.booleans())
+def test_verify_gives_the_bits_of_the_step_by_step_oracle(seed, walkers,
+                                                          regular):
+    """Each property measured in one pass over the joined arrays has the
+    bits of the step-by-step pass (``_oracles.reference_properties``), on
+    built sequences of one to three walkers and on hand-made ones whose
+    rho has mass on sources with no stored column, whose uniform columns
+    are merged in column order."""
+    rng = np.random.default_rng(seed)
+    coin, shift, interaction, psi = scheduled_walk(
+        rng, walkers, regular, named=False,
+        max_dim=(40, 20, 8)[walkers - 1])
+    built = build_sequence(psi.graph, coin, shift, psi, 3, interaction)
+    for seq in (built, dropped_columns(built, rng)):
+        got = verify_theorem_properties(seq).as_dict()
+        want = oracle.reference_properties(seq).as_dict()
+        assert repr(got) == repr(want)
+
+
+def test_the_residual_pass_is_checked_against_the_budget(c4, monkeypatch):
+    """The residual pass charges its (T x S) sums, its mask of sources
+    with mass and its per-entry keys and weights to the memory budget,
+    and a budget below them raises before anything is summed."""
+    g = torus_graph((3, 3))
+    seq = build_sequence(g, CoinSpec.grover(g), ShiftSpec.moving(g),
+                         WaveFunction.localized(g, 0, 0), 3)
+    need = 9 * seq.num_steps * seq.num_states + 24 * seq.data.size
+    monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need)
+    assert verify_theorem_properties(seq).passed
+    monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", need - 1)
+    count = np.bincount
+
+    def bincount(x, weights=None, minlength=0):
+        # the residual pass is the one weighted count
+        if weights is not None:
+            raise AssertionError("summed over the budget")
+        return count(x, minlength=minlength)
+    monkeypatch.setattr(np, "bincount", bincount)
+    with pytest.raises(ResourceLimitError, match="propagation residuals"):
+        verify_theorem_properties(seq)
 
 
 def path_law(seq: TransitionMatrixSeq) -> dict:

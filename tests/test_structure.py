@@ -33,6 +33,12 @@ which stores the arrays, may read ``col_ids``. The store and its text
 export hold those ratio columns only, so ``persist.py`` reads the stored
 arrays and never calls ``find``, which makes the uniform ones.
 
+A sequence of P(t) holds the store's arrays, all steps end to end, so
+the passes over a whole sequence read them at once: the theorem check
+(``verify_theorem_properties``), the store's writer (``save_sequence``)
+and its reader (``persist._load_run``) hold no loop over the per-step
+matrices or the step offsets.
+
 One walk loop, the light-cone loop ``walk._light_cone``, turns the walk
 into rho(t): it yields each step's masses on the walk's box with their
 ``vertex_masses``, so only ``walk.py`` may call ``vertex_masses``, and
@@ -70,6 +76,12 @@ JSON_WRITERS = {"_compact", "write_json", "write_table"}
 #: chunk or per cell.
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
+#: The functions that read all steps of P(t) at once, in the store's
+#: layout: they may not loop over the steps.
+ONE_PASS = {"verify_theorem_properties", "save_sequence", "_load_run"}
+#: What a loop over the steps iterates: the per-step matrices or the step
+#: offsets, by name, attribute or store key.
+STEPS = {"matrices", "step_ptr"}
 
 
 def _names(node) -> set[str]:
@@ -418,6 +430,67 @@ def json_dumps_breaches(source: str, module: str) -> list[str]:
              and (id(node) not in allowed or id(node) in looped)]
     return [f"{module}:{line} calls json.dumps {where}".rstrip()
             for line, where in sorted(found)]
+
+
+def _mentions(node) -> set[str]:
+    """Names an expression refers to, bare or as an attribute, and the
+    strings it holds (a store key)."""
+    return _names(node) | {n.value for n in ast.walk(node)
+                           if isinstance(n, ast.Constant)
+                           and isinstance(n.value, str)}
+
+
+def step_loop_breaches(source: str, module: str) -> list[str]:
+    """Each loop (:data:`LOOPS`) in a function of :data:`ONE_PASS` whose
+    iterable, or condition, mentions one of :data:`STEPS`."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, ast.FunctionDef) and func.name in ONE_PASS):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.For):
+                heads = [node.iter]
+            elif isinstance(node, ast.While):
+                heads = [node.test]
+            elif isinstance(node, LOOPS):
+                heads = [g.iter for g in node.generators]
+            else:
+                continue
+            steps = STEPS & set().union(*map(_mentions, heads))
+            if steps:
+                found.append((node.lineno, f"{func.name} loops over "
+                              f"{', '.join(sorted(steps))}"))
+    return [f"{module}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_the_sequence_passes_read_all_steps_at_once():
+    breaches = [b for path in sorted(SRC.glob("*.py"))
+                for b in step_loop_breaches(path.read_text(), path.name)]
+    assert breaches == []
+
+
+def test_the_step_loop_guard_sees_each_breach():
+    source = (
+        "def verify_theorem_properties(seq):\n"
+        "    for t, mat in enumerate(seq.matrices):\n"
+        "        pass\n"
+        "    return [m.data for m in seq.matrices]\n"
+        "def save_sequence(out, seq):\n"
+        "    lo = 0\n"
+        "    while lo < seq.step_ptr[-1]:\n"
+        "        lo += 1\n"
+        "def _load_run(m):\n"
+        "    ptr = {t: 1 for t in m['step_ptr']}\n"
+        "    return [data for data in m['data']]\n"
+        "def draw(seq):\n"
+        "    return [m.data for m in seq.matrices]\n"
+    )
+    assert step_loop_breaches(source, "m.py") == [
+        "m.py:2 verify_theorem_properties loops over matrices",
+        "m.py:4 verify_theorem_properties loops over matrices",
+        "m.py:7 save_sequence loops over step_ptr",
+        "m.py:10 _load_run loops over step_ptr",
+    ]
 
 
 def test_json_rows_are_not_spelled_by_json_dumps():
