@@ -15,13 +15,16 @@ graph of K >= 1 walkers, where states are vertex tuples.
 
 P(t) stores only its ratio columns, the states with rho(u, t) above
 :data:`ZERO_PROB`, for every K. Every other column is uniform, fixed by
-the graph alone, and :meth:`TransitionMatrix.find` makes it for the
-readers that need it (``column``, ``entry``, ``apply`` and the
-sampler). So every state has a column. The store and the text export
-hold the ratio columns only. A sequence holds those of all steps end to
-end, in the store's layout (:class:`TransitionMatrixSeq`), checks them
-once, and measures the theorem properties in one pass over them
-(:func:`verify_theorem_properties`).
+the graph alone, and made on demand, so every state has a column; the
+store and the text export hold the ratio columns only.
+
+P(t) has one core. A sequence (:class:`TransitionMatrixSeq`) holds the
+CSC arrays of all steps' stored columns end to end, as the store does,
+under ascending keys ``t * S + u`` (state u of step t, S states); a lone
+:class:`TransitionMatrix` is the one-step case, keyed by its column ids.
+:func:`_check_columns` checks the arrays, :func:`_lookup` finds each
+wanted key's column and merges in the uniform columns of the others, and
+:func:`_propagate` sums ``P(t) rho(t)`` for every step in one pass.
 
 One walk step (a block-diagonal coin, then a basis permutation) costs
 time linear in the state dimension for bounded degree, and emitting one
@@ -32,7 +35,7 @@ as one 2-d block per tuple of the walkers' degrees
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -70,6 +73,9 @@ ZERO_PROB = 1e-14
 #: Column sums deviating from 1 by more than this raise instead of being
 #: rescaled away; it signals non-unitary inputs.
 COLUMN_SUM_ERROR = 1e-8
+#: The refusal of a malformed P(t), naming what a CSC matrix must be.
+_NOT_CSC = ("P({}) is not a CSC matrix over {} states with ascending column "
+            "ids, no empty columns and no stored zeros or non-finite values")
 #: Bytes per move of the arrays :meth:`TransitionMatrix.draw` holds at once
 #: for its pick, an upper bound: beyond the position map and the cumulative
 #: sums, its tracemalloc peak was 48-54 bytes per move.
@@ -89,7 +95,9 @@ class TransitionMatrix:
     empty. Every other state's column is uniform, ``1 / d(u)`` on its
     out-neighbours, and :meth:`find` makes it on demand. States are joint
     vertex-tuple indices of ``graph``, a port graph being one walker on
-    it. The arrays are read-only.
+    it. The arrays are read-only. It is the one-step case of the core
+    (module docstring); a source state outside ``0..S-1`` raises
+    :class:`ValidationError`.
     """
 
     time: int
@@ -111,20 +119,8 @@ class TransitionMatrix:
                     and arr.ndim == 1 and not arr.flags.writeable):
                 arr = _readonly(np.array(arr, dtype=dtype, ndmin=1))
             object.__setattr__(self, name, arr)
-        ptr, n = self.indptr, self.num_states
-        if not (ptr.shape == (self.col_ids.size + 1,) and ptr[0] == 0
-                and ptr[-1] == self.indices.size == self.data.size
-                and np.all(np.diff(ptr) > 0)
-                and np.all(np.diff(self.col_ids) > 0)
-                and all(a.size == 0 or (a.min() >= 0 and a.max() < n)
-                        for a in (self.col_ids, self.indices))
-                and np.all(self.data != 0.0)
-                and np.isfinite(self.data).all()):
-            raise ValidationError(
-                f"P({self.time}) is not a CSC matrix over {n} states with "
-                "ascending column ids, no empty columns and no stored zeros "
-                "or non-finite values"
-            )
+        _check_columns(np.array([0, self.col_ids.size]), *self._arrays,
+                       self.num_states, self.time)
 
     @classmethod
     def _view(cls, time: int, graph: ProductGraph, col_ids: np.ndarray,
@@ -142,35 +138,24 @@ class TransitionMatrix:
     def num_states(self) -> int:
         return self.graph.num_states
 
+    @property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.col_ids, self.indptr, self.indices, self.data
+
     def find(self, states) -> tuple[TransitionMatrix, np.ndarray]:
         """A matrix with a column for each of ``states``, and the position
-        of each state's column in its ``col_ids``.
-
-        That matrix is ``self`` when every state has a stored column, else
-        a copy that adds the uniform columns of the others: targets in
-        ascending joint index, each with the value ``1.0 / d``. Its
-        entries are checked against the memory budget
-        (:func:`~qrwalk.walk.check_budget`) before anything is allocated.
-        The store and the text export never call it: they hold the ratio
-        columns only.
-        """
-        states = np.asarray(states, dtype=np.int64)
-        pos = np.searchsorted(self.col_ids, states)
-        found = pos < self.col_ids.size
-        found[found] = self.col_ids[pos[found]] == states[found]
-        if found.all():
+        of each state's column in its ``col_ids``: ``self`` when every state
+        has a stored column, else a copy with the uniform columns of the
+        others (:func:`_lookup`). The store never calls it."""
+        own = self._arrays
+        arrays, pos = _lookup(self.graph, own, states, self.num_states,
+                              f"P({self.time})")
+        if arrays is own:
             return self, pos
-        pg = self.graph
-        missing = np.zeros(pg.num_states, dtype=bool)
-        missing[states[~found]] = True
-        new = np.flatnonzero(missing)
         # read-only arrays are kept by the constructor, not copied
-        mat = TransitionMatrix(
-            self.time, pg, *map(_readonly, _with_uniform(
-                pg, self.col_ids, self.indptr, self.indices, self.data,
-                new, new, f"P({self.time})")),
-            column_sum_error=self.column_sum_error)
-        return mat, np.searchsorted(mat.col_ids, states)
+        return TransitionMatrix(
+            self.time, self.graph, *map(_readonly, arrays),
+            column_sum_error=self.column_sum_error), pos
 
     def draw(self, states, uniforms) -> np.ndarray:
         """The move out of each of ``states`` for its uniform ``u`` in
@@ -191,6 +176,7 @@ class TransitionMatrix:
         (:func:`~qrwalk.walk.check_budget`) before they are allocated.
         """
         states = np.asarray(states, dtype=np.int64)
+        _check_states(states, self.num_states, f"P({self.time})")
         u = np.asarray(uniforms, dtype=np.float64)
         what = f"the draw of {states.size} moves through P({self.time})"
         check_budget(self._draw_bytes(states.size), what)
@@ -236,22 +222,15 @@ class TransitionMatrix:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Propagate a distribution: ``P(t) @ rho`` over the sources with
-        mass above :data:`ZERO_PROB` only. A smaller, negative or NaN mass
-        adds nothing, so this is ``P(t) @ rho`` only when every mass is 0
-        or above ``ZERO_PROB``.
+        mass above :data:`ZERO_PROB` only (:func:`_propagate`). A smaller,
+        negative or NaN mass adds nothing, so this is ``P(t) @ rho`` only
+        when every mass is 0 or above ``ZERO_PROB``.
         """
         rho = np.asarray(rho, dtype=np.float64)
         if rho.shape != (self.num_states,):
-            raise ValidationError(
-                f"distribution has shape {rho.shape}, expected "
-                f"({self.num_states},)"
-            )
-        mat, _ = self.find(np.flatnonzero(rho > ZERO_PROB))
-        mass = rho[mat.col_ids]
-        weights = np.repeat(np.where(mass > ZERO_PROB, mass, 0.0),
-                            np.diff(mat.indptr)) * mat.data
-        return np.bincount(mat.indices, weights=weights,
-                           minlength=self.num_states)
+            raise ValidationError(f"distribution has shape {rho.shape}, "
+                                  f"expected ({self.num_states},)")
+        return _propagate(self.graph, self._arrays, rho, f"P({self.time})")
 
 
 class TransitionMatrixSeq:
@@ -263,13 +242,9 @@ class TransitionMatrixSeq:
     end: P(t) owns the columns ``step_ptr[t]`` to ``step_ptr[t + 1] - 1``,
     column j has the id ``col_ids[j]`` and the entries ``indptr[j]`` to
     ``indptr[j + 1] - 1`` of ``indices`` and ``data``, and ``indptr``
-    spans all steps. The arrays are read-only, and they are checked once,
-    one pass per check over all steps, for what :class:`TransitionMatrix`
-    checks of each P(t): ids ascending within each step (they may fall
-    where a step begins), no empty column, no stored zero or non-finite
-    value, and every id in range. A failure names the first failing
-    P(t). Each rho(t) must be a distribution: finite, non-negative, and
-    summing to 1 within :data:`~qrwalk.walk.NORM_ATOL`.
+    spans all steps. The arrays are read-only, and :func:`_check_columns`
+    checks them once. Each rho(t) must be a distribution: finite,
+    non-negative, and summing to 1 within :data:`~qrwalk.walk.NORM_ATOL`.
 
     ``TransitionMatrixSeq(matrices, rho, graph)`` joins a list of P(t)
     once; :meth:`from_arrays` takes the arrays as they are.
@@ -282,9 +257,8 @@ class TransitionMatrixSeq:
         graph = ProductGraph.of(graph)
         if any(m.graph != graph for m in matrices):
             raise ValidationError("the matrices live on a different graph")
-        self._hold(rho, graph, *_joined(
-            [(m.col_ids, m.indptr, m.indices, m.data) for m in matrices]),
-            column_sum_errors=[m.column_sum_error for m in matrices])
+        self._hold(rho, graph, *_joined([m._arrays for m in matrices]),
+                   column_sum_errors=[m.column_sum_error for m in matrices])
 
     @classmethod
     def from_arrays(cls, rho, graph: PortGraph | ProductGraph,
@@ -293,8 +267,8 @@ class TransitionMatrixSeq:
                     ) -> TransitionMatrixSeq:
         """The sequence of the store's arrays, kept as they are when they
         have the right types (read-only from then on), else copied. Each
-        P(t) of :attr:`matrices` reports ``column_sum_errors[t]`` (0.0
-        without them)."""
+        P(t) of :attr:`matrices` reports ``column_sum_errors[t]``, one per
+        step (0.0 without them)."""
         seq = cls.__new__(cls)
         seq._hold(rho, ProductGraph.of(graph), step_ptr, col_ids, indptr,
                   indices, data, column_sum_errors=column_sum_errors)
@@ -308,7 +282,11 @@ class TransitionMatrixSeq:
             _readonly(np.array(a, dtype=dtype, ndmin=1, copy=None))
             for a, dtype in zip(arrays, [np.int64] * 4 + [np.float64])]
         _check_columns(*arrays, graph.num_states)
-        self._sum_errors = column_sum_errors or [0.0] * self.num_steps
+        errors = self._sum_errors = [0.0] * self.num_steps \
+            if column_sum_errors is None else column_sum_errors
+        if len(errors) != self.num_steps:
+            raise ValidationError(f"{len(errors)} column sum errors for "
+                                  f"{self.num_steps} steps")
         self.rho = np.asarray(rho, dtype=np.float64)
         shape = (self.num_steps + 1, graph.num_states)
         if self.rho.shape != shape:
@@ -373,18 +351,22 @@ def _joined(steps: Sequence[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
 
 def _check_columns(step_ptr: np.ndarray, col_ids: np.ndarray,
                    indptr: np.ndarray, indices: np.ndarray,
-                   data: np.ndarray, num_states: int) -> None:
-    """Raise :class:`ValidationError` unless the joined CSC arrays of a
-    :class:`TransitionMatrixSeq` split into steps and each step passes the
-    checks of :class:`TransitionMatrix`; the error names the first P(t)
-    that fails them. Each check is one pass over all steps; only a
-    failure looks for its step."""
+                   data: np.ndarray, num_states: int,
+                   time: int | None = None) -> None:
+    """Raise :class:`ValidationError` unless the joined CSC arrays split
+    into steps by ``step_ptr``, each a CSC matrix (:data:`_NOT_CSC`) whose
+    ids may fall where it begins. The error names the first failing P(t),
+    t counted from ``time`` for a lone P(time), else from 0; a sequence
+    calls a malformed ``step_ptr`` or ``indptr`` inconsistent step
+    offsets. Each check is one pass over all steps; only a failure looks
+    for its step."""
     cols = col_ids.size
     if not (step_ptr.size and step_ptr[0] == 0
             and (np.diff(step_ptr) >= 0).all() and step_ptr[-1] == cols
-            and indptr.size == cols + 1 and indptr[0] == 0
+            and indptr.shape == (cols + 1,) and indptr[0] == 0
             and indptr[-1] == indices.size == data.size):
-        raise ValidationError("inconsistent step offsets")
+        raise ValidationError("inconsistent step offsets" if time is None
+                              else _NOT_CSC.format(time, num_states))
     # ids may fall where a step begins: each pair of ids across a step
     # boundary, inside the columns, counts as rising
     rises = np.diff(col_ids) > 0
@@ -406,10 +388,54 @@ def _check_columns(step_ptr: np.ndarray, col_ids: np.ndarray,
     e = int(bad.argmax()) if bad.any() else indices.size
     if e < (indices.size if t == steps else indptr[step_ptr[t]]):
         t = int(np.searchsorted(indptr[step_ptr[:t + 1]], e, "right")) - 1
-    raise ValidationError(
-        f"P({t}) is not a CSC matrix over {num_states} states with "
-        "ascending column ids, no empty columns and no stored zeros or "
-        "non-finite values")
+    raise ValidationError(_NOT_CSC.format(t + (time or 0), num_states))
+
+
+def _check_states(states: np.ndarray, size: int, name: str) -> None:
+    """Raise :class:`ValidationError` naming the first of ``states``
+    outside ``0..size-1``, the states of the matrices ``name`` names."""
+    if states.size and (states.min() < 0 or states.max() >= size):
+        bad = states[(states < 0) | (states >= size)][0]
+        raise ValidationError(
+            f"state {bad} is not one of the {size} states of {name}")
+
+
+def _lookup(pg: ProductGraph, arrays: tuple, wanted, size: int,
+            name: str) -> tuple[tuple, np.ndarray]:
+    """The CSC arrays ``(keys, indptr, indices, data)`` with a column for
+    each ``wanted`` key in ``0..size-1``, and each one's position: the
+    stored ``arrays`` when they hold all, else with the uniform columns of
+    the others merged in (:func:`_with_uniform`)."""
+    wanted = np.asarray(wanted, dtype=np.int64)
+    _check_states(wanted, size, name)
+    keys = arrays[0]
+    pos = np.searchsorted(keys, wanted)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == wanted[found]
+    if found.all():
+        return arrays, pos
+    merged = _with_uniform(pg, arrays, np.unique(wanted[~found]), name)
+    return merged, np.searchsorted(merged[0], wanted)
+
+
+def _propagate(pg: ProductGraph, arrays: tuple, rho: np.ndarray,
+               name: str) -> np.ndarray:
+    """``P(t) rho(t)`` for every step t of :func:`_lookup`'s arrays, T * S
+    masses end to end as in ``rho``: one ``np.bincount`` over (t, target)
+    keys adds each step's entries in column order, from the sources with
+    mass above :data:`ZERO_PROB` only; one with no stored column moves
+    uniformly."""
+    states = pg.num_states
+    live = np.flatnonzero(rho > ZERO_PROB)
+    (keys, indptr, indices, data), _ = _lookup(pg, arrays, live,
+                                               rho.size, name)
+    mass = rho[keys]
+    lengths = np.diff(indptr)
+    weights = np.repeat(np.where(mass > ZERO_PROB, mass, 0.0), lengths)
+    weights *= data
+    targets = np.repeat(keys - keys % states, lengths)
+    targets += indices
+    return np.bincount(targets, weights=weights, minlength=rho.size)
 
 
 @dataclass
@@ -440,15 +466,7 @@ class PropertyReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "num_steps": self.num_steps,
-            "tolerance": self.tolerance,
-            "max_entry_violation": self.max_entry_violation,
-            "max_column_sum_deviation": self.max_column_sum_deviation,
-            "max_propagation_residual": self.max_propagation_residual,
-            "columns_checked": self.columns_checked,
-            "passed": self.passed,
-        }
+        return asdict(self) | {"passed": self.passed}
 
     def __str__(self) -> str:
         d = self.as_dict()
@@ -510,15 +528,15 @@ def _csc_order(blocks, lengths: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _with_uniform(pg: ProductGraph, keys: np.ndarray, indptr: np.ndarray,
-                  indices: np.ndarray, data: np.ndarray, new: np.ndarray,
-                  states: np.ndarray, name: str) -> list[np.ndarray]:
-    """The CSC arrays ``(keys, indptr, indices, data)`` of stored columns
-    under the ascending ``keys``, with the uniform columns of ``states``
-    merged in under the ascending keys ``new``, none of them stored: the
-    targets of each in ascending joint index, each with the value ``1.0 /
-    d``. The entries, of the matrices ``name`` names, are checked against
-    the memory budget (:func:`~qrwalk.walk.check_budget`) first."""
+def _with_uniform(pg: ProductGraph, arrays: tuple, new: np.ndarray,
+                  name: str) -> tuple:
+    """The CSC arrays ``(keys, indptr, indices, data)`` of :func:`_lookup`
+    with the uniform columns of the ascending keys ``new``, none of them
+    stored, merged in: targets in ascending joint index, each with the
+    value ``1.0 / d``. The entries, of the matrices ``name`` names, are
+    checked against the memory budget first."""
+    keys, indptr, indices, data = arrays
+    states = new % pg.num_states
     degrees = pg.out_degrees(states)
     size = int(degrees.sum()) + data.size
     check_budget(_arc_bytes(pg.num_walkers) * size,
@@ -543,7 +561,7 @@ def _with_uniform(pg: ProductGraph, keys: np.ndarray, indptr: np.ndarray,
     probs = np.empty(size)
     probs[entry_is_new] = np.repeat(1.0 / degrees, degrees)
     probs[~entry_is_new] = data
-    return [ids, merged, targets, probs]
+    return ids, merged, targets, probs
 
 
 def _arc_bytes(num_walkers: int) -> int:
@@ -706,8 +724,8 @@ def verify_theorem_properties(
     Each property is one pass over the sequence's joined arrays: the
     entry violation from the largest and the smallest entry, the column
     sums by :func:`_column_sums`, and the residuals of all steps by
-    :func:`_residuals`. Each value has the bits a step-by-step pass gives
-    (``P(t) rho(t)`` by :meth:`TransitionMatrix.apply`).
+    :func:`_residuals`. Each value has the bits a step-by-step pass
+    gives, since each sum adds its step's entries in column order.
     """
     data = seq.data
     report = PropertyReport(num_steps=seq.num_steps, tolerance=tolerance,
@@ -727,37 +745,16 @@ def verify_theorem_properties(
 
 def _residuals(seq: TransitionMatrixSeq) -> np.ndarray:
     """``P(t) rho(t) - rho(t + 1)`` for every t, as one (T * S) array, by
-    one ``np.bincount`` over (t, target) keys: each sum adds the entries
-    of its step in the order :meth:`TransitionMatrix.apply` does, from
-    the sources with mass above :data:`ZERO_PROB` only. A source with mass
-    and no stored column moves uniformly; its column is merged in column
-    order (:func:`_with_uniform`), as :meth:`TransitionMatrix.find` merges
-    it. The sums, the mask of the sources with mass and the per-entry
-    keys and weights are checked against the memory budget
+    :func:`_propagate`. The sums, the mask of the sources with mass and
+    the per-entry keys and weights are checked against the memory budget
     (:func:`~qrwalk.walk.check_budget`) first."""
     steps, states = seq.num_steps, seq.num_states
     check_budget(9 * steps * states + 24 * seq.data.size,
                  f"the propagation residuals of {steps} steps over "
                  f"{states} states")
-    rho = seq.rho.reshape(-1)
     keys = np.repeat(np.arange(steps) * states, np.diff(seq.step_ptr)) \
         + seq.col_ids
-    indptr, indices, data = seq.indptr, seq.indices, seq.data
-    live = np.flatnonzero(rho[:steps * states] > ZERO_PROB)
-    pos = np.searchsorted(keys, live)
-    found = pos < keys.size
-    found[found] = keys[pos[found]] == live[found]
-    if not found.all():
-        new = live[~found]
-        keys, indptr, indices, data = _with_uniform(
-            seq.graph, keys, indptr, indices, data, new, new % states,
-            f"P(0..{steps - 1})")
-    mass = rho[keys]
-    lengths = np.diff(indptr)
-    weights = np.repeat(np.where(mass > ZERO_PROB, mass, 0.0), lengths)
-    weights *= data
-    targets = np.repeat(keys - keys % states, lengths)
-    targets += indices
-    sums = np.bincount(targets, weights=weights, minlength=steps * states)
-    sums -= rho[states:]
+    sums = _propagate(seq.graph, (keys, seq.indptr, seq.indices, seq.data),
+                      seq.rho[:-1].reshape(-1), f"P(0..{steps - 1})")
+    sums -= seq.rho[1:].reshape(-1)
     return sums

@@ -214,8 +214,9 @@ class PortGraph:
         return int(self.degrees[v])
 
     def eta(self, v: int, c: int) -> int:
-        """The ``c``-th out-neighbour of ``v``; :class:`IndexError` for a
-        vertex or port outside the graph."""
+        """The paper's eta(v, c), kept as a paper artefact: the ``c``-th
+        out-neighbour of ``v``; :class:`IndexError` for a vertex or port
+        outside the graph."""
         if not 0 <= c < self.degree(v):
             raise IndexError(f"port {c} out of range for vertex {v} "
                              f"(degree {self.degree(v)})")
@@ -240,11 +241,13 @@ class PortGraph:
         return a - int(self.port_offsets[tail])
 
     def sigma(self, u: int, v: int) -> int:
-        """Port of ``v`` associated with inward neighbour ``u``."""
+        """The paper's sigma(u, v), kept as a paper artefact: the port of
+        ``v`` associated with inward neighbour ``u``."""
         return self._port(v, u)
 
     def sigma_inv(self, v: int, u: int) -> int:
-        """Port ``c`` of ``u`` such that ``eta(u, c) = v``."""
+        """The paper's sigma^-1(v, u), kept as a paper artefact: the port
+        ``c`` of ``u`` such that ``eta(u, c) = v``."""
         return self._port(u, v)
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -17,12 +17,19 @@ import hashlib
 import io
 import itertools
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from qrwalk import walk
-from qrwalk.equivalence import PropertyReport, _arc_bytes, _column_sums
+from qrwalk.equivalence import (
+    ZERO_PROB,
+    PropertyReport,
+    _arc_bytes,
+    _column_sums,
+)
 from qrwalk.errors import GraphError, ValidationError
 from qrwalk.persist import Table
 
@@ -566,9 +573,11 @@ def apply_interaction(psi, interaction, t: int = 0):
 def reference_properties(seq, tolerance: float = 1e-10):
     """The report of ``verify_theorem_properties`` measured one P(t) at a
     time, the way it first did it: per step, the entries' distance from
-    [0, 1], each stored column's sum, and ``P(t) rho(t) - rho(t + 1)``
-    by ``apply``, which merges the uniform column of a source with mass
-    and no stored column."""
+    [0, 1], each stored column's sum, and ``P(t) rho(t) - rho(t + 1)`` by
+    ``reference_apply`` over the stored columns with the uniform column of
+    each source with mass and no stored column merged in
+    (``reference_with_uniform``): no engine code makes a uniform column or
+    sums ``P(t) rho(t)``."""
     report = PropertyReport(num_steps=seq.num_steps, tolerance=tolerance)
     for t, mat in enumerate(seq.matrices):
         report.max_entry_violation = max(
@@ -581,12 +590,63 @@ def reference_properties(seq, tolerance: float = 1e-10):
                          initial=0.0)),
         )
         report.columns_checked += int(mat.col_ids.size)
-        residual = mat.apply(seq.rho[t]) - seq.rho[t + 1]
+        live = np.flatnonzero(seq.rho[t] > ZERO_PROB)
+        residual = reference_apply(reference_with_uniform(mat, live),
+                                   seq.rho[t], ZERO_PROB) - seq.rho[t + 1]
         report.max_propagation_residual = max(
             report.max_propagation_residual,
             float(np.max(np.abs(residual))) if residual.size else 0.0,
         )
     return report
+
+
+def reference_with_uniform(mat, states) -> SimpleNamespace:
+    """The CSC arrays of ``mat`` with the uniform column of each of
+    ``states`` that has no stored column merged in, all in column order,
+    made one column at a time: the head tuples of
+    ``ProductGraph.out_neighbors`` by ascending joint index, each with the
+    value ``1.0 / d``."""
+    pg = mat.graph
+    columns = {int(u): (mat.indices[lo:hi].tolist(), mat.data[lo:hi].tolist())
+               for u, lo, hi in zip(mat.col_ids, mat.indptr[:-1],
+                                    mat.indptr[1:])}
+    for u in map(int, states):
+        if u not in columns:
+            heads = sorted(int(np.ravel_multi_index(v, pg.shape))
+                           for v in pg.out_neighbors(pg.tuple_of(u)))
+            columns[u] = (heads, [1.0 / len(heads)] * len(heads))
+    ids = sorted(columns)
+    lengths = [len(columns[u][0]) for u in ids]
+    return SimpleNamespace(
+        col_ids=np.array(ids, dtype=np.int64),
+        indptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+        indices=np.array([v for u in ids for v in columns[u][0]],
+                         dtype=np.int64),
+        data=np.array([p for u in ids for p in columns[u][1]],
+                      dtype=np.float64),
+        num_states=pg.num_states)
+
+
+def reference_csc_fault(col_ids, indptr, indices, data,
+                        num_states: int) -> bool:
+    """Whether the arrays of one P(t) break a CSC matrix over
+    ``num_states`` states, checked one column and one entry at a time:
+    a flat ``indptr`` must bound the entries, and the ids ascend, no
+    column is empty, and each id and target is in range with a finite,
+    non-zero value."""
+    ids, ptr = list(col_ids), list(np.ravel(indptr))
+    if np.ndim(indptr) != 1 or len(ptr) != len(ids) + 1 or ptr[0] != 0 \
+            or not ptr[-1] == len(indices) == len(data):
+        return True
+    for j, u in enumerate(ids):
+        if not 0 <= u < num_states or (j and u <= ids[j - 1]) \
+                or ptr[j + 1] <= ptr[j]:
+            return True
+        for e in range(ptr[j], ptr[j + 1]):
+            if not (0 <= indices[e] < num_states and data[e] != 0.0
+                    and math.isfinite(data[e])):
+                return True
+    return False
 
 
 def reference_apply(mat, rho: np.ndarray, zero_threshold: float

@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from qrwalk import (
     build_graph,
     build_sequence,
     complete_graph,
+    cycle_graph,
     step,
     torus_graph,
     verify_theorem_properties,
@@ -213,6 +215,22 @@ class TestMatrixArrays:
         for obj, arrays in received:
             assert all(getattr(obj, name) is arr
                        for name, arr in arrays.items())
+
+    @pytest.mark.parametrize("state", [-5, -1, 5, 7])
+    @pytest.mark.parametrize("call", ["find", "column", "entry", "draw"])
+    def test_states_out_of_range_are_refused(self, call, state):
+        # P(1) of a 5-cycle once read -5 as state 0 and drew from -1 as
+        # from state 4; now each reader names the state it refuses
+        g = cycle_graph(5)
+        mat = build_sequence(g, *hadamard_walk(g),
+                             WaveFunction.localized(g, 0, 0), 2).matrices[1]
+        calls = {"find": lambda: mat.find([0, state]),
+                 "column": lambda: mat.column(state),
+                 "entry": lambda: mat.entry(0, state),
+                 "draw": lambda: mat.draw([0, state], [0.3, 0.3])}
+        with pytest.raises(ValidationError, match=re.escape(
+                f"state {state} is not one of the 5 states of P(1)")):
+            calls[call]()
 
 
 class TestBuildSequence:
@@ -603,6 +621,19 @@ class TestSequenceShape:
             TransitionMatrixSeq([], rho, c4)
         with pytest.raises(ValidationError, match="expected \\(1, 16\\)"):
             TransitionMatrixSeq([], rho[:, :4], ProductGraph(c4, 2))
+
+    def test_column_sum_errors_must_have_one_value_per_step(self, c4):
+        seq = build_sequence(c4, *hadamard_walk(c4),
+                             WaveFunction.localized(c4, 0, 0), 3)
+        arrays = [getattr(seq, name) for name in SEQ_ARRAYS]
+        kept = TransitionMatrixSeq.from_arrays(
+            seq.rho, c4, *arrays, column_sum_errors=[0.1, 0.2, 0.3])
+        assert [m.column_sum_error for m in kept.matrices] == [0.1, 0.2, 0.3]
+        for errors in ([0.1], [], [0.0] * 4):
+            with pytest.raises(ValidationError, match=f"{len(errors)} column "
+                               "sum errors for 3 steps"):
+                TransitionMatrixSeq.from_arrays(seq.rho, c4, *arrays,
+                                                column_sum_errors=errors)
 
     @pytest.mark.parametrize("masses, message", [
         ([0.5, 0.5, 0.5, 0.0], "rho\\(0\\) sums to 1.5"),

@@ -10,7 +10,10 @@ on random tables, and the digit kernel and the state labels against
 
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -952,6 +955,30 @@ def test_evolve_from_sparse_starts_keeps_the_bits_of_the_whole_space(
         assert rho.tobytes() == vertex_masses(psi.graph, want).tobytes()
 
 
+#: The environment variables that cap the threads of a BLAS or OpenMP.
+THREAD_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "BLIS_NUM_THREADS")
+
+
+def test_sparse_start_bits_hold_at_default_blas_threads():
+    """The sparse-start bit property
+    (``test_evolve_from_sparse_starts_keeps_the_bits_of_the_whole_space``)
+    holds in a subprocess with no thread cap, so the BLAS runs the coin's
+    products at its default thread count. The limit: a BLAS splits a
+    product only across the cores it has, so a pass on a 2-core machine
+    cannot show that a split across more threads keeps the bits."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_CAPS}
+    node = f"{__file__}::" \
+        "test_evolve_from_sparse_starts_keeps_the_bits_of_the_whole_space"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         node], cwd=Path(__file__).parents[1], env=env, capture_output=True,
+        text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert "1 passed" in run.stdout
+
+
 def box_matrices_match(seed: int, walkers: int, regular: bool,
                        start: str) -> set[str]:
     """Assert that ``matrix_from_masses`` gives the bits of every array
@@ -1086,9 +1113,11 @@ def test_columns_are_closed_under_the_chain(seed, walkers):
 
 #: Damage a per-step CSC matrix can carry, each refused by the check of
 #: its P(t): none, an empty column, ids out of order within the step, a
-#: stored zero, a NaN, an inf, and a column id or a target out of range.
+#: stored zero, a NaN, an inf, a column id or a target out of range, and
+#: an ``indptr`` of the wrong length or shape or with the wrong first or
+#: last offset.
 DAMAGES = ("none", "empty", "order", "zero", "nan", "inf", "column id",
-           "target")
+           "target", "indptr")
 
 
 def random_steps(rng, num_states: int) -> list[tuple[np.ndarray, ...]]:
@@ -1121,8 +1150,11 @@ def random_steps(rng, num_states: int) -> list[tuple[np.ndarray, ...]]:
             indices[rng.integers(indices.size)] = \
                 num_states + int(rng.integers(3)) if rng.random() < 0.5 \
                 else -1
-        steps.append((ids, np.concatenate([[0], np.cumsum(lengths)]),
-                      indices, data))
+        ptr = np.concatenate([[0], np.cumsum(lengths)])
+        if damage == "indptr":
+            ptr = [ptr[:-1], np.append(ptr, ptr[-1]), ptr + 1, ptr[None],
+                   np.append(ptr[:-1], ptr[-1] - 1)][int(rng.integers(5))]
+        steps.append((ids, ptr, indices, data))
     return steps
 
 
@@ -1145,32 +1177,42 @@ def store_arrays(steps) -> list[np.ndarray]:
 @settings(SETTINGS, max_examples=300)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_the_sequence_refuses_what_the_step_check_refuses(seed):
-    """The sequence checks its joined arrays once, and refuses them
-    exactly when the check of some P(t) on its own would: an empty
-    column, ids out of order within a step, a stored zero, NaN or inf,
-    an id out of range. Ids that fall where a step begins are accepted.
-    The error names the first failing P(t)."""
+    """A lone ``TransitionMatrix(t, ...)`` refuses exactly the arrays that
+    break a CSC matrix, checked one column at a time
+    (``_oracles.reference_csc_fault``): an empty column, ids out of order,
+    a stored zero, NaN or inf, an id out of range or a malformed
+    ``indptr``; its error names P(t) for any t. The sequence of the steps
+    with well-formed ``indptr``, joined, is refused exactly when one of
+    them is, and its error names the first; ids that fall where a step
+    begins are accepted."""
     rng = np.random.default_rng(seed)
     g = ProductGraph(cycle_graph(int(rng.integers(3, 6))),
                      int(rng.integers(1, 3)))
     steps = random_steps(rng, g.num_states)
+    start = int(rng.integers(0, 100))
+    faults = [oracle.reference_csc_fault(*arrays, g.num_states)
+              for arrays in steps]
+    for t, (arrays, fault) in enumerate(zip(steps, faults)):
+        if fault:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"P({start + t}) is not a CSC matrix over "
+                    f"{g.num_states} states")):
+                TransitionMatrix(start + t, g, *arrays)
+        else:
+            TransitionMatrix(start + t, g, *arrays)
+    if not all(ptr.shape == (len(ids) + 1,) and ptr[0] == 0
+               and ptr[-1] == len(idx) for ids, ptr, idx, _ in steps):
+        return  # the joined indptr follows the lengths alone
     rho = np.full((len(steps) + 1, g.num_states), 1.0 / g.num_states)
-    first = None
-    for t, arrays in enumerate(steps):
-        try:
-            TransitionMatrix(t, g, *arrays)
-        except ValidationError:
-            first = t
-            break
-    if first is None:
+    if not any(faults):
         seq = TransitionMatrixSeq.from_arrays(rho, g, *store_arrays(steps))
         for mat, arrays in zip(seq.matrices, steps):
             for got, want in zip((mat.col_ids, mat.indptr, mat.indices,
                                   mat.data), arrays):
                 assert got.tobytes() == want.tobytes()
     else:
-        with pytest.raises(ValidationError,
-                           match=re.escape(f"P({first}) is not a CSC")):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"P({faults.index(True)}) is not a CSC")):
             TransitionMatrixSeq.from_arrays(rho, g, *store_arrays(steps))
 
 
@@ -1199,10 +1241,11 @@ def dropped_columns(seq: TransitionMatrixSeq, rng) -> TransitionMatrixSeq:
 def test_verify_gives_the_bits_of_the_step_by_step_oracle(seed, walkers,
                                                           regular):
     """Each property measured in one pass over the joined arrays has the
-    bits of the step-by-step pass (``_oracles.reference_properties``), on
-    built sequences of one to three walkers and on hand-made ones whose
-    rho has mass on sources with no stored column, whose uniform columns
-    are merged in column order."""
+    bits of the step-by-step pass (``_oracles.reference_properties``,
+    which makes and sums the columns without the engine's lookup or
+    propagation), on built sequences of one to three walkers and on
+    hand-made ones whose rho has mass on sources with no stored column,
+    whose uniform columns are merged in column order."""
     rng = np.random.default_rng(seed)
     coin, shift, interaction, psi = scheduled_walk(
         rng, walkers, regular, named=False,

@@ -39,6 +39,12 @@ the passes over a whole sequence read them at once: the theorem check
 and its reader (``persist._load_run``) hold no loop over the per-step
 matrices or the step offsets.
 
+P(t) has one core, shared by a lone matrix and a sequence: one check,
+one lookup and one propagation. So the refusal of a malformed P(t) is
+spelled once, in the one check, and the uniform columns are merged in
+by one function, ``equivalence._with_uniform``, which only the one
+lookup, ``equivalence._lookup``, calls.
+
 One walk loop, the light-cone loop ``walk._light_cone``, turns the walk
 into rho(t): it yields each step's masses on the walk's box with their
 ``vertex_masses``, so only ``walk.py`` may call ``vertex_masses``, and
@@ -79,6 +85,10 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
 #: The functions that read all steps of P(t) at once, in the store's
 #: layout: they may not loop over the steps.
 ONE_PASS = {"verify_theorem_properties", "save_sequence", "_load_run"}
+#: A part of the text that refuses a malformed P(t).
+CSC_REFUSAL = "is not a CSC matrix"
+#: The one function that merges in uniform columns, and its one caller.
+UNIFORM_MERGE = ("_with_uniform", "_lookup")
 #: What a loop over the steps iterates: the per-step matrices or the step
 #: offsets, by name, attribute or store key.
 STEPS = {"matrices", "step_ptr"}
@@ -514,3 +524,69 @@ def test_the_json_dumps_guard_sees_each_breach():
         "persist.py:4 calls json.dumps in a loop",
         "persist.py:6 calls json.dumps"]
     assert json_dumps_breaches(source, "cli.py") == []
+
+
+def core_breaches(sources: dict[str, str]) -> list[str]:
+    """Each spelling of :data:`CSC_REFUSAL` in ``sources`` (module:
+    source) but the first, each call of :data:`UNIFORM_MERGE`'s function
+    outside its one caller, and each call in that caller but the first;
+    a note when the text or that call is missing."""
+    func, caller = UNIFORM_MERGE
+    spelled, calls = [], []
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        inside = {id(n) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == caller for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and CSC_REFUSAL in node.value:
+                spelled.append((module, node.lineno))
+            elif isinstance(node, ast.Call) and func in _names(node.func):
+                calls.append((id(node) in inside, module, node.lineno))
+    calls.sort()
+    within = [(m, line) for ok, m, line in calls if ok]
+    found = [f"{m}:{line} spells the CSC refusal again"
+             for m, line in sorted(spelled)[1:]]
+    found += [f"{m}:{line} calls {func} outside {caller}"
+              for ok, m, line in calls if not ok]
+    found += [f"{m}:{line} calls {func} again" for m, line in within[1:]]
+    if not spelled:
+        found.append("the CSC refusal is spelled nowhere")
+    if not within:
+        found.append(f"{caller} never calls {func}")
+    return found
+
+
+def test_the_core_does_each_job_once():
+    assert core_breaches({path.name: path.read_text()
+                          for path in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_the_core_guard_sees_each_breach():
+    core = (
+        "def _check(t):\n"
+        "    raise E(f'P({t}) is not a CSC matrix over')\n"
+        "def _lookup(arrays):\n"
+        "    return _with_uniform(arrays)\n"
+    )
+    other = (
+        "class M:\n"
+        "    def __post_init__(self):\n"
+        "        raise E(f'P({self.time}) is not a CSC matrix')\n"
+        "    def find(self):\n"
+        "        return equivalence._with_uniform(self.arrays)\n"
+        "def _lookup(arrays):\n"
+        "    return _with_uniform(_with_uniform(arrays))\n"
+    )
+    assert core_breaches({"a.py": core}) == []
+    assert core_breaches({"a.py": core, "b.py": other}) == [
+        "b.py:3 spells the CSC refusal again",
+        "b.py:5 calls _with_uniform outside _lookup",
+        "b.py:7 calls _with_uniform again",
+        "b.py:7 calls _with_uniform again",
+    ]
+    assert core_breaches({"b.py": "def f():\n    return 1\n"}) == [
+        "the CSC refusal is spelled nowhere",
+        "_lookup never calls _with_uniform"]
