@@ -3,12 +3,28 @@
 Runs are driven by a JSON config plus a few flag overrides; every command
 writes a ``manifest.json`` next to its outputs and the data files carry
 the manifest hash. Exit codes: 0 on success, 1 on a runtime numerical
-failure, 2 on configuration errors.
+failure (``numerical failure:``) or a memory budget refusal (``resource
+limit:``), 2 on configuration errors.
+
+:func:`main` first pins two glibc allocator thresholds, through
+``mallopt``, once per process (``_PINNED_THRESHOLDS``). Unpinned, glibc
+serves an array above its dynamic mmap threshold with fresh mmapped pages
+and trims freed memory off the top of the heap, so every command's NumPy
+temporaries page-fault anew. Which ones do depends on the heap layout a
+command inherits: the benchmark's ``two-walker`` ``sample_s`` and
+``reverify_s`` moved by 16-35% between layouts of the same code. Pinned,
+arrays under the mmap threshold come from the heap, and freed pages stay
+mapped for the next array and the next command. The setting is
+process-wide and glibc-only; where libc has no ``mallopt`` nothing is
+set. Only this entry point sets it: importing :mod:`qrwalk` leaves its
+host's allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -47,7 +63,28 @@ from .trajectory import convergence_report, locality_fraction, \
     sample_ensemble, total_variation
 from .walk import _light_cone
 
-_RUNTIME_ERRORS = (ConsistencyError, ResourceLimitError)
+#: glibc's ``mallopt`` parameters M_MMAP_THRESHOLD (-3) and
+#: M_TRIM_THRESHOLD (-1), and what :func:`main` pins them to. The smallest
+#: pair measured with no page faults in the benchmark's repeated commands
+#: on every workload: 4 MiB is above the K = 2 walk's 2.56 MB state vectors,
+#: and 16 MiB above the 7-10 MB of free heap top the commands leave. With
+#: 2 and 8 MiB the faults came back in some heap layouts; 4 and 8 MiB
+#: trimmed and re-faulted on every command.
+_PINNED_THRESHOLDS = ((-3, 4 << 20), (-1, 16 << 20))
+
+
+@functools.cache
+def _pin_allocator() -> None:
+    """Pin glibc's mmap and trim thresholds, once per process (module
+    docstring); without a ``mallopt`` in libc, do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _PINNED_THRESHOLDS:
+        mallopt(param, value)
 
 
 def _load_config(path: str | None) -> dict:
@@ -384,6 +421,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # only the invoked command's subparser is built; top-level help, a
     # missing or an unknown command build them all
+    _pin_allocator()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv[0] if argv and argv[0] in COMMANDS
                          else None).parse_args(argv)
@@ -393,7 +431,10 @@ def main(argv=None) -> int:
         if args.command == "sample" and not args.from_dir and not args.config:
             raise ConfigError("sample needs --config or --from")
         return args.func(args, config)
-    except _RUNTIME_ERRORS as exc:
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 1
+    except ConsistencyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValidationError) as exc:

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .graphs import PortGraph, ProductGraph, _readonly
+from .graphs import PortGraph, ProductGraph, _check_flat, _readonly
 from .walk import (
     NORM_ATOL,
     CoinLike,
@@ -96,7 +96,7 @@ class TransitionMatrix:
     out-neighbours, and :meth:`find` makes it on demand. States are joint
     vertex-tuple indices of ``graph``, a port graph being one walker on
     it. The arrays are read-only. It is the one-step case of the core
-    (module docstring); a source state outside ``0..S-1`` raises
+    (module docstring); a source or target outside ``0..S-1`` raises
     :class:`ValidationError`.
     """
 
@@ -119,6 +119,9 @@ class TransitionMatrix:
                     and arr.ndim == 1 and not arr.flags.writeable):
                 arr = _readonly(np.array(arr, dtype=dtype, ndmin=1))
             object.__setattr__(self, name, arr)
+        # a 2-D indptr fails the CSC check's shape test
+        _check_flat(ValidationError, col_ids=self.col_ids,
+                    indices=self.indices, data=self.data)
         _check_columns(np.array([0, self.col_ids.size]), *self._arrays,
                        self.num_states, self.time)
 
@@ -214,6 +217,7 @@ class TransitionMatrix:
         return mat.indices[lo:hi], mat.data[lo:hi]
 
     def entry(self, v: int, u: int) -> float:
+        _check_states(np.array([v]), self.num_states, f"P({self.time})")
         targets, probs = self.column(u)
         pos = np.searchsorted(targets, v)
         if pos < targets.size and targets[pos] == v:
@@ -281,6 +285,10 @@ class TransitionMatrixSeq:
          self.data) = arrays = [
             _readonly(np.array(a, dtype=dtype, ndmin=1, copy=None))
             for a, dtype in zip(arrays, [np.int64] * 4 + [np.float64])]
+        # a 2-D indptr fails the offsets check's shape test
+        _check_flat(ValidationError, step_ptr=self.step_ptr,
+                    col_ids=self.col_ids, indices=self.indices,
+                    data=self.data)
         _check_columns(*arrays, graph.num_states)
         errors = self._sum_errors = [0.0] * self.num_steps \
             if column_sum_errors is None else column_sum_errors

@@ -77,6 +77,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_flat(error: type[ValidationError], **arrays: np.ndarray) -> None:
+    """Raise ``error`` naming the first of ``arrays`` that is not 1-D."""
+    for name, arr in arrays.items():
+        if arr.ndim != 1:
+            raise error(f"{name} must be one-dimensional, not of shape "
+                        f"{arr.shape}")
+
+
 def _split(flat: Sequence, offsets: np.ndarray) -> list:
     """``flat`` cut at ``offsets`` into one slice per vertex."""
     return list(map(flat.__getitem__,
@@ -105,6 +113,7 @@ class PortGraph:
             object.__setattr__(self, name, _readonly(np.array(
                 getattr(self, name), dtype=np.int64, ndmin=1)))
         offs, heads = self.port_offsets, self.heads
+        _check_flat(GraphError, port_offsets=offs, heads=heads)
         n = offs.size - 1
         if n <= 0:
             raise GraphError("graph needs at least one vertex")

@@ -33,6 +33,7 @@ Operators may vary with time: wherever a spec is accepted, a callable
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -79,8 +80,8 @@ def check_budget(nbytes: int, what: str) -> None:
 
 def _check_norm(norm2: float) -> None:
     """Raise :class:`ValidationError` unless the squared norm ``norm2``
-    is 1 within :data:`NORM_ATOL`."""
-    if abs(norm2 - 1.0) > NORM_ATOL:
+    is 1 within :data:`NORM_ATOL`; a NaN is not."""
+    if not abs(norm2 - 1.0) <= NORM_ATOL:
         raise ValidationError(
             f"state is not normalised: squared norm {norm2!r}"
         )
@@ -174,13 +175,18 @@ class WaveFunction:
         Tuples of vertices/ports address K-walker states. The vector is
         checked against the memory budget first, and always renormalised;
         a drift beyond 1e-8 triggers a warning since it usually means the
-        input was not meant to be a state.
+        input was not meant to be a state. A non-finite amplitude raises
+        :class:`ValidationError` naming its entry.
         """
         space, amps = _zero_state(graph)
         for vertex, port, amp in components:
+            amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise ValidationError(f"amplitude {amp!r} at vertex "
+                                      f"{vertex}, port {port} is not finite")
             vs = [vertex] if np.isscalar(vertex) else list(vertex)
             ps = [port] if np.isscalar(port) else list(port)
-            amps[space.basis_index(vs, ps)] += complex(amp)
+            amps[space.basis_index(vs, ps)] += amp
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
             raise ValidationError("initial state has zero norm")

@@ -1,6 +1,11 @@
 import argparse
+import ctypes
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -127,6 +132,23 @@ def test_malformed_entries_exit_2(tmp_path, capsys, command, entries):
 
 
 
+@pytest.mark.parametrize("command", ["evolve", "equivalence", "sample"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_initial_amplitude_exits_2(tmp_path, capsys, command,
+                                                bad):
+    """``NaN`` and ``Infinity``, which JSON readers accept, are refused as
+    the config error they are, before anything is written."""
+    cfg = write_config(tmp_path / "cfg.json", horizon=2, initial_state=[
+        {"vertex": 0, "port": 0, "re": 1.0},
+        {"vertex": 1, "port": 1, "re": bad}])
+    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "is not finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "equivalence", "sample",
                                      "tvd", "rejection"])
 def test_a_walk_that_fails_midway_exits_1(tmp_path, capsys, monkeypatch,
@@ -216,7 +238,8 @@ class TestEquivalence:
                            graph={"type": "cycle", "n": 4}, horizon=2)
         assert main(["equivalence", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "eq")]) == 1
-        assert "memory budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and "memory budget" in err
 
 class TestSample:
     def test_fig1_style_ensemble(self, tmp_path):
@@ -346,7 +369,8 @@ class TestSample:
                            ensemble_size=size)
         assert main(["sample", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "s")]) == 1
-        assert "memory budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and "memory budget" in err
 
 
 #: The BLAS build (``_oracles.blas_build``) and ``walk.COLUMN_BLOCK`` that
@@ -905,3 +929,105 @@ def test_one_command_parser_prints_what_the_full_one_does(argv, capsys,
     assert outcome(main) == full
     assert full[0] in (0, 2) and (full[1] or full[2])
     assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+
+
+class TestAllocatorPin:
+    """``main`` pins glibc's mmap (``mallopt`` parameter -3) and trim (-1)
+    thresholds to ``cli._PINNED_THRESHOLDS``, once per process."""
+
+    @pytest.fixture
+    def fresh_pin(self):
+        # the pin runs once per process; let this test see a first call
+        cli._pin_allocator.cache_clear()
+        yield
+        cli._pin_allocator.cache_clear()
+
+    @staticmethod
+    def _verify_records(events, monkeypatch):
+        def command(args, config):
+            events.append("command")
+            return 0
+        monkeypatch.setitem(cli._COMMANDS, "verify",
+                            (command, *cli._COMMANDS["verify"][1:]))
+
+    def test_main_pins_once_before_the_command(self, fresh_pin, monkeypatch):
+        events = []
+
+        def mallopt(param, value):
+            events.append((param, value))
+            return 1
+        monkeypatch.setattr("ctypes.CDLL",
+                            lambda name: argparse.Namespace(mallopt=mallopt))
+        self._verify_records(events, monkeypatch)
+        assert main(["verify", "--in-dir", "x"]) == 0
+        assert main(["verify", "--in-dir", "x"]) == 0
+        pinned = dict(cli._PINNED_THRESHOLDS)
+        assert events == [(-3, pinned[-3]), (-1, pinned[-1]), "command",
+                          "command"]
+
+    @pytest.mark.parametrize("libc", ["no mallopt", "no libc"])
+    def test_without_mallopt_nothing_is_set(self, fresh_pin, monkeypatch,
+                                            libc):
+        def cdll(name):
+            if libc == "no libc":  # CDLL(None) off POSIX
+                raise TypeError("expected str, bytes or os.PathLike object")
+            return argparse.Namespace()
+        monkeypatch.setattr("ctypes.CDLL", cdll)
+        events = []
+        self._verify_records(events, monkeypatch)
+        assert main(["verify", "--in-dir", "x"]) == 0
+        assert events == ["command"]
+
+    def test_importing_qrwalk_pins_nothing(self):
+        """Only the CLI entry retunes its host's allocator."""
+        script = ("import ctypes\n"
+                  "calls = []\n"
+                  "class Spy(ctypes.CDLL):\n"
+                  "    def __getattr__(self, name):\n"
+                  "        calls.append(name)\n"
+                  "        return super().__getattr__(name)\n"
+                  "ctypes.CDLL = Spy\n"
+                  "import qrwalk, qrwalk.cli\n"
+                  "print([name for name in calls if name == 'mallopt'])\n")
+        run = subprocess.run([sys.executable, "-c", script],
+                             env={**os.environ,
+                                  "PYTHONPATH": os.pathsep.join(sys.path)},
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                        or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                        reason="needs glibc 2.33 or later")
+    def test_after_main_an_array_of_half_the_threshold_is_heap(self,
+                                                              tmp_path):
+        """In a fresh process, one small command leaves glibc's dynamic
+        mmap threshold near its 128 KiB start, so an array of half the
+        pinned threshold would be mmapped; pinned, it comes from the heap
+        and glibc's count of mmapped bytes does not grow."""
+        cfg = write_config(tmp_path / "cfg.json",
+                           graph={"type": "cycle", "n": 4}, horizon=2)
+        size = dict(cli._PINNED_THRESHOLDS)[-3] // 2
+        script = (
+            "import ctypes, sys\n"
+            "import numpy as np\n"
+            "from qrwalk.cli import main\n"
+            "class Mallinfo2(ctypes.Structure):\n"
+            "    _fields_ = [(n, ctypes.c_size_t) for n in (\n"
+            "        'arena', 'ordblks', 'smblks', 'hblks', 'hblkhd',\n"
+            "        'usmblks', 'fsmblks', 'uordblks', 'fordblks',\n"
+            "        'keepcost')]\n"
+            "mallinfo2 = ctypes.CDLL(None).mallinfo2\n"
+            "mallinfo2.restype = Mallinfo2\n"
+            f"assert main(['evolve', '--config', {str(cfg)!r},\n"
+            f"             '--out-dir', {str(tmp_path / 'o')!r}]) == 0\n"
+            "before = mallinfo2().hblkhd\n"
+            f"array = np.ones({size} // 8)\n"
+            "print(before, mallinfo2().hblkhd)\n")
+        run = subprocess.run([sys.executable, "-c", script],
+                             env={**os.environ,
+                                  "PYTHONPATH": os.pathsep.join(sys.path)},
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        before, after = map(int, run.stdout.split()[-2:])
+        assert after == before

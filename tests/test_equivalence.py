@@ -217,20 +217,47 @@ class TestMatrixArrays:
                        for name, arr in arrays.items())
 
     @pytest.mark.parametrize("state", [-5, -1, 5, 7])
-    @pytest.mark.parametrize("call", ["find", "column", "entry", "draw"])
+    @pytest.mark.parametrize("call", ["find", "column", "entry", "draw",
+                                      "entry target"])
     def test_states_out_of_range_are_refused(self, call, state):
         # P(1) of a 5-cycle once read -5 as state 0 and drew from -1 as
-        # from state 4; now each reader names the state it refuses
+        # from state 4, and its entry at target 7 was 0.0; now each reader
+        # names the state it refuses
         g = cycle_graph(5)
         mat = build_sequence(g, *hadamard_walk(g),
                              WaveFunction.localized(g, 0, 0), 2).matrices[1]
         calls = {"find": lambda: mat.find([0, state]),
                  "column": lambda: mat.column(state),
                  "entry": lambda: mat.entry(0, state),
-                 "draw": lambda: mat.draw([0, state], [0.3, 0.3])}
+                 "draw": lambda: mat.draw([0, state], [0.3, 0.3]),
+                 "entry target": lambda: mat.entry(state, 0)}
         with pytest.raises(ValidationError, match=re.escape(
                 f"state {state} is not one of the 5 states of P(1)")):
             calls[call]()
+
+
+    @pytest.mark.parametrize("name", ["step_ptr", *MATRIX_ARRAYS])
+    def test_an_array_of_two_dimensions_is_refused_by_name(self, c4, name):
+        """Such an array was once kept, and the matrix failed on first use
+        with numpy's "object too deep"; a 2-D ``indptr`` keeps the shape
+        refusal of its offsets."""
+        seq = build_sequence(c4, *hadamard_walk(c4),
+                             WaveFunction.localized(c4, 0, 0), 2)
+        arrays = {name: getattr(seq, name) for name in SEQ_ARRAYS}
+        arrays[name] = arrays[name][None]
+        message = "inconsistent step offsets" if name == "indptr" else \
+            f"{name} must be one-dimensional, not of shape " \
+            f"{arrays[name].shape}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            TransitionMatrixSeq.from_arrays(seq.rho, c4, *arrays.values())
+        if name == "step_ptr":
+            return
+        mat = {n: getattr(seq.matrices[1], n) for n in MATRIX_ARRAYS}
+        mat[name] = mat[name][None]
+        message = "P(1) is not a CSC matrix" if name == "indptr" else \
+            f"{name} must be one-dimensional, not of shape {mat[name].shape}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            TransitionMatrix(1, c4, **mat)
 
 
 class TestBuildSequence:

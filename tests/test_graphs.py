@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,15 @@ class TestInvariants:
         for i in range(torus44.basis_dim):
             v, c = torus44.basis_state(i)
             assert torus44.basis_index(v, c) == i
+
+    @pytest.mark.parametrize("name", ["port_offsets", "heads"])
+    def test_an_array_of_two_dimensions_is_a_graph_error(self, c4, name):
+        arrays = {"port_offsets": c4.port_offsets, "heads": c4.heads}
+        arrays[name] = arrays[name][None]
+        with pytest.raises(GraphError, match=re.escape(
+                f"{name} must be one-dimensional, not of shape "
+                f"{arrays[name].shape}")):
+            PortGraph(**arrays)
 
     def test_cached_arrays_are_read_only(self):
         g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3)])

@@ -81,6 +81,23 @@ class TestWaveFunction:
         with pytest.raises(ValidationError, match="normalised"):
             WaveFunction(c4, np.ones(8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_a_non_finite_amplitude_is_rejected(self, c4, bad):
+        """A NaN anywhere makes the squared norm NaN, which is not 1; an
+        inf makes it inf."""
+        amps = np.zeros(8, dtype=complex)
+        amps[0], amps[3] = 1.0, bad
+        with pytest.raises(ValidationError, match="not normalised"):
+            WaveFunction(c4, amps)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(1, np.inf)])
+    def test_from_components_names_a_non_finite_amplitude(self, bad):
+        pg = ProductGraph(cycle_graph(4), 2)
+        with pytest.raises(ValidationError, match=r"amplitude .* at vertex "
+                           r"\(1, 2\), port \(0, 1\) is not finite"):
+            WaveFunction.from_components(pg, [((0, 0), (0, 0), 1.0),
+                                              ((1, 2), (0, 1), bad)])
+
     def test_wrong_dimension_rejected(self, c4):
         with pytest.raises(ValidationError, match="shape"):
             WaveFunction(c4, np.array([1.0, 0.0]))
