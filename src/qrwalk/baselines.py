@@ -47,6 +47,24 @@ __all__ = [
 REJECTION_BATCH = 100_000
 
 
+def _rho_rows(rho_seq, graph: PortGraph) -> np.ndarray:
+    """``rho_seq`` as a float array of shape (L, num_vertices), refused
+    with :class:`ValidationError` unless it has that shape and every
+    mass is finite and non-negative; the first bad (t, v) is named."""
+    rho_seq = np.asarray(rho_seq, dtype=np.float64)
+    if rho_seq.ndim != 2 or rho_seq.shape[1] != graph.num_vertices:
+        raise ValidationError(
+            f"rho_seq has shape {rho_seq.shape}, expected "
+            f"(L, {graph.num_vertices})"
+        )
+    bad = np.argwhere(~np.isfinite(rho_seq) | (rho_seq < 0))
+    if bad.size:
+        t, v = bad[0].tolist()
+        raise ValidationError(f"rho_seq[{t}, {v}] = {float(rho_seq[t, v])!r} "
+                              "is not a finite non-negative mass")
+    return rho_seq
+
+
 @dataclass
 class RejectionReport:
     """Outcome of rejection sampling vertex sequences against edges."""
@@ -109,12 +127,7 @@ def rejection_sample(
     ``V * D**(L-1)`` path-count figure (D axes) next to the ``V**L``
     sequence count for comparison against the measured rate.
     """
-    rho_seq = np.asarray(rho_seq, dtype=np.float64)
-    if rho_seq.ndim != 2 or rho_seq.shape[1] != graph.num_vertices:
-        raise ValidationError(
-            f"rho_seq has shape {rho_seq.shape}, expected "
-            f"(L, {graph.num_vertices})"
-        )
+    rho_seq = _rho_rows(rho_seq, graph)
     length = rho_seq.shape[0]
     if length < 1:
         raise ValidationError("need at least one distribution row")
@@ -182,12 +195,7 @@ def exact_rejection_marginals(
     ``b`` and ``Z`` the total path probability. Returns ``(marginals,
     Z)``; marginals are None when no path has positive weight.
     """
-    rho_seq = np.asarray(rho_seq, dtype=np.float64)
-    if rho_seq.ndim != 2 or rho_seq.shape[1] != graph.num_vertices:
-        raise ValidationError(
-            f"rho_seq has shape {rho_seq.shape}, expected "
-            f"(L, {graph.num_vertices})"
-        )
+    rho_seq = _rho_rows(rho_seq, graph)
     length = rho_seq.shape[0]
     heads, starts = graph.heads, graph.port_offsets[:-1]
 
@@ -220,7 +228,9 @@ class TorusDPState:
     ``rho[v, c]`` is the state probability and ``sign[v, c]`` the sign of
     the underlying real amplitude; the recursion needs the sign because
     probabilities alone lose destructive interference. Valid only for the
-    Grover coin, moving shift and real amplitudes.
+    Grover coin, moving shift and real amplitudes. The benchmark's check
+    (d) reads ``.rho``: its vertex sums are the oracle for the persisted
+    rho(0..T).
     """
 
     dims: tuple[int, ...]
@@ -278,14 +288,14 @@ def grover_torus_dp(
 
     raw = np.asarray(initial)
     if np.iscomplexobj(raw):
-        if np.abs(raw.imag).max() > 0.0:
+        if (raw.imag != 0.0).any():
             raise ApplicabilityError(
                 "torus recursion requires purely real initial amplitudes"
             )
         raw = raw.real
     amp = np.asarray(raw, dtype=np.float64).reshape(num_vertices, num_ports)
     norm2 = float((amp ** 2).sum())
-    if abs(norm2 - 1.0) > 1e-10:
+    if not abs(norm2 - 1.0) <= 1e-10:  # a NaN is not
         raise ValidationError(
             f"initial amplitudes are not normalised: squared sum {norm2!r}"
         )
@@ -302,7 +312,7 @@ def grover_torus_dp(
         amp = np.empty_like(amp)
         amp[nbr, np.arange(num_ports)] = mixed
         total = float((amp ** 2).sum())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ConsistencyError(
                 f"probability table lost normalisation at t={t + 1}: "
                 f"{total!r}"

@@ -96,7 +96,7 @@ class TransitionMatrix:
     out-neighbours, and :meth:`find` makes it on demand. States are joint
     vertex-tuple indices of ``graph``, a port graph being one walker on
     it. The arrays are read-only. It is the one-step case of the core
-    (module docstring); a source or target outside ``0..S-1`` raises
+    (module docstring); a source state outside ``0..S-1`` raises
     :class:`ValidationError`.
     """
 
@@ -216,19 +216,13 @@ class TransitionMatrix:
         lo, hi = mat.indptr[j], mat.indptr[j + 1]
         return mat.indices[lo:hi], mat.data[lo:hi]
 
-    def entry(self, v: int, u: int) -> float:
-        _check_states(np.array([v]), self.num_states, f"P({self.time})")
-        targets, probs = self.column(u)
-        pos = np.searchsorted(targets, v)
-        if pos < targets.size and targets[pos] == v:
-            return float(probs[pos])
-        return 0.0
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Propagate a distribution: ``P(t) @ rho`` over the sources with
         mass above :data:`ZERO_PROB` only (:func:`_propagate`). A smaller,
         negative or NaN mass adds nothing, so this is ``P(t) @ rho`` only
-        when every mass is 0 or above ``ZERO_PROB``.
+        when every mass is 0 or above ``ZERO_PROB``. It is the paper's
+        P(t) rho(t), kept as a paper artefact: the benchmark's check (b)
+        reads columns of P(t) through it.
         """
         rho = np.asarray(rho, dtype=np.float64)
         if rho.shape != (self.num_states,):

@@ -47,8 +47,9 @@ RNG_ALGORITHM = "numpy-PCG64"
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """M independent trajectories sampled under a single master seed; a
-    state outside ``0 .. num_states - 1`` raises :class:`ValidationError`."""
+    """M independent trajectories sampled under a single master seed;
+    ``paths`` other than a 2-D integer array, or a state outside ``0 ..
+    num_states - 1``, raises :class:`ValidationError`."""
 
     paths: np.ndarray  # (M, L+1) state indices
     num_states: int
@@ -56,7 +57,11 @@ class TrajectoryEnsemble:
     method: str = "scan"
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.paths, dtype=np.int64)
+        p = np.asarray(self.paths)
+        if p.ndim != 2 or p.dtype.kind not in "iu":
+            raise ValidationError("paths must be a 2-D integer array, not "
+                                  f"of shape {p.shape} and dtype {p.dtype}")
+        p = p.astype(np.int64, copy=False)
         if p.size and not 0 <= p.min() <= p.max() < self.num_states:
             raise ValidationError(f"paths leave the {self.num_states} "
                                   "states of the space")

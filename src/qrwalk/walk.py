@@ -9,12 +9,12 @@ state; nothing here renormalises, which keeps genuine defects visible.
 
 Each operator has one kernel, which writes from one state buffer into
 another: the interaction in place, the coin and the shift one walker at a
-time. :func:`_light_cone`, the one walk loop, runs them in two
-preallocated buffers and yields, at each t, the masses ``|psi(t)|^2`` on
-the walk's box and the vertex distribution rho(t) they sum to; no other
-loop of the package makes rho(t). :func:`evolve` is that loop with the
-masses put over the whole space. :func:`step` runs the same kernels on
-a copy of a :class:`WaveFunction` and returns a new one.
+time. One driver runs them in two preallocated buffers, on the box of
+a state's support. :func:`_light_cone`, the one walk loop, yields at each
+t the masses ``|psi(t)|^2`` on the walk's box and the vertex distribution
+rho(t) they sum to; no other loop of the package makes rho(t).
+:func:`evolve` is that loop with the masses put over the whole space, and
+:func:`step` one step of it that returns a new :class:`WaveFunction`.
 
 The kernels run on a box of the state, not on the whole space. A coin or
 an interaction mixes amplitude within one vertex (tuple), and a shift
@@ -23,9 +23,8 @@ psi(t) is exactly zero outside the light cone of psi(0)'s support: the
 product of the sets of vertices each walker can have reached. The walk
 keeps only the box over their ports, at the front of its two buffers,
 each walker's ports listed in degree-class order so that each coin class
-is one run; a state over the whole space is kept in that order too.
-:func:`step` runs on the whole-space box, the step the tests hold the
-light cone to.
+is one run; a state over the whole space is kept in that order too. The
+tests' whole-space bits oracle is ``_oracles.reference_step``.
 
 Operators may vary with time: wherever a spec is accepted, a callable
 ``t -> spec`` is accepted too and resolved at each step.
@@ -765,19 +764,6 @@ class _Box:
         rho.reshape(space.shape)[index] = sums
         return rho
 
-    def state(self, x: np.ndarray, y: np.ndarray) -> WaveFunction:
-        """The whole-space box in ``x`` as a :class:`WaveFunction`, each
-        axis not in order put back in basis order by one ``np.take`` of
-        the inverse class order, into the buffer the last one did not
-        write."""
-        inverse = self.graph.class_order[1]
-        for i, axis in enumerate(self.axes):
-            if not axis.in_order:
-                np.take(self.view(x, i), inverse, axis=1,
-                        out=self.view(y, i), mode="clip")
-                x, y = y, x
-        return WaveFunction(self.space, x)
-
 
 # ---------------------------------------------------------------------------
 # operator kernels
@@ -925,19 +911,36 @@ def _step(box: _Box, x: np.ndarray, y: np.ndarray,
     return _shifts(box, shifts, x, y)
 
 
-def _workspace(psi: WaveFunction, cone: bool = False
-               ) -> tuple[_Box, np.ndarray, np.ndarray]:
-    """Two state buffers, checked against the memory budget first, one
-    holding a box of ``psi``: the whole space, or with ``cone`` (the walk
-    loop) the box of its support."""
+def _workspace(psi: WaveFunction) -> tuple[_Box, np.ndarray, np.ndarray]:
+    """The box of ``psi``'s support, and two state buffers, checked
+    against the memory budget first, the first one holding the box."""
     dim = psi.graph.basis_dim
     check_budget(32 * dim, f"two state buffers of dimension {dim}")
-    support = None
-    if cone:  # a nonzero real or imaginary part, on the float view
-        support = (psi.amplitudes.view(np.float64) != 0).view(np.uint16) != 0
+    # a nonzero real or imaginary part, on the float view
+    support = (psi.amplitudes.view(np.float64) != 0).view(np.uint16) != 0
     box = _Box(psi.graph, support)
     x, y = np.empty_like(psi.amplitudes), np.empty_like(psi.amplitudes)
     return (box, *box.gather(psi.amplitudes, x, y))
+
+
+def _in_basis(space: ProductGraph, axes: Sequence[_Axis], box: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """The array ``box`` over the box of ``axes`` as a flat array over the
+    joint basis, in basis order and zero outside the box: scattered into
+    ``out`` (of ``box``'s dtype) or a new array. When every axis is in
+    basis order the box is the whole space, and ``box`` is that array:
+    itself, flat, given an ``out``, else a copy."""
+    if all(a.in_order for a in axes):
+        flat = box.reshape(-1)
+        return flat if out is not None else flat.copy()
+    if out is None:
+        out = np.zeros(space.basis_dim, dtype=box.dtype)
+    else:
+        out.fill(0)
+    index = _outer([None if a.in_order else a.ports for a in axes],
+                   space.base.basis_dim)
+    out.reshape(space.basis_shape)[index] = box.reshape([a.size for a in axes])
+    return out
 
 
 def _masses(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -958,14 +961,18 @@ def step(
     interaction: InteractionLike | None = None,
     t: int = 0,
 ) -> WaveFunction:
-    """One evolution step, shift(coin(interaction(psi))), by the kernels
-    the walk loop runs, on the box of the whole space (each axis in
-    degree-class order, so an irregular graph's state is put in that
-    order first and back in basis order last); the new state is checked
-    like any other. Its bits are those of the loop's light cone on the
-    condition that :func:`_light_cone` states."""
+    """One evolution step, shift(coin(interaction(psi))), by the walk
+    loop's driver on the box of ``psi``'s support, put back in basis
+    order (:func:`_in_basis`) in its spare buffer; the memory budget is
+    checked first for the two buffers. The amplitudes have the bits of
+    the tests' whole-space bits oracle, ``_oracles.reference_step``,
+    wherever they are nonzero, on the condition that :func:`_light_cone`
+    states; a zero outside the box is +0.0, where the whole space may give
+    -0.0, so every mass keeps its bits."""
     box, x, y = _workspace(psi)
-    return box.state(*_step(box, x, y, coin, shift, interaction, t))
+    x, y = _step(box, x, y, coin, shift, interaction, t)
+    return WaveFunction(psi.graph,
+                        _in_basis(psi.graph, box.axes, x[:box.size], y))
 
 
 def _light_cone(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
@@ -981,24 +988,25 @@ def _light_cone(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
     The masses are a view of the spare state buffer, not a copy: the
     next step overwrites them, so a consumer is done with them before it
     asks for the next step. :func:`evolve` puts them over the joint
-    basis; :func:`~qrwalk.equivalence.build_sequence` reads P(t) from
-    them where they are.
+    basis; :func:`~qrwalk.equivalence.build_sequence` and the commands
+    read them where they are.
 
     The walk evolves only its light cone. Coins and interactions act
     within one vertex (tuple), and every shift is edge-local, so psi(t)
     is exactly zero outside the box over the ports of S_1 x ... x S_K,
     S_i being the vertices walker i can have reached: the projection of
     psi(0)'s support on axis i, then the heads of the arcs leaving S_i.
-    Each step runs its kernels on that box alone (:class:`_Box`), with
-    the bits of a walk over the whole space; an axis that covers every
-    vertex runs the whole-space kernels, without index work. The box
-    lives at the front of two state buffers, each step's operators
-    writing from one into the other. The buffers are checked against the
-    memory budget before anything is allocated. Every psi(t + 1) is
-    checked to be normalised within :data:`NORM_ATOL`, as a
-    :class:`WaveFunction` is, before its masses are yielded.
+    Each step runs its kernels on that box alone (:class:`_Box`), by the
+    driver :func:`step` runs too; an axis that covers every vertex runs
+    them without index work. The box lives at the front of two state
+    buffers, each step's operators writing from one into the other. The
+    buffers are checked against the memory budget before anything is
+    allocated. Every psi(t + 1) is checked to be normalised within
+    :data:`NORM_ATOL`, as a :class:`WaveFunction` is, before its masses
+    are yielded.
 
-    :func:`step` gives the same bits as long as a matrix product's bits
+    The masses have the bits of the tests' whole-space bits oracle,
+    ``_oracles.reference_step``, as long as a matrix product's bits
     depend only on its operand shapes and on the column blocks of
     :data:`COLUMN_BLOCK`, which is probed at import: with several walkers
     a box axis after the first stays partial only with a multiple of
@@ -1007,7 +1015,7 @@ def _light_cone(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
     columns than a single thread would breaks that condition."""
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
-    box, x, y = _workspace(psi0, cone=True)
+    box, x, y = _workspace(psi0)
     for t in range(horizon + 1):
         if t:
             x, y = _step(box, x, y, coin, shift, interaction, t - 1)
@@ -1018,19 +1026,6 @@ def _light_cone(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
         yield p.reshape(box.shape), tuple(box.axes), box.vertex_masses(p)
 
 
-def _basis_masses(space: ProductGraph, axes: Sequence[_Axis],
-                  p: np.ndarray) -> np.ndarray:
-    """The masses ``p`` of the box of ``axes`` as a new flat array over
-    the joint basis, in basis order and zero outside the box."""
-    if all(a.in_order for a in axes):
-        return p.reshape(-1).copy()
-    out = np.zeros(space.basis_dim)
-    index = _outer([None if a.in_order else a.ports for a in axes],
-                   space.base.basis_dim)
-    out.reshape(space.basis_shape)[index] = p
-    return out
-
-
 def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
            horizon: int, interaction: InteractionLike | None = None
            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -1039,20 +1034,21 @@ def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
     (the port sums of :func:`vertex_masses`), each a new float array over
     the whole space.
 
-    These are the walk loop's (:func:`_light_cone`, which evolves only
-    the light cone of psi(0)'s support, and checks each state's norm),
-    its box-local masses put in place in an array that is zero outside
-    the box. The memory budget is checked first for the loop's two state
-    buffers and two such arrays: the one being made and the one the
-    caller may still hold. A caller that needs only rho(t), or can read
-    the masses on the box, takes the loop itself and makes no such
-    array."""
+    The paper-level API, kept for library callers: the walk loop's
+    (:func:`_light_cone`, which evolves only the light cone of psi(0)'s
+    support, and checks each state's norm) box-local masses put in place
+    (:func:`_in_basis`) in an array that is zero outside the box. The
+    memory budget is checked first for the loop's two state buffers and
+    two such arrays: the one being made and the one the caller may still
+    hold. The commands and the matrix build need only rho(t) or the
+    masses on the box, so they read the loop itself, make no such array
+    and are charged for the two buffers alone."""
     dim = psi0.graph.basis_dim
     check_budget(48 * dim, "two state buffers and two mass arrays of "
                  f"dimension {dim}")
     for p, axes, rho in _light_cone(psi0, coin, shift, horizon,
                                     interaction):
-        yield _basis_masses(psi0.graph, axes, p), rho
+        yield _in_basis(psi0.graph, axes, p), rho
 
 
 def _degree(graph: PortGraph) -> int:

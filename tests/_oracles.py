@@ -5,9 +5,11 @@ dense matrices, brute-force enumeration, multinomial draws) and never
 calls the engine's operator-application code paths. ``reference_step``
 copies the state per operator and multiplies each coin with the operand
 shapes the engine documents, so it is the bit-for-bit reference of the
-in-place walk for every coin. ``apply_coin``, ``apply_shift``
-and ``apply_interaction`` are no oracles: they run one of the engine's
-kernels alone, for the tests that check one operator at a time.
+in-place walk for every coin: the whole-space step that the walk's one
+driver, which runs on the light cone, is held to. ``apply_coin``,
+``apply_shift`` and ``apply_interaction`` are no oracles: they run one
+of the engine's kernels alone on the whole-space box, for the tests that
+check one operator at a time.
 """
 
 from __future__ import annotations
@@ -541,20 +543,34 @@ def graph_to_json(g) -> dict:
     return doc
 
 
+def _whole_box(psi):
+    """The box of the whole space of ``psi``, and two state buffers, the
+    first holding ``psi`` laid out on the box (``_Box.gather``)."""
+    box = walk._Box(psi.graph, None)
+    x, y = np.empty_like(psi.amplitudes), np.empty_like(psi.amplitudes)
+    return (box, *box.gather(psi.amplitudes, x, y))
+
+
+def _state(psi, box, x, y):
+    """The box in ``x`` put back in basis order, into ``y``."""
+    return walk.WaveFunction(psi.graph, walk._in_basis(
+        psi.graph, box.axes, x[:box.size], y))
+
+
 def apply_coin(psi, coin, t: int = 0):
     """``psi`` with each vertex's ports mixed by the coin blocks: the
     walk's coin kernel alone, on the whole-space box."""
     specs = walk._per_walker(coin, psi.graph, t, "coin")
-    box, x, y = walk._workspace(psi)
-    return box.state(*walk._coins(box, specs, x, y))
+    box, x, y = _whole_box(psi)
+    return _state(psi, box, *walk._coins(box, specs, x, y))
 
 
 def apply_shift(psi, shift, t: int = 0):
     """``psi`` moved along the arcs by the shift permutation: the walk's
     shift kernel alone, on the whole-space box."""
     specs = walk._per_walker(shift, psi.graph, t, "shift")
-    box, x, y = walk._workspace(psi)
-    return box.state(*walk._shifts(box, specs, x, y))
+    box, x, y = _whole_box(psi)
+    return _state(psi, box, *walk._shifts(box, specs, x, y))
 
 
 def apply_interaction(psi, interaction, t: int = 0):
@@ -565,9 +581,9 @@ def apply_interaction(psi, interaction, t: int = 0):
     spec = walk._interaction_at(interaction, psi.graph, t)
     if spec is None:
         return psi
-    box, x, y = walk._workspace(psi)
-    walk._interaction_kernel(spec, box, x)
-    return box.state(x, y)
+    box, x, y = _whole_box(psi)
+    walk._interaction_kernel(spec, box, x[:box.size])
+    return _state(psi, box, x, y)
 
 
 def reference_properties(seq, tolerance: float = 1e-10):

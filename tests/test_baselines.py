@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,29 @@ class TestRejection:
         with pytest.raises(ValidationError):
             rejection_sample(np.ones((2, 3)) / 3, c4, 10, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    @pytest.mark.parametrize("baseline", ["sample", "exact"])
+    def test_a_mass_not_finite_and_non_negative_is_refused(self, c4, bad,
+                                                           baseline):
+        # a NaN row once gave NaN TVDs and all-NaN exact marginals, and a
+        # negative mass was sampled around
+        rho = np.full((3, 4), 0.25)
+        rho[1, 2] = bad
+        run = {"sample": lambda: rejection_sample(rho, c4, 10, seed=0),
+               "exact": lambda: exact_rejection_marginals(rho, c4)}
+        with pytest.raises(ValidationError, match=re.escape(
+                f"rho_seq[1, 2] = {bad!r} is not a finite non-negative "
+                "mass")):
+            run[baseline]()
+
+    @pytest.mark.parametrize("baseline", ["sample", "exact"])
+    def test_both_baselines_refuse_a_shape_alike(self, c4, baseline):
+        run = {"sample": lambda rho: rejection_sample(rho, c4, 10, seed=0),
+               "exact": lambda rho: exact_rejection_marginals(rho, c4)}
+        with pytest.raises(ValidationError, match=re.escape(
+                "rho_seq has shape (2, 3), expected (L, 4)")):
+            run[baseline](np.ones((2, 3)) / 3)
+
     def test_a_row_without_support_is_refused(self, c4):
         rho = np.full((3, 4), 0.25)
         rho[1] = 0.0
@@ -175,6 +200,22 @@ class TestGroverTorusDP:
     def test_unnormalised_rejected(self):
         with pytest.raises(ValidationError, match="normalised"):
             grover_torus_dp((4, 4), np.ones((16, 4)), 1)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_nan_amplitude_is_refused(self, dtype):
+        # NaN once passed the norm check and gave NaN tables
+        init = np.zeros((16, 4), dtype=dtype)
+        init[0, 0] = 1.0
+        init[3, 1] = np.nan
+        with pytest.raises(ValidationError,
+                           match="not normalised: squared sum nan"):
+            grover_torus_dp((4, 4), init, 2)
+
+    def test_a_nan_imaginary_part_is_refused(self):
+        init = np.zeros((16, 4), dtype=complex)
+        init[0, 0] = complex(1.0, np.nan)
+        with pytest.raises(ApplicabilityError, match="real"):
+            grover_torus_dp((4, 4), init, 2)
 
 
 class TestGroverTorusMatrix:

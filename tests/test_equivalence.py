@@ -91,9 +91,10 @@ class TestBuildTransitionMatrix:
         rho = vertex_distribution(psi0)
         for u in range(4):
             a0, a1 = amps[c4.basis_index(u, 0)], amps[c4.basis_index(u, 1)]
-            assert mat.entry((u + 1) % 4, u) \
+            column = dict(zip(*map(np.ndarray.tolist, mat.column(u))))
+            assert column[(u + 1) % 4] \
                 == pytest.approx(a0 ** 2 / rho[u], abs=1e-12)
-            assert mat.entry((u - 1) % 4, u) \
+            assert column[(u - 1) % 4] \
                 == pytest.approx(a1 ** 2 / rho[u], abs=1e-12)
 
     def test_torus_grover_columns_stochastic(self, torus1010):
@@ -217,20 +218,16 @@ class TestMatrixArrays:
                        for name, arr in arrays.items())
 
     @pytest.mark.parametrize("state", [-5, -1, 5, 7])
-    @pytest.mark.parametrize("call", ["find", "column", "entry", "draw",
-                                      "entry target"])
+    @pytest.mark.parametrize("call", ["find", "column", "draw"])
     def test_states_out_of_range_are_refused(self, call, state):
         # P(1) of a 5-cycle once read -5 as state 0 and drew from -1 as
-        # from state 4, and its entry at target 7 was 0.0; now each reader
-        # names the state it refuses
+        # from state 4; now each reader names the state it refuses
         g = cycle_graph(5)
         mat = build_sequence(g, *hadamard_walk(g),
                              WaveFunction.localized(g, 0, 0), 2).matrices[1]
         calls = {"find": lambda: mat.find([0, state]),
                  "column": lambda: mat.column(state),
-                 "entry": lambda: mat.entry(0, state),
-                 "draw": lambda: mat.draw([0, state], [0.3, 0.3]),
-                 "entry target": lambda: mat.entry(state, 0)}
+                 "draw": lambda: mat.draw([0, state], [0.3, 0.3])}
         with pytest.raises(ValidationError, match=re.escape(
                 f"state {state} is not one of the 5 states of P(1)")):
             calls[call]()
@@ -306,7 +303,7 @@ class TestBuildSequence:
 
         def scatter(*args):
             raise AssertionError("masses put over the whole space")
-        monkeypatch.setattr(walk, "_basis_masses", scatter)
+        monkeypatch.setattr(walk, "_in_basis", scatter)
         got = build_sequence(g, coin, shift, psi, 4)
         assert got.rho.tobytes() == want.rho.tobytes()
         for a, b in zip(got.matrices, want.matrices):
@@ -446,10 +443,12 @@ class TestMultiwalker:
         for u in np.flatnonzero(rho_joint > 1e-14):
             u1, u2 = pg.tuple_of(int(u))
             targets, probs = multi.column(int(u))
+            col_a, col_b = (dict(zip(*map(np.ndarray.tolist, m.column(w))))
+                            for m, w in ((m_a, u1), (m_b, u2)))
             for v, p in zip(targets.tolist(), probs.tolist()):
                 v1, v2 = pg.tuple_of(v)
                 assert p == pytest.approx(
-                    m_a.entry(v1, u1) * m_b.entry(v2, u2), abs=1e-10)
+                    col_a.get(v1, 0.0) * col_b.get(v2, 0.0), abs=1e-10)
 
     def test_interacting_marginals_deviate_from_free_walkers(self, c4):
         pg = ProductGraph(c4, 2)

@@ -51,6 +51,15 @@ into rho(t): it yields each step's masses on the walk's box with their
 no other module keeps a walk loop of its own. ``walk.evolve`` is that
 loop with the masses put over the whole space; ``build_sequence`` and the
 commands that need only rho(t) read the loop itself.
+
+The walk's kernels have one driver, the box of a state's support: the
+loop and ``walk.step`` both take it from ``walk._workspace``, which takes
+the state alone, so no caller can ask for a whole-space box instead. A
+box is built only there and in the spec that caches the whole-space
+coincidence mask (``InteractionSpec._whole_coincident``), and no box
+method puts a whole-space state back together: the one scatter to the
+basis order is ``walk._in_basis``. The tests' oracles build whole-space
+boxes of their own.
 """
 
 import ast
@@ -92,6 +101,11 @@ UNIFORM_MERGE = ("_with_uniform", "_lookup")
 #: What a loop over the steps iterates: the per-step matrices or the step
 #: offsets, by name, attribute or store key.
 STEPS = {"matrices", "step_ptr"}
+#: The one driver of the walk's kernels, which takes the state alone.
+WALK_DRIVER = "_workspace"
+#: The functions that may build a box: the driver, and the spec that
+#: caches the whole-space box's coincidence mask.
+BOX_BUILDERS = {"_workspace", "_whole_coincident"}
 
 
 def _names(node) -> set[str]:
@@ -590,3 +604,87 @@ def test_the_core_guard_sees_each_breach():
     assert core_breaches({"b.py": "def f():\n    return 1\n"}) == [
         "the CSC refusal is spelled nowhere",
         "_lookup never calls _with_uniform"]
+
+
+def driver_breaches(sources: dict[str, str]) -> list[str]:
+    """Each definition of :data:`WALK_DRIVER` in ``sources`` (module:
+    source) with other than one parameter, each call of it with other
+    than one argument, each ``_Box(...)`` outside :data:`BOX_BUILDERS`
+    and each ``state`` method of ``_Box``; a note when the driver is
+    defined nowhere."""
+    found, defined = [], False
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        inside = {id(n) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in BOX_BUILDERS for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name == WALK_DRIVER:
+                defined = True
+                a = node.args
+                count = len(a.posonlyargs + a.args + a.kwonlyargs) \
+                    + (a.vararg is not None) + (a.kwarg is not None)
+                if count != 1:
+                    found.append(f"{where} gives {WALK_DRIVER} {count} "
+                                 "parameters")
+            elif isinstance(node, ast.ClassDef) and node.name == "_Box":
+                found += [f"{module}:{item.lineno} gives _Box a state "
+                          "method" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name == "state"]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) \
+                    or getattr(node.func, "attr", None)
+                count = len(node.args) + len(node.keywords)
+                if name == WALK_DRIVER and count != 1:
+                    found.append(f"{where} calls {WALK_DRIVER} with {count} "
+                                 "arguments")
+                elif name == "_Box" and id(node) not in inside:
+                    found.append(f"{where} builds a _Box outside "
+                                 f"{', '.join(sorted(BOX_BUILDERS))}")
+    if not defined:
+        found.append(f"{WALK_DRIVER} is defined nowhere")
+    return sorted(found)
+
+
+def test_the_walk_kernels_have_one_driver():
+    assert driver_breaches({path.name: path.read_text()
+                            for path in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_the_driver_guard_sees_each_breach():
+    driver = (
+        "class _Box:\n"
+        "    def gather(self, amps):\n"
+        "        return amps\n"
+        "def _workspace(psi):\n"
+        "    return _Box(psi.graph, psi.amplitudes != 0)\n"
+        "class InteractionSpec:\n"
+        "    def _whole_coincident(self):\n"
+        "        return _Box(self.graph, None)\n"
+        "def step(psi):\n"
+        "    return _workspace(psi)\n"
+    )
+    assert driver_breaches({"a.py": driver}) == []
+    whole = (
+        "class _Box:\n"
+        "    def state(self, x, y):\n"
+        "        return x\n"
+        "def _workspace(psi, cone=False):\n"
+        "    return _Box(psi.graph, None)\n"
+        "def _light_cone(psi0):\n"
+        "    return walk._workspace(psi0, cone=True)\n"
+        "def apply(psi):\n"
+        "    return walk._Box(psi.graph, None), _workspace()\n"
+    )
+    assert driver_breaches({"a.py": whole}) == [
+        "a.py:2 gives _Box a state method",
+        "a.py:4 gives _workspace 2 parameters",
+        "a.py:7 calls _workspace with 2 arguments",
+        "a.py:9 builds a _Box outside _whole_coincident, _workspace",
+        "a.py:9 calls _workspace with 0 arguments",
+    ]
+    assert driver_breaches({"b.py": "def f():\n    return 1\n"}) == [
+        "_workspace is defined nowhere"]

@@ -112,7 +112,8 @@ class TestSampleTrajectory:
             paths = _draw(one_step, uniforms, "scan")
             assert np.array_equal(paths[:, 0], np.arange(n))
             for u, v in paths.tolist():
-                assert mat.entry(v, u) > 0.0
+                targets, probs = mat.column(u)
+                assert (probs[targets == v] > 0.0).any()
 
     def test_unstored_state_draws_from_its_uniform_column(self, c4):
         # P(0) stores no column, so every move is a uniform draw over the
@@ -138,7 +139,8 @@ class TestSampleTrajectory:
         paths = _draw(seq, np.full((1, 4), np.nextafter(1.0, 0.0)), "scan")
         assert paths[0, 0] == np.ravel_multi_index((1, 2), pg.shape)
         for t, mat in enumerate(seq.matrices):
-            assert mat.entry(paths[0, t + 1], paths[0, t]) > 0.0
+            targets, probs = mat.column(paths[0, t])
+            assert (probs[targets == paths[0, t + 1]] > 0.0).any()
 
 
     @pytest.mark.parametrize("start", ["uniform", "localized"])
@@ -211,6 +213,15 @@ class TestSampleEnsemble:
     def test_states_outside_the_space_rejected(self, path):
         with pytest.raises(ValidationError, match="leave the 4 states"):
             TrajectoryEnsemble([path], 4)
+
+    @pytest.mark.parametrize("paths", [
+        [0, 1], [[[0, 1]]], [[0.7, 1.9]], [[True, False]], []])
+    def test_paths_other_than_a_2d_integer_array_are_refused(self, paths):
+        # a 1-D array was once kept, and .length then raised IndexError;
+        # floats were truncated to states
+        with pytest.raises(ValidationError,
+                           match="paths must be a 2-D integer array"):
+            TrajectoryEnsemble(paths, 4)
 
     def test_invalid_size(self, c4_seq):
         with pytest.raises(ValidationError):

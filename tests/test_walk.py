@@ -257,7 +257,8 @@ class TestStep:
         assert len(steps) == 5
         for t, (masses, rho) in enumerate(steps):
             if t:
-                psi = step(psi, coin, shift, t=t - 1)
+                psi = WaveFunction(psi.graph, oracle.reference_step(
+                    psi, coin, shift, t=t - 1))
             assert masses.tobytes() \
                 == (np.abs(psi.amplitudes) ** 2).tobytes()
             assert rho.tobytes() == vertex_distribution(psi).tobytes()
@@ -310,7 +311,8 @@ class TestStep:
     def test_the_support_counts_any_nonzero_part(self, walkers):
         # an imaginary-only amplitude is in psi(0)'s support, a zero with
         # a -0.0 real part is not: the box is the one of the complex
-        # compare, and every mass and rho(t) those of the whole-space step
+        # compare, and every mass and rho(t) those of the whole-space
+        # reference step
         g = torus_graph((6, 6))
         space = ProductGraph(g, walkers)
         amps = np.zeros(space.basis_dim, np.complex128)
@@ -319,7 +321,7 @@ class TestStep:
         amps.view(np.float64)[:] /= np.linalg.norm(amps)  # keeps each -0.0
         psi = WaveFunction(space, amps)
         assert np.signbit(psi.amplitudes.real[[5, 40, 90, 130]]).all()
-        box = walk._workspace(psi, cone=True)[0]
+        box = walk._workspace(psi)[0]
         expect = walk._Box(space, psi.amplitudes != 0)
         assert [(a.verts.tolist(), a.size) for a in box.axes] \
             == [(a.verts.tolist(), a.size) for a in expect.axes]
@@ -327,7 +329,8 @@ class TestStep:
         coin, shift = CoinSpec.hadamard(g), ShiftSpec.flip_flop(g)
         for t, (masses, rho) in enumerate(evolve(psi, coin, shift, 3)):
             if t:
-                psi = step(psi, coin, shift, t=t - 1)
+                psi = WaveFunction(psi.graph, oracle.reference_step(
+                    psi, coin, shift, t=t - 1))
             assert masses.tobytes() \
                 == (np.abs(psi.amplitudes) ** 2).tobytes()
             assert rho.tobytes() == vertex_distribution(psi).tobytes()
@@ -416,6 +419,58 @@ class TestStep:
         with pytest.raises(ValidationError, match="two walkers"):
             step(psi, CoinSpec.hadamard(c4), ShiftSpec.moving(c4),
                  interaction=InteractionSpec.coincidence_phase(pg, np.pi))
+
+    @pytest.mark.parametrize("walkers", [1, 2])
+    def test_step_checks_its_two_buffers_against_the_budget_first(
+            self, walkers, monkeypatch):
+        # two state vectors: 32 bytes a state, and not one byte less
+        g = torus_graph((6, 6))
+        space = ProductGraph(g, walkers)
+        psi = WaveFunction.localized(space, 14, 1)
+        coin, shift = CoinSpec.grover(g), ShiftSpec.flip_flop(g)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET",
+                            32 * space.basis_dim)
+        assert np.array_equal(step(psi, coin, shift).amplitudes,
+                              oracle.reference_step(psi, coin, shift))
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("buffer allocated before the budget check")
+        monkeypatch.setattr(np, "empty_like", allocate)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET",
+                            32 * space.basis_dim - 1)
+        with pytest.raises(ResourceLimitError, match="two state buffers"):
+            step(psi, coin, shift)
+
+    @pytest.mark.parametrize("case", ["torus", "two-walker", "irregular"])
+    def test_step_holds_two_state_vectors(self, case):
+        # the step on the light cone peaks within 0.1 state vector of the
+        # whole-space step it replaced, which peaked at 2.51 (torus), 2.00
+        # (two walkers) and 2.00 (two walkers on an irregular graph) state
+        # vectors on these cases
+        if case == "torus":
+            g = torus_graph((60, 60))
+            psi = WaveFunction.localized(g, 1830, 0)
+            coin, shift, inter = CoinSpec.grover(g), ShiftSpec.moving(g), None
+            bound = 2.61
+        else:
+            g = torus_graph((10, 10)) if case == "two-walker" else \
+                build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+                            + [(v, v + 1) for v in range(3, 300)])
+            space = ProductGraph(g, 2)
+            psi = random_state(g, np.random.default_rng(5), walkers=2)
+            coin, shift = CoinSpec.hadamard(g) if case == "two-walker" \
+                else CoinSpec.grover(g), ShiftSpec.flip_flop(g)
+            inter = InteractionSpec.coincidence_phase(space, np.pi / 2)
+            bound = 2.10
+        step(psi, coin, shift, inter)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            step(psi, coin, shift, inter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * psi.amplitudes.nbytes
 
 
 class TestDenseOracle:
