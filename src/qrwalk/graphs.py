@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -285,6 +286,14 @@ class PortGraph:
                 f"|E|={self.basis_dim}, torus_dims={self.torus_dims})")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, a float or a complex is refused by
+    name (:class:`ValidationError`), not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} {value} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProductGraph:
     """K-fold product of a base graph, kept virtual: the one state space
@@ -338,7 +347,8 @@ class ProductGraph:
                 f"a basis state needs {k} (vertex, port) pairs, got "
                 f"{len(vertices)} vertices and {len(ports)} ports")
         return int(np.ravel_multi_index(
-            [self.base.basis_index(int(v), int(c))
+            [self.base.basis_index(_integer(v, "vertex"),
+                                   _integer(c, "port"))
              for v, c in zip(vertices, ports)], self.basis_shape))
 
     def _check_tuple(self, u: Sequence[int]) -> None:
@@ -588,13 +598,12 @@ def torus_graph(dims: Sequence[int]) -> PortGraph:
                 "each axis must be >= 3"
             )
     n, degree = int(np.prod(dims)), 2 * len(dims)
-    coords = np.unravel_index(np.arange(n), dims)
+    grid = np.arange(n).reshape(dims)
     heads = np.empty((n, degree), dtype=np.int64)
-    for ax, size in enumerate(dims):
+    for ax in range(len(dims)):
         for j, step in enumerate((1, -1)):
-            moved = list(coords)
-            moved[ax] = (coords[ax] + step) % size
-            heads[:, 2 * ax + j] = np.ravel_multi_index(moved, dims)
+            # rolled by -step, each vertex's slot holds its +step neighbour
+            heads[:, 2 * ax + j] = np.roll(grid, -step, axis=ax).reshape(-1)
     return PortGraph(np.arange(n + 1) * degree, heads.reshape(-1),
                      torus_dims=dims)
 
@@ -704,8 +713,7 @@ def graph_hash(g: PortGraph) -> str:
     last = offsets[1:] - 1
     arcs[last, w + 1] = ord("]")
     arcs[last[:-1], w + 2] = ord(",")
-    octets = arcs.reshape(-1)
     digest = hashlib.sha256(b'{"n":%d,"out":[' % n)
-    digest.update(octets[octets != 0])
+    digest.update(arcs.tobytes().translate(None, b"\0"))
     digest.update(b"]}")
     return digest.hexdigest()

@@ -311,8 +311,9 @@ def initial_state_from_json(
     """Parse ``[{"vertex": v, "port": c, "re": x, "im": y}, ...]``.
 
     The default (None) is the localized state on vertex 0, port 0; lists
-    in the vertex/port fields address multiple walkers. The state is
-    renormalised on load (with a warning beyond 1e-8 drift).
+    in the vertex/port fields address multiple walkers. The state is held
+    as its nonzero components, renormalised on load (with a warning
+    beyond 1e-8 drift); a vertex or port that is not an integer is refused.
     """
     if doc is None:
         return WaveFunction.localized(graph, 0, 0)

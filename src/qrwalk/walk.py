@@ -22,9 +22,10 @@ moves it along an arc (:class:`ShiftSpec` accepts no other map), so
 psi(t) is exactly zero outside the light cone of psi(0)'s support: the
 product of the sets of vertices each walker can have reached. The walk
 keeps only the box over their ports, at the front of its two buffers,
-each walker's ports listed in degree-class order so that each coin class
-is one run; a state over the whole space is kept in that order too. The
-tests' whole-space bits oracle is ``_oracles.reference_step``.
+sized to the box, each walker's ports listed in degree-class order so
+that each coin class is one run; a state over the whole space is kept in
+that order too. The tests' whole-space bits oracle is
+``_oracles.reference_step``.
 
 Operators may vary with time: wherever a spec is accepted, a callable
 ``t -> spec`` is accepted too and resolved at each step.
@@ -86,17 +87,13 @@ def _check_norm(norm2: float) -> None:
         )
 
 
-def _zero_state(graph: PortGraph | ProductGraph
-                ) -> tuple[ProductGraph, np.ndarray]:
-    """``graph`` as a state space, and a zero vector over its basis that
-    was checked against the memory budget before it was allocated."""
-    space = ProductGraph.of(graph)
+def _zero_state(space: ProductGraph) -> np.ndarray:
+    """A zero state vector of ``space``, checked against the budget first."""
     dim = space.basis_dim
     check_budget(16 * dim, f"a state vector of dimension {dim}")
-    return space, np.zeros(dim, dtype=np.complex128)
+    return np.zeros(dim, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
 class WaveFunction:
     """Complex amplitudes over the joint (vertex, port) basis of ``graph``.
 
@@ -107,15 +104,18 @@ class WaveFunction:
     normalised within :data:`NORM_ATOL` when it is made, and its storage
     is frozen; since every operator is unitary, evolved states pass the
     same check.
+
+    ``WaveFunction(graph, amplitudes)`` holds the dense vector it is given
+    (``components`` is ``None``). :meth:`localized` and
+    :meth:`from_components` hold only ``components``: the ascending basis
+    indices of the nonzero amplitudes, and those amplitudes. Their
+    :attr:`amplitudes` are made on first read, checked against the memory
+    budget first; the walk reads the components (:func:`_workspace`).
     """
 
-    graph: ProductGraph
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        space = ProductGraph.of(self.graph)
-        object.__setattr__(self, "graph", space)
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+    def __init__(self, graph: PortGraph | ProductGraph, amplitudes):
+        space = ProductGraph.of(graph)
+        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
         if amps.shape != (space.basis_dim,):
             raise ValidationError(
                 f"amplitude vector has shape {amps.shape}, expected "
@@ -123,8 +123,27 @@ class WaveFunction:
                 f"a basis of dimension {space.base.basis_dim}"
             )
         _check_norm(float(np.vdot(amps, amps).real))
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        self.__dict__.update(graph=space, components=None,
+                             amplitudes=_readonly(amps))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a WaveFunction is frozen: cannot set {name}")
+
+    @classmethod
+    def _sparse(cls, space: ProductGraph, index, values) -> "WaveFunction":
+        """The state of the normalised nonzero ``values`` at the ascending
+        basis indices ``index``."""
+        psi = cls.__new__(cls)
+        psi.__dict__.update(graph=space, components=(_readonly(index),
+                                                     _readonly(values)))
+        return psi
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The dense amplitude vector (read-only)."""
+        amps = _zero_state(self.graph)
+        amps.put(*self.components)
+        return _readonly(amps)
 
     # -- structure ---------------------------------------------------------
 
@@ -145,23 +164,22 @@ class WaveFunction:
         vertex: int | Sequence[int],
         port: int | Sequence[int] = 0,
     ) -> "WaveFunction":
-        """Point mass on one basis state; tuples address K walkers, and a
-        scalar vertex or port is every walker's. The vector is checked
-        against the memory budget first."""
-        space, amps = _zero_state(graph)
+        """Point mass on one basis state, held as its one component; tuples
+        address K walkers, and a scalar vertex or port is every walker's."""
+        space = ProductGraph.of(graph)
         k = space.num_walkers
         vs = [vertex] * k if np.isscalar(vertex) else list(vertex)
         ps = [port] * k if np.isscalar(port) else list(port)
-        amps[space.basis_index(vs, ps)] = 1.0
-        return cls(space, amps)
+        return cls._sparse(space, np.array([space.basis_index(vs, ps)]),
+                           np.ones(1, dtype=np.complex128))
 
     @classmethod
     def uniform(cls, graph: PortGraph | ProductGraph) -> "WaveFunction":
         """Equal real amplitude on every basis state. The vector is checked
         against the memory budget first."""
-        space, amps = _zero_state(graph)
+        amps = _zero_state(ProductGraph.of(graph))
         amps += 1.0 / np.sqrt(amps.size)
-        return cls(space, amps)
+        return cls(graph, amps)
 
     @classmethod
     def from_components(
@@ -171,13 +189,17 @@ class WaveFunction:
     ) -> "WaveFunction":
         """Build from sparse ``(vertex, port, amplitude)`` entries.
 
-        Tuples of vertices/ports address K-walker states. The vector is
-        checked against the memory budget first, and always renormalised;
-        a drift beyond 1e-8 triggers a warning since it usually means the
+        Tuples of vertices/ports address K-walker states; the entries of
+        one basis state add up in their order, and the state keeps the
+        nonzero sums alone, as its components. It is always renormalised,
+        by the square root of :func:`math.fsum` of the squared real and
+        imaginary parts, a sum that no BLAS build or term order moves; a
+        drift beyond 1e-8 triggers a warning since it usually means the
         input was not meant to be a state. A non-finite amplitude raises
         :class:`ValidationError` naming its entry.
         """
-        space, amps = _zero_state(graph)
+        space = ProductGraph.of(graph)
+        sums: dict[int, complex] = {}
         for vertex, port, amp in components:
             amp = complex(amp)
             if not cmath.isfinite(amp):
@@ -185,8 +207,11 @@ class WaveFunction:
                                       f"{vertex}, port {port} is not finite")
             vs = [vertex] if np.isscalar(vertex) else list(vertex)
             ps = [port] if np.isscalar(port) else list(port)
-            amps[space.basis_index(vs, ps)] += amp
-        norm = float(np.linalg.norm(amps))
+            index = space.basis_index(vs, ps)
+            sums[index] = sums.get(index, 0j) + amp
+        index = sorted(i for i, a in sums.items() if a)
+        values = np.array([sums[i] for i in index], dtype=np.complex128)
+        norm = math.sqrt(math.fsum(np.square(values.view(np.float64))))
         if norm == 0.0:
             raise ValidationError("initial state has zero norm")
         if abs(norm - 1.0) > 1e-8:
@@ -194,8 +219,8 @@ class WaveFunction:
                 f"initial state renormalised: norm was {norm!r}",
                 stacklevel=2,
             )
-        amps /= norm
-        return cls(space, amps)
+        values /= norm
+        return cls._sparse(space, np.array(index, dtype=np.int64), values)
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +665,10 @@ class _Box:
     state being the C-contiguous array of shape :attr:`shape` at the front
     of a state buffer. The shifts move the axes on (:meth:`move`)."""
 
-    def __init__(self, space: ProductGraph, support: np.ndarray | None):
-        """The box over the whole space, or over the vertices of the
-        basis states where the flat mask ``support`` is set."""
+    def __init__(self, space: ProductGraph,
+                 hits: Sequence[np.ndarray] | None):
+        """The box over the whole space (``hits`` ``None``), or over the
+        vertices ``hits[i]`` of each walker i (repeats allowed)."""
         g, k = space.base, space.num_walkers
         self.space, self.graph = space, g
         self.sizes = [v.size for v in g.degree_classes.values()]
@@ -655,13 +681,8 @@ class _Box:
                           g.basis_dim)
         self.steps = _column_steps(space)
         self.degree = _degree(g)
-        self.axes = [self.full] * k
-        if support is not None:
-            support = support.reshape(space.basis_shape)
-            for i in range(k):
-                hit = support if k == 1 else \
-                    support.any(axis=tuple(j for j in range(k) if j != i))
-                self.axes[i] = self.reach(i, g.vertex_of_basis[hit])
+        self.axes = [self.full] * k if hits is None else \
+            [self.reach(i, verts) for i, verts in enumerate(hits)]
         self.shape = [a.size for a in self.axes]
 
     @property
@@ -682,6 +703,18 @@ class _Box:
     def move(self, i: int, axis: _Axis) -> None:
         self.axes[i] = axis
         self.shape[i] = axis.size
+
+    def fit(self, buf: np.ndarray, size: int) -> np.ndarray:
+        """``buf`` if it holds ``size`` states, else a new buffer of that
+        size (no copy: a kernel writes its output from scratch), charged
+        to the memory budget as one of two first; the refusal says when
+        the axes could not be cut (:func:`_column_steps`)."""
+        if buf.size >= size:
+            return buf
+        check_budget(32 * size, f"two state buffers of dimension {size}" + (
+            "" if any(self.steps) else
+            " (no column block was found, so the box stays whole)"))
+        return np.empty_like(buf, shape=size)
 
     def reach(self, i: int, verts: np.ndarray) -> _Axis:
         """Walker i's axis over the vertices ``verts`` (repeats allowed),
@@ -860,25 +893,31 @@ def _shifts(box: _Box, specs: list, x: np.ndarray,
     other axis moves to the heads of its ports' arcs, which a reach mask
     over the vertices turns into the new axis (:meth:`_Box.reach`), whose
     ``first`` slots place each arc's target; the new box is zero-filled
-    and then scattered into."""
+    and then scattered into. The new axes are made first, and each
+    buffer a shift writes into, and at the end the spare one, is grown
+    (:meth:`_Box.fit`) to the largest box the shifts pass through."""
     g = box.space.base
+    heads = [None if a.whole else g.heads[a.ports] for a in box.axes]
+    new = [a if h is None else box.reach(i, h)
+           for i, (a, h) in enumerate(zip(box.axes, heads))]
+    need = max(math.prod([a.size for a in new[:i + 1]] + box.shape[i + 1:])
+               for i in range(len(new)))
     for i, spec in enumerate(specs):
-        old = box.axes[i]
+        y = box.fit(y, need)
         src = box.view(x, i)
-        if old.whole:  # in range by construction: "clip" spares the
-            # copy np.take buffers its output into under "raise"
+        if heads[i] is None:  # in range by construction: "clip" spares
+            # the copy np.take buffers its output into under "raise"
             np.take(src, spec.gather, axis=1, out=box.view(y, i),
                     mode="clip")
         else:
-            heads = g.heads[old.ports]
-            box.move(i, box.reach(i, heads))
-            targets = box.axes[i].first[heads] - g.port_offsets[heads]
-            targets += spec.permutation[old.ports]
+            targets = new[i].first[heads[i]] - g.port_offsets[heads[i]]
+            targets += spec.permutation[box.axes[i].ports]
+            box.move(i, new[i])
             dst = box.view(y, i)
             dst.fill(0)
             dst[:, targets] = src
         x, y = y, x
-    return x, y
+    return x, box.fit(y, need)
 
 
 def _interaction_at(interaction: InteractionLike | None,
@@ -912,34 +951,62 @@ def _step(box: _Box, x: np.ndarray, y: np.ndarray,
 
 
 def _workspace(psi: WaveFunction) -> tuple[_Box, np.ndarray, np.ndarray]:
-    """The box of ``psi``'s support, and two state buffers, checked
-    against the memory budget first, the first one holding the box."""
-    dim = psi.graph.basis_dim
-    check_budget(32 * dim, f"two state buffers of dimension {dim}")
-    # a nonzero real or imaginary part, on the float view
-    support = (psi.amplitudes.view(np.float64) != 0).view(np.uint16) != 0
-    box = _Box(psi.graph, support)
-    x, y = np.empty_like(psi.amplitudes), np.empty_like(psi.amplitudes)
-    return (box, *box.gather(psi.amplitudes, x, y))
-
-
-def _in_basis(space: ProductGraph, axes: Sequence[_Axis], box: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """The array ``box`` over the box of ``axes`` as a flat array over the
-    joint basis, in basis order and zero outside the box: scattered into
-    ``out`` (of ``box``'s dtype) or a new array. When every axis is in
-    basis order the box is the whole space, and ``box`` is that array:
-    itself, flat, given an ``out``, else a copy."""
-    if all(a.in_order for a in axes):
-        flat = box.reshape(-1)
-        return flat if out is not None else flat.copy()
-    if out is None:
-        out = np.zeros(space.basis_dim, dtype=box.dtype)
+    """The box of ``psi``'s support, made from its projection on each
+    walker's axis, and two state buffers of the box's size, checked
+    against the memory budget first, the first one holding the box:
+    ``psi``'s components scattered, or a dense state gathered
+    (:meth:`_Box.gather`) when the box is whole, else its components,
+    found on its float view, scattered."""
+    space = psi.graph
+    g, k = space.base, space.num_walkers
+    if psi.components is None:
+        amps = psi.amplitudes
+        # a nonzero real or imaginary part, on the float view
+        support = ((amps.view(np.float64) != 0).view(np.uint16) != 0
+                   ).reshape(space.basis_shape)
+        hits = [support if k == 1 else support.any(axis=tuple(
+            j for j in range(k) if j != i)) for i in range(k)]
+        box = _Box(space, [g.vertex_of_basis[h] for h in hits])
     else:
-        out.fill(0)
-    index = _outer([None if a.in_order else a.ports for a in axes],
-                   space.base.basis_dim)
-    out.reshape(space.basis_shape)[index] = box.reshape([a.size for a in axes])
+        index, values = psi.components
+        coords = np.unravel_index(index, space.basis_shape)
+        box = _Box(space, [g.vertex_of_basis[c] for c in coords])
+    x = box.fit(np.empty(0, dtype=np.complex128), box.size)
+    y = np.empty_like(x)
+    if psi.components is None:
+        if box.whole:
+            return (box, *box.gather(amps, x, y))
+        index = np.flatnonzero(support)
+        values = amps[index]
+        coords = np.unravel_index(index, space.basis_shape)
+    slots = [_slots(g, a, c) for a, c in zip(box.axes, coords)]
+    x.fill(0)
+    x[np.ravel_multi_index(slots, box.shape)] = values
+    return box, x, y
+
+
+def _in_basis(space: ProductGraph, axes: Sequence[_Axis], x: np.ndarray,
+              y: np.ndarray | None = None) -> np.ndarray:
+    """The box at the front of the flat ``x``, over ``axes``, as a flat
+    array over the joint basis in basis order, zero outside the box. With
+    a spare buffer ``y`` (either may be overwritten), each whole axis not
+    in order takes one ``np.take`` of the inverse class order into the
+    other buffer. A box then in order is the whole space, and the array
+    is its buffer (a copy without ``y``); else the other axes' ports
+    place it in a new zero array by an outer index."""
+    dims = [a.size for a in axes]
+    ports = [None if a.in_order else a.ports for a in axes]
+    for i, a in enumerate(axes):
+        if y is not None and a.whole and ports[i] is not None:
+            np.take(_middle(x, dims, i), space.base.class_order[1], axis=1,
+                    out=_middle(y, dims, i), mode="clip")
+            x, y, ports[i] = y, x, None
+    box = x[:math.prod(dims)]
+    if all(p is None for p in ports):
+        return box if y is not None else box.copy()
+    out = np.zeros(space.basis_dim, dtype=x.dtype)
+    index = _outer(ports, space.base.basis_dim)
+    out.reshape(space.basis_shape)[index] = box.reshape(dims)
     return out
 
 
@@ -963,16 +1030,20 @@ def step(
 ) -> WaveFunction:
     """One evolution step, shift(coin(interaction(psi))), by the walk
     loop's driver on the box of ``psi``'s support, put back in basis
-    order (:func:`_in_basis`) in its spare buffer; the memory budget is
-    checked first for the two buffers. The amplitudes have the bits of
-    the tests' whole-space bits oracle, ``_oracles.reference_step``,
-    wherever they are nonzero, on the condition that :func:`_light_cone`
-    states; a zero outside the box is +0.0, where the whole space may give
-    -0.0, so every mass keeps its bits."""
+    order (:func:`_in_basis`) as a dense state: a new vector, or the
+    buffer holding the box when it is the whole space. The memory budget
+    is checked first for that vector (16 bytes a basis state), then for
+    the two buffers (32 bytes a state of the box). The amplitudes have
+    the bits of the tests' whole-space bits oracle,
+    ``_oracles.reference_step``, wherever they are nonzero, on the
+    condition that :func:`_light_cone` states; a zero is +0.0, where the
+    whole space may give -0.0, so every mass keeps its bits."""
+    space = psi.graph
+    check_budget(16 * space.basis_dim,
+                 f"a state vector of dimension {space.basis_dim}")
     box, x, y = _workspace(psi)
     x, y = _step(box, x, y, coin, shift, interaction, t)
-    return WaveFunction(psi.graph,
-                        _in_basis(psi.graph, box.axes, x[:box.size], y))
+    return WaveFunction(space, _in_basis(space, box.axes, x, y))
 
 
 def _light_cone(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
@@ -999,9 +1070,11 @@ def _light_cone(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
     Each step runs its kernels on that box alone (:class:`_Box`), by the
     driver :func:`step` runs too; an axis that covers every vertex runs
     them without index work. The box lives at the front of two state
-    buffers, each step's operators writing from one into the other. The
-    buffers are checked against the memory budget before anything is
-    allocated. Every psi(t + 1) is checked to be normalised within
+    buffers, each step's operators writing from one into the other. They
+    hold psi(0)'s box and grow with it (:func:`_shifts`), each size
+    checked against the memory budget first (32 bytes a state of the
+    box), so a walk is charged for the largest box it reaches, not for
+    the joint basis. Every psi(t + 1) is checked to be normalised within
     :data:`NORM_ATOL`, as a :class:`WaveFunction` is, before its masses
     are yielded.
 
@@ -1038,17 +1111,15 @@ def evolve(psi0: WaveFunction, coin: CoinLike, shift: ShiftLike,
     (:func:`_light_cone`, which evolves only the light cone of psi(0)'s
     support, and checks each state's norm) box-local masses put in place
     (:func:`_in_basis`) in an array that is zero outside the box. The
-    memory budget is checked first for the loop's two state buffers and
-    two such arrays: the one being made and the one the caller may still
-    hold. The commands and the matrix build need only rho(t) or the
-    masses on the box, so they read the loop itself, make no such array
-    and are charged for the two buffers alone."""
+    memory budget is checked first for two such arrays, the one being
+    made and the one the caller may still hold (16 bytes a basis state).
+    The commands and the matrix build read the loop itself, and are
+    charged for its buffers alone."""
     dim = psi0.graph.basis_dim
-    check_budget(48 * dim, "two state buffers and two mass arrays of "
-                 f"dimension {dim}")
+    check_budget(16 * dim, f"two mass arrays of dimension {dim}")
     for p, axes, rho in _light_cone(psi0, coin, shift, horizon,
                                     interaction):
-        yield _in_basis(psi0.graph, axes, p), rho
+        yield _in_basis(psi0.graph, axes, p.reshape(-1)), rho
 
 
 def _degree(graph: PortGraph) -> int:

@@ -179,6 +179,25 @@ def reference_moving(out_neighbors) -> list[int]:
     return perm
 
 
+def reference_from_components(graph, components) -> np.ndarray:
+    """The amplitudes of ``WaveFunction.from_components`` as its dense
+    constructor made them: each ``(vertex, port, amplitude)`` entry added
+    in order into a zero vector over the joint basis, which is divided by
+    its ``np.linalg.norm``, a BLAS dot whose terms are grouped by basis
+    position. Raises :class:`ValidationError` on a zero norm."""
+    space = walk.ProductGraph.of(graph)
+    amps = np.zeros(space.basis_dim, dtype=np.complex128)
+    for vertex, port, amp in components:
+        vs = [vertex] if np.isscalar(vertex) else list(vertex)
+        ps = [port] if np.isscalar(port) else list(port)
+        amps[space.basis_index(vs, ps)] += complex(amp)
+    norm = float(np.linalg.norm(amps))
+    if norm == 0.0:
+        raise ValidationError("initial state has zero norm")
+    amps /= norm
+    return amps
+
+
 def reference_graph_hash(out_neighbors) -> str:
     payload = json.dumps(
         {"n": len(out_neighbors), "out": [list(x) for x in out_neighbors]},

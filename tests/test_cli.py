@@ -149,6 +149,26 @@ def test_a_non_finite_initial_amplitude_exits_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("walkers, item, shown", [
+    (1, {"vertex": 2.7, "port": 0.9}, "vertex 2.7 is not an integer"),
+    (1, {"vertex": 2, "port": True}, "port True is not an integer"),
+    (1, {"vertex": 2.0, "port": 0}, "vertex 2.0 is not an integer"),
+    (2, {"vertex": [0, 1.5], "port": [0, 0]},
+     "vertex 1.5 is not an integer"),
+    (2, {"vertex": [0, 1], "port": [False, 0]},
+     "port False is not an integer")])
+def test_a_non_integer_id_exits_2(tmp_path, capsys, walkers, item, shown):
+    """A fractional or boolean vertex or port is refused by name, not
+    truncated to the basis state it would round down to."""
+    cfg = write_config(tmp_path / "cfg.json", horizon=2, walkers=walkers,
+                       initial_state=[dict(item, re=1.0)])
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and shown in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "equivalence", "sample",
                                      "tvd", "rejection"])
 def test_a_walk_that_fails_midway_exits_1(tmp_path, capsys, monkeypatch,
@@ -190,6 +210,31 @@ class TestEquivalence:
         assert main(["equivalence", "--config", str(cfg),
                      "--out-dir", str(out)]) == 0
         assert any("|" in row[1] for row in read_table(out / "p_matrix").rows)
+
+    def test_two_walkers_on_a_large_joint_basis_run_in_their_light_cone(
+            self, tmp_path, monkeypatch):
+        # K = 2 on a 20x20 torus: 1600^2 basis states, so a dense psi(0)
+        # alone would take 41 MB; psi(0) is its one component and the
+        # walk's buffers hold its box, so both commands run in 16 MiB
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 16 << 20)
+        cfg = write_config(
+            tmp_path / "cfg.json", graph={"type": "torus", "dims": [20, 20]},
+            walkers=2, shift={"type": "flip-flop"}, horizon=2,
+            interaction={"type": "coincidence-phase", "phi": 1.0},
+            initial_state=[{"vertex": [0, 210], "port": [0, 1], "re": 0.6},
+                           {"vertex": [1, 210], "port": [2, 1], "im": 0.8}],
+            ensemble_size=50)
+        out = tmp_path / "eq"
+        assert main(["equivalence", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] and max(
+            report[key] for key in ("max_entry_violation",
+                                    "max_column_sum_deviation",
+                                    "max_propagation_residual")) <= 1e-10
+        assert load_sequence(out).num_states == 400 ** 2
+        assert main(["sample", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "s")]) == 0
 
     def test_same_seed_reruns_write_the_same_store(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", horizon=4)

@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -1024,6 +1025,96 @@ def test_box_masses_give_the_bits_of_whole_space_masses(seed, walkers,
     irregular graphs, one to three walkers, named, random and explicit
     coins, sparse and full starts."""
     box_matrices_match(seed, walkers, regular, start)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2]),
+       dyadic=st.booleans())
+def test_from_components_holds_the_dense_constructors_state(seed, walkers,
+                                                            dyadic):
+    """``from_components`` keeps the nonzero sums of its entries alone,
+    and put over the joint basis they are the amplitudes of the dense
+    constructor it replaced (``reference_from_components``): bit for bit
+    when the squared parts sum exactly whatever their order, as
+    amplitudes of a few binary digits do, else within two ulps, since
+    that constructor's norm was a BLAS dot grouped by basis position."""
+    rng = np.random.default_rng(seed)
+    space = ProductGraph(cycle_graph(int(rng.integers(3, 6))), walkers)
+    g = space.base
+    comps = []
+    for _ in range(int(rng.integers(1, 12))):
+        verts = rng.integers(g.num_vertices, size=walkers).tolist()
+        ports = rng.integers(2, size=walkers).tolist()
+        parts = rng.integers(-8, 9, 2) / 8 if dyadic else rng.normal(size=2)
+        comps.append((tuple(verts), tuple(ports), complex(*parts)))
+    try:
+        want = oracle.reference_from_components(space, comps)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="zero norm"):
+            WaveFunction.from_components(space, comps)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        psi = WaveFunction.from_components(space, comps)
+    index, values = psi.components
+    assert index.tolist() == np.flatnonzero(want).tolist()
+    if dyadic:
+        assert psi.amplitudes.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(values - want[index])
+                      <= 2 * np.finfo(float).eps * np.abs(want[index]))
+
+
+def as_components(psi) -> WaveFunction:
+    """``psi`` made again by ``from_components`` from its nonzero
+    amplitudes, so that it is held as its components."""
+    space, g = psi.graph, psi.graph.base
+    comps = []
+    for i in np.flatnonzero(psi.amplitudes).tolist():
+        pairs = [g.basis_state(int(a))
+                 for a in np.unravel_index(i, space.basis_shape)]
+        comps.append((tuple(v for v, _ in pairs), tuple(c for _, c in pairs),
+                      psi.amplitudes[i]))
+    return WaveFunction.from_components(space, comps)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), walkers=st.sampled_from([1, 2, 3]),
+       regular=st.booleans(),
+       start=st.sampled_from(["sparse", "random", "uniform"]))
+def test_grown_box_buffers_give_the_bits_of_the_whole_space_oracle(
+        seed, walkers, regular, start):
+    """The walk's buffers start at psi(0)'s box and grow with it: the
+    masses (put over the joint basis), rho(t) and every array of P(t)
+    they give equal, bit for bit, those of the whole-space oracle,
+    ``reference_step`` chained from psi(0), for one to three walkers on
+    regular and irregular graphs, from a start held as its components
+    (``"sparse"``) or a dense random or uniform one."""
+    rng = np.random.default_rng(seed)
+    coin, shift, interaction, psi = cone_walk(rng, walkers, regular)
+    space = psi.graph
+    psi = {"sparse": as_components, "uniform": WaveFunction.uniform,
+           "random": lambda p: random_state(space, rng)}[start](
+        psi if start == "sparse" else space)
+    assert (psi.components is None) == (start != "sparse")
+    ref, rho_ref = WaveFunction(space, psi.amplitudes), None
+    for t, ((box, axes, rho), (masses, _)) in enumerate(zip(
+            walk._light_cone(psi, coin, shift, 4, interaction),
+            evolve(psi, coin, shift, 4, interaction))):
+        if t:
+            ref = WaveFunction(space, oracle.reference_step(
+                ref, coin, shift, interaction, t - 1))
+        want = np.abs(ref.amplitudes) ** 2
+        assert masses.tobytes() == want.tobytes()
+        assert rho.tobytes() == vertex_masses(space, want).tobytes()
+        if t:
+            got = matrix_from_masses(space, shift, rho_ref, box, t - 1,
+                                     axes=axes)
+            wanted = matrix_from_masses(space, shift, rho_ref, want, t - 1)
+            for name in ("col_ids", "indptr", "indices", "data"):
+                assert getattr(got, name).tobytes() \
+                    == getattr(wanted, name).tobytes()
+        rho_ref = vertex_masses(space, want)
 
 
 def test_box_masses_cover_every_kind_of_axis():

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,21 @@ class TestWaveFunction:
         with pytest.raises(ValidationError, match=message):
             WaveFunction.from_components(space, [(vertices, ports, 1.0)])
 
+    @pytest.mark.parametrize("vertex, port, shown", [
+        (1.5, 0, "vertex 1.5"), (1, 0.0, "port 0.0"), (True, 0, "vertex True"),
+        (1, np.True_, "port True"), (1 + 0j, 0, "vertex (1+0j)"),
+        (np.float64(2.0), 1, "vertex 2.0")])
+    def test_a_non_integer_id_is_rejected(self, c4, vertex, port, shown):
+        """Not truncated: ``(1.5, 0)`` is no alias of vertex 1."""
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{shown} is not an integer")):
+            WaveFunction.from_components(c4, [(vertex, port, 1.0)])
+        with pytest.raises(ValidationError, match="is not an integer"):
+            WaveFunction.localized(ProductGraph(c4, 2), (0, vertex),
+                                   (0, port))
+        assert WaveFunction.localized(c4, np.int32(1), np.int64(1)) \
+            .components[0].tolist() == [c4.basis_index(1, 1)]
+
     def test_unnormalised_rejected(self, c4):
         with pytest.raises(ValidationError, match="normalised"):
             WaveFunction(c4, np.ones(8))
@@ -112,10 +128,17 @@ class TestWaveFunction:
         assert not recwarn.list
 
     def test_memory_budget_enforced(self, c4, monkeypatch):
+        # a localized state holds its one component; its dense vector,
+        # made on first read, is charged 16 bytes a basis state, and not
+        # one byte less
         pg = ProductGraph(c4, 2)
-        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 100)
-        with pytest.raises(ResourceLimitError):
-            WaveFunction.localized(pg, (0, 0), (0, 0))
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 16 * 64)
+        assert WaveFunction.localized(pg, (0, 0), (0, 0)).amplitudes[0] == 1
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 16 * 64 - 1)
+        psi = WaveFunction.localized(pg, (0, 0), (0, 0))
+        with pytest.raises(ResourceLimitError,
+                           match="a state vector of dimension 64"):
+            psi.amplitudes
 
     def test_a_port_graph_is_taken_as_one_walker(self, c4, rng):
         one = ProductGraph(c4, 1)
@@ -276,29 +299,45 @@ class TestStep:
 
     def test_evolve_checks_its_buffers_against_the_budget_first(
             self, c4, monkeypatch):
-        # two state buffers and two arrays of masses: 48 bytes a state
+        # two arrays of masses over the whole space: 16 bytes a state;
+        # the loop's two state buffers grow to 32 states of the box (4
+        # ports by the whole axis of 8), 32 bytes each: the same 1024
         pg = ProductGraph(c4, 2)
         psi = WaveFunction.localized(pg, 0)
         coin, shift = CoinSpec.hadamard(c4), ShiftSpec.moving(c4)
-        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 48 * 64)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 16 * 64)
         assert len(list(evolve(psi, coin, shift, 2))) == 3
 
         def allocate(*args, **kwargs):
             raise AssertionError("buffer allocated before the budget check")
         monkeypatch.setattr(np, "empty_like", allocate)
-        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 48 * 64 - 1)
-        with pytest.raises(ResourceLimitError, match="two state buffers"):
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 16 * 64 - 1)
+        with pytest.raises(ResourceLimitError,
+                           match="two mass arrays of dimension 64"):
             next(evolve(psi, coin, shift, 2))
 
     def test_the_walk_loop_is_charged_for_its_two_buffers_alone(
             self, monkeypatch):
-        # 40 bytes a state: the loop's two state buffers (32) fit, and so
-        # does the matrix build on a localized start; evolve's two arrays
-        # of masses over the whole space (48 in all) do not
+        # from a localized start on a 30x30 torus, which is bipartite,
+        # the loop's two state buffers grow to the ports of the (5 + 1)^2
+        # vertices the walk can stand on at t = 5, 32 bytes each (4608);
+        # the matrix build's largest charge is the arcs of P(4) (9600);
+        # neither fits in one byte less, and evolve's two arrays of
+        # masses over the whole space (16 bytes a state) do not fit in
+        # the build's
         g = torus_graph((30, 30))
         psi = WaveFunction.localized(g, 435, 2)
         coin, shift = CoinSpec.grover(g), ShiftSpec.flip_flop(g)
-        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 40 * g.basis_dim)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 32 * 144)
+        assert len(list(walk._light_cone(psi, coin, shift, 5))) == 6
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 32 * 144 - 1)
+        with pytest.raises(ResourceLimitError,
+                           match="two state buffers of dimension 144"):
+            list(walk._light_cone(psi, coin, shift, 5))
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 9600 - 1)
+        with pytest.raises(ResourceLimitError, match="the 100 arcs"):
+            build_sequence(g, coin, shift, psi, 5)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 9600)
         assert len(build_sequence(g, coin, shift, psi, 5).matrices) == 5
 
         def allocate(*args, **kwargs):
@@ -322,7 +361,9 @@ class TestStep:
         psi = WaveFunction(space, amps)
         assert np.signbit(psi.amplitudes.real[[5, 40, 90, 130]]).all()
         box = walk._workspace(psi)[0]
-        expect = walk._Box(space, psi.amplitudes != 0)
+        hits = np.unravel_index(np.flatnonzero(psi.amplitudes != 0),
+                                space.basis_shape)
+        expect = walk._Box(space, [g.vertex_of_basis[h] for h in hits])
         assert [(a.verts.tolist(), a.size) for a in box.axes] \
             == [(a.verts.tolist(), a.size) for a in expect.axes]
         assert box.axes[0].size < g.basis_dim
@@ -423,23 +464,31 @@ class TestStep:
     @pytest.mark.parametrize("walkers", [1, 2])
     def test_step_checks_its_two_buffers_against_the_budget_first(
             self, walkers, monkeypatch):
-        # two state vectors: 32 bytes a state, and not one byte less
+        # from a localized start, whose buffers hold its box alone, the
+        # step is charged for its result, a new state vector (16 bytes a
+        # state); from a dense random start, whose box is the whole space,
+        # for its two buffers (32 bytes a state), the result being one of
+        # them; neither at one byte less
         g = torus_graph((6, 6))
         space = ProductGraph(g, walkers)
-        psi = WaveFunction.localized(space, 14, 1)
+        dim = space.basis_dim
         coin, shift = CoinSpec.grover(g), ShiftSpec.flip_flop(g)
-        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET",
-                            32 * space.basis_dim)
-        assert np.array_equal(step(psi, coin, shift).amplitudes,
-                              oracle.reference_step(psi, coin, shift))
+        cases = [(WaveFunction.localized(space, 14, 1), 16 * dim,
+                  f"a state vector of dimension {dim}"),
+                 (random_state(g, np.random.default_rng(3), walkers),
+                  32 * dim, f"two state buffers of dimension {dim}")]
+        for psi, charge, _ in cases:
+            monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", charge)
+            assert np.array_equal(step(psi, coin, shift).amplitudes,
+                                  oracle.reference_step(psi, coin, shift))
 
         def allocate(*args, **kwargs):
             raise AssertionError("buffer allocated before the budget check")
         monkeypatch.setattr(np, "empty_like", allocate)
-        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET",
-                            32 * space.basis_dim - 1)
-        with pytest.raises(ResourceLimitError, match="two state buffers"):
-            step(psi, coin, shift)
+        for psi, charge, what in cases:
+            monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", charge - 1)
+            with pytest.raises(ResourceLimitError, match=what):
+                step(psi, coin, shift)
 
     @pytest.mark.parametrize("case", ["torus", "two-walker", "irregular"])
     def test_step_holds_two_state_vectors(self, case):
@@ -471,6 +520,51 @@ class TestStep:
         finally:
             tracemalloc.stop()
         assert peak <= bound * psi.amplitudes.nbytes
+
+
+    def test_step_puts_whole_axes_back_in_order_by_takes(self):
+        # two walkers in a dense random state on a 124-port irregular
+        # graph: the box is the whole space, in degree-class order, and
+        # each axis goes back to basis order by one np.take in the two
+        # buffers; an outer-index scatter would add numpy's indexing
+        # buffer of about 130 KB, half a state vector here (2.56 in all)
+        g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+                        + [(v, v + 1) for v in range(3, 60)])
+        assert (g.basis_dim, len(g.degree_classes)) == (124, 3)
+        psi = random_state(g, np.random.default_rng(8), walkers=2)
+        coin, shift = CoinSpec.grover(g), ShiftSpec.flip_flop(g)
+        inter = InteractionSpec.coincidence_phase(psi.graph, 0.4)
+        assert np.array_equal(step(psi, coin, shift, inter).amplitudes,
+                              oracle.reference_step(psi, coin, shift, inter))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            step(psi, coin, shift, inter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * psi.amplitudes.nbytes
+
+    def test_a_box_that_cannot_be_cut_says_so_when_refused(self,
+                                                           monkeypatch):
+        # without a column block two walkers keep the whole space, and
+        # the refusal of its buffers says why; one walker's does not
+        monkeypatch.setattr(walk, "COLUMN_BLOCK", 0)
+        g = torus_graph((6, 6))
+        pg = ProductGraph(g, 2)
+        coin, shift = CoinSpec.grover(g), ShiftSpec.flip_flop(g)
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET",
+                            32 * pg.basis_dim - 1)
+        with pytest.raises(ResourceLimitError, match=re.escape(
+                f"two state buffers of dimension {pg.basis_dim} (no column "
+                "block was found, so the box stays whole) needs")):
+            next(walk._light_cone(WaveFunction.localized(pg, (0, 14), 1),
+                                  coin, shift, 2))
+        monkeypatch.setattr(walk, "DEFAULT_MEMORY_BUDGET", 32 * 4 - 1)
+        with pytest.raises(ResourceLimitError, match=re.escape(
+                "two state buffers of dimension 4 needs 128 bytes")):
+            next(walk._light_cone(WaveFunction.localized(g, 14, 1),
+                                  coin, shift, 2))
 
 
 class TestDenseOracle:

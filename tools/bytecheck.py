@@ -3,6 +3,7 @@
     python3 tools/bytecheck.py record parent.json --checkout ../parent
     python3 tools/bytecheck.py record change.json
     python3 tools/bytecheck.py diff parent.json change.json
+    python3 tools/bytecheck.py record extra.json --config state.json
 
 ``record`` imports ``qrwalk`` from the ``src/`` of a checkout (by default
 the one this file is in) and the benchmark's workload generators from its
@@ -14,8 +15,11 @@ in the same process, since state that lives across calls (the heap, for
 one) must not change a byte. A command that exits non-zero is recorded
 like any other. Each run's exit code, its stdout and stderr with the work
 directory's path replaced by ``<work>``, and the SHA-256 of every file it
-wrote are saved as one JSON object. ``diff`` prints each run that differs
-and exits 1 if any does.
+wrote are saved as one JSON object. ``--config FILE`` (repeatable) runs
+the same commands on the config in FILE too, keyed by its file name
+(``config/<name>/<format>/<run>/<repeat>``), for what the three workloads
+do not reach; the names must differ. ``diff`` prints each run that
+differs and exits 1 if any does.
 
 BLAS and OpenMP run on one thread, as in ``bench/run.py``. Record two
 checkouts from paths of equal length: the path's length moves the heap's
@@ -66,7 +70,7 @@ def _runs(config: dict, cfg: Path, fmt: str,
     """(name, argv, directory whose files the run writes) of each run on
     one config; ``verify`` and ``sample --from`` read the store that the
     ``equivalence`` run before them wrote."""
-    horizon = config["horizon"]
+    horizon = config.get("horizon", 0)
     tvd = dict(config, ensemble_sizes=[100, 1000],
                t_grid=sorted({0, horizon // 2, horizon}))
     emit = dict(config, emit_matrices=True)
@@ -106,26 +110,32 @@ def _digests(directory: Path) -> dict[str, str]:
             for path in sorted(directory.rglob("*")) if path.is_file()}
 
 
-def record(checkout: Path, seeds: list[int], smoke: bool) -> dict:
+def record(checkout: Path, seeds: list[int], smoke: bool,
+           configs: list[Path]) -> dict:
     main, workloads = _load(checkout)
+    names = [path.name for path in configs]
+    if len(set(names)) < len(names):
+        sys.exit(f"bytecheck: two --config files share a name: {names}")
+    cases = {f"{name}/seed{seed}": workloads.generate(name, seed,
+                                                      smoke=smoke).config
+             for name in workloads.WORKLOADS for seed in seeds}
+    cases |= {f"config/{path.name}": json.loads(path.read_text())
+              for path in configs}
     results = {}
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
         work = Path(tmp)
-        for name in workloads.WORKLOADS:
-            for seed in seeds:
-                config = workloads.generate(name, seed, smoke=smoke).config
-                for fmt in FORMATS:
-                    base = work / name / f"seed{seed}" / fmt
-                    base.mkdir(parents=True)
-                    cfg = base / "config.json"
-                    cfg.write_text(json.dumps(config))
-                    for rep in range(REPEATS):
-                        out = base / f"run{rep}"
-                        for run, argv, written in _runs(config, cfg, fmt,
-                                                        out):
-                            key = f"{name}/seed{seed}/{fmt}/{run}/{rep}"
-                            results[key] = _one(main, argv, written, work)
-                    shutil.rmtree(base)
+        for case, config in cases.items():
+            for fmt in FORMATS:
+                base = work / case / fmt
+                base.mkdir(parents=True)
+                cfg = base / "config.json"
+                cfg.write_text(json.dumps(config))
+                for rep in range(REPEATS):
+                    out = base / f"run{rep}"
+                    for run, argv, written in _runs(config, cfg, fmt, out):
+                        key = f"{case}/{fmt}/{run}/{rep}"
+                        results[key] = _one(main, argv, written, work)
+                shutil.rmtree(base)
     return results
 
 
@@ -174,6 +184,10 @@ def _parser() -> argparse.ArgumentParser:
     rec.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     rec.add_argument("--smoke", action="store_true",
                      help="the benchmark's tiny instances")
+    rec.add_argument("--config", type=Path, action="append", default=[],
+                     dest="configs", metavar="FILE",
+                     help="also run every command on this config "
+                          "(repeatable)")
     dif = sub.add_parser("diff", help="compare two recorded files")
     dif.add_argument("parent")
     dif.add_argument("change")
@@ -183,7 +197,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.action == "record":
-        results = record(args.checkout.resolve(), args.seeds, args.smoke)
+        results = record(args.checkout.resolve(), args.seeds, args.smoke,
+                         args.configs)
         Path(args.output).write_text(json.dumps(results, indent=1,
                                                 sort_keys=True) + "\n")
         files = sum(len(r["files"]) for r in results.values())
